@@ -4,7 +4,9 @@ Each benchmark regenerates one paper table or figure through the experiment
 harness, measures how long the reproduction takes (one round — these are
 simulations, not micro-kernels), asserts the qualitative claims the paper makes
 about that artifact, and writes the reproduced rows to
-``benchmarks/reports/<experiment>.txt`` so the output survives the run.
+``benchmarks/reports/<experiment>.txt`` so the output survives the run.  The
+reports are deterministic, so a run leaves the checkout unchanged; wall times
+stay in pytest-benchmark's own output.
 
 Every measured run executes inside an isolated runtime session so the shared
 result cache of :mod:`repro.runtime` cannot let one benchmark reuse another's
@@ -13,23 +15,16 @@ simulations — each benchmark pays the full cost of its own reproduction.
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.runner import run_experiment
-from repro.loadgen.trajectory import append_experiment_measurement, current_git_sha
 from repro.runtime import isolated_session
 
 #: Directory the benchmark reports are written to.
 REPORTS_DIR = Path(__file__).parent / "reports"
-
-#: The append-only performance trajectory (schema and record contract live in
-#: :mod:`repro.loadgen.trajectory`): one record per PR, each benchmark run
-#: merging its wall times into the record of the current git sha.
-SUMMARY_PATH = REPORTS_DIR / "bench_summary.json"
 
 #: Preset used by every benchmark run.
 BENCHMARK_PRESET = "fast"
@@ -41,37 +36,13 @@ def _run_isolated(experiment: str, preset: str) -> ExperimentResult:
         return run_experiment(experiment, preset=preset)
 
 
-def record_summary(experiment: str, preset: str, wall_seconds: float) -> None:
-    """Record one measurement into the perf trajectory's head record.
-
-    A corrupted or missing trajectory is simply restarted (and a legacy
-    schema-1 snapshot ingested as record 0), never fatal to the benchmark.
-    """
-    append_experiment_measurement(
-        SUMMARY_PATH,
-        experiment,
-        preset,
-        wall_seconds,
-        git_sha=current_git_sha(Path(__file__).parent),
-    )
-
-
 def run_and_report(benchmark, experiment: str, preset: str = BENCHMARK_PRESET) -> ExperimentResult:
     """Run one experiment under pytest-benchmark and persist its report."""
-    durations: list[float] = []
-
-    def timed(experiment: str, preset: str) -> ExperimentResult:
-        started = time.perf_counter()
-        result = _run_isolated(experiment, preset)
-        durations.append(time.perf_counter() - started)
-        return result
-
     result = benchmark.pedantic(
-        timed, args=(experiment, preset), rounds=1, iterations=1
+        _run_isolated, args=(experiment, preset), rounds=1, iterations=1
     )
     REPORTS_DIR.mkdir(exist_ok=True)
     (REPORTS_DIR / f"{experiment}.txt").write_text(result.to_text() + "\n")
-    record_summary(experiment, preset, durations[-1])
     return result
 
 

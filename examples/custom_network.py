@@ -23,8 +23,8 @@ import numpy as np
 from repro.analysis.speedup import dadn_result, stripes_result
 from repro.analysis.tables import format_ratio, format_table
 from repro.arch.tiling import SamplingConfig
-from repro.core.accelerator import PragmaticAccelerator
 from repro.core.pip import PragmaticTileFunctional
+from repro.core.sweep import sweep_network
 from repro.core.variants import column_variant
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
@@ -98,7 +98,7 @@ def main() -> None:
     print()
 
     sampling = SamplingConfig(max_pallets=8)
-    pragmatic = PragmaticAccelerator(column_variant(1)).simulate_network(trace, sampling)
+    pragmatic = sweep_network(trace, {"PRA-2b-1R": column_variant(1)}, sampling)["PRA-2b-1R"]
     baselines = {"DaDN": dadn_result(trace), "Stripes": stripes_result(trace)}
 
     rows = [

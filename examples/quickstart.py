@@ -20,7 +20,7 @@ import sys
 from repro.analysis.speedup import dadn_result, stripes_result
 from repro.analysis.tables import format_ratio, format_table
 from repro.arch.tiling import SamplingConfig
-from repro.core.accelerator import PragmaticAccelerator
+from repro.core.sweep import sweep_network
 from repro.core.variants import column_variant, pallet_variant
 from repro.energy.area import design_area
 from repro.energy.efficiency import design_efficiency
@@ -49,9 +49,14 @@ def main(network: str = "alexnet") -> None:
         "DaDN": dadn_result(trace),
         "Stripes": stripes_result(trace),
     }
-    for name, config in designs.items():
-        if config is not None:
-            results[name] = PragmaticAccelerator(config).simulate_network(trace, sampling)
+    # One sweep simulates every Pragmatic design, sharing the drain work.
+    results.update(
+        sweep_network(
+            trace,
+            {name: config for name, config in designs.items() if config is not None},
+            sampling,
+        )
+    )
 
     # 3. Per-layer speedups of the headline design.
     print("Per-layer speedup of PRA-2b over DaDianNao:")

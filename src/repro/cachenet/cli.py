@@ -28,17 +28,10 @@ import argparse
 import os
 import sys
 
-from repro.experiments.base import parse_age, parse_size
+from repro.experiments.base import parse_age, parse_endpoint, parse_size
 from repro.runtime.session import default_cache_dir
 
 __all__ = ["main"]
-
-
-def _parse_endpoint(value: str) -> tuple[str, int]:
-    host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {value!r}")
-    return host, int(port)
 
 
 def _selftest() -> int:
@@ -61,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument(
         "--tcp",
-        type=_parse_endpoint,
+        type=parse_endpoint,
         default=("127.0.0.1", 0),
         metavar="HOST:PORT",
         help="endpoint to listen on (default: 127.0.0.1:0, ephemeral)",

@@ -1,31 +1,21 @@
 """Pragmatic core: oneffset generation, PIPs, scheduling, and the cycle simulator."""
 
-from repro.core.accelerator import (
-    LayerResult,
-    NetworkResult,
-    PragmaticAccelerator,
-    PragmaticConfig,
-)
+from repro.core.accelerator import LayerResult, NetworkResult, PragmaticConfig
 from repro.core.dispatcher import DispatchStep, Dispatcher
-from repro.core.kernels import (
-    batched_drain_cycles,
-    drain_backend,
-    pack_bit_planes,
-    pack_drain_masks,
-    packed_essential_terms,
+from repro.core.kernels import batched_drain_cycles, packed_essential_terms
+from repro.core.oneffset_generator import (
+    NeuronLaneState,
+    OneffsetGenerator,
+    OneffsetStream,
 )
-from repro.core.oneffset_generator import NeuronLaneState, OneffsetGenerator
-from repro.core.pip import PragmaticInnerProductUnit, PragmaticTileFunctional
+from repro.core.pip import (
+    PragmaticInnerProductUnit,
+    PragmaticTileFunctional,
+    ScheduleCycle,
+    serial_term_schedule,
+)
 from repro.core.progress import ProgressToken, SweepCancelled
-from repro.core.scheduling import (
-    column_drain_cycles,
-    column_sync_cycles,
-    encoded_drain_masks,
-    essential_terms,
-    pallet_sync_cycles,
-    ssr_pipeline_cycles,
-    step_drain_cycles,
-)
+from repro.core.scheduling import encoded_drain_masks, ssr_pipeline_cycles
 from repro.core.software import SoftwareGuidance
 from repro.core.sweep import cycles_from_drain, sweep_network
 from repro.core.variants import (
@@ -44,28 +34,22 @@ from repro.core.variants import (
 
 __all__ = [
     "PragmaticConfig",
-    "PragmaticAccelerator",
     "LayerResult",
     "NetworkResult",
     "OneffsetGenerator",
+    "OneffsetStream",
     "NeuronLaneState",
     "Dispatcher",
     "DispatchStep",
     "PragmaticInnerProductUnit",
     "PragmaticTileFunctional",
+    "ScheduleCycle",
+    "serial_term_schedule",
     "SoftwareGuidance",
-    "column_drain_cycles",
-    "step_drain_cycles",
-    "pallet_sync_cycles",
-    "column_sync_cycles",
     "ssr_pipeline_cycles",
-    "essential_terms",
     "encoded_drain_masks",
     "batched_drain_cycles",
-    "pack_drain_masks",
-    "pack_bit_planes",
     "packed_essential_terms",
-    "drain_backend",
     "ProgressToken",
     "SweepCancelled",
     "sweep_network",

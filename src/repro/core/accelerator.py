@@ -1,32 +1,24 @@
-"""The Pragmatic accelerator cycle simulator.
+"""Configuration and result types of the Pragmatic cycle simulator.
 
-:class:`PragmaticAccelerator` ties together the substrate pieces — calibrated
-activation traces, the pallet/brick tiling, the neuron memory fetch model, the
-per-column drain scheduler and the synchronization schemes — into per-layer and
-per-network cycle counts that are normalized against the DaDianNao baseline,
-exactly the quantity the paper's Figures 9, 10 and 12 report.
+:class:`PragmaticConfig` is one design-space point of the accelerator;
+:func:`repro.core.sweep.sweep_network` simulates any number of them over one
+calibrated trace and returns a :class:`NetworkResult` of per-layer
+:class:`LayerResult` cycle and term counts per configuration, normalized
+against the DaDianNao baseline — the quantity the paper's Figures 9, 10 and
+12 report.  A single design is simply a one-entry sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.arch.config import ChipConfig, DEFAULT_CHIP
-from repro.arch.memory import NeuronMemory
-from repro.arch.tiling import SamplingConfig, sample_pallet_values
-from repro.baselines.dadiannao import DaDianNaoModel
-from repro.core.scheduling import column_sync_cycles, essential_terms, pallet_sync_cycles
-from repro.core.software import SoftwareGuidance
 from repro.numerics.encodings import DEFAULT_ENCODING, encoding_names
-from repro.nn.traces import NetworkTrace
 
 __all__ = [
     "PragmaticConfig",
     "LayerResult",
     "NetworkResult",
-    "PragmaticAccelerator",
 ]
 
 _SYNCHRONIZATIONS = ("pallet", "column")
@@ -157,104 +149,3 @@ class NetworkResult:
             for layer in self.layers
         )
         return "\n".join(lines)
-
-
-@dataclass
-class PragmaticAccelerator:
-    """Cycle-level simulator for a Pragmatic configuration."""
-
-    config: PragmaticConfig = field(default_factory=PragmaticConfig)
-
-    def __post_init__(self) -> None:
-        self._baseline = DaDianNaoModel(self.config.chip)
-        self._memory = NeuronMemory(self.config.chip)
-
-    def simulate_layer(
-        self,
-        trace: NetworkTrace,
-        layer_index: int,
-        sampling: SamplingConfig = SamplingConfig(),
-        guidance: SoftwareGuidance | None = None,
-    ) -> LayerResult:
-        """Simulate one layer and return its cycle/term counts.
-
-        Parameters
-        ----------
-        trace:
-            Calibrated activation trace of the network.
-        layer_index:
-            Which layer of the trace to simulate.
-        sampling:
-            Pallet sampling configuration; sampled pallets are scaled back to
-            the layer's full pallet count.
-        guidance:
-            Software guidance override.  By default the trace's precision
-            windows are used when the configuration enables trimming.
-        """
-        layer = trace.layer(layer_index)
-        storage_bits = trace.storage_bits
-        values, total_pallets = sample_pallet_values(trace, layer_index, sampling)
-
-        if guidance is None:
-            guidance = SoftwareGuidance.from_trace(
-                trace, enabled=self.config.software_trimming
-            )
-        values = guidance.apply(values, layer_index)
-
-        nm_cycles = self._memory.pallet_fetch_cycles(layer)
-        min_step = max(1, nm_cycles)
-        if self.config.synchronization == "pallet":
-            per_pallet = pallet_sync_cycles(
-                values,
-                self.config.first_stage_bits,
-                storage_bits,
-                min_step_cycles=min_step,
-                encoding=self.config.encoding,
-            )
-        else:
-            per_pallet = column_sync_cycles(
-                values,
-                self.config.first_stage_bits,
-                storage_bits,
-                ssr_count=self.config.ssr_count,
-                min_step_cycles=min_step,
-                encoding=self.config.encoding,
-            )
-
-        passes = layer.filter_passes(self.config.chip.filters_per_cycle)
-        cycles = float(per_pallet.mean()) * total_pallets * passes
-
-        sampled_neurons = values.size
-        terms_per_neuron = essential_terms(
-            values, storage_bits, encoding=self.config.encoding
-        ) / max(1, sampled_neurons)
-        terms = terms_per_neuron * layer.macs
-
-        return LayerResult(
-            layer_name=layer.name,
-            cycles=cycles,
-            baseline_cycles=float(self._baseline.layer_cycles(layer)),
-            terms=terms,
-            baseline_terms=float(self._baseline.layer_terms(layer, storage_bits)),
-        )
-
-    def simulate_network(
-        self,
-        trace: NetworkTrace,
-        sampling: SamplingConfig = SamplingConfig(),
-        guidance: SoftwareGuidance | None = None,
-    ) -> NetworkResult:
-        """Simulate every convolutional layer of a traced network."""
-        layers = tuple(
-            self.simulate_layer(trace, index, sampling=sampling, guidance=guidance)
-            for index in range(trace.network.num_layers)
-        )
-        return NetworkResult(
-            network=trace.network.name,
-            accelerator=self.config.name,
-            layers=layers,
-        )
-
-
-def _as_array(values: np.ndarray) -> np.ndarray:
-    return np.asarray(values)

@@ -1,19 +1,20 @@
-"""Batched drain kernel: whole-array cycle computation for the sweep engine.
+"""Batched drain kernel: the cycle model's one drain implementation.
 
 The drain computation — how many cycles a PIP column needs to stream its
 neurons' oneffsets through the two-stage shifter — is the hot path of every
-sweep.  The original implementation (kept as
-:func:`repro.core.scheduling._reference_drain_cycles`) walks the schedule one
-cycle at a time over a boolean bit-plane tensor; this module replaces it with
-a packed formulation that the whole batch shares:
+sweep.  :func:`batched_drain_cycles` is its only implementation; the scalar
+Figure 7 control, :func:`repro.core.pip.serial_term_schedule`, is the
+independent oracle the tests check it against.  The kernel works on a packed
+formulation that the whole batch shares:
 
-* **Packed masks.**  Every column's 16 neuron magnitudes are stored as one
-  ``uint16`` bit mask per lane (``pack_drain_masks``), 16x denser than the
-  boolean bit-plane tensor, so one kernel call can hold *all* sampled pallets
-  and *all* drain groups of a layer at once.  Signed-term encodings
+* **Packed masks.**  Every neuron's terms are one bit mask per lane
+  (:func:`repro.core.scheduling.encoded_drain_masks`), so one kernel call can
+  hold *all* sampled pallets and *all* drain groups of a layer at once.
+  Positional masks are ``uint16``; signed-term encodings
   (:mod:`repro.numerics.encodings`) that use positions above 15 — CSD and
-  HESE reach position 16 — pack into ``uint32`` masks and take the same fast
-  path; the lookup tables stay 16-bit and wide masks are split into halves.
+  HESE reach position 16 — pack into ``uint32`` masks and take the same path.
+  The trailing-zero and highest-bit lookup tables stay 16-bit and wide masks
+  are split into halves; popcounts are ``np.bitwise_count``.
 * **Closed-form fast path.**  A column whose set bits all fit inside one
   first-stage window (``highest - lowest < reach``) never stalls: it finishes
   in exactly its busiest lane's popcount.  This generalizes the full-reach
@@ -22,37 +23,23 @@ a packed formulation that the whole batch shares:
 * **Batched frontier loop.**  The remaining slow columns of *every* drain
   group advance together, one whole-array update per cycle, so the number of
   Python-level iterations is bounded by the maximum drain depth across the
-  whole batch — not summed per group as the per-group loop was.
+  whole batch.
 
 :func:`batched_drain_cycles` evaluates many ``first_stage_bits`` reaches over
 one packed tensor in a single call (the per-column statistics are computed
 once and shared); :func:`repro.core.sweep.sweep_network` dispatches all of a
-layer's ``(first_stage_bits, software_trimming)`` drain groups through it.
-
-The results are **bit-identical** to the reference scheduler — the golden
-suite (``tests/test_core_kernels.py``) proves it against both
-``_reference_drain_cycles`` and :class:`~repro.core.accelerator.PragmaticAccelerator`,
-and ``docs/runtime.md`` documents the guarantee.
-
-An optional compiled backend for the frontier loop can be selected with
-``REPRO_DRAIN_BACKEND=numba``; when numba is not installed (or fails to
-compile) the kernel silently falls back to the numpy loop, and both backends
-produce identical cycle counts.
+layer's ``(first_stage_bits, software_trimming, encoding)`` drain groups
+through one call per ``(trimming, encoding)`` pair.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 __all__ = [
     "KERNEL_MAX_POSITIONS",
-    "pack_drain_masks",
-    "pack_bit_planes",
     "batched_drain_cycles",
     "packed_essential_terms",
-    "drain_backend",
 ]
 
 #: Widest bit position the packed representation holds (``uint32`` masks for
@@ -65,35 +52,27 @@ _TABLE_POSITIONS = 16
 #: Sentinel head value of an empty ``uint16`` lane (no outstanding oneffsets).
 _EMPTY_HEAD = _TABLE_POSITIONS
 
-#: Environment variable selecting the frontier-loop backend.
-_BACKEND_ENV = "REPRO_DRAIN_BACKEND"
-
 # Lazily-built lookup tables over all 2**16 masks: trailing-zero position
-# (lowest set bit; 16 for mask 0), popcount, and highest set bit (-1 for 0).
+# (lowest set bit; 16 for mask 0) and highest set bit (-1 for 0).  In the
+# frontier loop the trailing-zero table is faster than a trailing zero
+# computed with np.bitwise_count.
 _TZ16: np.ndarray | None = None
-_POP16: np.ndarray | None = None
 _HB16: np.ndarray | None = None
 
-_NUMBA_FRONTIER = None
-_NUMBA_FAILED = False
 
-
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (trailing-zero, popcount, highest-bit) tables, built once."""
-    global _TZ16, _POP16, _HB16
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """The (trailing-zero, highest-bit) tables, built once."""
+    global _TZ16, _HB16
     if _TZ16 is None:
         n = np.arange(1 << _TABLE_POSITIONS, dtype=np.uint32)
         tz = np.full(n.size, _EMPTY_HEAD, dtype=np.uint8)
         hb = np.full(n.size, -1, dtype=np.int8)
-        pop = np.zeros(n.size, dtype=np.uint8)
         for position in range(_TABLE_POSITIONS - 1, -1, -1):
-            set_here = ((n >> position) & 1).astype(bool)
-            tz[set_here] = position
-            pop += set_here
+            tz[((n >> position) & 1).astype(bool)] = position
         for position in range(_TABLE_POSITIONS):
             hb[((n >> position) & 1).astype(bool)] = position
-        _TZ16, _POP16, _HB16 = tz, pop, hb
-    return _TZ16, _POP16, _HB16
+        _TZ16, _HB16 = tz, hb
+    return _TZ16, _HB16
 
 
 # Half-splitting helpers: wide (uint32) masks reuse the 16-bit tables.  Each
@@ -104,7 +83,7 @@ def _mask_width(masks: np.ndarray) -> int:
 
 def _trailing_zeros(masks: np.ndarray) -> np.ndarray:
     """Lowest set bit per mask (the mask's width for an empty mask)."""
-    tz, _, _ = _tables()
+    tz, _ = _tables()
     if masks.dtype == np.uint16:
         return tz[masks].astype(np.int16)
     lo = (masks & np.uint32(0xFFFF)).astype(np.uint16)
@@ -114,19 +93,9 @@ def _trailing_zeros(masks: np.ndarray) -> np.ndarray:
     return np.where(lo != 0, low, high)
 
 
-def _popcounts(masks: np.ndarray) -> np.ndarray:
-    """Set-bit count per mask."""
-    _, pop, _ = _tables()
-    if masks.dtype == np.uint16:
-        return pop[masks].astype(np.int64)
-    lo = (masks & np.uint32(0xFFFF)).astype(np.uint16)
-    hi = (masks >> np.uint32(16)).astype(np.uint16)
-    return pop[lo].astype(np.int64) + pop[hi].astype(np.int64)
-
-
 def _highest_bits(masks: np.ndarray) -> np.ndarray:
     """Highest set bit per mask (-1 for an empty mask)."""
-    _, _, hb = _tables()
+    _, hb = _tables()
     if masks.dtype == np.uint16:
         return hb[masks].astype(np.int64)
     lo = (masks & np.uint32(0xFFFF)).astype(np.uint16)
@@ -134,55 +103,9 @@ def _highest_bits(masks: np.ndarray) -> np.ndarray:
     return np.where(hi != 0, 16 + hb[hi].astype(np.int64), hb[lo].astype(np.int64))
 
 
-# --------------------------------------------------------------------- packing
-def pack_drain_masks(values: np.ndarray, storage_bits: int) -> np.ndarray:
-    """Pack integer neuron values into per-lane ``uint16`` bit masks.
-
-    ``values`` may have any shape; element ``[...]`` of the result holds the
-    magnitude bits of the corresponding neuron.  Raises :class:`ValueError`
-    when a magnitude does not fit in ``storage_bits`` (same contract as
-    :func:`repro.numerics.fixedpoint.bit_matrix`) or when ``storage_bits``
-    exceeds the packed width.  Widths above 16 pack into ``uint32`` masks.
-    """
-    if not 1 <= storage_bits <= KERNEL_MAX_POSITIONS:
-        raise ValueError(
-            f"storage_bits must be in [1, {KERNEL_MAX_POSITIONS}], got {storage_bits}"
-        )
-    magnitudes = np.abs(np.asarray(values, dtype=np.int64))
-    limit = (1 << storage_bits) - 1
-    if magnitudes.size and int(magnitudes.max()) > limit:
-        raise ValueError(
-            f"magnitude {int(magnitudes.max())} does not fit in {storage_bits} bits "
-            f"(max {limit})"
-        )
-    dtype = np.uint16 if storage_bits <= _TABLE_POSITIONS else np.uint32
-    return magnitudes.astype(dtype)
-
-
-def pack_bit_planes(bits: np.ndarray) -> np.ndarray:
-    """Pack a boolean bit-plane tensor ``(..., positions)`` into mask words.
-
-    Up to 16 positions pack into ``uint16`` masks (the positional storage
-    formats); 17–32 positions (signed-term planes such as 17-position CSD
-    tensors) pack into ``uint32``.
-    """
-    arr = np.asarray(bits, dtype=bool)
-    if arr.ndim < 1:
-        raise ValueError("bits must have at least a positions dimension")
-    positions = arr.shape[-1]
-    if positions > KERNEL_MAX_POSITIONS:
-        raise ValueError(
-            f"cannot pack {positions} bit positions into {KERNEL_MAX_POSITIONS}-bit masks"
-        )
-    weights = (np.int64(1) << np.arange(positions, dtype=np.int64))
-    packed = np.tensordot(arr.astype(np.int64), weights, axes=([-1], [0]))
-    dtype = np.uint16 if positions <= _TABLE_POSITIONS else np.uint32
-    return packed.astype(dtype)
-
-
 def packed_essential_terms(masks: np.ndarray) -> float:
     """Total terms (set bits) of a packed mask tensor."""
-    return float(_popcounts(_as_masks(masks)).sum(dtype=np.int64))
+    return float(np.bitwise_count(_as_masks(masks)).sum(dtype=np.int64))
 
 
 def _as_masks(masks: np.ndarray) -> np.ndarray:
@@ -193,8 +116,8 @@ def _as_masks(masks: np.ndarray) -> np.ndarray:
     return masks.astype(np.uint16)
 
 
-# -------------------------------------------------------------- frontier loops
-def _frontier_numpy(masks: np.ndarray, reach: np.ndarray) -> np.ndarray:
+# --------------------------------------------------------------- frontier loop
+def _frontier(masks: np.ndarray, reach: np.ndarray) -> np.ndarray:
     """Drain the slow columns with one whole-array update per cycle.
 
     ``masks`` is ``uint16``/``uint32 [columns, lanes]`` (consumed by value —
@@ -227,76 +150,6 @@ def _frontier_numpy(masks: np.ndarray, reach: np.ndarray) -> np.ndarray:
     return out
 
 
-def _load_numba_frontier():
-    """JIT-compile the frontier loop with numba, or ``None`` when unavailable."""
-    global _NUMBA_FRONTIER, _NUMBA_FAILED
-    if _NUMBA_FRONTIER is not None:
-        return _NUMBA_FRONTIER
-    if _NUMBA_FAILED:
-        return None
-    try:
-        import numba
-
-        @numba.njit(cache=False)
-        def frontier(masks, reach):  # pragma: no cover - requires numba
-            rows, lanes = masks.shape
-            out = np.zeros(rows, dtype=np.int64)
-            for row in range(rows):
-                cycles = 0
-                while True:
-                    column_minimum = 64
-                    for lane in range(lanes):
-                        value = masks[row, lane]
-                        if value != 0:
-                            trailing = 0
-                            while value & 1 == 0:
-                                value >>= 1
-                                trailing += 1
-                            if trailing < column_minimum:
-                                column_minimum = trailing
-                    if column_minimum == 64:
-                        break
-                    limit = column_minimum + reach[row]
-                    for lane in range(lanes):
-                        value = masks[row, lane]
-                        if value != 0:
-                            trailing = 0
-                            while value & 1 == 0:
-                                value >>= 1
-                                trailing += 1
-                            if trailing < limit:
-                                masks[row, lane] &= masks[row, lane] - 1
-                    cycles += 1
-                out[row] = cycles
-            return out
-
-        def wrapper(masks: np.ndarray, reach: np.ndarray) -> np.ndarray:
-            return frontier(masks.astype(np.int64), reach.astype(np.int64))
-
-        # Compile eagerly on a trivial input so a broken toolchain falls back
-        # here instead of mid-sweep.
-        wrapper(np.array([[1]], dtype=np.uint16), np.array([1], dtype=np.int16))
-        _NUMBA_FRONTIER = wrapper
-        return wrapper
-    except Exception:
-        _NUMBA_FAILED = True
-        return None
-
-
-def drain_backend() -> str:
-    """The frontier-loop backend the next kernel call will use."""
-    if os.environ.get(_BACKEND_ENV, "").strip().lower() == "numba":
-        if _load_numba_frontier() is not None:
-            return "numba"
-    return "numpy"
-
-
-def _frontier(masks: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    if drain_backend() == "numba":
-        return _NUMBA_FRONTIER(masks, reach)
-    return _frontier_numpy(masks, reach)
-
-
 # --------------------------------------------------------------------- kernel
 def batched_drain_cycles(masks: np.ndarray, reaches) -> np.ndarray:
     """Drain cycles of every column under every first-stage reach, in one call.
@@ -319,7 +172,7 @@ def batched_drain_cycles(masks: np.ndarray, reaches) -> np.ndarray:
     numpy.ndarray
         ``int64`` cycle counts shaped ``(len(reaches), *masks.shape[:-1])``.
         Columns with no set bits report zero cycles, exactly like the
-        reference scheduler.
+        oracle's empty schedule.
     """
     masks = _as_masks(masks)
     if masks.ndim < 1:
@@ -335,7 +188,7 @@ def batched_drain_cycles(masks: np.ndarray, reaches) -> np.ndarray:
     columns = flat.shape[0]
     out = np.zeros((len(reaches), columns), dtype=np.int64)
     if columns:
-        busiest = _popcounts(flat).max(axis=1)
+        busiest = np.bitwise_count(flat).max(axis=1)
         column_mask = np.bitwise_or.reduce(flat, axis=1)
         # Bit span of the column; empty columns go deeply negative and are
         # therefore always closed-form (zero busiest lanes -> zero cycles).

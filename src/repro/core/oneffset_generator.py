@@ -21,9 +21,61 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.numerics.encodings import DEFAULT_ENCODING, get_encoding
-from repro.numerics.oneffsets import OneffsetStream
 
-__all__ = ["OneffsetGenerator", "NeuronLaneState"]
+__all__ = ["OneffsetStream", "OneffsetGenerator", "NeuronLaneState"]
+
+
+@dataclass(frozen=True)
+class OneffsetStream:
+    """The serial wire-level encoding of one neuron's oneffsets.
+
+    Each entry is a ``(pow, eon)`` pair: ``pow`` is the bit position (4 bits wide
+    for a 16-bit representation) and ``eon`` is the end-of-neuron marker that is
+    set on the last entry.  A zero-valued neuron is transmitted as a single
+    ``(0, eon=1)`` null entry whose term is suppressed by the PIP's AND gate.
+    """
+
+    entries: tuple[tuple[int, bool], ...]
+
+    @classmethod
+    def from_value(cls, value: int, bits: int = 16) -> "OneffsetStream":
+        """Encode ``value`` the way the positional oneffset generator serializes it."""
+        return cls.from_terms(get_encoding(DEFAULT_ENCODING).terms(int(value), bits=bits))
+
+    @classmethod
+    def from_terms(cls, terms: tuple[tuple[int, int], ...]) -> "OneffsetStream":
+        """Serialize ascending ``(sign, position)`` terms; signs travel separately."""
+        if not terms:
+            return cls(entries=((0, True),))
+        last = len(terms) - 1
+        return cls(
+            entries=tuple(
+                (position, index == last) for index, (_, position) in enumerate(terms)
+            )
+        )
+
+    @property
+    def value(self) -> int:
+        """Magnitude reconstructed from the stream as a positional sum.
+
+        The null encoding of 0 is the same wire pattern as a genuine 1; the
+        PIP tells them apart by the separate zero flag that drives its
+        null-term AND gate, so the stream alone reconstructs 1.
+        """
+        return get_encoding(DEFAULT_ENCODING).decode(
+            tuple((1, position) for position, _ in self.entries)
+        )
+
+    @property
+    def cycles(self) -> int:
+        """Cycles needed to stream the neuron (one oneffset per cycle, minimum 1)."""
+        return max(1, len(self.entries))
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
 
 
 @dataclass
@@ -99,19 +151,8 @@ class OneffsetGenerator:
         :meth:`lane_states` (so :attr:`OneffsetStream.value` reconstructs the
         unsigned positional sum only for unsigned encodings).
         """
-        if self.encoding.name == DEFAULT_ENCODING:
-            return OneffsetStream.from_value(int(value), bits=self.storage_bits)
-        positions = [
-            position
-            for _, position in self.encoding.terms(int(value), bits=self.storage_bits)
-        ]
-        if not positions:
-            return OneffsetStream(entries=((0, True),))
-        return OneffsetStream(
-            entries=tuple(
-                (position, index == len(positions) - 1)
-                for index, position in enumerate(positions)
-            )
+        return OneffsetStream.from_terms(
+            self.encoding.terms(int(value), bits=self.storage_bits)
         )
 
     def convert_brick(self, values: np.ndarray) -> list[OneffsetStream]:

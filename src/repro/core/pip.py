@@ -1,10 +1,14 @@
 """Functional model of the Pragmatic Inner Product unit (PIP) and tile.
 
-The cycle models in :mod:`repro.core.scheduling` only count cycles; the classes
-here actually *compute* through the serial PIP datapath of Figures 6 and 7 —
-first-stage shifters, adder tree, second-stage shifter, accumulator — so that
-the test suite can assert exact equivalence with the bit-parallel reference
-convolution for every synchronization and shifter configuration.
+The cycle model (:mod:`repro.core.kernels`, :mod:`repro.core.sweep`) only
+counts cycles; the classes here actually *compute* through the serial PIP
+datapath of Figures 6 and 7 — first-stage shifters, adder tree, second-stage
+shifter, accumulator — so that the test suite can assert exact equivalence
+with the bit-parallel reference convolution for every shifter configuration.
+
+Their control is :func:`serial_term_schedule`, the 2-stage shifting algorithm
+of Section V-D written one cycle at a time for one group of neurons.  It is
+also the independent oracle the batched drain kernel is tested against.
 """
 
 from __future__ import annotations
@@ -17,10 +21,94 @@ from repro.arch.config import ChipConfig, DEFAULT_CHIP
 from repro.arch.tiling import brick_positions, extract_brick, pallet_window_coordinates
 from repro.nn.layers import BRICK_SIZE, ConvLayerSpec
 from repro.nn.reference import check_shapes, pad_input
-from repro.numerics.encoding import serial_term_schedule
-from repro.numerics.oneffsets import encode_oneffsets
+from repro.numerics.encodings import DEFAULT_ENCODING, get_encoding
 
-__all__ = ["PragmaticInnerProductUnit", "PragmaticTileFunctional"]
+__all__ = [
+    "ScheduleCycle",
+    "serial_term_schedule",
+    "PragmaticInnerProductUnit",
+    "PragmaticTileFunctional",
+]
+
+
+@dataclass(frozen=True)
+class ScheduleCycle:
+    """One cycle of the 2-stage shifting control.
+
+    Attributes
+    ----------
+    common_shift:
+        The second-stage shift applied to the adder tree output this cycle.
+    first_stage_shifts:
+        Per-lane first stage shift, or ``None`` for lanes that are idle or
+        stalled this cycle.
+    consumed:
+        Per-lane oneffset consumed this cycle (``None`` when none was consumed).
+    """
+
+    common_shift: int
+    first_stage_shifts: tuple[int | None, ...]
+    consumed: tuple[int | None, ...]
+
+
+def serial_term_schedule(
+    oneffset_lists: list[list[int]] | list[tuple[int, ...]],
+    first_stage_bits: int,
+) -> list[ScheduleCycle]:
+    """Schedule the oneffsets of a group of neurons onto a 2-stage shifting PIP.
+
+    A shift by ``K`` decomposes as ``K = K' + C``: each synapse has a narrow
+    first-stage shifter (``L`` control bits, reach ``0 … 2**L - 1``) and one
+    second-stage shifter after the adder tree is shared.  Each cycle the
+    control picks the minimum outstanding oneffset ``C`` across the group; a
+    lane whose next oneffset ``K`` satisfies ``K - C < 2**L`` is processed
+    that cycle, otherwise it stalls.
+
+    Parameters
+    ----------
+    oneffset_lists:
+        One ascending list of oneffsets per neuron lane (empty list for a
+        zero-valued neuron).
+    first_stage_bits:
+        Width in bits of the first-stage (per-synapse) shifter control; the
+        paper's PRA-2b uses 2, the single-stage design uses 4 (full reach).
+
+    Returns
+    -------
+    list of :class:`ScheduleCycle`
+        The cycle-by-cycle schedule.  Its length is the number of cycles the
+        column needs to drain this group of neurons under per-column control.
+    """
+    if first_stage_bits < 0:
+        raise ValueError("first_stage_bits must be non-negative")
+    reach = 1 << first_stage_bits
+    pending = [list(lst) for lst in oneffset_lists]
+    for lane, lst in enumerate(pending):
+        if any(earlier > later for earlier, later in zip(lst, lst[1:])):
+            raise ValueError(f"oneffsets of lane {lane} must be ascending: {lst}")
+
+    schedule: list[ScheduleCycle] = []
+    while any(pending):
+        heads = [lst[0] for lst in pending if lst]
+        common = min(heads)
+        first_stage: list[int | None] = []
+        consumed: list[int | None] = []
+        for lst in pending:
+            if lst and (lst[0] - common) < reach:
+                delta = lst.pop(0) - common
+                first_stage.append(delta)
+                consumed.append(delta + common)
+            else:
+                first_stage.append(None)
+                consumed.append(None)
+        schedule.append(
+            ScheduleCycle(
+                common_shift=common,
+                first_stage_shifts=tuple(first_stage),
+                consumed=tuple(consumed),
+            )
+        )
+    return schedule
 
 
 @dataclass(frozen=True)
@@ -72,10 +160,12 @@ class PragmaticInnerProductUnit:
         """
         neurons = np.asarray(neuron_brick, dtype=np.int64).ravel()
         signs = np.where(neurons < 0, -1, 1)
-        magnitudes = np.abs(neurons)
-        if magnitudes.size and int(magnitudes.max()) >= (1 << self.storage_bits):
-            raise ValueError("neuron magnitude does not fit the storage representation")
-        oneffsets = [list(encode_oneffsets(int(m), ascending=True)) for m in magnitudes]
+        # The registry validates that every magnitude fits the storage width.
+        positional = get_encoding(DEFAULT_ENCODING)
+        oneffsets = [
+            [position for _, position in positional.terms(int(n), bits=self.storage_bits)]
+            for n in neurons
+        ]
         schedule = serial_term_schedule(oneffsets, self.first_stage_bits)
 
         accumulator = np.zeros(synapse_bricks.shape[0], dtype=np.int64)

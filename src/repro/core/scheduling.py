@@ -1,49 +1,32 @@
-"""Cycle scheduling models for Pragmatic's neuron-lane synchronization schemes.
+"""Term packing and the synchronization model of Pragmatic's cycle count.
 
-Three questions determine Pragmatic's cycle count for a layer:
+Two steps turn a layer's sampled neuron values into cycles:
 
-1. How many cycles does a PIP *column* (the 16 neurons of one window's brick)
-   need to drain its oneffsets under 2-stage shifting with a first-stage reach
-   of ``2**L``?  (:func:`column_drain_cycles` — vectorized over many columns.)
-2. Under **per-pallet synchronization** (Section V-A4) every window lane waits
-   for the slowest column before the next brick step, so a step costs the
-   maximum column drain over the pallet (:func:`pallet_sync_cycles`).
-3. Under **per-column synchronization** (Section V-E) columns advance
-   independently, limited by the single SB port and by the number of synapse
-   set registers (SSRs); :func:`ssr_pipeline_cycles` is the single dynamic
-   program over brick steps that both :func:`column_sync_cycles` and the sweep
-   engine's ``cycles_from_drain`` schedule with.
+1. :func:`encoded_drain_masks` packs the values into per-lane term masks
+   under a registered encoding, and the batched kernel
+   (:func:`repro.core.kernels.batched_drain_cycles`) turns the masks into the
+   cycles each PIP *column* needs to drain its oneffsets under 2-stage
+   shifting with a first-stage reach of ``2**L`` (Figure 7).
+2. A synchronization scheme turns per-column drains into per-pallet cycles
+   (:func:`repro.core.sweep.cycles_from_drain`).  Under **per-pallet
+   synchronization** (Section V-A4) every brick step costs the slowest column
+   of the pallet.  Under **per-column synchronization** (Section V-E) columns
+   advance independently, limited by the single SB port and by the number of
+   synapse set registers (SSRs): :func:`ssr_pipeline_cycles`.
 
-All functions accept integer neuron values shaped
-``[pallets, steps, windows, neurons]`` (the layout produced by
-:func:`repro.arch.tiling.sample_pallet_values`).  Drain computation dispatches
-through the packed batch kernel of :mod:`repro.core.kernels`; the original
-cycle-by-cycle scheduler survives as :func:`_reference_drain_cycles`, the
-executable specification the kernel's golden tests compare against.
+Drains are shaped ``[pallets, steps, windows]`` — the layout
+:func:`repro.arch.tiling.sample_pallet_values` produces, minus its neuron
+axis.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import (
-    KERNEL_MAX_POSITIONS,
-    batched_drain_cycles,
-    pack_bit_planes,
-    pack_drain_masks,
-    packed_essential_terms,
-)
+from repro.core.kernels import KERNEL_MAX_POSITIONS
 from repro.numerics.encodings import DEFAULT_ENCODING, get_encoding
 
-__all__ = [
-    "column_drain_cycles",
-    "step_drain_cycles",
-    "pallet_sync_cycles",
-    "column_sync_cycles",
-    "ssr_pipeline_cycles",
-    "essential_terms",
-    "encoded_drain_masks",
-]
+__all__ = ["encoded_drain_masks", "ssr_pipeline_cycles"]
 
 
 def encoded_drain_masks(
@@ -51,205 +34,44 @@ def encoded_drain_masks(
 ) -> np.ndarray:
     """Packed term masks of integer neuron values under a named encoding.
 
-    The ``positional`` default routes through :func:`pack_drain_masks` — the
-    exact pre-registry code path, preserving the bit-identity guarantee —
-    while every other registered encoding contributes its own term planes
-    (``uint32`` masks when positions above 15 are used, e.g. CSD/HESE).
+    Shape-preserving: ``uint16`` masks when every term position fits in 16
+    bits, ``uint32`` otherwise (CSD/HESE may use position ``storage_bits``).
+    Raises :class:`ValueError` when a magnitude does not fit in
+    ``storage_bits``, or when the encoding's positions would not fit the
+    kernel's packed width (instead of truncating them).
     """
-    if encoding == DEFAULT_ENCODING:
-        return pack_drain_masks(values, storage_bits)
-    return get_encoding(encoding).term_masks(values, bits=storage_bits)
-
-
-def column_drain_cycles(bits: np.ndarray, first_stage_bits: int) -> np.ndarray:
-    """Cycles for PIP columns to drain their neurons' oneffsets.
-
-    Parameters
-    ----------
-    bits:
-        Boolean array of shape ``(..., lanes, positions)``: the bit planes of
-        the neurons feeding one column (``lanes`` neurons of ``positions`` bit
-        positions each).  Leading dimensions enumerate independent columns.
-    first_stage_bits:
-        Width ``L`` of the first-stage shifter control.  Each cycle the control
-        processes, for every lane, the lowest outstanding oneffset whose
-        distance from the column-wide minimum is below ``2**L``; other lanes
-        stall (Figure 7 of the paper).
-
-    Returns
-    -------
-    numpy.ndarray
-        Integer cycle counts with shape ``bits.shape[:-2]``.  Columns with no
-        set bits report zero cycles; callers clamp to their minimum step cost.
-
-    The computation dispatches through the packed batch kernel
-    (:mod:`repro.core.kernels`); :func:`_reference_drain_cycles` keeps the
-    original cycle-by-cycle loop as the golden reference for tests.
-    """
-    arr = np.asarray(bits, dtype=bool)
-    if arr.ndim < 2:
-        raise ValueError("bits must have at least (lanes, positions) dimensions")
-    if first_stage_bits < 0:
-        raise ValueError("first_stage_bits must be non-negative")
-    positions = arr.shape[-1]
-    reach = 1 << first_stage_bits
-
-    if reach >= positions:
-        # Full-reach shifters never stall: a column finishes when its busiest
-        # lane has streamed all of its oneffsets.
-        return arr.sum(axis=-1).max(axis=-1)
-    if positions > KERNEL_MAX_POSITIONS:
-        # Wider than even the uint32 packing (none of the registered
-        # encodings gets here); the reference scheduler handles any width.
-        return _reference_drain_cycles(arr, first_stage_bits)
-    return batched_drain_cycles(pack_bit_planes(arr), (reach,))[0]
-
-
-def _reference_drain_cycles(bits: np.ndarray, first_stage_bits: int) -> np.ndarray:
-    """The pre-batch drain scheduler: one cycle per Python iteration, per call.
-
-    Kept verbatim as the executable specification the batched kernel is tested
-    against (golden suite + property tests); production paths use
-    :func:`column_drain_cycles`.
-    """
-    arr = np.asarray(bits, dtype=bool)
-    if arr.ndim < 2:
-        raise ValueError("bits must have at least (lanes, positions) dimensions")
-    if first_stage_bits < 0:
-        raise ValueError("first_stage_bits must be non-negative")
-    *lead, lanes, positions = arr.shape
-    reach = 1 << first_stage_bits
-
-    if reach >= positions:
-        return arr.sum(axis=-1).max(axis=-1)
-
-    flat = arr.reshape(-1, lanes, positions).copy()
-    cycles = np.zeros(flat.shape[0], dtype=np.int64)
-    position_index = np.arange(positions)
-    active = flat.any(axis=(1, 2))
-    while active.any():
-        sub = flat[active]
-        # Lowest outstanding oneffset per lane ("positions" marks an empty lane).
-        head = np.where(sub, position_index, positions).min(axis=2)
-        column_minimum = head.min(axis=1)
-        process = (head < positions) & (head - column_minimum[:, None] < reach)
-        rows, lane_index = np.nonzero(process)
-        sub[rows, lane_index, head[rows, lane_index]] = False
-        flat[active] = sub
-        cycles[active] += 1
-        active = flat.any(axis=(1, 2))
-    return cycles.reshape(lead) if lead else cycles.reshape(())
-
-
-def step_drain_cycles(
-    step_values: np.ndarray,
-    first_stage_bits: int,
-    storage_bits: int,
-    encoding: str = DEFAULT_ENCODING,
-) -> np.ndarray:
-    """Per-column drain cycles for integer neuron values.
-
-    ``step_values`` has shape ``(..., windows, neurons)``; the result has shape
-    ``(..., windows)``.  Values are packed once — as the term masks of the
-    selected encoding — and dispatched through the batch kernel.
-    """
-    if first_stage_bits < 0:
-        raise ValueError("first_stage_bits must be non-negative")
-    masks = encoded_drain_masks(step_values, storage_bits, encoding)
-    if masks.ndim < 1:
-        raise ValueError("step_values must have at least a neurons dimension")
-    return batched_drain_cycles(masks, (1 << first_stage_bits,))[0]
-
-
-def pallet_sync_cycles(
-    step_values: np.ndarray,
-    first_stage_bits: int,
-    storage_bits: int,
-    min_step_cycles: int = 1,
-    encoding: str = DEFAULT_ENCODING,
-) -> np.ndarray:
-    """Cycles per pallet under per-pallet neuron lane synchronization.
-
-    Parameters
-    ----------
-    step_values:
-        Integer neuron values shaped ``[pallets, steps, windows, neurons]``.
-    first_stage_bits:
-        First-stage shifter control width ``L``.
-    storage_bits:
-        Storage representation width (16 or 8).
-    min_step_cycles:
-        Lower bound on the cost of one brick step; covers the single cycle a
-        null pallet still takes and the NM fetch overlap floor
-        (``max(NM_cycles, processing)`` of Section V-A4).
-    encoding:
-        Registered oneffset encoding the lanes stream
-        (:mod:`repro.numerics.encodings`).
-
-    Returns
-    -------
-    numpy.ndarray
-        Total cycles per pallet, shape ``[pallets]``.
-    """
-    if min_step_cycles < 1:
-        raise ValueError("min_step_cycles must be at least 1")
-    values = _check_pallet_shape(step_values)
-    column = step_drain_cycles(values, first_stage_bits, storage_bits, encoding)
-    step = np.maximum(column.max(axis=2), min_step_cycles)
-    return step.sum(axis=1)
-
-
-def column_sync_cycles(
-    step_values: np.ndarray,
-    first_stage_bits: int,
-    storage_bits: int,
-    ssr_count: int | None = 1,
-    sb_read_cycles: int = 1,
-    min_step_cycles: int = 1,
-    encoding: str = DEFAULT_ENCODING,
-) -> np.ndarray:
-    """Cycles per pallet under per-column synchronization with ``ssr_count`` SSRs.
-
-    The model follows Section V-E: only one synapse set can be read from the SB
-    per cycle; a set stays in its SSR until every column has copied it into its
-    synapse registers, and only then can the SSR be reused.  Columns process
-    brick steps in order at their own pace:
-
-    * ``load[b] = max(load[b-1] + sb_read_cycles, copied[b - R])``
-    * ``start[c, b] = max(finish[c, b-1], load[b])``
-    * ``finish[c, b] = start[c, b] + drain[c, b]``
-
-    where ``copied[b]`` is the time the last column started step ``b`` (i.e. has
-    copied the set out of the SSR).  ``ssr_count=None`` models the ideal,
-    infinitely-buffered configuration ("perCol-ideal" in Figure 10).
-
-    Returns the per-pallet completion times, shape ``[pallets]``.
-    """
-    if ssr_count is not None and ssr_count < 1:
-        raise ValueError("ssr_count must be positive (or None for ideal buffering)")
-    if sb_read_cycles < 1:
-        raise ValueError("sb_read_cycles must be at least 1")
-    if min_step_cycles < 1:
-        raise ValueError("min_step_cycles must be at least 1")
-    values = _check_pallet_shape(step_values)
-    drain = np.maximum(
-        step_drain_cycles(values, first_stage_bits, storage_bits, encoding),
-        min_step_cycles,
-    )
-    return ssr_pipeline_cycles(drain, ssr_count, sb_read_cycles=sb_read_cycles)
+    scheme = get_encoding(encoding)
+    if storage_bits < 1 or scheme.max_position(storage_bits) >= KERNEL_MAX_POSITIONS:
+        raise ValueError(
+            f"{encoding} terms of {storage_bits}-bit values do not fit "
+            f"{KERNEL_MAX_POSITIONS}-bit packed masks"
+        )
+    return scheme.term_masks(values, bits=storage_bits)
 
 
 def ssr_pipeline_cycles(
     drain: np.ndarray, ssr_count: int | None, sb_read_cycles: int = 1
 ) -> np.ndarray:
-    """Per-pallet completion times of the SSR pipeline dynamic program.
+    """Per-pallet completion times under per-column synchronization.
 
     ``drain`` holds the (already clamped) per-column drain cycles shaped
-    ``[pallets, steps, windows]``.  This is the single implementation of the
-    Section V-E schedule shared by :func:`column_sync_cycles` and
-    :func:`repro.core.sweep.cycles_from_drain` — the two call sites used to
-    duplicate it.
+    ``[pallets, steps, windows]``.  Only one synapse set can be read from the
+    SB per cycle; a set stays in its SSR until every column has copied it into
+    its synapse registers, and only then can the SSR be reused.  Columns
+    process brick steps in order at their own pace:
+
+    * ``load[b] = max(load[b-1] + sb_read_cycles, copied[b - R])``
+    * ``start[c, b] = max(finish[c, b-1], load[b])``
+    * ``finish[c, b] = start[c, b] + drain[c, b]``
+
+    where ``copied[b]`` is the time the last column started step ``b`` (i.e.
+    has copied the set out of the SSR).  ``ssr_count=None`` models the ideal,
+    infinitely-buffered configuration ("perCol-ideal" in Figure 10).
     """
+    if ssr_count is not None and ssr_count < 1:
+        raise ValueError("ssr_count must be positive (or None for ideal buffering)")
+    if sb_read_cycles < 1:
+        raise ValueError("sb_read_cycles must be at least 1")
     drain = np.asarray(drain)
     if drain.ndim != 3:
         raise ValueError(
@@ -273,24 +95,3 @@ def ssr_pipeline_cycles(
         copied.append(start.max(axis=1))
         load_previous = load
     return finish.max(axis=1)
-
-
-def essential_terms(
-    step_values: np.ndarray, storage_bits: int, encoding: str = DEFAULT_ENCODING
-) -> float:
-    """Total essential terms contained in the sampled neuron values.
-
-    For ``positional`` this is the paper's essential-bit count; other
-    encodings count their own signed terms.
-    """
-    return packed_essential_terms(encoded_drain_masks(step_values, storage_bits, encoding))
-
-
-def _check_pallet_shape(step_values: np.ndarray) -> np.ndarray:
-    values = np.asarray(step_values)
-    if values.ndim != 4:
-        raise ValueError(
-            "step_values must be shaped [pallets, steps, windows, neurons], got "
-            f"shape {values.shape}"
-        )
-    return values

@@ -1,4 +1,4 @@
-"""Efficient design-space sweeps over Pragmatic configurations.
+"""The Pragmatic cycle simulator: design-space sweeps over one trace.
 
 The paper's figures evaluate many configurations over the same traces.  The
 expensive part of the cycle simulation — computing per-column drain cycles from
@@ -11,9 +11,11 @@ up front, and dispatches them through the batched drain kernel
 (:mod:`repro.core.kernels`): the trimmed neuron values are packed once per
 ``(trimming, encoding)`` pair and all first-stage reaches are evaluated over
 that packed tensor in one call.  Every requested configuration's cycle count is then
-derived from its group's drains, producing **bit-identical** results to
-:class:`repro.core.accelerator.PragmaticAccelerator` at a fraction of the cost
-(the golden suite in ``tests/test_core_kernels.py`` asserts exact equality).
+derived from its group's drains.  A configuration's result does not depend on
+which other configurations share its sweep, so simulating one design is a
+one-entry sweep; ``tests/test_core_kernels.py`` checks the results exactly
+against a model built on the Figure 7 oracle
+(:func:`repro.core.pip.serial_term_schedule`).
 """
 
 from __future__ import annotations
@@ -73,8 +75,21 @@ def cycles_from_drain(
     min_step_cycles: int,
     sb_read_cycles: int = 1,
 ) -> np.ndarray:
-    """Per-pallet cycles from precomputed drain counts ``[pallets, steps, windows]``."""
+    """Per-pallet cycles from precomputed drain counts ``[pallets, steps, windows]``.
+
+    Every brick step costs at least ``min_step_cycles``: the single cycle a
+    null pallet still takes and the NM fetch overlap floor
+    (``max(NM_cycles, processing)`` of Section V-A4).  Per-pallet
+    synchronization charges each step its slowest column; per-column
+    synchronization runs :func:`~repro.core.scheduling.ssr_pipeline_cycles`.
+    """
+    if min_step_cycles < 1:
+        raise ValueError("min_step_cycles must be at least 1")
     clamped = np.maximum(drain, min_step_cycles)
+    if clamped.ndim != 3:
+        raise ValueError(
+            f"drain must be shaped [pallets, steps, windows], got shape {clamped.shape}"
+        )
     if config.synchronization == "pallet":
         return clamped.max(axis=2).sum(axis=1)
     return ssr_pipeline_cycles(clamped, config.ssr_count, sb_read_cycles=sb_read_cycles)
@@ -119,8 +134,8 @@ def sweep_network(
     Returns
     -------
     dict
-        Label → :class:`NetworkResult`, numerically identical to running each
-        configuration through :class:`PragmaticAccelerator` with the same
+        Label → :class:`NetworkResult`; each configuration's result is
+        bit-identical to a sweep of that configuration alone with the same
         sampling seed.
     """
     if not configs:

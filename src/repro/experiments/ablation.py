@@ -7,8 +7,8 @@ experiment quantifies how sensitive the headline speedup (PRA-2b, per-pallet
 synchronization) is to both, so readers can judge the robustness of the
 reproduced conclusions.
 
-The simulations run through the runtime engine (the sweep path is numerically
-identical to :class:`repro.core.accelerator.PragmaticAccelerator`), so each
+The simulations run through the runtime engine (the same
+:func:`repro.core.sweep.sweep_network` every experiment uses), so each
 ``(trace variant, network)`` point is cached and the scenario grid fans out
 under ``--jobs``.
 """

@@ -25,6 +25,7 @@ __all__ = [
     "export_results",
     "parse_size",
     "parse_age",
+    "parse_endpoint",
 ]
 
 #: Multipliers of byte-size suffixes (binary, case-insensitive).
@@ -76,6 +77,20 @@ def parse_age(value: str) -> float:
     if number < 0:
         raise argparse.ArgumentTypeError("age must be non-negative")
     return number * factor
+
+
+def parse_endpoint(value: str) -> tuple[str, int]:
+    """``"127.0.0.1:7431"`` → ``(host, port)``.
+
+    Shared argparse ``type=`` of every ``HOST:PORT`` CLI flag (the ``--tcp``
+    of serve, cacheserve and cluster; the ``--connect`` of cluster and
+    loadgen).
+    """
+    host, _, port = value.rpartition(":")
+    if not host or not port.isdigit():
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {value!r}")
+    return host, int(port)
+
 
 #: Version of the exported-artifact JSON schema.
 RESULT_SCHEMA = 1

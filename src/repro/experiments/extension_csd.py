@@ -10,8 +10,6 @@ counts of PRA with both encodings, next to Stripes, in the style of Figure 2.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.speedup import geometric_mean
 from repro.analysis.tables import format_percent
 from repro.experiments.base import ExperimentResult, Preset, get_preset
@@ -23,8 +21,7 @@ __all__ = ["run"]
 
 _ENGINES = ("Stripes", "PRA-fp16", "PRA-csd")
 
-#: Term counting now rides the encoding registry; the registry entries
-#: reproduce the popcount / csd_term_counts numbers exactly (pinned by
+#: Term counting rides the encoding registry (goldens pinned by
 #: tests/test_experiments.py).
 _ENGINE_ENCODINGS = {"PRA-fp16": "positional", "PRA-csd": "csd"}
 
@@ -87,7 +84,3 @@ def run(preset: str | Preset = "fast", seed: int = 0) -> ExperimentResult:
         notes=notes,
         metadata=metadata,
     )
-
-
-def _unused(values: np.ndarray) -> np.ndarray:
-    return np.asarray(values)

@@ -18,7 +18,7 @@ The mix comes from ``--mix FILE`` (JSON, see ``docs/loadgen.md``) with
 individual flags overriding single fields; every run is deterministic in its
 ``--seed``.  ``--append-trajectory`` records the run's percentiles into the
 trajectory under the current git sha, which is how each PR's loadgen baseline
-lands next to its benchmark wall times.
+is recorded.
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ def _run_gate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.serve.cli import _parse_endpoint
+    from repro.experiments.base import parse_endpoint
 
     parser = argparse.ArgumentParser(
         prog="repro loadgen",
@@ -270,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument(
-        "--connect", type=_parse_endpoint, metavar="HOST:PORT",
+        "--connect", type=parse_endpoint, metavar="HOST:PORT",
         help="load an already-running serve/cluster endpoint",
     )
     mode.add_argument(

@@ -15,8 +15,8 @@ history instead of vanishing with each overwrite:
     ]}
 
 Records append; existing records are never rewritten except the **head**
-record of the same ``git_sha``, which benchmark runs and loadgen appends
-update in place (one record per PR, filled in by several tools).  A legacy
+record of the same ``git_sha``, which loadgen appends update in place (one
+record per PR, filled in by several runs).  A legacy
 schema-1 snapshot is migrated on load into record 0 — the ingestion shim —
 and a corrupt or missing file restarts the trajectory rather than failing.
 
@@ -37,7 +37,6 @@ __all__ = [
     "load_trajectory",
     "save_trajectory",
     "upsert_record",
-    "append_experiment_measurement",
     "append_loadgen_section",
 ]
 
@@ -140,30 +139,6 @@ def upsert_record(
     if label:
         head["label"] = label
     return head
-
-
-def append_experiment_measurement(
-    path: str | Path,
-    experiment: str,
-    preset: str,
-    wall_seconds: float,
-    git_sha: str | None = None,
-    label: str | None = None,
-) -> dict:
-    """Record one benchmark wall time into the head record (load → save).
-
-    The benchmark conftest calls this once per experiment; all measurements
-    of one PR land in one record because they share the checkout's sha.
-    """
-    trajectory = load_trajectory(path)
-    record = upsert_record(trajectory, git_sha, label=label)
-    record.setdefault("experiments", {})[experiment] = {
-        "preset": preset,
-        "wall_seconds": round(wall_seconds, 3),
-    }
-    record["recorded_at"] = _utc_now()
-    save_trajectory(path, trajectory)
-    return record
 
 
 def append_loadgen_section(

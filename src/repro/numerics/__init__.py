@@ -3,25 +3,11 @@
 Public surface:
 
 * :class:`FixedPointFormat` / :data:`FIXED16` — the 16-bit fixed point storage of
-  DaDianNao, Stripes and Pragmatic.
+  DaDianNao, Stripes and Pragmatic, and :func:`popcount`, the essential-bit count.
 * :class:`QuantizationParams` — TensorFlow-style 8-bit linear quantization.
-* oneffset (essential-bit) encoding helpers and :class:`OneffsetStream`.
-* 2-stage shifting decomposition and the per-cycle scheduling algorithm.
+* the registry of oneffset encodings (positional, CSD, HESE, binary).
 """
 
-from repro.numerics.csd import (
-    csd_position_matrix,
-    csd_term_counts,
-    csd_term_fraction,
-    decode_csd,
-    encode_csd,
-)
-from repro.numerics.encoding import (
-    ScheduleCycle,
-    schedule_cycle_count,
-    serial_term_schedule,
-    two_stage_decompose,
-)
 from repro.numerics.encodings import (
     DEFAULT_ENCODING,
     Encoding,
@@ -29,50 +15,16 @@ from repro.numerics.encodings import (
     get_encoding,
     register_encoding,
 )
-from repro.numerics.fixedpoint import (
-    FIXED8,
-    FIXED16,
-    FixedPointFormat,
-    bit_matrix,
-    leading_bit_position,
-    popcount,
-    trailing_bit_position,
-)
-from repro.numerics.oneffsets import (
-    OneffsetStream,
-    decode_oneffsets,
-    encode_array,
-    encode_oneffsets,
-    essential_bit_counts,
-    essential_bit_fraction,
-)
+from repro.numerics.fixedpoint import FIXED8, FIXED16, FixedPointFormat, popcount
 from repro.numerics.quantized import QuantizationParams, quantize_layer
 
 __all__ = [
     "FixedPointFormat",
     "FIXED16",
     "FIXED8",
-    "bit_matrix",
     "popcount",
-    "leading_bit_position",
-    "trailing_bit_position",
     "QuantizationParams",
     "quantize_layer",
-    "OneffsetStream",
-    "encode_oneffsets",
-    "decode_oneffsets",
-    "encode_array",
-    "essential_bit_counts",
-    "essential_bit_fraction",
-    "ScheduleCycle",
-    "serial_term_schedule",
-    "schedule_cycle_count",
-    "two_stage_decompose",
-    "encode_csd",
-    "decode_csd",
-    "csd_term_counts",
-    "csd_term_fraction",
-    "csd_position_matrix",
     "Encoding",
     "DEFAULT_ENCODING",
     "register_encoding",

@@ -17,9 +17,9 @@ Four encodings ship:
     The paper's oneffset representation: one ``+`` term per set bit of the
     magnitude.  Bit-identical to the pre-registry behaviour.
 ``csd``
-    Canonical signed digit (non-adjacent form), delegating to
-    :mod:`repro.numerics.csd` — minimal signed terms, never two adjacent
-    positions, may use position ``bits`` (one above the storage width).
+    Canonical signed digit (non-adjacent form) — minimal signed terms, never
+    two adjacent positions, may use position ``bits`` (one above the storage
+    width).
 ``hese``
     Signed-digit adjacent-term pairing in the term-revealing (HESE) style:
     each maximal run of consecutive set bits ``[s, e]`` with ``e > s``
@@ -43,8 +43,6 @@ from __future__ import annotations
 import abc
 
 import numpy as np
-
-from repro.numerics.csd import csd_term_counts, encode_csd
 
 __all__ = [
     "Encoding",
@@ -114,12 +112,7 @@ class Encoding(abc.ABC):
 
     def term_counts(self, values: np.ndarray, bits: int = 16) -> np.ndarray:
         """Number of terms per magnitude (popcount of :meth:`term_masks`)."""
-        masks = self.term_masks(values, bits=bits).astype(np.uint32)
-        counts = np.zeros(masks.shape, dtype=np.int64)
-        while masks.any():
-            counts += (masks & 1).astype(np.int64)
-            masks >>= 1
-        return counts
+        return np.bitwise_count(self.term_masks(values, bits=bits)).astype(np.int64)
 
     def max_terms(self, bits: int = 16) -> int:
         """Upper bound on the term count of any ``bits``-wide magnitude."""
@@ -167,41 +160,42 @@ class PositionalEncoding(Encoding):
         return tuple(out)
 
     def term_masks(self, values: np.ndarray, bits: int = 16) -> np.ndarray:
-        # The magnitude *is* its own positional term mask — identical to
-        # repro.core.kernels.pack_drain_masks (the bit-identity anchor).
+        # The magnitude *is* its own positional term mask.
         return self._validated_magnitudes(values, bits).astype(self._mask_dtype(bits))
 
 
 class CsdEncoding(Encoding):
-    """Canonical signed digit (NAF), delegating to :mod:`repro.numerics.csd`."""
+    """Canonical signed digit: the non-adjacent form (NAF).
+
+    The NAF uses the minimum number of signed power-of-two terms and never two
+    adjacent positions: ``126 = 0b0111_1110`` needs six positional terms but
+    only two CSD terms (``+2^7 - 2^1``).  The PIP's negation input makes the
+    signed terms free, so only the oneffset generator changes.
+    """
 
     name = "csd"
     signed = True
     lossless = True
 
     def terms(self, value: int, bits: int = 16) -> tuple[tuple[int, int], ...]:
-        self._validate(value, bits)
-        return encode_csd(int(abs(value)), bits=bits)
+        magnitude = self._validate(value, bits)
+        out: list[tuple[int, int]] = []
+        position = 0
+        while magnitude:
+            if magnitude & 1:
+                sign = 2 - (magnitude % 4)  # +1 if ...01, -1 if ...11
+                out.append((sign, position))
+                magnitude -= sign
+            magnitude >>= 1
+            position += 1
+        return tuple(out)
 
     def term_masks(self, values: np.ndarray, bits: int = 16) -> np.ndarray:
-        magnitudes = self._validated_magnitudes(values, bits)
-        masks = np.zeros(magnitudes.shape, dtype=np.uint32)
-        # Same digit recurrence as csd_term_counts, accumulating positions.
-        for position in range(bits + 2):
-            if not magnitudes.any():
-                break
-            odd = (magnitudes & 1).astype(bool)
-            remainder = np.where(magnitudes % 4 == 1, 1, -1)
-            masks |= np.where(odd, np.uint32(1) << np.uint32(position), 0).astype(
-                np.uint32
-            )
-            magnitudes = np.where(odd, magnitudes - remainder, magnitudes) >> 1
-        return masks
-
-    def term_counts(self, values: np.ndarray, bits: int = 16) -> np.ndarray:
-        # The dedicated vectorized counter avoids materializing masks.
-        self._validated_magnitudes(values, bits)
-        return csd_term_counts(values, bits=bits)
+        m = self._validated_magnitudes(values, bits)
+        # The non-zero NAF digits of m sit at the bits where m >> 1 and
+        # 3m >> 1 differ: the closed form of the digit recurrence in terms().
+        half = m >> 1
+        return (half ^ (m + half)).astype(np.uint32)
 
     def max_terms(self, bits: int = 16) -> int:
         # NAF never uses two adjacent positions out of bits + 1 available.

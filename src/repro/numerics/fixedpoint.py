@@ -6,7 +6,7 @@ format abstraction:
 
 * quantize real values to integers expressed in units of the least significant bit,
 * recover real values from the integer representation,
-* inspect the bit-level content of the stored magnitude, which is what the
+* count the essential (set) bits of the stored magnitude, which is what the
   Pragmatic accelerator exploits.
 
 Neurons that have passed through a ReLU are non-negative; synapses are signed.
@@ -25,10 +25,7 @@ __all__ = [
     "FixedPointFormat",
     "FIXED16",
     "FIXED8",
-    "bit_matrix",
     "popcount",
-    "leading_bit_position",
-    "trailing_bit_position",
 ]
 
 
@@ -117,57 +114,16 @@ FIXED16 = FixedPointFormat(total_bits=16, frac_bits=0, signed=True)
 FIXED8 = FixedPointFormat(total_bits=8, frac_bits=0, signed=True)
 
 
-def _as_magnitude(values: np.ndarray, bits: int) -> np.ndarray:
-    """Return ``|values|`` as unsigned integers, checking that they fit in ``bits``."""
-    arr = np.abs(np.asarray(values, dtype=np.int64))
-    limit = (1 << bits) - 1
-    if arr.size and int(arr.max()) > limit:
-        raise ValueError(
-            f"magnitude {int(arr.max())} does not fit in {bits} bits (max {limit})"
-        )
-    return arr.astype(np.uint64)
-
-
-def bit_matrix(values: np.ndarray, bits: int = 16) -> np.ndarray:
-    """Expand integer magnitudes into a boolean bit matrix.
-
-    Parameters
-    ----------
-    values:
-        Integer array (any shape); the magnitudes are expanded.
-    bits:
-        Number of bit positions to expand (positions ``0`` — LSB — to ``bits-1``).
-
-    Returns
-    -------
-    numpy.ndarray
-        Boolean array of shape ``values.shape + (bits,)`` where element
-        ``[..., p]`` is True when bit ``p`` of the magnitude is set.
-    """
-    mags = _as_magnitude(values, bits)
-    positions = np.arange(bits, dtype=np.uint64)
-    return ((mags[..., None] >> positions) & np.uint64(1)).astype(bool)
-
-
 def popcount(values: np.ndarray, bits: int = 16) -> np.ndarray:
     """Count the set bits (essential bits) in each magnitude.
 
     This is the quantity the paper calls the *essential bit content* of a neuron.
+    Raises :class:`ValueError` when a magnitude does not fit in ``bits``.
     """
-    return bit_matrix(values, bits).sum(axis=-1).astype(np.int64)
-
-
-def leading_bit_position(values: np.ndarray, bits: int = 16) -> np.ndarray:
-    """Position of the most significant set bit of each magnitude (-1 for zero)."""
-    mat = bit_matrix(values, bits)
-    positions = np.arange(bits)
-    weighted = np.where(mat, positions, -1)
-    return weighted.max(axis=-1).astype(np.int64)
-
-
-def trailing_bit_position(values: np.ndarray, bits: int = 16) -> np.ndarray:
-    """Position of the least significant set bit of each magnitude (``bits`` for zero)."""
-    mat = bit_matrix(values, bits)
-    positions = np.arange(bits)
-    weighted = np.where(mat, positions, bits)
-    return weighted.min(axis=-1).astype(np.int64)
+    magnitudes = np.abs(np.asarray(values, dtype=np.int64))
+    limit = (1 << bits) - 1
+    if magnitudes.size and int(magnitudes.max()) > limit:
+        raise ValueError(
+            f"magnitude {int(magnitudes.max())} does not fit in {bits} bits (max {limit})"
+        )
+    return np.bitwise_count(magnitudes).astype(np.int64)

@@ -38,17 +38,10 @@ import json
 import os
 import sys
 
-from repro.experiments.base import parse_age, parse_size
+from repro.experiments.base import parse_age, parse_endpoint, parse_size
 from repro.runtime.session import default_cache_dir, resolve_trace_dir
 
 __all__ = ["main"]
-
-
-def _parse_endpoint(value: str) -> tuple[str, int]:
-    host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {value!r}")
-    return host, int(port)
 
 
 def _parse_interval(value: str) -> float:
@@ -222,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     mode.add_argument(
         "--tcp",
-        type=_parse_endpoint,
+        type=parse_endpoint,
         metavar="HOST:PORT",
         help="listen for protocol connections on HOST:PORT (port 0 = ephemeral)",
     )
@@ -240,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--worker-endpoint",
-        type=_parse_endpoint,
+        type=parse_endpoint,
         default=("127.0.0.1", 0),
         metavar="HOST:PORT",
         help="endpoint of --worker mode (default: 127.0.0.1:0, ephemeral)",

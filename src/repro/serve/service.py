@@ -49,6 +49,11 @@ __all__ = ["ConnectionContext", "ExperimentService"]
 #: that disconnected or stopped reading cannot hold the close path hostage.
 CLOSE_DRAIN_TIMEOUT = 5.0
 
+#: Longest request line a TCP connection accepts (bytes; asyncio's default
+#: stream limit).  A longer line gets an ``error`` event and a closed
+#: connection.
+LINE_LIMIT = 64 * 1024
+
 
 @dataclass
 class ConnectionContext:
@@ -605,7 +610,18 @@ class ExperimentService:
         sender = asyncio.create_task(drain_outbox())
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # The line outgrew the reader's buffer limit; its framing
+                    # is lost, so answer once and drop the connection.
+                    outbox.put_nowait(
+                        {
+                            "event": "error",
+                            "error": f"request line exceeds the {LINE_LIMIT}-byte limit",
+                        }
+                    )
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -636,7 +652,9 @@ class ExperimentService:
     async def serve_tcp(self, host: str = "127.0.0.1", port: int = 0) -> asyncio.Server:
         """Listen for protocol connections; returns the (started) server."""
         await self.start()
-        return await asyncio.start_server(self.handle_connection, host, port)
+        return await asyncio.start_server(
+            self.handle_connection, host, port, limit=LINE_LIMIT
+        )
 
     async def run_stdio(self, stdin=None, stdout=None) -> None:
         """Speak the protocol over stdin/stdout until EOF or ``shutdown``."""

@@ -1,17 +1,16 @@
-"""Unit tests for the Pragmatic accelerator cycle simulator."""
+"""Unit tests for the Pragmatic accelerator configuration, results and simulator."""
 
-import numpy as np
 import pytest
 
 from repro.arch.tiling import SamplingConfig
 from repro.baselines.dadiannao import DaDianNaoModel
-from repro.core.accelerator import (
-    LayerResult,
-    NetworkResult,
-    PragmaticAccelerator,
-    PragmaticConfig,
-)
-from repro.core.software import SoftwareGuidance
+from repro.core.accelerator import LayerResult, NetworkResult, PragmaticConfig
+from repro.core.sweep import sweep_network
+
+
+def simulate(trace, config, sampling):
+    """One design simulated as a one-entry sweep."""
+    return sweep_network(trace, {"design": config}, sampling)["design"]
 
 
 class TestPragmaticConfig:
@@ -59,66 +58,50 @@ class TestResults:
         assert "PRA on net" in result.summary()
 
 
-class TestPragmaticAccelerator:
+class TestSingleConfigSweep:
     def test_exact_layer_simulation_bounds(self, tiny_trace):
-        accelerator = PragmaticAccelerator(PragmaticConfig(software_trimming=False))
-        result = accelerator.simulate_layer(tiny_trace, 0, SamplingConfig(exact=True))
+        config = PragmaticConfig(software_trimming=False)
+        result = simulate(tiny_trace, config, SamplingConfig(exact=True)).layers[0]
         baseline = DaDianNaoModel().layer_cycles(tiny_trace.layer(0))
         assert result.baseline_cycles == baseline
         assert result.cycles <= baseline
         assert result.cycles >= baseline / 16.0
 
     def test_speedup_at_least_one_and_at_most_sixteen(self, tiny_trace):
-        accelerator = PragmaticAccelerator(PragmaticConfig())
-        network = accelerator.simulate_network(tiny_trace, SamplingConfig(exact=True))
+        network = simulate(tiny_trace, PragmaticConfig(), SamplingConfig(exact=True))
         assert 1.0 <= network.speedup <= 16.0
 
     def test_sampled_matches_exact_for_small_layers(self, tiny_trace):
-        accelerator = PragmaticAccelerator(PragmaticConfig())
-        exact = accelerator.simulate_layer(tiny_trace, 0, SamplingConfig(exact=True))
-        sampled = accelerator.simulate_layer(tiny_trace, 0, SamplingConfig(max_pallets=64))
+        config = PragmaticConfig()
+        exact = simulate(tiny_trace, config, SamplingConfig(exact=True)).layers[0]
+        sampled = simulate(tiny_trace, config, SamplingConfig(max_pallets=64)).layers[0]
         assert sampled.cycles == pytest.approx(exact.cycles, rel=0.35)
 
     def test_software_trimming_never_slows_down(self, tiny_trace):
         sampling = SamplingConfig(exact=True)
-        with_software = PragmaticAccelerator(PragmaticConfig(software_trimming=True))
-        without_software = PragmaticAccelerator(PragmaticConfig(software_trimming=False))
-        fast = with_software.simulate_network(tiny_trace, sampling)
-        slow = without_software.simulate_network(tiny_trace, sampling)
+        fast = simulate(tiny_trace, PragmaticConfig(software_trimming=True), sampling)
+        slow = simulate(tiny_trace, PragmaticConfig(software_trimming=False), sampling)
         assert fast.cycles <= slow.cycles + 1e-9
 
     def test_column_sync_not_slower_than_pallet_sync(self, tiny_trace):
         sampling = SamplingConfig(exact=True)
-        pallet = PragmaticAccelerator(PragmaticConfig(synchronization="pallet"))
-        column = PragmaticAccelerator(
-            PragmaticConfig(synchronization="column", ssr_count=None)
+        pallet_result = simulate(
+            tiny_trace, PragmaticConfig(synchronization="pallet"), sampling
         )
-        pallet_result = pallet.simulate_network(tiny_trace, sampling)
-        column_result = column.simulate_network(tiny_trace, sampling)
+        column_result = simulate(
+            tiny_trace, PragmaticConfig(synchronization="column", ssr_count=None), sampling
+        )
         # Allow the small SB-port skew the column model charges per step.
         slack = sum(layer.bricks_per_window * layer.window_groups for layer in tiny_trace.network.layers)
         assert column_result.cycles <= pallet_result.cycles + slack
 
-    def test_explicit_guidance_override(self, tiny_trace):
-        accelerator = PragmaticAccelerator(PragmaticConfig(software_trimming=True))
-        guidance = SoftwareGuidance.disabled(tiny_trace.network.num_layers)
-        result = accelerator.simulate_layer(
-            tiny_trace, 0, SamplingConfig(exact=True), guidance=guidance
-        )
-        unguided = PragmaticAccelerator(PragmaticConfig(software_trimming=False)).simulate_layer(
-            tiny_trace, 0, SamplingConfig(exact=True)
-        )
-        assert result.cycles == pytest.approx(unguided.cycles)
-
     def test_terms_scale_with_macs(self, tiny_trace):
-        accelerator = PragmaticAccelerator(PragmaticConfig())
-        result = accelerator.simulate_layer(tiny_trace, 0, SamplingConfig(exact=True))
+        result = simulate(tiny_trace, PragmaticConfig(), SamplingConfig(exact=True)).layers[0]
         layer = tiny_trace.layer(0)
         assert 0 < result.terms <= layer.macs * 16
         assert result.baseline_terms == layer.macs * 16
 
     def test_accelerator_name_propagates_to_results(self, tiny_trace):
         config = PragmaticConfig(first_stage_bits=3)
-        accelerator = PragmaticAccelerator(config)
-        result = accelerator.simulate_network(tiny_trace, SamplingConfig(max_pallets=1))
+        result = simulate(tiny_trace, config, SamplingConfig(max_pallets=1))
         assert result.accelerator == "PRA-3b"

@@ -1,18 +1,18 @@
-"""Golden-equivalence suite for the batched drain kernel.
+"""Oracle suite for the batched drain kernel.
 
-The batched kernel (:mod:`repro.core.kernels`) replaces the cycle-by-cycle
-drain scheduler on every hot path, so this module is the proof that nothing
-changed numerically:
+:func:`repro.core.kernels.batched_drain_cycles` is the only drain
+implementation, so this module checks it against an independent oracle: the
+scalar Figure 7 control :func:`repro.core.pip.serial_term_schedule`, run one
+column at a time on the scalar terms of each neuron.
 
-* the kernel reproduces ``_reference_drain_cycles`` (the pre-batch loop, kept
-  as the executable specification) bit for bit, across random traces, both
-  storage widths and every first-stage reach;
-* :func:`repro.core.sweep.sweep_network` remains **bit-identical** (exact
-  float equality, same sampling seed) to
-  :class:`repro.core.accelerator.PragmaticAccelerator` over a randomized grid
-  of chips, storage encodings, ``first_stage_bits``, SSR counts and both
-  synchronization schemes;
-* the optional numba backend flag degrades gracefully when numba is absent.
+* the kernel reproduces the oracle's cycle count for every column, across
+  random columns, both storage widths, every first-stage reach and the term
+  masks of every registered encoding;
+* :func:`repro.core.sweep.sweep_network` is **bit-identical** (exact float
+  equality, same sampling seed) to :func:`oracle_network`, a per-configuration
+  model whose drains come from the oracle and whose synchronization schemes
+  are written out scalar, over a randomized grid of chips, storage widths,
+  ``first_stage_bits``, SSR counts and both synchronization schemes.
 """
 
 from __future__ import annotations
@@ -21,22 +21,17 @@ import numpy as np
 import pytest
 
 from repro.arch.config import DEFAULT_CHIP, ChipConfig
-from repro.arch.tiling import SamplingConfig
-from repro.core.accelerator import PragmaticAccelerator, PragmaticConfig
+from repro.arch.memory import NeuronMemory
+from repro.arch.tiling import SamplingConfig, sample_pallet_values
+from repro.baselines.dadiannao import DaDianNaoModel
+from repro.core.accelerator import LayerResult, NetworkResult, PragmaticConfig
 from repro.core.kernels import (
     KERNEL_MAX_POSITIONS,
     batched_drain_cycles,
-    drain_backend,
-    pack_bit_planes,
-    pack_drain_masks,
     packed_essential_terms,
 )
-from repro.core.scheduling import (
-    _reference_drain_cycles,
-    column_drain_cycles,
-    essential_terms,
-    step_drain_cycles,
-)
+from repro.core.pip import serial_term_schedule
+from repro.core.scheduling import encoded_drain_masks
 from repro.core.software import SoftwareGuidance
 from repro.core.sweep import SweepStats, sweep_network
 from repro.core.variants import fig9_variants
@@ -44,10 +39,13 @@ from repro.nn.layers import ConvLayerSpec
 from repro.nn.networks import Network
 from repro.nn.precision import LayerPrecision
 from repro.nn.traces import LayerTraceParams, NetworkTrace
-from repro.numerics.fixedpoint import bit_matrix
+from repro.numerics.encodings import encoding_names, get_encoding
+from repro.numerics.fixedpoint import popcount
 
 #: A deliberately non-default chip so the grid covers structural variation.
 SMALL_CHIP = ChipConfig(tiles=4, filters_per_tile=8, nm_row_bytes=256)
+
+ENCODINGS = encoding_names()
 
 
 def random_trace(seed: int, storage_bits: int = 16) -> NetworkTrace:
@@ -122,8 +120,115 @@ def random_columns(rng, columns=40, lanes=16, value_bits=16, density=0.4):
     return values
 
 
+# ------------------------------------------------------------------- oracle
+def mask_positions(mask: int) -> list[int]:
+    """Ascending set-bit positions of one packed mask."""
+    return [position for position in range(mask.bit_length()) if mask >> position & 1]
+
+
+def oracle_mask_drains(masks: np.ndarray, first_stage_bits: int) -> np.ndarray:
+    """Figure 7 schedule length of every column of a packed mask tensor."""
+    masks = np.asarray(masks)
+    flat = masks.reshape(-1, masks.shape[-1])
+    cycles = [
+        len(serial_term_schedule([mask_positions(int(m)) for m in column], first_stage_bits))
+        for column in flat
+    ]
+    return np.array(cycles, dtype=np.int64).reshape(masks.shape[:-1])
+
+
+def oracle_value_drains(
+    values: np.ndarray, first_stage_bits: int, storage_bits: int, encoding: str
+) -> np.ndarray:
+    """Figure 7 schedule length of every column, from each neuron's scalar terms."""
+    scheme = get_encoding(encoding)
+    values = np.asarray(values)
+    flat = values.reshape(-1, values.shape[-1])
+    memo: dict[tuple[int, ...], int] = {}
+    cycles = []
+    for column in flat:
+        key = tuple(int(v) for v in column)
+        if key not in memo:
+            lanes = [
+                [position for _, position in scheme.terms(v, bits=storage_bits)]
+                for v in key
+            ]
+            memo[key] = len(serial_term_schedule(lanes, first_stage_bits))
+        cycles.append(memo[key])
+    return np.array(cycles, dtype=np.int64).reshape(values.shape[:-1])
+
+
+def _pallet_sync(drain: np.ndarray, min_step: int) -> list[int]:
+    """Per-pallet cycles: every brick step waits for its slowest column."""
+    return [
+        sum(max(min_step, max(int(d) for d in step)) for step in pallet)
+        for pallet in drain
+    ]
+
+
+def _column_sync(drain: np.ndarray, min_step: int, ssr_count: int | None) -> list[int]:
+    """Per-pallet cycles of the Section V-E SSR schedule, one step at a time."""
+    out = []
+    for pallet in drain:
+        steps = len(pallet)
+        registers = steps if ssr_count is None else min(ssr_count, steps)
+        finish = [0] * len(pallet[0])
+        load = 0
+        copied: list[int] = []
+        for step, columns in enumerate(pallet):
+            load = load + 1
+            if step >= registers:
+                load = max(load, copied[step - registers])
+            starts = [max(done, load) for done in finish]
+            finish = [
+                start + max(min_step, int(d)) for start, d in zip(starts, columns)
+            ]
+            copied.append(max(starts))
+        out.append(max(finish))
+    return out
+
+
+def oracle_network(
+    trace: NetworkTrace, config: PragmaticConfig, sampling: SamplingConfig
+) -> NetworkResult:
+    """One configuration simulated with oracle drains and scalar sync models."""
+    scheme = get_encoding(config.encoding)
+    memory = NeuronMemory(config.chip)
+    baseline = DaDianNaoModel(config.chip)
+    guidance = SoftwareGuidance.from_trace(trace, enabled=config.software_trimming)
+    layers = []
+    for index in range(trace.network.num_layers):
+        layer = trace.layer(index)
+        values, total_pallets = sample_pallet_values(trace, index, sampling)
+        trimmed = guidance.apply(values, index)
+        drain = oracle_value_drains(
+            trimmed, config.first_stage_bits, trace.storage_bits, config.encoding
+        )
+        min_step = max(1, memory.pallet_fetch_cycles(layer))
+        if config.synchronization == "pallet":
+            per_pallet = _pallet_sync(drain, min_step)
+        else:
+            per_pallet = _column_sync(drain, min_step, config.ssr_count)
+        passes = layer.filter_passes(config.chip.filters_per_cycle)
+        terms = sum(
+            len(scheme.terms(int(v), bits=trace.storage_bits)) for v in trimmed.ravel()
+        )
+        layers.append(
+            LayerResult(
+                layer_name=layer.name,
+                cycles=float(np.mean(per_pallet)) * total_pallets * passes,
+                baseline_cycles=float(baseline.layer_cycles(layer)),
+                terms=float(terms) / max(1, trimmed.size) * layer.macs,
+                baseline_terms=float(baseline.layer_terms(layer, trace.storage_bits)),
+            )
+        )
+    return NetworkResult(
+        network=trace.network.name, accelerator=config.name, layers=tuple(layers)
+    )
+
+
 class TestKernelMatchesReference:
-    """The batched kernel against the pre-batch cycle-by-cycle loop."""
+    """The batched kernel against the Figure 7 oracle, column by column."""
 
     @pytest.mark.parametrize("first_stage_bits", range(5))
     @pytest.mark.parametrize("seed", range(4))
@@ -135,38 +240,34 @@ class TestKernelMatchesReference:
             lanes=int(rng.integers(2, 17)),
             density=float(rng.uniform(0.1, 0.9)),
         )
-        reference = _reference_drain_cycles(
-            bit_matrix(values, bits=16), first_stage_bits
-        )
-        batched = batched_drain_cycles(
-            pack_drain_masks(values, 16), (1 << first_stage_bits,)
-        )[0]
-        np.testing.assert_array_equal(batched, reference)
-        np.testing.assert_array_equal(
-            column_drain_cycles(bit_matrix(values, bits=16), first_stage_bits),
-            reference,
-        )
+        for encoding in ENCODINGS:
+            masks = encoded_drain_masks(values, 16, encoding)
+            np.testing.assert_array_equal(
+                batched_drain_cycles(masks, (1 << first_stage_bits,))[0],
+                oracle_value_drains(values, first_stage_bits, 16, encoding),
+            )
 
     @pytest.mark.parametrize("storage_bits", (8, 16))
     def test_step_drain_matches_reference_on_trace_samples(self, storage_bits):
-        """The exact drain-group computation of a sweep, against the old path."""
+        """The exact drain-group computation of a sweep, against the oracle."""
         trace = random_trace(11, storage_bits=storage_bits)
         values = trace.sample_layer_values(0, 2 * 16 * 16).reshape(2, 1, 16, 16)
+        reaches = [1 << bits for bits in range(5)]
         for trimming in (True, False):
             guidance = SoftwareGuidance.from_trace(trace, enabled=trimming)
             trimmed = guidance.apply(values, 0)
-            for first_stage_bits in range(5):
-                reference = _reference_drain_cycles(
-                    bit_matrix(trimmed, bits=storage_bits), first_stage_bits
-                )
-                np.testing.assert_array_equal(
-                    step_drain_cycles(trimmed, first_stage_bits, storage_bits),
-                    reference,
-                )
+            for encoding in ENCODINGS:
+                masks = encoded_drain_masks(trimmed, storage_bits, encoding)
+                drains = batched_drain_cycles(masks, reaches)
+                for bits in range(5):
+                    np.testing.assert_array_equal(
+                        drains[bits],
+                        oracle_value_drains(trimmed, bits, storage_bits, encoding),
+                    )
 
     def test_multi_reach_call_equals_single_reach_calls(self):
         rng = np.random.default_rng(3)
-        masks = pack_drain_masks(random_columns(rng, columns=80), 16)
+        masks = encoded_drain_masks(random_columns(rng, columns=80), 16)
         reaches = [1, 2, 4, 8, 16]
         together = batched_drain_cycles(masks, reaches)
         for slot, reach in enumerate(reaches):
@@ -174,85 +275,73 @@ class TestKernelMatchesReference:
                 together[slot], batched_drain_cycles(masks, (reach,))[0]
             )
 
-    def test_packed_essential_terms_matches_bit_matrix_sum(self):
+    def test_packed_essential_terms_matches_scalar_term_count(self):
         rng = np.random.default_rng(4)
         values = random_columns(rng)
-        masks = pack_drain_masks(values, 16)
-        assert packed_essential_terms(masks) == float(
-            bit_matrix(values, bits=16).sum()
-        )
-        assert essential_terms(values, 16) == packed_essential_terms(masks)
+        for encoding in ENCODINGS:
+            scheme = get_encoding(encoding)
+            expected = sum(len(scheme.terms(int(v), bits=16)) for v in values.ravel())
+            masks = encoded_drain_masks(values, 16, encoding)
+            assert packed_essential_terms(masks) == float(expected)
 
-    def test_pack_bit_planes_round_trips_masks(self):
-        rng = np.random.default_rng(5)
-        values = random_columns(rng, value_bits=12)
-        planes = bit_matrix(values, bits=12)
-        np.testing.assert_array_equal(
-            pack_bit_planes(planes), pack_drain_masks(values, 12)
-        )
-
-    def test_wide_position_planes_fall_back_to_reference(self):
-        """Planes beyond the 32-position packed width still work via fallback."""
+    def test_widest_packed_positions_match_the_oracle(self):
+        """uint32 masks using every position up to the packed width."""
         rng = np.random.default_rng(6)
-        planes = rng.random((20, 8, KERNEL_MAX_POSITIONS + 1)) < 0.3
-        np.testing.assert_array_equal(
-            column_drain_cycles(planes, 1), _reference_drain_cycles(planes, 1)
-        )
+        masks = rng.integers(0, 1 << KERNEL_MAX_POSITIONS, size=(30, 8), dtype=np.uint64)
+        masks &= rng.integers(0, 1 << KERNEL_MAX_POSITIONS, size=masks.shape, dtype=np.uint64)
+        masks = masks.astype(np.uint32)
+        masks[0, 0] = np.uint32(1 << (KERNEL_MAX_POSITIONS - 1))
+        for bits in range(5):
+            np.testing.assert_array_equal(
+                batched_drain_cycles(masks, (1 << bits,))[0],
+                oracle_mask_drains(masks, bits),
+            )
 
     @pytest.mark.parametrize("first_stage_bits", range(5))
     def test_csd_max_span_column_takes_packed_path(self, first_stage_bits):
-        """17-position CSD planes now run the packed kernel, not the bailout.
+        """17-position CSD masks run the packed kernel and match the oracle.
 
         0xFFFF encodes as +2^16 - 2^0 under CSD: a single column of such
-        values spans the full 17 positions, the exact shape that used to hit
-        the >16-position reference fallback.  Pin kernel == reference on it,
-        and on a dense random batch of 17-position planes.
+        values spans the full 17 positions, the widest shape a 16-bit CSD
+        column can take.
         """
-        from repro.numerics.encodings import get_encoding
-
         rng = np.random.default_rng(7)
         values = rng.integers(0, 1 << 16, size=(40, 16))
         values[0, :] = 0xFFFF  # the synthetic max-span column
-        masks = get_encoding("csd").term_masks(values, bits=16)
+        masks = encoded_drain_masks(values, 16, "csd")
         assert masks.dtype == np.uint32
-        positions = 17
-        planes = (
-            (masks[..., None] >> np.arange(positions, dtype=np.uint32)) & 1
-        ).astype(bool)
-        reference = _reference_drain_cycles(planes, first_stage_bits)
-        batched = batched_drain_cycles(masks, (1 << first_stage_bits,))[0]
-        np.testing.assert_array_equal(batched, reference)
         np.testing.assert_array_equal(
-            column_drain_cycles(planes, first_stage_bits), reference
+            batched_drain_cycles(masks, (1 << first_stage_bits,))[0],
+            oracle_value_drains(values, first_stage_bits, 16, "csd"),
         )
-        np.testing.assert_array_equal(pack_bit_planes(planes), masks)
 
     def test_uint32_packing_round_trips(self):
-        """pack/unpack helpers agree for storage widths above 16."""
+        """Positional storage widths above 16 pack into uint32 magnitudes."""
         rng = np.random.default_rng(8)
         values = rng.integers(0, 1 << 24, size=(30, 8))
-        masks = pack_drain_masks(values, 24)
+        masks = encoded_drain_masks(values, 24)
         assert masks.dtype == np.uint32
         np.testing.assert_array_equal(masks, values.astype(np.uint32))
-        planes = bit_matrix(values, bits=24)
-        np.testing.assert_array_equal(pack_bit_planes(planes), masks)
-        assert packed_essential_terms(masks) == float(planes.sum())
+        assert packed_essential_terms(masks) == float(popcount(values, 24).sum())
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
-            pack_drain_masks(np.array([1 << 12]), 12)
+            encoded_drain_masks(np.array([1 << 12]), 12)
         with pytest.raises(ValueError):
-            pack_drain_masks(np.array([1]), KERNEL_MAX_POSITIONS + 1)
+            encoded_drain_masks(np.array([1]), KERNEL_MAX_POSITIONS + 1)
+        with pytest.raises(ValueError):
+            encoded_drain_masks(np.array([1]), 0)
+        with pytest.raises(ValueError):
+            # CSD may use position `storage_bits`, which a uint32 cannot hold.
+            encoded_drain_masks(np.array([1]), KERNEL_MAX_POSITIONS, "csd")
         with pytest.raises(ValueError):
             batched_drain_cycles(np.zeros((2, 2), dtype=np.uint16), ())
         with pytest.raises(ValueError):
             batched_drain_cycles(np.zeros((2, 2), dtype=np.uint16), (0,))
-        with pytest.raises(ValueError):
-            pack_bit_planes(np.zeros((2, KERNEL_MAX_POSITIONS + 1), dtype=bool))
 
 
 class TestGoldenSweepEquivalence:
-    """sweep_network vs PragmaticAccelerator: exact equality, never approx."""
+    """sweep_network vs the oracle model: exact equality, never approx."""
 
     @pytest.mark.parametrize(
         "seed,storage_bits,chip",
@@ -272,50 +361,26 @@ class TestGoldenSweepEquivalence:
         swept = sweep_network(trace, configs, sampling=sampling, stats=stats)
         assert stats.configs_simulated == len(configs)
         for label, config in configs.items():
-            direct = PragmaticAccelerator(config).simulate_network(trace, sampling)
-            assert swept[label].network == direct.network
-            assert swept[label].accelerator == direct.accelerator
+            oracle = oracle_network(trace, config, sampling)
+            assert swept[label].network == oracle.network
+            assert swept[label].accelerator == oracle.accelerator
             # LayerResult is a frozen dataclass of floats: tuple equality is
             # exact bitwise float comparison, which is the whole point.
-            assert swept[label].layers == direct.layers
+            assert swept[label].layers == oracle.layers
 
     def test_fig9_variant_set_on_fast_sampling(self):
-        """The golden check CI runs: the fig9 grid at fast-preset sampling."""
+        """The fig9 grid at fast-preset sampling."""
         trace = random_trace(7)
         configs = fig9_variants()
         sampling = SamplingConfig(max_pallets=6, seed=2024)
         swept = sweep_network(trace, configs, sampling=sampling)
         for label, config in configs.items():
-            direct = PragmaticAccelerator(config).simulate_network(trace, sampling)
-            assert swept[label].layers == direct.layers
+            assert swept[label].layers == oracle_network(trace, config, sampling).layers
 
     def test_exact_sampling_mode_stays_identical(self, tiny_trace):
         configs = config_grid(DEFAULT_CHIP)
         sampling = SamplingConfig(exact=True)
         swept = sweep_network(tiny_trace, configs, sampling=sampling)
         for label, config in configs.items():
-            direct = PragmaticAccelerator(config).simulate_network(tiny_trace, sampling)
-            assert swept[label].layers == direct.layers
-
-
-class TestBackendFlag:
-    """REPRO_DRAIN_BACKEND switches the frontier loop, never the results."""
-
-    def test_default_backend_is_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DRAIN_BACKEND", raising=False)
-        assert drain_backend() == "numpy"
-
-    def test_unknown_backend_value_falls_back_to_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DRAIN_BACKEND", "cuda")
-        assert drain_backend() == "numpy"
-
-    def test_numba_request_degrades_gracefully_and_stays_identical(self, monkeypatch):
-        """With numba missing the flag is a no-op; with it, results match."""
-        rng = np.random.default_rng(8)
-        values = random_columns(rng)
-        masks = pack_drain_masks(values, 16)
-        monkeypatch.delenv("REPRO_DRAIN_BACKEND", raising=False)
-        baseline = batched_drain_cycles(masks, (1, 2, 4))
-        monkeypatch.setenv("REPRO_DRAIN_BACKEND", "numba")
-        assert drain_backend() in ("numpy", "numba")
-        np.testing.assert_array_equal(batched_drain_cycles(masks, (1, 2, 4)), baseline)
+            oracle = oracle_network(tiny_trace, config, sampling)
+            assert swept[label].layers == oracle.layers

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.dispatcher import Dispatcher
 from repro.core.oneffset_generator import OneffsetGenerator
-from repro.numerics.oneffsets import decode_oneffsets
+from repro.numerics.encodings import get_encoding
 
 
 class TestOneffsetGenerator:
@@ -46,7 +46,7 @@ class TestOneffsetGenerator:
         brick = rng.integers(0, 2**16, size=16)
         lists = generator.oneffset_lists(brick)
         for value, offsets in zip(brick, lists):
-            assert decode_oneffsets(offsets) == value
+            assert get_encoding("positional").decode([(1, p) for p in offsets]) == value
 
     def test_max_stream_length_minimum_one(self):
         generator = OneffsetGenerator()

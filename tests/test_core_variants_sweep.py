@@ -3,7 +3,6 @@
 import pytest
 
 from repro.arch.tiling import SamplingConfig
-from repro.core.accelerator import PragmaticAccelerator
 from repro.core.progress import ProgressToken, SweepCancelled
 from repro.core.sweep import sweep_network
 from repro.core.variants import (
@@ -60,9 +59,8 @@ class TestSweep:
         configs = {"a": pallet_variant(2), "b": column_variant(1), "c": pallet_variant(0)}
         swept = sweep_network(tiny_trace, configs, sampling=sampling)
         for label, config in configs.items():
-            direct = PragmaticAccelerator(config).simulate_network(tiny_trace, sampling)
-            assert swept[label].cycles == pytest.approx(direct.cycles)
-            assert swept[label].speedup == pytest.approx(direct.speedup)
+            direct = sweep_network(tiny_trace, {label: config}, sampling=sampling)[label]
+            assert swept[label] == direct
 
     def test_sweep_rejects_empty_configs(self, tiny_trace):
         with pytest.raises(ValueError):

@@ -5,10 +5,11 @@ against all registry entries, pinning the :class:`Encoding` contract the core
 and runtime layers rely on: round-trip decode, term-count vs generator
 agreement, vectorized vs scalar equality, the max-terms/max-position bounds,
 and pairwise-distinct term positions (the invariant that lets one mask bit
-carry one term).  Encoding-specific behaviour (the positional↔pack_drain_masks
-identity, CSD delegation, HESE pairing, the binary degenerate case) gets
-targeted classes below the shared battery, followed by the end-to-end
-threading checks: config validation, sweep equality, cache keys, variants.
+carry one term).  Encoding-specific behaviour (the positional masks' identity
+with the magnitudes, the CSD digit rule, HESE pairing, the binary degenerate
+case) gets targeted classes below the shared battery, followed by the
+end-to-end threading checks: config validation, sweep equality against the
+Figure 7 oracle model, cache keys, variants.
 """
 
 from __future__ import annotations
@@ -19,13 +20,11 @@ import numpy as np
 import pytest
 
 from repro.arch.tiling import SamplingConfig
-from repro.core.accelerator import PragmaticAccelerator, PragmaticConfig
-from repro.core.kernels import pack_drain_masks
+from repro.core.accelerator import PragmaticConfig
 from repro.core.oneffset_generator import OneffsetGenerator
 from repro.core.scheduling import encoded_drain_masks
 from repro.core.sweep import sweep_network
 from repro.core.variants import encoding_variant, encoding_variants
-from repro.numerics.csd import csd_term_counts, encode_csd
 from repro.numerics.encodings import (
     DEFAULT_ENCODING,
     Encoding,
@@ -153,11 +152,12 @@ class TestPositionalIdentity:
     """positional is the pre-registry behaviour, bit for bit."""
 
     def test_masks_equal_pack_drain_masks(self):
+        """The masks are the magnitudes themselves, as uint16 words — what the
+        pre-registry packer produced."""
         values = sample_values(16)
-        np.testing.assert_array_equal(
-            get_encoding("positional").term_masks(values, bits=16),
-            pack_drain_masks(values, 16),
-        )
+        masks = get_encoding("positional").term_masks(values, bits=16)
+        assert masks.dtype == np.uint16
+        np.testing.assert_array_equal(masks, np.abs(values))
 
     def test_counts_equal_popcount(self):
         values = sample_values(16)
@@ -169,21 +169,34 @@ class TestPositionalIdentity:
     def test_encoded_drain_masks_default_routes_through_packing(self):
         values = np.array([[3, 7], [0, 255]])
         np.testing.assert_array_equal(
-            encoded_drain_masks(values, 16), pack_drain_masks(values, 16)
+            encoded_drain_masks(values, 16),
+            get_encoding("positional").term_masks(values, bits=16),
         )
+
+
+def encode_csd(value: int) -> tuple[tuple[int, int], ...]:
+    """Reference NAF: digit i is bit i+1 of 3n minus bit i+1 of n."""
+    terms = []
+    for position in range((3 * value).bit_length()):
+        digit = ((3 * value) >> (position + 1) & 1) - (value >> (position + 1) & 1)
+        if digit:
+            terms.append((digit, position))
+    return tuple(terms)
 
 
 class TestCsdDelegation:
     def test_terms_are_encode_csd(self):
         encoding = get_encoding("csd")
-        for value in sample_values(8):
-            assert encoding.terms(int(value), bits=8) == encode_csd(int(value), bits=8)
+        for value in sample_values(16):
+            assert encoding.terms(int(value), bits=16) == encode_csd(int(value))
 
-    def test_counts_are_csd_term_counts(self):
+    def test_counts_are_term_mask_popcounts(self):
+        encoding = get_encoding("csd")
         values = sample_values(16)
+        masks = encoding.term_masks(values, bits=16)
         np.testing.assert_array_equal(
-            get_encoding("csd").term_counts(values, bits=16),
-            csd_term_counts(values, bits=16),
+            encoding.term_counts(values, bits=16),
+            [bin(int(mask)).count("1") for mask in masks],
         )
 
 
@@ -298,19 +311,17 @@ def _tiny_trace():
 
 
 class TestSweepEncodingEquality:
-    """sweep_network vs PragmaticAccelerator under every encoding: exact."""
+    """sweep_network vs the Figure 7 oracle model under every encoding: exact."""
 
     @pytest.mark.parametrize("name", ENCODINGS)
     def test_sweep_bit_identical_to_accelerator(self, name):
+        from tests.test_core_kernels import oracle_network
+
         trace = _tiny_trace()
         sampling = SamplingConfig(max_pallets=2, seed=5)
         config = encoding_variant(name)
         results = sweep_network(trace, {name: config}, sampling=sampling)
-        golden = PragmaticAccelerator(config).simulate_network(trace, sampling=sampling)
-        assert results[name].cycles == golden.cycles
-        for swept, reference in zip(results[name].layers, golden.layers):
-            assert swept.cycles == reference.cycles
-            assert swept.terms == reference.terms
+        assert results[name] == oracle_network(trace, config, sampling)
 
     def test_mixed_encoding_sweep_groups_share_packing(self):
         from repro.core.sweep import SweepStats

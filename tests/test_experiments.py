@@ -190,8 +190,8 @@ class TestEncodingExperiments:
 
     def test_extension_csd_pins_pre_registry_numbers(self):
         """extension_csd now counts terms via the registry; the alexnet row
-        and metadata must be bit-identical to the pre-refactor popcount /
-        csd_term_counts implementation (smoke preset, seed 0 goldens)."""
+        and metadata must be bit-identical to the pre-registry term counting
+        (smoke preset, seed 0 goldens)."""
         from repro.experiments import extension_csd
 
         result = extension_csd.run(preset="smoke", seed=0)

@@ -1,5 +1,6 @@
 """Integration tests: every engine computes the same outputs, and the functional
-Pragmatic tile agrees with the cycle model on small layers."""
+Pragmatic tile (built on the Figure 7 oracle) agrees with the cycle model
+(``sweep_network``) on small layers."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from repro.arch.tiling import SamplingConfig
 from repro.baselines.dadiannao import DaDianNaoFunctional, DaDianNaoModel
 from repro.baselines.stripes import StripesFunctional, StripesModel
-from repro.core.accelerator import PragmaticAccelerator, PragmaticConfig
+from repro.core.accelerator import PragmaticConfig
 from repro.core.pip import PragmaticTileFunctional
+from repro.core.sweep import sweep_network
 from repro.nn.layers import ConvLayerSpec
 from repro.nn.precision import LayerPrecision
 from repro.nn.reference import conv2d_reference
@@ -65,10 +67,8 @@ class TestFunctionalEquivalence:
             config = PragmaticConfig(
                 first_stage_bits=first_stage_bits, software_trimming=False
             )
-            model = PragmaticAccelerator(config).simulate_layer(
-                tiny_trace, 0, SamplingConfig(exact=True)
-            )
-            assert functional_cycles == pytest.approx(model.cycles)
+            model = sweep_network(tiny_trace, {"x": config}, SamplingConfig(exact=True))
+            assert functional_cycles == pytest.approx(model["x"].layers[0].cycles)
 
     def test_cycle_model_orderings_hold_on_real_structure(self, tiny_trace):
         sampling = SamplingConfig(exact=True)
@@ -76,8 +76,8 @@ class TestFunctionalEquivalence:
             DaDianNaoModel().layer_cycles(layer) for layer in tiny_trace.network.layers
         )
         stripes_cycles = StripesModel().network_cycles(tiny_trace)
-        pragmatic = PragmaticAccelerator(PragmaticConfig(software_trimming=False))
-        pragmatic_cycles = pragmatic.simulate_network(tiny_trace, sampling).cycles
+        config = PragmaticConfig(software_trimming=False)
+        pragmatic_cycles = sweep_network(tiny_trace, {"x": config}, sampling)["x"].cycles
         assert pragmatic_cycles <= stripes_cycles <= dadn_cycles
 
     def test_stripes_speedup_matches_utilization_corrected_ideal(self, tiny_trace):

@@ -29,11 +29,7 @@ from repro.loadgen import (
     validate_report,
 )
 from repro.loadgen.gate import check_gate_file
-from repro.loadgen.trajectory import (
-    TRAJECTORY_SCHEMA,
-    append_experiment_measurement,
-    append_loadgen_section,
-)
+from repro.loadgen.trajectory import TRAJECTORY_SCHEMA, append_loadgen_section
 from repro.serve import ExperimentService, ServeClient
 
 
@@ -344,24 +340,13 @@ class TestTrajectory:
 
     def test_append_only_older_records_untouched(self, tmp_path):
         path = tmp_path / "trajectory.json"
-        append_experiment_measurement(path, "fig9", "fast", 30.0, git_sha="sha-a")
+        append_loadgen_section(path, "serve", {"p95_seconds": 0.4}, git_sha="sha-a")
         frozen = json.loads(json.dumps(load_trajectory(path)["records"][0]))
-        append_experiment_measurement(path, "fig9", "fast", 99.0, git_sha="sha-b")
+        append_loadgen_section(path, "serve", {"p95_seconds": 0.9}, git_sha="sha-b")
         records = load_trajectory(path)["records"]
         assert len(records) == 2
         assert records[0] == frozen  # strictly append-only
-        assert records[1]["experiments"]["fig9"]["wall_seconds"] == 99.0
-
-    def test_benchmark_and_loadgen_share_one_record_per_sha(self, tmp_path):
-        path = tmp_path / "trajectory.json"
-        append_experiment_measurement(path, "fig9", "fast", 30.0, git_sha="sha-a")
-        append_loadgen_section(
-            path, "serve", {"p95_seconds": 0.4}, git_sha="sha-a", label="PR 6"
-        )
-        records = load_trajectory(path)["records"]
-        assert len(records) == 1
-        assert records[0]["experiments"]["fig9"]["wall_seconds"] == 30.0
-        assert records[0]["loadgen"]["serve"]["p95_seconds"] == 0.4
+        assert records[1]["loadgen"]["serve"]["p95_seconds"] == 0.9
 
 
 # ------------------------------------------------------------------------ gate

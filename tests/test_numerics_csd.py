@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.numerics.csd import (
-    csd_position_matrix,
-    csd_term_counts,
-    csd_term_fraction,
-    decode_csd,
-    encode_csd,
-)
+from repro.numerics.encodings import get_encoding
 from repro.numerics.fixedpoint import popcount
+
+CSD = get_encoding("csd")
+encode_csd = CSD.terms
+decode_csd = CSD.decode
 
 
 class TestEncodeDecode:
@@ -44,36 +42,33 @@ class TestEncodeDecode:
 
     def test_encode_rejects_too_wide_values(self):
         with pytest.raises(ValueError):
-            encode_csd(1 << 17, bits=16)
+            encode_csd(1 << 16, bits=16)
 
 
 class TestTermCounts:
     def test_counts_match_encoder(self, rng):
         values = rng.integers(0, 2**16, size=300)
-        counts = csd_term_counts(values, bits=16)
+        counts = CSD.term_counts(values, bits=16)
         expected = [len(encode_csd(int(v))) for v in values]
         np.testing.assert_array_equal(counts, expected)
 
     def test_csd_never_needs_more_terms_than_positional(self, rng):
         values = rng.integers(0, 2**16, size=500)
-        assert np.all(csd_term_counts(values, 16) <= popcount(values, 16))
+        assert np.all(CSD.term_counts(values, 16) <= popcount(values, 16))
 
     def test_dense_values_halve_their_terms(self):
         # 0b111...1 needs n positional terms but only two CSD terms.
-        assert csd_term_counts(np.array([0xFF]), 8)[0] == 2
-
-    def test_term_fraction(self):
-        assert csd_term_fraction(np.array([0xFF, 0]), bits=8) == pytest.approx(2 / 16)
-        with pytest.raises(ValueError):
-            csd_term_fraction(np.array([]))
+        assert CSD.term_counts(np.array([0xFF]), 8)[0] == 2
 
     def test_position_matrix_matches_encoder(self, rng):
-        values = rng.integers(0, 2**12, size=50)
-        planes = csd_position_matrix(values, bits=16)
-        assert planes.shape == (50, 17)
-        for row, value in zip(planes, values):
+        # The term masks are the packed position matrix: bit p set exactly
+        # when the encoder emits a term at position p (17 positions, uint32).
+        values = rng.integers(0, 2**16, size=50)
+        masks = CSD.term_masks(values, bits=16)
+        assert masks.dtype == np.uint32
+        for mask, value in zip(masks, values):
             positions = {position for _, position in encode_csd(int(value))}
-            assert set(np.nonzero(row)[0]) == positions
+            assert {p for p in range(17) if int(mask) >> p & 1} == positions
 
 
 class TestProperties:

@@ -1,38 +1,46 @@
-"""Unit tests for the 2-stage shifting decomposition and serial term scheduling."""
+"""Unit tests for the 2-stage shifting control of Figure 7 (Section V-D).
 
+:func:`repro.core.pip.serial_term_schedule` is the cycle model's scalar
+oracle.  Each of its cycles decomposes the lanes' shifts into one common
+second-stage shift plus a per-lane first-stage shift within reach.
+"""
+
+import numpy as np
 import pytest
 
-from repro.numerics.encoding import (
-    schedule_cycle_count,
-    serial_term_schedule,
-    two_stage_decompose,
-)
-from repro.numerics.oneffsets import encode_oneffsets
+from repro.core.pip import PragmaticInnerProductUnit, serial_term_schedule
+from repro.numerics.encodings import get_encoding
+
+
+def encode_oneffsets(value):
+    """Ascending oneffsets of a value: its positional registry terms."""
+    return [position for _, position in get_encoding("positional").terms(value)]
+
+
+def first_cycle(offsets, first_stage_bits):
+    """The first cycle's decomposition of one oneffset per lane."""
+    return serial_term_schedule([[offset] for offset in offsets], first_stage_bits)[0]
 
 
 class TestTwoStageDecompose:
     def test_common_is_minimum(self):
-        common, per_offset = two_stage_decompose([3, 5, 4], first_stage_bits=2)
-        assert common == 3
-        assert per_offset == [0, 2, 1]
+        cycle = first_cycle([3, 5, 4], first_stage_bits=2)
+        assert cycle.common_shift == 3
+        assert cycle.first_stage_shifts == (0, 2, 1)
 
     def test_offsets_beyond_reach_stall(self):
-        common, per_offset = two_stage_decompose([0, 4], first_stage_bits=2)
-        assert common == 0
-        assert per_offset == [0, None]
+        cycle = first_cycle([0, 4], first_stage_bits=2)
+        assert cycle.common_shift == 0
+        assert cycle.first_stage_shifts == (0, None)
 
     def test_zero_first_stage_bits_only_processes_minimum(self):
-        common, per_offset = two_stage_decompose([1, 2], first_stage_bits=0)
-        assert common == 1
-        assert per_offset == [0, None]
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            two_stage_decompose([], first_stage_bits=2)
+        cycle = first_cycle([1, 2], first_stage_bits=0)
+        assert cycle.common_shift == 1
+        assert cycle.first_stage_shifts == (0, None)
 
     def test_rejects_negative_bits(self):
         with pytest.raises(ValueError):
-            two_stage_decompose([1], first_stage_bits=-1)
+            serial_term_schedule([[1]], first_stage_bits=-1)
 
 
 class TestSerialTermSchedule:
@@ -61,7 +69,7 @@ class TestSerialTermSchedule:
         assert second.consumed == (6, 7, 4)
 
     def test_schedule_consumes_every_oneffset_exactly_once(self):
-        oneffsets = [list(encode_oneffsets(v)) for v in (13, 255, 0, 6)]
+        oneffsets = [encode_oneffsets(v) for v in (13, 255, 0, 6)]
         schedule = serial_term_schedule([list(lst) for lst in oneffsets], first_stage_bits=1)
         consumed = [[] for _ in oneffsets]
         for cycle in schedule:
@@ -91,7 +99,12 @@ class TestSerialTermSchedule:
         assert serial_term_schedule([[], []], first_stage_bits=2) == []
 
     def test_cycle_count_clamps_to_one(self):
-        assert schedule_cycle_count([[], []], first_stage_bits=2) == 1
+        # An all-zero brick schedules nothing, yet the PIP still spends the
+        # null pallet step's cycle.
+        _, cycles = PragmaticInnerProductUnit(first_stage_bits=2).compute(
+            np.ones(16, dtype=np.int64), np.zeros(16, dtype=np.int64)
+        )
+        assert cycles == 1
 
     def test_rejects_descending_oneffsets(self):
         with pytest.raises(ValueError):

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.numerics.fixedpoint import (
-    FIXED16,
-    FixedPointFormat,
-    bit_matrix,
-    leading_bit_position,
-    popcount,
-    trailing_bit_position,
-)
+from repro.core.kernels import _highest_bits, _trailing_zeros
+from repro.numerics.fixedpoint import FIXED16, FixedPointFormat, popcount
 
 
 class TestFixedPointFormat:
@@ -83,20 +77,22 @@ class TestFixedPointFormat:
 
 
 class TestBitHelpers:
-    def test_bit_matrix_matches_binary_expansion(self):
+    def test_popcount_matches_binary_expansion(self):
         values = np.array([0, 1, 5, 0b1010_1010])
-        mat = bit_matrix(values, bits=8)
-        assert mat.shape == (4, 8)
-        for i, value in enumerate(values):
-            expected = [(value >> b) & 1 for b in range(8)]
-            np.testing.assert_array_equal(mat[i].astype(int), expected)
+        expected = [sum((int(value) >> b) & 1 for b in range(8)) for value in values]
+        np.testing.assert_array_equal(popcount(values, bits=8), expected)
 
-    def test_bit_matrix_uses_magnitude_of_negatives(self):
-        np.testing.assert_array_equal(bit_matrix(np.array([-5]), 4), bit_matrix(np.array([5]), 4))
+    def test_popcount_uses_magnitude_of_negatives(self):
+        np.testing.assert_array_equal(popcount(np.array([-5]), 4), popcount(np.array([5]), 4))
 
-    def test_bit_matrix_rejects_too_wide_values(self):
+    def test_popcount_rejects_too_wide_values(self):
         with pytest.raises(ValueError):
-            bit_matrix(np.array([256]), bits=8)
+            popcount(np.array([256]), bits=8)
+        with pytest.raises(ValueError):
+            popcount(np.array([-256]), bits=8)
+
+    def test_popcount_is_int64(self):
+        assert popcount(np.array([3], dtype=np.uint16), 16).dtype == np.int64
 
     def test_popcount_known_values(self):
         np.testing.assert_array_equal(popcount(np.array([0, 1, 3, 255]), 8), [0, 1, 2, 8])
@@ -110,12 +106,15 @@ class TestBitHelpers:
         values = np.arange(12).reshape(3, 4)
         assert popcount(values, 8).shape == (3, 4)
 
+    # The drain kernel's lookup tables, on 16-bit and split 32-bit masks.
     def test_leading_bit_position(self):
-        np.testing.assert_array_equal(
-            leading_bit_position(np.array([0, 1, 2, 5, 0x8000]), 16), [-1, 0, 1, 2, 15]
-        )
+        masks = np.array([0, 1, 2, 5, 0x8000])
+        np.testing.assert_array_equal(_highest_bits(masks.astype(np.uint16)), [-1, 0, 1, 2, 15])
+        wide = np.array([0, 1, 1 << 16, (1 << 31) | 1], dtype=np.uint32)
+        np.testing.assert_array_equal(_highest_bits(wide), [-1, 0, 16, 31])
 
     def test_trailing_bit_position(self):
-        np.testing.assert_array_equal(
-            trailing_bit_position(np.array([0, 1, 2, 12]), 16), [16, 0, 1, 2]
-        )
+        masks = np.array([0, 1, 2, 12])
+        np.testing.assert_array_equal(_trailing_zeros(masks.astype(np.uint16)), [16, 0, 1, 2])
+        wide = np.array([0, 1 << 16, (1 << 31) | (1 << 20)], dtype=np.uint32)
+        np.testing.assert_array_equal(_trailing_zeros(wide), [32, 16, 20])

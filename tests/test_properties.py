@@ -1,34 +1,53 @@
-"""Property-based tests (hypothesis) for the core data structures and invariants."""
+"""Property-based tests (hypothesis) for the core data structures and invariants.
+
+The cycle model is checked against the Figure 7 oracle
+(:func:`repro.core.pip.serial_term_schedule`) and against cross-model
+invariants, never against a second caller of the drain kernel.
+"""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernels import batched_drain_cycles, pack_drain_masks
-from repro.core.pip import PragmaticInnerProductUnit
-from repro.core.scheduling import (
-    _reference_drain_cycles,
-    column_drain_cycles,
-    column_sync_cycles,
-    pallet_sync_cycles,
-)
+from repro.arch.tiling import SamplingConfig, sample_pallet_values
+from repro.baselines.zero_skip import ZeroSkipModel
+from repro.core.accelerator import PragmaticConfig
+from repro.core.kernels import batched_drain_cycles
+from repro.core.oneffset_generator import OneffsetStream
+from repro.core.pip import PragmaticInnerProductUnit, serial_term_schedule
+from repro.core.scheduling import encoded_drain_masks
+from repro.core.sweep import cycles_from_drain, sweep_network
 from repro.nn.precision import LayerPrecision
-from repro.numerics.encoding import schedule_cycle_count, serial_term_schedule, two_stage_decompose
-from repro.numerics.fixedpoint import FixedPointFormat, bit_matrix, popcount
-from repro.numerics.oneffsets import OneffsetStream, decode_oneffsets, encode_oneffsets
+from repro.numerics.encodings import encoding_names, get_encoding
+from repro.numerics.fixedpoint import FixedPointFormat, popcount
 from repro.numerics.quantized import QuantizationParams
+from tests.test_core_kernels import oracle_mask_drains, random_trace
 
 settings.register_profile("repro", max_examples=60, deadline=None)
 settings.load_profile("repro")
 
 uint16 = st.integers(min_value=0, max_value=2**16 - 1)
 first_stage = st.integers(min_value=0, max_value=4)
+encodings = st.sampled_from(encoding_names())
+trace_seeds = st.integers(min_value=0, max_value=10**6)
+
+POSITIONAL = get_encoding("positional")
+
+
+def encode_oneffsets(value):
+    return [position for _, position in POSITIONAL.terms(value)]
+
+
+def drains(values, first_stage_bits, encoding="positional"):
+    masks = encoded_drain_masks(np.asarray(values), 16, encoding)
+    return batched_drain_cycles(masks, (1 << first_stage_bits,))[0]
 
 
 class TestOneffsetProperties:
     @given(uint16)
     def test_encode_decode_roundtrip(self, value):
-        assert decode_oneffsets(encode_oneffsets(value)) == value
+        assert POSITIONAL.decode(POSITIONAL.terms(value)) == value
 
     @given(uint16)
     def test_oneffset_count_equals_popcount(self, value):
@@ -41,28 +60,28 @@ class TestOneffsetProperties:
 
     @given(st.lists(uint16, min_size=1, max_size=8), first_stage)
     def test_schedule_consumes_all_oneffsets_exactly_once(self, values, bits):
-        oneffsets = [list(encode_oneffsets(v)) for v in values]
-        schedule = serial_term_schedule([list(lst) for lst in oneffsets], bits)
+        oneffsets = [encode_oneffsets(v) for v in values]
+        schedule = serial_term_schedule(oneffsets, bits)
         consumed = [[] for _ in values]
         for cycle in schedule:
             for lane, offset in enumerate(cycle.consumed):
                 if offset is not None:
                     consumed[lane].append(offset)
-        assert consumed == [list(lst) for lst in oneffsets]
+        assert consumed == oneffsets
 
     @given(st.lists(uint16, min_size=1, max_size=8))
     def test_wider_first_stage_never_needs_more_cycles(self, values):
-        oneffsets = [list(encode_oneffsets(v)) for v in values]
-        counts = [schedule_cycle_count(oneffsets, bits) for bits in range(5)]
+        oneffsets = [encode_oneffsets(v) for v in values]
+        counts = [len(serial_term_schedule(oneffsets, bits)) for bits in range(5)]
         assert counts == sorted(counts, reverse=True)
 
     @given(st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=16), first_stage)
     def test_two_stage_decomposition_reconstructs_offsets(self, offsets, bits):
-        common, deltas = two_stage_decompose(offsets, bits)
-        for offset, delta in zip(offsets, deltas):
-            if delta is not None:
-                assert common + delta == offset
-                assert 0 <= delta < (1 << bits)
+        for cycle in serial_term_schedule([[offset] for offset in offsets], bits):
+            for delta, offset in zip(cycle.first_stage_shifts, cycle.consumed):
+                if delta is not None:
+                    assert cycle.common_shift + delta == offset
+                    assert 0 <= delta < (1 << bits)
 
 
 class TestNumericFormatProperties:
@@ -99,12 +118,10 @@ class TestSchedulingProperties:
         first_stage,
     )
     def test_vectorized_drain_matches_reference_scheduler(self, columns, bits):
-        values = np.array(columns)
-        planes = bit_matrix(values, bits=16)
-        vectorized = np.atleast_1d(column_drain_cycles(planes, bits))
+        vectorized = drains(columns, bits)
         for index, column in enumerate(columns):
-            oneffsets = [list(encode_oneffsets(v)) for v in column]
-            assert max(1, int(vectorized[index])) == schedule_cycle_count(oneffsets, bits)
+            oneffsets = [encode_oneffsets(v) for v in column]
+            assert int(vectorized[index]) == len(serial_term_schedule(oneffsets, bits))
 
     @given(
         st.integers(1, 3),
@@ -116,9 +133,15 @@ class TestSchedulingProperties:
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 2**16, size=(pallets, steps, 4, 4))
         values[rng.random(values.shape) < 0.6] = 0
-        pallet = pallet_sync_cycles(values, bits, 16)
-        ideal = column_sync_cycles(values, bits, 16, ssr_count=None)
-        one_reg = column_sync_cycles(values, bits, 16, ssr_count=1)
+        drain = drains(values, bits)
+
+        def cycles(synchronization, ssr_count=1):
+            config = PragmaticConfig(synchronization=synchronization, ssr_count=ssr_count)
+            return cycles_from_drain(drain, config, min_step_cycles=1)
+
+        pallet = cycles("pallet")
+        ideal = cycles("column", ssr_count=None)
+        one_reg = cycles("column", ssr_count=1)
         # Pallet-synchronized execution is never faster than ideal column sync
         # (modulo the one-cycle-per-step SB port skew), and limited SSRs sit in
         # between the two.
@@ -136,23 +159,36 @@ columns_strategy = st.lists(
 class TestDrainKernelProperties:
     """Invariants of the batched drain kernel (repro.core.kernels)."""
 
-    @given(columns_strategy, first_stage)
-    def test_batched_kernel_matches_reference_loop(self, columns, bits):
-        values = np.array(columns)
-        batched = batched_drain_cycles(pack_drain_masks(values, 16), (1 << bits,))[0]
-        reference = _reference_drain_cycles(bit_matrix(values, bits=16), bits)
-        np.testing.assert_array_equal(batched, reference)
+    @given(columns_strategy, first_stage, encodings)
+    def test_batched_kernel_matches_reference_loop(self, columns, bits, encoding):
+        """The kernel equals the Figure 7 oracle over every encoding's masks."""
+        masks = encoded_drain_masks(np.array(columns), 16, encoding)
+        np.testing.assert_array_equal(
+            batched_drain_cycles(masks, (1 << bits,))[0], oracle_mask_drains(masks, bits)
+        )
 
     @given(columns_strategy)
     def test_full_reach_equals_busiest_lane_popcount(self, columns):
         values = np.array(columns)
         busiest = popcount(values, 16).max(axis=-1)
-        full = batched_drain_cycles(pack_drain_masks(values, 16), (16,))[0]
-        np.testing.assert_array_equal(full, busiest)
+        np.testing.assert_array_equal(drains(values, 4), busiest)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**16 - 1), min_size=1, max_size=16),
+        first_stage,
+        st.integers(min_value=0, max_value=15),
+    )
+    def test_span_below_reach_drains_in_busiest_lane_popcount(self, lanes, bits, low):
+        """A column whose set bits span less than the reach never stalls."""
+        window = (1 << min(1 << bits, 16 - low)) - 1
+        column = np.array([(lane & window) << low for lane in lanes])
+        cycles = int(drains(column[None, :], bits)[0])
+        assert cycles == int(popcount(column, 16).max())
+        assert cycles == len(serial_term_schedule([encode_oneffsets(v) for v in column], bits))
 
     @given(columns_strategy)
     def test_cycles_monotone_non_increasing_in_first_stage_bits(self, columns):
-        masks = pack_drain_masks(np.array(columns), 16)
+        masks = encoded_drain_masks(np.array(columns), 16)
         ladder = batched_drain_cycles(masks, [1 << bits for bits in range(5)])
         for narrow, wide in zip(ladder, ladder[1:]):
             assert np.all(wide <= narrow)
@@ -161,10 +197,7 @@ class TestDrainKernelProperties:
     def test_lane_permutation_invariance(self, columns, bits, seed):
         values = np.array(columns)
         permuted = values[:, np.random.default_rng(seed).permutation(values.shape[1])]
-        np.testing.assert_array_equal(
-            batched_drain_cycles(pack_drain_masks(values, 16), (1 << bits,)),
-            batched_drain_cycles(pack_drain_masks(permuted, 16), (1 << bits,)),
-        )
+        np.testing.assert_array_equal(drains(values, bits), drains(permuted, bits))
 
     @given(st.integers(1, 16), st.integers(1, 8), first_stage)
     def test_zero_columns_cost_zero_cycles(self, lanes, columns, bits):
@@ -183,3 +216,65 @@ class TestPipProperties:
         partial, cycles = pip.compute(np.array(synapses), np.array(neurons))
         assert partial == int(np.dot(synapses, neurons))
         assert 1 <= cycles
+
+
+class TestEncodingInvariants:
+    """Cross-encoding identities the registry and the cycle model must keep."""
+
+    def test_csd_never_more_terms_than_positional_for_any_16_bit_value(self):
+        values = np.arange(1 << 16)
+        csd = get_encoding("csd").term_counts(values, bits=16)
+        assert np.all(csd <= POSITIONAL.term_counts(values, bits=16))
+
+    @settings(max_examples=8)
+    @given(trace_seeds, st.sampled_from((8, 16)))
+    def test_binary_terms_are_zero_skip_terms(self, seed, storage_bits):
+        """On binarized traffic Pragmatic degenerates to zero-skipping: each
+        non-zero neuron costs one term where ZN pays ``storage_bits``."""
+        trace = random_trace(seed, storage_bits=storage_bits)
+        sampling = SamplingConfig(max_pallets=2, seed=seed)
+        config = PragmaticConfig(encoding="binary", software_trimming=False)
+        result = sweep_network(trace, {"binary": config}, sampling)["binary"]
+        zero_skip = ZeroSkipModel(skip_first_layer=True)
+        for index, layer_result in enumerate(result.layers):
+            values, _ = sample_pallet_values(trace, index, sampling)
+            expected = zero_skip.layer_terms(trace.layer(index), values, index, storage_bits)
+            assert layer_result.terms * storage_bits == pytest.approx(expected, rel=1e-12)
+
+
+class TestSweepProperties:
+    """Network-level invariants of sweep_network."""
+
+    @settings(max_examples=8)
+    @given(trace_seeds, st.sampled_from(("pallet", "column")), encodings)
+    def test_cycles_non_increasing_in_first_stage_bits(self, seed, synchronization, encoding):
+        trace = random_trace(seed)
+        configs = {
+            bits: PragmaticConfig(
+                first_stage_bits=bits, synchronization=synchronization, encoding=encoding
+            )
+            for bits in range(5)
+        }
+        results = sweep_network(trace, configs, SamplingConfig(max_pallets=2, seed=seed))
+        cycles = [results[bits].cycles for bits in range(5)]
+        assert cycles == sorted(cycles, reverse=True)
+
+    @settings(max_examples=6)
+    @given(trace_seeds, st.sampled_from((8, 16)))
+    def test_multi_config_sweep_equals_single_config_sweeps(self, seed, storage_bits):
+        """Batching configurations into one sweep never changes a result."""
+        trace = random_trace(seed, storage_bits=storage_bits)
+        sampling = SamplingConfig(max_pallets=2, seed=seed)
+        configs = {
+            "pallet-0": PragmaticConfig(first_stage_bits=0),
+            "pallet-2-fp": PragmaticConfig(software_trimming=False),
+            "column-1": PragmaticConfig(synchronization="column", ssr_count=1),
+            "column-ideal-csd": PragmaticConfig(
+                synchronization="column", ssr_count=None, encoding="csd"
+            ),
+            "pallet-3-hese": PragmaticConfig(first_stage_bits=3, encoding="hese"),
+        }
+        together = sweep_network(trace, configs, sampling)
+        for label, config in configs.items():
+            alone = sweep_network(trace, {label: config}, sampling)[label]
+            assert together[label] == alone

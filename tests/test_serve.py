@@ -1169,6 +1169,40 @@ class TestFrontEnds:
         with pytest.raises(SystemExit):
             serve_main(["--gc-interval", "60", "--gc-max-bytes", "1", "--no-cache"])
 
+    def test_oversized_request_line_gets_a_typed_error(self):
+        from repro.serve.service import LINE_LIMIT
+
+        async def scenario():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            async with ExperimentService(cache_dir=None, workers=1) as service:
+                server = await service.serve_tcp("127.0.0.1", 0)
+                port = server.sockets[0].getsockname()[1]
+                async with server:
+                    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                    writer.write(encode({"id": "big", "op": "stats", "pad": "x" * 70_000}))
+                    await writer.drain()
+                    reply = decode(await asyncio.wait_for(reader.readline(), timeout=10))
+                    assert reply["event"] == "error"
+                    assert str(LINE_LIMIT) in reply["error"]
+                    try:  # the server closed the connection after answering
+                        rest = await asyncio.wait_for(reader.read(), timeout=10)
+                    except ConnectionError:
+                        rest = b""
+                    assert rest == b""
+                    writer.close()
+                    # The server itself keeps serving.
+                    client = await ServeClient.connect("127.0.0.1", port)
+                    try:
+                        assert await client.ping()
+                    finally:
+                        await client.close()
+            return unhandled
+
+        assert run(scenario()) == []
+
     def test_shutdown_op_stops_a_tcp_server(self):
         async def scenario():
             async with ExperimentService(cache_dir=None, workers=1) as service:
