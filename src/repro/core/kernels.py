@@ -12,18 +12,30 @@ formulation that the whole batch shares:
   hold *all* sampled pallets and *all* drain groups of a layer at once.
   Positional masks are ``uint16``; signed-term encodings
   (:mod:`repro.numerics.encodings`) that use positions above 15 — CSD and
-  HESE reach position 16 — pack into ``uint32`` masks and take the same path.
-  The trailing-zero and highest-bit lookup tables stay 16-bit and wide masks
-  are split into halves; popcounts are ``np.bitwise_count``.
+  HESE reach position 16 — pack into ``uint32`` masks.  Both widths take one
+  code path: every step below is plain integer bit arithmetic.
+* **Two bit identities.**  A lane's next term is its lowest set bit,
+  ``m & -m``, and the column's lowest outstanding term is the lowest set bit
+  of the OR of its lanes.  The first stage covers the ``reach`` positions
+  starting at that term, so with ``limit = (lowest(column OR) << reach) - 1`` (computed
+  in ``uint64``, reaches above the mask width clamped to it) one Figure 7
+  cycle is ``m ^= (m & -m) & limit``: a lane drains its next term exactly
+  when that term lies inside the window.
+* **Lanes-major layout.**  The kernel transposes the batch once into
+  ``[lanes, columns]``, so every per-column reduction (column OR, busiest
+  lane) runs over a few contiguous lane rows instead of a short last axis.
 * **Closed-form fast path.**  A column whose set bits all fit inside one
-  first-stage window (``highest - lowest < reach``) never stalls: it finishes
-  in exactly its busiest lane's popcount.  This generalizes the full-reach
-  shortcut (``reach >= positions``) and resolves the large majority of
-  trimmed columns without any iteration.
+  window (``column OR <= limit``) never stalls: it finishes in exactly its
+  busiest lane's popcount.  An empty column's limit is all ones, so it is
+  closed at zero cycles.  This resolves the large majority of trimmed
+  columns without any iteration.
 * **Batched frontier loop.**  The remaining slow columns of *every* drain
-  group advance together, one whole-array update per cycle, so the number of
-  Python-level iterations is bounded by the maximum drain depth across the
-  whole batch.
+  group advance together on one lanes-major copy of those columns only, one
+  whole-array update per cycle, so the number of Python-level iterations is
+  bounded by the maximum drain depth across the whole batch.  Each cycle's
+  column OR doubles as the liveness test.  A drained column is all zeros and
+  the update leaves it unchanged, so the working set is compacted only once
+  fewer than half its columns are alive.
 
 :func:`batched_drain_cycles` evaluates many ``first_stage_bits`` reaches over
 one packed tensor in a single call (the per-column statistics are computed
@@ -46,62 +58,6 @@ __all__ = [
 #: signed-term planes; plain positional packing stays ``uint16``).
 KERNEL_MAX_POSITIONS = 32
 
-#: Width of the lookup tables (wider masks are split into 16-bit halves).
-_TABLE_POSITIONS = 16
-
-#: Sentinel head value of an empty ``uint16`` lane (no outstanding oneffsets).
-_EMPTY_HEAD = _TABLE_POSITIONS
-
-# Lazily-built lookup tables over all 2**16 masks: trailing-zero position
-# (lowest set bit; 16 for mask 0) and highest set bit (-1 for 0).  In the
-# frontier loop the trailing-zero table is faster than a trailing zero
-# computed with np.bitwise_count.
-_TZ16: np.ndarray | None = None
-_HB16: np.ndarray | None = None
-
-
-def _tables() -> tuple[np.ndarray, np.ndarray]:
-    """The (trailing-zero, highest-bit) tables, built once."""
-    global _TZ16, _HB16
-    if _TZ16 is None:
-        n = np.arange(1 << _TABLE_POSITIONS, dtype=np.uint32)
-        tz = np.full(n.size, _EMPTY_HEAD, dtype=np.uint8)
-        hb = np.full(n.size, -1, dtype=np.int8)
-        for position in range(_TABLE_POSITIONS - 1, -1, -1):
-            tz[((n >> position) & 1).astype(bool)] = position
-        for position in range(_TABLE_POSITIONS):
-            hb[((n >> position) & 1).astype(bool)] = position
-        _TZ16, _HB16 = tz, hb
-    return _TZ16, _HB16
-
-
-# Half-splitting helpers: wide (uint32) masks reuse the 16-bit tables.  Each
-# returns int16/int64 arrays so downstream arithmetic never wraps.
-def _mask_width(masks: np.ndarray) -> int:
-    return _TABLE_POSITIONS if masks.dtype == np.uint16 else KERNEL_MAX_POSITIONS
-
-
-def _trailing_zeros(masks: np.ndarray) -> np.ndarray:
-    """Lowest set bit per mask (the mask's width for an empty mask)."""
-    tz, _ = _tables()
-    if masks.dtype == np.uint16:
-        return tz[masks].astype(np.int16)
-    lo = (masks & np.uint32(0xFFFF)).astype(np.uint16)
-    hi = (masks >> np.uint32(16)).astype(np.uint16)
-    low = tz[lo].astype(np.int16)
-    high = np.int16(16) + tz[hi].astype(np.int16)
-    return np.where(lo != 0, low, high)
-
-
-def _highest_bits(masks: np.ndarray) -> np.ndarray:
-    """Highest set bit per mask (-1 for an empty mask)."""
-    _, hb = _tables()
-    if masks.dtype == np.uint16:
-        return hb[masks].astype(np.int64)
-    lo = (masks & np.uint32(0xFFFF)).astype(np.uint16)
-    hi = (masks >> np.uint32(16)).astype(np.uint16)
-    return np.where(hi != 0, 16 + hb[hi].astype(np.int64), hb[lo].astype(np.int64))
-
 
 def packed_essential_terms(masks: np.ndarray) -> float:
     """Total terms (set bits) of a packed mask tensor."""
@@ -109,45 +65,66 @@ def packed_essential_terms(masks: np.ndarray) -> float:
 
 
 def _as_masks(masks: np.ndarray) -> np.ndarray:
-    """Coerce a tensor into packed mask form, preserving wide masks."""
+    """Coerce a tensor into packed mask form, preserving wide masks.
+
+    ``uint16`` and ``uint32`` tensors pass through.  Any other dtype must hold
+    16-bit masks: a negative value or one wider than 16 bits raises
+    ``ValueError`` instead of wrapping.
+    """
     masks = np.asarray(masks)
     if masks.dtype in (np.uint16, np.uint32):
         return masks
+    outside = (masks < 0) | (masks > 0xFFFF)
+    if outside.any():
+        raise ValueError(
+            f"mask value {masks[outside][0]} is not a 16-bit lane mask "
+            "(pack wider terms as uint32)"
+        )
     return masks.astype(np.uint16)
 
 
+def _limits(column: np.ndarray, shift) -> np.ndarray:
+    """Each column's window ``(lowest(column) << shift) - 1``.
+
+    Its set bits are the positions less than ``shift`` above the column's
+    lowest set bit, and every position below it; an empty column's limit is
+    all ones.  ``uint64`` holds the shift of a 32-bit mask by up to 32.
+    """
+    lowest = (column & -column).astype(np.uint64)
+    return (lowest << shift) - np.uint64(1)
+
+
 # --------------------------------------------------------------- frontier loop
-def _frontier(masks: np.ndarray, reach: np.ndarray) -> np.ndarray:
+def _frontier(work: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Drain the slow columns with one whole-array update per cycle.
 
-    ``masks`` is ``uint16``/``uint32 [columns, lanes]`` (consumed by value —
-    the caller passes a private copy); ``reach`` is ``int16 [columns]``.
-    Returns the per-column cycle counts.  Columns retire from the working set
-    as they drain, so late iterations touch only the deepest columns.
+    ``work`` is ``uint16``/``uint32 [lanes, columns]`` (consumed by value —
+    the caller passes a private copy); ``shift`` is the ``uint64 [columns]``
+    clamped reach.  Returns the per-column cycle counts.
     """
-    empty_head = _mask_width(masks)
-    one = masks.dtype.type(1)
-    out = np.zeros(masks.shape[0], dtype=np.int64)
-    cycles = np.zeros(masks.shape[0], dtype=np.int64)
-    index = np.arange(masks.shape[0])
-    reach = reach.astype(np.int16, copy=False)
-    while masks.size:
-        heads = _trailing_zeros(masks)
-        column_minimum = heads.min(axis=1)
-        eligible = (heads < empty_head) & (
-            heads < (column_minimum + reach)[:, None]
-        )
-        masks = np.where(eligible, masks & (masks - one), masks)
-        cycles += 1
-        alive = masks.any(axis=1)
-        if not alive.all():
-            finished = ~alive
-            out[index[finished]] = cycles[finished]
-            masks = masks[alive]
-            reach = reach[alive]
-            cycles = cycles[alive]
-            index = index[alive]
-    return out
+    out = np.zeros(work.shape[1], dtype=np.int64)
+    cycles = np.zeros(work.shape[1], dtype=np.int64)
+    index = np.arange(work.shape[1])
+    while True:
+        column = np.bitwise_or.reduce(work, axis=0)
+        alive = column != 0
+        live = np.count_nonzero(alive)
+        if 2 * live < alive.size:
+            # Retire the drained columns; every survivor is busy this cycle.
+            out[index[~alive]] = cycles[~alive]
+            if not live:
+                return out
+            keep = np.flatnonzero(alive)
+            work, column, shift, cycles, index = (
+                array.take(keep, axis=-1) for array in (work, column, shift, cycles, index)
+            )
+            cycles += 1
+        else:
+            cycles += alive
+        step = np.negative(work)
+        step &= work
+        step &= _limits(column, shift).astype(work.dtype)
+        work ^= step
 
 
 # --------------------------------------------------------------------- kernel
@@ -160,12 +137,14 @@ def batched_drain_cycles(masks: np.ndarray, reaches) -> np.ndarray:
         Packed term masks shaped ``(..., lanes)`` — the lanes of one PIP
         column along the last axis, any leading batch shape (the sweep packs
         ``[pallets, steps, windows, neurons]``).  ``uint16`` for positional
-        packing, ``uint32`` for signed-term planes using positions above 15
-        (other dtypes are coerced to ``uint16``).
+        packing, ``uint32`` for signed-term planes using positions above 15.
+        Other dtypes must hold 16-bit masks and are coerced to ``uint16``;
+        a negative or wider value raises ``ValueError``.  The input is never
+        modified.
     reaches:
         Sequence of first-stage reaches (``2 ** first_stage_bits``, each at
-        least 1) to evaluate.  The per-column statistics (popcounts, bit
-        span) are computed once and shared by every reach.
+        least 1) to evaluate.  The per-column statistics (popcounts, column
+        OR) are computed once and shared by every reach.
 
     Returns
     -------
@@ -184,33 +163,29 @@ def batched_drain_cycles(masks: np.ndarray, reaches) -> np.ndarray:
         raise ValueError("every reach must be at least 1")
 
     *lead, lanes = masks.shape
-    flat = np.ascontiguousarray(masks.reshape(-1, lanes))
-    columns = flat.shape[0]
+    lane_rows = np.ascontiguousarray(masks.reshape(-1, lanes).T)
+    columns = lane_rows.shape[1]
+    width = 8 * masks.dtype.itemsize
     out = np.zeros((len(reaches), columns), dtype=np.int64)
     if columns:
-        busiest = np.bitwise_count(flat).max(axis=1)
-        column_mask = np.bitwise_or.reduce(flat, axis=1)
-        # Bit span of the column; empty columns go deeply negative and are
-        # therefore always closed-form (zero busiest lanes -> zero cycles).
-        span = _highest_bits(column_mask) - _trailing_zeros(column_mask)
-        slow_sets: list[tuple[int, np.ndarray]] = []
+        busiest = np.bitwise_count(lane_rows).max(axis=0)
+        column = np.bitwise_or.reduce(lane_rows, axis=0)
+        slow_sets: list[tuple[int, np.ndarray, int]] = []
         for slot, reach in enumerate(reaches):
-            closed = span < reach
+            shift = min(reach, width)
+            closed = column <= _limits(column, np.uint64(shift))
             out[slot] = np.where(closed, busiest, 0)
-            slow = np.nonzero(~closed)[0]
+            slow = np.flatnonzero(~closed)
             if slow.size:
-                slow_sets.append((slot, slow))
+                slow_sets.append((slot, slow, shift))
         if slow_sets:
-            rows = np.concatenate([slow for _, slow in slow_sets])
-            row_reach = np.concatenate(
-                [
-                    np.full(slow.size, reaches[slot], dtype=np.int16)
-                    for slot, slow in slow_sets
-                ]
+            slow_columns = np.concatenate([slow for _, slow, _ in slow_sets])
+            shifts = np.concatenate(
+                [np.full(slow.size, shift, dtype=np.uint64) for _, slow, shift in slow_sets]
             )
-            cycles = _frontier(flat[rows], row_reach)
+            cycles = _frontier(lane_rows.take(slow_columns, axis=1), shifts)
             offset = 0
-            for slot, slow in slow_sets:
+            for slot, slow, _ in slow_sets:
                 out[slot, slow] = cycles[offset : offset + slow.size]
                 offset += slow.size
     return out.reshape((len(reaches), *lead))

@@ -22,7 +22,12 @@ from dataclasses import dataclass, field
 from repro.runtime import RunStats
 from repro.serve.protocol import ProtocolError, decode, encode
 
-__all__ = ["ServeResponse", "ServeClient"]
+__all__ = ["RESPONSE_LIMIT", "ServeResponse", "ServeClient"]
+
+#: Longest response line a connection accepts (bytes).  A worker's result can
+#: outgrow asyncio's 64 KiB default stream limit; a longer line fails every
+#: pending request with an error naming this limit and closes the connection.
+RESPONSE_LIMIT = 16 * 1024 * 1024
 
 
 @dataclass
@@ -80,7 +85,7 @@ class ServeClient:
         cls, host: str = "127.0.0.1", port: int = 0, auth_token: str | None = None
     ) -> "ServeClient":
         """Open a connection, authenticating first when ``auth_token`` is given."""
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await asyncio.open_connection(host, port, limit=RESPONSE_LIMIT)
         client = cls(reader, writer)
         if auth_token is not None:
             try:
@@ -91,9 +96,17 @@ class ServeClient:
         return client
 
     async def _read_loop(self) -> None:
+        error = "connection closed"
         try:
             while True:
-                line = await self._reader.readline()
+                try:
+                    line = await self._reader.readline()
+                except ValueError:
+                    # The line outgrew the reader's buffer limit; its framing
+                    # is lost, so drop the connection.
+                    error = f"response line exceeds the {RESPONSE_LIMIT}-byte limit"
+                    self._writer.close()
+                    break
                 if not line:
                     break
                 try:
@@ -108,7 +121,7 @@ class ServeClient:
             # waiter with a synthetic failure instead of hanging forever.
             self.closed.set()
             for route in self._routes.values():
-                route.put_nowait({"event": "failed", "error": "connection closed"})
+                route.put_nowait({"event": "failed", "error": error})
 
     async def _send(self, message: dict) -> tuple[str, asyncio.Queue]:
         client_id = f"c{next(self._counter)}"

@@ -8,6 +8,10 @@ column at a time on the scalar terms of each neuron.
 * the kernel reproduces the oracle's cycle count for every column, across
   random columns, both storage widths, every first-stage reach and the term
   masks of every registered encoding;
+* the kernel's bit paths hold at their edges: reaches at and above the mask
+  width, a few deep columns among many shallow ones (the half-alive
+  compaction), an unmodified input, and other dtypes that must hold 16-bit
+  masks;
 * :func:`repro.core.sweep.sweep_network` is **bit-identical** (exact float
   equality, same sampling seed) to :func:`oracle_network`, a per-configuration
   model whose drains come from the oracle and whose synchronization schemes
@@ -338,6 +342,76 @@ class TestKernelMatchesReference:
             batched_drain_cycles(np.zeros((2, 2), dtype=np.uint16), ())
         with pytest.raises(ValueError):
             batched_drain_cycles(np.zeros((2, 2), dtype=np.uint16), (0,))
+
+
+class TestKernelBitPaths:
+    """The window limit, the half-alive compaction and input handling."""
+
+    @pytest.mark.parametrize(
+        "dtype,reaches",
+        [(np.uint16, (16, 32, 64, 1 << 20)), (np.uint32, (32, 64, 1 << 20))],
+    )
+    def test_reach_at_or_above_mask_width_is_the_busiest_lane(self, dtype, reaches):
+        width = 8 * np.dtype(dtype).itemsize
+        rng = np.random.default_rng(12)
+        masks = rng.integers(0, 1 << width, size=(50, 16), dtype=np.uint64).astype(dtype)
+        top = 1 << (width - 1)
+        masks[0] = 0
+        masks[0, :2] = (1, top)  # span width - 1: stalls at any narrower reach
+        masks[1] = top  # lowest term at the top bit: the widest shift
+        masks[2] = 0
+        masks[2, 0] = top | 1  # one lane spanning the whole width
+        busiest = np.bitwise_count(masks).max(axis=-1)
+        drains = batched_drain_cycles(masks, reaches)
+        for slot in range(len(reaches)):
+            np.testing.assert_array_equal(drains[slot], busiest)
+        assert batched_drain_cycles(masks[:1], (width - 1,))[0, 0] == 2
+        # first_stage_bits = bit_length(width) is a reach of 2 * width.
+        np.testing.assert_array_equal(drains[0], oracle_mask_drains(masks, width.bit_length()))
+
+    @pytest.mark.parametrize("dtype,offset", [(np.uint16, 0), (np.uint32, 16)])
+    def test_few_deep_columns_among_shallow_ones_match_the_oracle(self, dtype, offset):
+        """Most slow columns drain in 1-2 cycles, a few for 10+, at reach 1."""
+        rng = np.random.default_rng(13)
+        masks = np.zeros((240, 16), dtype=np.uint64)
+        positions = rng.integers(0, 15, size=200)
+        masks[np.arange(200), 0] = 1 << positions
+        masks[np.arange(200), 1] = 1 << (positions + 1)  # two cycles each
+        masks[200:230, 0] = 0b111 << rng.integers(0, 12, size=30)
+        masks[200:230, 1] = 1 << 15  # four cycles each
+        masks[230:, :] = rng.integers(1, 1 << 16, size=(10, 16))  # dense columns
+        masks[235:] = 1 << np.arange(16)  # one term per cycle, 16 cycles
+        masks = (masks << offset).astype(dtype)
+        expected = oracle_mask_drains(masks, 0)
+        assert (expected <= 2).mean() > 0.8 and (expected >= 10).sum() >= 5
+        np.testing.assert_array_equal(batched_drain_cycles(masks, (1,))[0], expected)
+        rng.shuffle(masks)
+        drains = batched_drain_cycles(masks, (1, 2))
+        for bits in range(2):
+            np.testing.assert_array_equal(drains[bits], oracle_mask_drains(masks, bits))
+
+    @pytest.mark.parametrize("shape", [(40, 16), (40, 1), (1, 16), (3, 5, 16)])
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
+    def test_input_masks_are_left_unchanged(self, shape, dtype):
+        rng = np.random.default_rng(14)
+        masks = rng.integers(0, 1 << 16, size=shape).astype(dtype)
+        before = masks.copy()
+        drains = batched_drain_cycles(masks, (1, 4))
+        np.testing.assert_array_equal(masks, before)
+        np.testing.assert_array_equal(drains[0], oracle_mask_drains(before, 0))
+
+    def test_masks_that_are_not_16_bit_are_rejected(self):
+        for bad, value in ((np.array([[70000]]), "70000"), (np.array([[3, -1]]), "-1")):
+            with pytest.raises(ValueError, match=value):
+                packed_essential_terms(bad)
+            with pytest.raises(ValueError, match=value):
+                batched_drain_cycles(bad, (1,))
+        plain = np.array([[3, 0xFFFF, 0]])
+        assert packed_essential_terms(plain) == 18.0
+        np.testing.assert_array_equal(
+            batched_drain_cycles(plain, (1, 16)),
+            batched_drain_cycles(plain.astype(np.uint16), (1, 16)),
+        )
 
 
 class TestGoldenSweepEquivalence:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.kernels import _highest_bits, _trailing_zeros
 from repro.numerics.fixedpoint import FIXED16, FixedPointFormat, popcount
 
 
@@ -105,16 +104,3 @@ class TestBitHelpers:
     def test_popcount_preserves_shape(self):
         values = np.arange(12).reshape(3, 4)
         assert popcount(values, 8).shape == (3, 4)
-
-    # The drain kernel's lookup tables, on 16-bit and split 32-bit masks.
-    def test_leading_bit_position(self):
-        masks = np.array([0, 1, 2, 5, 0x8000])
-        np.testing.assert_array_equal(_highest_bits(masks.astype(np.uint16)), [-1, 0, 1, 2, 15])
-        wide = np.array([0, 1, 1 << 16, (1 << 31) | 1], dtype=np.uint32)
-        np.testing.assert_array_equal(_highest_bits(wide), [-1, 0, 16, 31])
-
-    def test_trailing_bit_position(self):
-        masks = np.array([0, 1, 2, 12])
-        np.testing.assert_array_equal(_trailing_zeros(masks.astype(np.uint16)), [16, 0, 1, 2])
-        wide = np.array([0, 1 << 16, (1 << 31) | (1 << 20)], dtype=np.uint32)
-        np.testing.assert_array_equal(_trailing_zeros(wide), [32, 16, 20])

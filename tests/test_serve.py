@@ -1203,6 +1203,59 @@ class TestFrontEnds:
 
         assert run(scenario()) == []
 
+    def test_client_response_lines_up_to_the_limit(self):
+        """A stub server answers ``pad`` bytes per request, or never (``hold``)."""
+        from repro.serve.client import RESPONSE_LIMIT
+
+        async def scenario():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            peer_gone = asyncio.Event()
+
+            async def stub(reader, writer):
+                try:
+                    while line := await reader.readline():
+                        message = decode(line)
+                        if "pad" in message:
+                            writer.write(
+                                b'{"id": "%s", "event": "done", "result": {"pad": "%s"}}\n'
+                                % (message["id"].encode(), b"x" * message["pad"])
+                            )
+                except ConnectionError:
+                    pass  # the client dropped the link with a reply unread
+                finally:
+                    peer_gone.set()
+                    writer.close()
+
+            server = await asyncio.start_server(stub, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            async with server:
+                client = await ServeClient.connect("127.0.0.1", port)
+                large = await asyncio.wait_for(
+                    client.job({"op": "stub", "pad": 200_000}), timeout=10
+                )
+                assert large.ok and large.result == {"pad": "x" * 200_000}
+                assert not client.closed.is_set()
+                assert (await client.job({"op": "stub", "pad": 10})).ok
+
+                held = asyncio.create_task(client.job({"op": "stub", "hold": True}))
+                await asyncio.sleep(0.05)
+                oversized = await asyncio.wait_for(
+                    client.job({"op": "stub", "pad": RESPONSE_LIMIT}), timeout=10
+                )
+                held = await asyncio.wait_for(held, timeout=10)
+                for response in (oversized, held):
+                    assert response.state == "failed"
+                    assert str(RESPONSE_LIMIT) in response.error
+                assert client.closed.is_set()
+                await asyncio.wait_for(peer_gone.wait(), timeout=10)
+                await client.close()
+            return unhandled
+
+        assert run(scenario()) == []
+
     def test_shutdown_op_stops_a_tcp_server(self):
         async def scenario():
             async with ExperimentService(cache_dir=None, workers=1) as service:
