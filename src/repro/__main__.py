@@ -5,7 +5,7 @@
 multi-worker coordinator (:mod:`repro.cluster.cli`); ``python -m repro
 cacheserve ...`` starts the standalone network cache server
 (:mod:`repro.cachenet.cli`); ``python -m repro loadgen ...`` drives sustained
-traffic against serve/cluster and gates the perf trajectory
+traffic against serve/cluster and reports latencies
 (:mod:`repro.loadgen.cli`); anything else is the batch experiment runner CLI
 (:mod:`repro.experiments.runner`).
 """

@@ -36,6 +36,7 @@ import time
 from typing import BinaryIO
 
 from repro.cachenet.protocol import FrameError, read_frame, write_frame
+from repro.experiments.base import parse_endpoint
 from repro.runtime.backends import (
     CacheBackend,
     CorruptEntry,
@@ -418,13 +419,6 @@ class TieredBackend(CacheBackend):
         return len(self.remote)
 
 
-def _parse_endpoint(netloc: str) -> tuple[str, int]:
-    host, separator, port = netloc.rpartition(":")
-    if not separator or not host or not port.isdigit():
-        raise ValueError(f"expected host:port, got {netloc!r}")
-    return host, int(port)
-
-
 def resolve_backend(spec: "str | CacheBackend") -> CacheBackend:
     """A backend for a ``--cache-backend`` spec (instances pass through).
 
@@ -433,11 +427,14 @@ def resolve_backend(spec: "str | CacheBackend") -> CacheBackend:
     * ``memory://`` — a per-process :class:`InMemoryBackend`.
     * anything else — a directory path served by the multi-process-safe
       :class:`~repro.runtime.backends.SharedDirectoryBackend`.
+
+    An unknown scheme or a malformed ``remote://`` endpoint (including a
+    port outside 0–65535) raises ``ValueError``.
     """
     if isinstance(spec, CacheBackend):
         return spec
     if spec.startswith("remote://"):
-        host, port = _parse_endpoint(spec[len("remote://") :].rstrip("/"))
+        host, port = parse_endpoint(spec[len("remote://") :].rstrip("/"))
         token = os.environ.get("REPRO_CACHE_TOKEN") or None
         return TieredBackend(RemoteBackend(host, port, auth_token=token))
     if spec.startswith("memory://"):

@@ -110,8 +110,8 @@ class CacheServer:
 
     ``start()`` binds and serves on a daemon thread and returns the bound
     ``(host, port)``; ``stop()`` shuts the listener and the GC thread down.
-    The server is embeddable in-process (the conformance tests and the
-    ``cacheserve --selftest`` run it that way) as well as standalone.
+    The server is embeddable in-process (the tests run it that way) as
+    well as standalone.
     """
 
     def __init__(

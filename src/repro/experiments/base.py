@@ -26,6 +26,7 @@ __all__ = [
     "parse_size",
     "parse_age",
     "parse_endpoint",
+    "EndpointError",
 ]
 
 #: Multipliers of byte-size suffixes (binary, case-insensitive).
@@ -79,16 +80,20 @@ def parse_age(value: str) -> float:
     return number * factor
 
 
+class EndpointError(argparse.ArgumentTypeError, ValueError):
+    """A malformed ``HOST:PORT``: a usage error to argparse, a ``ValueError`` to code."""
+
+
 def parse_endpoint(value: str) -> tuple[str, int]:
-    """``"127.0.0.1:7431"`` → ``(host, port)``.
+    """``"127.0.0.1:7431"`` → ``(host, port)``, the port in 0–65535.
 
     Shared argparse ``type=`` of every ``HOST:PORT`` CLI flag (the ``--tcp``
     of serve, cacheserve and cluster; the ``--connect`` of cluster and
-    loadgen).
+    loadgen) and the parser of ``remote://HOST:PORT`` cache-backend specs.
     """
     host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {value!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise EndpointError(f"expected HOST:PORT with a port in 0-65535, got {value!r}")
     return host, int(port)
 
 

@@ -1,6 +1,6 @@
 """repro.loadgen — sustained-traffic load harness for serve and cluster.
 
-The subsystem every perf claim is judged by (``docs/loadgen.md``):
+Seeded client traffic and latency reports (``docs/loadgen.md``):
 
 * :mod:`repro.loadgen.mix` — declarative request-mix specs (hot/cold cache
   ratio, experiment/preset distributions, stream vs. batch delivery,
@@ -14,30 +14,16 @@ The subsystem every perf claim is judged by (``docs/loadgen.md``):
 * :mod:`repro.loadgen.report` — the run report (p50/p95/p99, throughput,
   error/cancel counts, coalescing hit-rate, worker utilization) as text and
   schema-checked JSON;
-* :mod:`repro.loadgen.trajectory` — the schema-versioned append-only perf
-  trajectory behind ``benchmarks/reports/bench_summary.json``;
-* :mod:`repro.loadgen.gate` — the CI regression gate comparing the two
-  newest trajectory records;
 * :mod:`repro.loadgen.cli` — ``python -m repro loadgen`` (``--spawn`` for
-  hermetic runs, ``--gate`` for the CI check).
+  hermetic runs).
 """
 
-from repro.loadgen.gate import GateResult, check_gate
 from repro.loadgen.metrics import LatencyHistogram
 from repro.loadgen.mix import MixError, MixSpec, PlannedRequest
 from repro.loadgen.report import LoadReport, validate_report
 from repro.loadgen.swarm import LoadSwarm
-from repro.loadgen.trajectory import (
-    TRAJECTORY_SCHEMA,
-    append_loadgen_section,
-    load_trajectory,
-    save_trajectory,
-    upsert_record,
-)
 
 __all__ = [
-    "GateResult",
-    "check_gate",
     "LatencyHistogram",
     "MixError",
     "MixSpec",
@@ -45,9 +31,4 @@ __all__ = [
     "LoadReport",
     "validate_report",
     "LoadSwarm",
-    "TRAJECTORY_SCHEMA",
-    "append_loadgen_section",
-    "load_trajectory",
-    "save_trajectory",
-    "upsert_record",
 ]

@@ -1,24 +1,16 @@
-"""``python -m repro loadgen`` — drive sustained traffic, report, and gate.
+"""``python -m repro loadgen`` — drive sustained traffic and report.
 
-Modes:
-
-* **run** (default) — replay a seeded request mix against a serve-protocol
-  endpoint and emit the report: human-readable text on stderr, schema-checked
-  JSON on stdout (or ``--json FILE``).  The target is either an existing
-  server (``--connect HOST:PORT``) or — for hermetic runs — a target this
-  command spawns and tears down itself: ``--spawn serve`` (one process,
-  ``--workers`` execution slots, private temp cache) or ``--spawn cluster``
-  (a coordinator over ``--workers`` worker processes, private temp cache).
-* ``--gate [FILE]`` — the CI regression gate: compare the two newest records
-  of the perf trajectory (default ``benchmarks/reports/bench_summary.json``)
-  and exit non-zero on any >``--gate-threshold`` regression of an experiment
-  wall time or a loadgen p95 (policy in ``docs/loadgen.md``).
+Replays a seeded request mix against a serve-protocol endpoint and emits the
+report: human-readable text on stderr, schema-checked JSON on stdout (or
+``--json FILE``).  The target is either an existing server
+(``--connect HOST:PORT``) or — for hermetic runs — a target this command
+spawns and tears down itself: ``--spawn serve`` (one process, ``--workers``
+execution slots, private temp cache) or ``--spawn cluster`` (a coordinator
+over ``--workers`` worker processes, private temp cache).
 
 The mix comes from ``--mix FILE`` (JSON, see ``docs/loadgen.md``) with
 individual flags overriding single fields; every run is deterministic in its
-``--seed``.  ``--append-trajectory`` records the run's percentiles into the
-trajectory under the current git sha, which is how each PR's loadgen baseline
-is recorded.
+``--seed``.
 """
 
 from __future__ import annotations
@@ -32,22 +24,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.loadgen.gate import DEFAULT_MIN_SECONDS, DEFAULT_THRESHOLD, check_gate_file
 from repro.loadgen.mix import MixError, MixSpec
 from repro.loadgen.report import validate_report
 from repro.loadgen.swarm import LoadSwarm
-from repro.loadgen.trajectory import append_loadgen_section, current_git_sha
 
-__all__ = ["main", "DEFAULT_TRAJECTORY"]
-
-#: The repo's perf trajectory (resolved relative to this checkout; falls back
-#: to a cwd-relative path when running from an installed package).
-_REPO_ROOT = Path(__file__).resolve().parents[3]
-DEFAULT_TRAJECTORY = (
-    _REPO_ROOT / "benchmarks" / "reports" / "bench_summary.json"
-    if (_REPO_ROOT / "benchmarks").is_dir()
-    else Path("benchmarks/reports/bench_summary.json")
-)
+__all__ = ["main"]
 
 #: Endpoint banners of the spawnable targets (both print to stderr).
 _BANNER = re.compile(r"(?:listening on|coordinator on) ([\d.]+):(\d+)")
@@ -230,19 +211,6 @@ async def _run(args, mix: MixSpec) -> int:
         print(f"loadgen: report written to {args.json}", file=sys.stderr)
     else:
         sys.stdout.write(rendered)
-    if args.append_trajectory is not None:
-        path = args.append_trajectory or DEFAULT_TRAJECTORY
-        record = append_loadgen_section(
-            path,
-            target=args.spawn or "connect",
-            section=report.trajectory_section(),
-            git_sha=current_git_sha(_REPO_ROOT),
-            label=args.label,
-        )
-        print(
-            f"loadgen: trajectory record {record['index']} updated in {path}",
-            file=sys.stderr,
-        )
     if report.done == 0:
         print("loadgen: no request completed", file=sys.stderr)
         return 1
@@ -252,21 +220,12 @@ async def _run(args, mix: MixSpec) -> int:
     return 0
 
 
-def _run_gate(args) -> int:
-    path = args.gate or DEFAULT_TRAJECTORY
-    result = check_gate_file(
-        path, threshold=args.gate_threshold, min_seconds=args.gate_min_seconds
-    )
-    print(result.describe())
-    return 0 if result.ok else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     from repro.experiments.base import parse_endpoint
 
     parser = argparse.ArgumentParser(
         prog="repro loadgen",
-        description="Sustained-traffic load harness, perf trajectory and regression gate.",
+        description="Sustained-traffic load harness for serve and cluster.",
     )
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument(
@@ -277,11 +236,6 @@ def main(argv: list[str] | None = None) -> int:
         "--spawn", choices=("serve", "cluster"),
         help="spawn the target for a hermetic run (private temp cache), "
         "tear it down afterwards",
-    )
-    mode.add_argument(
-        "--gate", nargs="?", const="", metavar="FILE",
-        help="regression-gate the perf trajectory (default: "
-        "benchmarks/reports/bench_summary.json) and exit",
     )
     parser.add_argument("--auth-token", default=None, help="shared secret of the target")
     parser.add_argument(
@@ -323,25 +277,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     out = parser.add_argument_group("output")
     out.add_argument("--json", metavar="FILE", help="write the JSON report here instead of stdout")
-    out.add_argument(
-        "--append-trajectory", nargs="?", const="", default=None, metavar="FILE",
-        help="record this run's percentiles into the perf trajectory "
-        "(default file: benchmarks/reports/bench_summary.json)",
-    )
-    out.add_argument("--label", default=None, help="label for the trajectory record (e.g. 'PR 6')")
-    gate_group = parser.add_argument_group("gate policy")
-    gate_group.add_argument(
-        "--gate-threshold", type=float, default=DEFAULT_THRESHOLD, metavar="F",
-        help=f"maximum tolerated relative slowdown (default: {DEFAULT_THRESHOLD})",
-    )
-    gate_group.add_argument(
-        "--gate-min-seconds", type=float, default=DEFAULT_MIN_SECONDS, metavar="S",
-        help=f"skip metrics with a baseline below S seconds (default: {DEFAULT_MIN_SECONDS})",
-    )
     args = parser.parse_args(argv)
 
-    if args.gate is not None:
-        return _run_gate(args)
     if not args.spawn and not args.connect:
         parser.error("pick a target: --spawn serve|cluster or --connect HOST:PORT")
     if args.workers < 1 or args.worker_processes < 1:

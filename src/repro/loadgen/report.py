@@ -1,10 +1,10 @@
 """The loadgen run report: one JSON object, one text rendering, one schema.
 
-A :class:`LoadReport` is what a swarm run produces and what the perf
-trajectory records: client-observed latency percentiles, the server-reported
-queue-wait/execution breakdowns (the serve layer's per-request ``timings``
-block), throughput, outcome counts, coalescing effectiveness and worker
-utilization — every metric is defined in ``docs/loadgen.md``.
+A :class:`LoadReport` is what a swarm run produces: client-observed latency
+percentiles, the server-reported queue-wait/execution breakdowns (the serve
+layer's per-request ``timings`` block), throughput, outcome counts,
+coalescing effectiveness and worker utilization — every metric is defined
+in ``docs/loadgen.md``.
 :func:`validate_report` is the schema check CI runs against every emitted
 report — a malformed report fails the smoke step rather than silently
 shipping garbage numbers.
@@ -197,22 +197,6 @@ class LoadReport:
         if self.errors:
             lines.append(f"  errors     {len(self.errors)} (first: {self.errors[0]})")
         return "\n".join(lines)
-
-    def trajectory_section(self) -> dict:
-        """The compact block a perf-trajectory record stores per target."""
-        lat = self.latency.summary()
-        return {
-            "requests": self.issued,
-            "done": self.done,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "throughput_rps": self.throughput_rps,
-            "p50_seconds": lat["p50_seconds"],
-            "p95_seconds": lat["p95_seconds"],
-            "p99_seconds": lat["p99_seconds"],
-            "coalescing_hit_rate": self.server_coalescing.get("hit_rate"),
-            "mix_seed": self.mix.get("seed"),
-        }
 
 
 def validate_report(payload: dict) -> None:

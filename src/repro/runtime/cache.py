@@ -40,10 +40,6 @@ from repro.runtime.backends import (
 
 __all__ = ["CacheStats", "ResultCache", "DEFAULT_MEMO_ENTRIES"]
 
-#: Format version of stored entries; re-exported for backward compatibility
-#: (the codec itself lives in :mod:`repro.runtime.backends`).
-ENTRY_SCHEMA = 1
-
 #: Default bound on the in-process memo of a *persistent* cache.  A long-lived
 #: serve process used to retain every payload it ever touched; beyond this
 #: many, the least-recently-used memo entries are dropped (the backend copy

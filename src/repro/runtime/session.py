@@ -271,7 +271,11 @@ def isolated_session():
     """A fresh memory-only session, isolated from all prior runtime state.
 
     Benchmarks use this so each measured experiment pays its full cost instead
-    of reusing simulations a previous benchmark left in the session cache.
+    of reusing simulations a previous benchmark left in the session cache, or
+    calibrations left in the process-wide :func:`calibrate_network` cache.
     """
+    from repro.nn.calibration import calibrate_network
+
+    calibrate_network.cache_clear()
     with use_session(RuntimeSession()) as session:
         yield session

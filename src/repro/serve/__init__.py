@@ -15,7 +15,7 @@ Layering::
     workers    bounded pool, per-job stats views of the shared session
     service    ExperimentService: in-process / TCP / stdio front-ends
     client     ServeClient: async multiplexing TCP client
-    cli        ``python -m repro serve`` (incl. ``--selftest``)
+    cli        ``python -m repro serve`` (incl. ``--worker`` mode)
 
 Start with ``docs/serving.md``; the stack underneath is mapped in
 ``docs/architecture.md``.

@@ -117,10 +117,6 @@ def job_session(
     )
 
 
-#: Backward-compatible alias of :func:`job_session`.
-_job_session = job_session
-
-
 def execute_request(
     request: ServeRequest,
     shared: RuntimeSession,

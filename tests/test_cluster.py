@@ -1,11 +1,13 @@
 """Tests for repro.cluster: routing, wire codec, worker mode, coordinator.
 
-The end-to-end tests run a real coordinator against *in-process* worker
+Most end-to-end tests run a real coordinator against *in-process* worker
 services connected over loopback TCP — separate ``WorkerService`` instances
 with separate sessions sharing one ``SharedDirectoryBackend`` directory, the
-exact topology of a local cluster minus the subprocess spawn (which
-``python -m repro cluster --selftest`` exercises in CI with real worker
-processes and a real mid-run kill).
+exact topology of a local cluster minus the subprocess spawn.
+``TestSpawnedWorkers`` covers what only real worker processes show: trace
+artifacts shared across processes, a terminated process respawned, workers
+recycled, and a network cache tier that outlives (and survives the loss of)
+its server.
 """
 
 import asyncio
@@ -31,12 +33,18 @@ from repro.cluster.plan import (
 )
 from repro.core.variants import fig9_variants
 from repro.experiments.base import get_preset
-from repro.runtime import SimulationRequest, StatisticsRequest, TraceSpec
+from repro.cachenet import CacheServer
+from repro.runtime import SimulationRequest, StatisticsRequest, TraceArtifactStore, TraceSpec
 from repro.serve.protocol import ExperimentRequest, ProtocolError
 from repro.serve.service import ConnectionContext
 
 #: Tiny fast-preset override so cluster simulations take seconds.
 TINY = {"networks": ["alexnet"], "max_pallets": 2, "samples_per_layer": 1500}
+
+#: Two networks, so a run plans several flights for two worker processes.
+TWO_NETWORKS = (
+    ("max_pallets", 2), ("networks", ("alexnet", "vgg_m")), ("samples_per_layer", 1500),
+)
 
 TOKEN = "cluster-test-token"
 
@@ -231,18 +239,25 @@ class TestWorkerService:
 
 # ------------------------------------------------------------------ end to end
 class _Cluster:
-    """A coordinator plus N in-process workers over loopback TCP."""
+    """A coordinator plus N workers over loopback TCP.
 
-    def __init__(self, cache_dir, workers=2):
+    Workers are in-process services, or with ``spawn=True`` worker
+    processes the coordinator spawns itself; ``options`` go to its
+    constructor.
+    """
+
+    def __init__(self, cache_dir, workers=2, spawn=False, **options):
         self.cache_dir = cache_dir
         self.worker_count = workers
+        self.spawn = spawn
+        self.options = options
         self.workers = []
         self.servers = []
         self.coordinator = None
 
     async def __aenter__(self):
         endpoints = []
-        for _ in range(self.worker_count):
+        for _ in range(0 if self.spawn else self.worker_count):
             service = WorkerService(
                 session=worker_session(self.cache_dir), workers=2, auth_token=TOKEN
             )
@@ -251,10 +266,11 @@ class _Cluster:
             self.workers.append(service)
             self.servers.append(server)
         self.coordinator = ClusterService(
-            spawn_workers=0,
+            spawn_workers=self.worker_count if self.spawn else 0,
             connect=endpoints,
             cache_dir=self.cache_dir,
             worker_token=TOKEN,
+            **self.options,
         )
         await self.coordinator.start()
         return self
@@ -456,3 +472,111 @@ class TestClusterExecution:
                 assert "no live workers" in response["error"]
 
         run(scenario())
+
+
+async def _run_done(coordinator, experiment, on_progress=None):
+    request = ExperimentRequest(experiment=experiment, overrides=TWO_NETWORKS)
+    ticket = await coordinator.submit(request, on_progress=on_progress)
+    response = await asyncio.wait_for(coordinator.wait(ticket), timeout=60)
+    assert response["event"] == "done", response.get("error")
+    return response
+
+
+async def _until(condition, timeout=30.0):
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not condition():
+        assert asyncio.get_running_loop().time() < deadline, "condition never held"
+        await asyncio.sleep(0.1)
+
+
+@pytest.mark.slow
+class TestSpawnedWorkers:
+    def test_cold_runs_once_and_builds_each_trace_artifact_once(self, tmp_path):
+        async def scenario():
+            async with _Cluster(tmp_path / "cache", spawn=True) as cluster:
+                coordinator = cluster.coordinator
+                # fig10 needs fig9's traces again, on whichever worker its
+                # flights are routed to.
+                for experiment in ("fig9", "fig10"):
+                    response = await _run_done(coordinator, experiment)
+                    planned = response["result"]["cluster"]["planned_units"]
+                    assert response["stats"]["sweep"]["configs_simulated"] == planned > 0
+                payload = await coordinator.cluster_stats()
+                fleet = payload["cluster"]["fleet"]
+                usage = TraceArtifactStore(payload["cluster"]["trace_dir"]).usage()
+                # Summed over both processes, nothing was materialized twice:
+                # a worker needing an artifact that exists loaded it.
+                assert usage["calibrations"] > 0
+                assert fleet["trace_calibrations_computed"] == usage["calibrations"]
+                assert fleet["trace_tensors_built"] == usage["tensors"]
+
+        run(scenario())
+
+    def test_terminated_worker_requeues_and_respawns_under_its_id(self, tmp_path):
+        async def scenario():
+            async with _Cluster(tmp_path / "cache", spawn=True) as cluster:
+                coordinator = cluster.coordinator
+                killed = {}
+
+                def on_progress(ticket, payload):
+                    link = coordinator.links.get(payload.get("worker"))
+                    if not killed and link is not None:
+                        killed[link.worker_id] = link.pid
+                        link.process.terminate()
+
+                await _run_done(coordinator, "fig9", on_progress=on_progress)
+                assert killed, "no progress event ever identified a worker"
+                assert coordinator.flights_requeued >= 1
+                (worker_id, pid), = killed.items()
+                await _until(
+                    lambda: coordinator.workers_respawned >= 1
+                    and coordinator.links[worker_id].alive
+                )
+                assert coordinator.links[worker_id].pid != pid
+
+        run(scenario())
+
+    def test_recycled_workers_serve_a_warm_rerun(self, tmp_path):
+        async def scenario():
+            async with _Cluster(
+                tmp_path / "cache", spawn=True, max_jobs_per_worker=1
+            ) as cluster:
+                coordinator = cluster.coordinator
+                cold = await _run_done(coordinator, "fig9")
+                assert cold["stats"]["sweep"]["configs_simulated"] > 0
+                await _until(lambda: coordinator.workers_recycled >= 1)
+                warm = await _run_done(coordinator, "fig9")
+                assert warm["stats"]["sweep"]["configs_simulated"] == 0
+
+        run(scenario())
+
+    def test_network_cache_warms_a_fresh_cluster_and_degrades_when_gone(self, tmp_path):
+        server = CacheServer(directory=tmp_path / "remote")
+        host, port = server.start()
+
+        async def fresh_cluster_run():
+            """fig9 on a new cluster whose only result cache is the server."""
+            async with _Cluster(
+                None, spawn=True, cache_backend=f"remote://{host}:{port}"
+            ) as cluster:
+                coordinator = cluster.coordinator
+                assert all(
+                    link.info.get("cache_dir") is None
+                    for link in coordinator.links.values()
+                )
+                response = await _run_done(coordinator, "fig9")
+                return response, coordinator.session.cache.usage()
+
+        try:
+            cold, _ = run(fresh_cluster_run())
+            planned = cold["result"]["cluster"]["planned_units"]
+            assert cold["stats"]["sweep"]["configs_simulated"] == planned > 0
+            assert len(server.backend) > 0
+            warm, _ = run(fresh_cluster_run())
+            assert warm["stats"]["sweep"]["configs_simulated"] == 0
+            server.stop()
+            degraded, usage = run(fresh_cluster_run())
+            assert degraded["stats"]["sweep"]["configs_simulated"] >= planned
+            assert usage["remote_degraded"] >= 1
+        finally:
+            server.stop()

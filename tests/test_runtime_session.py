@@ -7,7 +7,14 @@ merge-after-``as_dict`` round trip are load-bearing contracts here.
 
 import threading
 
-from repro.runtime import RunStats, RuntimeSession, current_session, use_session
+from repro.nn.calibration import calibrate_network
+from repro.runtime import (
+    RunStats,
+    RuntimeSession,
+    current_session,
+    isolated_session,
+    use_session,
+)
 
 
 def stats_with(hits=0, misses=0, stores=0, errors=0, sims=0, drains=0, built=0, reused=0):
@@ -116,3 +123,12 @@ class TestThreadScopedSessions:
         for thread in threads:
             thread.join()
         assert all(observed[i] is sessions[i] for i in range(len(sessions)))
+
+
+class TestIsolatedSession:
+    def test_calibrations_do_not_leak_across_isolated_sessions(self):
+        for _ in range(2):
+            with isolated_session():
+                misses = calibrate_network.cache_info().misses
+                calibrate_network("alexnet", samples_per_layer=512)
+                assert calibrate_network.cache_info().misses == misses + 1

@@ -13,6 +13,10 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.cachenet.backend import resolve_backend
+from repro.cachenet.cli import main as cacheserve_main
+from repro.cluster.cli import main as cluster_main
+from repro.loadgen.cli import main as loadgen_main
 from repro.serve import (
     ExperimentRequest,
     ExperimentService,
@@ -28,6 +32,9 @@ from repro.serve.queue import RequestQueue
 
 #: Tiny fast-preset override so served simulations take seconds.
 TINY = {"networks": ["alexnet"], "max_pallets": 2, "samples_per_layer": 1500}
+
+#: A HOST:PORT whose port no socket can bind or reach.
+BAD_ENDPOINT = "127.0.0.1:99999"
 
 
 def run(coro):
@@ -1153,13 +1160,9 @@ class TestFrontEnds:
         done = [e for e in events if e["event"] == "done"][0]
         assert done["result"]["experiment"]["experiment"] == "table3"
 
-    def test_cli_selftest(self, capsys):
-        assert serve_main(["--selftest"]) == 0
-        assert "selftest ok" in capsys.readouterr().out
-
     def test_cli_rejects_bad_arguments(self):
         with pytest.raises(SystemExit):
-            serve_main(["--workers", "0", "--selftest"])
+            serve_main(["--workers", "0", "--stdio"])
         with pytest.raises(SystemExit):
             serve_main(["--tcp", "nonsense"])
         with pytest.raises(SystemExit):
@@ -1168,6 +1171,27 @@ class TestFrontEnds:
             serve_main(["--gc-interval", "0", "--gc-max-bytes", "1"])
         with pytest.raises(SystemExit):
             serve_main(["--gc-interval", "60", "--gc-max-bytes", "1", "--no-cache"])
+
+    @pytest.mark.parametrize(
+        "attempt",
+        [
+            lambda: serve_main(["--tcp", BAD_ENDPOINT]),
+            lambda: cluster_main(["--workers", "0", "--connect", BAD_ENDPOINT, "--stdio"]),
+            lambda: cacheserve_main(["--tcp", BAD_ENDPOINT]),
+            lambda: loadgen_main(["--connect", BAD_ENDPOINT]),
+            lambda: resolve_backend(f"remote://{BAD_ENDPOINT}"),
+        ],
+        ids=["serve", "cluster", "cacheserve", "loadgen", "resolve_backend"],
+    )
+    def test_out_of_range_port_rejected_when_parsed(self, attempt, capsys):
+        with pytest.raises((SystemExit, ValueError)) as raised:
+            attempt()
+        if raised.type is SystemExit:  # a CLI: argparse usage error
+            assert raised.value.code == 2
+            message = capsys.readouterr().err
+        else:
+            message = str(raised.value)
+        assert BAD_ENDPOINT in message
 
     def test_oversized_request_line_gets_a_typed_error(self):
         from repro.serve.service import LINE_LIMIT
