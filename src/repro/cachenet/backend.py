@@ -2,8 +2,8 @@
 
 Two :class:`~repro.runtime.backends.CacheBackend` implementations plug the
 cache server of :mod:`repro.cachenet.server` into everything the runtime
-already does with a cache — sessions, the planner's probes, serve ``stats``,
-cluster fleet merges:
+already does with a cache — sessions, the planner's probes, the ``cache``
+section of serve ``stats``:
 
 * :class:`RemoteBackend` — a synchronous TCP client (the cache is driven from
   worker threads, so there is nothing to gain from asyncio here).  Transport
@@ -40,7 +40,7 @@ from repro.experiments.base import parse_endpoint
 from repro.runtime.backends import (
     CacheBackend,
     CorruptEntry,
-    SharedDirectoryBackend,
+    FilesystemBackend,
     InMemoryBackend,
 )
 from repro.runtime.lifecycle import GCResult
@@ -76,7 +76,6 @@ class RemoteBackend(CacheBackend):
     """
 
     persistent = True
-    shared = True
 
     def __init__(
         self,
@@ -293,7 +292,6 @@ class TieredBackend(CacheBackend):
     """
 
     persistent = True
-    shared = True
 
     def __init__(
         self,
@@ -425,8 +423,8 @@ def resolve_backend(spec: "str | CacheBackend") -> CacheBackend:
     * ``remote://host:port`` — a :class:`TieredBackend` over a
       :class:`RemoteBackend`; auth token from ``REPRO_CACHE_TOKEN``.
     * ``memory://`` — a per-process :class:`InMemoryBackend`.
-    * anything else — a directory path served by the multi-process-safe
-      :class:`~repro.runtime.backends.SharedDirectoryBackend`.
+    * anything else — a directory path served by a
+      :class:`~repro.runtime.backends.FilesystemBackend`.
 
     An unknown scheme or a malformed ``remote://`` endpoint (including a
     port outside 0–65535) raises ``ValueError``.
@@ -441,4 +439,4 @@ def resolve_backend(spec: "str | CacheBackend") -> CacheBackend:
         return InMemoryBackend()
     if "://" in spec:
         raise ValueError(f"unknown cache backend scheme: {spec!r}")
-    return SharedDirectoryBackend(spec)
+    return FilesystemBackend(spec)

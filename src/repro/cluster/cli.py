@@ -13,7 +13,7 @@ Modes (all share the worker flags; topology details in ``docs/cluster.md``):
 ``--cache-dir`` names the shared cache every worker mounts; omitting it
 gives the cluster a private temporary directory (useful for tests and
 benchmarks, wrong for durable deployments).  ``--cache-backend`` replaces
-the shared-directory result tier with a network cache tier
+the shared cache directory as the result tier with a network cache tier
 (``remote://host:port``, see ``docs/cachenet.md``); ``--cache-dir`` then
 only anchors the trace fabric.  Worker registration is always
 token-protected: ``--worker-token`` (or ``REPRO_SERVE_TOKEN``) supplies the

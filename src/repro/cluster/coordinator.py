@@ -19,10 +19,15 @@ the full lifecycle):
 4. once an experiment's dependency flights land, its assembly
    (``run_experiment``) is dispatched at a raised priority — every input is
    a warm cache hit by then, so assembly is cheap presentation logic;
-5. per-worker ``RunStats`` come back on each flight and are merged with the
-   distinct-cache gauge rule; streamed progress events hop worker →
-   coordinator → client, and a client's cancel hops the other way through
+5. per-worker ``RunStats`` counters come back on each flight and are
+   summed; streamed progress events hop worker → coordinator → client, and a
+   client's cancel hops the other way through
    :attr:`~repro.core.progress.ProgressToken.on_cancel`.
+
+The coordinator mounts the workers' shared store through the same session
+builder they use (:func:`~repro.runtime.session.build_session`): its planning
+probes see their stores, and its ``stats`` op reports that store's gauges
+once, in the ``cache`` section.
 
 Worker death is handled by requeueing: a flight whose worker connection
 drops walks its rendezvous preference order onto the next live worker.
@@ -204,8 +209,7 @@ class _JobContext:
         self._credited.add(id(flight))
         stats = payload.get("stats")
         if stats:
-            # Distinct caches: each flight ran in a different worker process.
-            self.stats.merge(stats, distinct_caches=True)
+            self.stats.merge(stats)
         timings = payload.get("timings") or {}
         self.worker_execution_seconds += timings.get("execution_seconds", 0.0)
 
@@ -283,15 +287,11 @@ class ClusterService(ExperimentService):
             cache_dir = tempfile.mkdtemp(prefix="repro-cluster-cache-")
         # The coordinator's own session exists to *plan* (cache probes prune
         # warm units) and must see the workers' stores: same shared backend.
-        from repro.cluster.worker import worker_session
-
         super().__init__(
-            session=worker_session(
-                cache_dir,
-                trace_dir=trace_dir,
-                no_trace_cache=no_trace_cache,
-                cache_backend=cache_backend,
-            ),
+            cache_dir=cache_dir,
+            trace_dir=trace_dir,
+            no_trace_cache=no_trace_cache,
+            cache_backend=cache_backend,
             workers=concurrent_requests,
             auth_token=auth_token,
         )
@@ -867,13 +867,12 @@ class ClusterService(ExperimentService):
         return payload
 
     async def cluster_stats(self) -> dict:
-        """The ``stats`` payload plus live per-worker stats, distinct-merged.
+        """The ``stats`` payload plus live per-worker stats.
 
-        Queries every live worker's ``stats`` op and folds their lifetime
-        ``RunStats`` into a ``fleet`` section using the distinct-cache gauge
-        rule (each worker owns its own memo and counters; disk gauges
-        describe the same shared directory only in the local-spawn topology,
-        so the sum is an upper bound there and exact for disjoint backends).
+        Queries every live worker's ``stats`` op and sums their lifetime
+        ``RunStats`` counters into a ``fleet`` section.  Store gauges are not
+        summed anywhere: the shared store's entries and bytes are the
+        coordinator's own ``cache`` section, read once.
         """
         payload = self.stats()
         fleet = RunStats()
@@ -892,7 +891,7 @@ class ClusterService(ExperimentService):
                 continue
             stats = answer.get("stats", {})
             per_worker[link.worker_id] = stats
-            fleet.merge(stats, distinct_caches=True)
+            fleet.merge(stats)
         payload["cluster"]["fleet"] = fleet.as_dict()
         payload["cluster"]["per_worker_stats"] = per_worker
         return payload

@@ -14,9 +14,10 @@ pool, same public protocol) extended with the cluster-facing surface
   (:mod:`repro.cluster.plan`): primitive planned jobs whose results travel
   through the shared cache backend, not the wire — the response carries only
   per-job ``RunStats`` counters for the coordinator to merge.
-* a **shared-directory cache**: worker mode stores results through
-  :class:`~repro.runtime.backends.SharedDirectoryBackend`, so sibling
-  workers and warm-assembly experiment jobs observe each other's stores.
+* a **shared cache**: sibling workers mount one cache directory (or one
+  network cache tier) through the same session builder as every other entry
+  point (:func:`~repro.runtime.session.build_session`), so they and the
+  warm-assembly experiment jobs observe each other's stores.
 
 Everything else — coalescing, priorities, streaming progress, cooperative
 cancellation — is inherited unchanged, which is the point: a worker is just a
@@ -27,9 +28,8 @@ from __future__ import annotations
 
 import asyncio
 import os
-from pathlib import Path
 
-from repro.runtime import ResultCache, RuntimeSession, SharedDirectoryBackend, simulate
+from repro.runtime import RuntimeSession, simulate
 from repro.runtime.engine import analyze
 from repro.runtime.session import use_session
 from repro.serve.protocol import JOB_OPS, ProtocolError, ServeRequest
@@ -42,46 +42,7 @@ from repro.cluster.plan import (
     parse_internal_request,
 )
 
-__all__ = ["WorkerService", "execute_worker_request", "worker_session"]
-
-
-def worker_session(
-    cache_dir: str | Path | None,
-    trace_dir: str | Path | None = None,
-    no_trace_cache: bool = False,
-    cache_backend: object | None = None,
-) -> RuntimeSession:
-    """A session whose cache is safe to share with sibling worker processes.
-
-    ``cache_backend`` (a ``--cache-backend`` spec such as
-    ``remote://host:port``, see ``docs/cachenet.md``) replaces the
-    shared-directory result tier with the network cache tier — a worker then
-    runs with zero local filesystem cache while still observing every sibling
-    host's stores.  The trace store is wired through the zero-copy trace
-    fabric (:mod:`repro.runtime.trace_cache`) against the same resolution
-    rule as :func:`~repro.runtime.session.configure_session` — by default a
-    ``traces/`` directory beside the shared cache, so every worker on the
-    host maps one physical copy of each trace tensor.
-    """
-    from repro.runtime.session import resolve_trace_dir
-
-    resolved = resolve_trace_dir(cache_dir, trace_dir, no_trace_cache)
-    traces = None
-    if resolved is not None:
-        from repro.runtime import TraceArtifactStore, TraceStore
-
-        traces = TraceStore(artifacts=TraceArtifactStore(resolved))
-    if cache_backend is not None:
-        from repro.cachenet.backend import resolve_backend
-
-        return RuntimeSession(
-            cache=ResultCache(backend=resolve_backend(cache_backend)), traces=traces
-        )
-    if cache_dir is None:
-        return RuntimeSession(cache=ResultCache(), traces=traces)
-    return RuntimeSession(
-        cache=ResultCache(backend=SharedDirectoryBackend(cache_dir)), traces=traces
-    )
+__all__ = ["WorkerService", "execute_worker_request"]
 
 
 def execute_worker_request(request, shared: RuntimeSession, progress=None):

@@ -327,24 +327,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
 
-    from repro.runtime import run_experiments
-    from repro.runtime.session import default_cache_dir
+    from repro.runtime import resolve_cache_dir, run_experiments
 
     names = list(EXPERIMENTS) if args.all else [args.experiment]
-    if args.no_cache:
-        cache_dir = None
-    elif args.cache_backend is not None:
-        # Results go to the backend; an explicit --cache-dir still anchors
-        # the trace fabric, but don't conjure the default dir for it.
-        cache_dir = args.cache_dir
-    else:
-        cache_dir = args.cache_dir or default_cache_dir()
     report = run_experiments(
         names,
         preset=args.preset,
         seed=args.seed,
         jobs=args.jobs,
-        cache_dir=cache_dir,
+        cache_dir=resolve_cache_dir(args.cache_dir, args.no_cache, args.cache_backend),
         no_cache=args.no_cache,
         trace_dir=args.trace_dir,
         no_trace_cache=args.no_trace_cache,

@@ -13,11 +13,12 @@ Layering::
     fingerprint   stable content hashes (no repro dependencies)
     serialization NetworkResult/LayerResult <-> JSON payloads
     lifecycle     manifest index, gzip entry codec, LRU garbage collection
-    backends      pluggable storage (memory / filesystem / shared directory)
+    backends      pluggable storage (memory / filesystem)
     cache         content-addressed result cache (policy over one backend)
     trace_cache   the zero-copy trace fabric: mmap-backed tensor artifacts
     trace_store   TraceSpec + per-session calibrated-trace store
-    session       RuntimeSession (cache + traces + stats) and the active session
+    session       RuntimeSession (cache + traces + stats), the one session
+                  builder and the active session
     engine        simulate()/analyze(): cached execution against the session
     jobs          job model and run planning (dedup across experiments)
     scheduler     process-pool execution, serial fallback, run reports
@@ -35,7 +36,6 @@ from repro.runtime.backends import (
     CorruptEntry,
     FilesystemBackend,
     InMemoryBackend,
-    SharedDirectoryBackend,
 )
 from repro.runtime.cache import CacheStats, ResultCache
 from repro.runtime.engine import SimulationRequest, StatisticsRequest, analyze, simulate
@@ -59,10 +59,12 @@ from repro.runtime.session import (
     DEFAULT_CACHE_DIR,
     RunStats,
     RuntimeSession,
+    build_session,
     configure_session,
     current_session,
     default_cache_dir,
     isolated_session,
+    resolve_cache_dir,
     resolve_trace_dir,
     use_session,
 )
@@ -80,7 +82,6 @@ __all__ = [
     "CorruptEntry",
     "FilesystemBackend",
     "InMemoryBackend",
-    "SharedDirectoryBackend",
     "ProgressToken",
     "SweepCancelled",
     "DEFAULT_CACHE_DIR",
@@ -104,10 +105,12 @@ __all__ = [
     "run_experiments",
     "RunStats",
     "RuntimeSession",
+    "build_session",
     "configure_session",
     "current_session",
     "isolated_session",
     "use_session",
+    "resolve_cache_dir",
     "resolve_trace_dir",
     "MmapTraceBacking",
     "TraceArtifactStore",

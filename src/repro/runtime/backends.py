@@ -14,11 +14,10 @@ seam, not a hard-coded layer.  This module is that seam:
   use, so importing ``repro`` never writes to disk.
 * :class:`FilesystemBackend` — the on-disk layout extracted from the old
   ``ResultCache``: gzip entry files written atomically plus the persistent
-  manifest index of :mod:`repro.runtime.lifecycle`.
-* :class:`SharedDirectoryBackend` — a :class:`FilesystemBackend` tuned for
-  *many processes* sharing one directory (cluster workers): reads never trust
-  the in-memory manifest for existence, and usage/size queries re-sync the
-  manifest from disk (throttled) so one process's bookkeeping reflects its
+  manifest index of :mod:`repro.runtime.lifecycle`.  Any number of
+  processes may share one directory (pool workers, serve processes, cluster
+  workers): entry reads always go to the filesystem, and usage, size and GC
+  re-sync the manifest from disk so one process's bookkeeping reflects its
   siblings' stores and evictions.
 
 A future object-store or redis backend is one new subclass — the cache, the
@@ -41,12 +40,18 @@ __all__ = [
     "CacheBackend",
     "InMemoryBackend",
     "FilesystemBackend",
-    "SharedDirectoryBackend",
     "ENTRY_SCHEMA",
+    "SYNC_INTERVAL",
 ]
 
 #: Format version of stored entries; mismatches are treated as corruption.
 ENTRY_SCHEMA = 1
+
+#: Minimum seconds between manifest re-syncs of a :class:`FilesystemBackend`
+#: answering usage/size queries.  Entry reads always go to the filesystem and
+#: GC always re-syncs; this only bounds how often ``usage``/``len`` reload
+#: sibling processes' bookkeeping, so the hot lookup path never pays for it.
+SYNC_INTERVAL = 2.0
 
 
 class CorruptEntry(ValueError):
@@ -65,9 +70,6 @@ class CacheBackend:
 
     #: Whether entries survive this process.
     persistent: bool = False
-
-    #: Whether concurrent processes may safely share this backend's storage.
-    shared: bool = False
 
     #: Directory of a filesystem-shaped backend, ``None`` otherwise (kept on
     #: the interface because run reports and the serve ``stats`` op name it).
@@ -120,7 +122,6 @@ class InMemoryBackend(CacheBackend):
     """
 
     persistent = False
-    shared = False
 
     def __init__(self) -> None:
         self._entries: dict[tuple[str, str], dict] = {}
@@ -163,15 +164,31 @@ class FilesystemBackend(CacheBackend):
     maintained manifest that makes ``len``/``usage``/GC O(1) instead of a
     directory scan.  Entry validation (schema + kind + payload shape) lives
     here so every filesystem-shaped backend rejects damage identically.
+
+    The directory may be shared by many processes.  Writes are already safe
+    (atomic entry files, merge-on-save manifest), but the in-memory manifest
+    view goes stale the moment a sibling stores or evicts an entry, so
+    ``usage``/``len`` re-sync it from disk (at most every
+    :data:`SYNC_INTERVAL` seconds) and :meth:`gc` re-syncs before it
+    collects.  Loads and probes go to the filesystem directly, so entry
+    *reads* are always coherent.
     """
 
     persistent = True
-    shared = False
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory).expanduser()
         self.directory.mkdir(parents=True, exist_ok=True)
         self.manifest = lifecycle.CacheManifest(self.directory)
+        self._last_sync = 0.0
+
+    def _sync(self) -> None:
+        """Reload siblings' bookkeeping, throttled to :data:`SYNC_INTERVAL`."""
+        now = time.monotonic()
+        if now - self._last_sync < SYNC_INTERVAL:
+            return
+        self._last_sync = now
+        self.manifest.refresh()
 
     # ------------------------------------------------------------------ entries
     def _drop(self, path: Path, key: str) -> None:
@@ -220,6 +237,7 @@ class FilesystemBackend(CacheBackend):
 
     # -------------------------------------------------------------- observation
     def usage(self) -> dict:
+        self._sync()
         stats = self.manifest.stats()
         return {
             "entries": stats["entries"],
@@ -229,6 +247,9 @@ class FilesystemBackend(CacheBackend):
         }
 
     def gc(self, max_bytes: int | None = None, max_age: float | None = None) -> GCResult:
+        # Collect against the directory's current state, not a stale view.
+        self.manifest.refresh()
+        self._last_sync = time.monotonic()
         return self.manifest.gc(max_bytes=max_bytes, max_age=max_age)
 
     def clear(self) -> int:
@@ -238,58 +259,5 @@ class FilesystemBackend(CacheBackend):
         return f"filesystem:{self.directory}"
 
     def __len__(self) -> int:
+        self._sync()
         return len(self.manifest)
-
-
-#: Minimum seconds between manifest re-syncs of a :class:`SharedDirectoryBackend`.
-#: Existence checks always go to the filesystem; this only throttles how often
-#: *usage/size* queries reload sibling processes' bookkeeping.
-SHARED_SYNC_INTERVAL = 2.0
-
-
-class SharedDirectoryBackend(FilesystemBackend):
-    """A filesystem backend safe for many processes sharing one directory.
-
-    :class:`FilesystemBackend` is already *write*-safe across processes
-    (atomic entry files, merge-on-save manifest), but its in-memory manifest
-    view goes stale the moment a sibling process stores or evicts an entry —
-    acceptable for pool workers that exit with their run, wrong for long-lived
-    cluster workers whose ``usage``/``len`` feed capacity decisions and merged
-    stats.  This subclass re-syncs the manifest from disk before answering
-    usage and size queries, throttled to :data:`SHARED_SYNC_INTERVAL` so the
-    hot lookup path never pays for it.  Loads and probes hit the filesystem
-    directly in the base class, so entry *reads* are always coherent.
-    """
-
-    shared = True
-
-    def __init__(
-        self, directory: str | Path, sync_interval: float = SHARED_SYNC_INTERVAL
-    ) -> None:
-        super().__init__(directory)
-        self.sync_interval = sync_interval
-        self._last_sync = 0.0
-
-    def _sync(self) -> None:
-        now = time.monotonic()
-        if now - self._last_sync < self.sync_interval:
-            return
-        self._last_sync = now
-        self.manifest.refresh()
-
-    def usage(self) -> dict:
-        self._sync()
-        return super().usage()
-
-    def gc(self, max_bytes: int | None = None, max_age: float | None = None) -> GCResult:
-        # Collect against the directory's current state, not a stale view.
-        self.manifest.refresh()
-        self._last_sync = time.monotonic()
-        return super().gc(max_bytes=max_bytes, max_age=max_age)
-
-    def describe(self) -> str:
-        return f"shared-directory:{self.directory}"
-
-    def __len__(self) -> int:
-        self._sync()
-        return super().__len__()

@@ -12,22 +12,24 @@ the storage itself is a :class:`~repro.runtime.backends.CacheBackend`:
   files written atomically plus a persistent manifest
   (:mod:`repro.runtime.lifecycle`) so ``len()``, :meth:`ResultCache.usage`
   and garbage collection never scan the directory.
-* ``ResultCache(backend=...)`` — any backend, e.g. the multi-process-safe
-  :class:`~repro.runtime.backends.SharedDirectoryBackend` cluster workers
-  share (``docs/cluster.md``), or a future object-store/redis backend.
+* ``ResultCache(backend=...)`` — any backend, e.g. the network cache tier of
+  ``docs/cachenet.md``, or a future object-store/redis backend.
 * :meth:`ResultCache.disabled` — every lookup misses and stores are dropped
   (the ``--no-cache`` mode).
 
 Corrupted entries (truncated writes, manual edits, schema drift) are treated
 as misses: the backend drops the entry, ``stats.errors`` is incremented and
-the caller recomputes.  The key scheme, the on-disk layout, the GC policy and
-the backend interface are documented in ``docs/runtime.md``.
+the caller recomputes.  :class:`CacheStats` holds event counters only; what
+a store currently holds (entries, bytes, ages) is read from
+:meth:`ResultCache.usage`, once per store.  The key scheme, the on-disk
+layout, the GC policy and the backend interface are documented in
+``docs/runtime.md``.
 """
 
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.runtime import lifecycle
@@ -49,77 +51,28 @@ DEFAULT_MEMO_ENTRIES = 512
 
 @dataclass
 class CacheStats:
-    """Counters describing how a cache behaved during a run.
+    """Event counters of one cache during a run.
 
-    ``hits``/``misses``/``stores``/``errors`` are counters (summed by
-    :meth:`merge`).  ``disk_entries``/``disk_bytes``/``memo_entries`` and
-    ``oldest_age_seconds`` are *gauges* describing current cache state —
-    populated by :meth:`ResultCache.snapshot`.  Gauges merge two ways:
-
-    * ``distinct_caches=False`` (default) — by ``max``: the snapshots
-      describe *one shared cache* seen from several views (pool workers, the
-      serve stats views), so summing them would double its size.
-    * ``distinct_caches=True`` — by sum: the snapshots describe *different
-      caches* (one per cluster worker process); taking ``max`` would silently
-      under-report aggregate footprint.  The cluster coordinator merges
-      worker snapshots this way (``docs/cluster.md``).
-
-    ``shared_gauges`` qualifies the distinct mode: a snapshot whose *storage*
-    is shared across processes (the shared-directory backend, the network
-    cache tier of ``docs/cachenet.md``) sets it, and its ``disk_entries``/
-    ``disk_bytes`` then max-merge even under ``distinct_caches=True`` — every
-    worker reports the same shared tier, and summing it once per worker would
-    multiply the fleet's footprint by the worker count.  ``memo_entries``
-    stays per-process (each worker's memo really is distinct) and still sums.
+    Every field counts events, so :meth:`merge` is a plain sum whichever
+    processes, jobs or workers the merged counters came from.  The state of
+    a store (entries, bytes, ages) is not a counter and lives in
+    :meth:`ResultCache.usage`.
     """
 
     hits: int = 0
     misses: int = 0
     stores: int = 0
     errors: int = 0
-    disk_entries: int = 0
-    disk_bytes: int = 0
-    memo_entries: int = 0
-    oldest_age_seconds: float = 0.0
-    shared_gauges: bool = False
 
-    def merge(self, other: "CacheStats | dict", distinct_caches: bool = False) -> None:
-        """Accumulate counters (and max- or sum-merge gauges) from ``other``."""
+    def merge(self, other: "CacheStats | dict") -> None:
+        """Add ``other``'s counters to these."""
         if isinstance(other, CacheStats):
             other = other.as_dict()
-        self.hits += other.get("hits", 0)
-        self.misses += other.get("misses", 0)
-        self.stores += other.get("stores", 0)
-        self.errors += other.get("errors", 0)
-        shared = self.shared_gauges or bool(other.get("shared_gauges", False))
-        gauge = (
-            (lambda mine, theirs: mine + theirs)
-            if distinct_caches and not shared
-            else max
-        )
-        self.disk_entries = gauge(self.disk_entries, other.get("disk_entries", 0))
-        self.disk_bytes = gauge(self.disk_bytes, other.get("disk_bytes", 0))
-        memo = (lambda mine, theirs: mine + theirs) if distinct_caches else max
-        self.memo_entries = memo(self.memo_entries, other.get("memo_entries", 0))
-        self.shared_gauges = shared
-        # Entry age is a maximum in both modes: ages never add up across
-        # caches, the fleet's oldest entry is simply the oldest anywhere.
-        self.oldest_age_seconds = max(
-            self.oldest_age_seconds, other.get("oldest_age_seconds", 0.0)
-        )
+        for name in ("hits", "misses", "stores", "errors"):
+            setattr(self, name, getattr(self, name) + other.get(name, 0))
 
     def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "errors": self.errors,
-            "disk_entries": self.disk_entries,
-            "disk_bytes": self.disk_bytes,
-            "memo_entries": self.memo_entries,
-            "oldest_age_seconds": self.oldest_age_seconds,
-            "shared_gauges": self.shared_gauges,
-        }
+        return asdict(self)
 
 
 class ResultCache:
@@ -275,21 +228,6 @@ class ResultCache:
             if key.startswith(("remote_", "negative_", "suppressed_", "memory_")):
                 payload[key] = value
         return payload
-
-    def snapshot(self) -> CacheStats:
-        """This cache's counters plus current state gauges (see CacheStats)."""
-        snapshot = CacheStats()
-        snapshot.merge(self.stats)
-        usage = self.usage()
-        snapshot.disk_entries = usage["entries"] if self.persistent else 0
-        snapshot.disk_bytes = usage["disk_bytes"]
-        snapshot.memo_entries = usage["memo_entries"]
-        snapshot.oldest_age_seconds = usage["oldest_age_seconds"] or 0.0
-        # Shared storage (shared directory, remote tier) is reported by every
-        # process that mounts it; mark the gauges so fleet merges don't count
-        # the same bytes once per worker (see CacheStats).
-        snapshot.shared_gauges = self.enabled and self.backend.shared
-        return snapshot
 
     def gc(
         self, max_bytes: int | None = None, max_age: float | None = None

@@ -42,13 +42,11 @@ from repro.runtime.jobs import (
 from repro.runtime.session import (
     RunStats,
     RuntimeSession,
-    ResultCache,
+    build_session,
     configure_session,
     current_session,
-    resolve_trace_dir,
     use_session,
 )
-from repro.runtime.trace_store import TraceStore
 
 __all__ = ["RunReport", "run_experiments"]
 
@@ -66,19 +64,23 @@ class RunReport:
     planned_cache_hits: int
     elapsed_seconds: float
     mode: str  # "parallel" | "serial" | "serial-fallback"
-    cache_dir: str | None = None
     statistics_jobs: int = 0
-    cache_entries: int = 0
-    cache_disk_bytes: int = 0
     trace_dir: str | None = None
+    #: :meth:`~repro.runtime.cache.ResultCache.usage` of the run's cache when
+    #: it is persistent (a directory or a network tier), ``None`` otherwise.
+    cache: dict | None = None
 
     def summary(self) -> str:
         """Multi-line, human-readable run summary (printed by the CLI)."""
-        cache_line = f"cache dir: {self.cache_dir or '(memory only)'}"
-        if self.cache_dir is not None:
-            cache_line += (
-                f"  ({self.cache_entries} entries, {self.cache_disk_bytes} bytes)"
+        cache = self.cache
+        if cache is None:
+            cache_line = "cache dir: (memory only)"
+        else:
+            where = (
+                f"cache dir: {cache['directory']}" if cache["directory"] is not None
+                else f"cache backend: {cache['backend']}"
             )
+            cache_line = f"{where}  ({cache['entries']} entries, {cache['disk_bytes']} bytes)"
         cache_line += f"  trace dir: {self.trace_dir or '(memory only)'}"
         lines = [
             "== run summary ==",
@@ -286,23 +288,7 @@ def run_experiments(
     preset = get_preset(preset)
     started = time.perf_counter()
     if no_cache or cache_dir is not None or cache_backend is not None:
-        if no_cache:
-            cache = ResultCache.disabled()
-        elif cache_backend is not None:
-            from repro.cachenet.backend import resolve_backend
-
-            cache = ResultCache(backend=resolve_backend(cache_backend))
-        else:
-            cache = ResultCache(directory=cache_dir)
-        resolved = resolve_trace_dir(
-            None if no_cache else cache_dir, trace_dir, no_trace_cache
-        )
-        traces = None
-        if resolved is not None:
-            from repro.runtime.trace_cache import TraceArtifactStore
-
-            traces = TraceStore(artifacts=TraceArtifactStore(resolved))
-        session = RuntimeSession(cache=cache, traces=traces)
+        session = build_session(cache_dir, no_cache, trace_dir, no_trace_cache, cache_backend)
     else:
         session = current_session()
     session_stats_before = session.stats().as_dict()
@@ -345,7 +331,7 @@ def run_experiments(
     stats.merge(_stats_delta(session.stats().as_dict(), session_stats_before))
     if mode == "parallel" and getattr(session.cache, "manifest", None) is not None:
         session.cache.manifest.refresh()  # pool workers wrote the shared index
-    usage = session.cache.usage() if hasattr(session.cache, "usage") else {}
+    usage = session.cache.usage() if hasattr(session.cache, "usage") else None
     return RunReport(
         results=results,
         stats=stats,
@@ -356,9 +342,7 @@ def run_experiments(
         planned_cache_hits=plan.planned_hits,
         elapsed_seconds=time.perf_counter() - started,
         mode=mode,
-        cache_dir=str(session.cache.directory) if session.cache.directory else None,
         statistics_jobs=len(plan.statistics),
-        cache_entries=usage.get("entries", 0),
-        cache_disk_bytes=usage.get("disk_bytes", 0) or 0,
         trace_dir=_session_trace_config(session)[0],
+        cache=usage if session.cache.persistent else None,
     )

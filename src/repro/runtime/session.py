@@ -1,4 +1,4 @@
-"""The runtime session: cache + trace store + stats, and the active session.
+"""The runtime session: cache + trace store + stats, its builder, the active session.
 
 Experiments do not thread runtime handles through their signatures — they ask
 for :func:`current_session` and the runtime configures it once per process
@@ -32,10 +32,12 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "RunStats",
     "RuntimeSession",
+    "build_session",
     "configure_session",
     "current_session",
     "default_cache_dir",
     "isolated_session",
+    "resolve_cache_dir",
     "resolve_trace_dir",
     "use_session",
 ]
@@ -60,8 +62,8 @@ class RunStats:
     counters (:meth:`repro.runtime.trace_cache.TraceArtifactStore.counters`):
     full tensors generated vs. opened as read-only memory maps of host-shared
     artifacts, the artifact bytes those opens shared, and calibration
-    bisections run vs. loaded from persisted results.  All are event counters,
-    so they sum in both merge modes.
+    bisections run vs. loaded from persisted results.  Every field is an
+    event counter, so :meth:`merge` is a plain sum.
     """
 
     cache: CacheStats = field(default_factory=CacheStats)
@@ -83,17 +85,11 @@ class RunStats:
         "trace_calibrations_loaded",
     )
 
-    def merge(self, other: "RunStats | dict", distinct_caches: bool = False) -> None:
-        """Accumulate ``other`` into this object.
-
-        ``distinct_caches=True`` sum-merges the cache *gauges* instead of
-        max-merging them — required when the merged snapshots describe
-        different caches (one per cluster worker) rather than several views
-        of one shared cache (see :meth:`CacheStats.merge`).
-        """
+    def merge(self, other: "RunStats | dict") -> None:
+        """Add ``other``'s counters (a ``RunStats`` or its wire dict) to these."""
         if isinstance(other, RunStats):
             other = other.as_dict()
-        self.cache.merge(other.get("cache", {}), distinct_caches=distinct_caches)
+        self.cache.merge(other.get("cache", {}))
         self.sweep.merge(other.get("sweep", {}))
         self.traces_built += other.get("traces_built", 0)
         self.traces_reused += other.get("traces_reused", 0)
@@ -186,6 +182,25 @@ def current_session() -> RuntimeSession:
     return _DEFAULT
 
 
+def resolve_cache_dir(
+    cache_dir: str | Path | None = None,
+    no_cache: bool = False,
+    cache_backend: object | None = None,
+) -> str | Path | None:
+    """The result-cache directory a CLI run uses.
+
+    ``--no-cache`` uses none.  With ``--cache-backend`` the results go to the
+    backend and only an explicit ``--cache-dir`` counts (it still anchors the
+    trace fabric), so the default directory is not conjured.  Otherwise
+    ``--cache-dir`` or :func:`default_cache_dir`.
+    """
+    if no_cache:
+        return None
+    if cache_backend is not None:
+        return cache_dir
+    return cache_dir or default_cache_dir()
+
+
 def resolve_trace_dir(
     cache_dir: str | Path | None = None,
     trace_dir: str | Path | None = None,
@@ -211,6 +226,46 @@ def resolve_trace_dir(
     return None
 
 
+def build_session(
+    cache_dir: str | Path | None = None,
+    no_cache: bool = False,
+    trace_dir: str | Path | None = None,
+    no_trace_cache: bool = False,
+    cache_backend: object | None = None,
+) -> RuntimeSession:
+    """A fresh session over the result cache and trace fabric these flags select.
+
+    The one storage rule of every entry point — :func:`configure_session`,
+    :func:`~repro.runtime.scheduler.run_experiments`, the serve and cluster
+    services and ``serve --worker``.  ``cache_dir`` selects the on-disk
+    cache (a :class:`~repro.runtime.backends.FilesystemBackend`, safe to
+    share between processes); ``None`` keeps it in memory.  ``no_cache``
+    disables result caching entirely.  ``cache_backend`` replaces
+    ``cache_dir`` for the *result* tier: a ``--cache-backend`` URI spec
+    (e.g. ``remote://host:port``) or a
+    :class:`~repro.runtime.backends.CacheBackend` instance, resolved by
+    :func:`repro.cachenet.backend.resolve_backend` (``docs/cachenet.md``).
+    ``trace_dir``/``no_trace_cache`` control the zero-copy trace fabric
+    independently; it resolves against ``cache_dir`` only when results are
+    cached (see :func:`resolve_trace_dir`).
+    """
+    if no_cache:
+        cache = ResultCache.disabled()
+    elif cache_backend is not None:
+        from repro.cachenet.backend import resolve_backend
+
+        cache = ResultCache(backend=resolve_backend(cache_backend))
+    else:
+        cache = ResultCache(directory=cache_dir)
+    resolved = resolve_trace_dir(None if no_cache else cache_dir, trace_dir, no_trace_cache)
+    traces = None
+    if resolved is not None:
+        from repro.runtime.trace_cache import TraceArtifactStore
+
+        traces = TraceStore(artifacts=TraceArtifactStore(resolved))
+    return RuntimeSession(cache=cache, traces=traces)
+
+
 def configure_session(
     cache_dir: str | Path | None = None,
     no_cache: bool = False,
@@ -220,32 +275,10 @@ def configure_session(
 ) -> RuntimeSession:
     """Install (and return) a fresh process-wide default session.
 
-    ``cache_dir`` selects the shared on-disk cache; ``None`` keeps the cache
-    in memory.  ``no_cache`` disables result caching entirely.
-    ``cache_backend`` overrides ``cache_dir`` for the *result* tier: a
-    ``--cache-backend`` URI spec (e.g. ``remote://host:port``) or a
-    :class:`~repro.runtime.backends.CacheBackend` instance, resolved by
-    :func:`repro.cachenet.backend.resolve_backend` (``docs/cachenet.md``);
-    the trace fabric still resolves against ``cache_dir``.  ``trace_dir``/
-    ``no_trace_cache`` control the zero-copy trace fabric independently (see
-    :func:`resolve_trace_dir` for the resolution rule).
+    The arguments select storage exactly as in :func:`build_session`.
     """
     global _DEFAULT
-    if no_cache:
-        cache = ResultCache.disabled()
-    elif cache_backend is not None:
-        from repro.cachenet.backend import resolve_backend
-
-        cache = ResultCache(backend=resolve_backend(cache_backend))
-    else:
-        cache = ResultCache(directory=cache_dir)
-    resolved = resolve_trace_dir(cache_dir, trace_dir, no_trace_cache)
-    traces = None
-    if resolved is not None:
-        from repro.runtime.trace_cache import TraceArtifactStore
-
-        traces = TraceStore(artifacts=TraceArtifactStore(resolved))
-    _DEFAULT = RuntimeSession(cache=cache, traces=traces)
+    _DEFAULT = build_session(cache_dir, no_cache, trace_dir, no_trace_cache, cache_backend)
     return _DEFAULT
 
 

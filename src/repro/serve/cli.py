@@ -8,9 +8,9 @@ Modes:
   (``PORT 0`` picks an ephemeral port, printed on startup).
 * ``--worker`` — cluster worker mode (``docs/cluster.md``): a TCP service
   with the registration handshake and internal job ops a
-  ``python -m repro cluster`` coordinator drives, storing through the
-  multi-process-safe shared cache backend.  Requires an auth token and
-  prints a one-line JSON banner (bound host/port/pid) on stdout.
+  ``python -m repro cluster`` coordinator drives, storing through the cache
+  its sibling workers share.  Requires an auth token and prints a one-line
+  JSON banner (bound host/port/pid) on stdout.
 
 ``--workers`` bounds concurrent job execution; ``--cache-dir``/``--no-cache``
 select the shared result cache exactly like the batch CLI.  ``--auth-token``
@@ -31,7 +31,7 @@ import os
 import sys
 
 from repro.experiments.base import parse_age, parse_endpoint, parse_size
-from repro.runtime.session import default_cache_dir, resolve_trace_dir
+from repro.runtime.session import default_cache_dir, resolve_cache_dir, resolve_trace_dir
 
 __all__ = ["main"]
 
@@ -50,17 +50,15 @@ async def _run_worker(args) -> int:
     to learn the bound endpoint, then connects, authenticates and registers
     (see ``docs/cluster.md``).
     """
-    from repro.cluster.worker import WorkerService, worker_session
+    from repro.cluster.worker import WorkerService
 
     cache_dir = args.cache_dir or default_cache_dir()
     try:
         service = WorkerService(
-            session=worker_session(
-                cache_dir,
-                trace_dir=args.trace_dir,
-                no_trace_cache=args.no_trace_cache,
-                cache_backend=args.cache_backend,
-            ),
+            cache_dir=cache_dir,
+            trace_dir=args.trace_dir,
+            no_trace_cache=args.no_trace_cache,
+            cache_backend=args.cache_backend,
             workers=args.workers,
             auth_token=args.auth_token,
             gc_interval=args.gc_interval,
@@ -210,16 +208,8 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.serve.service import ExperimentService
 
-    if args.no_cache:
-        cache_dir = None
-    elif args.cache_backend is not None:
-        # Results go to the backend; an explicit --cache-dir still anchors
-        # the trace fabric, but don't conjure the default dir for it.
-        cache_dir = args.cache_dir
-    else:
-        cache_dir = args.cache_dir or default_cache_dir()
     service = ExperimentService(
-        cache_dir=cache_dir,
+        cache_dir=resolve_cache_dir(args.cache_dir, args.no_cache, args.cache_backend),
         no_cache=args.no_cache,
         workers=args.workers,
         gc_interval=args.gc_interval,

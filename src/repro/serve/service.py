@@ -29,8 +29,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.runtime import ResultCache, RunStats, RuntimeSession
-from repro.runtime.session import resolve_trace_dir
+from repro.runtime import RunStats, RuntimeSession, build_session
 from repro.serve.protocol import (
     CONTROL_OPS,
     JOB_OPS,
@@ -142,23 +141,7 @@ class ExperimentService:
         cache_backend: object | None = None,
     ) -> None:
         if session is None:
-            if no_cache:
-                cache = ResultCache.disabled()
-            elif cache_backend is not None:
-                from repro.cachenet.backend import resolve_backend
-
-                cache = ResultCache(backend=resolve_backend(cache_backend))
-            else:
-                cache = ResultCache(directory=cache_dir)
-            resolved = resolve_trace_dir(
-                None if no_cache else cache_dir, trace_dir, no_trace_cache
-            )
-            traces = None
-            if resolved is not None:
-                from repro.runtime import TraceArtifactStore, TraceStore
-
-                traces = TraceStore(artifacts=TraceArtifactStore(resolved))
-            session = RuntimeSession(cache=cache, traces=traces)
+            session = build_session(cache_dir, no_cache, trace_dir, no_trace_cache, cache_backend)
         self.session = session
         self.auth_token = auth_token
         self.queue = RequestQueue()
@@ -319,31 +302,15 @@ class ExperimentService:
         return {"event": "cancelled", "ticket": ticket_id, "changed": changed, "state": state}
 
     def stats(self) -> dict:
-        cache = self.session.cache
-        if hasattr(cache, "usage"):
-            usage = cache.usage()
-        else:  # a custom session may serve from a cache-like object
-            usage = {
-                "entries": len(cache),
-                "disk_bytes": 0,
-                "memo_entries": 0,
-                "oldest_age_seconds": None,
-                "lru_age_seconds": None,
-                "directory": (
-                    str(cache.directory) if getattr(cache, "directory", None) else None
-                ),
-            }
+        """The ``stats`` op: lifetime counters, and gauges read once per store.
+
+        ``stats`` holds the summed per-job counters; the ``cache`` section is
+        :meth:`~repro.runtime.cache.ResultCache.usage` of the store this
+        service mounts.
+        """
+        usage = self.session.cache.usage()
         totals = RunStats()
         totals.merge(self.totals)
-        if hasattr(cache, "snapshot"):
-            # Fold the current state gauges into the lifetime counters, so
-            # the wire payload's ``stats.cache`` carries disk usage and
-            # entry age alongside hits/misses (see CacheStats).
-            snap = cache.snapshot()
-            totals.cache.disk_entries = snap.disk_entries
-            totals.cache.disk_bytes = snap.disk_bytes
-            totals.cache.memo_entries = snap.memo_entries
-            totals.cache.oldest_age_seconds = snap.oldest_age_seconds
         # Trace-fabric counters live on the shared artifact store (per-job
         # views report 0 for them), so overlay the lifetime values here.
         artifacts = getattr(self.session.traces, "artifacts", None)

@@ -2,8 +2,8 @@
 
 Most end-to-end tests run a real coordinator against *in-process* worker
 services connected over loopback TCP — separate ``WorkerService`` instances
-with separate sessions sharing one ``SharedDirectoryBackend`` directory, the
-exact topology of a local cluster minus the subprocess spawn.
+with separate sessions sharing one cache directory, the exact topology of a
+local cluster minus the subprocess spawn.
 ``TestSpawnedWorkers`` covers what only real worker processes show: trace
 artifacts shared across processes, a terminated process respawned, workers
 recycled, and a network cache tier that outlives (and survives the loss of)
@@ -23,7 +23,6 @@ from repro.cluster import (
     parse_internal_request,
     rendezvous_owner,
     rendezvous_rank,
-    worker_session,
 )
 from repro.cluster.plan import (
     simulation_request_from_wire,
@@ -181,13 +180,11 @@ class TestPlanWireCodec:
 class TestWorkerService:
     def test_worker_requires_auth_token(self, tmp_path):
         with pytest.raises(ValueError):
-            WorkerService(session=worker_session(tmp_path))
+            WorkerService(cache_dir=tmp_path)
 
     def test_internal_ops_gated_on_registration(self, tmp_path):
         async def scenario():
-            service = WorkerService(
-                session=worker_session(tmp_path), workers=1, auth_token=TOKEN
-            )
+            service = WorkerService(cache_dir=tmp_path, workers=1, auth_token=TOKEN)
             sent = []
             context = ConnectionContext(authenticated=True)  # authed, unregistered
             message = SimulationJobRequest(
@@ -208,9 +205,7 @@ class TestWorkerService:
 
     def test_unauthenticated_connection_rejected_before_queue(self, tmp_path):
         async def scenario():
-            service = WorkerService(
-                session=worker_session(tmp_path), workers=1, auth_token=TOKEN
-            )
+            service = WorkerService(cache_dir=tmp_path, workers=1, auth_token=TOKEN)
             sent = []
             context = ConnectionContext(authenticated=False)
             keep = await service.handle_message(
@@ -258,9 +253,7 @@ class _Cluster:
     async def __aenter__(self):
         endpoints = []
         for _ in range(0 if self.spawn else self.worker_count):
-            service = WorkerService(
-                session=worker_session(self.cache_dir), workers=2, auth_token=TOKEN
-            )
+            service = WorkerService(cache_dir=self.cache_dir, workers=2, auth_token=TOKEN)
             server = await service.serve_tcp("127.0.0.1", 0)
             endpoints.append(("127.0.0.1", server.sockets[0].getsockname()[1]))
             self.workers.append(service)
@@ -425,7 +418,7 @@ class TestClusterExecution:
 
         run(scenario())
 
-    def test_cluster_stats_merge_fleet_distinct(self, tmp_path):
+    def test_cluster_stats_sum_fleet_counters_and_count_the_store_once(self, tmp_path):
         async def scenario():
             async with _Cluster(tmp_path / "cache") as cluster:
                 coordinator = cluster.coordinator
@@ -455,6 +448,15 @@ class TestClusterExecution:
                 assert fleet["sweep"]["configs_simulated"] == 5
                 per_worker = cluster_section["per_worker_stats"]
                 assert set(per_worker) <= {"w0", "w1", "c0", "c1"}
+                # Counters only: the fleet sums events, never store gauges.
+                assert set(fleet["cache"]) == {"hits", "misses", "stores", "errors"}
+                assert fleet["cache"]["stores"] == sum(
+                    stats["cache"]["stores"] for stats in per_worker.values()
+                )
+                # The shared store's gauges are read once, by the coordinator.
+                entries = list((tmp_path / "cache").glob("*.json.gz"))
+                assert len(entries) >= 2
+                assert payload["cache"]["entries"] == len(entries)
 
         run(scenario())
 

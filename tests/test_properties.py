@@ -2,7 +2,8 @@
 
 The cycle model is checked against the Figure 7 oracle
 (:func:`repro.core.pip.serial_term_schedule`) and against cross-model
-invariants, never against a second caller of the drain kernel.
+invariants, never against a second caller of the drain kernel.  Run
+statistics are checked to merge as plain sums.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.nn.precision import LayerPrecision
 from repro.numerics.encodings import encoding_names, get_encoding
 from repro.numerics.fixedpoint import FixedPointFormat, popcount
 from repro.numerics.quantized import QuantizationParams
+from repro.runtime import RunStats
 from tests.test_core_kernels import oracle_mask_drains, random_trace
 
 settings.register_profile("repro", max_examples=60, deadline=None)
@@ -278,3 +280,55 @@ class TestSweepProperties:
         for label, config in configs.items():
             alone = sweep_network(trace, {label: config}, sampling)[label]
             assert together[label] == alone
+
+
+def _counter_paths(payload, prefix=()):
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield from _counter_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+#: Every counter of the ``RunStats`` wire dict, as a path of keys.
+RUN_STATS_COUNTERS = tuple(_counter_paths(RunStats().as_dict()))
+
+
+def _wire(values):
+    """The ``RunStats`` wire dict holding ``values`` in counter order."""
+    payload = {}
+    for path, value in zip(RUN_STATS_COUNTERS, values):
+        section = payload
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = value
+    return payload
+
+
+def _merged(parts) -> RunStats:
+    total = RunStats()
+    for part in parts:
+        total.merge(part)
+    return total
+
+
+class TestRunStatsProperties:
+    counter_values = st.lists(
+        st.integers(min_value=0, max_value=10**12),
+        min_size=len(RUN_STATS_COUNTERS),
+        max_size=len(RUN_STATS_COUNTERS),
+    )
+
+    @given(st.data())
+    def test_merge_is_a_field_wise_sum_in_any_order_or_grouping(self, data):
+        values = data.draw(st.lists(self.counter_values, max_size=6))
+        expected = _wire(
+            [sum(part[index] for part in values) for index in range(len(RUN_STATS_COUNTERS))]
+        )
+        parts = [_wire(part) for part in values]
+        assert _merged(parts).as_dict() == expected
+        order = data.draw(st.permutations(parts))
+        split = data.draw(st.integers(min_value=0, max_value=len(order)))
+        head, tail = _merged(order[:split]), _merged(order[split:])
+        head.merge(tail.as_dict() if split % 2 else tail)  # wire form or object
+        assert head.as_dict() == expected

@@ -2,14 +2,15 @@
 
 One parametrized battery runs against all backends, pinning the interface
 contract ``ResultCache`` (and therefore every layer above it) relies on:
-store/load/probe semantics, usage accounting, clear, corruption handling,
-persistence across instances, and multi-process-style sharing for the
-backends that claim it.  The network cache tier (``docs/cachenet.md``) runs
-the same battery against an in-process :class:`CacheServer` — both the bare
-:class:`RemoteBackend` client and the ``--cache-backend remote://`` composite
-:class:`TieredBackend`.  Backend-specific behaviour (GC, manifest sync,
-degradation, negative suppression) gets targeted classes below the shared
-battery.
+store/load/probe semantics, usage accounting, clear, corruption handling and
+persistence across instances.  The ``shared`` flavour is the filesystem
+backend as a sibling process sees a shared directory, re-syncing its
+manifest on every usage query.  The network cache tier
+(``docs/cachenet.md``) runs the same battery against an in-process
+:class:`CacheServer` — both the bare :class:`RemoteBackend` client and the
+``--cache-backend remote://`` composite :class:`TieredBackend`.
+Backend-specific behaviour (GC, manifest sync, degradation, negative
+suppression) gets targeted classes below the shared battery.
 """
 
 import gzip
@@ -18,20 +19,15 @@ import time
 
 import pytest
 
-from repro.runtime import lifecycle
-from repro.runtime.backends import (
-    CorruptEntry,
-    FilesystemBackend,
-    InMemoryBackend,
-    SharedDirectoryBackend,
-)
-from repro.runtime.cache import CacheStats, ResultCache
+from repro.runtime import backends, lifecycle
+from repro.runtime.backends import CorruptEntry, FilesystemBackend, InMemoryBackend
+from repro.runtime.cache import ResultCache
 
 BACKENDS = ("memory", "filesystem", "shared", "remote", "tiered")
 
 
 @pytest.fixture
-def make_backend(tmp_path):
+def make_backend(tmp_path, monkeypatch):
     """Factory building a fresh backend of the requested flavour.
 
     Repeated calls with the same flavour return backends over the *same*
@@ -48,7 +44,8 @@ def make_backend(tmp_path):
         if flavour == "filesystem":
             return FilesystemBackend(tmp_path / "cache")
         if flavour == "shared":
-            return SharedDirectoryBackend(tmp_path / "cache", sync_interval=0.0)
+            monkeypatch.setattr(backends, "SYNC_INTERVAL", 0.0)
+            return FilesystemBackend(tmp_path / "cache")
         if flavour in ("remote", "tiered"):
             from repro.cachenet.backend import RemoteBackend, TieredBackend
             from repro.cachenet.server import CacheServer
@@ -147,8 +144,6 @@ class TestBackendConformance:
         assert cache.stats.stores == 1
         assert cache.contains("k1")
         assert len(cache) == 1
-        snapshot = cache.snapshot()
-        assert snapshot.hits == 1
 
     def test_result_cache_memo_eviction_falls_back_to_backend(
         self, make_backend, flavour
@@ -210,10 +205,13 @@ class TestPersistentBackendGC:
 
 
 class TestSharedDirectoryBackend:
-    def test_sibling_stores_are_visible(self, tmp_path):
+    """One filesystem backend per process, all over one shared directory."""
+
+    def test_sibling_stores_are_visible(self, tmp_path, monkeypatch):
         """Two backends on one directory see each other's entries and sizes."""
-        a = SharedDirectoryBackend(tmp_path, sync_interval=0.0)
-        b = SharedDirectoryBackend(tmp_path, sync_interval=0.0)
+        monkeypatch.setattr(backends, "SYNC_INTERVAL", 0.0)
+        a = FilesystemBackend(tmp_path)
+        b = FilesystemBackend(tmp_path)
         a.store("k1", {"a": 1}, "network_result")
         # Entry reads always go to the filesystem: immediately coherent.
         assert b.load("k1", "network_result") == {"a": 1}
@@ -222,18 +220,30 @@ class TestSharedDirectoryBackend:
         assert b.usage()["entries"] == 1
         assert len(b) == 1
 
-    def test_sibling_gc_respected(self, tmp_path):
-        a = SharedDirectoryBackend(tmp_path, sync_interval=0.0)
-        b = SharedDirectoryBackend(tmp_path, sync_interval=0.0)
+    def test_sibling_gc_respected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(backends, "SYNC_INTERVAL", 0.0)
+        a = FilesystemBackend(tmp_path)
+        b = FilesystemBackend(tmp_path)
         a.store("k1", {"a": 1}, "network_result")
         assert b.usage()["entries"] == 1
         a.gc(max_bytes=0)
         assert b.load("k1", "network_result") is None
         assert b.usage()["entries"] == 0
 
-    def test_sync_is_throttled(self, tmp_path):
-        a = SharedDirectoryBackend(tmp_path, sync_interval=3600.0)
-        b = SharedDirectoryBackend(tmp_path, sync_interval=3600.0)
+    def test_gc_collects_entries_a_sibling_stored_after_load(self, tmp_path):
+        a = FilesystemBackend(tmp_path)
+        b = FilesystemBackend(tmp_path)
+        a.store("k1", {"a": 1}, "network_result")  # a has loaded its manifest
+        b.store("k2", {"b": 2}, "network_result")
+        result = a.gc(max_bytes=0)
+        assert result.remaining_entries == 0
+        assert not lifecycle.entry_path(tmp_path, "k2").exists()
+        assert sorted(result.removed_keys) == ["k1", "k2"]
+
+    def test_sync_is_throttled(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(backends, "SYNC_INTERVAL", 3600.0)
+        a = FilesystemBackend(tmp_path)
+        b = FilesystemBackend(tmp_path)
         assert b.usage()["entries"] == 0  # sync clock starts now
         a.store("k1", {"a": 1}, "network_result")
         # Within the interval the stale view is allowed (and expected)...
@@ -351,92 +361,7 @@ class TestNetworkCacheTier:
         assert isinstance(tiered, TieredBackend)
         assert isinstance(tiered.remote, RemoteBackend)
         assert isinstance(resolve_backend("memory://"), InMemoryBackend)
-        assert isinstance(
-            resolve_backend(str(tmp_path / "plain")), SharedDirectoryBackend
-        )
+        assert isinstance(resolve_backend(str(tmp_path / "plain")), FilesystemBackend)
         with pytest.raises(ValueError):
             resolve_backend("redis://nope:1")
         tiered.close()
-
-
-class TestCacheStatsDistinctMerge:
-    def test_shared_cache_merge_takes_max_gauges(self):
-        total = CacheStats(disk_entries=10, disk_bytes=1000, memo_entries=5)
-        total.merge(CacheStats(hits=2, disk_entries=8, disk_bytes=900, memo_entries=7))
-        assert total.hits == 2
-        assert total.disk_entries == 10  # same cache: max, not sum
-        assert total.disk_bytes == 1000
-        assert total.memo_entries == 7
-
-    def test_distinct_cache_merge_sums_gauges(self):
-        total = CacheStats(disk_entries=10, disk_bytes=1000, memo_entries=5)
-        total.merge(
-            CacheStats(
-                hits=2,
-                disk_entries=8,
-                disk_bytes=900,
-                memo_entries=7,
-                oldest_age_seconds=50.0,
-            ),
-            distinct_caches=True,
-        )
-        assert total.disk_entries == 18  # different caches: sum
-        assert total.disk_bytes == 1900
-        assert total.memo_entries == 12
-        # Ages never add up: the fleet's oldest entry is the oldest anywhere.
-        assert total.oldest_age_seconds == 50.0
-
-    def test_run_stats_passthrough(self):
-        from repro.runtime import RunStats
-
-        total = RunStats()
-        total.cache.disk_entries = 4
-        total.merge(
-            {"cache": {"disk_entries": 3, "hits": 1}}, distinct_caches=True
-        )
-        assert total.cache.disk_entries == 7
-        assert total.cache.hits == 1
-
-    def test_shared_gauges_max_merge_even_when_distinct(self):
-        """Workers mounting one shared tier must not multiply its footprint.
-
-        Every cluster worker snapshots the *same* remote (or shared
-        directory) storage; a distinct-cache fleet merge must max those
-        gauges, not sum them once per worker — while per-process memo
-        entries still sum.
-        """
-        fleet = CacheStats()
-        for _ in range(3):  # three workers reporting one shared tier
-            fleet.merge(
-                CacheStats(
-                    hits=5,
-                    disk_entries=10,
-                    disk_bytes=1000,
-                    memo_entries=4,
-                    shared_gauges=True,
-                ),
-                distinct_caches=True,
-            )
-        assert fleet.hits == 15  # counters always sum
-        assert fleet.disk_entries == 10  # one shared tier, reported thrice
-        assert fleet.disk_bytes == 1000
-        assert fleet.memo_entries == 12  # memos are genuinely per-process
-        assert fleet.shared_gauges is True
-        assert fleet.as_dict()["shared_gauges"] is True
-
-    def test_shared_gauges_infects_the_merge_target(self):
-        """Once any snapshot is shared, later distinct merges stay max-mode."""
-        fleet = CacheStats(disk_entries=10, disk_bytes=1000, shared_gauges=True)
-        fleet.merge(
-            CacheStats(disk_entries=8, disk_bytes=900), distinct_caches=True
-        )
-        assert fleet.disk_entries == 10
-        assert fleet.disk_bytes == 1000
-
-    def test_snapshot_marks_shared_backends(self, make_backend):
-        assert ResultCache(backend=make_backend("shared")).snapshot().shared_gauges
-        assert ResultCache(backend=make_backend("remote")).snapshot().shared_gauges
-        assert ResultCache(backend=make_backend("tiered")).snapshot().shared_gauges
-        assert not ResultCache(
-            backend=make_backend("memory")
-        ).snapshot().shared_gauges

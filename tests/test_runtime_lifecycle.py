@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.experiments.runner import main as runner_main
-from repro.runtime.cache import CacheStats, ResultCache
+from repro.runtime.cache import ResultCache
 from repro.runtime.lifecycle import MANIFEST_NAME, CacheManifest
 
 PAYLOAD = {"network": "alexnet", "accelerator": "x", "layers": []}
@@ -228,32 +228,33 @@ class TestBoundedMemo:
 
 # ------------------------------------------------------------------ observation
 class TestObservation:
-    def test_snapshot_carries_state_gauges_alongside_counters(self, tmp_path):
-        cache = ResultCache(directory=tmp_path)
-        cache.put("aaa", PAYLOAD)
-        cache.get("aaa")
-        snap = cache.snapshot()
-        assert (snap.stores, snap.hits) == (1, 1)
-        assert snap.disk_entries == 1
-        assert snap.disk_bytes > 0
-        assert snap.memo_entries == 1
-        # Gauges merge by max: merging two snapshots of one shared cache
-        # must not double its size, while counters still sum.
-        merged = CacheStats()
-        merged.merge(snap)
-        merged.merge(snap)
-        assert merged.disk_bytes == snap.disk_bytes
-        assert merged.hits == 2
-
     def test_run_report_carries_manifest_backed_usage(self, tmp_path):
         from repro.experiments.base import get_preset
         from repro.runtime import run_experiments
 
         preset = get_preset("smoke")
         report = run_experiments(["table3"], preset=preset, cache_dir=tmp_path)
-        assert report.cache_entries == len(ResultCache(directory=tmp_path))
+        assert report.cache["entries"] == len(ResultCache(directory=tmp_path))
         assert f"cache dir: {tmp_path}" in report.summary()
         assert "entries," in report.summary()
+
+    def test_run_report_names_a_network_cache_tier(self, tmp_path):
+        from repro.cachenet.backend import resolve_backend
+        from repro.cachenet.server import CacheServer
+        from repro.runtime import run_experiments
+
+        server = CacheServer(directory=tmp_path / "tier")
+        host, port = server.start()
+        tier = resolve_backend(f"remote://{host}:{port}")  # as --cache-backend does
+        try:
+            for index in range(4):
+                tier.store(f"k{index}", {"i": index}, "network_result")
+            report = run_experiments([], cache_backend=tier)
+        finally:
+            tier.close()
+            server.stop()
+        assert f"cache backend: tiered:memory+remote:{host}:{port}" in report.summary()
+        assert "(4 entries, " in report.summary()
 
 
 # ------------------------------------------------------------------- CLI verbs

@@ -177,7 +177,7 @@ class TestRunExperiments:
     def test_no_cache_disables_storage(self, tmp_path):
         report = run_experiments(["fig9"], preset=SMOKE, no_cache=True, cache_dir=tmp_path)
         assert report.stats.cache.stores == 0
-        assert report.cache_dir is None
+        assert report.cache is None
         assert list(tmp_path.glob("*.json")) == []
 
     def test_summary_mentions_the_simulation_counter(self):

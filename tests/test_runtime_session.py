@@ -2,19 +2,32 @@
 
 The serving layer reports per-request stats as dicts over the wire and
 rebuilds them with ``RunStats.merge``, so the dict path and the
-merge-after-``as_dict`` round trip are load-bearing contracts here.
+merge-after-``as_dict`` round trip are load-bearing contracts here.  Every
+entry point mounts its storage through one rule, checked last.
 """
 
 import threading
+from pathlib import Path
 
+import pytest
+
+from repro.cluster import ClusterService
 from repro.nn.calibration import calibrate_network
 from repro.runtime import (
+    FilesystemBackend,
+    InMemoryBackend,
     RunStats,
     RuntimeSession,
+    configure_session,
     current_session,
+    default_trace_dir,
     isolated_session,
+    run_experiments,
+    scheduler,
+    session as session_module,
     use_session,
 )
+from repro.serve.service import ExperimentService
 
 
 def stats_with(hits=0, misses=0, stores=0, errors=0, sims=0, drains=0, built=0, reused=0):
@@ -132,3 +145,67 @@ class TestIsolatedSession:
                 misses = calibrate_network.cache_info().misses
                 calibrate_network("alexnet", samples_per_layer=512)
                 assert calibrate_network.cache_info().misses == misses + 1
+
+
+# ------------------------------------------------------------ one storage rule
+CACHE, TRACES = Path("cache"), Path("elsewhere")
+
+#: Flags every entry point accepts -> (result backend, trace-fabric directory).
+#: Paths are relative to the test's working directory.
+STORAGE_RULE = {
+    "cache-dir": ({"cache_dir": CACHE}, FilesystemBackend, default_trace_dir(CACHE)),
+    "trace-dir": ({"cache_dir": CACHE, "trace_dir": TRACES}, FilesystemBackend, TRACES),
+    "no-trace-cache": ({"cache_dir": CACHE, "no_trace_cache": True}, FilesystemBackend, None),
+    "cache-backend": (
+        {"cache_dir": CACHE, "cache_backend": "memory://"},
+        InMemoryBackend,
+        default_trace_dir(CACHE),
+    ),
+    "no-cache": ({"cache_dir": CACHE, "no_cache": True}, InMemoryBackend, None),
+    "no-cache-trace-dir": ({"no_cache": True, "trace_dir": TRACES}, InMemoryBackend, TRACES),
+}
+
+
+def _configured(monkeypatch, **flags):
+    monkeypatch.setattr(session_module, "_DEFAULT", session_module._DEFAULT)
+    return configure_session(**flags)
+
+
+def _run(monkeypatch, **flags):
+    sessions = []
+    build_plan = scheduler.build_plan
+
+    def spy(names, preset, seed, session):
+        sessions.append(session)
+        return build_plan(names, preset, seed, session)
+
+    monkeypatch.setattr(scheduler, "build_plan", spy)
+    run_experiments([], **flags)
+    return sessions[0]
+
+
+def _served(monkeypatch, **flags):
+    return ExperimentService(**flags).session
+
+
+def _planned(monkeypatch, **flags):
+    """The coordinator's planning session (a cluster always caches results)."""
+    return ClusterService(connect=[("127.0.0.1", 1)], **flags).session
+
+
+@pytest.mark.parametrize(
+    "entry, name",
+    [
+        pytest.param(entry, name, id=f"{entry.__name__.strip('_')}-{name}")
+        for entry in (_configured, _run, _served, _planned)
+        for name, (flags, _, _) in STORAGE_RULE.items()
+        if entry is not _planned or "no_cache" not in flags
+    ],
+)
+def test_every_entry_point_mounts_the_same_storage(entry, name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    flags, backend, traces = STORAGE_RULE[name]
+    session = entry(monkeypatch, **flags)
+    assert type(session.cache.backend) is backend
+    artifacts = getattr(session.traces, "artifacts", None)
+    assert (artifacts.directory if artifacts is not None else None) == traces
