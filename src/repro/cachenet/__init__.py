@@ -1,8 +1,8 @@
 """repro.cachenet — the network cache tier (``docs/cachenet.md``).
 
 A standalone cache server (``python -m repro cacheserve``) exposes one
-content-addressed entry store — the same gzip entry codec and lifecycle
-manifest every filesystem cache uses — over a length-prefixed JSON frame
+content-addressed entry store — the same gzip entry codec and directory-scan
+lifecycle every filesystem cache uses — over a length-prefixed JSON frame
 protocol, so many hosts share one warm cache instead of each keeping its own.
 The client side plugs into the runtime through the
 :class:`~repro.runtime.backends.CacheBackend` seam:

@@ -233,7 +233,6 @@ class RemoteBackend(CacheBackend):
             usage = {
                 "entries": 0,
                 "disk_bytes": 0,
-                "oldest_age_seconds": None,
                 "lru_age_seconds": None,
             }
             reachable = False

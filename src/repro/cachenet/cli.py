@@ -6,8 +6,8 @@ the ``shutdown`` op.  The bound endpoint is announced on stderr
 (``repro cacheserve: listening on HOST:PORT``), so port ``0`` works in
 scripts.
 
-``--cache-dir`` names the entry directory (the standard gzip entry files plus
-the lifecycle manifest — a cache server can adopt any existing cache
+``--cache-dir`` names the entry directory (the standard gzip entry files, with
+the directory as their index — a cache server can adopt any existing cache
 directory).  ``--auth-token`` (or ``REPRO_CACHE_TOKEN``) demands a
 constant-time-compared shared secret from every connection.  ``--gc-max-age``
 is the TTL: with ``--gc-interval`` a background thread evicts entries older

@@ -2,8 +2,8 @@
 
 One :class:`CacheServer` owns a directory of cache entries — stored through
 the exact :class:`~repro.runtime.backends.FilesystemBackend` every local cache
-uses, so the gzip entry codec, schema validation and the persistent lifecycle
-manifest (TTL/size GC, usage gauges) are reused rather than reimplemented —
+uses, so the gzip entry codec, schema validation and the directory-scan
+lifecycle (TTL/size GC, usage gauges) are reused rather than reimplemented —
 and serves them to remote :class:`~repro.cachenet.backend.RemoteBackend`
 clients over the length-prefixed JSON frame protocol of
 :mod:`repro.cachenet.protocol`.
@@ -11,19 +11,24 @@ clients over the length-prefixed JSON frame protocol of
 Design points (documented in ``docs/cachenet.md``):
 
 * **Threaded, synchronous.**  Every op is one small request/response over a
-  manifest-locked backend; a thread-per-connection ``socketserver`` is the
-  right tool (the asyncio machinery of the serve layer exists to multiplex
-  long-running jobs, which the cache tier does not have).
+  backend whose only state is its directory; a thread-per-connection
+  ``socketserver`` is the right tool (the asyncio machinery of the serve
+  layer exists to multiplex long-running jobs, which the cache tier does
+  not have).
 * **Constant-time auth.**  With ``--auth-token`` set, a connection must send
   ``{"op": "auth", "token": ...}`` first; the comparison is
   ``hmac.compare_digest``, mirroring the serve layer's ``check_auth``.
+* **Keys stay inside the directory.**  ``get``/``probe``/``put``/``touch``
+  with a key that is not a plain name token
+  (:data:`~repro.runtime.lifecycle.KEY_PATTERN`) get
+  ``{"ok": false, "error": "invalid key"}`` and touch no file.
 * **Corruption is the client's miss.**  A damaged entry is dropped server-side
   (the backend's :class:`~repro.runtime.backends.CorruptEntry` recovery) and
   reported as ``{"hit": false, "corrupt": true}`` so clients can keep the
   local error accounting they already have.
 * **Background TTL/size GC.**  ``--gc-max-age``/``--gc-max-bytes`` bound the
-  store; a daemon thread enforces them every ``--gc-interval`` seconds via the
-  manifest's LRU collector.
+  store; a daemon thread enforces them every ``--gc-interval`` seconds with
+  one LRU-first directory scan (:func:`repro.runtime.lifecycle.gc`).
 """
 
 from __future__ import annotations
@@ -37,12 +42,15 @@ from pathlib import Path
 
 from repro.cachenet.protocol import FrameError, read_frame, write_frame
 from repro.runtime.backends import CorruptEntry, FilesystemBackend
-from repro.runtime.lifecycle import GCResult
+from repro.runtime.lifecycle import GCResult, is_key
 
 __all__ = ["CacheServer"]
 
 #: Ops a connection may issue before authenticating (when a token is set).
 _PRE_AUTH_OPS = frozenset({"auth"})
+
+#: Ops that name one entry by its ``key``.
+_KEYED_OPS = frozenset({"get", "probe", "put", "touch"})
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -161,6 +169,8 @@ class CacheServer:
             self.requests += 1
         if not authenticated and op not in _PRE_AUTH_OPS:
             return {"ok": False, "error": "authentication required"}, False, True
+        if op in _KEYED_OPS and not is_key(message.get("key")):
+            return {"ok": False, "error": "invalid key"}, authenticated, True
         try:
             if op == "auth":
                 if self.check_auth(message.get("token")):
@@ -175,7 +185,7 @@ class CacheServer:
             if op == "put":
                 return self._op_put(message), authenticated, True
             if op == "touch":
-                self.backend.touch(str(message.get("key")))
+                self.backend.touch(message["key"])
                 return {"ok": True}, authenticated, True
             if op == "usage":
                 return {"ok": True, "usage": self.backend.usage()}, authenticated, True
@@ -195,7 +205,7 @@ class CacheServer:
         return {"ok": False, "error": f"unknown op: {op!r}"}, authenticated, True
 
     def _op_get(self, message: dict) -> dict:
-        key, kind = str(message.get("key")), str(message.get("kind"))
+        key, kind = message["key"], str(message.get("kind"))
         try:
             payload = self.backend.load(key, kind)
         except CorruptEntry:
@@ -212,7 +222,7 @@ class CacheServer:
         return {"ok": True, "hit": True, "payload": payload}
 
     def _op_probe(self, message: dict) -> dict:
-        key, kind = str(message.get("key")), str(message.get("kind"))
+        key, kind = message["key"], str(message.get("kind"))
         try:
             hit = self.backend.probe(key, kind)
         except CorruptEntry:
@@ -222,7 +232,7 @@ class CacheServer:
         return {"ok": True, "hit": hit}
 
     def _op_put(self, message: dict) -> dict:
-        key, kind = str(message.get("key")), str(message.get("kind"))
+        key, kind = message["key"], str(message.get("kind"))
         payload = message.get("payload")
         if not isinstance(payload, dict):
             return {"ok": False, "error": "payload must be a JSON object"}
@@ -243,7 +253,7 @@ class CacheServer:
             self._gc(self.gc_max_bytes, self.gc_max_age)
 
     def stats(self) -> dict:
-        """Lifetime op counters plus the manifest-backed usage gauges."""
+        """Lifetime op counters plus the usage gauges of one directory scan."""
         with self._lock:
             counters = {
                 "requests": self.requests,

@@ -423,8 +423,8 @@ class ClusterService(ExperimentService):
                         f"{info.get('error', info)}"
                     )
                 # Pre-warm the zero-copy trace fabric on join (initial,
-                # respawned and recycled workers alike): the manifest and
-                # tensor mmaps are mapped before the first flight lands.
+                # respawned and recycled workers alike): one directory scan
+                # maps the tensors before the first flight lands.
                 # Best-effort — a worker without a fabric simply reports
                 # zero artifacts, and a prewarm failure must not fail the
                 # handshake.

@@ -150,7 +150,7 @@ class WorkerService(ExperimentService):
             artifacts = getattr(self.session.traces, "artifacts", None)
             warmed = {"tensors": 0, "calibrations": 0}
             if artifacts is not None:
-                # Manifest refresh + mmap opens are blocking I/O; keep the
+                # The directory scan + mmap opens are blocking I/O; keep the
                 # event loop responsive while the fabric warms.
                 warmed = await asyncio.to_thread(artifacts.prewarm)
             reply({"event": "prewarmed", **warmed})

@@ -22,9 +22,10 @@ or maintain the on-disk result cache::
 script is ``repro-experiments``.  Runs are executed by :mod:`repro.runtime`:
 ``--jobs N`` fans simulation and experiment jobs out over a process pool,
 ``--cache-dir``/``--no-cache`` control the content-addressed result cache, and
-``--out DIR`` exports one JSON artifact per experiment.  The cache verbs read
-the manifest maintained by :mod:`repro.runtime.lifecycle` — no directory
-scans — and garbage collection evicts least-recently-used entries first.
+``--out DIR`` exports one JSON artifact per experiment.  The cache verbs scan
+the cache directory, which is its own index (:mod:`repro.runtime.lifecycle`):
+``--cache-stats`` only reads it, and garbage collection evicts
+least-recently-used entries (oldest file mtime) first.
 """
 
 from __future__ import annotations
@@ -110,8 +111,7 @@ def _cache_maintenance(args) -> int:
     print(f"cache dir: {cache.directory}")
     print(f"entries: {usage['entries']}")
     print(f"disk bytes: {usage['disk_bytes']} ({_format_bytes(usage['disk_bytes'])})")
-    if usage["oldest_age_seconds"] is not None:
-        print(f"oldest entry age: {usage['oldest_age_seconds']:.0f}s")
+    if usage["lru_age_seconds"] is not None:
         print(f"least-recently-used age: {usage['lru_age_seconds']:.0f}s")
     _trace_tier_stats(args, directory)
     return 0
@@ -283,7 +283,8 @@ def main(argv: list[str] | None = None) -> int:
     maintenance.add_argument(
         "--cache-stats",
         action="store_true",
-        help="report entry count, disk usage and entry ages from the cache manifest",
+        help="report entry count, disk usage and least-recently-used age "
+        "from one scan of the cache directory",
     )
     maintenance.add_argument(
         "--cache-gc",

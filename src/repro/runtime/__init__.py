@@ -12,7 +12,7 @@ Layering::
 
     fingerprint   stable content hashes (no repro dependencies)
     serialization NetworkResult/LayerResult <-> JSON payloads
-    lifecycle     manifest index, gzip entry codec, LRU garbage collection
+    lifecycle     gzip entry codec, directory scan, LRU garbage collection
     backends      pluggable storage (memory / filesystem)
     cache         content-addressed result cache (policy over one backend)
     trace_cache   the zero-copy trace fabric: mmap-backed tensor artifacts
@@ -53,7 +53,7 @@ from repro.runtime.jobs import (
     StatisticsJob,
     build_plan,
 )
-from repro.runtime.lifecycle import CacheManifest, GCResult
+from repro.runtime.lifecycle import GCResult
 from repro.runtime.scheduler import RunReport, run_experiments
 from repro.runtime.session import (
     DEFAULT_CACHE_DIR,
@@ -77,7 +77,6 @@ from repro.runtime.trace_store import TraceSpec, TraceStore
 
 __all__ = [
     "CacheBackend",
-    "CacheManifest",
     "CacheStats",
     "CorruptEntry",
     "FilesystemBackend",

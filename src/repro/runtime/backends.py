@@ -1,8 +1,8 @@
 """Pluggable cache backends: where content-addressed entries actually live.
 
-:class:`~repro.runtime.cache.ResultCache` used to *be* the filesystem layout —
-one entry file per key plus a manifest — which tied every deployment shape to
-one local directory.  Scaling the runtime out (many worker processes, many
+:class:`~repro.runtime.cache.ResultCache` used to *be* the filesystem layout,
+one entry file per key, which tied every deployment shape to one local
+directory.  Scaling the runtime out (many worker processes, many
 machines, see ``docs/cluster.md``) needs the storage behind the cache to be a
 seam, not a hard-coded layer.  This module is that seam:
 
@@ -12,13 +12,13 @@ seam, not a hard-coded layer.  This module is that seam:
   bounded memo, hit/miss/error counters); backends own persistence.
 * :class:`InMemoryBackend` — a per-process dict.  The default for library
   use, so importing ``repro`` never writes to disk.
-* :class:`FilesystemBackend` — the on-disk layout extracted from the old
-  ``ResultCache``: gzip entry files written atomically plus the persistent
-  manifest index of :mod:`repro.runtime.lifecycle`.  Any number of
-  processes may share one directory (pool workers, serve processes, cluster
-  workers): entry reads always go to the filesystem, and usage, size and GC
-  re-sync the manifest from disk so one process's bookkeeping reflects its
-  siblings' stores and evictions.
+* :class:`FilesystemBackend` — the on-disk layout of
+  :mod:`repro.runtime.lifecycle`: gzip entry files written atomically, with
+  the directory as the index and each file's mtime as its LRU clock.  Any
+  number of processes may share one directory (pool workers, serve
+  processes, cluster workers): every read, count and GC goes to the
+  directory itself, so each process sees its siblings' stores and
+  evictions at once.
 
 A future object-store or redis backend is one new subclass — the cache, the
 sessions, the serve layer and the cluster coordinator are all agnostic.
@@ -29,7 +29,7 @@ recovery story.  The interface contract is documented in ``docs/runtime.md``.
 
 from __future__ import annotations
 
-import time
+import contextlib
 from pathlib import Path
 
 from repro.runtime import lifecycle
@@ -41,17 +41,10 @@ __all__ = [
     "InMemoryBackend",
     "FilesystemBackend",
     "ENTRY_SCHEMA",
-    "SYNC_INTERVAL",
 ]
 
 #: Format version of stored entries; mismatches are treated as corruption.
 ENTRY_SCHEMA = 1
-
-#: Minimum seconds between manifest re-syncs of a :class:`FilesystemBackend`
-#: answering usage/size queries.  Entry reads always go to the filesystem and
-#: GC always re-syncs; this only bounds how often ``usage``/``len`` reload
-#: sibling processes' bookkeeping, so the hot lookup path never pays for it.
-SYNC_INTERVAL = 2.0
 
 
 class CorruptEntry(ValueError):
@@ -75,9 +68,6 @@ class CacheBackend:
     #: the interface because run reports and the serve ``stats`` op name it).
     directory: Path | None = None
 
-    #: Manifest index of a filesystem-shaped backend, ``None`` otherwise.
-    manifest: lifecycle.CacheManifest | None = None
-
     def load(self, key: str, kind: str) -> dict | None:
         """The payload stored under ``(key, kind)``, or ``None`` when absent."""
         raise NotImplementedError
@@ -94,7 +84,7 @@ class CacheBackend:
         """Refresh ``key``'s LRU clock (no-op for backends without one)."""
 
     def usage(self) -> dict:
-        """Current state: ``entries``, ``disk_bytes``, age gauges."""
+        """Current state: ``entries``, ``disk_bytes``, ``lru_age_seconds``."""
         raise NotImplementedError
 
     def gc(self, max_bytes: int | None = None, max_age: float | None = None) -> GCResult:
@@ -139,7 +129,6 @@ class InMemoryBackend(CacheBackend):
         return {
             "entries": len(self._entries),
             "disk_bytes": 0,
-            "oldest_age_seconds": None,
             "lru_age_seconds": None,
         }
 
@@ -156,22 +145,18 @@ class InMemoryBackend(CacheBackend):
 
 
 class FilesystemBackend(CacheBackend):
-    """One directory of gzip entry files plus a persistent manifest index.
+    """One directory of gzip entry files; the directory is its own index.
 
-    This is the storage layer extracted from the pre-backend ``ResultCache``:
-    atomic compressed writes (:func:`repro.runtime.lifecycle.write_entry`),
-    transparent reads of legacy uncompressed entries, and the incrementally
-    maintained manifest that makes ``len``/``usage``/GC O(1) instead of a
-    directory scan.  Entry validation (schema + kind + payload shape) lives
-    here so every filesystem-shaped backend rejects damage identically.
+    Atomic compressed writes (:func:`repro.runtime.lifecycle.write_entry`),
+    transparent reads of legacy uncompressed entries, and entry validation
+    (schema + kind + payload shape), so every filesystem-shaped backend
+    rejects damage identically.  A store is one file write, a use sets the
+    file's mtime (the LRU clock), and ``len``/``usage``/``gc``/``clear`` are
+    each one directory scan.
 
-    The directory may be shared by many processes.  Writes are already safe
-    (atomic entry files, merge-on-save manifest), but the in-memory manifest
-    view goes stale the moment a sibling stores or evicts an entry, so
-    ``usage``/``len`` re-sync it from disk (at most every
-    :data:`SYNC_INTERVAL` seconds) and :meth:`gc` re-syncs before it
-    collects.  Loads and probes go to the filesystem directly, so entry
-    *reads* are always coherent.
+    The backend holds no state beyond its path, so any number of processes
+    may share one directory, and each sees its siblings' stores and
+    evictions at once.
     """
 
     persistent = True
@@ -179,28 +164,11 @@ class FilesystemBackend(CacheBackend):
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory).expanduser()
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.manifest = lifecycle.CacheManifest(self.directory)
-        self._last_sync = 0.0
-
-    def _sync(self) -> None:
-        """Reload siblings' bookkeeping, throttled to :data:`SYNC_INTERVAL`."""
-        now = time.monotonic()
-        if now - self._last_sync < SYNC_INTERVAL:
-            return
-        self._last_sync = now
-        self.manifest.refresh()
 
     # ------------------------------------------------------------------ entries
-    def _drop(self, path: Path, key: str) -> None:
-        """Remove a corrupted entry file and its manifest record."""
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        self.manifest.record_remove(key)
-
-    def _read(self, key: str, kind: str) -> dict | None:
-        """The validated payload of ``(key, kind)``; raises :class:`CorruptEntry`."""
+    def _read(self, key: str, kind: str) -> tuple[Path, dict] | None:
+        """The file and validated payload of ``(key, kind)``; raises
+        :class:`CorruptEntry` after deleting a damaged file."""
         path = lifecycle.find_entry(self.directory, key)
         if path is None:
             return None
@@ -212,14 +180,17 @@ class FilesystemBackend(CacheBackend):
             if not isinstance(payload, dict):
                 raise ValueError("cache entry payload is not an object")
         except (OSError, ValueError, KeyError, TypeError) as error:
-            self._drop(path, key)
+            with contextlib.suppress(OSError):
+                path.unlink()
             raise CorruptEntry(str(error)) from error
-        return payload
+        return path, payload
 
     def load(self, key: str, kind: str) -> dict | None:
-        payload = self._read(key, kind)
-        if payload is not None:
-            self.manifest.record_use(key)
+        found = self._read(key, kind)
+        if found is None:
+            return None
+        path, payload = found
+        lifecycle.touch(path)
         return payload
 
     def probe(self, key: str, kind: str) -> bool:
@@ -229,35 +200,25 @@ class FilesystemBackend(CacheBackend):
 
     def store(self, key: str, payload: dict, kind: str) -> None:
         entry = {"schema": ENTRY_SCHEMA, "kind": kind, "key": key, "payload": payload}
-        size = lifecycle.write_entry(self.directory, key, entry)
-        self.manifest.record_store(key, kind, size)
+        lifecycle.write_entry(self.directory, key, entry)
 
     def touch(self, key: str) -> None:
-        self.manifest.record_use(key)
+        path = lifecycle.find_entry(self.directory, key)
+        if path is not None:
+            lifecycle.touch(path)
 
     # -------------------------------------------------------------- observation
     def usage(self) -> dict:
-        self._sync()
-        stats = self.manifest.stats()
-        return {
-            "entries": stats["entries"],
-            "disk_bytes": stats["bytes"],
-            "oldest_age_seconds": stats["oldest_age_seconds"],
-            "lru_age_seconds": stats["lru_age_seconds"],
-        }
+        return lifecycle.usage(lifecycle.scan(self.directory))
 
     def gc(self, max_bytes: int | None = None, max_age: float | None = None) -> GCResult:
-        # Collect against the directory's current state, not a stale view.
-        self.manifest.refresh()
-        self._last_sync = time.monotonic()
-        return self.manifest.gc(max_bytes=max_bytes, max_age=max_age)
+        return lifecycle.gc(self.directory, max_bytes=max_bytes, max_age=max_age)
 
     def clear(self) -> int:
-        return self.manifest.clear()
+        return lifecycle.clear(self.directory)
 
     def describe(self) -> str:
         return f"filesystem:{self.directory}"
 
     def __len__(self) -> int:
-        self._sync()
-        return len(self.manifest)
+        return len(lifecycle.scan(self.directory))

@@ -9,9 +9,9 @@ the storage itself is a :class:`~repro.runtime.backends.CacheBackend`:
   the default for library use, so importing ``repro`` never writes to disk.
 * ``ResultCache(directory=...)`` — a
   :class:`~repro.runtime.backends.FilesystemBackend`: gzip-compressed entry
-  files written atomically plus a persistent manifest
-  (:mod:`repro.runtime.lifecycle`) so ``len()``, :meth:`ResultCache.usage`
-  and garbage collection never scan the directory.
+  files written atomically into a directory that is its own index
+  (:mod:`repro.runtime.lifecycle`); ``len()``, :meth:`ResultCache.usage`
+  and garbage collection are each one directory scan.
 * ``ResultCache(backend=...)`` — any backend, e.g. the network cache tier of
   ``docs/cachenet.md``, or a future object-store/redis backend.
 * :meth:`ResultCache.disabled` — every lookup misses and stores are dropped
@@ -20,7 +20,7 @@ the storage itself is a :class:`~repro.runtime.backends.CacheBackend`:
 Corrupted entries (truncated writes, manual edits, schema drift) are treated
 as misses: the backend drops the entry, ``stats.errors`` is incremented and
 the caller recomputes.  :class:`CacheStats` holds event counters only; what
-a store currently holds (entries, bytes, ages) is read from
+a store currently holds (entries, bytes, LRU age) is read from
 :meth:`ResultCache.usage`, once per store.  The key scheme, the on-disk
 layout, the GC policy and the backend interface are documented in
 ``docs/runtime.md``.
@@ -29,6 +29,7 @@ layout, the GC policy and the backend interface are documented in
 from __future__ import annotations
 
 import collections
+import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -48,6 +49,11 @@ __all__ = ["CacheStats", "ResultCache", "DEFAULT_MEMO_ENTRIES"]
 #: still hits).
 DEFAULT_MEMO_ENTRIES = 512
 
+#: LRU-clock granularity of memo hits, in seconds.  A key answered from the
+#: memo touches its backend copy at most once per window, so a warm hit makes
+#: no syscall (and no round trip to a network tier).
+USE_GRANULARITY = 60.0
+
 
 @dataclass
 class CacheStats:
@@ -55,7 +61,7 @@ class CacheStats:
 
     Every field counts events, so :meth:`merge` is a plain sum whichever
     processes, jobs or workers the merged counters came from.  The state of
-    a store (entries, bytes, ages) is not a counter and lives in
+    a store (entries, bytes, LRU age) is not a counter and lives in
     :meth:`ResultCache.usage`.
     """
 
@@ -98,8 +104,9 @@ class ResultCache:
         self.stats = CacheStats()
         #: LRU memo keyed by ``(key, kind)`` — the kind is part of the memo
         #: key so an entry stored under one kind can never answer a lookup
-        #: for another (the backend always enforced this).
-        self._memory: collections.OrderedDict[tuple[str, str], dict] = (
+        #: for another (the backend always enforced this).  Each slot is
+        #: ``[payload, time.monotonic() of the backend copy's last touch]``.
+        self._memory: collections.OrderedDict[tuple[str, str], list] = (
             collections.OrderedDict()
         )
 
@@ -114,24 +121,19 @@ class ResultCache:
         return self.backend.directory
 
     @property
-    def manifest(self) -> lifecycle.CacheManifest | None:
-        """Manifest index of a filesystem-shaped backend, ``None`` otherwise."""
-        return self.backend.manifest
-
-    @property
     def persistent(self) -> bool:
         """Whether entries survive this process."""
         return self.enabled and self.backend.persistent
 
     # ------------------------------------------------------------------- memo
-    def _memo_get(self, key: str, kind: str) -> dict | None:
-        payload = self._memory.get((key, kind))
-        if payload is not None:
+    def _memo_get(self, key: str, kind: str) -> list | None:
+        slot = self._memory.get((key, kind))
+        if slot is not None:
             self._memory.move_to_end((key, kind))
-        return payload
+        return slot
 
     def _memo_put(self, key: str, kind: str, payload: dict) -> None:
-        self._memory[(key, kind)] = payload
+        self._memory[(key, kind)] = [payload, time.monotonic()]
         self._memory.move_to_end((key, kind))
         while len(self._memory) > self.memo_entries:
             self._memory.popitem(last=False)
@@ -146,13 +148,17 @@ class ResultCache:
         if not self.enabled:
             self.stats.misses += 1
             return None
-        payload = self._memo_get(key, kind)
-        if payload is not None:
+        slot = self._memo_get(key, kind)
+        if slot is not None:
             self.stats.hits += 1
+            payload, touched = slot
+            now = time.monotonic()
             # Memo hits must advance the backend's LRU clock too, or GC
-            # would evict the hottest entries first (touch is throttled by
-            # the manifest, so this stays cheap on the hot path).
-            self.backend.touch(key)
+            # would evict the hottest entries first; once per window keeps
+            # the hot path free of I/O.
+            if now - touched >= USE_GRANULARITY:
+                slot[1] = now  # in place: never re-adds a key GC just dropped
+                self.backend.touch(key)
             return payload
         try:
             payload = self.backend.load(key, kind)
@@ -205,10 +211,10 @@ class ResultCache:
 
     # -------------------------------------------------------------- lifecycle
     def usage(self) -> dict:
-        """Current cache state: entries, disk bytes, ages, memo size.
+        """Current cache state: entries, disk bytes, LRU age, memo size.
 
-        Numbers come from the backend (the manifest for filesystem-shaped
-        backends) — no directory scan.
+        Numbers come from the backend (one directory scan for a
+        filesystem-shaped backend).
         """
         usage = self.backend.usage() if self.enabled else {"entries": 0, "disk_bytes": 0}
         payload = {
@@ -217,7 +223,6 @@ class ResultCache:
             "directory": str(self.directory) if self.directory is not None else None,
             "backend": self.backend.describe(),
             "disk_bytes": usage.get("disk_bytes", 0),
-            "oldest_age_seconds": usage.get("oldest_age_seconds"),
             "lru_age_seconds": usage.get("lru_age_seconds"),
         }
         # The network cache tier (docs/cachenet.md) reports extra gauges —
@@ -232,7 +237,7 @@ class ResultCache:
     def gc(
         self, max_bytes: int | None = None, max_age: float | None = None
     ) -> lifecycle.GCResult:
-        """Garbage-collect the backend (LRU-first; see ``CacheManifest.gc``).
+        """Garbage-collect the backend (LRU-first; see :func:`lifecycle.gc`).
 
         Evicted keys are also dropped from the in-process memo so a bounded
         cache never serves an entry GC decided to retire.  A memory-only or

@@ -1,59 +1,67 @@
-"""Cache lifecycle: the manifest index, the entry codec, and garbage collection.
+"""Cache lifecycle: the entry codec, the directory scan, and garbage collection.
 
-The disk cache (:mod:`repro.runtime.cache`) used to be nothing but a directory
-of ``<key>.json`` files — unbounded, uncompressed, and only inspectable by
-globbing.  This module adds the lifecycle layer around that directory:
+A cache directory is its own index.  Every entry is one file named after its
+key, so the directory already records everything an index would: which keys
+exist (file names), how large they are (``st_size``) and when each was last
+used (``st_mtime``, the LRU clock).  This module holds the operations over
+that layout:
 
 * **entry codec** — new entries are written as gzip-compressed
-  ``<key>.json.gz`` files (full-preset payloads compress ~10x); reads accept
+  ``<key>.json.gz`` files, atomically (temp file + rename); reads accept
   both the compressed form and legacy uncompressed ``<key>.json`` entries, so
-  a cache populated before the format change keeps hitting after it.
-* **manifest** — ``manifest.json`` is a persistent index of the directory
-  (per entry: kind, byte size, created/last-used timestamps), maintained
-  incrementally on every store/remove so entry counts and disk usage are one
-  manifest read instead of an O(N) directory scan.  A missing or corrupted
-  manifest is rebuilt from the directory and is therefore never
-  authoritative over the entries themselves — losing it loses bookkeeping,
-  not results.
-* **garbage collection** — :meth:`CacheManifest.gc` enforces a byte cap
-  and/or a maximum entry age, evicting least-recently-used entries first.
-* **clear** — :meth:`CacheManifest.clear` deletes every entry plus the
-  manifest.
+  a cache populated before the format change keeps hitting after it.  A
+  store is that one file write and nothing else.
+* **scan** — :func:`scan` is one ``os.scandir`` pass that takes each entry's
+  kind from its suffix (``.npy`` tensor; ``.json.gz`` or legacy ``.json``
+  entry or calibration).  It skips dot-files (in-flight temp writes),
+  subdirectories (``traces/``) and the ``manifest.json`` index older
+  releases kept.  Usage, counts, garbage collection and clearing each make
+  one scan.
+* **garbage collection** — :func:`gc` enforces a byte cap and/or a maximum
+  entry age, evicting least-recently-used entries first; :func:`clear`
+  deletes every entry.
 
-Concurrency: the manifest is written atomically (temp file + rename) and
-every save first merges the copy on disk, so concurrent processes appending
-entries to one shared cache directory keep each other's bookkeeping.  The
-read-merge-replace is not transactional — a record can still lose a race —
-but every loss self-heals: an unindexed entry is re-indexed the next time it
-is read, a record whose file was removed behind our back is dropped at the
-next save, and a missing/corrupted manifest is rebuilt outright.  Last-used
-timestamps are also mirrored into file mtimes, which is what a rebuild falls
-back to, so LRU order survives (approximately) even across a manifest loss.
-``docs/runtime.md`` documents the on-disk layout and the GC policy.
+Keys are plain name tokens (:data:`KEY_PATTERN`).  The path builders refuse
+anything else, so no key, local or from a network client, can name a file
+outside its directory.
+
+Concurrency needs no coordination.  Entry files are published by atomic
+rename, a use is one ``os.utime``, and every process's next scan sees its
+siblings' stores and evictions, because there is no second copy to keep
+coherent.  ``docs/runtime.md`` documents the on-disk layout and the GC
+policy.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import json
 import os
+import re
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 __all__ = [
     "COMPRESSED_SUFFIX",
     "LEGACY_SUFFIX",
     "TENSOR_SUFFIX",
-    "MANIFEST_NAME",
-    "CacheManifest",
+    "KEY_PATTERN",
+    "EntryFile",
     "GCResult",
+    "clear",
     "entry_path",
     "find_entry",
+    "gc",
+    "is_key",
     "read_entry",
+    "scan",
     "tensor_path",
+    "touch",
+    "usage",
     "write_entry",
 ]
 
@@ -69,46 +77,58 @@ LEGACY_SUFFIX = ".json"
 #: file read-only without copying it, so N processes share one physical copy.
 TENSOR_SUFFIX = ".npy"
 
-#: Index file inside the cache directory (never itself a cache entry).
-MANIFEST_NAME = "manifest.json"
+#: The index file older releases kept beside their entries.  It is never an
+#: entry: scans skip it and :func:`clear` deletes it.
+OLD_INDEX_NAME = "manifest.json"
 
-#: Format version of the manifest; mismatches trigger a rebuild.
-MANIFEST_SCHEMA = 1
+#: A cache key is a plain name token.  SHA-256 hex digests fit; separators,
+#: dots and absolute paths, which could name a file outside the directory,
+#: do not.
+KEY_PATTERN = re.compile(r"[0-9A-Za-z_-]{1,128}")
 
-#: LRU bookkeeping granularity: implicit (real-time) uses within this many
-#: seconds of the recorded ``last_used`` are no-ops, so hot entries cost one
-#: timestamp update per window instead of one per hit.
-USE_GRANULARITY = 60.0
 
-#: Minimum seconds between manifest writes triggered by *uses*.  Stores and
-#: removals always persist immediately; use-only updates are batched so a
-#: warm run re-reading N entries does not rewrite the manifest N times.
-SAVE_INTERVAL = 5.0
+def is_key(key: object) -> bool:
+    """Whether ``key`` is a valid cache key (:data:`KEY_PATTERN`)."""
+    return isinstance(key, str) and KEY_PATTERN.fullmatch(key) is not None
+
+
+def _checked(key: str) -> str:
+    if not is_key(key):
+        raise ValueError(f"invalid cache key: {key!r}")
+    return key
 
 
 # ------------------------------------------------------------------ entry codec
 def entry_path(directory: Path, key: str) -> Path:
-    """Where a *new* entry for ``key`` is written (compressed form)."""
-    return directory / f"{key}{COMPRESSED_SUFFIX}"
+    """Where a *new* entry for ``key`` is written (compressed form).
+
+    Like every path builder here, raises ``ValueError`` for an invalid key.
+    """
+    return directory / f"{_checked(key)}{COMPRESSED_SUFFIX}"
 
 
 def legacy_path(directory: Path, key: str) -> Path:
     """Where the pre-compression format stored ``key``."""
-    return directory / f"{key}{LEGACY_SUFFIX}"
+    return directory / f"{_checked(key)}{LEGACY_SUFFIX}"
 
 
 def tensor_path(directory: Path, key: str) -> Path:
     """Where a raw ``.npy`` tensor artifact for ``key`` lives."""
-    return directory / f"{key}{TENSOR_SUFFIX}"
+    return directory / f"{_checked(key)}{TENSOR_SUFFIX}"
+
+
+def _entry_files(directory: Path, key: str) -> tuple[Path, Path, Path]:
+    """Every on-disk form of ``key``, compressed first."""
+    return (
+        entry_path(directory, key),
+        legacy_path(directory, key),
+        tensor_path(directory, key),
+    )
 
 
 def find_entry(directory: Path, key: str) -> Path | None:
     """The existing on-disk file of ``key`` (compressed preferred), or ``None``."""
-    for path in (
-        entry_path(directory, key),
-        legacy_path(directory, key),
-        tensor_path(directory, key),
-    ):
+    for path in _entry_files(directory, key):
         if path.exists():
             return path
     return None
@@ -129,13 +149,14 @@ def read_entry(path: Path) -> dict:
     return entry
 
 
-def write_entry(directory: Path, key: str, entry: dict) -> int:
-    """Atomically write ``entry`` compressed; returns its on-disk byte size.
+def write_entry(directory: Path, key: str, entry: dict) -> None:
+    """Atomically write ``entry`` compressed: the whole of a store.
 
     A leftover legacy uncompressed copy of the same key is removed so the
     directory never holds two generations of one entry.  Raises ``OSError``
     on write failure (the caller degrades to its in-memory copy).
     """
+    path = entry_path(directory, key)
     data = gzip.compress(
         json.dumps(entry, sort_keys=True).encode("utf-8"), mtime=0
     )
@@ -146,40 +167,93 @@ def write_entry(directory: Path, key: str, entry: dict) -> int:
         )
         with os.fdopen(descriptor, "wb") as handle:
             handle.write(data)
-        os.replace(tmp_name, entry_path(directory, key))
+        os.replace(tmp_name, path)
     except OSError:
         if tmp_name is not None:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(tmp_name)
-            except OSError:
-                pass
         raise
-    try:
+    with contextlib.suppress(OSError):
         legacy_path(directory, key).unlink()
-    except OSError:
-        pass
-    return len(data)
 
 
-def _remove_entry_files(directory: Path, key: str) -> None:
+def touch(path: Path) -> None:
+    """Advance an entry's LRU clock: set its file's mtime to now (best effort)."""
+    with contextlib.suppress(OSError):
+        os.utime(path)
+
+
+def _remove(directory: Path, key: str) -> None:
     """Delete every on-disk form of ``key`` (best effort).
 
     Unlinking a ``.npy`` a live process has mapped is safe on POSIX — the
     inode (and the mapping) survives until the last reader unmaps it; only
     the name disappears, and the next fetch re-materializes the artifact.
     """
-    for path in (
-        entry_path(directory, key),
-        legacy_path(directory, key),
-        tensor_path(directory, key),
-    ):
-        try:
+    for path in _entry_files(directory, key):
+        with contextlib.suppress(OSError):
             path.unlink()
-        except OSError:
-            pass
 
 
-# -------------------------------------------------------------------- manifest
+# ------------------------------------------------------------------------ scan
+class EntryFile(NamedTuple):
+    """One entry as a scan saw it."""
+
+    size: int  # bytes on disk
+    used: float  # the file's mtime: the LRU clock
+    tensor: bool  # a ``.npy`` tensor artifact (else an entry or calibration)
+
+
+def _parse_name(name: str) -> tuple[str, bool] | None:
+    """``(key, is_tensor)`` of an entry file name, ``None`` for anything else.
+
+    Dot-files never parse: a key cannot contain a dot.
+    """
+    if name == OLD_INDEX_NAME:
+        return None
+    for suffix in (COMPRESSED_SUFFIX, LEGACY_SUFFIX, TENSOR_SUFFIX):
+        if name.endswith(suffix):
+            key = name[: -len(suffix)]
+            return (key, suffix == TENSOR_SUFFIX) if is_key(key) else None
+    return None
+
+
+def scan(directory: Path) -> dict[str, EntryFile]:
+    """Every entry in ``directory`` by key, from one ``os.scandir`` pass.
+
+    A key present in both generations (``.json.gz`` and legacy ``.json``)
+    counts once; removing it removes both.  A missing directory scans empty.
+    """
+    entries: dict[str, EntryFile] = {}
+    with contextlib.suppress(OSError), os.scandir(directory) as listing:
+        for item in listing:
+            parsed = _parse_name(item.name)
+            if parsed is None:
+                continue
+            try:
+                if not item.is_file():
+                    continue
+                info = item.stat()
+            except OSError:
+                continue  # removed mid-scan
+            key, tensor = parsed
+            entries[key] = EntryFile(info.st_size, info.st_mtime, tensor)
+    return entries
+
+
+def usage(entries: dict[str, EntryFile]) -> dict:
+    """The ``entries``/``disk_bytes``/``lru_age_seconds`` gauges of one scan."""
+    oldest_use = min((entry.used for entry in entries.values()), default=None)
+    return {
+        "entries": len(entries),
+        "disk_bytes": sum(entry.size for entry in entries.values()),
+        "lru_age_seconds": (
+            None if oldest_use is None else round(time.time() - oldest_use, 3)
+        ),
+    }
+
+
+# ------------------------------------------------------------------ collection
 @dataclass
 class GCResult:
     """Outcome of one garbage-collection pass."""
@@ -197,281 +271,38 @@ class GCResult:
         )
 
 
-class CacheManifest:
-    """Persistent, incrementally-maintained index of one cache directory.
+def gc(
+    directory: Path, max_bytes: int | None = None, max_age: float | None = None
+) -> GCResult:
+    """Evict entries until ``directory`` fits ``max_bytes`` and ``max_age``.
 
-    One record per entry::
-
-        key -> {"kind": str | None, "size": int, "created": float, "last_used": float}
-
-    All methods are thread-safe (the serve worker pool drives one shared
-    cache from many threads).  The manifest is loaded lazily; a missing or
-    corrupted file triggers :meth:`rebuild` from a directory scan (``kind``
-    is unknown after a rebuild, sizes and LRU order come from ``stat``).
+    One scan, then least-recently-used first: an entry unused for more than
+    ``max_age`` seconds goes, and so does every entry while the total
+    exceeds ``max_bytes``.  Either bound may be ``None`` (not enforced).
     """
+    entries = scan(directory)
+    now = time.time()
+    total = sum(entry.size for entry in entries.values())
+    result = GCResult()
+    for key, entry in sorted(entries.items(), key=lambda item: (item[1].used, item[0])):
+        expired = max_age is not None and now - entry.used > max_age
+        if not expired and (max_bytes is None or total <= max_bytes):
+            break  # later entries are fresher, and the total only shrinks
+        _remove(directory, key)
+        total -= entry.size
+        result.removed_entries += 1
+        result.removed_bytes += entry.size
+        result.removed_keys.append(key)
+    result.remaining_entries = len(entries) - result.removed_entries
+    result.remaining_bytes = total
+    return result
 
-    def __init__(self, directory: str | Path) -> None:
-        self.directory = Path(directory)
-        self.path = self.directory / MANIFEST_NAME
-        self.rebuilds = 0
-        self._lock = threading.RLock()
-        self._entries: dict[str, dict] | None = None
-        self._removed: set[str] = set()
-        self._dirty = False
-        self._last_save = 0.0  # time.monotonic() of the last _save()
 
-    # ------------------------------------------------------------- persistence
-    def _load(self) -> dict[str, dict]:
-        """The in-memory index, loading (or rebuilding) it on first use."""
-        if self._entries is None:
-            loaded = self._read_file()
-            if loaded is None:
-                self._entries = self._scan()
-                self.rebuilds += 1
-                self._save()
-            else:
-                self._entries = loaded
-        return self._entries
-
-    def _read_file(self) -> dict[str, dict] | None:
-        """The manifest file's entries, or ``None`` when missing/corrupted."""
-        try:
-            raw = json.loads(self.path.read_text(encoding="utf-8"))
-            if raw["schema"] != MANIFEST_SCHEMA:
-                raise ValueError("manifest schema mismatch")
-            entries = raw["entries"]
-            if not isinstance(entries, dict) or not all(
-                isinstance(meta, dict) and isinstance(meta.get("size"), int)
-                for meta in entries.values()
-            ):
-                raise ValueError("manifest entries malformed")
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-        return entries
-
-    def _scan(self) -> dict[str, dict]:
-        """Rebuild the index from the entry files actually present."""
-        entries: dict[str, dict] = {}
-        try:
-            names = sorted(os.listdir(self.directory))
-        except OSError:
-            return entries
-        for name in names:
-            if name == MANIFEST_NAME or name.startswith("."):
-                continue
-            if name.endswith(COMPRESSED_SUFFIX):
-                key = name[: -len(COMPRESSED_SUFFIX)]
-            elif name.endswith(LEGACY_SUFFIX):
-                key = name[: -len(LEGACY_SUFFIX)]
-            elif name.endswith(TENSOR_SUFFIX):
-                key = name[: -len(TENSOR_SUFFIX)]
-            else:
-                continue
-            try:
-                info = (self.directory / name).stat()
-            except OSError:
-                continue
-            known = entries.get(key)
-            record = {
-                "kind": None,
-                "size": info.st_size,
-                "created": info.st_mtime,
-                "last_used": info.st_mtime,
-            }
-            # Both generations present: index the compressed (preferred) one.
-            if known is None or name.endswith(COMPRESSED_SUFFIX):
-                entries[key] = record
-        return entries
-
-    def _save(self) -> None:
-        """Atomically persist the index, merging concurrent writers' records.
-
-        Entries present only in the on-disk manifest (another process stored
-        them since we loaded) are adopted — except keys this instance
-        removed; for keys we track, our record is authoritative.  A key we
-        track that the disk manifest has dropped is re-verified against the
-        directory, so records for entries another process gc'd or cleared
-        are not resurrected as ghosts.  Failures are swallowed: the manifest
-        is bookkeeping, and a rebuild recovers it.
-        """
-        assert self._entries is not None
-        disk = self._read_file() or {}
-        for key, meta in disk.items():
-            if key not in self._removed and key not in self._entries:
-                self._entries[key] = meta
-        for key in [key for key in self._entries if key not in disk]:
-            if find_entry(self.directory, key) is None:
-                del self._entries[key]
-        payload = {"schema": MANIFEST_SCHEMA, "entries": self._entries}
-        tmp_name = None
-        try:
-            descriptor, tmp_name = tempfile.mkstemp(
-                dir=self.directory, prefix=".manifest-", suffix=".tmp"
-            )
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp_name, self.path)
-        except OSError:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-        self._dirty = False
-        self._last_save = time.monotonic()
-
-    # ----------------------------------------------------------------- updates
-    def record_store(
-        self, key: str, kind: str, size: int, now: float | None = None
-    ) -> None:
-        """Index a freshly-written entry (persisted immediately)."""
-        now = time.time() if now is None else now
-        with self._lock:
-            entries = self._load()
-            entries[key] = {"kind": kind, "size": size, "created": now, "last_used": now}
-            self._removed.discard(key)
-            self._save()
-
-    def record_use(self, key: str, now: float | None = None) -> None:
-        """Refresh an entry's LRU timestamp (manifest and file mtime).
-
-        Implicit (real-time) uses are maintained at ``USE_GRANULARITY`` and
-        their manifest writes batched at ``SAVE_INTERVAL`` — this sits on the
-        warm lookup path, so it must stay O(1)-ish per hit.  An explicit
-        ``now`` (tests, tooling) always takes effect and persists at once.
-        """
-        explicit = now is not None
-        now = time.time() if now is None else now
-        with self._lock:
-            meta = self._load().get(key)
-            if meta is None:
-                # Entry written by another process after our load: index it.
-                path = find_entry(self.directory, key)
-                if path is None:
-                    return
-                try:
-                    size = path.stat().st_size
-                except OSError:
-                    return
-                meta = {"kind": None, "size": size, "created": now, "last_used": now}
-                self._entries[key] = meta
-            elif not explicit and now - meta.get("last_used", 0) < USE_GRANULARITY:
-                return  # hot entry, timestamp fresh enough
-            self._removed.discard(key)
-            meta["last_used"] = now
-            path = find_entry(self.directory, key)
-            if path is not None:
-                try:
-                    os.utime(path, (now, now))
-                except OSError:
-                    pass
-            self._dirty = True
-            if explicit or time.monotonic() - self._last_save >= SAVE_INTERVAL:
-                self._save()
-
-    def record_remove(self, key: str) -> None:
-        """Drop an entry from the index (its file is already gone)."""
-        with self._lock:
-            self._load().pop(key, None)
-            self._removed.add(key)
-            self._save()
-
-    # ------------------------------------------------------------- observation
-    def refresh(self) -> None:
-        """Drop the in-memory index so the next read reloads from disk.
-
-        Used after pool workers (separate processes) have been writing to the
-        shared directory: their saves merged into the file, not into this
-        process's loaded copy.
-        """
-        with self._lock:
-            if self._dirty and self._entries is not None:
-                self._save()  # do not silently drop deferred use-updates
-            self._entries = None
-            self._removed.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._load())
-
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(meta["size"] for meta in self._load().values())
-
-    def entries(self) -> dict[str, dict]:
-        """A snapshot copy of the index."""
-        with self._lock:
-            return {key: dict(meta) for key, meta in self._load().items()}
-
-    def stats(self, now: float | None = None) -> dict:
-        """Aggregate usage: counts, bytes, and entry-age extremes (seconds)."""
-        now = time.time() if now is None else now
-        with self._lock:
-            entries = self._load()
-            created = [meta["created"] for meta in entries.values()]
-            used = [meta["last_used"] for meta in entries.values()]
-            return {
-                "entries": len(entries),
-                "bytes": sum(meta["size"] for meta in entries.values()),
-                "oldest_age_seconds": round(now - min(created), 3) if created else None,
-                "lru_age_seconds": round(now - min(used), 3) if used else None,
-                "rebuilds": self.rebuilds,
-            }
-
-    # -------------------------------------------------------------- collection
-    def gc(
-        self,
-        max_bytes: int | None = None,
-        max_age: float | None = None,
-        now: float | None = None,
-    ) -> GCResult:
-        """Evict entries until the cache fits ``max_bytes`` and ``max_age``.
-
-        ``max_age`` (seconds since last use) is applied first; the byte cap
-        then evicts least-recently-used entries until the total fits.  Either
-        bound may be ``None`` (not enforced).  Evicted entry files are
-        deleted; the manifest is saved once at the end.
-        """
-        now = time.time() if now is None else now
-        result = GCResult()
-        with self._lock:
-            entries = self._load()
-            by_lru = sorted(entries.items(), key=lambda item: item[1]["last_used"])
-            total = sum(meta["size"] for meta in entries.values())
-            for key, meta in by_lru:
-                expired = max_age is not None and now - meta["last_used"] > max_age
-                over_cap = max_bytes is not None and total > max_bytes
-                if not expired and not over_cap:
-                    continue
-                _remove_entry_files(self.directory, key)
-                entries.pop(key, None)
-                self._removed.add(key)
-                total -= meta["size"]
-                result.removed_entries += 1
-                result.removed_bytes += meta["size"]
-                result.removed_keys.append(key)
-            result.remaining_entries = len(entries)
-            result.remaining_bytes = total
-            if result.removed_entries:
-                self._save()
-        return result
-
-    def clear(self) -> int:
-        """Delete every entry (and the manifest itself); returns entries removed.
-
-        Unlike :meth:`gc`, clearing scans the directory: it is the one
-        explicitly-O(N) operation, and must also remove entry files a lost
-        manifest race left unindexed.
-        """
-        with self._lock:
-            keys = set(self._load())
-            keys.update(self._scan())
-            for key in keys:
-                _remove_entry_files(self.directory, key)
-                self._removed.add(key)
-            self._entries.clear()
-            try:
-                self.path.unlink()
-            except OSError:
-                pass
-        return len(keys)
+def clear(directory: Path) -> int:
+    """Delete every entry, and an old ``manifest.json``; returns entries removed."""
+    entries = scan(directory)
+    for key in entries:
+        _remove(directory, key)
+    with contextlib.suppress(OSError):
+        (directory / OLD_INDEX_NAME).unlink()
+    return len(entries)

@@ -329,8 +329,6 @@ def run_experiments(
         results = _run_serial(names, preset, seed, session)
 
     stats.merge(_stats_delta(session.stats().as_dict(), session_stats_before))
-    if mode == "parallel" and getattr(session.cache, "manifest", None) is not None:
-        session.cache.manifest.refresh()  # pool workers wrote the shared index
     usage = session.cache.usage() if hasattr(session.cache, "usage") else None
     return RunReport(
         results=results,

@@ -19,9 +19,11 @@ count per machine.  This module makes traces a shared on-host resource:
   spec plus the trace code fingerprint
   (:func:`repro.runtime.fingerprint.trace_tensor_key`); editing ``nn`` or
   ``numerics`` source invalidates artifacts exactly like editing simulation
-  source invalidates cached results.  Artifacts are indexed by the PR 3
-  lifecycle manifest and garbage-collected through it (size/age caps), so
-  ``--cache-gc``/``--cache-stats`` and serve background GC see them.
+  source invalidates cached results.  The artifact directory is its own
+  index, as a result-cache directory is (:mod:`repro.runtime.lifecycle`):
+  a use sets the file's mtime, and usage and the size/age-capped GC are
+  one directory scan each, so ``--cache-gc``/``--cache-stats`` and serve
+  background GC see the artifacts.
 
 Bit-identity is by construction — an artifact holds exactly the bytes the
 generate-on-demand path produces for that key — and proven by the fabric's
@@ -35,6 +37,7 @@ rule; ``docs/cluster.md`` the per-host sharing story.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import tempfile
@@ -57,7 +60,7 @@ __all__ = [
 ]
 
 #: Subdirectory of a result-cache directory the fabric defaults to, keeping
-#: trace artifacts out of the result manifest's namespace.
+#: trace artifacts out of the result cache's scans.
 TRACES_SUBDIR = "traces"
 
 #: The :func:`~repro.nn.calibration.calibrate_network` defaults the fabric
@@ -77,7 +80,7 @@ class TraceArtifactStore:
     Thread-safe (serve worker threads resolve tensors concurrently) and
     multi-process-safe (cluster workers share one directory; see the module
     docstring for the publication protocol).  ``max_bytes``/``max_age`` are
-    enforced on each :meth:`gc` call, mirroring ``CacheManifest.gc``.
+    enforced on each :meth:`gc` call, through :func:`lifecycle.gc`.
 
     Counters (read via :meth:`counters`, surfaced as session stats):
 
@@ -99,7 +102,6 @@ class TraceArtifactStore:
     ) -> None:
         self.directory = Path(directory).expanduser()
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.manifest = lifecycle.CacheManifest(self.directory)
         self.max_bytes = max_bytes
         self.max_age = max_age
         self._lock = threading.Lock()
@@ -122,21 +124,19 @@ class TraceArtifactStore:
         """
         key = trace_tensor_key(spec, layer_index)
         path = lifecycle.tensor_path(self.directory, key)
-        tensor = self._open(key, path)
+        tensor = self._open(path)
         if tensor is not None:
-            self.manifest.record_use(key)
+            lifecycle.touch(path)
             return tensor
         values = np.ascontiguousarray(builder())
-        size = self._publish(key, path, values)
-        if size is None:
+        if not self._publish(key, path, values):
             return values  # unwritable directory: degrade to private memory
         with self._lock:
             self.tensors_built += 1
-        self.manifest.record_store(key, "trace_tensor", size)
-        tensor = self._open(key, path)
+        tensor = self._open(path)
         return tensor if tensor is not None else values
 
-    def _open(self, key: str, path: Path) -> np.ndarray | None:
+    def _open(self, path: Path) -> np.ndarray | None:
         """Map an artifact read-only; a torn/corrupt file is dropped (rebuild)."""
         if not path.exists():
             return None
@@ -146,19 +146,16 @@ class TraceArtifactStore:
         except (OSError, ValueError):
             with self._lock:
                 self.errors += 1
-            try:
+            with contextlib.suppress(OSError):
                 path.unlink()
-            except OSError:
-                pass
-            self.manifest.record_remove(key)
             return None
         with self._lock:
             self.tensors_mapped += 1
             self.bytes_mapped += size
         return tensor
 
-    def _publish(self, key: str, path: Path, values: np.ndarray) -> int | None:
-        """Atomically publish a tensor artifact; returns its byte size."""
+    def _publish(self, key: str, path: Path, values: np.ndarray) -> bool:
+        """Atomically publish a tensor artifact; returns whether it landed."""
         tmp_name = None
         try:
             descriptor, tmp_name = tempfile.mkstemp(
@@ -166,18 +163,15 @@ class TraceArtifactStore:
             )
             with os.fdopen(descriptor, "wb") as handle:
                 np.save(handle, values)
-            size = os.path.getsize(tmp_name)
             os.replace(tmp_name, path)
         except OSError:
             if tmp_name is not None:
-                try:
+                with contextlib.suppress(OSError):
                     os.unlink(tmp_name)
-                except OSError:
-                    pass
             with self._lock:
                 self.errors += 1
-            return None
-        return size
+            return False
+        return True
 
     # ------------------------------------------------------------ calibrations
     def network_calibration(self, spec):
@@ -201,15 +195,12 @@ class TraceArtifactStore:
             except (OSError, ValueError, KeyError, TypeError):
                 with self._lock:
                     self.errors += 1
-                try:
+                with contextlib.suppress(OSError):
                     path.unlink()
-                except OSError:
-                    pass
-                self.manifest.record_remove(key)
             else:
                 with self._lock:
                     self.calibrations_loaded += 1
-                self.manifest.record_use(key)
+                lifecycle.touch(path)
                 return calibration
         calibration = calibrate_network(
             spec.network,
@@ -222,33 +213,28 @@ class TraceArtifactStore:
         with self._lock:
             self.calibrations_computed += 1
         try:
-            size = lifecycle.write_entry(
+            lifecycle.write_entry(
                 self.directory, key, {"calibration": dataclasses.asdict(calibration)}
             )
         except OSError:
             with self._lock:
                 self.errors += 1
-        else:
-            self.manifest.record_store(key, "trace_calibration", size)
         return calibration
 
     def prewarm(self) -> dict:
         """Open every existing artifact once (elastic-join pre-warm).
 
         A worker joining a host with a warm fabric (``docs/cluster.md``)
-        refreshes its manifest view, maps each tensor artifact and validates
+        scans the directory once, maps each tensor artifact and validates
         each calibration entry up front, so its first planned job starts from
         read-only mmaps instead of discovering (or torn-file-recovering) the
         artifacts one by one on the hot path.  Returns how many of each kind
         were warmed.
         """
-        self.manifest.refresh()
         tensors = calibrations = 0
-        for key, meta in self.manifest.entries().items():
-            tensor_path = lifecycle.tensor_path(self.directory, key)
-            kind = meta.get("kind")
-            if kind == "trace_tensor" or (kind is None and tensor_path.exists()):
-                if self._open(key, tensor_path) is not None:
+        for key, artifact in lifecycle.scan(self.directory).items():
+            if artifact.tensor:
+                if self._open(lifecycle.tensor_path(self.directory, key)) is not None:
                     tensors += 1
                 continue
             entry_path = lifecycle.find_entry(self.directory, key)
@@ -283,31 +269,15 @@ class TraceArtifactStore:
             self.calibrations_loaded = 0
 
     def usage(self) -> dict:
-        """Current artifact-tier state, split by kind (manifest-backed)."""
-        stats = self.manifest.stats()
-        tensors = tensor_bytes = calibrations = 0
-        for key, meta in self.manifest.entries().items():
-            kind = meta.get("kind")
-            if kind is None:  # post-rebuild record: classify by on-disk form
-                kind = (
-                    "trace_tensor"
-                    if lifecycle.tensor_path(self.directory, key).exists()
-                    else "trace_calibration"
-                )
-            if kind == "trace_tensor":
-                tensors += 1
-                tensor_bytes += meta["size"]
-            else:
-                calibrations += 1
+        """Current artifact-tier state, split by kind (one directory scan)."""
+        artifacts = lifecycle.scan(self.directory)
+        tensors = [artifact for artifact in artifacts.values() if artifact.tensor]
         return {
             "directory": str(self.directory),
-            "entries": stats["entries"],
-            "disk_bytes": stats["bytes"],
-            "tensors": tensors,
-            "tensor_bytes": tensor_bytes,
-            "calibrations": calibrations,
-            "oldest_age_seconds": stats["oldest_age_seconds"],
-            "lru_age_seconds": stats["lru_age_seconds"],
+            **lifecycle.usage(artifacts),
+            "tensors": len(tensors),
+            "tensor_bytes": sum(artifact.size for artifact in tensors),
+            "calibrations": len(artifacts) - len(tensors),
         }
 
     # --------------------------------------------------------------- lifecycle
@@ -315,21 +285,18 @@ class TraceArtifactStore:
         self, max_bytes: int | None = None, max_age: float | None = None
     ) -> lifecycle.GCResult:
         """LRU-first collection of the artifact tier (defaults to the caps)."""
-        max_bytes = max_bytes if max_bytes is not None else self.max_bytes
-        max_age = max_age if max_age is not None else self.max_age
-        if max_bytes is None and max_age is None:
-            return lifecycle.GCResult(
-                remaining_entries=len(self.manifest),
-                remaining_bytes=self.manifest.total_bytes(),
-            )
-        return self.manifest.gc(max_bytes=max_bytes, max_age=max_age)
+        return lifecycle.gc(
+            self.directory,
+            max_bytes=self.max_bytes if max_bytes is None else max_bytes,
+            max_age=self.max_age if max_age is None else max_age,
+        )
 
     def clear(self) -> int:
         """Delete every artifact (tensors and calibrations)."""
-        return self.manifest.clear()
+        return lifecycle.clear(self.directory)
 
     def __len__(self) -> int:
-        return len(self.manifest)
+        return len(lifecycle.scan(self.directory))
 
 
 class MmapTraceBacking(TraceBacking):

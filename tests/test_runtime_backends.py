@@ -4,22 +4,24 @@ One parametrized battery runs against all backends, pinning the interface
 contract ``ResultCache`` (and therefore every layer above it) relies on:
 store/load/probe semantics, usage accounting, clear, corruption handling and
 persistence across instances.  The ``shared`` flavour is the filesystem
-backend as a sibling process sees a shared directory, re-syncing its
-manifest on every usage query.  The network cache tier
+backend over a directory it shares with the trace fabric's ``traces/``
+subdirectory, a sibling's in-flight temp write and an older release's
+``manifest.json``: none of them may count as an entry.  The network cache tier
 (``docs/cachenet.md``) runs the same battery against an in-process
 :class:`CacheServer` — both the bare :class:`RemoteBackend` client and the
 ``--cache-backend remote://`` composite :class:`TieredBackend`.
-Backend-specific behaviour (GC, manifest sync, degradation, negative
+Backend-specific behaviour (GC, sibling coherence, degradation, negative
 suppression) gets targeted classes below the shared battery.
 """
 
 import gzip
 import json
+import os
 import time
 
 import pytest
 
-from repro.runtime import backends, lifecycle
+from repro.runtime import lifecycle
 from repro.runtime.backends import CorruptEntry, FilesystemBackend, InMemoryBackend
 from repro.runtime.cache import ResultCache
 
@@ -27,7 +29,7 @@ BACKENDS = ("memory", "filesystem", "shared", "remote", "tiered")
 
 
 @pytest.fixture
-def make_backend(tmp_path, monkeypatch):
+def make_backend(tmp_path):
     """Factory building a fresh backend of the requested flavour.
 
     Repeated calls with the same flavour return backends over the *same*
@@ -44,8 +46,12 @@ def make_backend(tmp_path, monkeypatch):
         if flavour == "filesystem":
             return FilesystemBackend(tmp_path / "cache")
         if flavour == "shared":
-            monkeypatch.setattr(backends, "SYNC_INTERVAL", 0.0)
-            return FilesystemBackend(tmp_path / "cache")
+            directory = tmp_path / "shared"
+            if not directory.exists():
+                (directory / "traces").mkdir(parents=True)
+                (directory / ".k9-0123abcd.tmp").write_bytes(b"in flight")
+                (directory / "manifest.json").write_text('{"schema": 1, "entries": {}}')
+            return FilesystemBackend(directory)
         if flavour in ("remote", "tiered"):
             from repro.cachenet.backend import RemoteBackend, TieredBackend
             from repro.cachenet.server import CacheServer
@@ -207,21 +213,19 @@ class TestPersistentBackendGC:
 class TestSharedDirectoryBackend:
     """One filesystem backend per process, all over one shared directory."""
 
-    def test_sibling_stores_are_visible(self, tmp_path, monkeypatch):
+    def test_sibling_stores_are_visible(self, tmp_path):
         """Two backends on one directory see each other's entries and sizes."""
-        monkeypatch.setattr(backends, "SYNC_INTERVAL", 0.0)
         a = FilesystemBackend(tmp_path)
         b = FilesystemBackend(tmp_path)
         a.store("k1", {"a": 1}, "network_result")
         # Entry reads always go to the filesystem: immediately coherent.
         assert b.load("k1", "network_result") == {"a": 1}
         assert b.probe("k1", "network_result")
-        # Usage re-syncs from the shared manifest.
+        # Usage scans the shared directory.
         assert b.usage()["entries"] == 1
         assert len(b) == 1
 
-    def test_sibling_gc_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(backends, "SYNC_INTERVAL", 0.0)
+    def test_sibling_gc_respected(self, tmp_path):
         a = FilesystemBackend(tmp_path)
         b = FilesystemBackend(tmp_path)
         a.store("k1", {"a": 1}, "network_result")
@@ -233,23 +237,22 @@ class TestSharedDirectoryBackend:
     def test_gc_collects_entries_a_sibling_stored_after_load(self, tmp_path):
         a = FilesystemBackend(tmp_path)
         b = FilesystemBackend(tmp_path)
-        a.store("k1", {"a": 1}, "network_result")  # a has loaded its manifest
+        a.store("k1", {"a": 1}, "network_result")
         b.store("k2", {"b": 2}, "network_result")
         result = a.gc(max_bytes=0)
         assert result.remaining_entries == 0
         assert not lifecycle.entry_path(tmp_path, "k2").exists()
         assert sorted(result.removed_keys) == ["k1", "k2"]
 
-    def test_sync_is_throttled(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(backends, "SYNC_INTERVAL", 3600.0)
+    def test_sibling_store_shows_in_usage_at_once(self, tmp_path):
         a = FilesystemBackend(tmp_path)
         b = FilesystemBackend(tmp_path)
-        assert b.usage()["entries"] == 0  # sync clock starts now
-        a.store("k1", {"a": 1}, "network_result")
-        # Within the interval the stale view is allowed (and expected)...
         assert b.usage()["entries"] == 0
-        # ...but direct entry reads stay coherent regardless.
-        assert b.load("k1", "network_result") == {"a": 1}
+        a.store("k1", {"a": 1}, "network_result")
+        # No second copy of the directory goes stale: the very next query
+        # counts the sibling's entry.
+        assert b.usage()["entries"] == 1
+        assert len(b) == 1
 
 
 class TestNetworkCacheTier:
@@ -365,3 +368,48 @@ class TestNetworkCacheTier:
         with pytest.raises(ValueError):
             resolve_backend("redis://nope:1")
         tiered.close()
+
+
+class TestCacheServerKeys:
+    """Client keys cannot name a file outside the server's directory."""
+
+    @pytest.mark.parametrize("op", ["get", "probe", "put", "touch"])
+    def test_traversal_keys_touch_nothing_outside(self, tmp_path, op):
+        from repro.cachenet.server import CacheServer
+
+        server = CacheServer(directory=tmp_path / "cache")
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        victims = {
+            "../outside/settings": outside / "settings.json",
+            str(outside / "tensor"): outside / "tensor.npy",
+        }
+        for path in victims.values():
+            path.write_text("not a cache entry")
+            os.utime(path, (1000.0, 1000.0))
+
+        def state():
+            return {
+                path.name: (path.read_bytes(), path.stat().st_mtime_ns)
+                for path in sorted(outside.iterdir())
+            }
+
+        before = state()
+        replies = [
+            server.handle_message(
+                {"op": op, "key": key, "kind": "network_result", "payload": {"a": 1}},
+                True,
+            )
+            for key in [*victims, None, 7]
+        ]
+        assert state() == before
+        assert list((tmp_path / "cache").iterdir()) == []
+        for response, authenticated, keep_open in replies:
+            assert response == {"ok": False, "error": "invalid key"}
+            assert authenticated and keep_open
+
+    def test_path_builders_refuse_non_token_keys(self, tmp_path):
+        for key in ("../x", "/abs/x", "a.b", "", "x" * 129, None):
+            with pytest.raises(ValueError):
+                lifecycle.entry_path(tmp_path, key)
+        assert lifecycle.entry_path(tmp_path, "f" * 64) == tmp_path / f"{'f' * 64}.json.gz"

@@ -1,20 +1,24 @@
-"""Tests for the cache-lifecycle layer: manifest, compression, GC, CLI verbs.
+"""Tests for the cache-lifecycle layer: directory index, compression, GC, CLI verbs.
 
-The lifecycle contract: entry counts and disk usage come from the persistent
-manifest (no directory scans), garbage collection evicts least-recently-used
-entries first under a byte cap, new entries are gzip-compressed while legacy
-uncompressed entries keep hitting, and the in-process memo of a disk cache is
-bounded without ever losing disk hits.
+The lifecycle contract: the cache directory is its own index.  A store is one
+entry-file write, entry counts and disk usage are one directory scan, an
+entry's LRU clock is its file's mtime, garbage collection evicts
+least-recently-used entries first under a byte cap, new entries are
+gzip-compressed while legacy uncompressed entries keep hitting, and the
+in-process memo of a disk cache is bounded without ever losing disk hits.
 """
 
 import gzip
 import json
+import os
+import time
 
 import pytest
 
 from repro.experiments.runner import main as runner_main
+from repro.runtime import cache as cache_module
+from repro.runtime.backends import FilesystemBackend
 from repro.runtime.cache import ResultCache
-from repro.runtime.lifecycle import MANIFEST_NAME, CacheManifest
 
 PAYLOAD = {"network": "alexnet", "accelerator": "x", "layers": []}
 
@@ -24,44 +28,36 @@ def legacy_entry(key: str, payload: dict, kind: str = "network_result") -> str:
     return json.dumps({"schema": 1, "kind": kind, "key": key, "payload": payload})
 
 
-# -------------------------------------------------------------------- manifest
+def set_last_use(directory, key: str, when: float) -> None:
+    """Set ``key``'s LRU clock, which is its entry file's mtime."""
+    os.utime(directory / f"{key}.json.gz", (when, when))
+
+
+def file_states(directory) -> dict:
+    """Every file's ``(st_ino, st_size, st_mtime_ns, bytes)`` by name."""
+    states = {}
+    for path in directory.iterdir():
+        info = path.stat()
+        states[path.name] = (info.st_ino, info.st_size, info.st_mtime_ns, path.read_bytes())
+    return states
+
+
+# ------------------------------------------------------------- directory index
 class TestManifest:
-    def test_len_reads_the_manifest_not_the_directory(self, tmp_path):
+    """The directory is the manifest: counts, sizes and LRU order come from
+    the entry files themselves, so no second copy can disagree with them."""
+
+    def test_a_removed_entry_file_is_no_longer_counted(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
         cache.put("aaa", PAYLOAD)
         cache.put("bbb", PAYLOAD)
-        # Remove one entry file behind the manifest's back: a fresh cache's
-        # count still comes from the index, proving no glob happens.
         (tmp_path / "aaa.json.gz").unlink()
-        fresh = ResultCache(directory=tmp_path)
-        assert len(fresh) == 2
-        assert fresh.usage()["entries"] == 2
+        assert len(cache) == 1
+        usage = cache.usage()
+        assert usage["entries"] == 1
+        assert usage["disk_bytes"] == (tmp_path / "bbb.json.gz").stat().st_size
 
-    def test_manifest_maintained_incrementally(self, tmp_path):
-        cache = ResultCache(directory=tmp_path)
-        cache.put("aaa", PAYLOAD)
-        raw = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        assert set(raw["entries"]) == {"aaa"}
-        meta = raw["entries"]["aaa"]
-        assert meta["kind"] == "network_result"
-        assert meta["size"] == (tmp_path / "aaa.json.gz").stat().st_size
-        assert meta["created"] <= meta["last_used"]
-
-    def test_corrupted_manifest_is_rebuilt_from_the_directory(self, tmp_path):
-        cache = ResultCache(directory=tmp_path)
-        cache.put("aaa", PAYLOAD)
-        cache.put("bbb", PAYLOAD)
-        (tmp_path / MANIFEST_NAME).write_text("{not json")
-        fresh = ResultCache(directory=tmp_path)
-        assert len(fresh) == 2
-        assert fresh.manifest.rebuilds == 1
-        assert fresh.usage()["disk_bytes"] > 0
-        # The rebuild was persisted: the next instance loads it directly.
-        again = ResultCache(directory=tmp_path)
-        assert len(again) == 2
-        assert again.manifest.rebuilds == 0
-
-    def test_missing_manifest_rebuild_indexes_legacy_entries(self, tmp_path):
+    def test_legacy_entries_are_counted(self, tmp_path):
         (tmp_path / "old.json").write_text(legacy_entry("old", PAYLOAD))
         cache = ResultCache(directory=tmp_path)
         assert len(cache) == 1
@@ -70,36 +66,109 @@ class TestManifest:
     def test_external_clear_is_not_resurrected_by_a_live_process(self, tmp_path):
         live = ResultCache(directory=tmp_path)
         live.put("aaa", PAYLOAD)
-        # Another process clears the cache (entry files + manifest gone).
+        # Another process clears the cache.
         ResultCache(directory=tmp_path).clear()
-        # The live process's next store must not write its stale record back.
+        # The live process's next store must not bring the cleared entry back.
         live.put("bbb", PAYLOAD)
-        fresh = ResultCache(directory=tmp_path)
-        assert set(fresh.manifest.entries()) == {"bbb"}
-        assert fresh.usage()["entries"] == 1
+        assert [path.name for path in tmp_path.iterdir()] == ["bbb.json.gz"]
+        assert ResultCache(directory=tmp_path).usage()["entries"] == 1
 
-    def test_memo_hits_advance_the_lru_clock(self, tmp_path):
+    def test_memo_hits_advance_the_lru_clock(self, tmp_path, monkeypatch):
         # Regression: a hot entry answered from the in-process memo must not
         # look least-recently-used to GC.
+        monkeypatch.setattr(cache_module, "USE_GRANULARITY", 0.0)
         cache = ResultCache(directory=tmp_path)
         cache.put("aaa", PAYLOAD)
         cache.put("bbb", PAYLOAD)
-        cache.manifest.record_use("aaa", now=1000.0)
-        cache.manifest.record_use("bbb", now=2000.0)
+        set_last_use(tmp_path, "aaa", 1000.0)
+        set_last_use(tmp_path, "bbb", 2000.0)
         assert cache.get("aaa") == PAYLOAD  # memo hit (real-time timestamp)
-        entries = cache.manifest.entries()
-        assert entries["aaa"]["last_used"] > entries["bbb"]["last_used"]
+        mtime = {key: (tmp_path / f"{key}.json.gz").stat().st_mtime for key in ("aaa", "bbb")}
+        assert mtime["aaa"] > mtime["bbb"]
+
+    def test_memo_hits_touch_the_backend_once_per_window(self, tmp_path, monkeypatch):
+        cache = ResultCache(directory=tmp_path)
+        cache.put("aaa", PAYLOAD)
+        touched = []
+        monkeypatch.setattr(cache.backend, "touch", touched.append)
+        for _ in range(100):
+            assert cache.get("aaa") == PAYLOAD
+        assert touched == []  # the store itself set the clock this window
+        monkeypatch.setattr(cache_module, "USE_GRANULARITY", 0.0)
+        assert cache.get("aaa") == PAYLOAD
+        assert touched == ["aaa"]
 
     def test_concurrent_writers_merge_instead_of_clobbering(self, tmp_path):
         # Two processes sharing one directory are modeled by two instances
-        # whose manifests were loaded before either stored anything.
+        # that both counted the directory before either stored anything.
         first = ResultCache(directory=tmp_path)
         second = ResultCache(directory=tmp_path)
-        assert len(first) == 0 and len(second) == 0  # both indexes loaded
+        assert len(first) == 0 and len(second) == 0
         first.put("aaa", PAYLOAD)
         second.put("bbb", PAYLOAD)
-        merged = CacheManifest(tmp_path)
-        assert set(merged.entries()) == {"aaa", "bbb"}
+        assert len(first) == len(second) == 2
+
+    def test_a_store_writes_one_file_and_scans_nothing(self, tmp_path, monkeypatch):
+        backend = FilesystemBackend(tmp_path)
+        for index in range(200):
+            backend.store(f"k{index:03d}", {"i": index}, "network_result")
+        before = file_states(tmp_path)
+        listings = []
+        for name in ("scandir", "listdir"):
+            real = getattr(os, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                listings.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(os, name, spy)
+        backend.store("fresh", PAYLOAD, "network_result")
+        monkeypatch.undo()
+        assert listings == []
+        after = file_states(tmp_path)
+        assert set(after) - set(before) == {"fresh.json.gz"}
+        assert {name: after[name] for name in before} == before
+
+
+# -------------------------------------------------------------- parent layout
+class TestParentLayout:
+    """A directory in the manifest-indexed layout of older releases."""
+
+    def build(self, directory):
+        for key in ("aaa", "bbb"):
+            entry = {"schema": 1, "kind": "network_result", "key": key, "payload": PAYLOAD}
+            data = gzip.compress(json.dumps(entry).encode("utf-8"), mtime=0)
+            (directory / f"{key}.json.gz").write_bytes(data)
+        (directory / "old.json").write_text(legacy_entry("old", PAYLOAD))
+        index = {
+            key: {"kind": None, "size": 1, "created": 1000.0, "last_used": 1000.0}
+            for key in ("aaa", "bbb", "old")
+        }
+        (directory / "manifest.json").write_text(json.dumps({"schema": 1, "entries": index}))
+
+    @pytest.mark.parametrize("with_index", [True, False])
+    def test_cache_stats_counts_entries_and_writes_nothing(
+        self, monkeypatch, tmp_path, capsys, with_index
+    ):
+        self.build(tmp_path)
+        if not with_index:
+            (tmp_path / "manifest.json").unlink()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        before = file_states(tmp_path)
+        assert runner_main(["--cache-stats"]) == 0
+        assert "entries: 3\n" in capsys.readouterr().out
+        assert file_states(tmp_path) == before
+
+    def test_entries_hit_and_cache_clear_empties_the_directory(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        self.build(tmp_path)
+        cache = ResultCache(directory=tmp_path)
+        assert all(cache.get(key) == PAYLOAD for key in ("aaa", "bbb", "old"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert runner_main(["--cache-clear"]) == 0
+        assert "cleared 3 entries" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------- compression
@@ -145,12 +214,12 @@ class TestGarbageCollection:
         for index, key in enumerate(keys):
             cache.put(key, {**PAYLOAD, "index": index})
             # Deterministic, strictly increasing LRU timestamps.
-            cache.manifest.record_use(key, now=1000.0 + index)
+            set_last_use(tmp_path, key, 1000.0 + index)
         return cache
 
     def test_gc_respects_the_byte_cap_evicting_lru_first(self, tmp_path):
         cache = self.fill(tmp_path, ["aaa", "bbb", "ccc"])
-        sizes = {key: meta["size"] for key, meta in cache.manifest.entries().items()}
+        sizes = {path.name[:3]: path.stat().st_size for path in tmp_path.iterdir()}
         # Cap leaves room for exactly the two most recently used entries.
         result = cache.gc(max_bytes=sizes["bbb"] + sizes["ccc"])
         assert result.removed_keys == ["aaa"]
@@ -161,10 +230,11 @@ class TestGarbageCollection:
 
     def test_gc_max_age_evicts_stale_entries(self, tmp_path):
         cache = self.fill(tmp_path, ["aaa", "bbb"])
-        result = cache.manifest.gc(max_age=10.0, now=1011.0)
-        # now=1011: aaa was last used at 1000 (age 11 > 10), bbb at 1001.
+        set_last_use(tmp_path, "bbb", time.time())
+        result = cache.gc(max_age=3600.0)
+        # aaa was last used at 1000 (decades ago), bbb just now.
         assert result.removed_keys == ["aaa"]
-        assert len(cache.manifest) == 1
+        assert len(cache) == 1
 
     def test_gc_without_bounds_is_a_no_op(self, tmp_path):
         cache = self.fill(tmp_path, ["aaa"])
@@ -180,9 +250,10 @@ class TestGarbageCollection:
 
     def test_clear_removes_entries_and_manifest(self, tmp_path):
         cache = self.fill(tmp_path, ["aaa", "bbb"])
+        (tmp_path / "manifest.json").write_text("{}")  # an older release's index
         assert cache.clear() == 2
         assert len(cache) == 0
-        assert not (tmp_path / "aaa.json.gz").exists()
+        assert list(tmp_path.iterdir()) == []
         assert cache.get("aaa") is None
         # A cleared cache keeps working.
         cache.put("ccc", PAYLOAD)
@@ -191,14 +262,14 @@ class TestGarbageCollection:
     def test_clear_removes_unindexed_orphan_files(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
         cache.put("aaa", PAYLOAD)
-        # A file a lost manifest race left unindexed must not survive clear().
+        # An entry file no instance of this process wrote still goes.
         (tmp_path / "orphan.json.gz").write_bytes(gzip.compress(b"{}"))
         assert cache.clear() == 2
         assert list(tmp_path.iterdir()) == []
 
     def test_survivors_still_hit_after_gc_across_instances(self, tmp_path):
         cache = self.fill(tmp_path, ["aaa", "bbb", "ccc"])
-        cache.gc(max_bytes=cache.manifest.total_bytes() - 1)  # evicts aaa only
+        cache.gc(max_bytes=cache.usage()["disk_bytes"] - 1)  # evicts aaa only
         fresh = ResultCache(directory=tmp_path)
         assert fresh.get("bbb") is not None
         assert fresh.get("ccc") is not None
@@ -276,7 +347,7 @@ class TestCacheCLI:
 
     def test_cache_gc_enforces_the_byte_cap(self, monkeypatch, tmp_path, capsys):
         cache = self.populate(monkeypatch, tmp_path)
-        cache.manifest.record_use("bbb", now=9e9)  # bbb most recently used
+        set_last_use(tmp_path, "bbb", 9e9)  # bbb most recently used
         assert runner_main(["--cache-gc", "--max-bytes", "1"]) == 0
         assert "evicted 2 entries" in capsys.readouterr().out
         assert len(ResultCache(directory=tmp_path)) == 0

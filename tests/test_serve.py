@@ -602,7 +602,7 @@ class TestServiceInProcess:
                 assert stats["cache"]["entries"] == 1
                 assert stats["cache"]["disk_bytes"] > 0
                 assert stats["cache"]["memo_entries"] == 1
-                assert stats["cache"]["oldest_age_seconds"] is not None
+                assert stats["cache"]["lru_age_seconds"] is not None
 
         run(scenario())
 
