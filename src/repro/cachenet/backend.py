@@ -1,23 +1,21 @@
-"""Client-side cache backends for the network tier (``docs/cachenet.md``).
+"""The client side of the network cache tier (``docs/cachenet.md``).
 
-Two :class:`~repro.runtime.backends.CacheBackend` implementations plug the
-cache server of :mod:`repro.cachenet.server` into everything the runtime
-already does with a cache — sessions, the planner's probes, the ``cache``
-section of serve ``stats``:
+:class:`RemoteBackend` plugs the cache server of
+:mod:`repro.cachenet.server` into everything the runtime already does with a
+cache — sessions, the planner's probes, the ``cache`` section of serve
+``stats``.  It is a synchronous TCP client (the cache is driven from worker
+threads, so there is nothing to gain from asyncio here).  Transport failures
+are bounded: connect/request timeouts, a bounded retry loop with exponential
+backoff plus jitter, and a circuit breaker that — once
+:data:`BREAKER_THRESHOLD` consecutive requests have failed — stops touching
+the network for :data:`BREAKER_COOLDOWN` seconds.  In every failure mode the
+backend *degrades to a cache miss*: a simulation recomputes instead of
+erroring, and the ``remote_degraded`` counter records that it happened.
 
-* :class:`RemoteBackend` — a synchronous TCP client (the cache is driven from
-  worker threads, so there is nothing to gain from asyncio here).  Transport
-  failures are bounded: connect/request timeouts, a bounded retry loop with
-  exponential backoff plus jitter, and a circuit breaker that — once
-  :data:`BREAKER_THRESHOLD` consecutive requests have failed — stops touching
-  the network for :data:`BREAKER_COOLDOWN` seconds.  In every failure mode the
-  backend *degrades to a cache miss*: a simulation recomputes instead of
-  erroring, and the ``remote_degraded`` counter records that it happened.
-* :class:`TieredBackend` — the write-through memory→remote composite selected
-  by ``--cache-backend remote://host:port``: a bounded in-process LRU front
-  absorbs repeat reads, stores go to both tiers, and *negative-lookup
-  suppression* remembers recent remote misses for a short TTL so planning
-  probes of absent keys do not hammer the server.
+The backend keeps no payload or miss cache of its own: the
+:class:`~repro.runtime.cache.ResultCache` memo above it already answers warm
+hits without a round trip (and outlives a dead server), and every miss asks
+the server, so a sibling's store is seen at once.
 
 :func:`resolve_backend` maps the ``--cache-backend`` URI scheme
 (``remote://host:port``, ``memory://``, or a plain directory path) to a
@@ -27,7 +25,6 @@ argv.
 
 from __future__ import annotations
 
-import collections
 import os
 import random
 import socket
@@ -48,16 +45,21 @@ from repro.runtime.lifecycle import GCResult
 __all__ = [
     "RemoteBackend",
     "RemoteUnavailable",
-    "TieredBackend",
     "resolve_backend",
 ]
 
+#: Seconds allowed to open a connection to the cache server.
+CONNECT_TIMEOUT = 2.0
+#: Seconds allowed for one request/response on an open connection.
+REQUEST_TIMEOUT = 10.0
+#: Extra attempts after a failed request, before it degrades.
+RETRIES = 2
+#: Seconds before the first retry; each later retry doubles it (plus jitter).
+BACKOFF = 0.1
 #: Consecutive transport failures before the circuit breaker opens.
 BREAKER_THRESHOLD = 3
 #: Seconds the breaker stays open before allowing one probe request.
 BREAKER_COOLDOWN = 5.0
-#: Seconds a remote miss suppresses repeat lookups of the same key (tiered).
-NEGATIVE_TTL = 30.0
 
 
 class RemoteUnavailable(OSError):
@@ -77,27 +79,10 @@ class RemoteBackend(CacheBackend):
 
     persistent = True
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        auth_token: str | None = None,
-        connect_timeout: float = 2.0,
-        request_timeout: float = 10.0,
-        retries: int = 2,
-        backoff: float = 0.1,
-        breaker_threshold: int = BREAKER_THRESHOLD,
-        breaker_cooldown: float = BREAKER_COOLDOWN,
-    ) -> None:
+    def __init__(self, host: str, port: int, auth_token: str | None = None) -> None:
         self.host = host
         self.port = port
         self.auth_token = auth_token
-        self.connect_timeout = connect_timeout
-        self.request_timeout = request_timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown = breaker_cooldown
         self._lock = threading.Lock()
         self._sock: socket.socket | None = None
         self._stream: BinaryIO | None = None
@@ -120,10 +105,8 @@ class RemoteBackend(CacheBackend):
         self._sock = None
 
     def _connect_locked(self) -> None:
-        sock = socket.create_connection(
-            (self.host, self.port), timeout=self.connect_timeout
-        )
-        sock.settimeout(self.request_timeout)
+        sock = socket.create_connection((self.host, self.port), timeout=CONNECT_TIMEOUT)
+        sock.settimeout(REQUEST_TIMEOUT)
         stream = sock.makefile("rwb")
         self._sock, self._stream = sock, stream
         if self.auth_token is not None:
@@ -151,14 +134,14 @@ class RemoteBackend(CacheBackend):
                 self.remote_degraded += 1
                 raise RemoteUnavailable("circuit breaker open")
             last_error: Exception | None = None
-            for attempt in range(self.retries + 1):
+            for attempt in range(RETRIES + 1):
                 try:
                     response = self._roundtrip_locked(message)
                 except (OSError, FrameError, ConnectionError) as error:
                     last_error = error
                     self._close_locked()
-                    if attempt < self.retries:
-                        delay = self.backoff * (2**attempt)
+                    if attempt < RETRIES:
+                        delay = BACKOFF * (2**attempt)
                         time.sleep(delay * (0.5 + random.random() / 2))
                     continue
                 self._failures = 0
@@ -168,8 +151,8 @@ class RemoteBackend(CacheBackend):
                     )
                 return response
             self._failures += 1
-            if self._failures >= self.breaker_threshold:
-                self._breaker_open_until = time.monotonic() + self.breaker_cooldown
+            if self._failures >= BREAKER_THRESHOLD:
+                self._breaker_open_until = time.monotonic() + BREAKER_COOLDOWN
                 self._failures = 0
             self.remote_degraded += 1
             raise RemoteUnavailable(str(last_error))
@@ -279,148 +262,11 @@ class RemoteBackend(CacheBackend):
         return int(self.usage().get("entries", 0))
 
 
-class TieredBackend(CacheBackend):
-    """Write-through memory→remote composite with negative-lookup suppression.
-
-    The remote tier is authoritative (``len``/``usage``/GC answer from it);
-    the memory tier is a bounded LRU of payloads this process already pulled
-    over the wire, and the negative cache remembers keys the remote recently
-    missed so repeated planning probes of an absent key cost one lookup per
-    :data:`NEGATIVE_TTL` window instead of one round trip each.  A ``store``
-    always invalidates the key's negative entry before writing through.
-    """
-
-    persistent = True
-
-    def __init__(
-        self,
-        remote: RemoteBackend,
-        memory_entries: int = 512,
-        negative_ttl: float = NEGATIVE_TTL,
-        negative_entries: int = 4096,
-    ) -> None:
-        self.remote = remote
-        self.memory_entries = memory_entries
-        self.negative_ttl = negative_ttl
-        self.negative_entries = negative_entries
-        self._lock = threading.Lock()
-        self._memory: collections.OrderedDict[tuple[str, str], dict] = (
-            collections.OrderedDict()
-        )
-        self._negative: collections.OrderedDict[tuple[str, str], float] = (
-            collections.OrderedDict()
-        )
-        self.suppressed = 0
-
-    # ------------------------------------------------------------ memory tier
-    def _memory_get(self, key: str, kind: str) -> dict | None:
-        with self._lock:
-            payload = self._memory.get((key, kind))
-            if payload is not None:
-                self._memory.move_to_end((key, kind))
-            return payload
-
-    def _memory_put(self, key: str, kind: str, payload: dict) -> None:
-        with self._lock:
-            self._memory[(key, kind)] = payload
-            self._memory.move_to_end((key, kind))
-            while len(self._memory) > self.memory_entries:
-                self._memory.popitem(last=False)
-
-    def _negative_hit(self, key: str, kind: str) -> bool:
-        with self._lock:
-            deadline = self._negative.get((key, kind))
-            if deadline is None:
-                return False
-            if time.monotonic() >= deadline:
-                del self._negative[(key, kind)]
-                return False
-            self.suppressed += 1
-            return True
-
-    def _negative_put(self, key: str, kind: str) -> None:
-        with self._lock:
-            self._negative[(key, kind)] = time.monotonic() + self.negative_ttl
-            self._negative.move_to_end((key, kind))
-            while len(self._negative) > self.negative_entries:
-                self._negative.popitem(last=False)
-
-    def _negative_drop(self, key: str, kind: str) -> None:
-        with self._lock:
-            self._negative.pop((key, kind), None)
-
-    # ---------------------------------------------------------------- backend
-    def load(self, key: str, kind: str) -> dict | None:
-        payload = self._memory_get(key, kind)
-        if payload is not None:
-            return payload
-        if self._negative_hit(key, kind):
-            return None
-        payload = self.remote.load(key, kind)
-        if payload is None:
-            self._negative_put(key, kind)
-            return None
-        self._memory_put(key, kind, payload)
-        return payload
-
-    def probe(self, key: str, kind: str) -> bool:
-        if self._memory_get(key, kind) is not None:
-            return True
-        if self._negative_hit(key, kind):
-            return False
-        hit = self.remote.probe(key, kind)
-        if not hit:
-            self._negative_put(key, kind)
-        return hit
-
-    def store(self, key: str, payload: dict, kind: str) -> None:
-        self._negative_drop(key, kind)
-        self._memory_put(key, kind, payload)
-        self.remote.store(key, payload, kind)
-
-    def touch(self, key: str) -> None:
-        self.remote.touch(key)
-
-    def usage(self) -> dict:
-        usage = self.remote.usage()
-        with self._lock:
-            usage.update(
-                memory_entries=len(self._memory),
-                negative_entries=len(self._negative),
-                suppressed_lookups=self.suppressed,
-            )
-        return usage
-
-    def gc(self, max_bytes: int | None = None, max_age: float | None = None) -> GCResult:
-        result = self.remote.gc(max_bytes=max_bytes, max_age=max_age)
-        if result.removed_keys:
-            removed = set(result.removed_keys)
-            with self._lock:
-                for memo_key in [mk for mk in self._memory if mk[0] in removed]:
-                    del self._memory[memo_key]
-        return result
-
-    def clear(self) -> int:
-        with self._lock:
-            self._memory.clear()
-            self._negative.clear()
-        return self.remote.clear()
-
-    def describe(self) -> str:
-        return f"tiered:memory+{self.remote.describe()}"
-
-    def close(self) -> None:
-        self.remote.close()
-
-    def __len__(self) -> int:
-        return len(self.remote)
-
-
 def resolve_backend(spec: "str | CacheBackend") -> CacheBackend:
     """A backend for a ``--cache-backend`` spec (instances pass through).
 
-    * ``remote://host:port`` — a :class:`TieredBackend` over a
-      :class:`RemoteBackend`; auth token from ``REPRO_CACHE_TOKEN``.
+    * ``remote://host:port`` — a :class:`RemoteBackend`; auth token from
+      ``REPRO_CACHE_TOKEN``.
     * ``memory://`` — a per-process :class:`InMemoryBackend`.
     * anything else — a directory path served by a
       :class:`~repro.runtime.backends.FilesystemBackend`.
@@ -433,7 +279,7 @@ def resolve_backend(spec: "str | CacheBackend") -> CacheBackend:
     if spec.startswith("remote://"):
         host, port = parse_endpoint(spec[len("remote://") :].rstrip("/"))
         token = os.environ.get("REPRO_CACHE_TOKEN") or None
-        return TieredBackend(RemoteBackend(host, port, auth_token=token))
+        return RemoteBackend(host, port, auth_token=token)
     if spec.startswith("memory://"):
         return InMemoryBackend()
     if "://" in spec:

@@ -42,7 +42,7 @@ from pathlib import Path
 
 from repro.cachenet.protocol import FrameError, read_frame, write_frame
 from repro.runtime.backends import CorruptEntry, FilesystemBackend
-from repro.runtime.lifecycle import GCResult, is_key
+from repro.runtime.lifecycle import GCResult, gc_bounds, is_key
 
 __all__ = ["CacheServer"]
 
@@ -154,11 +154,17 @@ class CacheServer:
         return self.backend.directory
 
     # ---------------------------------------------------------------- dispatch
-    def check_auth(self, token: str | None) -> bool:
+    def check_auth(self, token: object) -> bool:
         """Constant-time token check (mirrors the serve layer's)."""
         if self.auth_token is None:
             return True
-        return hmac.compare_digest(str(token or ""), self.auth_token)
+        if not isinstance(token, str):
+            return False
+        # Bytes, not str: ``compare_digest`` refuses non-ASCII strings, and a
+        # JSON string may even hold a lone surrogate.
+        return hmac.compare_digest(
+            token.encode("utf-8", "surrogatepass"), self.auth_token.encode("utf-8")
+        )
 
     def handle_message(
         self, message: dict, authenticated: bool
@@ -167,6 +173,8 @@ class CacheServer:
         op = message.get("op")
         with self._lock:
             self.requests += 1
+        if not isinstance(op, str):
+            return {"ok": False, "error": "op must be a string"}, authenticated, True
         if not authenticated and op not in _PRE_AUTH_OPS:
             return {"ok": False, "error": "authentication required"}, False, True
         if op in _KEYED_OPS and not is_key(message.get("key")):
@@ -190,7 +198,11 @@ class CacheServer:
             if op == "usage":
                 return {"ok": True, "usage": self.backend.usage()}, authenticated, True
             if op == "gc":
-                result = self._gc(message.get("max_bytes"), message.get("max_age"))
+                try:
+                    bounds = gc_bounds(message)
+                except ValueError as error:
+                    return {"ok": False, "error": str(error)}, authenticated, True
+                result = self._gc(**bounds)
                 return {"ok": True, "gc": dataclasses.asdict(result)}, authenticated, True
             if op == "clear":
                 removed = self.backend.clear()

@@ -88,6 +88,10 @@ MONITOR_INTERVAL = 0.25
 #: A flight gives up after this many worker deaths (each one requeues).
 MAX_FLIGHT_REQUEUES = 8
 
+#: Bound on client jobs the coordinator plans and dispatches concurrently
+#: (the inherited pool size).
+CONCURRENT_REQUESTS = 4
+
 
 class ClusterError(RuntimeError):
     """A cluster-level failure (no live workers, handshake failure, ...)."""
@@ -149,16 +153,21 @@ class WorkerLink:
         with contextlib.suppress(Exception):
             await self.client.close()
         if self.process is not None:
-            if self.process.returncode is None:
-                with contextlib.suppress(ProcessLookupError):
-                    self.process.terminate()
-            with contextlib.suppress(Exception):
-                await asyncio.wait_for(self.process.wait(), timeout=10)
-            if self.process.returncode is None:  # pragma: no cover - last resort
-                with contextlib.suppress(ProcessLookupError):
-                    self.process.kill()
-                with contextlib.suppress(Exception):
-                    await self.process.wait()
+            await _reap(self.process)
+
+
+async def _reap(process: asyncio.subprocess.Process) -> None:
+    """Terminate ``process`` (kill it if that is not enough) and wait for it."""
+    if process.returncode is None:
+        with contextlib.suppress(ProcessLookupError):
+            process.terminate()
+    with contextlib.suppress(Exception):
+        await asyncio.wait_for(process.wait(), timeout=10)
+    if process.returncode is None:  # pragma: no cover - last resort
+        with contextlib.suppress(ProcessLookupError):
+            process.kill()
+        with contextlib.suppress(Exception):
+            await process.wait()
 
 
 class _Flight:
@@ -234,9 +243,6 @@ class ClusterService(ExperimentService):
     worker_processes:
         ``--workers`` passed to each spawned worker (its own job-execution
         bound).
-    concurrent_requests:
-        Bound on client jobs the coordinator plans/dispatches concurrently
-        (the inherited pool size).
     worker_token:
         Shared secret for worker registration; generated when omitted.
         Spawned workers receive it via ``REPRO_SERVE_TOKEN`` in their
@@ -268,7 +274,6 @@ class ClusterService(ExperimentService):
         connect: list[tuple[str, int]] | None = None,
         cache_dir: str | Path | None = None,
         worker_processes: int = 2,
-        concurrent_requests: int = 4,
         worker_token: str | None = None,
         auth_token: str | None = None,
         trace_dir: str | Path | None = None,
@@ -292,7 +297,7 @@ class ClusterService(ExperimentService):
             trace_dir=trace_dir,
             no_trace_cache=no_trace_cache,
             cache_backend=cache_backend,
-            workers=concurrent_requests,
+            workers=CONCURRENT_REQUESTS,
             auth_token=auth_token,
         )
         self.pool.executor = self._execute_cluster
@@ -391,15 +396,21 @@ class ClusterService(ExperimentService):
         )
         try:
             line = await asyncio.wait_for(process.stdout.readline(), SPAWN_TIMEOUT)
-            ready = json.loads(line)
-            if ready.get("event") != "worker-listening":
-                raise ClusterError(f"unexpected worker banner: {ready!r}")
+            if not line:
+                status = await asyncio.wait_for(process.wait(), SPAWN_TIMEOUT)
+                raise ClusterError(
+                    f"worker {worker_id} exited with status {status} before its banner"
+                )
+            try:
+                ready = json.loads(line)
+            except json.JSONDecodeError:
+                ready = None
+            if not isinstance(ready, dict) or ready.get("event") != "worker-listening":
+                raise ClusterError(f"unexpected worker banner from {worker_id}: {line!r}")
             host, port = ready["host"], int(ready["port"])
             return await self._handshake(worker_id, host, port, process)
         except BaseException:
-            if process.returncode is None:
-                with contextlib.suppress(ProcessLookupError):
-                    process.terminate()
+            await _reap(process)
             raise
 
     async def _attach_worker(self, worker_id: str, host: str, port: int) -> WorkerLink:

@@ -182,8 +182,7 @@ class LoadReport:
             lines.append(
                 f"  remote     {remote.get('endpoint', '?')}: "
                 f"{remote.get('hits', 0)} hits / {remote.get('misses', 0)} misses, "
-                f"{remote.get('degraded', 0)} degraded, "
-                f"{remote.get('suppressed_lookups', 0)} negative-suppressed"
+                f"{remote.get('degraded', 0)} degraded"
             )
         if self.utilization is not None:
             lines.append(

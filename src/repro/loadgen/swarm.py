@@ -59,14 +59,12 @@ class LoadSwarm:
         port: int,
         auth_token: str | None = None,
         target: str = "connect",
-        request_timeout: float = REQUEST_TIMEOUT,
     ) -> None:
         self.mix = mix
         self.host = host
         self.port = port
         self.auth_token = auth_token
         self.target = target
-        self.request_timeout = request_timeout
 
     # ----------------------------------------------------------------- requests
     async def _run_plain(self, client: ServeClient, planned: PlannedRequest, report: LoadReport):
@@ -109,7 +107,7 @@ class LoadSwarm:
         try:
             runner = self._run_streamed if streamed else self._run_plain
             state, timings, coalesced, error = await asyncio.wait_for(
-                runner(client, planned, report), timeout=self.request_timeout
+                runner(client, planned, report), timeout=REQUEST_TIMEOUT
             )
         except asyncio.TimeoutError:
             report.failed += 1
@@ -205,8 +203,6 @@ class LoadSwarm:
                 "hits": cache.get("remote_hits", 0),
                 "misses": cache.get("remote_misses", 0),
                 "degraded": cache.get("remote_degraded", 0),
-                "negative_entries": cache.get("negative_entries", 0),
-                "suppressed_lookups": cache.get("suppressed_lookups", 0),
             }
         cluster = stats.get("cluster")
         if cluster:

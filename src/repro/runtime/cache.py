@@ -226,11 +226,11 @@ class ResultCache:
             "lru_age_seconds": usage.get("lru_age_seconds"),
         }
         # The network cache tier (docs/cachenet.md) reports extra gauges —
-        # remote hit/miss/degraded counters, negative-lookup suppression —
-        # that run summaries, the serve ``stats`` op and loadgen reports
-        # surface; pass them through rather than flattening them away.
+        # its endpoint, reachability and hit/miss/degraded counters — that
+        # run summaries, the serve ``stats`` op and loadgen reports surface;
+        # pass them through rather than flattening them away.
         for key, value in usage.items():
-            if key.startswith(("remote_", "negative_", "suppressed_", "memory_")):
+            if key.startswith("remote_"):
                 payload[key] = value
         return payload
 

@@ -56,6 +56,7 @@ __all__ = [
     "entry_path",
     "find_entry",
     "gc",
+    "gc_bounds",
     "is_key",
     "read_entry",
     "scan",
@@ -269,6 +270,24 @@ class GCResult:
             f"evicted {self.removed_entries} entries ({self.removed_bytes} bytes); "
             f"{self.remaining_entries} entries ({self.remaining_bytes} bytes) remain"
         )
+
+
+def gc_bounds(message: dict) -> dict:
+    """The ``max_bytes``/``max_age`` bounds of a ``gc`` request, checked.
+
+    Both wire front-ends (the serve and cache-server ``gc`` ops) take their
+    bounds from here.  A bound may be absent or ``None`` (not enforced);
+    anything but a non-negative number raises ``ValueError``.
+    """
+    bounds = {}
+    for name in ("max_bytes", "max_age"):
+        value = message.get(name)
+        if value is not None and (
+            not isinstance(value, (int, float)) or isinstance(value, bool) or not value >= 0
+        ):
+            raise ValueError(f"{name} must be a non-negative number")
+        bounds[name] = value
+    return bounds
 
 
 def gc(

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.runtime import RunStats, RuntimeSession, build_session
+from repro.runtime.lifecycle import gc_bounds
 from repro.serve.protocol import (
     CONTROL_OPS,
     JOB_OPS,
@@ -458,15 +459,11 @@ class ExperimentService:
         elif op == "stats":
             reply(self.stats())
         elif op == "gc":
-            bounds = {}
-            for name in ("max_bytes", "max_age"):
-                value = message.get(name)
-                if value is not None and (
-                    not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0
-                ):
-                    reply({"event": "error", "error": f"{name} must be a non-negative number"})
-                    return True
-                bounds[name] = value
+            try:
+                bounds = gc_bounds(message)
+            except ValueError as error:
+                reply({"event": "error", "error": str(error)})
+                return True
             reply(self.collect_garbage(**bounds))
         elif op == "status":
             reply(self.status(str(message.get("ticket", ""))))

@@ -12,10 +12,13 @@ its server.
 
 import asyncio
 import json
+import re
+import sys
 
 import pytest
 
 from repro.cluster import (
+    ClusterError,
     ClusterService,
     SimulationJobRequest,
     StatisticsJobRequest,
@@ -238,7 +241,8 @@ class _Cluster:
 
     Workers are in-process services, or with ``spawn=True`` worker
     processes the coordinator spawns itself; ``options`` go to its
-    constructor.
+    constructor.  In-process workers mount the same ``cache_backend``
+    option, as spawned ones do.
     """
 
     def __init__(self, cache_dir, workers=2, spawn=False, **options):
@@ -253,7 +257,12 @@ class _Cluster:
     async def __aenter__(self):
         endpoints = []
         for _ in range(0 if self.spawn else self.worker_count):
-            service = WorkerService(cache_dir=self.cache_dir, workers=2, auth_token=TOKEN)
+            service = WorkerService(
+                cache_dir=self.cache_dir,
+                workers=2,
+                auth_token=TOKEN,
+                cache_backend=self.options.get("cache_backend"),
+            )
             server = await service.serve_tcp("127.0.0.1", 0)
             endpoints.append(("127.0.0.1", server.sockets[0].getsockname()[1]))
             self.workers.append(service)
@@ -277,33 +286,53 @@ class _Cluster:
             await worker.stop()
 
 
+async def _exactly_once_then_warm(coordinator):
+    """fig9 on one network twice: every unit runs once, the rerun plans none."""
+    request = ExperimentRequest(
+        experiment="fig9",
+        overrides=(("max_pallets", 2), ("networks", ("alexnet",)),
+                   ("samples_per_layer", 1500)),
+    )
+    ticket = await coordinator.submit(request)
+    response = await coordinator.wait(ticket)
+    assert response["event"] == "done", response.get("error")
+    planned = response["result"]["cluster"]["planned_units"]
+    assert planned == 5  # the fig9 design points of one network
+    assert response["stats"]["sweep"]["configs_simulated"] == planned
+    assert response["result"]["experiment"]["rows"]
+    # Warm rerun: planner prunes everything, nothing re-simulates
+    # anywhere in the cluster.
+    ticket = await coordinator.submit(request)
+    warm = await coordinator.wait(ticket)
+    assert warm["event"] == "done"
+    assert warm["result"]["cluster"]["planned_units"] == 0
+    assert warm["stats"]["sweep"]["configs_simulated"] == 0
+    assert warm["result"]["experiment"] == response["result"]["experiment"]
+
+
 class TestClusterExecution:
     def test_sharded_experiment_exactly_once_and_warm_rerun(self, tmp_path):
         async def scenario():
             async with _Cluster(tmp_path / "cache") as cluster:
-                coordinator = cluster.coordinator
-                request = ExperimentRequest(
-                    experiment="fig9",
-                    overrides=(("max_pallets", 2), ("networks", ("alexnet",)),
-                               ("samples_per_layer", 1500)),
-                )
-                ticket = await coordinator.submit(request)
-                response = await coordinator.wait(ticket)
-                assert response["event"] == "done", response.get("error")
-                planned = response["result"]["cluster"]["planned_units"]
-                assert planned == 5  # the fig9 design points of one network
-                assert response["stats"]["sweep"]["configs_simulated"] == planned
-                assert response["result"]["experiment"]["rows"]
-                # Warm rerun: planner prunes everything, nothing re-simulates
-                # anywhere in the cluster.
-                ticket = await coordinator.submit(request)
-                warm = await coordinator.wait(ticket)
-                assert warm["event"] == "done"
-                assert warm["result"]["cluster"]["planned_units"] == 0
-                assert warm["stats"]["sweep"]["configs_simulated"] == 0
-                assert warm["result"]["experiment"] == response["result"]["experiment"]
+                await _exactly_once_then_warm(cluster.coordinator)
 
         run(scenario())
+
+    def test_warm_rerun_over_a_network_cache_prunes(self, tmp_path):
+        """The coordinator's planning probes see what the workers stored."""
+        server = CacheServer(directory=tmp_path / "remote")
+        host, port = server.start()
+
+        async def scenario():
+            async with _Cluster(
+                tmp_path / "cache", cache_backend=f"remote://{host}:{port}"
+            ) as cluster:
+                await _exactly_once_then_warm(cluster.coordinator)
+
+        try:
+            run(scenario())
+        finally:
+            server.stop()
 
     def test_cross_client_flight_coalescing(self, tmp_path):
         """Overlapping requests from different clients share flights."""
@@ -472,6 +501,36 @@ class TestClusterExecution:
                 response = await coordinator.wait(ticket)
                 assert response["event"] == "failed"
                 assert "no live workers" in response["error"]
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "child, message",
+        [
+            ("import sys; sys.exit(3)", "worker w0 exited with status 3 before its banner"),
+            ("print('starting up')", "unexpected worker banner from w0: b'starting up\\n'"),
+        ],
+        ids=["exits-before-banner", "not-a-banner"],
+    )
+    def test_a_worker_without_its_banner_fails_start(
+        self, tmp_path, monkeypatch, child, message
+    ):
+        spawn = asyncio.create_subprocess_exec
+
+        async def substitute(*argv, **kwargs):
+            return await spawn(sys.executable, "-c", child, **kwargs)
+
+        monkeypatch.setattr(asyncio, "create_subprocess_exec", substitute)
+
+        async def scenario():
+            coordinator = ClusterService(
+                spawn_workers=1, cache_dir=tmp_path / "cache", worker_token=TOKEN
+            )
+            try:
+                with pytest.raises(ClusterError, match=re.escape(message)):
+                    await coordinator.start()
+            finally:
+                await coordinator.stop()
 
         run(scenario())
 

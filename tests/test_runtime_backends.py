@@ -7,36 +7,52 @@ persistence across instances.  The ``shared`` flavour is the filesystem
 backend over a directory it shares with the trace fabric's ``traces/``
 subdirectory, a sibling's in-flight temp write and an older release's
 ``manifest.json``: none of them may count as an entry.  The network cache tier
-(``docs/cachenet.md``) runs the same battery against an in-process
-:class:`CacheServer` — both the bare :class:`RemoteBackend` client and the
-``--cache-backend remote://`` composite :class:`TieredBackend`.
-Backend-specific behaviour (GC, sibling coherence, degradation, negative
-suppression) gets targeted classes below the shared battery.
+(``docs/cachenet.md``) runs the same battery against an in-process,
+token-protected :class:`CacheServer` — both a :class:`RemoteBackend` built
+directly and the ``tiered`` flavour, which is what a deployment mounts:
+``resolve_backend("remote://…")`` with ``REPRO_CACHE_TOKEN`` set, so spec
+parsing and the auth handshake on every (re)connect are covered too.
+Backend-specific behaviour (GC, sibling coherence, degradation) gets
+targeted classes below the shared battery.
 """
 
 import gzip
 import json
 import os
+import tempfile
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.cachenet import backend as remote_backend
 from repro.runtime import lifecycle
 from repro.runtime.backends import CorruptEntry, FilesystemBackend, InMemoryBackend
 from repro.runtime.cache import ResultCache
 
 BACKENDS = ("memory", "filesystem", "shared", "remote", "tiered")
 
+#: The token the test cache servers require.
+CACHE_TOKEN = "cachenet-test-token"
+
 
 @pytest.fixture
-def make_backend(tmp_path):
+def fail_fast(monkeypatch):
+    """No retries or backoff: degradation tests fail fast."""
+    monkeypatch.setattr(remote_backend, "RETRIES", 0)
+    monkeypatch.setattr(remote_backend, "BACKOFF", 0.0)
+
+
+@pytest.fixture
+def make_backend(tmp_path, monkeypatch, fail_fast):
     """Factory building a fresh backend of the requested flavour.
 
     Repeated calls with the same flavour return backends over the *same*
     storage (a second filesystem backend sees the first one's entries), which
     is what the persistence and sharing tests need.  The remote flavours
-    share one lazily started in-process cache server per test, reachable as
-    ``make_backend.cachenet_server``.
+    share one lazily started, token-protected in-process cache server per
+    test, reachable as ``make_backend.cachenet_server``.
     """
     state = {"server": None, "endpoint": None, "clients": []}
 
@@ -53,18 +69,22 @@ def make_backend(tmp_path):
                 (directory / "manifest.json").write_text('{"schema": 1, "entries": {}}')
             return FilesystemBackend(directory)
         if flavour in ("remote", "tiered"):
-            from repro.cachenet.backend import RemoteBackend, TieredBackend
             from repro.cachenet.server import CacheServer
 
             if state["server"] is None:
-                state["server"] = CacheServer(directory=tmp_path / "remote-cache")
+                state["server"] = CacheServer(
+                    directory=tmp_path / "remote-cache", auth_token=CACHE_TOKEN
+                )
                 state["endpoint"] = state["server"].start()
                 build.cachenet_server = state["server"]
             host, port = state["endpoint"]
-            # retries=0: degradation tests should fail fast, not back off.
-            remote = RemoteBackend(host, port, retries=0, backoff=0.0)
+            if flavour == "remote":
+                remote = remote_backend.RemoteBackend(host, port, auth_token=CACHE_TOKEN)
+            else:
+                monkeypatch.setenv("REPRO_CACHE_TOKEN", CACHE_TOKEN)
+                remote = remote_backend.resolve_backend(f"remote://{host}:{port}")
             state["clients"].append(remote)
-            return remote if flavour == "remote" else TieredBackend(remote)
+            return remote
         raise AssertionError(flavour)
 
     yield build
@@ -265,7 +285,6 @@ class TestNetworkCacheTier:
         backend.store("k1", {"a": 1}, "network_result")
         server = make_backend.cachenet_server
         lifecycle.entry_path(server.backend.directory, "k1").write_bytes(b"garbage")
-        # A fresh client (empty memory tier) must take the remote path.
         reader = make_backend(flavour)
         with pytest.raises(CorruptEntry):
             reader.load("k1", "network_result")
@@ -295,20 +314,17 @@ class TestNetworkCacheTier:
         result = backend.gc(max_age=0.01)
         assert result.removed_entries == 1
         assert "k1" in result.removed_keys
-        # The tiered memory copy must not outlive the authoritative entry.
         reader = make_backend(flavour)
         assert reader.load("k1", "network_result") is None
 
     @pytest.mark.parametrize("flavour", ["remote", "tiered"])
     def test_dead_server_degrades_to_miss(self, make_backend, flavour):
-        backend = make_backend(flavour)
-        backend.store("k1", {"a": 1}, "network_result")
+        cache = ResultCache(backend=make_backend(flavour))
+        cache.put("k1", {"a": 1})
         make_backend.cachenet_server.stop()
-        if flavour == "tiered":
-            # The warm memory tier outlives the server — that is the point
-            # of the write-through composite.
-            assert backend.load("k1", "network_result") == {"a": 1}
-        # A fresh client (no warm memory tier) degrades to a miss, not a raise.
+        # The cache's memo holds the warm copy: it outlives the server.
+        assert cache.get("k1") == {"a": 1}
+        # A fresh client (no warm memo) degrades to a miss, not a raise.
         reader = make_backend(flavour)
         assert reader.load("k1", "network_result") is None
         assert reader.probe("k1", "network_result") is False
@@ -318,17 +334,17 @@ class TestNetworkCacheTier:
         assert usage["remote_reachable"] is False
         assert usage["remote_degraded"] > 0
 
-    def test_wrong_auth_token_degrades(self, tmp_path):
+    def test_wrong_auth_token_degrades(self, tmp_path, fail_fast):
         from repro.cachenet.backend import RemoteBackend
         from repro.cachenet.server import CacheServer
 
         server = CacheServer(directory=tmp_path / "secured", auth_token="secret")
         host, port = server.start()
         try:
-            good = RemoteBackend(host, port, auth_token="secret", retries=0)
+            good = RemoteBackend(host, port, auth_token="secret")
             good.store("k1", {"a": 1}, "network_result")
             assert good.load("k1", "network_result") == {"a": 1}
-            bad = RemoteBackend(host, port, auth_token="wrong", retries=0)
+            bad = RemoteBackend(host, port, auth_token="wrong")
             assert bad.load("k1", "network_result") is None  # degraded miss
             assert bad.usage()["remote_degraded"] > 0
             good.close()
@@ -336,38 +352,28 @@ class TestNetworkCacheTier:
         finally:
             server.stop()
 
-    def test_negative_lookups_are_suppressed(self, make_backend):
-        backend = make_backend("tiered")
-        hits_before = backend.remote.remote_misses
-        assert backend.load("absent", "network_result") is None
-        assert backend.probe("absent", "network_result") is False
-        assert backend.probe("absent", "network_result") is False
-        # One remote round trip; the repeats were answered by the negative
-        # cache within its TTL window.
-        assert backend.remote.remote_misses == hits_before + 1
-        assert backend.suppressed >= 2
-        # A store invalidates the negative entry immediately.
-        backend.store("absent", {"a": 1}, "network_result")
-        assert backend.load("absent", "network_result") == {"a": 1}
+    def test_sibling_store_is_seen_at_once(self, make_backend):
+        """A key probed as missing is found as soon as another client stores it."""
+        cache = ResultCache(backend=make_backend("tiered"))
+        assert not cache.contains("k1")
+        assert cache.get("k1") is None
+        make_backend("remote").store("k1", {"a": 1}, "network_result")
+        assert cache.contains("k1")
+        assert cache.get("k1") == {"a": 1}
 
     def test_resolve_backend_specs(self, make_backend, tmp_path):
-        from repro.cachenet.backend import (
-            RemoteBackend,
-            TieredBackend,
-            resolve_backend,
-        )
+        from repro.cachenet.backend import RemoteBackend, resolve_backend
 
         make_backend("remote")  # boot the shared server
-        server = make_backend.cachenet_server
-        host, port = server._server.server_address
-        tiered = resolve_backend(f"remote://{host}:{port}")
-        assert isinstance(tiered, TieredBackend)
-        assert isinstance(tiered.remote, RemoteBackend)
+        host, port = make_backend.cachenet_server._server.server_address
+        remote = resolve_backend(f"remote://{host}:{port}")
+        assert isinstance(remote, RemoteBackend)
+        assert remote.describe() == f"remote:{host}:{port}"
         assert isinstance(resolve_backend("memory://"), InMemoryBackend)
         assert isinstance(resolve_backend(str(tmp_path / "plain")), FilesystemBackend)
         with pytest.raises(ValueError):
             resolve_backend("redis://nope:1")
-        tiered.close()
+        remote.close()
 
 
 class TestCacheServerKeys:
@@ -413,3 +419,78 @@ class TestCacheServerKeys:
             with pytest.raises(ValueError):
                 lifecycle.entry_path(tmp_path, key)
         assert lifecycle.entry_path(tmp_path, "f" * 64) == tmp_path / f"{'f' * 64}.json.gz"
+
+
+#: Any JSON value, including the non-finite floats Python's decoder accepts.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+#: Every op the server knows, plus values that are not one.
+OPS = st.sampled_from(
+    ["auth", "ping", "get", "probe", "put", "touch", "usage", "gc", "clear",
+     "stats", "shutdown", "nope"]
+) | JSON_VALUES
+
+
+class TestCacheServerMessages:
+    """``handle_message`` answers every JSON object with a reply and never raises."""
+
+    @pytest.mark.parametrize(
+        "bounds, name",
+        [
+            ({"max_bytes": "abc"}, "max_bytes"),
+            ({"max_bytes": -1}, "max_bytes"),
+            ({"max_age": -5}, "max_age"),
+            ({"max_age": True}, "max_age"),
+            ({"max_age": float("nan")}, "max_age"),
+        ],
+        ids=["string", "negative-bytes", "negative-age", "bool", "nan"],
+    )
+    def test_gc_rejects_bad_bounds_and_evicts_nothing(self, tmp_path, bounds, name):
+        from repro.cachenet.server import CacheServer
+
+        server = CacheServer(directory=tmp_path / "cache")
+        server.backend.store("k1", {"a": 1}, "network_result")
+        response, authenticated, keep_open = server.handle_message(
+            {"op": "gc", **bounds}, True
+        )
+        assert response == {"ok": False, "error": f"{name} must be a non-negative number"}
+        assert authenticated and keep_open
+        assert server.backend.load("k1", "network_result") == {"a": 1}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        message=st.fixed_dictionaries(
+            {},
+            optional={
+                "op": OPS,
+                "key": st.sampled_from(["k1", "k2", "../k1"]) | JSON_VALUES,
+                "kind": JSON_VALUES,
+                "payload": JSON_VALUES,
+                "token": st.sampled_from([CACHE_TOKEN]) | JSON_VALUES,
+                "max_bytes": JSON_VALUES,
+                "max_age": JSON_VALUES,
+            },
+        ),
+        authenticated=st.booleans(),
+    )
+    @example(message={"op": "auth", "token": "é"}, authenticated=False)
+    @example(message={"op": "auth", "token": "\ud800"}, authenticated=False)
+    @example(message={"op": ["gc"]}, authenticated=False)
+    @example(message={"op": "gc", "max_bytes": "abc"}, authenticated=True)
+    def test_every_json_object_gets_a_reply(self, message, authenticated):
+        from repro.cachenet.server import CacheServer
+
+        with tempfile.TemporaryDirectory() as directory:
+            server = CacheServer(directory=directory, auth_token=CACHE_TOKEN)
+            server.backend.store("k1", {"a": 1}, "network_result")
+            response, still_authenticated, keep_open = server.handle_message(
+                message, authenticated
+            )
+        assert isinstance(response, dict) and isinstance(response.get("ok"), bool)
+        assert isinstance(still_authenticated, bool) and isinstance(keep_open, bool)
+        json.dumps(response)  # every reply can go back as a frame

@@ -324,7 +324,7 @@ class TestObservation:
         finally:
             tier.close()
             server.stop()
-        assert f"cache backend: tiered:memory+remote:{host}:{port}" in report.summary()
+        assert f"cache backend: remote:{host}:{port}" in report.summary()
         assert "(4 entries, " in report.summary()
 
 
