@@ -17,6 +17,7 @@ cycle-simulation experiments.  See ``docs/runtime.md`` for the job model.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,7 +52,11 @@ class SimulationRequest:
     sampling: SamplingConfig = SamplingConfig()
 
     def keys(self) -> dict[str, str]:
-        """Cache key per label."""
+        """Cache key per label, derived once per request."""
+        return dict(self._keys)
+
+    @functools.cached_property
+    def _keys(self) -> dict[str, str]:
         return {
             label: simulation_key(self.trace, self.sampling, config)
             for label, config in self.configs

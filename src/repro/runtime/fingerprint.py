@@ -16,6 +16,10 @@ simulated numbers (``core``, ``nn``, ``arch``, ``baselines``, ``numerics``);
 editing the runtime or an experiment's presentation logic intentionally does
 not invalidate cached simulations.  ``docs/runtime.md`` documents the full
 key scheme and this invalidation rule.
+
+The code fingerprint is fixed for a process's life, so a key is a pure
+function of its arguments: :func:`simulation_key` and :func:`statistics_key`
+recall repeated keys from one bounded memo per process.
 """
 
 from __future__ import annotations
@@ -24,7 +28,10 @@ import dataclasses
 import functools
 import hashlib
 import json
+import threading
+from collections import OrderedDict
 from pathlib import Path
+from typing import Callable
 
 __all__ = [
     "canonicalize",
@@ -54,6 +61,13 @@ _STATISTICS_PACKAGES = _CODE_PACKAGES + ("analysis",)
 #: the bit-level helpers in ``numerics``.  Editing ``arch`` or ``baselines``
 #: invalidates simulations but keeps materialized trace tensors valid.
 _TRACE_PACKAGES = ("nn", "numerics")
+
+#: Bound of the key memo.  An entry is one argument ``repr`` (~0.5–1 KiB) and
+#: its 64-character key, so a full memo holds about 1 MiB.
+KEY_MEMO_ENTRIES = 1024
+
+_key_memo: OrderedDict[str, str] = OrderedDict()
+_key_memo_lock = threading.Lock()
 
 
 def canonicalize(obj: object) -> object:
@@ -175,6 +189,31 @@ def calibration_key(
     )
 
 
+def _memoized(kind: str, derive: Callable[..., str], *args: object) -> str:
+    """``derive(*args)``, recalled from the process's bounded LRU key memo.
+
+    The memo token is ``kind`` plus the ``repr`` of the arguments, not the
+    arguments themselves.  Dataclass equality would alias ``1``, ``1.0``,
+    ``True`` and ``np.int64(1)``, which canonicalize to different keys (or,
+    for the numpy scalar, to none), and a list field is unhashable although
+    it keys.  The generated ``repr`` of the key dataclasses shows every field,
+    and each leaf's ``repr`` tells its type, so equal tokens render equal
+    canonical JSON.  A derivation that raises stores nothing.
+    """
+    token = kind + repr(args)
+    with _key_memo_lock:
+        key = _key_memo.get(token)
+        if key is not None:
+            _key_memo.move_to_end(token)
+            return key
+    key = derive(*args)
+    with _key_memo_lock:
+        _key_memo[token] = key
+        if len(_key_memo) > KEY_MEMO_ENTRIES:
+            _key_memo.popitem(last=False)
+    return key
+
+
 def simulation_key(trace_spec: object, sampling: object, config: object) -> str:
     """Cache key of one ``(trace spec, sampling, accelerator config)`` simulation.
 
@@ -189,6 +228,10 @@ def simulation_key(trace_spec: object, sampling: object, config: object) -> str:
     refactor, while every non-default encoding keys (and therefore caches)
     independently.
     """
+    return _memoized("simulation", _derive_simulation_key, trace_spec, sampling, config)
+
+
+def _derive_simulation_key(trace_spec: object, sampling: object, config: object) -> str:
     if dataclasses.is_dataclass(config) and hasattr(config, "label"):
         config = dataclasses.replace(config, label=None)
     canonical_config = canonicalize(config)
@@ -218,6 +261,14 @@ def statistics_key(statistic: str, trace_spec: object, samples_per_layer: int) -
     statistic's identity, the trace it measures, the sample budget, and the
     code fingerprint.
     """
+    return _memoized(
+        "statistics", _derive_statistics_key, statistic, trace_spec, samples_per_layer
+    )
+
+
+def _derive_statistics_key(
+    statistic: str, trace_spec: object, samples_per_layer: int
+) -> str:
     return fingerprint(
         {
             "kind": "statistics",

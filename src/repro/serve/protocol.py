@@ -25,6 +25,7 @@ documents the protocol with examples.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 
@@ -181,7 +182,15 @@ class SimulateRequest:
         return _resolve_preset(self.preset, self.overrides)
 
     def simulation_request(self) -> SimulationRequest:
-        """The runtime simulation request this wire request resolves to."""
+        """The runtime simulation request this wire request resolves to.
+
+        Resolved once: parsing, the deduplication key and the worker share
+        one instance, so its unit keys are derived once per request.
+        """
+        return self._simulation_request
+
+    @functools.cached_property
+    def _simulation_request(self) -> SimulationRequest:
         from repro.core.variants import (
             encoding_variants,
             fig9_variants,
@@ -254,7 +263,7 @@ def parse_request(message: dict) -> ServeRequest:
         from repro.experiments.runner import EXPERIMENTS
 
         experiment = message.get("experiment")
-        if experiment not in EXPERIMENTS:
+        if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
             raise ProtocolError(
                 f"unknown experiment {experiment!r}; available: {', '.join(EXPERIMENTS)}"
             )
@@ -267,19 +276,18 @@ def parse_request(message: dict) -> ServeRequest:
     network = message.get("network")
     if not isinstance(network, str) or not network:
         raise ProtocolError("simulate requires a network name")
-    encoding = message.get("encoding", "positional")
-    if not isinstance(encoding, str) or not encoding:
-        raise ProtocolError("encoding must be a non-empty string")
+    strings = {
+        "variants": message.get("variants", "fig9"),
+        "representation": message.get("representation", "fixed16"),
+        "encoding": message.get("encoding", "positional"),
+    }
+    for field, value in strings.items():
+        if not isinstance(value, str) or not value:
+            raise ProtocolError(f"{field} must be a non-empty string")
     request = SimulateRequest(
-        network=network,
-        variants=message.get("variants", "fig9"),
-        representation=message.get("representation", "fixed16"),
-        encoding=encoding,
-        preset=preset,
-        seed=seed,
-        overrides=overrides,
+        network=network, preset=preset, seed=seed, overrides=overrides, **strings
     )
-    request.simulation_request()  # validates variants/representation/encoding eagerly
+    request.simulation_request()  # rejects unknown variants and encodings eagerly
     return request
 
 

@@ -406,7 +406,10 @@ class ExperimentService:
             return True
         if not isinstance(token, str):
             return False
-        return hmac.compare_digest(token.encode("utf-8"), self.auth_token.encode("utf-8"))
+        # A JSON string may hold a lone surrogate, which strict UTF-8 refuses.
+        return hmac.compare_digest(
+            token.encode("utf-8", "surrogatepass"), self.auth_token.encode("utf-8")
+        )
 
     async def handle_message(
         self, message: dict, send, tickets: list | None = None,

@@ -7,11 +7,14 @@ reports ``simulated 0 configs``).
 """
 
 import asyncio
+import dataclasses
 import io
 import json
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cachenet.backend import resolve_backend
 from repro.cachenet.cli import main as cacheserve_main
@@ -35,6 +38,52 @@ TINY = {"networks": ["alexnet"], "max_pallets": 2, "samples_per_layer": 1500}
 
 #: A HOST:PORT whose port no socket can bind or reach.
 BAD_ENDPOINT = "127.0.0.1:99999"
+
+#: Job messages whose experiment, variant group or representation is not a
+#: string.
+NON_STRING_NAMES = [
+    {"op": "run_experiment", "experiment": [1]},
+    {"op": "run_experiment", "experiment": {"a": 1}},
+    {"op": "simulate", "network": "alexnet", "variants": [1]},
+    {"op": "simulate", "network": "alexnet", "representation": ["fixed16"]},
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _or_json(*values):
+    """One of ``values`` (valid or near-valid field values), or any JSON value."""
+    return st.sampled_from(values) | JSON_VALUES
+
+
+#: Job messages: each field valid, near-valid or any JSON value.
+JOB_MESSAGES = st.fixed_dictionaries(
+    {},
+    optional={
+        "op": _or_json("run_experiment", "run_all", "simulate", "ping"),
+        "experiment": _or_json("fig9", "table3", "fig99"),
+        "preset": _or_json("smoke", "fast", "huge"),
+        "seed": _or_json(0, 1),
+        "overrides": st.fixed_dictionaries(
+            {},
+            optional={
+                "networks": _or_json(["alexnet"], []),
+                "max_pallets": _or_json(1, 2),
+                "samples_per_layer": _or_json(1500),
+            },
+        )
+        | JSON_VALUES,
+        "network": _or_json("alexnet", "vgg_m"),
+        "variants": _or_json("fig9", "fig10", "fig12", "encodings", "fig99"),
+        "representation": _or_json("fixed16", "quant8"),
+        "encoding": _or_json("positional", "csd", "hese", "binary", "gray"),
+    },
+)
 
 
 def run(coro):
@@ -149,6 +198,26 @@ class TestProtocol:
             parse_request(message).key()
             == parse_request({**message, "encoding": "positional"}).key()
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(message=JOB_MESSAGES)
+    @example(message=NON_STRING_NAMES[0])
+    @example(message=NON_STRING_NAMES[1])
+    @example(message=NON_STRING_NAMES[2])
+    @example(message=NON_STRING_NAMES[3])
+    def test_any_json_object_parses_or_raises_a_protocol_error(self, message):
+        """A request parses into a typed request whose string fields are
+        strings and whose deduplication key derives, or it is refused with a
+        :class:`ProtocolError`; no other exception escapes."""
+        try:
+            request = parse_request(message)
+        except ProtocolError:
+            return
+        assert isinstance(request, (ExperimentRequest, RunAllRequest, SimulateRequest))
+        for field in dataclasses.fields(request):
+            if field.type == "str":
+                assert isinstance(getattr(request, field.name), str), field.name
+        request.key()
 
     def test_encode_decode_round_trip(self):
         message = {"id": "c1", "op": "ping"}
@@ -470,10 +539,14 @@ class TestServeAuth:
                     writer.close()
                     assert service.queue.submitted == 0
                     # Wrong token: rejected and closed (constant-time compare).
-                    with pytest.raises(PermissionError):
-                        await ServeClient.connect(
-                            "127.0.0.1", port, auth_token="wrong"
-                        )
+                    # A JSON string may carry a lone surrogate; it is just
+                    # another wrong token.
+                    assert service.check_auth({"op": "auth", "token": "\ud800"}) is False
+                    for wrong in ("wrong", "\ud800"):
+                        with pytest.raises(PermissionError, match="invalid auth token"):
+                            await ServeClient.connect(
+                                "127.0.0.1", port, auth_token=wrong
+                            )
                     # Right token: full service.
                     client = await ServeClient.connect(
                         "127.0.0.1", port, auth_token="s3cret"
@@ -1223,6 +1296,34 @@ class TestFrontEnds:
                         assert await client.ping()
                     finally:
                         await client.close()
+            return unhandled
+
+        assert run(scenario()) == []
+
+    def test_non_string_names_get_a_typed_error_on_a_live_connection(self):
+        async def scenario():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            async with ExperimentService(cache_dir=None, workers=1) as service:
+                server = await service.serve_tcp("127.0.0.1", 0)
+                port = server.sockets[0].getsockname()[1]
+                async with server:
+                    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                    for index, message in enumerate(NON_STRING_NAMES):
+                        writer.write(encode({"id": f"bad{index}", **message}))
+                        writer.write(encode({"id": f"ping{index}", "op": "ping"}))
+                        await writer.drain()
+                        replies = [
+                            decode(await asyncio.wait_for(reader.readline(), timeout=10))
+                            for _ in range(2)
+                        ]
+                        assert replies[0]["id"] == f"bad{index}", replies
+                        assert replies[0]["event"] == "error", replies
+                        assert replies[1] == {"id": f"ping{index}", "event": "pong"}
+                    writer.close()
+                    assert service.queue.submitted == 0
             return unhandled
 
         assert run(scenario()) == []
