@@ -85,10 +85,8 @@ async def _run_batch(args) -> int:
         f"traces {stats['traces_built']} built / {stats['traces_reused']} reused"
     )
     print(
-        f"fleet fabric: {fleet['trace_calibrations_computed']} calibrations, "
-        f"{fleet['trace_tensors_built']} tensor builds, "
-        f"{fleet['traces_mapped']} mmaps "
-        f"({fleet['trace_bytes_shared']} bytes shared)"
+        f"fleet fabric: {fleet['trace_calibrations_computed']} calibrations computed, "
+        f"{fleet['trace_calibrations_loaded']} loaded"
     )
     if requeued == 0 and simulated != planned:
         return _fail(
@@ -172,13 +170,13 @@ def main(argv: list[str] | None = None) -> int:
         "--trace-dir",
         default=None,
         metavar="DIR",
-        help="trace-fabric artifact directory every worker shares "
+        help="trace-fabric directory every worker shares "
         "(default: <cache-dir>/traces)",
     )
     parser.add_argument(
         "--no-trace-cache",
         action="store_true",
-        help="disable the zero-copy trace fabric on every worker",
+        help="disable the trace fabric on every worker",
     )
     parser.add_argument(
         "--worker-token",

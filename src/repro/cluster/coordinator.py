@@ -38,11 +38,9 @@ Membership is **elastic** (``docs/cluster.md``): a background monitor task
 auto-respawns spawned workers that die (relaunch + re-register under the same
 worker id, so subsequent rendezvous walks see the replacement), and recycles
 workers after ``max_jobs_per_worker`` completed jobs to bound long-run memory
-growth.  Joining workers — initial, respawned or recycled — are sent a
-``prewarm`` op right after registration so the zero-copy trace fabric is
-mapped before the first flight lands.  Pending flights need no special
-handling on membership changes: every dispatch re-walks the rendezvous rank
-over the *currently* live links, which is exactly the reshuffle.
+growth.  Pending flights need no special handling on membership changes:
+every dispatch re-walks the rendezvous rank over the *currently* live links,
+which is exactly the reshuffle.
 """
 
 from __future__ import annotations
@@ -154,6 +152,11 @@ class WorkerLink:
             await self.client.close()
         if self.process is not None:
             await _reap(self.process)
+
+
+def _describe(error: BaseException) -> str:
+    """``"<Type>: <message>"`` of ``error``, as the ``stats`` op reports it."""
+    return f"{type(error).__name__}: {error}"
 
 
 async def _reap(process: asyncio.subprocess.Process) -> None:
@@ -321,6 +324,8 @@ class ClusterService(ExperimentService):
         self.workers_respawned = 0
         self.workers_recycled = 0
         self.respawn_failures = 0
+        #: ``"<Type>: <message>"`` of the latest failed respawn, or ``None``.
+        self.last_respawn_error: str | None = None
 
     # ----------------------------------------------------------------- lifecycle
     async def start(self) -> None:
@@ -433,19 +438,6 @@ class ClusterService(ExperimentService):
                         f"worker {host}:{port} rejected registration: "
                         f"{info.get('error', info)}"
                     )
-                # Pre-warm the zero-copy trace fabric on join (initial,
-                # respawned and recycled workers alike): one directory scan
-                # maps the tensors before the first flight lands.
-                # Best-effort — a worker without a fabric simply reports
-                # zero artifacts, and a prewarm failure must not fail the
-                # handshake.
-                with contextlib.suppress(Exception):
-                    warmed = await client._roundtrip({"op": "prewarm"})
-                    if warmed.get("event") == "prewarmed":
-                        info["prewarmed"] = {
-                            "tensors": warmed.get("tensors", 0),
-                            "calibrations": warmed.get("calibrations", 0),
-                        }
             except BaseException:
                 await client.close()
                 raise
@@ -484,18 +476,19 @@ class ClusterService(ExperimentService):
     async def _replace(self, worker_id: str, old: WorkerLink, reason: str) -> None:
         """Close ``old`` and install a freshly spawned worker under its id.
 
-        The replacement re-registers (and pre-warms) through the normal
-        handshake, so from the routing layer's point of view a respawned
-        worker is indistinguishable from a new join: the next rendezvous
-        walk simply sees a live link under the same id again.
+        The replacement re-registers through the normal handshake, so from
+        the routing layer's point of view a respawned worker is
+        indistinguishable from a new join: the next rendezvous walk simply
+        sees a live link under the same id again.
         """
         await old.close()
         try:
             fresh = await self._spawn_worker(worker_id)
-        except Exception:
+        except Exception as error:
             # Leave the dead link in place: it keeps the loss visible in
             # stats and the monitor retries on its next pass.
             self.respawn_failures += 1
+            self.last_respawn_error = _describe(error)
             return
         if self.links.get(worker_id) is old:
             self.links[worker_id] = fresh
@@ -855,6 +848,7 @@ class ClusterService(ExperimentService):
             "workers_respawned": self.workers_respawned,
             "workers_recycled": self.workers_recycled,
             "respawn_failures": self.respawn_failures,
+            "last_respawn_error": self.last_respawn_error,
             "max_jobs_per_worker": self.max_jobs_per_worker,
             "cache_backend": self.cache_backend,
             "cache_dir": str(self.cache_dir),
@@ -881,30 +875,40 @@ class ClusterService(ExperimentService):
         """The ``stats`` payload plus live per-worker stats.
 
         Queries every live worker's ``stats`` op and sums their lifetime
-        ``RunStats`` counters into a ``fleet`` section.  Store gauges are not
+        ``RunStats`` counters into a ``fleet`` section.  A worker whose
+        ``stats`` fails or outlasts ``STATS_TIMEOUT`` is left out of the sum
+        and named in ``stats_errors`` with the reason.  Store gauges are not
         summed anywhere: the shared store's entries and bytes are the
         coordinator's own ``cache`` section, read once.
         """
         payload = self.stats()
         fleet = RunStats()
         per_worker: dict[str, dict] = {}
+        errors: dict[str, str] = {}
         links = self.live_links()
 
-        async def query(link: WorkerLink) -> dict | None:
-            try:
-                return await asyncio.wait_for(link.client.stats(), STATS_TIMEOUT)
-            except Exception:
-                return None  # a hung worker must not stall the stats op
+        async def query(link: WorkerLink) -> dict:
+            try:  # a hung worker must not stall the stats op
+                reply = await asyncio.wait_for(link.client.stats(), STATS_TIMEOUT)
+            except asyncio.TimeoutError:
+                raise TimeoutError(f"no stats reply within {STATS_TIMEOUT:g} s") from None
+            if reply.get("event") != "stats":
+                raise ClusterError(f"stats ended {reply.get('event')!r}: {reply.get('error')}")
+            return reply
 
-        answers = await asyncio.gather(*(query(link) for link in links))
+        answers = await asyncio.gather(
+            *(query(link) for link in links), return_exceptions=True
+        )
         for link, answer in zip(links, answers):
-            if answer is None:
+            if isinstance(answer, BaseException):
+                errors[link.worker_id] = _describe(answer)
                 continue
             stats = answer.get("stats", {})
             per_worker[link.worker_id] = stats
             fleet.merge(stats)
         payload["cluster"]["fleet"] = fleet.as_dict()
         payload["cluster"]["per_worker_stats"] = per_worker
+        payload["cluster"]["stats_errors"] = errors
         return payload
 
     async def handle_message(self, message, send, tickets=None, context=None) -> bool:

@@ -26,7 +26,6 @@ serve process that learned two more ops.
 
 from __future__ import annotations
 
-import asyncio
 import os
 
 from repro.runtime import RuntimeSession, simulate
@@ -142,18 +141,6 @@ class WorkerService(ExperimentService):
             context.registered = True
             self.registrations += 1
             reply(self.registration_info())
-            return True
-        if op == "prewarm":
-            if not context.registered:
-                reply({"event": "error", "error": "prewarm requires a registered coordinator"})
-                return True
-            artifacts = getattr(self.session.traces, "artifacts", None)
-            warmed = {"tensors": 0, "calibrations": 0}
-            if artifacts is not None:
-                # The directory scan + mmap opens are blocking I/O; keep the
-                # event loop responsive while the fabric warms.
-                warmed = await asyncio.to_thread(artifacts.prewarm)
-            reply({"event": "prewarmed", **warmed})
             return True
         if op in INTERNAL_JOB_OPS and not context.registered:
             reply({"event": "error", "error": f"{op} requires a registered coordinator"})

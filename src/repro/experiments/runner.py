@@ -157,11 +157,7 @@ def _trace_tier_stats(args, cache_directory: Path) -> None:
         return
     usage = TraceArtifactStore(trace_dir).usage()
     print(f"trace dir: {usage['directory']}")
-    print(
-        f"trace artifacts: {usage['tensors']} tensors "
-        f"({usage['tensor_bytes']} bytes, {_format_bytes(usage['tensor_bytes'])}), "
-        f"{usage['calibrations']} calibrations"
-    )
+    print(f"trace artifacts: {usage['entries']} entries")
     print(
         f"trace disk bytes: {usage['disk_bytes']} "
         f"({_format_bytes(usage['disk_bytes'])})"
@@ -265,13 +261,13 @@ def main(argv: list[str] | None = None) -> int:
         "--trace-dir",
         default=None,
         metavar="DIR",
-        help="trace-fabric artifact directory (default: <cache-dir>/traces); "
-        "workers sharing it open one physical copy of each trace tensor",
+        help="trace-fabric directory (default: <cache-dir>/traces); "
+        "processes sharing it calibrate each network once",
     )
     parser.add_argument(
         "--no-trace-cache",
         action="store_true",
-        help="disable the zero-copy trace fabric (generate traces in-process)",
+        help="disable the trace fabric (calibrate each network in-process)",
     )
     parser.add_argument(
         "--out",

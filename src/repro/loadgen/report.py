@@ -62,8 +62,8 @@ class LoadReport:
     workers: int | None = None
     per_worker: list[dict] = field(default_factory=list)
     cluster_coalescing: dict | None = None
-    #: Zero-copy trace fabric counters (builds vs mmap opens vs reuses and
-    #: artifact bytes shared) — fleet-merged against a cluster coordinator.
+    #: Trace counters (traces built vs. reused, calibrations computed vs.
+    #: loaded from the fabric) — fleet-merged against a cluster coordinator.
     trace_fabric: dict | None = None
     #: Network cache tier counters (``docs/cachenet.md``) — present when the
     #: target mounts a ``--cache-backend remote://`` tier: remote hit/miss/
@@ -171,9 +171,6 @@ class LoadReport:
             lines.append(
                 f"  traces     {fabric.get('traces_built', 0)} built / "
                 f"{fabric.get('traces_reused', 0)} reused; fabric "
-                f"{fabric.get('tensors_built', 0)} tensor builds / "
-                f"{fabric.get('mmap_opens', 0)} mmap opens "
-                f"({fabric.get('bytes_shared', 0)} bytes shared), "
                 f"{fabric.get('calibrations_computed', 0)} calibrations computed / "
                 f"{fabric.get('calibrations_loaded', 0)} loaded"
             )

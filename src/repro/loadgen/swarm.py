@@ -34,16 +34,12 @@ REQUEST_TIMEOUT = 300.0
 def _trace_fabric_section(stats: dict) -> dict:
     """The trace-fabric block of a report, from one ``RunStats`` wire dict.
 
-    Distinguishes the three ways a request got its trace data: built in
-    process, opened as a read-only mmap of a host-shared artifact, or reused
-    from the session's in-memory store.
+    Traces built vs. reused from the session's in-memory store, and the
+    calibrations those builds ran vs. loaded from the host-shared fabric.
     """
     return {
         "traces_built": stats.get("traces_built", 0),
         "traces_reused": stats.get("traces_reused", 0),
-        "tensors_built": stats.get("trace_tensors_built", 0),
-        "mmap_opens": stats.get("traces_mapped", 0),
-        "bytes_shared": stats.get("trace_bytes_shared", 0),
         "calibrations_computed": stats.get("trace_calibrations_computed", 0),
         "calibrations_loaded": stats.get("trace_calibrations_loaded", 0),
     }

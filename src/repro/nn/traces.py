@@ -19,8 +19,7 @@ inputs the evaluation needs.  The substitution is documented in DESIGN.md §4.
 
 from __future__ import annotations
 
-import collections
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +28,8 @@ from repro.nn.networks import Network
 from repro.nn.precision import LayerPrecision
 
 __all__ = [
-    "FULL_CACHE_ENTRIES",
     "LayerTraceParams",
     "NetworkTrace",
-    "TraceBacking",
     "generate_layer_values",
     "generate_synapses",
 ]
@@ -40,12 +37,6 @@ __all__ = [
 
 #: Magnitude distributions the trace generator supports.
 DISTRIBUTIONS = ("lognormal", "half_normal", "uniform")
-
-#: Bound on :attr:`NetworkTrace._full_cache` (``cache=True`` tensors kept per
-#: trace).  Full layer tensors are large (tens of MB for early VGG layers);
-#: an unbounded per-trace dict silently grows RSS in long-lived processes, so
-#: only the most recently used few stay resident.
-FULL_CACHE_ENTRIES = 4
 
 #: Default lognormal shape (log-space standard deviation).  Real post-ReLU
 #: activation magnitudes are heavy tailed; this shape, combined with the
@@ -141,26 +132,6 @@ def generate_synapses(
     return rng.integers(-limit, limit, size=shape, dtype=np.int64)
 
 
-class TraceBacking:
-    """The pluggable seam behind :meth:`NetworkTrace.layer_input`.
-
-    A backing resolves full layer tensors from somewhere other than the
-    on-demand generator — the zero-copy trace fabric
-    (:mod:`repro.runtime.trace_cache`) returns read-only ``np.memmap`` views
-    of content-addressed ``.npy`` artifacts, so every process on a host
-    shares one physical copy.  Returning ``None`` falls back to on-demand
-    generation; because artifacts are keyed by a content hash of the spec and
-    the trace-generating code, a backed tensor is bit-identical to a
-    generated one by construction (and proven so by the fabric's golden
-    tests).
-    """
-
-    def layer_tensor(
-        self, trace: "NetworkTrace", layer_index: int
-    ) -> np.ndarray | None:  # pragma: no cover - interface default
-        return None
-
-
 @dataclass
 class NetworkTrace:
     """Per-layer synthetic activation streams for one network.
@@ -188,14 +159,6 @@ class NetworkTrace:
     params: tuple[LayerTraceParams, ...]
     seed: int = 0
     storage_bits: int = 16
-    #: Small LRU of ``cache=True`` tensors (bounded by FULL_CACHE_ENTRIES);
-    #: underscore-prefixed fields are excluded from fingerprints and equality.
-    _full_cache: "collections.OrderedDict[int, np.ndarray]" = field(
-        default_factory=collections.OrderedDict, repr=False, compare=False
-    )
-    #: Optional :class:`TraceBacking` resolving tensors through the trace
-    #: fabric; ``None`` keeps the pure generate-on-demand path.
-    _backing: "TraceBacking | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         expected = self.network.num_layers
@@ -222,46 +185,12 @@ class NetworkTrace:
         """The trace distribution parameters of the layer at ``layer_index``."""
         return self.params[layer_index]
 
-    # ----------------------------------------------------------------- backing
-    def attach_backing(self, backing: "TraceBacking | None") -> None:
-        """Install (or remove) the tensor backing this trace resolves through."""
-        self._backing = backing
-
-    @property
-    def backing(self) -> "TraceBacking | None":
-        return self._backing
-
     # ------------------------------------------------------------------ values
-    def layer_input(self, layer_index: int, cache: bool = False) -> np.ndarray:
+    def layer_input(self, layer_index: int) -> np.ndarray:
         """Full synthetic input tensor ``[I, Ny, Nx]`` for the layer.
 
-        Resolution order: the per-trace LRU of ``cache=True`` tensors, then
-        the attached :class:`TraceBacking` (read-only shared mmap), then
-        on-demand generation.  ``cache=True`` keeps the returned tensor for
-        repeat use (bounded by ``FULL_CACHE_ENTRIES``); large tensors are
-        otherwise resolved fresh per call.
-        """
-        cached = self._full_cache.get(layer_index)
-        if cached is not None:
-            self._full_cache.move_to_end(layer_index)
-            return cached
-        values = None
-        if self._backing is not None:
-            values = self._backing.layer_tensor(self, layer_index)
-        if values is None:
-            values = self.generate_layer_input(layer_index)
-        if cache:
-            self._full_cache[layer_index] = values
-            while len(self._full_cache) > FULL_CACHE_ENTRIES:
-                self._full_cache.popitem(last=False)
-        return values
-
-    def generate_layer_input(self, layer_index: int) -> np.ndarray:
-        """Generate the layer's full tensor on demand (no cache, no backing).
-
-        This is the ground truth the fabric materializes from: the backing's
-        builder calls it exactly once per ``(spec, layer)`` per host, and the
-        golden tests assert the mmap path returns arrays exactly equal to it.
+        Generated on demand and never retained: a call costs one generation
+        pass, and the same ``(seed, layer)`` always yields the same values.
         """
         layer = self.layer(layer_index)
         shape = (layer.input_channels, layer.input_height, layer.input_width)

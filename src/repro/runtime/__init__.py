@@ -15,7 +15,7 @@ Layering::
     lifecycle     gzip entry codec, directory scan, LRU garbage collection
     backends      pluggable storage (memory / filesystem)
     cache         content-addressed result cache (policy over one backend)
-    trace_cache   the zero-copy trace fabric: mmap-backed tensor artifacts
+    trace_cache   the trace fabric: network calibrations persisted per host
     trace_store   TraceSpec + per-session calibrated-trace store
     session       RuntimeSession (cache + traces + stats), the one session
                   builder and the active session
@@ -44,7 +44,6 @@ from repro.runtime.fingerprint import (
     fingerprint,
     simulation_key,
     statistics_key,
-    trace_tensor_key,
 )
 from repro.runtime.jobs import (
     ExperimentJob,
@@ -68,11 +67,7 @@ from repro.runtime.session import (
     resolve_trace_dir,
     use_session,
 )
-from repro.runtime.trace_cache import (
-    MmapTraceBacking,
-    TraceArtifactStore,
-    default_trace_dir,
-)
+from repro.runtime.trace_cache import TraceArtifactStore, default_trace_dir
 from repro.runtime.trace_store import TraceSpec, TraceStore
 
 __all__ = [
@@ -111,10 +106,8 @@ __all__ = [
     "use_session",
     "resolve_cache_dir",
     "resolve_trace_dir",
-    "MmapTraceBacking",
     "TraceArtifactStore",
     "default_trace_dir",
-    "trace_tensor_key",
     "TraceSpec",
     "TraceStore",
 ]

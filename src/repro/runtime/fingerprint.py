@@ -41,7 +41,6 @@ __all__ = [
     "trace_code_fingerprint",
     "simulation_key",
     "statistics_key",
-    "trace_tensor_key",
     "calibration_key",
 ]
 
@@ -56,10 +55,10 @@ _CODE_PACKAGES = ("core", "nn", "arch", "baselines", "numerics")
 #: must also be invalidated by ``analysis`` edits.
 _STATISTICS_PACKAGES = _CODE_PACKAGES + ("analysis",)
 
-#: Trace artifacts (the zero-copy trace fabric) depend only on the packages
-#: that determine trace *values*: the generator/calibration code in ``nn`` and
-#: the bit-level helpers in ``numerics``.  Editing ``arch`` or ``baselines``
-#: invalidates simulations but keeps materialized trace tensors valid.
+#: Persisted calibrations (the trace fabric) depend only on the packages that
+#: determine trace *values*: the generator/calibration code in ``nn`` and the
+#: bit-level helpers in ``numerics``.  Editing ``arch`` or ``baselines``
+#: invalidates simulations but keeps persisted calibrations valid.
 _TRACE_PACKAGES = ("nn", "numerics")
 
 #: Bound of the key memo.  An entry is one argument ``repr`` (~0.5–1 KiB) and
@@ -137,28 +136,11 @@ def trace_code_fingerprint() -> str:
     """Fingerprint of the source that determines trace values.
 
     The invalidation rule of the trace fabric (``docs/runtime.md``): a
-    materialized trace artifact stays valid until the ``nn`` or ``numerics``
+    persisted calibration stays valid until the ``nn`` or ``numerics``
     source changes, exactly as a cached simulation stays valid until the
     simulation source changes.
     """
     return _package_fingerprint(_TRACE_PACKAGES)
-
-
-def trace_tensor_key(trace_spec: object, layer_index: int) -> str:
-    """Content hash of one ``(TraceSpec, layer)`` tensor artifact.
-
-    Keys the ``.npy`` artifacts of :class:`repro.runtime.trace_cache.TraceArtifactStore`:
-    same spec + same layer + same trace-generating code ⇒ same bytes, so one
-    artifact serves every worker process on the host.
-    """
-    return fingerprint(
-        {
-            "kind": "trace_tensor",
-            "code": trace_code_fingerprint(),
-            "trace": canonicalize(trace_spec),
-            "layer": layer_index,
-        }
-    )
 
 
 def calibration_key(

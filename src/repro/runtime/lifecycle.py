@@ -11,12 +11,13 @@ that layout:
   both the compressed form and legacy uncompressed ``<key>.json`` entries, so
   a cache populated before the format change keeps hitting after it.  A
   store is that one file write and nothing else.
-* **scan** — :func:`scan` is one ``os.scandir`` pass that takes each entry's
-  kind from its suffix (``.npy`` tensor; ``.json.gz`` or legacy ``.json``
-  entry or calibration).  It skips dot-files (in-flight temp writes),
-  subdirectories (``traces/``) and the ``manifest.json`` index older
-  releases kept.  Usage, counts, garbage collection and clearing each make
-  one scan.
+* **scan** — :func:`scan` is one ``os.scandir`` pass over every file named
+  ``<key>.json.gz``, ``<key>.json`` or ``<key>.npy`` (a trace tensor older
+  releases wrote; nothing writes one now, but it still takes space, so it
+  counts until GC or :func:`clear` removes it).  It skips dot-files
+  (in-flight temp writes), subdirectories (``traces/``) and the
+  ``manifest.json`` index older releases kept.  Usage, counts, garbage
+  collection and clearing each make one scan.
 * **garbage collection** — :func:`gc` enforces a byte cap and/or a maximum
   entry age, evicting least-recently-used entries first; :func:`clear`
   deletes every entry.
@@ -48,7 +49,6 @@ from typing import NamedTuple
 __all__ = [
     "COMPRESSED_SUFFIX",
     "LEGACY_SUFFIX",
-    "TENSOR_SUFFIX",
     "KEY_PATTERN",
     "EntryFile",
     "GCResult",
@@ -60,7 +60,6 @@ __all__ = [
     "is_key",
     "read_entry",
     "scan",
-    "tensor_path",
     "touch",
     "usage",
     "write_entry",
@@ -72,11 +71,9 @@ COMPRESSED_SUFFIX = ".json.gz"
 #: Uncompressed entries written before the format change; still readable.
 LEGACY_SUFFIX = ".json"
 
-#: Raw numpy tensor artifacts (the trace fabric,
-#: :mod:`repro.runtime.trace_cache`).  Deliberately *not* gzip-wrapped: the
-#: whole point of the format is that ``np.load(..., mmap_mode="r")`` maps the
-#: file read-only without copying it, so N processes share one physical copy.
-TENSOR_SUFFIX = ".npy"
+#: Trace tensors older releases of the trace fabric wrote.  Nothing reads or
+#: writes one now; scans count them so GC and :func:`clear` reclaim them.
+OLD_TENSOR_SUFFIX = ".npy"
 
 #: The index file older releases kept beside their entries.  It is never an
 #: entry: scans skip it and :func:`clear` deletes it.
@@ -113,18 +110,9 @@ def legacy_path(directory: Path, key: str) -> Path:
     return directory / f"{_checked(key)}{LEGACY_SUFFIX}"
 
 
-def tensor_path(directory: Path, key: str) -> Path:
-    """Where a raw ``.npy`` tensor artifact for ``key`` lives."""
-    return directory / f"{_checked(key)}{TENSOR_SUFFIX}"
-
-
-def _entry_files(directory: Path, key: str) -> tuple[Path, Path, Path]:
-    """Every on-disk form of ``key``, compressed first."""
-    return (
-        entry_path(directory, key),
-        legacy_path(directory, key),
-        tensor_path(directory, key),
-    )
+def _entry_files(directory: Path, key: str) -> tuple[Path, Path]:
+    """Both readable forms of ``key``, compressed first."""
+    return entry_path(directory, key), legacy_path(directory, key)
 
 
 def find_entry(directory: Path, key: str) -> Path | None:
@@ -185,13 +173,9 @@ def touch(path: Path) -> None:
 
 
 def _remove(directory: Path, key: str) -> None:
-    """Delete every on-disk form of ``key`` (best effort).
-
-    Unlinking a ``.npy`` a live process has mapped is safe on POSIX — the
-    inode (and the mapping) survives until the last reader unmaps it; only
-    the name disappears, and the next fetch re-materializes the artifact.
-    """
-    for path in _entry_files(directory, key):
+    """Delete every on-disk form of ``key``, an old tensor too (best effort)."""
+    old_tensor = directory / f"{_checked(key)}{OLD_TENSOR_SUFFIX}"
+    for path in (*_entry_files(directory, key), old_tensor):
         with contextlib.suppress(OSError):
             path.unlink()
 
@@ -202,20 +186,19 @@ class EntryFile(NamedTuple):
 
     size: int  # bytes on disk
     used: float  # the file's mtime: the LRU clock
-    tensor: bool  # a ``.npy`` tensor artifact (else an entry or calibration)
 
 
-def _parse_name(name: str) -> tuple[str, bool] | None:
-    """``(key, is_tensor)`` of an entry file name, ``None`` for anything else.
+def _parse_name(name: str) -> str | None:
+    """The key of an entry file name, ``None`` for anything else.
 
     Dot-files never parse: a key cannot contain a dot.
     """
     if name == OLD_INDEX_NAME:
         return None
-    for suffix in (COMPRESSED_SUFFIX, LEGACY_SUFFIX, TENSOR_SUFFIX):
+    for suffix in (COMPRESSED_SUFFIX, LEGACY_SUFFIX, OLD_TENSOR_SUFFIX):
         if name.endswith(suffix):
             key = name[: -len(suffix)]
-            return (key, suffix == TENSOR_SUFFIX) if is_key(key) else None
+            return key if is_key(key) else None
     return None
 
 
@@ -228,8 +211,8 @@ def scan(directory: Path) -> dict[str, EntryFile]:
     entries: dict[str, EntryFile] = {}
     with contextlib.suppress(OSError), os.scandir(directory) as listing:
         for item in listing:
-            parsed = _parse_name(item.name)
-            if parsed is None:
+            key = _parse_name(item.name)
+            if key is None:
                 continue
             try:
                 if not item.is_file():
@@ -237,8 +220,7 @@ def scan(directory: Path) -> dict[str, EntryFile]:
                 info = item.stat()
             except OSError:
                 continue  # removed mid-scan
-            key, tensor = parsed
-            entries[key] = EntryFile(info.st_size, info.st_mtime, tensor)
+            entries[key] = EntryFile(info.st_size, info.st_mtime)
     return entries
 
 

@@ -275,7 +275,7 @@ def run_experiments(
     no_cache:
         Disable result caching entirely.
     trace_dir, no_trace_cache:
-        Control the zero-copy trace fabric independently of result caching
+        Control the trace fabric independently of result caching
         (see :func:`~repro.runtime.session.resolve_trace_dir`); only honored
         when this call builds its own session (``cache_dir``/``no_cache``
         given), otherwise the caller's session wiring stands.

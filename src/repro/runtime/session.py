@@ -58,32 +58,21 @@ def default_cache_dir() -> Path:
 class RunStats:
     """Aggregate statistics of one run (merged across pool workers).
 
-    The ``trace_*``/``traces_mapped`` fields are the zero-copy trace fabric's
-    counters (:meth:`repro.runtime.trace_cache.TraceArtifactStore.counters`):
-    full tensors generated vs. opened as read-only memory maps of host-shared
-    artifacts, the artifact bytes those opens shared, and calibration
-    bisections run vs. loaded from persisted results.  Every field is an
-    event counter, so :meth:`merge` is a plain sum.
+    The ``trace_calibrations_*`` fields are the trace fabric's counters
+    (:meth:`repro.runtime.trace_cache.TraceArtifactStore.counters`):
+    calibration bisections run vs. loaded from persisted results.  Every
+    field is an event counter, so :meth:`merge` is a plain sum.
     """
 
     cache: CacheStats = field(default_factory=CacheStats)
     sweep: SweepStats = field(default_factory=SweepStats)
     traces_built: int = 0
     traces_reused: int = 0
-    trace_tensors_built: int = 0
-    traces_mapped: int = 0
-    trace_bytes_shared: int = 0
     trace_calibrations_computed: int = 0
     trace_calibrations_loaded: int = 0
 
     #: Trace-fabric event counters (plain sums under merge).
-    _FABRIC_COUNTERS = (
-        "trace_tensors_built",
-        "traces_mapped",
-        "trace_bytes_shared",
-        "trace_calibrations_computed",
-        "trace_calibrations_loaded",
-    )
+    _FABRIC_COUNTERS = ("trace_calibrations_computed", "trace_calibrations_loaded")
 
     def merge(self, other: "RunStats | dict") -> None:
         """Add ``other``'s counters (a ``RunStats`` or its wire dict) to these."""
@@ -109,16 +98,14 @@ class RunStats:
 
     def summary(self) -> str:
         """One-line, human-readable rendering for run summaries."""
-        calibrations = self.trace_calibrations_computed
         return (
             f"cache {self.cache.hits} hits / {self.cache.misses} misses / "
             f"{self.cache.stores} stores / {self.cache.errors} errors; "
             f"simulated {self.sweep.configs_simulated} configs "
             f"({self.sweep.drain_groups_computed} drain groups); "
             f"traces {self.traces_built} built / {self.traces_reused} reused; "
-            f"fabric {calibrations} calibrations / "
-            f"{self.trace_tensors_built} tensor builds / "
-            f"{self.traces_mapped} mmaps ({self.trace_bytes_shared} bytes shared)"
+            f"fabric {self.trace_calibrations_computed} calibrations computed / "
+            f"{self.trace_calibrations_loaded} loaded"
         )
 
 
@@ -211,7 +198,7 @@ def resolve_trace_dir(
     ``no_trace_cache`` disables the fabric outright; an explicit ``trace_dir``
     wins otherwise; an on-disk result cache defaults to a ``traces/``
     subdirectory beside it (so N workers sharing a cache dir also share
-    trace artifacts); a memory-only session keeps traces in memory too.
+    calibrations); a memory-only session keeps traces in memory too.
     Note ``--no-cache --trace-dir DIR`` keeps the fabric *on* — result caching
     and trace sharing are independent tiers.
     """
@@ -245,7 +232,7 @@ def build_session(
     (e.g. ``remote://host:port``) or a
     :class:`~repro.runtime.backends.CacheBackend` instance, resolved by
     :func:`repro.cachenet.backend.resolve_backend` (``docs/cachenet.md``).
-    ``trace_dir``/``no_trace_cache`` control the zero-copy trace fabric
+    ``trace_dir``/``no_trace_cache`` control the trace fabric
     independently; it resolves against ``cache_dir`` only when results are
     cached (see :func:`resolve_trace_dir`).
     """

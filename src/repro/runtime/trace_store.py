@@ -8,11 +8,10 @@ component for simulations over the trace and the memoization key of the
 once per session no matter how many experiments consume it.
 
 A store may additionally be wired to a
-:class:`repro.runtime.trace_cache.TraceArtifactStore` (the zero-copy trace
-fabric): newly built traces then load their calibration from — and resolve
-their full layer tensors through — the host-shared artifact directory instead
-of recomputing them privately.  See ``docs/runtime.md`` for how traces fit the
-session and cache-key model.
+:class:`repro.runtime.trace_cache.TraceArtifactStore` (the trace fabric):
+newly built traces then load their calibration from the host-shared
+directory instead of recomputing it privately.  See ``docs/runtime.md`` for
+how traces fit the session and cache-key model.
 """
 
 from __future__ import annotations
@@ -69,12 +68,8 @@ class TraceStore:
     in a session.  The lock keeps the store safe under concurrent access from
     scheduler threads; process-pool workers each hold their own store.
 
-    With ``artifacts`` set, the store participates in the zero-copy trace
-    fabric: calibrations are loaded from (or persisted to) the shared artifact
-    directory, and each built trace gets an
-    :class:`~repro.runtime.trace_cache.MmapTraceBacking` attached so its full
-    layer tensors resolve to read-only memory maps of host-shared ``.npy``
-    artifacts.
+    With ``artifacts`` set, the store participates in the trace fabric:
+    calibrations are loaded from (or persisted to) the shared directory.
     """
 
     def __init__(self, artifacts=None) -> None:
@@ -83,11 +78,6 @@ class TraceStore:
         self.artifacts = artifacts
         self.builds = 0
         self.reuses = 0
-
-    def known(self, spec: TraceSpec) -> bool:
-        """Whether ``spec``'s trace is already materialized in this store."""
-        with self._lock:
-            return spec in self._traces
 
     def get(self, spec: TraceSpec) -> NetworkTrace:
         """The trace described by ``spec``, building it on first request."""
@@ -118,12 +108,7 @@ class TraceStore:
         """Build ``spec``'s trace, through the fabric when one is wired."""
         if self.artifacts is None:
             return spec.build()
-        from repro.runtime.trace_cache import MmapTraceBacking
-
-        calibration = self.artifacts.network_calibration(spec)
-        trace = spec.build(calibration=calibration)
-        trace.attach_backing(MmapTraceBacking(self.artifacts, spec))
-        return trace
+        return spec.build(calibration=self.artifacts.network_calibration(spec))
 
     def __len__(self) -> int:
         return len(self._traces)

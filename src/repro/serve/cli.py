@@ -159,13 +159,13 @@ def main(argv: list[str] | None = None) -> int:
         "--trace-dir",
         default=None,
         metavar="DIR",
-        help="trace-fabric artifact directory (default: <cache-dir>/traces); "
-        "workers sharing it map one physical copy of each trace tensor",
+        help="trace-fabric directory (default: <cache-dir>/traces); "
+        "processes sharing it calibrate each network once",
     )
     parser.add_argument(
         "--no-trace-cache",
         action="store_true",
-        help="disable the zero-copy trace fabric (generate traces in-process)",
+        help="disable the trace fabric (calibrate each network in-process)",
     )
     gc = parser.add_argument_group("background cache GC")
     gc.add_argument(

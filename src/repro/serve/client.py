@@ -124,19 +124,29 @@ class ServeClient:
                 route.put_nowait({"event": "failed", "error": error})
 
     async def _send(self, message: dict) -> tuple[str, asyncio.Queue]:
+        """Register a route for ``message`` and write it.
+
+        The caller pops the route once done with it; if the write itself
+        fails, no caller holds the id, so the route is popped here.
+        """
         client_id = f"c{next(self._counter)}"
         route: asyncio.Queue[dict] = asyncio.Queue()
         self._routes[client_id] = route
-        self._writer.write(encode({"id": client_id, **message}))
-        await self._writer.drain()
+        try:
+            self._writer.write(encode({"id": client_id, **message}))
+            await self._writer.drain()
+        except BaseException:
+            self._routes.pop(client_id, None)
+            raise
         return client_id, route
 
     async def _roundtrip(self, message: dict) -> dict:
         """Send a control op and return its single response."""
         client_id, route = await self._send(message)
-        payload = await route.get()
-        self._routes.pop(client_id, None)
-        return payload
+        try:
+            return await route.get()
+        finally:
+            self._routes.pop(client_id, None)
 
     async def job(self, message: dict, on_event=None) -> ServeResponse:
         """Send any job-op message and await its terminal event.

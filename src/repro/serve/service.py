@@ -111,8 +111,8 @@ class ExperimentService:
         Override for how jobs execute (see :class:`~repro.serve.workers.WorkerPool`);
         the cluster coordinator substitutes its sharding dispatcher here.
     trace_dir / no_trace_cache:
-        Control the zero-copy trace fabric (host-shared mmap-backed trace
-        artifacts, :mod:`repro.runtime.trace_cache`) independently of result
+        Control the trace fabric (host-shared persisted calibrations,
+        :mod:`repro.runtime.trace_cache`) independently of result
         caching; defaults to ``<cache-dir>/traces`` beside a disk cache
         (see :func:`~repro.runtime.session.resolve_trace_dir`).  Ignored when
         an explicit ``session`` is supplied.
@@ -312,7 +312,7 @@ class ExperimentService:
         usage = self.session.cache.usage()
         totals = RunStats()
         totals.merge(self.totals)
-        # Trace-fabric counters live on the shared artifact store (per-job
+        # Trace-fabric counters live on the shared calibration store (per-job
         # views report 0 for them), so overlay the lifetime values here.
         artifacts = getattr(self.session.traces, "artifacts", None)
         trace_cache = None

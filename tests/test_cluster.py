@@ -4,8 +4,8 @@ Most end-to-end tests run a real coordinator against *in-process* worker
 services connected over loopback TCP — separate ``WorkerService`` instances
 with separate sessions sharing one cache directory, the exact topology of a
 local cluster minus the subprocess spawn.
-``TestSpawnedWorkers`` covers what only real worker processes show: trace
-artifacts shared across processes, a terminated process respawned, workers
+``TestSpawnedWorkers`` covers what only real worker processes show:
+calibrations shared across processes, a terminated process respawned, workers
 recycled, and a network cache tier that outlives (and survives the loss of)
 its server.
 """
@@ -14,6 +14,7 @@ import asyncio
 import json
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -489,6 +490,72 @@ class TestClusterExecution:
 
         run(scenario())
 
+    @pytest.mark.parametrize(
+        "fault, reason",
+        [
+            ("hang", "TimeoutError: no stats reply within 0.2 s"),
+            ("drop", "ClusterError: stats ended 'failed': connection closed"),
+        ],
+        ids=["hang", "drop"],
+    )
+    def test_a_worker_without_stats_is_named_with_its_reason(
+        self, tmp_path, monkeypatch, fault, reason
+    ):
+        monkeypatch.setattr("repro.cluster.coordinator.STATS_TIMEOUT", 0.2)
+
+        async def scenario():
+            async with _Cluster(tmp_path / "cache") as cluster:
+                faulty = cluster.workers[0]  # attached as c0
+                answer = faulty.handle_message
+                release = asyncio.Event()
+
+                async def faulty_stats(message, send, *args, **kwargs):
+                    if message.get("op") == "stats":
+                        if fault == "drop":
+                            return False  # close the connection unanswered
+                        await release.wait()
+                    return await answer(message, send, *args, **kwargs)
+
+                faulty.handle_message = faulty_stats
+                started = asyncio.get_running_loop().time()
+                try:
+                    payload = await asyncio.wait_for(
+                        cluster.coordinator.cluster_stats(), timeout=2
+                    )
+                finally:
+                    release.set()
+                assert asyncio.get_running_loop().time() - started < 2
+                section = payload["cluster"]
+                assert section["stats_errors"] == {"c0": reason}
+                assert set(section["per_worker_stats"]) == {"c1"}
+
+        run(scenario())
+
+    def test_a_failed_respawn_keeps_its_reason(self, tmp_path, monkeypatch):
+        async def scenario():
+            async with _Cluster(tmp_path / "cache", workers=1) as cluster:
+                coordinator = cluster.coordinator
+                assert coordinator.stats()["cluster"]["last_respawn_error"] is None
+
+                async def fail(worker_id):
+                    raise ClusterError("boom")
+
+                monkeypatch.setattr(coordinator, "_spawn_worker", fail)
+                link = coordinator.links["c0"]
+                # A spawned link whose worker process has exited.
+                link.process = await asyncio.create_subprocess_exec(
+                    sys.executable, "-c", "pass"
+                )
+                await link.process.wait()
+                await link.client.close()
+                await coordinator._replace("c0", link, reason="respawned")
+                section = coordinator.stats()["cluster"]
+                assert section["respawn_failures"] >= 1
+                assert section["last_respawn_error"] == "ClusterError: boom"
+                assert coordinator.links["c0"] is link
+
+        run(scenario())
+
     def test_no_live_workers_fails_cleanly(self, tmp_path):
         async def scenario():
             async with _Cluster(tmp_path / "cache", workers=1) as cluster:
@@ -564,12 +631,13 @@ class TestSpawnedWorkers:
                     assert response["stats"]["sweep"]["configs_simulated"] == planned > 0
                 payload = await coordinator.cluster_stats()
                 fleet = payload["cluster"]["fleet"]
-                usage = TraceArtifactStore(payload["cluster"]["trace_dir"]).usage()
-                # Summed over both processes, nothing was materialized twice:
-                # a worker needing an artifact that exists loaded it.
-                assert usage["calibrations"] > 0
-                assert fleet["trace_calibrations_computed"] == usage["calibrations"]
-                assert fleet["trace_tensors_built"] == usage["tensors"]
+                trace_dir = payload["cluster"]["trace_dir"]
+                usage = TraceArtifactStore(trace_dir).usage()
+                # Summed over both processes, no network was calibrated
+                # twice: a worker needing a calibration that exists loaded it.
+                assert usage["entries"] > 0
+                assert fleet["trace_calibrations_computed"] == usage["entries"]
+                assert not list(Path(trace_dir).glob("*.npy"))
 
         run(scenario())
 

@@ -58,7 +58,7 @@ class TestFunctionalEquivalence:
 
     def test_pragmatic_functional_cycles_match_cycle_model(self, tiny_trace, rng):
         layer = tiny_trace.layer(0)
-        neurons = tiny_trace.layer_input(0, cache=True)
+        neurons = tiny_trace.layer_input(0)
         synapses = generate_synapses(layer, rng)
         for first_stage_bits in (0, 2, 4):
             _, functional_cycles = PragmaticTileFunctional(

@@ -105,10 +105,6 @@ class TestNetworkTrace:
             tiny_trace.sample_layer_values(1, 100), tiny_trace.sample_layer_values(1, 100)
         )
 
-    def test_cache_flag_retains_tensor(self, tiny_trace):
-        first = tiny_trace.layer_input(0, cache=True)
-        assert tiny_trace.layer_input(0) is first
-
     def test_sample_rejects_nonpositive_count(self, tiny_trace):
         with pytest.raises(ValueError):
             tiny_trace.sample_layer_values(0, 0)

@@ -1381,6 +1381,34 @@ class TestFrontEnds:
 
         assert run(scenario()) == []
 
+    def test_client_routes_are_popped_when_a_roundtrip_is_abandoned(self):
+        """A timed-out control op, or a failed write, leaves no route behind."""
+
+        async def scenario():
+            async def silent(reader, writer):
+                while await reader.readline():
+                    pass  # read every request, answer none
+                writer.close()
+
+            server = await asyncio.start_server(silent, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            async with server:
+                client = await ServeClient.connect("127.0.0.1", port)
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(client.stats(), 0.2)
+                assert list(client._routes) == []
+
+                async def broken_drain():
+                    raise ConnectionResetError("peer reset")
+
+                client._writer.drain = broken_drain
+                with pytest.raises(ConnectionResetError):
+                    await client.stats()
+                assert list(client._routes) == []
+                await client.close()
+
+        run(scenario())
+
     def test_shutdown_op_stops_a_tcp_server(self):
         async def scenario():
             async with ExperimentService(cache_dir=None, workers=1) as service:
