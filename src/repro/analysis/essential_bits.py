@@ -8,28 +8,12 @@ neurons ("All") and over non-zero neurons only ("NZ").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.nn.calibration import TABLE1_TARGETS, calibrated_trace, storage_bits_for
-from repro.nn.networks import NETWORK_NAMES, get_network
 from repro.nn.traces import NetworkTrace
 from repro.numerics.fixedpoint import popcount
 
-__all__ = ["NetworkBitContent", "measure_trace", "essential_bit_table"]
-
-
-@dataclass(frozen=True)
-class NetworkBitContent:
-    """Essential-bit statistics of one network under one representation."""
-
-    network: str
-    representation: str
-    all_fraction: float
-    nonzero_fraction: float
-    paper_all_fraction: float | None
-    paper_nonzero_fraction: float | None
+__all__ = ["measure_trace"]
 
 
 def measure_trace(trace: NetworkTrace, samples_per_layer: int = 20000) -> tuple[float, float]:
@@ -54,31 +38,3 @@ def measure_trace(trace: NetworkTrace, samples_per_layer: int = 20000) -> tuple[
     else:
         nz_fraction = 0.0
     return all_fraction, nz_fraction
-
-
-def essential_bit_table(
-    representation: str = "fixed16",
-    networks: tuple[str, ...] | None = None,
-    samples_per_layer: int = 20000,
-    seed: int = 0,
-) -> list[NetworkBitContent]:
-    """Measure Table I for the requested networks and representation."""
-    storage_bits_for(representation)  # validates the name
-    names = networks if networks is not None else NETWORK_NAMES
-    targets = TABLE1_TARGETS.get(representation, {"all": {}, "nz": {}})
-    results = []
-    for name in names:
-        network = get_network(name)
-        trace = calibrated_trace(network, representation=representation, seed=seed)
-        all_fraction, nz_fraction = measure_trace(trace, samples_per_layer=samples_per_layer)
-        results.append(
-            NetworkBitContent(
-                network=network.name,
-                representation=representation,
-                all_fraction=all_fraction,
-                nonzero_fraction=nz_fraction,
-                paper_all_fraction=targets["all"].get(network.name),
-                paper_nonzero_fraction=targets["nz"].get(network.name),
-            )
-        )
-    return results

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.zero_skip import ZeroSkipModel
-from repro.nn.calibration import calibrated_trace
-from repro.nn.networks import NETWORK_NAMES, get_network
 from repro.nn.traces import NetworkTrace
 from repro.numerics.fixedpoint import popcount
 
@@ -30,8 +28,6 @@ __all__ = [
     "FIG3_ENGINES",
     "count_terms_fixed16",
     "count_terms_quant8",
-    "fig2_table",
-    "fig3_table",
 ]
 
 #: Engines of Figure 2, in the order the figure plots them.
@@ -47,9 +43,6 @@ class TermCounts:
 
     network: str
     relative_terms: dict[str, float]
-
-    def relative(self, engine: str) -> float:
-        return self.relative_terms[engine]
 
 
 def _layer_term_statistics(
@@ -116,35 +109,3 @@ def count_terms_quant8(
         network=trace.network.name,
         relative_terms={engine: totals[engine] / baseline_total for engine in FIG3_ENGINES},
     )
-
-
-def fig2_table(
-    networks: tuple[str, ...] | None = None,
-    samples_per_layer: int = 20000,
-    seed: int = 0,
-) -> list[TermCounts]:
-    """Relative term counts (Figure 2) for the requested networks."""
-    names = networks if networks is not None else NETWORK_NAMES
-    return [
-        count_terms_fixed16(
-            calibrated_trace(get_network(name), representation="fixed16", seed=seed),
-            samples_per_layer=samples_per_layer,
-        )
-        for name in names
-    ]
-
-
-def fig3_table(
-    networks: tuple[str, ...] | None = None,
-    samples_per_layer: int = 20000,
-    seed: int = 0,
-) -> list[TermCounts]:
-    """Relative term counts (Figure 3) for the requested networks."""
-    names = networks if networks is not None else NETWORK_NAMES
-    return [
-        count_terms_quant8(
-            calibrated_trace(get_network(name), representation="quant8", seed=seed),
-            samples_per_layer=samples_per_layer,
-        )
-        for name in names
-    ]

@@ -9,7 +9,7 @@ uniformly), plus the geometric-mean aggregation the paper uses across networks.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.arch.config import ChipConfig, DEFAULT_CHIP
 from repro.baselines.dadiannao import DaDianNaoModel
@@ -17,7 +17,7 @@ from repro.baselines.stripes import StripesModel
 from repro.core.accelerator import LayerResult, NetworkResult
 from repro.nn.traces import NetworkTrace
 
-__all__ = ["geometric_mean", "dadn_result", "stripes_result", "speedup_summary"]
+__all__ = ["geometric_mean", "dadn_result", "stripes_result"]
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -81,11 +81,3 @@ def stripes_result(
     return NetworkResult(
         network=trace.network.name, accelerator=stripes.name, layers=tuple(layers)
     )
-
-
-def speedup_summary(results: Mapping[str, Mapping[str, NetworkResult]]) -> dict[str, float]:
-    """Geometric-mean speedup per engine over a results[engine][network] mapping."""
-    return {
-        engine: geometric_mean(result.speedup for result in by_network.values())
-        for engine, by_network in results.items()
-    }

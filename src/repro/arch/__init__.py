@@ -1,7 +1,7 @@
-"""Shared architecture substrate: chip configuration, tiling and memory models."""
+"""Shared architecture substrate: chip configuration, pallet tiling and the NM fetch model."""
 
 from repro.arch.config import DEFAULT_CHIP, ChipConfig
-from repro.arch.memory import AccessCounters, NeuronMemory, SynapseBuffer, layer_fits_on_chip
+from repro.arch.memory import NeuronMemory
 from repro.arch.tiling import (
     BrickPosition,
     SamplingConfig,
@@ -9,7 +9,6 @@ from repro.arch.tiling import (
     exact_pallet_values,
     extract_brick,
     extract_pallet_step,
-    iter_pallet_steps,
     pallet_window_coordinates,
     sample_pallet_values,
     window_coordinates,
@@ -19,9 +18,6 @@ __all__ = [
     "ChipConfig",
     "DEFAULT_CHIP",
     "NeuronMemory",
-    "SynapseBuffer",
-    "AccessCounters",
-    "layer_fits_on_chip",
     "BrickPosition",
     "SamplingConfig",
     "brick_positions",
@@ -29,7 +25,6 @@ __all__ = [
     "pallet_window_coordinates",
     "extract_brick",
     "extract_pallet_step",
-    "iter_pallet_steps",
     "exact_pallet_values",
     "sample_pallet_values",
 ]

@@ -53,21 +53,6 @@ class ChipConfig:
         return self.tiles * self.filters_per_tile
 
     @property
-    def synapses_per_cycle(self) -> int:
-        """Synapses consumed per cycle chip-wide (4096 for DaDN)."""
-        return self.filters_per_cycle * self.synapses_per_filter_lane
-
-    @property
-    def bit_parallel_terms_per_cycle(self) -> int:
-        """Terms (single-bit products) a bit-parallel chip computes per cycle."""
-        return self.synapses_per_cycle * self.storage_bits
-
-    @property
-    def serial_terms_per_cycle(self) -> int:
-        """Terms per cycle of the bit-serial designs (one per synapse and window lane)."""
-        return self.synapses_per_cycle * self.pallet_windows
-
-    @property
     def neuron_bytes(self) -> int:
         """Bytes per stored neuron."""
         return max(1, self.storage_bits // 8)

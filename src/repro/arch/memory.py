@@ -1,14 +1,9 @@
-"""On-chip memory models: neuron memory (NM), synapse buffers (SB), NBin/NBout.
+"""The central neuron memory (NM) as the cycle model sees it.
 
-The cycle models only need two things from the memory system:
-
-* the number of cycles to assemble the next neuron pallet from the central
-  eDRAM neuron memory (which overlaps with processing — Section V-A4), and
-* access counts for the energy model (the paper schedules computation so that
-  every design performs the same SB reads).
-
-Capacity checks are also provided so that configurations that would not fit the
-2 MB-per-tile SB or the 4 MB NM are flagged instead of silently mis-modelled.
+The cycle model needs one thing from the memory system: the number of cycles
+to assemble the next neuron pallet from the central eDRAM neuron memory.  That
+fetch overlaps with processing of the current pallet (Section V-A4), so it
+only sets a floor on the cycles each pallet step takes.
 """
 
 from __future__ import annotations
@@ -18,28 +13,7 @@ from dataclasses import dataclass, field
 from repro.arch.config import ChipConfig, DEFAULT_CHIP
 from repro.nn.layers import BRICK_SIZE, PALLET_WINDOWS, ConvLayerSpec
 
-__all__ = ["NeuronMemory", "SynapseBuffer", "AccessCounters", "layer_fits_on_chip"]
-
-
-@dataclass
-class AccessCounters:
-    """Read/write counters used by the energy model."""
-
-    nm_reads: int = 0
-    nm_writes: int = 0
-    sb_reads: int = 0
-    nbin_reads: int = 0
-    nbout_writes: int = 0
-
-    def merge(self, other: "AccessCounters") -> "AccessCounters":
-        """Element-wise sum of two counter sets."""
-        return AccessCounters(
-            nm_reads=self.nm_reads + other.nm_reads,
-            nm_writes=self.nm_writes + other.nm_writes,
-            sb_reads=self.sb_reads + other.sb_reads,
-            nbin_reads=self.nbin_reads + other.nbin_reads,
-            nbout_writes=self.nbout_writes + other.nbout_writes,
-        )
+__all__ = ["NeuronMemory"]
 
 
 @dataclass
@@ -63,49 +37,3 @@ class NeuronMemory:
         span_bytes = PALLET_WINDOWS * layer.stride * brick_bytes
         rows = max(1, -(-span_bytes // self.chip.nm_row_bytes))
         return min(rows, PALLET_WINDOWS)
-
-    def layer_footprint_bytes(self, layer: ConvLayerSpec) -> int:
-        """Bytes the layer's input neurons occupy in NM."""
-        return layer.input_neurons * self.chip.neuron_bytes
-
-    def fits(self, layer: ConvLayerSpec) -> bool:
-        """True when the layer's input neurons fit in NM without spilling."""
-        return self.layer_footprint_bytes(layer) <= self.chip.nm_bytes
-
-
-@dataclass
-class SynapseBuffer:
-    """The per-tile eDRAM synapse buffer.
-
-    The scheduling used throughout the paper guarantees every design reads each
-    synapse brick from SB the same number of times; the per-column
-    synchronization scheme preserves that property by buffering recently read
-    synapse sets in SSRs (Section V-E).
-    """
-
-    chip: ChipConfig = field(default_factory=lambda: DEFAULT_CHIP)
-
-    def layer_footprint_bytes(self, layer: ConvLayerSpec) -> int:
-        """Bytes of synapses a tile must hold for one filter pass of the layer."""
-        filters_held = min(layer.num_filters, self.chip.filters_per_tile)
-        synapse_bytes = self.chip.neuron_bytes
-        return filters_held * layer.synapses_per_filter * synapse_bytes
-
-    def fits(self, layer: ConvLayerSpec) -> bool:
-        """True when one filter pass of the layer fits in a tile's SB."""
-        return self.layer_footprint_bytes(layer) <= self.chip.sb_bytes_per_tile
-
-    def layer_reads(self, layer: ConvLayerSpec) -> int:
-        """SB reads (of one synapse set: 16 bricks) per tile for the layer.
-
-        Each brick position of each pallet requires one synapse-set read; the
-        count is identical across DaDN, STR and PRA by construction.
-        """
-        return layer.window_groups * layer.bricks_per_window * layer.filter_passes(
-            self.chip.filters_per_cycle
-        )
-
-
-def layer_fits_on_chip(layer: ConvLayerSpec, chip: ChipConfig = DEFAULT_CHIP) -> bool:
-    """Whether a layer's working set fits the on-chip memories."""
-    return NeuronMemory(chip).fits(layer) and SynapseBuffer(chip).fits(layer)

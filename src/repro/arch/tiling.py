@@ -3,15 +3,16 @@
 The DaDianNao family of accelerators consumes input neurons in *bricks* (16
 values contiguous along the input-channel dimension) and Stripes/Pragmatic
 consume *pallets* (16 bricks from 16 adjacent windows).  This module turns a
-layer's input tensor into those structures, both exhaustively (exact mode, used
-by the functional models and for small layers) and by sampling (used by the
-cycle simulator on full-size layers).
+layer's input tensor into those structures, both exhaustively (exact mode,
+``SamplingConfig(exact=True)``: the real tensor structure of small layers,
+which tests use to check the cycle model against the functional models) and
+by sampling (the cycle simulator on full-size layers).  The DaDN and PRA
+functional models walk bricks with :func:`extract_brick` themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -26,7 +27,6 @@ __all__ = [
     "pallet_window_coordinates",
     "extract_brick",
     "extract_pallet_step",
-    "iter_pallet_steps",
     "exact_pallet_values",
     "sample_pallet_values",
     "SamplingConfig",
@@ -100,21 +100,6 @@ def extract_pallet_step(
     for lane, (oy, ox) in enumerate(windows):
         step[lane] = extract_brick(padded, layer, oy, ox, position)
     return step
-
-
-def iter_pallet_steps(
-    neurons: np.ndarray, layer: ConvLayerSpec
-) -> Iterator[tuple[int, BrickPosition, np.ndarray]]:
-    """Yield ``(pallet_index, position, step_values)`` over the whole layer.
-
-    ``step_values`` has shape ``[PALLET_WINDOWS, BRICK_SIZE]``.  This is the
-    exact traversal used by the functional models and by the exact cycle mode.
-    """
-    padded = pad_input(np.asarray(neurons, dtype=np.int64), layer.padding)
-    positions = brick_positions(layer)
-    for pallet_index, windows in enumerate(pallet_window_coordinates(layer)):
-        for position in positions:
-            yield pallet_index, position, extract_pallet_step(padded, layer, windows, position)
 
 
 def exact_pallet_values(neurons: np.ndarray, layer: ConvLayerSpec) -> np.ndarray:

@@ -23,10 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.arch.config import ChipConfig, DEFAULT_CHIP
-from repro.arch.memory import AccessCounters
 from repro.arch.tiling import brick_positions, extract_brick, window_coordinates
 from repro.nn.layers import BRICK_SIZE, ConvLayerSpec
-from repro.nn.networks import Network
 from repro.nn.reference import check_shapes, pad_input
 
 __all__ = ["DaDianNaoModel", "DaDianNaoFunctional"]
@@ -60,21 +58,6 @@ class DaDianNaoModel:
         """
         bits = storage_bits if storage_bits is not None else self.chip.storage_bits
         return layer.macs * bits
-
-    def network_cycles(self, network: Network) -> int:
-        """Cycles summed over all convolutional layers."""
-        return sum(self.layer_cycles(layer) for layer in network.layers)
-
-    def layer_accesses(self, layer: ConvLayerSpec) -> AccessCounters:
-        """Memory access counts for the energy model."""
-        passes = layer.filter_passes(self.chip.filters_per_cycle)
-        return AccessCounters(
-            nm_reads=layer.num_windows * layer.bricks_per_window,
-            nm_writes=layer.output_neurons // BRICK_SIZE + 1,
-            sb_reads=passes * layer.num_windows * layer.bricks_per_window,
-            nbin_reads=passes * layer.num_windows * layer.bricks_per_window,
-            nbout_writes=layer.output_neurons // BRICK_SIZE + 1,
-        )
 
 
 @dataclass

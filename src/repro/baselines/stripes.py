@@ -21,10 +21,8 @@ import numpy as np
 
 from repro.arch.config import ChipConfig, DEFAULT_CHIP
 from repro.nn.layers import ConvLayerSpec
-from repro.nn.networks import Network
 from repro.nn.precision import LayerPrecision
 from repro.nn.reference import check_shapes, conv2d_reference
-from repro.nn.traces import NetworkTrace
 
 __all__ = ["StripesModel", "StripesFunctional"]
 
@@ -56,21 +54,6 @@ class StripesModel:
         """Terms processed: ``p`` per neuron-and-synapse pair."""
         width = precision if isinstance(precision, int) else precision.width
         return layer.macs * min(max(width, 1), self.chip.storage_bits)
-
-    def network_cycles(self, trace: NetworkTrace) -> int:
-        """Cycles summed over a traced network using its precision profile."""
-        return sum(
-            self.layer_cycles(layer, trace.layer_precision(index))
-            for index, layer in enumerate(trace.network.layers)
-        )
-
-    def network_cycles_from_widths(self, network: Network, widths: tuple[int, ...]) -> int:
-        """Cycles summed over a network given explicit per-layer precision widths."""
-        if len(widths) != network.num_layers:
-            raise ValueError("one precision width per layer is required")
-        return sum(
-            self.layer_cycles(layer, width) for layer, width in zip(network.layers, widths)
-        )
 
 
 @dataclass
@@ -113,7 +96,3 @@ class StripesFunctional:
             bit_plane = ((magnitudes >> bit) & 1) * signs
             out += conv2d_reference(layer, bit_plane, synapses) << bit
         return out
-
-    def cycles_per_window_group(self, precision: LayerPrecision) -> int:
-        """Cycles one pallet step costs: the precision width."""
-        return precision.width

@@ -49,10 +49,6 @@ class ZeroSkipModel:
     skip_first_layer: bool = True
     chip: ChipConfig = DEFAULT_CHIP
 
-    @property
-    def name(self) -> str:
-        return "ZN" if self.skip_first_layer else "CVN"
-
     def layer_terms(
         self,
         layer: ConvLayerSpec,

@@ -20,17 +20,20 @@ the server, so a sibling's store is seen at once.
 :func:`resolve_backend` maps the ``--cache-backend`` URI scheme
 (``remote://host:port``, ``memory://``, or a plain directory path) to a
 backend instance; the auth token travels via ``REPRO_CACHE_TOKEN``, never
-argv.
+argv.  :func:`parse_backend_spec` runs the same checks as every CLI's
+``--cache-backend`` argparse type, without mounting anything.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import os
 import random
 import socket
 import threading
 import time
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 from repro.cachenet.protocol import FrameError, read_frame, write_frame
 from repro.experiments.base import parse_endpoint
@@ -45,6 +48,7 @@ from repro.runtime.lifecycle import GCResult
 __all__ = [
     "RemoteBackend",
     "RemoteUnavailable",
+    "parse_backend_spec",
     "resolve_backend",
 ]
 
@@ -262,6 +266,24 @@ class RemoteBackend(CacheBackend):
         return int(self.usage().get("entries", 0))
 
 
+def _backend_factory(spec: str) -> Callable[[], CacheBackend]:
+    """Check a ``--cache-backend`` spec; the returned callable mounts it.
+
+    Raises ``ValueError`` for an unknown scheme or a malformed ``remote://``
+    endpoint (including a port outside 0–65535).  Nothing is connected or
+    created until the callable runs.
+    """
+    if spec.startswith("remote://"):
+        host, port = parse_endpoint(spec[len("remote://") :].rstrip("/"))
+        token = os.environ.get("REPRO_CACHE_TOKEN") or None
+        return functools.partial(RemoteBackend, host, port, auth_token=token)
+    if spec.startswith("memory://"):
+        return InMemoryBackend
+    if "://" in spec:
+        raise ValueError(f"unknown cache backend scheme: {spec!r}")
+    return functools.partial(FilesystemBackend, spec)
+
+
 def resolve_backend(spec: "str | CacheBackend") -> CacheBackend:
     """A backend for a ``--cache-backend`` spec (instances pass through).
 
@@ -276,12 +298,18 @@ def resolve_backend(spec: "str | CacheBackend") -> CacheBackend:
     """
     if isinstance(spec, CacheBackend):
         return spec
-    if spec.startswith("remote://"):
-        host, port = parse_endpoint(spec[len("remote://") :].rstrip("/"))
-        token = os.environ.get("REPRO_CACHE_TOKEN") or None
-        return RemoteBackend(host, port, auth_token=token)
-    if spec.startswith("memory://"):
-        return InMemoryBackend()
-    if "://" in spec:
-        raise ValueError(f"unknown cache backend scheme: {spec!r}")
-    return FilesystemBackend(spec)
+    return _backend_factory(spec)()
+
+
+def parse_backend_spec(value: str) -> str:
+    """Shared argparse ``type=`` of every ``--cache-backend`` flag.
+
+    The batch, serve, cluster and loadgen CLIs get the spec back unchanged
+    if :func:`resolve_backend` would accept it, and a usage error otherwise.
+    Nothing is connected or created at parse time.
+    """
+    try:
+        _backend_factory(value)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return value

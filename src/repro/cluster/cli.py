@@ -28,6 +28,7 @@ import asyncio
 import os
 import sys
 
+from repro.cachenet.backend import parse_backend_spec
 from repro.experiments.base import parse_endpoint
 
 __all__ = ["main"]
@@ -152,6 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--cache-backend",
+        type=parse_backend_spec,
         default=None,
         metavar="SPEC",
         help="result-cache backend spec every worker mounts instead of the "
@@ -200,6 +202,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("a cluster needs --workers >= 1 and/or --connect endpoints")
     if args.max_jobs_per_worker is not None and args.max_jobs_per_worker < 1:
         parser.error("--max-jobs-per-worker must be positive")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     if args.worker_token is None:
         args.worker_token = os.environ.get("REPRO_SERVE_TOKEN") or None
 

@@ -531,10 +531,15 @@ class ClusterService(ExperimentService):
         return flight
 
     def _leave_flight(self, ctx: _JobContext, flight: _Flight) -> None:
-        """Detach a (cancelled) client job; a flight nobody wants is cancelled."""
+        """Detach a cancelled or failed client job; a flight nobody wants is cancelled."""
         if ctx in flight.interested:
             flight.interested.remove(ctx)
-        if flight.interested or flight.future.done() or flight.cancelled:
+        if flight.interested or flight.cancelled:
+            return
+        if flight.future.done():
+            # Nobody will read this outcome now: retrieve it, so a failure
+            # is not reported as a never-retrieved exception.
+            flight.future.exception()
             return
         flight.cancelled = True
         if flight.link is not None and flight.ticket is not None and flight.link.alive:
@@ -746,7 +751,9 @@ class ClusterService(ExperimentService):
             else:  # pragma: no cover - parse_request guards this
                 raise TypeError(f"unsupported request type {type(request).__name__}")
             return payload, ctx.stats.as_dict()
-        except (SweepCancelled, asyncio.CancelledError):
+        except BaseException:
+            # Cancelled or failed: the client is told now, so no flight may
+            # keep running (or fail later, unretrieved) on its behalf.
             for flight in list(ctx.flights):
                 self._leave_flight(ctx, flight)
             raise

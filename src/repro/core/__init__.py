@@ -1,13 +1,9 @@
-"""Pragmatic core: oneffset generation, PIPs, scheduling, and the cycle simulator."""
+"""Pragmatic core: the cycle model and its drain kernel, the PIP and tile
+functional models with the Figure 7 schedule (the model's oracle), software
+trimming, and the named design points the experiments sweep."""
 
 from repro.core.accelerator import LayerResult, NetworkResult, PragmaticConfig
-from repro.core.dispatcher import DispatchStep, Dispatcher
 from repro.core.kernels import batched_drain_cycles, packed_essential_terms
-from repro.core.oneffset_generator import (
-    NeuronLaneState,
-    OneffsetGenerator,
-    OneffsetStream,
-)
 from repro.core.pip import (
     PragmaticInnerProductUnit,
     PragmaticTileFunctional,
@@ -28,19 +24,12 @@ from repro.core.variants import (
     fig10_variants,
     fig12_variants,
     pallet_variant,
-    paper_variants,
-    single_stage_variant,
 )
 
 __all__ = [
     "PragmaticConfig",
     "LayerResult",
     "NetworkResult",
-    "OneffsetGenerator",
-    "OneffsetStream",
-    "NeuronLaneState",
-    "Dispatcher",
-    "DispatchStep",
     "PragmaticInnerProductUnit",
     "PragmaticTileFunctional",
     "ScheduleCycle",
@@ -56,13 +45,11 @@ __all__ = [
     "cycles_from_drain",
     "pallet_variant",
     "column_variant",
-    "single_stage_variant",
     "encoding_variant",
     "encoding_variants",
     "fig9_variants",
     "fig10_variants",
     "fig12_variants",
-    "paper_variants",
     "FIG9_FIRST_STAGE_BITS",
     "FIG10_SSR_COUNTS",
 ]

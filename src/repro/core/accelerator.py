@@ -107,11 +107,6 @@ class LayerResult:
         """Speedup over the DaDianNao baseline."""
         return self.baseline_cycles / self.cycles if self.cycles else float("inf")
 
-    @property
-    def term_reduction(self) -> float:
-        """Fraction of baseline terms that remain (lower is better)."""
-        return self.terms / self.baseline_terms if self.baseline_terms else 0.0
-
 
 @dataclass(frozen=True)
 class NetworkResult:
@@ -133,12 +128,6 @@ class NetworkResult:
     def speedup(self) -> float:
         """Network speedup over DaDianNao (total cycles ratio)."""
         return self.baseline_cycles / self.cycles if self.cycles else float("inf")
-
-    @property
-    def term_reduction(self) -> float:
-        total_terms = sum(layer.terms for layer in self.layers)
-        total_baseline = sum(layer.baseline_terms for layer in self.layers)
-        return total_terms / total_baseline if total_baseline else 0.0
 
     def summary(self) -> str:
         """Readable multi-line summary of the per-layer and network speedups."""

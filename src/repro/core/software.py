@@ -43,15 +43,6 @@ class SoftwareGuidance:
         """Use the precision windows attached to a trace."""
         return cls(precisions=trace.precisions, enabled=enabled)
 
-    @classmethod
-    def disabled(cls, num_layers: int) -> "SoftwareGuidance":
-        """Guidance object for a run without software support."""
-        return cls(precisions=tuple(LayerPrecision(msb=15) for _ in range(num_layers)), enabled=False)
-
-    def layer_mask(self, layer_index: int) -> int:
-        """The AND mask applied to the neurons feeding ``layer_index``."""
-        return self.precisions[layer_index].mask
-
     def apply(self, values: np.ndarray, layer_index: int) -> np.ndarray:
         """Trim neuron values feeding the given layer (no-op when disabled)."""
         if not self.enabled:

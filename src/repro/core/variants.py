@@ -14,7 +14,6 @@ from repro.numerics.encodings import encoding_names
 __all__ = [
     "pallet_variant",
     "column_variant",
-    "single_stage_variant",
     "encoding_variant",
     "FIG9_FIRST_STAGE_BITS",
     "FIG10_SSR_COUNTS",
@@ -22,7 +21,6 @@ __all__ = [
     "fig10_variants",
     "fig12_variants",
     "encoding_variants",
-    "paper_variants",
 ]
 
 #: First-stage shifter widths swept in Figure 9 / Table III.
@@ -39,19 +37,6 @@ def pallet_variant(first_stage_bits: int, software_trimming: bool = True) -> Pra
         synchronization="pallet",
         software_trimming=software_trimming,
         label=f"PRA-{first_stage_bits}b",
-    )
-
-
-def single_stage_variant(software_trimming: bool = True) -> PragmaticConfig:
-    """The single-stage design PRAsingle (full-reach shifters, ``L = 4``)."""
-    config = pallet_variant(4, software_trimming=software_trimming)
-    return PragmaticConfig(
-        first_stage_bits=config.first_stage_bits,
-        synchronization=config.synchronization,
-        ssr_count=config.ssr_count,
-        software_trimming=config.software_trimming,
-        chip=config.chip,
-        label="PRA-single",
     )
 
 
@@ -126,17 +111,3 @@ def encoding_variants(first_stage_bits: int = 2) -> dict[str, PragmaticConfig]:
         name: encoding_variant(name, first_stage_bits=first_stage_bits)
         for name in encoding_names()
     }
-
-
-def paper_variants() -> dict[str, PragmaticConfig]:
-    """Every named configuration the paper evaluates, keyed by its label."""
-    variants: dict[str, PragmaticConfig] = {}
-    for bits in FIG9_FIRST_STAGE_BITS:
-        config = pallet_variant(bits)
-        variants[config.name] = config
-    for count in FIG10_SSR_COUNTS:
-        config = column_variant(count)
-        variants[config.name] = config
-    single = single_stage_variant()
-    variants[single.name] = single
-    return variants

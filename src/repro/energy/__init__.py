@@ -16,7 +16,6 @@ from repro.energy.efficiency import (
     EfficiencyEntry,
     design_efficiency,
     energy_efficiency,
-    execution_energy,
 )
 from repro.energy.power import PowerReport, chip_power, design_power, unit_power
 
@@ -41,5 +40,4 @@ __all__ = [
     "EfficiencyEntry",
     "design_efficiency",
     "energy_efficiency",
-    "execution_energy",
 ]

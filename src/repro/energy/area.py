@@ -36,12 +36,6 @@ class AreaReport:
     unit_ratio: float
     chip_ratio: float
 
-    def row(self) -> str:
-        return (
-            f"{self.design:>14s}  unit {self.unit_mm2:6.2f} mm² ({self.unit_ratio:4.2f}x)  "
-            f"chip {self.chip_mm2:6.1f} mm² ({self.chip_ratio:4.2f}x)"
-        )
-
 
 def design_area(
     design: str | PragmaticConfig, chip: ChipConfig = DEFAULT_CHIP

@@ -17,17 +17,7 @@ from repro.core.accelerator import NetworkResult, PragmaticConfig
 from repro.energy.components import component_counts_for
 from repro.energy.power import chip_power
 
-__all__ = ["execution_energy", "energy_efficiency", "EfficiencyEntry", "design_efficiency"]
-
-
-def execution_energy(
-    power_w: float, cycles: float, chip: ChipConfig = DEFAULT_CHIP
-) -> float:
-    """Energy (Joules) of running ``cycles`` at ``power_w`` on the given chip clock."""
-    if power_w < 0 or cycles < 0:
-        raise ValueError("power and cycles must be non-negative")
-    seconds = cycles / (chip.frequency_ghz * 1e9)
-    return power_w * seconds
+__all__ = ["energy_efficiency", "EfficiencyEntry", "design_efficiency"]
 
 
 def energy_efficiency(
@@ -52,12 +42,6 @@ class EfficiencyEntry:
     speedup: float
     power_ratio: float
     efficiency: float
-
-    def row(self) -> str:
-        return (
-            f"{self.design:>14s} on {self.network:<10s} speedup {self.speedup:4.2f}x, "
-            f"power {self.power_ratio:4.2f}x -> efficiency {self.efficiency:4.2f}x"
-        )
 
 
 def design_efficiency(

@@ -34,9 +34,6 @@ class PowerReport:
     chip_w: float
     chip_ratio: float
 
-    def row(self) -> str:
-        return f"{self.design:>14s}  chip {self.chip_w:5.1f} W ({self.chip_ratio:4.2f}x)"
-
 
 def design_power(
     design: str | PragmaticConfig, chip: ChipConfig = DEFAULT_CHIP

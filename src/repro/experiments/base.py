@@ -202,18 +202,6 @@ class ExperimentResult:
         """Render the experiment as a JSON document."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ExperimentResult":
-        """Rebuild a result from :meth:`to_dict` output (artifact round trip)."""
-        return cls(
-            experiment=payload["experiment"],
-            title=payload["title"],
-            headers=list(payload["headers"]),
-            rows=[list(row) for row in payload["rows"]],
-            notes=payload.get("notes", ""),
-            metadata=dict(payload.get("metadata", {})),
-        )
-
 
 def export_results(results: dict[str, ExperimentResult], out_dir: str | Path) -> list[Path]:
     """Write one ``<experiment>.json`` artifact per result; returns the paths."""

@@ -64,7 +64,6 @@ __all__ = [
     "EXPERIMENTS",
     "experiment_description",
     "run_experiment",
-    "run_all",
     "main",
 ]
 
@@ -211,16 +210,10 @@ def run_experiment(
     return EXPERIMENTS[name](preset=preset, seed=seed)
 
 
-def run_all(preset: str | Preset = "fast", seed: int = 0) -> dict[str, ExperimentResult]:
-    """Run every experiment in presentation order (serial, session-cached)."""
-    from repro.runtime import run_experiments
-
-    report = run_experiments(list(EXPERIMENTS), preset=preset, seed=seed)
-    return report.results
-
-
 def main(argv: list[str] | None = None) -> int:
     """Command-line interface."""
+    from repro.cachenet.backend import parse_backend_spec
+
     parser = argparse.ArgumentParser(
         prog="repro.experiments",
         description="Regenerate the tables and figures of the Bit-Pragmatic paper.",
@@ -251,6 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--cache-backend",
+        type=parse_backend_spec,
         default=None,
         metavar="SPEC",
         help="result-cache backend URI instead of --cache-dir: "
@@ -323,6 +317,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("specify --experiment NAME, --all, or --list")
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
 
     from repro.runtime import resolve_cache_dir, run_experiments
 

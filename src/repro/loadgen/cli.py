@@ -221,6 +221,7 @@ async def _run(args, mix: MixSpec) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.cachenet.backend import parse_backend_spec
     from repro.experiments.base import parse_endpoint
 
     parser = argparse.ArgumentParser(
@@ -248,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         help="--spawn cluster: concurrent jobs per worker (default: 2)",
     )
     parser.add_argument(
-        "--cache-backend", default=None, metavar="SPEC",
+        "--cache-backend", type=parse_backend_spec, default=None, metavar="SPEC",
         help="--spawn: mount a result-cache backend spec on the target "
         "(e.g. remote://HOST:PORT, docs/cachenet.md) instead of its "
         "private temp cache; the report then carries a remote_cache block",

@@ -9,7 +9,7 @@ from repro.nn.calibration import (
     storage_bits_for,
 )
 from repro.nn.layers import BRICK_SIZE, PALLET_WINDOWS, ConvLayerSpec
-from repro.nn.networks import NETWORK_NAMES, Network, all_networks, get_network, list_networks
+from repro.nn.networks import NETWORK_NAMES, Network, get_network
 from repro.nn.precision import (
     DEFAULT_SUFFIX_BITS,
     TABLE2_PRECISIONS,
@@ -18,7 +18,7 @@ from repro.nn.precision import (
     profile_from_values,
     table2_precisions,
 )
-from repro.nn.reference import conv2d_reference, pad_input, relu
+from repro.nn.reference import conv2d_reference, pad_input
 from repro.nn.traces import (
     LayerTraceParams,
     NetworkTrace,
@@ -33,8 +33,6 @@ __all__ = [
     "Network",
     "NETWORK_NAMES",
     "get_network",
-    "list_networks",
-    "all_networks",
     "LayerPrecision",
     "TABLE2_PRECISIONS",
     "table2_precisions",
@@ -43,7 +41,6 @@ __all__ = [
     "DEFAULT_SUFFIX_BITS",
     "conv2d_reference",
     "pad_input",
-    "relu",
     "LayerTraceParams",
     "NetworkTrace",
     "generate_layer_values",

@@ -112,24 +112,9 @@ class ConvLayerSpec:
         return self.filter_height * self.filter_width * self.input_channels
 
     @property
-    def total_synapses(self) -> int:
-        """Synapses across all filters."""
-        return self.synapses_per_filter * self.num_filters
-
-    @property
     def macs(self) -> int:
         """Multiply-accumulate operations needed for the whole layer."""
         return self.num_windows * self.num_filters * self.synapses_per_filter
-
-    @property
-    def input_neurons(self) -> int:
-        """Number of input neurons (unpadded)."""
-        return self.input_channels * self.input_height * self.input_width
-
-    @property
-    def output_neurons(self) -> int:
-        """Number of output neurons."""
-        return self.num_filters * self.num_windows
 
     # -------------------------------------------------------------- brick/pallet
     @property

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.nn.layers import ConvLayerSpec
 
-__all__ = ["Network", "NETWORK_NAMES", "get_network", "list_networks", "all_networks"]
+__all__ = ["Network", "NETWORK_NAMES", "get_network"]
 
 
 @dataclass(frozen=True)
@@ -197,13 +197,3 @@ def get_network(name: str) -> Network:
             f"unknown network {name!r}; available: {', '.join(sorted(_REGISTRY))}"
         )
     return _REGISTRY[key]
-
-
-def list_networks() -> tuple[str, ...]:
-    """Names of all available networks."""
-    return NETWORK_NAMES
-
-
-def all_networks() -> tuple[Network, ...]:
-    """All network inventories in canonical order."""
-    return tuple(_REGISTRY[name] for name in NETWORK_NAMES)

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.nn.layers import ConvLayerSpec
 
-__all__ = ["pad_input", "conv2d_reference", "relu", "check_shapes"]
+__all__ = ["pad_input", "conv2d_reference", "check_shapes"]
 
 
 def check_shapes(layer: ConvLayerSpec, neurons: np.ndarray, synapses: np.ndarray) -> None:
@@ -67,7 +67,7 @@ def conv2d_reference(
     numpy.ndarray
         Output neuron array ``[N, Oy, Ox]`` as ``int64`` partial sums (no
         activation function applied — DaDN applies ``f`` after the full window
-        has been reduced, which callers can do with :func:`relu`).
+        has been reduced).
     """
     check_shapes(layer, neurons, synapses)
     padded = pad_input(np.asarray(neurons, dtype=np.int64), layer.padding)
@@ -84,8 +84,3 @@ def conv2d_reference(
             # weights: [N, I, Fy, Fx], window: [I, Fy, Fx]
             out[:, oy, ox] = np.tensordot(weights, window, axes=([1, 2, 3], [0, 1, 2]))
     return out
-
-
-def relu(values: np.ndarray) -> np.ndarray:
-    """Rectified linear unit applied element-wise."""
-    return np.maximum(np.asarray(values), 0)

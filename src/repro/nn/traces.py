@@ -211,10 +211,6 @@ class NetworkTrace:
             (count,), self.layer_params(layer_index), self._rng(layer_index, stream=1)
         )
 
-    def layer_weights(self) -> np.ndarray:
-        """MAC count of each layer, used to weight per-layer statistics."""
-        return np.array([layer.macs for layer in self.network.layers], dtype=np.float64)
-
     def stream_weights(self) -> np.ndarray:
         """Neuron-stream length of each layer (weights for Table I statistics)."""
         return np.array(

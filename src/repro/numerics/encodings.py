@@ -5,9 +5,9 @@ power-of-two representation of the neurons: the accelerator streams signed
 terms, so the oneffset generator is the only block that changes between
 representations.  This module makes that observation first-class.  An
 :class:`Encoding` turns stored neuron magnitudes into signed power-of-two
-terms — a scalar generator for the wire-level models and a vectorized
-term-mask form for the packed drain kernels — and a registry
-(:func:`register_encoding` / :func:`get_encoding`, mirroring
+terms — a scalar generator, the reference the tests check the other form
+against, and a vectorized term-mask form for the packed drain kernels — and
+a registry (:func:`register_encoding` / :func:`get_encoding`, mirroring
 :mod:`repro.runtime.backends`) lets every stratum of the stack select one by
 name.
 

@@ -30,6 +30,7 @@ import json
 import os
 import sys
 
+from repro.cachenet.backend import parse_backend_spec
 from repro.experiments.base import parse_age, parse_endpoint, parse_size
 from repro.runtime.session import default_cache_dir, resolve_cache_dir, resolve_trace_dir
 
@@ -149,6 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--cache-backend",
+        type=parse_backend_spec,
         default=None,
         metavar="SPEC",
         help="result-cache backend URI instead of --cache-dir: "

@@ -255,8 +255,8 @@ def parse_request(message: dict) -> ServeRequest:
     if not isinstance(preset, str) or preset not in PRESETS:
         raise ProtocolError(f"unknown preset {preset!r}; available: {', '.join(PRESETS)}")
     seed = message.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ProtocolError("seed must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ProtocolError("seed must be a non-negative integer")
     overrides = _normalize_overrides(message.get("overrides"))
 
     if op == "run_experiment":

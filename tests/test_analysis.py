@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.analysis.essential_bits import essential_bit_table, measure_trace
+from repro.analysis.essential_bits import measure_trace
 from repro.analysis.potential import count_terms_fixed16, count_terms_quant8
-from repro.analysis.speedup import dadn_result, geometric_mean, speedup_summary, stripes_result
+from repro.analysis.speedup import dadn_result, geometric_mean, stripes_result
 from repro.analysis.tables import format_percent, format_ratio, format_table
 from repro.nn.calibration import TABLE1_TARGETS, calibrated_trace
 
@@ -41,18 +41,15 @@ class TestEssentialBits:
             measure_trace(tiny_trace, samples_per_layer=0)
 
     def test_calibrated_alexnet_tracks_paper_nz(self):
-        entries = essential_bit_table(
-            representation="fixed16", networks=("alexnet",), samples_per_layer=4000
-        )
-        entry = entries[0]
+        trace = calibrated_trace("alexnet", representation="fixed16")
+        _, nz_fraction = measure_trace(trace, samples_per_layer=4000)
         paper = TABLE1_TARGETS["fixed16"]["nz"]["alexnet"]
-        assert entry.nonzero_fraction == pytest.approx(paper, rel=0.3)
-        assert entry.paper_nonzero_fraction == paper
+        assert nz_fraction == pytest.approx(paper, rel=0.3)
 
     def test_quant8_content_higher_than_fixed16(self):
-        fixed = essential_bit_table("fixed16", networks=("vgg_m",), samples_per_layer=4000)[0]
-        quant = essential_bit_table("quant8", networks=("vgg_m",), samples_per_layer=4000)[0]
-        assert quant.all_fraction > fixed.all_fraction
+        fixed, _ = measure_trace(calibrated_trace("vgg_m", representation="fixed16"), 4000)
+        quant, _ = measure_trace(calibrated_trace("vgg_m", representation="quant8"), 4000)
+        assert quant > fixed
 
 
 class TestPotential:
@@ -61,9 +58,10 @@ class TestPotential:
         counts = count_terms_fixed16(trace, samples_per_layer=4000)
         # Pragmatic with software guidance needs the fewest terms; every engine
         # needs fewer terms than the bit-parallel baseline (ratio 1.0).
-        assert counts.relative("PRA-red") <= counts.relative("PRA-fp16")
-        assert counts.relative("PRA-fp16") < counts.relative("Stripes") <= 1.0
-        assert counts.relative("ZN") <= counts.relative("CVN") <= 1.0
+        relative = counts.relative_terms
+        assert relative["PRA-red"] <= relative["PRA-fp16"]
+        assert relative["PRA-fp16"] < relative["Stripes"] <= 1.0
+        assert relative["ZN"] <= relative["CVN"] <= 1.0
 
     def test_fig2_requires_fixed16_trace(self):
         trace = calibrated_trace("alexnet", representation="quant8")
@@ -73,7 +71,7 @@ class TestPotential:
     def test_fig3_pra_beats_zero_skipping(self):
         trace = calibrated_trace("alexnet", representation="quant8")
         counts = count_terms_quant8(trace, samples_per_layer=4000)
-        assert counts.relative("PRA") < counts.relative("ZN") <= 1.0
+        assert counts.relative_terms["PRA"] < counts.relative_terms["ZN"] <= 1.0
 
     def test_fig3_requires_quant8_trace(self):
         with pytest.raises(ValueError):
@@ -102,8 +100,3 @@ class TestSpeedupHelpers:
         wide = stripes_result(tiny_trace, precision_widths=(16, 16))
         narrow = stripes_result(tiny_trace, precision_widths=(4, 4))
         assert narrow.speedup > wide.speedup
-
-    def test_speedup_summary_geomeans_per_engine(self, tiny_trace):
-        results = {"Stripes": {"tiny_net": stripes_result(tiny_trace)}}
-        summary = speedup_summary(results)
-        assert summary["Stripes"] == pytest.approx(results["Stripes"]["tiny_net"].speedup)

@@ -1,22 +1,16 @@
-"""Unit tests for the chip configuration and memory models."""
+"""Unit tests for the chip configuration and the neuron-memory fetch model."""
 
 import pytest
 
 from repro.arch.config import DEFAULT_CHIP, ChipConfig
-from repro.arch.memory import AccessCounters, NeuronMemory, SynapseBuffer, layer_fits_on_chip
+from repro.arch.memory import NeuronMemory
 from repro.nn.layers import ConvLayerSpec
-from repro.nn.networks import get_network
 
 
 class TestChipConfig:
     def test_default_matches_dadiannao(self):
         assert DEFAULT_CHIP.tiles == 16
         assert DEFAULT_CHIP.filters_per_cycle == 256
-        assert DEFAULT_CHIP.synapses_per_cycle == 4096
-
-    def test_terms_per_cycle(self):
-        assert DEFAULT_CHIP.bit_parallel_terms_per_cycle == 4096 * 16
-        assert DEFAULT_CHIP.serial_terms_per_cycle == 4096 * 16
 
     def test_neuron_bytes(self):
         assert DEFAULT_CHIP.neuron_bytes == 2
@@ -46,51 +40,3 @@ class TestNeuronMemory:
     def test_fetch_cycles_capped_at_pallet_width(self):
         layer = ConvLayerSpec("wide", 16, 300, 300, 4, 3, 3, stride=16)
         assert NeuronMemory().pallet_fetch_cycles(layer) <= 16
-
-    def test_footprint_and_fits(self):
-        memory = NeuronMemory()
-        small = ConvLayerSpec("s", 16, 8, 8, 4, 3, 3, padding=1)
-        assert memory.fits(small)
-        assert memory.layer_footprint_bytes(small) == 16 * 8 * 8 * 2
-
-    def test_alexnet_and_nin_layers_fit_in_nm(self):
-        memory = NeuronMemory()
-        for name in ("alexnet", "nin"):
-            for layer in get_network(name).layers:
-                assert memory.fits(layer), layer.name
-
-    def test_vgg19_early_layers_overflow_nm(self):
-        # The 4 MB neuron memory cannot hold VGG-19's 64x224x224 activations; the
-        # capacity check must flag that rather than silently mis-model it.
-        assert not NeuronMemory().fits(get_network("vgg19").layer("conv1_2"))
-
-
-class TestSynapseBuffer:
-    def test_footprint_counts_one_filter_pass(self):
-        buffer = SynapseBuffer()
-        layer = ConvLayerSpec("l", 256, 14, 14, 512, 3, 3, padding=1)
-        assert buffer.layer_footprint_bytes(layer) == 16 * 256 * 9 * 2
-
-    def test_paper_layers_fit_in_sb(self):
-        buffer = SynapseBuffer()
-        for layer in get_network("vgg19").layers:
-            assert buffer.fits(layer), layer.name
-
-    def test_layer_reads_scale_with_window_groups(self):
-        buffer = SynapseBuffer()
-        layer = ConvLayerSpec("l", 64, 28, 28, 64, 3, 3, padding=1)
-        assert buffer.layer_reads(layer) == layer.window_groups * layer.bricks_per_window
-
-    def test_layer_fits_on_chip(self):
-        layer = ConvLayerSpec("l", 64, 28, 28, 64, 3, 3, padding=1)
-        assert layer_fits_on_chip(layer)
-
-
-class TestAccessCounters:
-    def test_merge_adds_counters(self):
-        a = AccessCounters(nm_reads=1, sb_reads=2)
-        b = AccessCounters(nm_reads=3, nbout_writes=4)
-        merged = a.merge(b)
-        assert merged.nm_reads == 4
-        assert merged.sb_reads == 2
-        assert merged.nbout_writes == 4

@@ -10,7 +10,6 @@ from repro.arch.tiling import (
     exact_pallet_values,
     extract_brick,
     extract_pallet_step,
-    iter_pallet_steps,
     pallet_window_coordinates,
     sample_pallet_values,
     window_coordinates,
@@ -64,10 +63,6 @@ class TestExtraction:
         step = extract_pallet_step(padded, tiny_layer, windows, BrickPosition(0, 0, 0))
         assert step.shape == (PALLET_WINDOWS, BRICK_SIZE)
 
-    def test_iter_pallet_steps_covers_whole_layer(self, tiny_layer, tiny_trace):
-        steps = list(iter_pallet_steps(tiny_trace.layer_input(0), tiny_layer))
-        assert len(steps) == tiny_layer.window_groups * tiny_layer.bricks_per_window
-
     def test_exact_pallet_values_matches_iteration(self, tiny_layer, tiny_trace):
         neurons = tiny_trace.layer_input(0)
         tensor = exact_pallet_values(neurons, tiny_layer)
@@ -77,9 +72,13 @@ class TestExtraction:
             PALLET_WINDOWS,
             BRICK_SIZE,
         )
-        iterated = list(iter_pallet_steps(neurons, tiny_layer))
-        pallet_index, _, first_step = iterated[0]
-        np.testing.assert_array_equal(tensor[pallet_index, 0], first_step)
+        padded = pad_input(neurons, tiny_layer.padding)
+        for pallet, windows in enumerate(pallet_window_coordinates(tiny_layer)):
+            for step, position in enumerate(brick_positions(tiny_layer)):
+                np.testing.assert_array_equal(
+                    tensor[pallet, step],
+                    extract_pallet_step(padded, tiny_layer, windows, position),
+                )
 
 
 class TestSampling:

@@ -7,7 +7,6 @@ from repro.baselines.dadiannao import DaDianNaoFunctional, DaDianNaoModel
 from repro.baselines.stripes import StripesFunctional, StripesModel
 from repro.baselines.zero_skip import ZeroSkipModel, zero_fraction
 from repro.nn.layers import ConvLayerSpec
-from repro.nn.networks import get_network
 from repro.nn.precision import LayerPrecision
 from repro.nn.reference import conv2d_reference
 from repro.nn.traces import generate_synapses
@@ -28,13 +27,6 @@ class TestDaDianNaoModel:
     def test_layer_terms_counts_sixteen_per_mac(self):
         layer = ConvLayerSpec("l", 16, 8, 8, 4, 3, 3, padding=1)
         assert DaDianNaoModel().layer_terms(layer) == layer.macs * 16
-
-    def test_network_cycles_sums_layers(self):
-        model = DaDianNaoModel()
-        network = get_network("alexnet")
-        assert model.network_cycles(network) == sum(
-            model.layer_cycles(layer) for layer in network.layers
-        )
 
     def test_cycles_independent_of_neuron_values(self):
         # Bit-parallel hardware is value-agnostic by construction.
@@ -82,14 +74,6 @@ class TestStripesModel:
         model = StripesModel()
         assert model.layer_cycles(layer, LayerPrecision(msb=8, lsb=2)) == model.layer_cycles(layer, 7)
 
-    def test_network_cycles_uses_trace_precisions(self, tiny_trace):
-        model = StripesModel()
-        expected = sum(
-            model.layer_cycles(tiny_trace.layer(i), tiny_trace.layer_precision(i))
-            for i in range(2)
-        )
-        assert model.network_cycles(tiny_trace) == expected
-
     def test_rejects_zero_precision(self):
         layer = ConvLayerSpec("l", 16, 8, 8, 4, 3, 3)
         with pytest.raises(ValueError):
@@ -113,9 +97,6 @@ class TestStripesFunctional:
                 tiny_layer, neurons, synapses, LayerPrecision(msb=2, lsb=0)
             )
 
-    def test_cycles_per_window_group_is_precision_width(self):
-        assert StripesFunctional().cycles_per_window_group(LayerPrecision(msb=8, lsb=2)) == 7
-
 
 class TestZeroSkip:
     def test_zero_fraction(self):
@@ -135,7 +116,3 @@ class TestZeroSkip:
         cvn = ZeroSkipModel(skip_first_layer=False)
         assert cvn.layer_terms(layer, values, layer_index=0) == layer.macs * 16
         assert cvn.layer_terms(layer, values, layer_index=1) == layer.macs * 16 * 0.5
-
-    def test_names(self):
-        assert ZeroSkipModel(skip_first_layer=True).name == "ZN"
-        assert ZeroSkipModel(skip_first_layer=False).name == "CVN"

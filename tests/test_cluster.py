@@ -11,6 +11,7 @@ its server.
 """
 
 import asyncio
+import gc
 import json
 import re
 import sys
@@ -570,6 +571,47 @@ class TestClusterExecution:
                 assert "no live workers" in response["error"]
 
         run(scenario())
+
+    def test_a_failed_flight_takes_the_job_s_other_flights_down(self, tmp_path, monkeypatch):
+        """A job whose dependency flight fails is told ``failed``, and its
+        other flights stop with it: none stays in flight, and none fails
+        later as a never-retrieved exception."""
+
+        async def scenario():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            async with _Cluster(tmp_path / "cache") as cluster:
+                coordinator = cluster.coordinator
+                answered = asyncio.Event()
+                dispatched = []
+
+                async def run_on(link, flight):
+                    # The first flight fails at once; every other one fails
+                    # too, but only after the client has its answer.
+                    if dispatched:
+                        await answered.wait()
+                    dispatched.append(flight.key)
+                    raise ClusterError("injected flight failure")
+
+                monkeypatch.setattr(coordinator, "_run_on", run_on)
+                ticket = await coordinator.submit(
+                    ExperimentRequest(experiment="fig9", overrides=TWO_NETWORKS)
+                )
+                response = await asyncio.wait_for(coordinator.wait(ticket), timeout=30)
+                assert response["event"] == "failed"
+                assert "injected flight failure" in response["error"]
+                answered.set()
+                await _until(
+                    lambda: coordinator.stats()["cluster"]["flights_inflight"] == 0,
+                    timeout=10,
+                )
+                assert len(dispatched) > 1  # a multi-flight job
+            gc.collect()  # an unretrieved failure is reported when collected
+            return unhandled
+
+        assert run(scenario()) == []
 
     @pytest.mark.parametrize(
         "child, message",

@@ -44,7 +44,6 @@ class TestResults:
     def test_layer_result_speedup(self):
         result = LayerResult("l", cycles=50.0, baseline_cycles=100.0, terms=1.0, baseline_terms=4.0)
         assert result.speedup == 2.0
-        assert result.term_reduction == 0.25
 
     def test_network_result_aggregates(self):
         layers = (

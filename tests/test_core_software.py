@@ -19,10 +19,10 @@ class TestSoftwareGuidance:
     def test_apply_masks_bits_outside_window(self, guidance):
         values = np.array([0b11_1111_1111_11])
         trimmed = guidance.apply(values, 0)
-        assert np.all((np.abs(trimmed) & ~np.int64(guidance.layer_mask(0))) == 0)
+        assert np.all((np.abs(trimmed) & ~np.int64(guidance.precisions[0].mask)) == 0)
 
-    def test_disabled_guidance_is_identity(self, rng):
-        guidance = SoftwareGuidance.disabled(num_layers=3)
+    def test_disabled_guidance_is_identity(self, tiny_trace, rng):
+        guidance = SoftwareGuidance.from_trace(tiny_trace, enabled=False)
         values = rng.integers(0, 2**15, size=100)
         np.testing.assert_array_equal(guidance.apply(values, 1), values)
 
@@ -44,6 +44,3 @@ class TestSoftwareGuidance:
 
     def test_savings_zero_for_all_zero_values(self, guidance):
         assert guidance.essential_bit_savings(np.zeros(10, dtype=int), 0) == 0.0
-
-    def test_layer_mask_matches_precision(self, guidance):
-        assert guidance.layer_mask(1) == LayerPrecision(msb=7, lsb=0).mask

@@ -13,8 +13,6 @@ from repro.core.variants import (
     fig10_variants,
     fig12_variants,
     pallet_variant,
-    paper_variants,
-    single_stage_variant,
 )
 
 
@@ -22,11 +20,6 @@ class TestVariants:
     def test_pallet_variant_names(self):
         assert pallet_variant(0).name == "PRA-0b"
         assert pallet_variant(4).name == "PRA-4b"
-
-    def test_single_stage_variant_is_four_bit(self):
-        config = single_stage_variant()
-        assert config.first_stage_bits == 4
-        assert config.name == "PRA-single"
 
     def test_column_variant_configuration(self):
         config = column_variant(4)
@@ -46,12 +39,6 @@ class TestVariants:
 
     def test_fig12_variants_disable_software_trimming(self):
         assert all(not v.software_trimming for v in fig12_variants().values())
-
-    def test_paper_variants_unique_names(self):
-        variants = paper_variants()
-        assert len(variants) == len(set(variants))
-        assert "PRA-2b" in variants and "PRA-2b-1R" in variants
-
 
 class TestSweep:
     def test_sweep_matches_individual_simulation(self, tiny_trace):

@@ -21,7 +21,6 @@ import pytest
 
 from repro.arch.tiling import SamplingConfig
 from repro.core.accelerator import PragmaticConfig
-from repro.core.oneffset_generator import OneffsetGenerator
 from repro.core.scheduling import encoded_drain_masks
 from repro.core.sweep import sweep_network
 from repro.core.variants import encoding_variant, encoding_variants
@@ -272,36 +271,6 @@ class TestConfigThreading:
         assert simulation_key(spec, sampling, config) == simulation_key(
             spec, sampling, dataclasses.replace(config, label="renamed")
         )
-
-
-class TestGeneratorEncodings:
-    def test_positional_lane_states_unchanged(self):
-        generator = OneffsetGenerator(storage_bits=16)
-        states = generator.lane_states(np.array([5, -3, 0]))
-        assert [state.pending for state in states] == [[0, 2], [0, 1], []]
-        assert [state.sign for state in states] == [1, -1, 1]
-        assert [state.term_signs for state in states] == [[1, 1], [1, 1], []]
-
-    def test_signed_encoding_lane_states(self):
-        generator = OneffsetGenerator(storage_bits=16, encoding="csd")
-        (state,) = generator.lane_states(np.array([7]))  # 7 = -1 + 8
-        assert state.pending == [0, 3]
-        assert state.term_signs == [-1, 1]
-        offset, sign, end, null = state.next_term()
-        assert (offset, sign, end, null) == (0, -1, False, False)
-        offset, sign, end, null = state.next_term()
-        assert (offset, sign, end, null) == (3, 1, True, False)
-
-    def test_stream_lengths_follow_the_encoding(self):
-        values = np.array([126])  # six positional bits, two CSD/HESE terms
-        assert OneffsetGenerator().max_stream_length(values) == 6
-        assert OneffsetGenerator(encoding="csd").max_stream_length(values) == 2
-        assert OneffsetGenerator(encoding="hese").max_stream_length(values) == 2
-        assert OneffsetGenerator(encoding="binary").max_stream_length(values) == 1
-
-    def test_unknown_encoding_rejected(self):
-        with pytest.raises(ValueError, match="unknown encoding"):
-            OneffsetGenerator(encoding="gray-code")
 
 
 def _tiny_trace():

@@ -13,7 +13,7 @@ from repro.energy.components import (
     pragmatic_unit_counts,
     stripes_unit_counts,
 )
-from repro.energy.efficiency import design_efficiency, energy_efficiency, execution_energy
+from repro.energy.efficiency import design_efficiency, energy_efficiency
 from repro.energy.power import chip_power, design_power
 
 #: Published Table III / IV values: design -> (unit mm2, chip power W).
@@ -109,13 +109,6 @@ class TestCalibratedTotals:
 
 
 class TestEfficiency:
-    def test_execution_energy_scales_linearly(self):
-        assert execution_energy(10.0, 2e9) == pytest.approx(2 * execution_energy(10.0, 1e9))
-
-    def test_execution_energy_rejects_negative(self):
-        with pytest.raises(ValueError):
-            execution_energy(-1.0, 10)
-
     def test_energy_efficiency_formula(self):
         assert energy_efficiency(10.0, 100.0, 20.0, 25.0) == pytest.approx(2.0)
 

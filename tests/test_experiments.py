@@ -1,12 +1,14 @@
 """Tests for the experiment harness (registry, presets, light experiments)."""
 
-import pytest
-
+import dataclasses
 import json
+
+import pytest
 
 from repro.experiments import runner
 from repro.experiments.base import (
     PRESETS,
+    RESULT_SCHEMA,
     ExperimentResult,
     Preset,
     export_results,
@@ -112,8 +114,8 @@ class TestRegistry:
 class TestArtifacts:
     def test_result_json_round_trip(self):
         result = table3.run(preset="smoke")
-        rebuilt = ExperimentResult.from_dict(json.loads(result.to_json()))
-        assert rebuilt == result
+        payload = json.loads(result.to_json())
+        assert payload == {"schema": RESULT_SCHEMA, **dataclasses.asdict(result)}
 
     def test_export_results_writes_one_file_per_experiment(self, tmp_path):
         result = table3.run(preset="smoke")

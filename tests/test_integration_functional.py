@@ -5,9 +5,10 @@ Pragmatic tile (built on the Figure 7 oracle) agrees with the cycle model
 import numpy as np
 import pytest
 
+from repro.analysis.speedup import stripes_result
 from repro.arch.tiling import SamplingConfig
 from repro.baselines.dadiannao import DaDianNaoFunctional, DaDianNaoModel
-from repro.baselines.stripes import StripesFunctional, StripesModel
+from repro.baselines.stripes import StripesFunctional
 from repro.core.accelerator import PragmaticConfig
 from repro.core.pip import PragmaticTileFunctional
 from repro.core.sweep import sweep_network
@@ -75,7 +76,7 @@ class TestFunctionalEquivalence:
         dadn_cycles = sum(
             DaDianNaoModel().layer_cycles(layer) for layer in tiny_trace.network.layers
         )
-        stripes_cycles = StripesModel().network_cycles(tiny_trace)
+        stripes_cycles = stripes_result(tiny_trace).cycles
         config = PragmaticConfig(software_trimming=False)
         pragmatic_cycles = sweep_network(tiny_trace, {"x": config}, sampling)["x"].cycles
         assert pragmatic_cycles <= stripes_cycles <= dadn_cycles
@@ -83,7 +84,7 @@ class TestFunctionalEquivalence:
     def test_stripes_speedup_matches_utilization_corrected_ideal(self, tiny_trace):
         # The ideal 16/p speedup is scaled by window-lane utilization when a layer's
         # window count is not a multiple of the 16-wide pallet.
-        stripes_cycles = StripesModel().network_cycles(tiny_trace)
+        stripes_cycles = stripes_result(tiny_trace).cycles
         expected = 0.0
         for index, layer in enumerate(tiny_trace.network.layers):
             width = tiny_trace.layer_precision(index).width

@@ -48,16 +48,10 @@ class TestGeometry:
     def test_synapse_counts(self):
         layer = make_layer()
         assert layer.synapses_per_filter == 3 * 3 * 64
-        assert layer.total_synapses == 3 * 3 * 64 * 128
 
     def test_mac_count(self):
         layer = make_layer()
         assert layer.macs == 28 * 28 * 128 * 3 * 3 * 64
-
-    def test_neuron_counts(self):
-        layer = make_layer()
-        assert layer.input_neurons == 64 * 28 * 28
-        assert layer.output_neurons == 128 * 28 * 28
 
     def test_channel_bricks_rounds_up(self):
         assert make_layer(input_channels=3).channel_bricks == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.nn.layers import ConvLayerSpec
-from repro.nn.networks import NETWORK_NAMES, Network, all_networks, get_network, list_networks
+from repro.nn.networks import NETWORK_NAMES, Network, get_network
 from repro.nn.precision import TABLE2_PRECISIONS
 
 
@@ -11,13 +11,6 @@ class TestRegistry:
     def test_six_networks_available(self):
         assert len(NETWORK_NAMES) == 6
         assert set(NETWORK_NAMES) == {"alexnet", "nin", "googlenet", "vgg_m", "vgg_s", "vgg19"}
-
-    def test_list_networks_matches_canonical_order(self):
-        assert list_networks() == NETWORK_NAMES
-
-    def test_all_networks_returns_objects_in_order(self):
-        networks = all_networks()
-        assert [n.name for n in networks] == list(NETWORK_NAMES)
 
     def test_get_network_accepts_aliases(self):
         assert get_network("VGG-M").name == "vgg_m"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import ConvLayerSpec
-from repro.nn.reference import check_shapes, conv2d_reference, pad_input, relu
+from repro.nn.reference import check_shapes, conv2d_reference, pad_input
 
 
 def test_pad_input_adds_zero_border():
@@ -23,10 +23,6 @@ def test_pad_input_zero_padding_is_identity():
 def test_pad_input_rejects_negative():
     with pytest.raises(ValueError):
         pad_input(np.zeros((1, 2, 2)), -1)
-
-
-def test_relu_clamps_negatives():
-    np.testing.assert_array_equal(relu(np.array([-2, 0, 3])), [0, 0, 3])
 
 
 def test_check_shapes_rejects_mismatches(tiny_layer, rng):

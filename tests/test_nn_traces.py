@@ -110,7 +110,6 @@ class TestNetworkTrace:
             tiny_trace.sample_layer_values(0, 0)
 
     def test_weights_match_layer_count(self, tiny_trace):
-        assert tiny_trace.layer_weights().shape == (2,)
         assert tiny_trace.stream_weights().shape == (2,)
 
     def test_mismatched_params_rejected(self, tiny_network):

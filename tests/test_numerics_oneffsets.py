@@ -1,15 +1,14 @@
 """Unit tests for the oneffset (essential bit) representation.
 
-The paper's oneffsets are the terms of the ``positional`` registry encoding;
-:class:`repro.core.oneffset_generator.OneffsetStream` is their wire format and
-:func:`repro.analysis.essential_bits.measure_trace` their Table I statistic.
+The paper's oneffsets are the terms of the ``positional`` registry encoding,
+and :func:`repro.analysis.essential_bits.measure_trace` is their Table I
+statistic.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis.essential_bits import measure_trace
-from repro.core.oneffset_generator import OneffsetGenerator, OneffsetStream
 from repro.numerics.encodings import get_encoding
 from repro.numerics.fixedpoint import popcount
 
@@ -60,14 +59,6 @@ class TestEncodeDecode:
         with pytest.raises(ValueError):
             decode_oneffsets([-1])
 
-    def test_encode_array_flattens(self):
-        encoded = OneffsetGenerator(storage_bits=8).oneffset_lists(np.array([[1, 2], [3, 0]]))
-        assert encoded == [[0], [1], [0, 1], []]
-
-    def test_encode_array_rejects_wide_values(self):
-        with pytest.raises(ValueError):
-            OneffsetGenerator(storage_bits=8).oneffset_lists(np.array([300]))
-
 
 class TestEssentialBitStatistics:
     def test_counts_match_popcount_semantics(self):
@@ -92,34 +83,3 @@ class TestEssentialBitStatistics:
     def test_fraction_rejects_empty(self, tiny_trace):
         with pytest.raises(ValueError):
             measure_trace(tiny_trace, samples_per_layer=0)
-
-
-class TestOneffsetStream:
-    def test_stream_for_paper_example(self):
-        stream = OneffsetStream.from_value(0b101, bits=16)
-        assert stream.entries == ((0, False), (2, True))
-        assert stream.cycles == 2
-
-    def test_zero_value_is_single_null_entry(self):
-        stream = OneffsetStream.from_value(0, bits=16)
-        assert len(stream) == 1
-        assert stream.entries[0][1] is True
-        assert stream.cycles == 1
-
-    def test_worst_case_sixteen_oneffsets(self):
-        stream = OneffsetStream.from_value(0xFFFF, bits=16)
-        assert len(stream) == 16
-        assert stream.cycles == 16
-
-    def test_value_reconstruction(self):
-        for value in [1, 2, 5, 1234, 65535]:
-            assert OneffsetStream.from_value(value, bits=16).value == value
-
-    def test_rejects_values_wider_than_storage(self):
-        with pytest.raises(ValueError):
-            OneffsetStream.from_value(256, bits=8)
-
-    def test_end_of_neuron_marker_only_on_last_entry(self):
-        stream = OneffsetStream.from_value(0b1011, bits=16)
-        markers = [eon for _, eon in stream]
-        assert markers == [False, False, True]

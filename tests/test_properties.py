@@ -15,14 +15,12 @@ from repro.arch.tiling import SamplingConfig, sample_pallet_values
 from repro.baselines.zero_skip import ZeroSkipModel
 from repro.core.accelerator import PragmaticConfig
 from repro.core.kernels import batched_drain_cycles
-from repro.core.oneffset_generator import OneffsetStream
 from repro.core.pip import PragmaticInnerProductUnit, serial_term_schedule
 from repro.core.scheduling import encoded_drain_masks
 from repro.core.sweep import cycles_from_drain, sweep_network
 from repro.nn.precision import LayerPrecision
 from repro.numerics.encodings import encoding_names, get_encoding
-from repro.numerics.fixedpoint import FixedPointFormat, popcount
-from repro.numerics.quantized import QuantizationParams
+from repro.numerics.fixedpoint import popcount
 from repro.runtime import RunStats
 from tests.test_core_kernels import oracle_mask_drains, random_trace
 
@@ -55,11 +53,6 @@ class TestOneffsetProperties:
     def test_oneffset_count_equals_popcount(self, value):
         assert len(encode_oneffsets(value)) == bin(value).count("1")
 
-    @given(uint16)
-    def test_stream_cycles_are_max_of_popcount_and_one(self, value):
-        stream = OneffsetStream.from_value(value, bits=16)
-        assert stream.cycles == max(1, bin(value).count("1"))
-
     @given(st.lists(uint16, min_size=1, max_size=8), first_stage)
     def test_schedule_consumes_all_oneffsets_exactly_once(self, values, bits):
         oneffsets = [encode_oneffsets(v) for v in values]
@@ -87,23 +80,6 @@ class TestOneffsetProperties:
 
 
 class TestNumericFormatProperties:
-    @given(st.floats(min_value=-1e4, max_value=1e4, allow_nan=False), st.integers(0, 8))
-    def test_fixed_point_roundtrip_error_bounded(self, value, frac_bits):
-        fmt = FixedPointFormat(total_bits=24, frac_bits=frac_bits)
-        recovered = float(fmt.dequantize(fmt.quantize(value)))
-        assert abs(recovered - value) <= fmt.scale / 2 + 1e-9
-
-    @given(
-        st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
-        st.floats(min_value=0.5, max_value=200.0, allow_nan=False),
-        st.floats(min_value=0.0, max_value=1.0),
-    )
-    def test_quantization_roundtrip_error_bounded(self, low, span, position):
-        params = QuantizationParams(min_val=low, max_val=low + span)
-        value = low + position * span
-        recovered = float(params.dequantize(params.quantize(np.array([value])))[0])
-        assert abs(recovered - value) <= params.scale / 2 + 1e-9
-
     @given(st.lists(uint16, min_size=1, max_size=32), st.integers(0, 15), st.integers(0, 15))
     def test_precision_trim_is_idempotent_and_reducing(self, values, a, b):
         lsb, msb = min(a, b), max(a, b)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.arch.config import ChipConfig
 from repro.arch.tiling import SamplingConfig
 from repro.core.accelerator import PragmaticConfig
-from repro.core.variants import pallet_variant, single_stage_variant
+from repro.core.variants import pallet_variant
 from repro.experiments.base import PRESETS
 from repro.nn.calibration import REPRESENTATIONS
 from repro.nn.networks import NETWORK_NAMES
@@ -79,8 +79,9 @@ class TestSimulationKey:
     def test_label_is_excluded(self):
         # PRAsingle is pallet_variant(4) under a different display label; both
         # must address the same cache entry.
+        single = dataclasses.replace(pallet_variant(4), label="PRA-single")
         assert simulation_key(self.SPEC, self.SAMPLING, pallet_variant(4)) == simulation_key(
-            self.SPEC, self.SAMPLING, single_stage_variant()
+            self.SPEC, self.SAMPLING, single
         )
 
     def test_config_changes_change_the_key(self):

@@ -5,10 +5,12 @@ run, warm-cache runs recompute nothing, and runs degrade gracefully when
 parallelism or caching is unavailable.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.arch.tiling import SamplingConfig
-from repro.core.variants import pallet_variant, single_stage_variant
+from repro.core.variants import pallet_variant
 from repro.experiments.base import ExperimentResult, Preset
 from repro.runtime import (
     RuntimeSession,
@@ -38,12 +40,14 @@ def tiny_request(config_pairs, max_pallets=1, seed=0):
 
 class TestEngine:
     def test_hit_restores_the_requesting_label(self):
-        # pallet_variant(4) and PRAsingle share one cache entry but must each
-        # come back under their own display name.
+        # pallet_variant(4) and PRAsingle (the same design under another
+        # label) share one cache entry but must each come back under their
+        # own display name.
+        single = dataclasses.replace(pallet_variant(4), label="PRA-single")
         session = RuntimeSession()
         with use_session(session):
             first = simulate(tiny_request([("4-bit", pallet_variant(4))]))
-            second = simulate(tiny_request([("single", single_stage_variant())]))
+            second = simulate(tiny_request([("single", single)]))
         assert session.sweep_stats.configs_simulated == 1  # second was a hit
         assert first["4-bit"].accelerator == "PRA-4b"
         assert second["single"].accelerator == "PRA-single"

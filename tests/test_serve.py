@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.cachenet.backend import resolve_backend
 from repro.cachenet.cli import main as cacheserve_main
 from repro.cluster.cli import main as cluster_main
+from repro.experiments.runner import main as runner_main
 from repro.loadgen.cli import main as loadgen_main
 from repro.serve import (
     ExperimentRequest,
@@ -68,7 +69,7 @@ JOB_MESSAGES = st.fixed_dictionaries(
         "op": _or_json("run_experiment", "run_all", "simulate", "ping"),
         "experiment": _or_json("fig9", "table3", "fig99"),
         "preset": _or_json("smoke", "fast", "huge"),
-        "seed": _or_json(0, 1),
+        "seed": _or_json(0, 1, -1),
         "overrides": st.fixed_dictionaries(
             {},
             optional={
@@ -205,6 +206,7 @@ class TestProtocol:
     @example(message=NON_STRING_NAMES[1])
     @example(message=NON_STRING_NAMES[2])
     @example(message=NON_STRING_NAMES[3])
+    @example(message={"op": "run_all", "preset": "smoke", "seed": -2})
     def test_any_json_object_parses_or_raises_a_protocol_error(self, message):
         """A request parses into a typed request whose string fields are
         strings and whose deduplication key derives, or it is refused with a
@@ -214,6 +216,7 @@ class TestProtocol:
         except ProtocolError:
             return
         assert isinstance(request, (ExperimentRequest, RunAllRequest, SimulateRequest))
+        assert request.seed >= 0
         for field in dataclasses.fields(request):
             if field.type == "str":
                 assert isinstance(getattr(request, field.name), str), field.name
@@ -1265,6 +1268,36 @@ class TestFrontEnds:
         else:
             message = str(raised.value)
         assert BAD_ENDPOINT in message
+
+    @pytest.mark.parametrize(
+        "main, argv",
+        [
+            pytest.param(
+                runner_main, ["--experiment", "table3", "--no-cache", "--seed", "-1"],
+                id="batch-seed",
+            ),
+            pytest.param(
+                cluster_main, ["--run", "fig2", "--preset", "smoke", "--seed", "-1"],
+                id="cluster-seed",
+            ),
+            *(
+                pytest.param(main, [*argv, "--cache-backend", spec], id=f"{name}-{kind}")
+                for name, main, argv in (
+                    ("batch", runner_main, ["--experiment", "table3"]),
+                    ("serve", serve_main, ["--stdio"]),
+                    ("cluster", cluster_main, ["--stdio"]),
+                    ("loadgen", loadgen_main, ["--spawn", "serve"]),
+                )
+                for kind, spec in (("scheme", "bogus://x"), ("port", f"remote://{BAD_ENDPOINT}"))
+            ),
+        ],
+    )
+    def test_a_malformed_flag_is_a_usage_error_that_names_it(self, main, argv, capsys):
+        """Refused while parsing (exit 2), before anything is mounted or spawned."""
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        assert argv[-2] in capsys.readouterr().err.splitlines()[-1]
 
     def test_oversized_request_line_gets_a_typed_error(self):
         from repro.serve.service import LINE_LIMIT
