@@ -7,18 +7,21 @@ and over non-zero neurons only ("NZ").  Those two numbers pin down the two free
 parameters of the synthetic trace generator:
 
 * the zero fraction ``z`` follows from ``All = (1 - z) * NZ``, and
-* the magnitude scale multiplier ``alpha`` (the half-normal scale expressed as a
-  fraction of ``2**msb`` of each layer's bit window) is found by bisection so
+* the magnitude scale multiplier ``alpha`` (the lognormal median expressed as
+  a fraction of ``2**msb`` of each layer's bit window) is found by bisection so
   that the simulated NZ essential-bit fraction matches the published value.
 
 The calibrated parameters are what every experiment uses by default, so the
 reproduction's inputs carry the same bit statistics the original evaluation saw.
+A calibration draws each layer's sample once; every bisection step only
+rescales it (see :func:`_nz_fraction_evaluator`).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from repro.nn.traces import (
     LayerTraceParams,
     NetworkTrace,
     generate_layer_values,
+    saturate_magnitudes,
 )
 
 __all__ = [
@@ -126,7 +130,8 @@ class NetworkCalibration:
     representation:
         ``"fixed16"`` or ``"quant8"``.
     alpha:
-        Half-normal scale as a fraction of ``2**msb`` of each layer's bit window.
+        Lognormal median (``sigma``) as a fraction of ``2**msb`` of each layer's
+        bit window.
     zero_fraction:
         Fraction of exactly-zero neurons.
     target_nz_fraction:
@@ -177,42 +182,55 @@ def _layer_shape(representation: str) -> float:
     return DEFAULT_SHAPE if representation == "fixed16" else 0.8
 
 
-def _nz_bit_fraction(
+def _bit_fraction(values: np.ndarray, storage_bits: int) -> float:
+    """Mean essential-bit fraction of ``values`` in a ``storage_bits`` word."""
+    return popcount(values, bits=storage_bits).mean() / storage_bits
+
+
+def _nz_fraction_evaluator(
     network: Network,
     windows: tuple[LayerPrecision, ...],
-    alpha: float,
     storage_bits: int,
     samples_per_layer: int,
     seed: int,
-    fixed_params: dict[int, LayerTraceParams] | None = None,
-    shape: float = DEFAULT_SHAPE,
-) -> float:
-    """Stream-weighted essential-bit fraction of non-zero neurons for a given alpha.
+    dense_first_layer: bool,
+    shape: float,
+) -> Callable[[float], float]:
+    """Stream-weighted essential-bit fraction of non-zero neurons, per alpha.
 
-    ``fixed_params`` pins the distribution of specific layers (the dense
-    image-fed first layer) so that the bisection only adjusts the remaining,
-    ReLU-fed layers.
+    Layer ``i``'s sample is what :func:`generate_layer_values` draws from
+    ``default_rng((seed, i))`` with no zero mass: a lognormal magnitude is
+    ``exp(log(sigma) + shape * z)`` over that stream's standard normals ``z``.
+    So ``shape * z`` is drawn once here, and each alpha only recomputes the
+    exponential, the rounding and the popcount.  With ``dense_first_layer``
+    the first layer is pinned to the image-pixel distribution, which does not
+    depend on alpha, so its fraction is computed once and the bisection only
+    adjusts the remaining, ReLU-fed layers.
     """
     weights = np.array(
         [layer.neuron_stream_length() for layer in network.layers], dtype=np.float64
     )
     fractions = np.empty(network.num_layers, dtype=np.float64)
     max_magnitude = (1 << storage_bits) - 1
-    fixed_params = fixed_params or {}
-    for index, window in enumerate(windows):
+    noise: dict[int, np.ndarray] = {}
+    for index in range(network.num_layers):
         rng = np.random.default_rng((seed, index))
-        params = fixed_params.get(
-            index,
-            LayerTraceParams(
-                sigma=_layer_sigma(window, alpha),
-                zero_fraction=0.0,
-                max_magnitude=max_magnitude,
-                shape=shape,
-            ),
-        )
-        values = generate_layer_values((samples_per_layer,), params, rng)
-        fractions[index] = popcount(values, bits=storage_bits).mean() / storage_bits
-    return float(np.average(fractions, weights=weights))
+        if dense_first_layer and index == 0:
+            values = generate_layer_values(
+                (samples_per_layer,), _image_layer_params(storage_bits), rng
+            )
+            fractions[index] = _bit_fraction(values, storage_bits)
+        else:
+            noise[index] = shape * rng.standard_normal(samples_per_layer)
+
+    def evaluate(alpha: float) -> float:
+        for index, log_noise in noise.items():
+            magnitudes = np.exp(np.log(_layer_sigma(windows[index], alpha)) + log_noise)
+            values = saturate_magnitudes(magnitudes, max_magnitude).astype(np.int64)
+            fractions[index] = _bit_fraction(values, storage_bits)
+        return float(np.average(fractions, weights=weights))
+
+    return evaluate
 
 
 @functools.lru_cache(maxsize=128)
@@ -227,8 +245,9 @@ def calibrate_network(
     """Find trace parameters that reproduce the network's Table I statistics.
 
     The NZ essential-bit fraction is monotone in the magnitude scale, so a plain
-    bisection on ``alpha`` converges quickly.  Results are cached per argument
-    combination; calibration is deterministic.
+    bisection on ``alpha`` converges quickly.  Calibration is a deterministic
+    function of its arguments (and the code), so results are memoized per
+    argument combination for the life of the process.
 
     With ``dense_first_layer`` the first layer's scale is pinned to the
     image-pixel distribution and only the remaining (ReLU-fed) layers are
@@ -243,20 +262,16 @@ def calibrate_network(
     target_all = targets["all"][network.name]
     zero_fraction = float(np.clip(1.0 - target_all / target_nz, 0.0, 0.99))
 
-    windows = _generation_windows(network, representation, suffix_bits)
-    fixed_params = {0: _image_layer_params(storage_bits)} if dense_first_layer else {}
-
-    low, high = 1e-4, 4.0
-    evaluate = functools.partial(
-        _nz_bit_fraction,
+    evaluate = _nz_fraction_evaluator(
         network,
-        windows,
+        _generation_windows(network, representation, suffix_bits),
         storage_bits=storage_bits,
         samples_per_layer=samples_per_layer,
         seed=seed,
-        fixed_params=fixed_params,
+        dense_first_layer=dense_first_layer,
         shape=_layer_shape(representation),
     )
+    low, high = 1e-4, 4.0
     achieved = evaluate(high)
     if achieved < target_nz:
         # Even the widest scale cannot reach the target (should not happen for the
@@ -269,11 +284,11 @@ def calibrate_network(
             target_nz_fraction=target_nz,
             achieved_nz_fraction=achieved,
         )
-    if evaluate(low) > target_nz:
+    achieved = evaluate(low)
+    if achieved > target_nz:
         # The pinned first layer alone exceeds the target; use the smallest scale
         # for the remaining layers.
         alpha = low
-        achieved = evaluate(low)
     else:
         for _ in range(40):
             mid = 0.5 * (low + high)
@@ -366,12 +381,7 @@ def calibrated_trace(
     return NetworkTrace(
         network=net,
         precisions=profile,
-        params=params_tuple(params),
+        params=tuple(params),
         seed=seed,
         storage_bits=storage_bits,
     )
-
-
-def params_tuple(params: list[LayerTraceParams]) -> tuple[LayerTraceParams, ...]:
-    """Freeze a parameter list (kept as a helper for readability)."""
-    return tuple(params)

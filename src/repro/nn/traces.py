@@ -6,8 +6,8 @@ traces are not redistributable, so this module generates synthetic per-layer
 activation streams with the same *bit statistics*:
 
 * a fraction of exactly-zero neurons (the ReLU-censored mass), and
-* non-zero magnitudes drawn from a half-normal distribution whose scale is tied
-  to the layer's precision window and calibrated (see
+* non-zero magnitudes drawn from a lognormal distribution whose median
+  ``sigma`` is tied to the layer's precision window and calibrated (see
   :mod:`repro.nn.calibration`) so that the per-network essential-bit content
   matches the paper's own Table I.
 
@@ -32,6 +32,7 @@ __all__ = [
     "NetworkTrace",
     "generate_layer_values",
     "generate_synapses",
+    "saturate_magnitudes",
 ]
 
 
@@ -98,7 +99,10 @@ def generate_layer_values(
     Values are zero with probability ``params.zero_fraction``; otherwise their
     magnitude is drawn from the configured distribution, rounded to the nearest
     integer (minimum 1, since the zero mass is modelled explicitly) and
-    saturated to the storage range.
+    saturated to the storage range.  Rounding and saturation happen in float,
+    so a magnitude beyond the integer range saturates too.  The zero mask is
+    the generator's last draw, and is not drawn at all when
+    ``zero_fraction`` is 0.
     """
     count = int(np.prod(shape))
     if params.distribution == "lognormal":
@@ -107,11 +111,16 @@ def generate_layer_values(
         magnitudes = np.abs(rng.normal(loc=0.0, scale=params.sigma, size=count))
     else:  # uniform
         magnitudes = rng.uniform(0.0, params.sigma, size=count)
-    values = np.rint(magnitudes).astype(np.int64)
-    values = np.clip(values, 1, params.max_magnitude)
-    zero_mask = rng.random(count) < params.zero_fraction
-    values[zero_mask] = 0
-    return values.reshape(shape)
+    saturate_magnitudes(magnitudes, params.max_magnitude)
+    if params.zero_fraction > 0.0:
+        magnitudes *= rng.random(count) >= params.zero_fraction
+    return magnitudes.astype(np.int64).reshape(shape)
+
+
+def saturate_magnitudes(magnitudes: np.ndarray, max_magnitude: int) -> np.ndarray:
+    """Round float magnitudes in place to integers in ``[1, max_magnitude]``."""
+    np.rint(magnitudes, out=magnitudes)
+    return np.clip(magnitudes, 1, max_magnitude, out=magnitudes)
 
 
 def generate_synapses(

@@ -1,18 +1,24 @@
-"""Process-pool execution of run plans, with graceful serial fallback.
+"""Execution of run plans, serially in-process or over a process pool.
 
-The scheduler executes a :class:`~repro.runtime.jobs.RunPlan` as a dependency
-wavefront over a ``concurrent.futures`` process pool: simulation jobs run
-first (they have no dependencies), each experiment job is submitted as soon as
-the simulation jobs it depends on have populated the shared on-disk cache, and
-results are reassembled in the caller's order so a parallel run is
-indistinguishable from a serial one.
+The scheduler executes a :class:`~repro.runtime.jobs.RunPlan`, whose
+simulation and statistics jobs are merged across experiments so each
+``(trace, sampling)`` is swept once.  Both modes run the same jobs through
+one dispatcher (:func:`_run_job`):
+
+* ``jobs <= 1`` executes the plan in-process, in dependency order:
+  simulation and statistics jobs first, then each experiment, which finds
+  its inputs as warm hits in the session cache (no pool, no pickling);
+* ``jobs > 1`` executes it as a dependency wavefront over a
+  ``concurrent.futures`` process pool: each experiment job is submitted as
+  soon as the jobs it depends on have populated the shared on-disk cache, and
+  results are reassembled in the caller's order so a parallel run is
+  indistinguishable from a serial one.
 
 Fallbacks keep the engine dependable everywhere:
 
-* ``jobs <= 1`` runs everything in-process (no pool, no pickling);
-* without a *persistent* cache (``--no-cache`` or a memory-only session)
-  simulation jobs cannot hand results to experiment workers, so the plan
-  degrades to experiment-level parallelism with self-contained jobs;
+* a job can hand its results to a later one only through the cache, so with
+  the cache disabled (``--no-cache``), or without a *persistent* cache in a
+  parallel run, the plan degrades to self-contained experiment jobs;
 * if the platform cannot create a process pool at all, the run silently
   degrades to serial execution and says so in the report.
 
@@ -25,7 +31,7 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.core.sweep import SweepStats
@@ -141,21 +147,29 @@ def _reset_job_stats(session: RuntimeSession) -> None:
         artifacts.reset_counters()
 
 
+def _run_job(
+    job: SimulationJob | StatisticsJob | ExperimentJob, session: RuntimeSession
+) -> ExperimentResult | None:
+    """Execute one plan job in ``session``; only experiment jobs return a result."""
+    if isinstance(job, SimulationJob):
+        simulate(job.request, session=session)
+        return None
+    if isinstance(job, StatisticsJob):
+        analyze(job.request, session=session)
+        return None
+    from repro.experiments.runner import run_experiment
+
+    with use_session(session):
+        return run_experiment(job.experiment, preset=job.preset, seed=job.seed)
+
+
 def _execute_job(
     job: SimulationJob | StatisticsJob | ExperimentJob,
 ) -> tuple[str, ExperimentResult | None, dict]:
     """Run one job in the worker's session; returns (job id, result, stats delta)."""
     session = current_session()
     _reset_job_stats(session)
-    result: ExperimentResult | None = None
-    if isinstance(job, SimulationJob):
-        simulate(job.request, session=session)
-    elif isinstance(job, StatisticsJob):
-        analyze(job.request, session=session)
-    else:
-        from repro.experiments.runner import run_experiment
-
-        result = run_experiment(job.experiment, preset=job.preset, seed=job.seed)
+    result = _run_job(job, session)
     return job.job_id, result, session.stats().as_dict()
 
 
@@ -175,14 +189,14 @@ def _stats_delta(end: dict, start: dict) -> dict:
 
 
 # ------------------------------------------------------------------ execution
-def _run_serial(
-    names: list[str], preset: Preset, seed: int, session: RuntimeSession
-) -> dict[str, ExperimentResult]:
-    """In-process execution; the shared session already provides all reuse."""
-    from repro.experiments.runner import run_experiment
-
-    with use_session(session):
-        return {name: run_experiment(name, preset=preset, seed=seed) for name in names}
+def _run_serial(plan: RunPlan, session: RuntimeSession) -> dict[str, ExperimentResult]:
+    """In-process execution of every job of ``plan``, dependencies first."""
+    results: dict[str, ExperimentResult] = {}
+    for job in plan.jobs():
+        result = _run_job(job, session)
+        if result is not None:
+            results[job.experiment] = result
+    return results
 
 
 def _run_parallel(
@@ -266,7 +280,8 @@ def run_experiments(
     preset, seed:
         Forwarded to every experiment.
     jobs:
-        Worker processes; ``1`` (the default) runs serially in-process.
+        Worker processes; ``1`` (the default) executes the plan serially
+        in-process.
     cache_dir:
         Directory of the shared on-disk result cache; when neither ``cache_dir``
         nor ``no_cache`` is given the run uses the caller's active session (so a
@@ -295,38 +310,31 @@ def run_experiments(
     stats = RunStats()
     mode = "serial"
     plan = build_plan(names, preset, seed, session)
-    if jobs > 1 and not session.cache.persistent:
-        # Simulation/statistics jobs cannot hand results to sibling processes
-        # without a shared on-disk cache; run self-contained experiment jobs only.
-        plan = RunPlan(
+    # Jobs hand results to each other through the cache: in-process through
+    # any enabled cache, across processes only through a persistent one.
+    # Without one, each experiment job computes what it needs itself.
+    if not (session.cache.persistent if jobs > 1 else session.cache.enabled):
+        plan = replace(
+            plan,
             simulations=[],
             statistics=[],
-            experiments=[
-                ExperimentJob(
-                    job_id=job.job_id,
-                    experiment=job.experiment,
-                    preset=job.preset,
-                    seed=job.seed,
-                )
-                for job in plan.experiments
-            ],
-            planned_hits=plan.planned_hits,
+            experiments=[replace(job, deps=()) for job in plan.experiments],
         )
 
     if jobs > 1:
         try:
             unordered = _run_parallel(plan, jobs, session, stats, cache_backend)
-            results = {name: unordered[name] for name in names}
             mode = "parallel"
         except concurrent.futures.BrokenExecutor:
             # The platform cannot sustain a worker pool (spawn blocked, workers
             # killed): degrade gracefully.  Genuine exceptions raised *by* an
             # experiment or simulation propagate to the caller instead.
             stats = RunStats()  # discard partial worker counters
-            results = _run_serial(names, preset, seed, session)
+            unordered = _run_serial(plan, session)
             mode = "serial-fallback"
     else:
-        results = _run_serial(names, preset, seed, session)
+        unordered = _run_serial(plan, session)
+    results = {name: unordered[name] for name in names}
 
     stats.merge(_stats_delta(session.stats().as_dict(), session_stats_before))
     usage = session.cache.usage() if hasattr(session.cache, "usage") else None

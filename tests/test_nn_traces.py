@@ -55,6 +55,15 @@ class TestGenerateLayerValues:
         assert values.max() > 200
         assert values.min() >= 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("distribution", ["uniform", "lognormal"])
+    def test_huge_magnitudes_saturate(self, distribution):
+        # Far beyond the int64 range: rounding and clipping happen in float,
+        # so every value saturates instead of wrapping to the minimum of 1.
+        params = LayerTraceParams(sigma=1e20, zero_fraction=0.0, distribution=distribution)
+        values = generate_layer_values((8,), params, np.random.default_rng(0))
+        np.testing.assert_array_equal(values, np.full(8, params.max_magnitude))
+
     def test_half_normal_scale_controls_magnitude(self, rng):
         small = LayerTraceParams(sigma=4.0, zero_fraction=0.0, distribution="half_normal")
         large = LayerTraceParams(sigma=400.0, zero_fraction=0.0, distribution="half_normal")

@@ -23,6 +23,7 @@ from repro.runtime import (
     simulate,
     use_session,
 )
+from repro.runtime import engine
 from repro.runtime.cache import ResultCache
 
 #: Two-network preset keeping the scheduler tests fast.
@@ -36,6 +37,19 @@ def tiny_request(config_pairs, max_pallets=1, seed=0):
         configs=tuple(config_pairs),
         sampling=SamplingConfig(max_pallets=max_pallets, seed=0),
     )
+
+
+def _count_sweeps(monkeypatch) -> list:
+    """Record every ``sweep_network`` call the engine makes."""
+    calls = []
+    sweep = engine.sweep_network
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "sweep_network", counted)
+    return calls
 
 
 class TestEngine:
@@ -183,6 +197,24 @@ class TestRunExperiments:
         assert report.stats.cache.stores == 0
         assert report.cache is None
         assert list(tmp_path.glob("*.json")) == []
+
+    def test_cold_serial_run_sweeps_each_trace_once(self, tmp_path, monkeypatch):
+        sweeps = _count_sweeps(monkeypatch)
+        report = run_experiments(SIM_EXPERIMENTS, preset=SMOKE, cache_dir=tmp_path)
+        assert report.mode == "serial"
+        assert report.simulation_jobs > 0
+        # One sweep per merged (trace, sampling) job; every experiment then
+        # reads its designs back as warm hits.
+        assert len(sweeps) == report.simulation_jobs
+        assert report.stats.cache.misses == report.stats.sweep.configs_simulated
+
+    def test_serial_run_without_cache_runs_no_pre_pass(self, monkeypatch):
+        sweeps = _count_sweeps(monkeypatch)
+        report = run_experiments(SIM_EXPERIMENTS, preset=SMOKE, no_cache=True)
+        assert report.simulation_jobs == 0
+        # No more than the experiments sweep on their own: one sweep per
+        # experiment and smoke network.
+        assert len(sweeps) <= len(SIM_EXPERIMENTS) * 2
 
     def test_summary_mentions_the_simulation_counter(self):
         report = run_experiments(["table3"], preset=SMOKE)
