@@ -17,32 +17,27 @@ The backend keeps no payload or miss cache of its own: the
 hits without a round trip (and outlives a dead server), and every miss asks
 the server, so a sibling's store is seen at once.
 
-:func:`resolve_backend` maps the ``--cache-backend`` URI scheme
-(``remote://host:port``, ``memory://``, or a plain directory path) to a
-backend instance; the auth token travels via ``REPRO_CACHE_TOKEN``, never
-argv.  :func:`parse_backend_spec` runs the same checks as every CLI's
-``--cache-backend`` argparse type, without mounting anything.
+:func:`resolve_backend` mounts a ``--cache-backend`` spec, whose one scheme
+is ``remote://host:port`` (``--no-cache`` and ``--cache-dir`` mount the
+memory and directory stores); the auth token travels via
+``REPRO_CACHE_TOKEN``, never argv.  :func:`parse_backend_spec` runs the same
+checks as every CLI's ``--cache-backend`` argparse type, without mounting
+anything.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import random
 import socket
 import threading
 import time
-from typing import BinaryIO, Callable
+from typing import BinaryIO
 
 from repro.cachenet.protocol import FrameError, read_frame, write_frame
 from repro.experiments.base import parse_endpoint
-from repro.runtime.backends import (
-    CacheBackend,
-    CorruptEntry,
-    FilesystemBackend,
-    InMemoryBackend,
-)
+from repro.runtime.backends import CacheBackend, CorruptEntry
 from repro.runtime.lifecycle import GCResult
 
 __all__ = [
@@ -266,39 +261,34 @@ class RemoteBackend(CacheBackend):
         return int(self.usage().get("entries", 0))
 
 
-def _backend_factory(spec: str) -> Callable[[], CacheBackend]:
-    """Check a ``--cache-backend`` spec; the returned callable mounts it.
+def _remote_endpoint(spec: str) -> tuple[str, int]:
+    """The ``(host, port)`` of a ``--cache-backend`` spec.
 
-    Raises ``ValueError`` for an unknown scheme or a malformed ``remote://``
-    endpoint (including a port outside 0–65535).  Nothing is connected or
-    created until the callable runs.
+    ``remote://host:port`` is the one scheme.  ``memory://`` and a bare
+    directory raise ``ValueError`` naming the flag that mounts them
+    (``--no-cache``, ``--cache-dir``); so do any other scheme and a
+    malformed endpoint, including a port outside 0–65535.
     """
     if spec.startswith("remote://"):
-        host, port = parse_endpoint(spec[len("remote://") :].rstrip("/"))
-        token = os.environ.get("REPRO_CACHE_TOKEN") or None
-        return functools.partial(RemoteBackend, host, port, auth_token=token)
+        return parse_endpoint(spec[len("remote://") :].rstrip("/"))
     if spec.startswith("memory://"):
-        return InMemoryBackend
-    if "://" in spec:
-        raise ValueError(f"unknown cache backend scheme: {spec!r}")
-    return functools.partial(FilesystemBackend, spec)
+        raise ValueError("memory:// is not a cache backend: --no-cache keeps results in memory")
+    if "://" not in spec:
+        raise ValueError(f"{spec!r} is not a cache backend: mount a directory with --cache-dir")
+    raise ValueError(f"unknown cache backend scheme: {spec!r} (expected remote://HOST:PORT)")
 
 
 def resolve_backend(spec: "str | CacheBackend") -> CacheBackend:
     """A backend for a ``--cache-backend`` spec (instances pass through).
 
-    * ``remote://host:port`` — a :class:`RemoteBackend`; auth token from
-      ``REPRO_CACHE_TOKEN``.
-    * ``memory://`` — a per-process :class:`InMemoryBackend`.
-    * anything else — a directory path served by a
-      :class:`~repro.runtime.backends.FilesystemBackend`.
-
-    An unknown scheme or a malformed ``remote://`` endpoint (including a
-    port outside 0–65535) raises ``ValueError``.
+    ``remote://host:port`` mounts a :class:`RemoteBackend` that
+    authenticates with ``REPRO_CACHE_TOKEN``; any other spec raises
+    ``ValueError`` (see :func:`_remote_endpoint`).
     """
     if isinstance(spec, CacheBackend):
         return spec
-    return _backend_factory(spec)()
+    host, port = _remote_endpoint(spec)
+    return RemoteBackend(host, port, auth_token=os.environ.get("REPRO_CACHE_TOKEN") or None)
 
 
 def parse_backend_spec(value: str) -> str:
@@ -309,7 +299,7 @@ def parse_backend_spec(value: str) -> str:
     Nothing is connected or created at parse time.
     """
     try:
-        _backend_factory(value)
+        _remote_endpoint(value)
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
     return value

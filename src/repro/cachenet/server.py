@@ -52,6 +52,10 @@ _PRE_AUTH_OPS = frozenset({"auth"})
 #: Ops that name one entry by its ``key``.
 _KEYED_OPS = frozenset({"get", "probe", "put", "touch"})
 
+#: Seconds between the serving loop's checks for a shutdown request, which
+#: bounds how long :meth:`CacheServer.stop` waits.
+POLL_INTERVAL = 0.05
+
 
 class _Handler(socketserver.StreamRequestHandler):
     """One connection: a loop of frames dispatched to the owning server."""
@@ -283,7 +287,10 @@ class CacheServer:
         self._server = _TCPServer((host, port), _Handler)
         self._server.cache_server = self  # type: ignore[attr-defined]
         self._thread = threading.Thread(
-            target=self._server.serve_forever, name="cacheserve", daemon=True
+            target=self._server.serve_forever,
+            args=(POLL_INTERVAL,),
+            name="cacheserve",
+            daemon=True,
         )
         self._thread.start()
         if self.gc_max_bytes is not None or self.gc_max_age is not None:

@@ -156,9 +156,9 @@ def main(argv: list[str] | None = None) -> int:
         type=parse_backend_spec,
         default=None,
         metavar="SPEC",
-        help="result-cache backend spec every worker mounts instead of the "
-        "shared directory (e.g. remote://HOST:PORT, docs/cachenet.md); "
-        "--cache-dir then only anchors the trace fabric",
+        help="network cache tier every worker mounts instead of the shared "
+        "directory: remote://HOST:PORT (see docs/cachenet.md); --cache-dir "
+        "then only anchors the trace fabric",
     )
     parser.add_argument(
         "--max-jobs-per-worker",

@@ -918,7 +918,7 @@ class ClusterService(ExperimentService):
         payload["cluster"]["stats_errors"] = errors
         return payload
 
-    async def handle_message(self, message, send, tickets=None, context=None) -> bool:
+    async def handle_message(self, message, send, context=None) -> bool:
         # Intercept ``stats`` only for authenticated (or local) callers — the
         # base auth gate must keep rejecting everything else first, or an
         # unauthenticated connection could read fleet topology.
@@ -928,4 +928,4 @@ class ClusterService(ExperimentService):
             payload = await self.cluster_stats()
             send({"id": client_id, **payload} if client_id is not None else payload)
             return True
-        return await super().handle_message(message, send, tickets=tickets, context=context)
+        return await super().handle_message(message, send, context=context)

@@ -119,13 +119,10 @@ class WorkerService(ExperimentService):
         }
 
     async def handle_message(
-        self, message: dict, send, tickets: list | None = None,
-        context: ConnectionContext | None = None,
+        self, message: dict, send, context: ConnectionContext | None = None
     ) -> bool:
         if context is None:
             context = ConnectionContext.local()
-            if tickets is not None:
-                context.tickets = tickets
         op = message.get("op")
         client_id = message.get("id")
 

@@ -21,11 +21,12 @@ or maintain the on-disk result cache::
 ``python -m repro`` is an alias for this module, and the installed console
 script is ``repro-experiments``.  Runs are executed by :mod:`repro.runtime`:
 ``--jobs N`` fans simulation and experiment jobs out over a process pool,
-``--cache-dir``/``--no-cache`` control the content-addressed result cache, and
-``--out DIR`` exports one JSON artifact per experiment.  The cache verbs scan
-the cache directory, which is its own index (:mod:`repro.runtime.lifecycle`):
-``--cache-stats`` only reads it, and garbage collection evicts
-least-recently-used entries (oldest file mtime) first.
+``--cache-dir`` places the content-addressed result cache (``--no-cache``
+keeps it in memory), and ``--out DIR`` exports one JSON artifact per
+experiment.  The cache verbs scan the cache directory, which is its own
+index (:mod:`repro.runtime.lifecycle`): ``--cache-stats`` only reads it, and
+garbage collection evicts least-recently-used entries (oldest file mtime)
+first.
 """
 
 from __future__ import annotations
@@ -240,16 +241,18 @@ def main(argv: list[str] | None = None) -> int:
         "or $REPRO_CACHE_DIR)",
     )
     parser.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache entirely"
+        "--no-cache",
+        action="store_true",
+        help="keep results in memory: nothing persists, and the run still "
+        "reuses what its own jobs computed",
     )
     parser.add_argument(
         "--cache-backend",
         type=parse_backend_spec,
         default=None,
         metavar="SPEC",
-        help="result-cache backend URI instead of --cache-dir: "
-        "remote://HOST:PORT (network cache tier, see docs/cachenet.md), "
-        "memory://, or a directory path",
+        help="network cache tier instead of --cache-dir: remote://HOST:PORT "
+        "(see docs/cachenet.md)",
     )
     parser.add_argument(
         "--trace-dir",

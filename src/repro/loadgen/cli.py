@@ -250,8 +250,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--cache-backend", type=parse_backend_spec, default=None, metavar="SPEC",
-        help="--spawn: mount a result-cache backend spec on the target "
-        "(e.g. remote://HOST:PORT, docs/cachenet.md) instead of its "
+        help="--spawn: mount a network cache tier on the target "
+        "(remote://HOST:PORT, see docs/cachenet.md) instead of its "
         "private temp cache; the report then carries a remote_cache block",
     )
     mix_group = parser.add_argument_group("request mix (see docs/loadgen.md)")

@@ -8,10 +8,10 @@ seam, not a hard-coded layer.  This module is that seam:
 
 * :class:`CacheBackend` — the abstract interface.  A backend stores validated
   JSON entries under ``(key, kind)``, reports usage, and optionally supports
-  garbage collection.  ``ResultCache`` owns policy (enabled/disabled, the
-  bounded memo, hit/miss/error counters); backends own persistence.
+  garbage collection.  ``ResultCache`` owns policy (the bounded memo,
+  hit/miss/error counters); backends own persistence.
 * :class:`InMemoryBackend` — a per-process dict.  The default for library
-  use, so importing ``repro`` never writes to disk.
+  use and what ``--no-cache`` mounts, so nothing is written to disk.
 * :class:`FilesystemBackend` — the on-disk layout of
   :mod:`repro.runtime.lifecycle`: gzip entry files written atomically, with
   the directory as the index and each file's mtime as its LRU clock.  Any
@@ -106,9 +106,10 @@ class CacheBackend:
 class InMemoryBackend(CacheBackend):
     """Per-process dict storage — nothing survives the interpreter.
 
-    The default backend of library use: importing ``repro`` and running an
-    experiment never touches the filesystem.  ``gc`` is a no-op (there is no
-    LRU pressure a byte cap could relieve that process exit doesn't).
+    The default backend of library use and of ``--no-cache``: running an
+    experiment through it never touches the filesystem.  ``gc`` is a no-op
+    (there is no LRU pressure a byte cap could relieve that process exit
+    doesn't).
     """
 
     persistent = False
@@ -147,12 +148,11 @@ class InMemoryBackend(CacheBackend):
 class FilesystemBackend(CacheBackend):
     """One directory of gzip entry files; the directory is its own index.
 
-    Atomic compressed writes (:func:`repro.runtime.lifecycle.write_entry`),
-    transparent reads of legacy uncompressed entries, and entry validation
-    (schema + kind + payload shape), so every filesystem-shaped backend
-    rejects damage identically.  A store is one file write, a use sets the
-    file's mtime (the LRU clock), and ``len``/``usage``/``gc``/``clear`` are
-    each one directory scan.
+    Atomic compressed writes (:func:`repro.runtime.lifecycle.write_entry`)
+    and entry validation (schema + kind + payload shape), so every
+    filesystem-shaped backend rejects damage identically.  A store is one
+    file write, a use sets the file's mtime (the LRU clock), and
+    ``len``/``usage``/``gc``/``clear`` are each one directory scan.
 
     The backend holds no state beyond its path, so any number of processes
     may share one directory, and each sees its siblings' stores and

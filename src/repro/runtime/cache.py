@@ -2,11 +2,12 @@
 
 One :class:`ResultCache` stores JSON payloads under fingerprint keys (see
 :mod:`repro.runtime.fingerprint`).  The cache owns *policy* — hit/miss/error
-accounting, the bounded in-process memo, the enabled/disabled switch — while
-the storage itself is a :class:`~repro.runtime.backends.CacheBackend`:
+accounting and the bounded in-process memo — while the storage itself is a
+:class:`~repro.runtime.backends.CacheBackend`:
 
 * ``ResultCache()`` — an :class:`~repro.runtime.backends.InMemoryBackend`;
-  the default for library use, so importing ``repro`` never writes to disk.
+  the default for library use and what ``--no-cache`` mounts, so nothing
+  persists while a run's jobs still hand results to each other.
 * ``ResultCache(directory=...)`` — a
   :class:`~repro.runtime.backends.FilesystemBackend`: gzip-compressed entry
   files written atomically into a directory that is its own index
@@ -14,8 +15,6 @@ the storage itself is a :class:`~repro.runtime.backends.CacheBackend`:
   and garbage collection are each one directory scan.
 * ``ResultCache(backend=...)`` — any backend, e.g. the network cache tier of
   ``docs/cachenet.md``, or a future object-store/redis backend.
-* :meth:`ResultCache.disabled` — every lookup misses and stores are dropped
-  (the ``--no-cache`` mode).
 
 Corrupted entries (truncated writes, manual edits, schema drift) are treated
 as misses: the backend drops the entry, ``stats.errors`` is incremented and
@@ -87,19 +86,14 @@ class ResultCache:
     def __init__(
         self,
         directory: str | Path | None = None,
-        enabled: bool = True,
         memo_entries: int = DEFAULT_MEMO_ENTRIES,
         backend: CacheBackend | None = None,
     ) -> None:
         if backend is not None and directory is not None:
             raise ValueError("pass either directory or backend, not both")
         if backend is None:
-            if enabled and directory is not None:
-                backend = FilesystemBackend(directory)
-            else:
-                backend = InMemoryBackend()
+            backend = InMemoryBackend() if directory is None else FilesystemBackend(directory)
         self.backend = backend
-        self.enabled = enabled
         self.memo_entries = memo_entries
         self.stats = CacheStats()
         #: LRU memo keyed by ``(key, kind)`` — the kind is part of the memo
@@ -110,11 +104,6 @@ class ResultCache:
             collections.OrderedDict()
         )
 
-    @classmethod
-    def disabled(cls) -> "ResultCache":
-        """A cache that never hits and never stores."""
-        return cls(directory=None, enabled=False)
-
     @property
     def directory(self) -> Path | None:
         """Directory of a filesystem-shaped backend, ``None`` otherwise."""
@@ -123,7 +112,7 @@ class ResultCache:
     @property
     def persistent(self) -> bool:
         """Whether entries survive this process."""
-        return self.enabled and self.backend.persistent
+        return self.backend.persistent
 
     # ------------------------------------------------------------------- memo
     def _memo_get(self, key: str, kind: str) -> list | None:
@@ -145,9 +134,6 @@ class ResultCache:
     # ----------------------------------------------------------------- lookup
     def get(self, key: str, kind: str = "network_result") -> dict | None:
         """Payload stored under ``key``, or ``None`` on a miss."""
-        if not self.enabled:
-            self.stats.misses += 1
-            return None
         slot = self._memo_get(key, kind)
         if slot is not None:
             self.stats.hits += 1
@@ -182,8 +168,6 @@ class ResultCache:
         are reserved for actual lookups, while corruption discovered during a
         probe still counts as an error and drops the entry.
         """
-        if not self.enabled:
-            return False
         if self._memo_get(key, kind) is not None:
             return True
         try:
@@ -200,8 +184,6 @@ class ResultCache:
         entry stays available in memory for this process and the failure is
         counted in ``stats.errors``.
         """
-        if not self.enabled:
-            return
         self._memo_put(key, kind, payload)
         self.stats.stores += 1
         try:
@@ -216,7 +198,7 @@ class ResultCache:
         Numbers come from the backend (one directory scan for a
         filesystem-shaped backend).
         """
-        usage = self.backend.usage() if self.enabled else {"entries": 0, "disk_bytes": 0}
+        usage = self.backend.usage()
         payload = {
             "entries": usage.get("entries", 0),
             "memo_entries": len(self._memory),
@@ -240,11 +222,9 @@ class ResultCache:
         """Garbage-collect the backend (LRU-first; see :func:`lifecycle.gc`).
 
         Evicted keys are also dropped from the in-process memo so a bounded
-        cache never serves an entry GC decided to retire.  A memory-only or
-        disabled cache has nothing to collect and returns an empty result.
+        cache never serves an entry GC decided to retire.  A memory-only
+        cache has nothing to collect and returns an empty result.
         """
-        if not self.persistent:
-            return lifecycle.GCResult()
         result = self.backend.gc(max_bytes=max_bytes, max_age=max_age)
         for key in result.removed_keys:
             self._memo_drop(key)
@@ -252,13 +232,9 @@ class ResultCache:
 
     def clear(self) -> int:
         """Remove every entry (backend and memo); returns backend entries removed."""
-        removed = 0
-        if self.enabled:
-            removed = self.backend.clear()
+        removed = self.backend.clear()
         self._memory.clear()
         return removed
 
     def __len__(self) -> int:
-        if not self.enabled:
-            return 0
         return len(self.backend)

@@ -6,15 +6,14 @@ exist (file names), how large they are (``st_size``) and when each was last
 used (``st_mtime``, the LRU clock).  This module holds the operations over
 that layout:
 
-* **entry codec** — new entries are written as gzip-compressed
-  ``<key>.json.gz`` files, atomically (temp file + rename); reads accept
-  both the compressed form and legacy uncompressed ``<key>.json`` entries, so
-  a cache populated before the format change keeps hitting after it.  A
-  store is that one file write and nothing else.
+* **entry codec** — every entry is a gzip-compressed ``<key>.json.gz``
+  file, written atomically (temp file + rename).  A store is that one file
+  write and nothing else.
 * **scan** — :func:`scan` is one ``os.scandir`` pass over every file named
-  ``<key>.json.gz``, ``<key>.json`` or ``<key>.npy`` (a trace tensor older
-  releases wrote; nothing writes one now, but it still takes space, so it
-  counts until GC or :func:`clear` removes it).  It skips dot-files
+  ``<key>.json.gz``, ``<key>.json`` or ``<key>.npy``.  The last two are
+  formats older releases wrote (uncompressed entries, trace tensors);
+  nothing reads or writes one now, but each still takes space, so it counts
+  until GC or :func:`clear` removes it.  It skips dot-files
   (in-flight temp writes), subdirectories (``traces/``) and the
   ``manifest.json`` index older releases kept.  Usage, counts, garbage
   collection and clearing each make one scan.
@@ -42,13 +41,13 @@ import os
 import re
 import tempfile
 import time
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 __all__ = [
     "COMPRESSED_SUFFIX",
-    "LEGACY_SUFFIX",
     "KEY_PATTERN",
     "EntryFile",
     "GCResult",
@@ -65,15 +64,13 @@ __all__ = [
     "write_entry",
 ]
 
-#: Preferred on-disk form of new entries.
+#: The on-disk form of every entry.
 COMPRESSED_SUFFIX = ".json.gz"
 
-#: Uncompressed entries written before the format change; still readable.
-LEGACY_SUFFIX = ".json"
-
-#: Trace tensors older releases of the trace fabric wrote.  Nothing reads or
-#: writes one now; scans count them so GC and :func:`clear` reclaim them.
-OLD_TENSOR_SUFFIX = ".npy"
+#: Files older releases wrote: uncompressed entries and trace tensors.
+#: Nothing reads or writes one now; scans count them so GC and
+#: :func:`clear` reclaim them.
+OLD_SUFFIXES = (".json", ".npy")
 
 #: The index file older releases kept beside their entries.  It is never an
 #: entry: scans skip it and :func:`clear` deletes it.
@@ -98,40 +95,29 @@ def _checked(key: str) -> str:
 
 # ------------------------------------------------------------------ entry codec
 def entry_path(directory: Path, key: str) -> Path:
-    """Where a *new* entry for ``key`` is written (compressed form).
+    """The entry file of ``key``.
 
     Like every path builder here, raises ``ValueError`` for an invalid key.
     """
     return directory / f"{_checked(key)}{COMPRESSED_SUFFIX}"
 
 
-def legacy_path(directory: Path, key: str) -> Path:
-    """Where the pre-compression format stored ``key``."""
-    return directory / f"{_checked(key)}{LEGACY_SUFFIX}"
-
-
-def _entry_files(directory: Path, key: str) -> tuple[Path, Path]:
-    """Both readable forms of ``key``, compressed first."""
-    return entry_path(directory, key), legacy_path(directory, key)
-
-
 def find_entry(directory: Path, key: str) -> Path | None:
-    """The existing on-disk file of ``key`` (compressed preferred), or ``None``."""
-    for path in _entry_files(directory, key):
-        if path.exists():
-            return path
-    return None
+    """The existing entry file of ``key``, or ``None``."""
+    path = entry_path(directory, key)
+    return path if path.exists() else None
 
 
 def read_entry(path: Path) -> dict:
-    """Decode one entry file, transparently handling both formats.
+    """Decode one entry file.
 
-    Raises ``OSError`` / ``ValueError`` on unreadable or malformed content —
-    the cache treats either as corruption.
+    Raises ``OSError`` / ``ValueError`` on unreadable, truncated or
+    malformed content — the cache treats either as corruption.
     """
-    data = path.read_bytes()
-    if data[:2] == b"\x1f\x8b":  # gzip magic; suffix-agnostic on purpose
-        data = gzip.decompress(data)
+    try:
+        data = gzip.decompress(path.read_bytes())
+    except (EOFError, zlib.error) as error:  # a cut-off or damaged stream
+        raise ValueError(f"damaged entry: {error}") from error
     entry = json.loads(data.decode("utf-8"))
     if not isinstance(entry, dict):
         raise ValueError("cache entry is not an object")
@@ -141,9 +127,8 @@ def read_entry(path: Path) -> dict:
 def write_entry(directory: Path, key: str, entry: dict) -> None:
     """Atomically write ``entry`` compressed: the whole of a store.
 
-    A leftover legacy uncompressed copy of the same key is removed so the
-    directory never holds two generations of one entry.  Raises ``OSError``
-    on write failure (the caller degrades to its in-memory copy).
+    Raises ``OSError`` on write failure (the caller degrades to its
+    in-memory copy).
     """
     path = entry_path(directory, key)
     data = gzip.compress(
@@ -162,8 +147,6 @@ def write_entry(directory: Path, key: str, entry: dict) -> None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp_name)
         raise
-    with contextlib.suppress(OSError):
-        legacy_path(directory, key).unlink()
 
 
 def touch(path: Path) -> None:
@@ -173,11 +156,10 @@ def touch(path: Path) -> None:
 
 
 def _remove(directory: Path, key: str) -> None:
-    """Delete every on-disk form of ``key``, an old tensor too (best effort)."""
-    old_tensor = directory / f"{_checked(key)}{OLD_TENSOR_SUFFIX}"
-    for path in (*_entry_files(directory, key), old_tensor):
+    """Delete every file of ``key``, old formats too (best effort)."""
+    for suffix in (COMPRESSED_SUFFIX, *OLD_SUFFIXES):
         with contextlib.suppress(OSError):
-            path.unlink()
+            (directory / f"{_checked(key)}{suffix}").unlink()
 
 
 # ------------------------------------------------------------------------ scan
@@ -195,7 +177,7 @@ def _parse_name(name: str) -> str | None:
     """
     if name == OLD_INDEX_NAME:
         return None
-    for suffix in (COMPRESSED_SUFFIX, LEGACY_SUFFIX, OLD_TENSOR_SUFFIX):
+    for suffix in (COMPRESSED_SUFFIX, *OLD_SUFFIXES):
         if name.endswith(suffix):
             key = name[: -len(suffix)]
             return key if is_key(key) else None
@@ -205,8 +187,8 @@ def _parse_name(name: str) -> str | None:
 def scan(directory: Path) -> dict[str, EntryFile]:
     """Every entry in ``directory`` by key, from one ``os.scandir`` pass.
 
-    A key present in both generations (``.json.gz`` and legacy ``.json``)
-    counts once; removing it removes both.  A missing directory scans empty.
+    A key with files in several formats counts once; removing it removes
+    them all.  A missing directory scans empty.
     """
     entries: dict[str, EntryFile] = {}
     with contextlib.suppress(OSError), os.scandir(directory) as listing:

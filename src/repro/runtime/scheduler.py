@@ -10,17 +10,16 @@ one dispatcher (:func:`_run_job`):
   its inputs as warm hits in the session cache (no pool, no pickling);
 * ``jobs > 1`` executes it as a dependency wavefront over a
   ``concurrent.futures`` process pool: each experiment job is submitted as
-  soon as the jobs it depends on have populated the shared on-disk cache, and
+  soon as the jobs it depends on have populated the shared cache, and
   results are reassembled in the caller's order so a parallel run is
   indistinguishable from a serial one.
 
-Fallbacks keep the engine dependable everywhere:
-
-* a job can hand its results to a later one only through the cache, so with
-  the cache disabled (``--no-cache``), or without a *persistent* cache in a
-  parallel run, the plan degrades to self-contained experiment jobs;
-* if the platform cannot create a process pool at all, the run silently
-  degrades to serial execution and says so in the report.
+A job hands its results to a later one through the cache, so every run
+executes the same plan whatever it persists.  The pool workers mount the
+session's persistent store or, without one (``--no-cache``, a library
+session), a temporary directory the run removes afterwards.  If the
+platform cannot create a process pool at all, the run silently degrades to
+serial execution and says so in the report.
 
 ``docs/runtime.md`` describes the scheduler's place in the job model;
 ``docs/architecture.md`` walks a request through the whole stack.
@@ -30,13 +29,14 @@ from __future__ import annotations
 
 import concurrent.futures
 import multiprocessing
+import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.sweep import SweepStats
 from repro.experiments.base import ExperimentResult, Preset, get_preset
-from repro.runtime.cache import CacheStats
+from repro.runtime.cache import CacheStats, ResultCache
 from repro.runtime.engine import analyze, simulate
 from repro.runtime.jobs import (
     ExperimentJob,
@@ -105,7 +105,6 @@ class RunReport:
 # --------------------------------------------------------------------- workers
 def _init_worker(
     cache_dir: str | None,
-    no_cache: bool,
     trace_dir: str | None = None,
     no_trace_cache: bool = False,
     cache_backend: str | None = None,
@@ -113,7 +112,6 @@ def _init_worker(
     """Pool initializer: give the worker process its own configured session."""
     configure_session(
         cache_dir=cache_dir,
-        no_cache=no_cache,
         trace_dir=trace_dir,
         no_trace_cache=no_trace_cache,
         cache_backend=cache_backend,
@@ -206,9 +204,19 @@ def _run_parallel(
     stats: RunStats,
     cache_backend: str | None = None,
 ) -> dict[str, ExperimentResult]:
-    """Dependency-wavefront execution over a process pool."""
+    """Dependency-wavefront execution over a process pool.
+
+    The workers mount the session's persistent store (its directory, or
+    ``cache_backend``).  Without one they share a run-scoped temporary
+    directory instead, removed when the pool is done.
+    """
+    if not session.cache.persistent:
+        with tempfile.TemporaryDirectory(
+            prefix="repro-run-cache-", ignore_cleanup_errors=True
+        ) as scratch:
+            shared = RuntimeSession(cache=ResultCache(directory=scratch), traces=session.traces)
+            return _run_parallel(plan, jobs, shared, stats)
     cache_dir = str(session.cache.directory) if session.cache.directory else None
-    no_cache = not session.cache.enabled
     trace_dir, no_trace_cache = _session_trace_config(session)
     context = multiprocessing.get_context("spawn")
     results: dict[str, ExperimentResult] = {}
@@ -220,7 +228,7 @@ def _run_parallel(
             max_workers=jobs,
             mp_context=context,
             initializer=_init_worker,
-            initargs=(cache_dir, no_cache, trace_dir, no_trace_cache, cache_backend),
+            initargs=(cache_dir, trace_dir, no_trace_cache, cache_backend),
         )
     except (OSError, PermissionError) as error:
         # Normalize "cannot create a pool at all" to the executor failure the
@@ -288,15 +296,16 @@ def run_experiments(
         cache installed with :func:`~repro.runtime.session.configure_session`
         is honored).
     no_cache:
-        Disable result caching entirely.
+        Keep results in memory: nothing persists, and the run's jobs still
+        hand results to each other.
     trace_dir, no_trace_cache:
         Control the trace fabric independently of result caching
         (see :func:`~repro.runtime.session.resolve_trace_dir`); only honored
         when this call builds its own session (``cache_dir``/``no_cache``
         given), otherwise the caller's session wiring stands.
     cache_backend:
-        ``--cache-backend`` URI spec (e.g. ``remote://host:port``) selecting
-        the result-tier backend instead of ``cache_dir``; resolved by
+        ``--cache-backend`` spec (``remote://host:port``) selecting the
+        network cache tier instead of ``cache_dir``; resolved by
         :func:`repro.cachenet.backend.resolve_backend` and re-resolved in
         every pool worker (a backend instance cannot cross a process spawn).
     """
@@ -310,17 +319,6 @@ def run_experiments(
     stats = RunStats()
     mode = "serial"
     plan = build_plan(names, preset, seed, session)
-    # Jobs hand results to each other through the cache: in-process through
-    # any enabled cache, across processes only through a persistent one.
-    # Without one, each experiment job computes what it needs itself.
-    if not (session.cache.persistent if jobs > 1 else session.cache.enabled):
-        plan = replace(
-            plan,
-            simulations=[],
-            statistics=[],
-            experiments=[replace(job, deps=()) for job in plan.experiments],
-        )
-
     if jobs > 1:
         try:
             unordered = _run_parallel(plan, jobs, session, stats, cache_backend)
@@ -337,7 +335,6 @@ def run_experiments(
     results = {name: unordered[name] for name in names}
 
     stats.merge(_stats_delta(session.stats().as_dict(), session_stats_before))
-    usage = session.cache.usage() if hasattr(session.cache, "usage") else None
     return RunReport(
         results=results,
         stats=stats,
@@ -350,5 +347,5 @@ def run_experiments(
         mode=mode,
         statistics_jobs=len(plan.statistics),
         trace_dir=_session_trace_config(session)[0],
-        cache=usage if session.cache.persistent else None,
+        cache=session.cache.usage() if session.cache.persistent else None,
     )

@@ -227,17 +227,17 @@ def build_session(
     services and ``serve --worker``.  ``cache_dir`` selects the on-disk
     cache (a :class:`~repro.runtime.backends.FilesystemBackend`, safe to
     share between processes); ``None`` keeps it in memory.  ``no_cache``
-    disables result caching entirely.  ``cache_backend`` replaces
-    ``cache_dir`` for the *result* tier: a ``--cache-backend`` URI spec
-    (e.g. ``remote://host:port``) or a
-    :class:`~repro.runtime.backends.CacheBackend` instance, resolved by
-    :func:`repro.cachenet.backend.resolve_backend` (``docs/cachenet.md``).
-    ``trace_dir``/``no_trace_cache`` control the trace fabric
-    independently; it resolves against ``cache_dir`` only when results are
-    cached (see :func:`resolve_trace_dir`).
+    keeps it in memory whatever the other flags say: nothing persists, but
+    a run's jobs still hand results to each other.  ``cache_backend``
+    replaces ``cache_dir`` for the *result* tier: a ``remote://host:port``
+    spec or a :class:`~repro.runtime.backends.CacheBackend` instance,
+    resolved by :func:`repro.cachenet.backend.resolve_backend`
+    (``docs/cachenet.md``).  ``trace_dir``/``no_trace_cache`` control the
+    trace fabric independently; it resolves against ``cache_dir`` only when
+    results persist there (see :func:`resolve_trace_dir`).
     """
     if no_cache:
-        cache = ResultCache.disabled()
+        cache = ResultCache()
     elif cache_backend is not None:
         from repro.cachenet.backend import resolve_backend
 

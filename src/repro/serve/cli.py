@@ -13,7 +13,8 @@ Modes:
   JSON banner (bound host/port/pid) on stdout.
 
 ``--workers`` bounds concurrent job execution; ``--cache-dir``/``--no-cache``
-select the shared result cache exactly like the batch CLI.  ``--auth-token``
+select the shared result cache exactly like the batch CLI (``--no-cache``
+keeps it in memory, so repeated requests are still answered from it).  ``--auth-token``
 (or ``REPRO_SERVE_TOKEN``) demands a constant-time-compared shared secret
 from every TCP connection before anything reaches the queue.  Long-lived
 servers can enable automatic background cache GC with ``--gc-interval`` plus
@@ -146,16 +147,18 @@ def main(argv: list[str] | None = None) -> int:
         "or $REPRO_CACHE_DIR)",
     )
     parser.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache entirely"
+        "--no-cache",
+        action="store_true",
+        help="keep results in memory: nothing persists, and a repeated "
+        "request is still answered from memory",
     )
     parser.add_argument(
         "--cache-backend",
         type=parse_backend_spec,
         default=None,
         metavar="SPEC",
-        help="result-cache backend URI instead of --cache-dir: "
-        "remote://HOST:PORT (network cache tier, see docs/cachenet.md), "
-        "memory://, or a directory path",
+        help="network cache tier instead of --cache-dir: remote://HOST:PORT "
+        "(see docs/cachenet.md)",
     )
     parser.add_argument(
         "--trace-dir",

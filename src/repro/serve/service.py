@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.runtime import RunStats, RuntimeSession, build_session
+from repro.runtime import RunStats, build_session
 from repro.runtime.lifecycle import gc_bounds
 from repro.serve.protocol import (
     CONTROL_OPS,
@@ -88,11 +88,11 @@ class ExperimentService:
         Directory of the shared on-disk result cache; ``None`` keeps the warm
         cache in memory (still shared across every request of this service).
     no_cache:
-        Disable result caching entirely (each request recomputes).
+        Keep the result cache in memory even when ``cache_dir`` is given:
+        nothing persists, and a repeated request is still answered from
+        memory, as with ``cache_dir=None``.
     workers:
         Bound on concurrently executing jobs.
-    session:
-        Pre-built session to serve from (overrides ``cache_dir``/``no_cache``).
     gc_interval:
         Period, in seconds, of the automatic background garbage collection of
         the shared disk cache.  ``None`` (default) disables the task; when
@@ -114,13 +114,12 @@ class ExperimentService:
         Control the trace fabric (host-shared persisted calibrations,
         :mod:`repro.runtime.trace_cache`) independently of result
         caching; defaults to ``<cache-dir>/traces`` beside a disk cache
-        (see :func:`~repro.runtime.session.resolve_trace_dir`).  Ignored when
-        an explicit ``session`` is supplied.
+        (see :func:`~repro.runtime.session.resolve_trace_dir`).
     cache_backend:
-        ``--cache-backend`` URI spec (or a backend instance) selecting the
-        result tier instead of ``cache_dir`` — e.g. ``remote://host:port``
-        for the network cache tier (``docs/cachenet.md``).  The trace fabric
-        still resolves against ``cache_dir``.
+        ``--cache-backend`` spec (``remote://host:port``, the network cache
+        tier of ``docs/cachenet.md``) or a backend instance, selecting the
+        result tier instead of ``cache_dir``.  The trace fabric still
+        resolves against ``cache_dir``.
     """
 
     #: Wire ops this service parses into queue jobs (subclasses may extend).
@@ -131,7 +130,6 @@ class ExperimentService:
         cache_dir: str | Path | None = None,
         no_cache: bool = False,
         workers: int = 2,
-        session: RuntimeSession | None = None,
         gc_interval: float | None = None,
         gc_max_bytes: int | None = None,
         gc_max_age: float | None = None,
@@ -141,13 +139,11 @@ class ExperimentService:
         no_trace_cache: bool = False,
         cache_backend: object | None = None,
     ) -> None:
-        if session is None:
-            session = build_session(cache_dir, no_cache, trace_dir, no_trace_cache, cache_backend)
-        self.session = session
+        self.session = build_session(cache_dir, no_cache, trace_dir, no_trace_cache, cache_backend)
         self.auth_token = auth_token
         self.queue = RequestQueue()
         self.queue.on_finish = self._on_job_finish
-        self.pool = WorkerPool(self.queue, session, workers=workers, executor=executor)
+        self.pool = WorkerPool(self.queue, self.session, workers=workers, executor=executor)
         self.totals = RunStats()
         self._started = False
         self._shutdown = asyncio.Event()
@@ -173,12 +169,7 @@ class ExperimentService:
         """Start the worker pool and the background GC task (idempotent)."""
         await self.pool.start()
         self._started = True
-        if (
-            self.gc_interval is not None
-            and self._gc_task is None
-            and getattr(self.session.cache, "persistent", False)
-            and hasattr(self.session.cache, "gc")
-        ):
+        if self.gc_interval is not None and self._gc_task is None and self.session.cache.persistent:
             self._gc_task = asyncio.create_task(
                 self._gc_loop(), name="repro-serve-gc"
             )
@@ -366,7 +357,7 @@ class ExperimentService:
     def collect_garbage(self, max_bytes: int | None = None, max_age: float | None = None) -> dict:
         """Garbage-collect the shared disk cache (the ``gc`` op)."""
         cache = self.session.cache
-        if not getattr(cache, "persistent", False) or not hasattr(cache, "gc"):
+        if not cache.persistent:
             return {"event": "error", "error": "no disk cache to garbage-collect"}
         result = cache.gc(max_bytes=max_bytes, max_age=max_age)
         return {
@@ -412,8 +403,7 @@ class ExperimentService:
         )
 
     async def handle_message(
-        self, message: dict, send, tickets: list | None = None,
-        context: ConnectionContext | None = None,
+        self, message: dict, send, context: ConnectionContext | None = None
     ) -> bool:
         """Dispatch one decoded protocol message; ``False`` requests shutdown.
 
@@ -422,13 +412,10 @@ class ExperimentService:
         ``stream`` field additionally receives one ``progress`` event per
         structured progress report, before the terminal event.  ``context``
         carries per-connection state (auth, registration, submitted tickets);
-        in-process callers may omit it (fully trusted) or pass the legacy
-        ``tickets`` list to collect live jobs for disconnect disowning.
+        in-process callers may omit it (fully trusted).
         """
         if context is None:
             context = ConnectionContext.local()
-            if tickets is not None:
-                context.tickets = tickets
         client_id = message.get("id")
 
         def reply(payload: dict) -> None:

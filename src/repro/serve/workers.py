@@ -41,18 +41,6 @@ class _CacheView:
         self._inner = inner
         self.stats = CacheStats()
 
-    @property
-    def directory(self):
-        return self._inner.directory
-
-    @property
-    def enabled(self) -> bool:
-        return self._inner.enabled
-
-    @property
-    def persistent(self) -> bool:
-        return self._inner.persistent
-
     def _delegate(self, operation, *args, **kwargs):
         """Run an inner-cache call, attributing its error delta to this view."""
         before = self._inner.stats.errors

@@ -9,7 +9,7 @@ subdirectory, a sibling's in-flight temp write and an older release's
 ``manifest.json``: none of them may count as an entry.  The network cache tier
 (``docs/cachenet.md``) runs the same battery against an in-process,
 token-protected :class:`CacheServer` — both a :class:`RemoteBackend` built
-directly and the ``tiered`` flavour, which is what a deployment mounts:
+directly and the ``resolved`` flavour, which is what a deployment mounts:
 ``resolve_backend("remote://…")`` with ``REPRO_CACHE_TOKEN`` set, so spec
 parsing and the auth handshake on every (re)connect are covered too.
 Backend-specific behaviour (GC, sibling coherence, degradation) gets
@@ -31,7 +31,7 @@ from repro.runtime import lifecycle
 from repro.runtime.backends import CorruptEntry, FilesystemBackend, InMemoryBackend
 from repro.runtime.cache import ResultCache
 
-BACKENDS = ("memory", "filesystem", "shared", "remote", "tiered")
+BACKENDS = ("memory", "filesystem", "shared", "remote", "resolved")
 
 #: The token the test cache servers require.
 CACHE_TOKEN = "cachenet-test-token"
@@ -68,7 +68,7 @@ def make_backend(tmp_path, monkeypatch, fail_fast):
                 (directory / ".k9-0123abcd.tmp").write_bytes(b"in flight")
                 (directory / "manifest.json").write_text('{"schema": 1, "entries": {}}')
             return FilesystemBackend(directory)
-        if flavour in ("remote", "tiered"):
+        if flavour in ("remote", "resolved"):
             from repro.cachenet.server import CacheServer
 
             if state["server"] is None:
@@ -278,7 +278,7 @@ class TestSharedDirectoryBackend:
 class TestNetworkCacheTier:
     """Cachenet-specific semantics the shared battery cannot express."""
 
-    @pytest.mark.parametrize("flavour", ["remote", "tiered"])
+    @pytest.mark.parametrize("flavour", ["remote", "resolved"])
     def test_corrupt_server_entry_recovers_as_miss(self, make_backend, flavour):
         """Server-side damage surfaces as CorruptEntry once, then a miss."""
         backend = make_backend(flavour)
@@ -291,7 +291,7 @@ class TestNetworkCacheTier:
         # The server dropped the damaged entry: subsequent loads miss cleanly.
         assert reader.load("k1", "network_result") is None
 
-    @pytest.mark.parametrize("flavour", ["remote", "tiered"])
+    @pytest.mark.parametrize("flavour", ["remote", "resolved"])
     def test_result_cache_recomputes_after_remote_corruption(
         self, make_backend, flavour
     ):
@@ -306,7 +306,7 @@ class TestNetworkCacheTier:
         fresh.put("k1", {"a": 2})  # recompute-and-store works afterwards
         assert ResultCache(backend=make_backend(flavour)).get("k1") == {"a": 2}
 
-    @pytest.mark.parametrize("flavour", ["remote", "tiered"])
+    @pytest.mark.parametrize("flavour", ["remote", "resolved"])
     def test_ttl_expiry_through_remote_gc(self, make_backend, flavour):
         backend = make_backend(flavour)
         backend.store("k1", {"a": 1}, "network_result")
@@ -317,7 +317,7 @@ class TestNetworkCacheTier:
         reader = make_backend(flavour)
         assert reader.load("k1", "network_result") is None
 
-    @pytest.mark.parametrize("flavour", ["remote", "tiered"])
+    @pytest.mark.parametrize("flavour", ["remote", "resolved"])
     def test_dead_server_degrades_to_miss(self, make_backend, flavour):
         cache = ResultCache(backend=make_backend(flavour))
         cache.put("k1", {"a": 1})
@@ -354,7 +354,7 @@ class TestNetworkCacheTier:
 
     def test_sibling_store_is_seen_at_once(self, make_backend):
         """A key probed as missing is found as soon as another client stores it."""
-        cache = ResultCache(backend=make_backend("tiered"))
+        cache = ResultCache(backend=make_backend("resolved"))
         assert not cache.contains("k1")
         assert cache.get("k1") is None
         make_backend("remote").store("k1", {"a": 1}, "network_result")
@@ -369,8 +369,13 @@ class TestNetworkCacheTier:
         remote = resolve_backend(f"remote://{host}:{port}")
         assert isinstance(remote, RemoteBackend)
         assert remote.describe() == f"remote:{host}:{port}"
-        assert isinstance(resolve_backend("memory://"), InMemoryBackend)
-        assert isinstance(resolve_backend(str(tmp_path / "plain")), FilesystemBackend)
+        memory = InMemoryBackend()
+        assert resolve_backend(memory) is memory  # an instance passes through
+        # The memory and directory stores have their own flags.
+        for spec, flag in (("memory://", "--no-cache"), (str(tmp_path / "plain"), "--cache-dir")):
+            with pytest.raises(ValueError, match=flag):
+                resolve_backend(spec)
+        assert not (tmp_path / "plain").exists()
         with pytest.raises(ValueError):
             resolve_backend("redis://nope:1")
         remote.close()

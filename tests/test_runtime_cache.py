@@ -25,13 +25,6 @@ class TestMemoryCache:
         assert cache.stats.hits == 1
         assert cache.stats.stores == 1
 
-    def test_disabled_cache_never_hits(self):
-        cache = ResultCache.disabled()
-        cache.put("k", PAYLOAD)
-        assert cache.get("k") is None
-        assert not cache.persistent
-        assert len(cache) == 0
-
 
 class TestDiskCache:
     def test_entries_survive_across_instances(self, tmp_path):
@@ -67,12 +60,18 @@ class TestDiskCache:
         assert not path.exists()  # the bad entry was dropped
 
     @pytest.mark.parametrize(
-        "garbage",
-        ["not json at all", "[]", '{"schema": 99, "kind": "network_result", "payload": {}}'],
+        "damage",
+        [
+            lambda data: data[:-8],  # cut short: EOFError from gzip
+            lambda data: data[:12] + bytes(b ^ 0xFF for b in data[12:-8]) + data[-8:],
+        ],
+        ids=["truncated", "flipped"],
     )
-    def test_corrupted_legacy_entries_recover_as_misses(self, tmp_path, garbage):
-        path = tmp_path / "k.json"
-        path.write_text(garbage)
+    def test_damaged_gzip_streams_recover_as_misses(self, tmp_path, damage):
+        cache = ResultCache(directory=tmp_path)
+        cache.put("k", PAYLOAD)
+        path = tmp_path / "k.json.gz"
+        path.write_bytes(damage(path.read_bytes()))
         fresh = ResultCache(directory=tmp_path)
         assert fresh.get("k") is None
         assert fresh.stats.errors == 1

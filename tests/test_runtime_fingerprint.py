@@ -399,7 +399,7 @@ class TestOneSimulateOp:
         resolved request: one variant-group build and one key per unit."""
         from repro.core import variants
         from repro.runtime import engine
-        from repro.serve import ExperimentService
+        from repro.serve import ConnectionContext, ExperimentService
 
         calls = Counter()
 
@@ -430,10 +430,10 @@ class TestOneSimulateOp:
         }
 
         async def scenario():
-            sent, tickets = [], []
+            sent, context = [], ConnectionContext.local()
             async with ExperimentService(cache_dir=None, workers=1) as service:
-                await service.handle_message(message, sent.append, tickets)
-                await asyncio.wait_for(tickets[-1].job.done.wait(), timeout=60)
+                await service.handle_message(message, sent.append, context)
+                await asyncio.wait_for(context.tickets[-1].job.done.wait(), timeout=60)
             return sent
 
         sent = asyncio.run(scenario())

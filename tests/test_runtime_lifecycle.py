@@ -3,8 +3,9 @@
 The lifecycle contract: the cache directory is its own index.  A store is one
 entry-file write, entry counts and disk usage are one directory scan, an
 entry's LRU clock is its file's mtime, garbage collection evicts
-least-recently-used entries first under a byte cap, new entries are
-gzip-compressed while legacy uncompressed entries keep hitting, and the
+least-recently-used entries first under a byte cap, entries are
+gzip-compressed while files an older release left (uncompressed entries, a
+``manifest.json``) are counted and reclaimed but never read, and the
 in-process memo of a disk cache is bounded without ever losing disk hits.
 """
 
@@ -24,7 +25,7 @@ PAYLOAD = {"network": "alexnet", "accelerator": "x", "layers": []}
 
 
 def legacy_entry(key: str, payload: dict, kind: str = "network_result") -> str:
-    """An entry in the pre-compression on-disk format."""
+    """An entry in the pre-compression on-disk format (no longer read)."""
     return json.dumps({"schema": 1, "kind": kind, "key": key, "payload": payload})
 
 
@@ -164,7 +165,8 @@ class TestParentLayout:
     ):
         self.build(tmp_path)
         cache = ResultCache(directory=tmp_path)
-        assert all(cache.get(key) == PAYLOAD for key in ("aaa", "bbb", "old"))
+        assert all(cache.get(key) == PAYLOAD for key in ("aaa", "bbb"))
+        assert cache.get("old") is None  # uncompressed: counted, never read
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert runner_main(["--cache-clear"]) == 0
         assert "cleared 3 entries" in capsys.readouterr().out
@@ -181,30 +183,6 @@ class TestCompression:
         assert json.loads(gzip.decompress(data))["payload"] == PAYLOAD
         fresh = ResultCache(directory=tmp_path)
         assert fresh.get("aaa") == PAYLOAD
-
-    def test_legacy_uncompressed_entries_still_hit(self, tmp_path):
-        (tmp_path / "old.json").write_text(legacy_entry("old", PAYLOAD))
-        cache = ResultCache(directory=tmp_path)
-        assert cache.contains("old")
-        assert cache.get("old") == PAYLOAD
-        assert cache.stats.hits == 1
-        assert cache.stats.errors == 0
-
-    def test_mixed_generations_coexist(self, tmp_path):
-        (tmp_path / "old.json").write_text(legacy_entry("old", PAYLOAD))
-        cache = ResultCache(directory=tmp_path)
-        cache.put("new", PAYLOAD)
-        fresh = ResultCache(directory=tmp_path)
-        assert fresh.get("old") == PAYLOAD
-        assert fresh.get("new") == PAYLOAD
-        assert len(fresh) == 2
-
-    def test_rewriting_a_legacy_key_retires_the_uncompressed_copy(self, tmp_path):
-        (tmp_path / "old.json").write_text(legacy_entry("old", {"stale": True}))
-        cache = ResultCache(directory=tmp_path)
-        cache.put("old", PAYLOAD)
-        assert not (tmp_path / "old.json").exists()
-        assert ResultCache(directory=tmp_path).get("old") == PAYLOAD
 
 
 # -------------------------------------------------------------------------- gc

@@ -1,8 +1,9 @@
 """Tests for the runtime engine, job planning, and the scheduler.
 
 The scheduler contract: a parallel run is numerically identical to a serial
-run, warm-cache runs recompute nothing, and runs degrade gracefully when
-parallelism or caching is unavailable.
+run, warm-cache runs recompute nothing, every run executes its merged plan
+whether or not its results persist, and a run degrades gracefully when
+parallelism is unavailable.
 """
 
 import dataclasses
@@ -194,9 +195,9 @@ class TestRunExperiments:
 
     def test_no_cache_disables_storage(self, tmp_path):
         report = run_experiments(["fig9"], preset=SMOKE, no_cache=True, cache_dir=tmp_path)
-        assert report.stats.cache.stores == 0
         assert report.cache is None
-        assert list(tmp_path.glob("*.json")) == []
+        assert "cache dir: (memory only)" in report.summary()
+        assert list(tmp_path.rglob("*")) == []
 
     def test_cold_serial_run_sweeps_each_trace_once(self, tmp_path, monkeypatch):
         sweeps = _count_sweeps(monkeypatch)
@@ -209,12 +210,13 @@ class TestRunExperiments:
         assert report.stats.cache.misses == report.stats.sweep.configs_simulated
 
     def test_serial_run_without_cache_runs_no_pre_pass(self, monkeypatch):
+        # No pass beyond the plan: the memory store hands each merged job's
+        # results to the experiments, as a directory would.
         sweeps = _count_sweeps(monkeypatch)
         report = run_experiments(SIM_EXPERIMENTS, preset=SMOKE, no_cache=True)
-        assert report.simulation_jobs == 0
-        # No more than the experiments sweep on their own: one sweep per
-        # experiment and smoke network.
-        assert len(sweeps) <= len(SIM_EXPERIMENTS) * 2
+        assert report.simulation_jobs > 0
+        assert len(sweeps) == report.simulation_jobs
+        assert report.stats.cache.misses == report.stats.sweep.configs_simulated
 
     def test_summary_mentions_the_simulation_counter(self):
         report = run_experiments(["table3"], preset=SMOKE)
@@ -240,7 +242,8 @@ class TestParallelExecution:
         serial = run_experiments(["table5"], preset=SMOKE, jobs=1, no_cache=True)
         parallel = run_experiments(["table5"], preset=SMOKE, jobs=2, no_cache=True)
         assert parallel.results == serial.results
-        assert parallel.simulation_jobs == 0  # degraded to experiment-level jobs
+        # The pool executes the merged plan through a run-scoped directory.
+        assert parallel.simulation_jobs > 0
 
     def test_failing_job_fails_the_run_fast(self, tmp_path):
         # A raising job must propagate without first waiting out (or worse,

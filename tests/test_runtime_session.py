@@ -157,7 +157,7 @@ STORAGE_RULE = {
     "trace-dir": ({"cache_dir": CACHE, "trace_dir": TRACES}, FilesystemBackend, TRACES),
     "no-trace-cache": ({"cache_dir": CACHE, "no_trace_cache": True}, FilesystemBackend, None),
     "cache-backend": (
-        {"cache_dir": CACHE, "cache_backend": "memory://"},
+        {"cache_dir": CACHE, "cache_backend": InMemoryBackend()},
         InMemoryBackend,
         default_trace_dir(CACHE),
     ),

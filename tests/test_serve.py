@@ -22,6 +22,7 @@ from repro.cluster.cli import main as cluster_main
 from repro.experiments.runner import main as runner_main
 from repro.loadgen.cli import main as loadgen_main
 from repro.serve import (
+    ConnectionContext,
     ExperimentRequest,
     ExperimentService,
     ProtocolError,
@@ -668,6 +669,22 @@ class TestServiceInProcess:
 
         run(scenario())
 
+    def test_no_cache_answers_a_repeat_from_memory(self, tmp_path):
+        async def scenario():
+            service = ExperimentService(cache_dir=tmp_path / "unused", no_cache=True, workers=1)
+            async with service:
+                for misses, hits in ((1, 0), (0, 1)):
+                    ticket = await service.submit(
+                        parse_request({"op": "simulate", "network": "alexnet", "overrides": TINY})
+                    )
+                    response = await service.wait(ticket)
+                    cache = response["stats"]["cache"]
+                    assert (bool(cache["misses"]), bool(cache["hits"])) == (misses, hits)
+                assert service.stats()["cache"]["backend"] == "memory"
+            assert not (tmp_path / "unused").exists()
+
+        run(scenario())
+
     def test_stats_op_reports_manifest_backed_disk_usage(self, tmp_path):
         async def scenario():
             async with ExperimentService(cache_dir=tmp_path, workers=1) as service:
@@ -1116,7 +1133,8 @@ class TestDisconnectCleanup:
         async def scenario():
             async with ExperimentService(cache_dir=None, workers=1) as service:
                 sent: list = []
-                tickets: list = []
+                context = ConnectionContext.local()
+                tickets = context.tickets
                 for seed in (0, 1, 2):
                     await service.handle_message(
                         {
@@ -1126,7 +1144,7 @@ class TestDisconnectCleanup:
                             "seed": seed,
                         },
                         sent.append,
-                        tickets,
+                        context,
                     )
                     await asyncio.wait_for(tickets[-1].job.done.wait(), timeout=30)
                 # Each new submission pruned the finished predecessors.
@@ -1151,10 +1169,9 @@ class TestDisconnectCleanup:
                 )
                 # A second "connection" submits the identical request...
                 sent: list = []
-                tickets: list = []
-                await service.handle_message(
-                    {**message, "id": "c9"}, sent.append, tickets
-                )
+                context = ConnectionContext.local()
+                tickets = context.tickets
+                await service.handle_message({**message, "id": "c9"}, sent.append, context)
                 assert len(tickets) == 1 and tickets[0].job is survivor.job
                 await asyncio.wait_for(running.wait(), timeout=30)
                 # ... then dies.  Its ticket detaches; the shared job survives.
@@ -1288,16 +1305,27 @@ class TestFrontEnds:
                     ("cluster", cluster_main, ["--stdio"]),
                     ("loadgen", loadgen_main, ["--spawn", "serve"]),
                 )
-                for kind, spec in (("scheme", "bogus://x"), ("port", f"remote://{BAD_ENDPOINT}"))
+                for kind, spec in (
+                    ("scheme", "bogus://x"),
+                    ("port", f"remote://{BAD_ENDPOINT}"),
+                    ("memory", "memory://"),
+                    ("path", "cache-elsewhere"),
+                )
             ),
         ],
     )
     def test_a_malformed_flag_is_a_usage_error_that_names_it(self, main, argv, capsys):
-        """Refused while parsing (exit 2), before anything is mounted or spawned."""
+        """Refused while parsing (exit 2), before anything is mounted or spawned.
+
+        A memory or directory spec names the flag that mounts that store.
+        """
         with pytest.raises(SystemExit) as raised:
             main(argv)
         assert raised.value.code == 2
-        assert argv[-2] in capsys.readouterr().err.splitlines()[-1]
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert argv[-2] in message
+        hint = {"memory://": "--no-cache", "cache-elsewhere": "--cache-dir"}.get(argv[-1])
+        assert hint is None or hint in message
 
     def test_oversized_request_line_gets_a_typed_error(self):
         from repro.serve.service import LINE_LIMIT
