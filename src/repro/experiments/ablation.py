@@ -43,7 +43,10 @@ def _scenarios() -> list[tuple[str, dict[str, object]]]:
 
 
 def plan(preset: str | Preset = "fast", seed: int = 0) -> list[SimulationRequest]:
-    """One simulation job per (scenario, network) trace variant."""
+    """One simulation job per (scenario, network) trace variant.
+
+    Scenario-major: each scenario's requests follow the preset's network order.
+    """
     config = get_preset(preset)
     design = ((_DESIGN_LABEL, pallet_variant(2)),)
     return [
@@ -60,25 +63,19 @@ def plan(preset: str | Preset = "fast", seed: int = 0) -> list[SimulationRequest
 def run(preset: str | Preset = "fast", seed: int = 0) -> ExperimentResult:
     """Sweep suffix bits and the dense-first-layer switch for PRA-2b."""
     config = get_preset(preset)
-    design = ((_DESIGN_LABEL, pallet_variant(2)),)
-
     headers = ["configuration", *(config.networks), "geomean"]
     rows: list[list[object]] = []
     metadata: dict[str, float] = {}
 
-    for label, kwargs in _scenarios():
+    requests = iter(plan(config, seed))
+    for label, _ in _scenarios():
         speedups = []
         row: list[object] = [label]
         for name in config.networks:
-            request = SimulationRequest(
-                trace=TraceSpec(network=name, seed=seed, **kwargs),
-                configs=design,
-                sampling=config.sampling(),
-            )
-            result = simulate(request)[_DESIGN_LABEL]
-            speedups.append(result.speedup)
-            row.append(format_ratio(result.speedup))
-            metadata[f"{label}:{name}"] = result.speedup
+            speedup = simulate(next(requests))[_DESIGN_LABEL].speedup
+            speedups.append(speedup)
+            row.append(format_ratio(speedup))
+            metadata[f"{label}:{name}"] = speedup
         mean = geometric_mean(speedups)
         row.append(format_ratio(mean))
         metadata[f"{label}:geomean"] = mean

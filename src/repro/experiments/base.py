@@ -3,7 +3,7 @@
 Every paper table and figure has a module in this package exposing
 ``run(preset, seed) -> ExperimentResult``.  The preset controls how much work
 the reproduction does (trace sample sizes, pallets simulated per layer, which
-networks are included) so the same experiment can serve quick benchmarks and
+networks are included) so the same experiment can serve quick checks and
 full reproduction runs.
 """
 
@@ -131,8 +131,9 @@ class Preset:
         return SamplingConfig(max_pallets=self.max_pallets, seed=self.seed)
 
 
-#: Named presets.  ``smoke`` exists for the test suite, ``fast`` for the
-#: benchmark harness, ``full`` for a complete reproduction run.
+#: Named presets.  ``smoke`` exists for quick tests, ``fast`` is the default
+#: (and the preset the paper-claims test runs), ``full`` is a complete
+#: reproduction run.
 PRESETS: dict[str, Preset] = {
     "smoke": Preset(name="smoke", networks=("alexnet", "vgg_m"), samples_per_layer=2000, max_pallets=2),
     "fast": Preset(name="fast", samples_per_layer=8000, max_pallets=6),

@@ -20,37 +20,28 @@ from __future__ import annotations
 from repro.analysis.speedup import geometric_mean
 from repro.analysis.tables import format_percent, format_ratio
 from repro.core.variants import encoding_variants
-from repro.experiments.base import ExperimentResult, Preset, get_preset
+from repro.experiments.base import ExperimentResult, Preset
+from repro.experiments.builders import network_requests
 from repro.numerics.encodings import encoding_names
-from repro.runtime import SimulationRequest, TraceSpec, current_session, simulate
+from repro.runtime import SimulationRequest, current_session, simulate
 
 __all__ = ["run", "plan"]
 
 
 def plan(preset: str | Preset = "fast", seed: int = 0) -> list[SimulationRequest]:
     """The cycle simulations this experiment needs (one job per network)."""
-    config = get_preset(preset)
-    variants = tuple(encoding_variants().items())
-    return [
-        SimulationRequest(
-            trace=TraceSpec(network=name, seed=seed),
-            configs=variants,
-            sampling=config.sampling(),
-        )
-        for name in config.networks
-    ]
+    return network_requests(preset, seed, encoding_variants())
 
 
 def run(preset: str | Preset = "fast", seed: int = 0) -> ExperimentResult:
     """Speedup and relative term traffic of PRA-2b under every encoding."""
-    config = get_preset(preset)
     names = list(encoding_names())
     headers = ["network", *names, *[f"{name} terms" for name in names[1:]]]
     rows: list[list[object]] = []
     metadata: dict[str, float] = {}
     speedups: dict[str, list[float]] = {name: [] for name in names}
 
-    for request in plan(config, seed):
+    for request in plan(preset, seed):
         results = simulate(request)
         trace = current_session().trace(request.trace)
         network_name = trace.network.name

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from repro.analysis.speedup import geometric_mean, stripes_result
-from repro.analysis.tables import format_ratio
 from repro.core.variants import fig10_variants
-from repro.experiments.base import ExperimentResult, Preset, get_preset
-from repro.runtime import SimulationRequest, TraceSpec, current_session, simulate
+from repro.experiments.base import ExperimentResult, Preset
+from repro.experiments.builders import design_table, network_requests
+from repro.runtime import SimulationRequest
 
 __all__ = ["run", "plan", "PAPER_GEOMEANS"]
 
@@ -17,56 +16,15 @@ PAPER_GEOMEANS: dict[str, float] = {"1-reg": 3.1, "perCol-ideal": 3.45}
 
 def plan(preset: str | Preset = "fast", seed: int = 0) -> list[SimulationRequest]:
     """The cycle simulations this experiment needs (one job per network)."""
-    config = get_preset(preset)
-    variants = tuple(fig10_variants().items())
-    return [
-        SimulationRequest(
-            trace=TraceSpec(network=name, seed=seed),
-            configs=variants,
-            sampling=config.sampling(),
-        )
-        for name in config.networks
-    ]
+    return network_requests(preset, seed, fig10_variants())
 
 
 def run(preset: str | Preset = "fast", seed: int = 0) -> ExperimentResult:
     """Reproduce Figure 10: column synchronization as a function of the SSR count."""
-    config = get_preset(preset)
-    variants = fig10_variants()
-    engine_names = ["Stripes", *variants.keys()]
-    headers = ["network", *engine_names]
-    rows: list[list[object]] = []
-    metadata: dict[str, float] = {}
-    speedups: dict[str, list[float]] = {name: [] for name in engine_names}
-
-    for request in plan(config, seed):
-        results = simulate(request)
-        trace = current_session().trace(request.trace)
-        network_name = trace.network.name
-        stripes = stripes_result(trace)
-        row: list[object] = [network_name, format_ratio(stripes.speedup)]
-        speedups["Stripes"].append(stripes.speedup)
-        metadata[f"{network_name}:Stripes"] = stripes.speedup
-        for label in variants:
-            speedup = results[label].speedup
-            row.append(format_ratio(speedup))
-            speedups[label].append(speedup)
-            metadata[f"{network_name}:{label}"] = speedup
-        rows.append(row)
-
-    geomeans = {name: geometric_mean(values) for name, values in speedups.items()}
-    rows.append(["geomean", *[format_ratio(geomeans[name]) for name in engine_names]])
-    for name, value in geomeans.items():
-        metadata[f"geomean:{name}"] = value
-    notes = (
+    return design_table(
+        "fig10",
+        "Figure 10: PRA-2b speedup with per-column synchronization vs SSR count",
         "Paper geometric means: PRA-2b with a single SSR reaches 3.1x, close to the\n"
-        "3.45x of the ideal (infinitely buffered) per-column configuration."
-    )
-    return ExperimentResult(
-        experiment="fig10",
-        title="Figure 10: PRA-2b speedup with per-column synchronization vs SSR count",
-        headers=headers,
-        rows=rows,
-        notes=notes,
-        metadata=metadata,
+        "3.45x of the ideal (infinitely buffered) per-column configuration.",
+        plan(preset, seed),
     )

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from repro.analysis.speedup import geometric_mean, stripes_result
-from repro.analysis.tables import format_ratio
+from repro.analysis.speedup import stripes_result
 from repro.core.variants import column_variant, pallet_variant
 from repro.energy.efficiency import design_efficiency
-from repro.experiments.base import ExperimentResult, Preset, get_preset
-from repro.runtime import SimulationRequest, TraceSpec, current_session, simulate
+from repro.experiments.base import ExperimentResult, Preset
+from repro.experiments.builders import design_table, network_requests
+from repro.runtime import SimulationRequest
 
 __all__ = ["run", "plan", "PAPER_GEOMEANS"]
 
@@ -21,72 +21,28 @@ PAPER_GEOMEANS: dict[str, float] = {
 }
 
 
-def _designs() -> dict[str, object]:
-    """The headline Pragmatic designs of this figure."""
-    return {
-        "PRA-4b": pallet_variant(4),
-        "PRA-2b": pallet_variant(2),
-        "PRA-2b-1R": column_variant(1),
-    }
-
-
 def plan(preset: str | Preset = "fast", seed: int = 0) -> list[SimulationRequest]:
     """The cycle simulations this experiment needs (one job per network).
 
     Every design here also appears in Figure 9 or Figure 10, so in a combined
     run these jobs are pure cache hits.
     """
-    config = get_preset(preset)
-    designs = tuple(_designs().items())
-    return [
-        SimulationRequest(
-            trace=TraceSpec(network=name, seed=seed),
-            configs=designs,
-            sampling=config.sampling(),
-        )
-        for name in config.networks
-    ]
+    designs = {
+        "PRA-4b": pallet_variant(4),
+        "PRA-2b": pallet_variant(2),
+        "PRA-2b-1R": column_variant(1),
+    }
+    return network_requests(preset, seed, designs)
 
 
 def run(preset: str | Preset = "fast", seed: int = 0) -> ExperimentResult:
     """Reproduce Figure 11: relative energy efficiency of the headline designs."""
-    config = get_preset(preset)
-    pragmatic_designs = _designs()
-    engine_names = ["Stripes", *pragmatic_designs.keys()]
-    headers = ["network", *engine_names]
-    rows: list[list[object]] = []
-    metadata: dict[str, float] = {}
-    efficiencies: dict[str, list[float]] = {name: [] for name in engine_names}
-
-    for request in plan(config, seed):
-        results = simulate(request)
-        trace = current_session().trace(request.trace)
-        network_name = trace.network.name
-        row: list[object] = [network_name]
-        stripes = design_efficiency("stripes", stripes_result(trace))
-        row.append(format_ratio(stripes.efficiency))
-        efficiencies["Stripes"].append(stripes.efficiency)
-        metadata[f"{network_name}:Stripes"] = stripes.efficiency
-        for label, design in pragmatic_designs.items():
-            entry = design_efficiency(design, results[label])
-            row.append(format_ratio(entry.efficiency))
-            efficiencies[label].append(entry.efficiency)
-            metadata[f"{network_name}:{label}"] = entry.efficiency
-        rows.append(row)
-
-    geomeans = {name: geometric_mean(values) for name, values in efficiencies.items()}
-    rows.append(["geomean", *[format_ratio(geomeans[name]) for name in engine_names]])
-    for name, value in geomeans.items():
-        metadata[f"geomean:{name}"] = value
-    notes = (
+    return design_table(
+        "fig11",
+        "Figure 11: energy efficiency relative to DaDianNao",
         "Efficiency is E_DaDN / E_design = speedup / chip-power ratio.  Paper averages:\n"
-        "Stripes 1.16x, PRA-4b 0.95x, PRA-2b 1.28x, PRA-2b-1R 1.48x."
-    )
-    return ExperimentResult(
-        experiment="fig11",
-        title="Figure 11: energy efficiency relative to DaDianNao",
-        headers=headers,
-        rows=rows,
-        notes=notes,
-        metadata=metadata,
+        "Stripes 1.16x, PRA-4b 0.95x, PRA-2b 1.28x, PRA-2b-1R 1.48x.",
+        plan(preset, seed),
+        stripes_cell=lambda trace: design_efficiency("stripes", stripes_result(trace)).efficiency,
+        design_cell=lambda design, result: design_efficiency(design, result).efficiency,
     )

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from repro.analysis.speedup import geometric_mean, stripes_result
-from repro.analysis.tables import format_ratio
+from repro.analysis.speedup import stripes_result
 from repro.core.variants import fig12_variants
-from repro.experiments.base import ExperimentResult, Preset, get_preset
+from repro.experiments.base import ExperimentResult, Preset
+from repro.experiments.builders import design_table, network_requests
 from repro.nn.precision import table2_precisions
-from repro.runtime import SimulationRequest, TraceSpec, current_session, simulate
+from repro.nn.traces import NetworkTrace
+from repro.runtime import SimulationRequest
 
 __all__ = ["run", "plan", "PAPER_GEOMEANS"]
 
@@ -17,61 +18,25 @@ PAPER_GEOMEANS: dict[str, float] = {"perCol-1reg-2bit": 3.5}
 
 def plan(preset: str | Preset = "fast", seed: int = 0) -> list[SimulationRequest]:
     """The cycle simulations this experiment needs (one job per network)."""
-    config = get_preset(preset)
-    variants = tuple(fig12_variants().items())
-    return [
-        SimulationRequest(
-            trace=TraceSpec(network=name, representation="quant8", seed=seed),
-            configs=variants,
-            sampling=config.sampling(),
-        )
-        for name in config.networks
-    ]
+    return network_requests(preset, seed, fig12_variants(), representation="quant8")
+
+
+def _capped_stripes_speedup(trace: NetworkTrace) -> float:
+    """Stripes over the published (16-bit) precision profiles capped at the 8-bit
+    storage width, which stand in for re-profiled quantized precisions."""
+    capped = tuple(min(width, 8) for width in table2_precisions(trace.network))
+    return stripes_result(trace, precision_widths=capped).speedup
 
 
 def run(preset: str | Preset = "fast", seed: int = 0) -> ExperimentResult:
     """Reproduce Figure 12: speedups over an 8-bit quantized DaDN baseline."""
-    config = get_preset(preset)
-    variants = fig12_variants()
-    engine_names = ["Stripes", *variants.keys()]
-    headers = ["network", *engine_names]
-    rows: list[list[object]] = []
-    metadata: dict[str, float] = {}
-    speedups: dict[str, list[float]] = {name: [] for name in engine_names}
-
-    for request in plan(config, seed):
-        results = simulate(request)
-        trace = current_session().trace(request.trace)
-        network = trace.network
-        # The published (16-bit) precision profiles capped at the 8-bit storage
-        # width stand in for re-profiled quantized precisions.
-        capped = tuple(min(width, 8) for width in table2_precisions(network))
-        stripes = stripes_result(trace, precision_widths=capped)
-        row: list[object] = [network.name, format_ratio(stripes.speedup)]
-        speedups["Stripes"].append(stripes.speedup)
-        metadata[f"{network.name}:Stripes"] = stripes.speedup
-        for label in variants:
-            speedup = results[label].speedup
-            row.append(format_ratio(speedup))
-            speedups[label].append(speedup)
-            metadata[f"{network.name}:{label}"] = speedup
-        rows.append(row)
-
-    geomeans = {name: geometric_mean(values) for name, values in speedups.items()}
-    rows.append(["geomean", *[format_ratio(geomeans[name]) for name in engine_names]])
-    for name, value in geomeans.items():
-        metadata[f"geomean:{name}"] = value
-    notes = (
+    return design_table(
+        "fig12",
+        "Figure 12: speedup with the 8-bit quantized representation",
         "All values are relative to an 8-bit quantized DaDN baseline.  The paper reports\n"
         "Pragmatic's benefits persisting, with PRA-2b-1R near 3.5x; Stripes precisions are\n"
         "the published profiles capped at 8 bits (the paper does not publish re-profiled\n"
-        "quantized precisions)."
-    )
-    return ExperimentResult(
-        experiment="fig12",
-        title="Figure 12: speedup with the 8-bit quantized representation",
-        headers=headers,
-        rows=rows,
-        notes=notes,
-        metadata=metadata,
+        "quantized precisions).",
+        plan(preset, seed),
+        stripes_cell=_capped_stripes_speedup,
     )

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from repro.analysis.potential import FIG3_ENGINES
-from repro.analysis.speedup import geometric_mean
-from repro.analysis.tables import format_percent
-from repro.experiments.base import ExperimentResult, Preset, get_preset
-from repro.runtime import StatisticsRequest, TraceSpec, analyze
+from repro.experiments.base import ExperimentResult, Preset
+from repro.experiments.builders import network_requests, term_table
+from repro.runtime import StatisticsRequest
 
 __all__ = ["run", "plan", "PAPER_AVERAGES"]
 
@@ -17,47 +16,15 @@ PAPER_AVERAGES: dict[str, float] = {"ZN": 0.70, "PRA": 0.29}
 
 def plan(preset: str | Preset = "fast", seed: int = 0) -> list[StatisticsRequest]:
     """The per-network statistics passes this experiment needs."""
-    config = get_preset(preset)
-    return [
-        StatisticsRequest(
-            statistic="fig3_terms",
-            trace=TraceSpec(network=name, representation="quant8", seed=seed),
-            samples_per_layer=config.samples_per_layer,
-        )
-        for name in config.networks
-    ]
+    return network_requests(preset, seed, representation="quant8", statistic="fig3_terms")
 
 
 def run(preset: str | Preset = "fast", seed: int = 0) -> ExperimentResult:
     """Reproduce Figure 3: relative term counts with the 8-bit quantized baseline."""
-    config = get_preset(preset)
-    entries = [analyze(request) for request in plan(config, seed)]
-    headers = ["network", *FIG3_ENGINES]
-    rows: list[list[object]] = []
-    metadata: dict[str, float] = {}
-    for entry in entries:
-        network = entry["network"]
-        terms = entry["relative_terms"]
-        rows.append(
-            [network] + [format_percent(terms[engine]) for engine in FIG3_ENGINES]
-        )
-        for engine in FIG3_ENGINES:
-            metadata[f"{network}:{engine}"] = terms[engine]
-    averages = {
-        engine: geometric_mean(entry["relative_terms"][engine] for entry in entries)
-        for engine in FIG3_ENGINES
-    }
-    rows.append(["geomean", *[format_percent(averages[engine]) for engine in FIG3_ENGINES]])
-    for engine, value in averages.items():
-        metadata[f"geomean:{engine}"] = value
-    notes = "Paper averages (Section II-B): " + ", ".join(
-        f"{engine} {format_percent(value)}" for engine, value in PAPER_AVERAGES.items()
-    )
-    return ExperimentResult(
-        experiment="fig3",
-        title="Figure 3: relative term counts, 8-bit quantized representation (lower is better)",
-        headers=headers,
-        rows=rows,
-        notes=notes,
-        metadata=metadata,
+    return term_table(
+        "fig3",
+        "Figure 3: relative term counts, 8-bit quantized representation (lower is better)",
+        plan(preset, seed),
+        FIG3_ENGINES,
+        PAPER_AVERAGES,
     )

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from repro.analysis.speedup import geometric_mean, stripes_result
-from repro.analysis.tables import format_ratio
 from repro.core.variants import fig9_variants
-from repro.experiments.base import ExperimentResult, Preset, get_preset
-from repro.runtime import SimulationRequest, TraceSpec, current_session, simulate
+from repro.experiments.base import ExperimentResult, Preset
+from repro.experiments.builders import design_table, network_requests
+from repro.runtime import SimulationRequest
 
 __all__ = ["run", "plan", "PAPER_GEOMEANS"]
 
@@ -16,56 +15,15 @@ PAPER_GEOMEANS: dict[str, float] = {"Stripes": 1.85, "4-bit": 2.59}
 
 def plan(preset: str | Preset = "fast", seed: int = 0) -> list[SimulationRequest]:
     """The cycle simulations this experiment needs (one job per network)."""
-    config = get_preset(preset)
-    variants = tuple(fig9_variants().items())
-    return [
-        SimulationRequest(
-            trace=TraceSpec(network=name, seed=seed),
-            configs=variants,
-            sampling=config.sampling(),
-        )
-        for name in config.networks
-    ]
+    return network_requests(preset, seed, fig9_variants())
 
 
 def run(preset: str | Preset = "fast", seed: int = 0) -> ExperimentResult:
     """Reproduce Figure 9: per-network speedups of STR and the PRA 2-stage variants."""
-    config = get_preset(preset)
-    variants = fig9_variants()
-    engine_names = ["Stripes", *variants.keys()]
-    headers = ["network", *engine_names]
-    rows: list[list[object]] = []
-    metadata: dict[str, float] = {}
-    speedups: dict[str, list[float]] = {name: [] for name in engine_names}
-
-    for request in plan(config, seed):
-        results = simulate(request)
-        trace = current_session().trace(request.trace)
-        network_name = trace.network.name
-        stripes = stripes_result(trace)
-        row: list[object] = [network_name, format_ratio(stripes.speedup)]
-        speedups["Stripes"].append(stripes.speedup)
-        metadata[f"{network_name}:Stripes"] = stripes.speedup
-        for label in variants:
-            speedup = results[label].speedup
-            row.append(format_ratio(speedup))
-            speedups[label].append(speedup)
-            metadata[f"{network_name}:{label}"] = speedup
-        rows.append(row)
-
-    geomeans = {name: geometric_mean(values) for name, values in speedups.items()}
-    rows.append(["geomean", *[format_ratio(geomeans[name]) for name in engine_names]])
-    for name, value in geomeans.items():
-        metadata[f"geomean:{name}"] = value
-    notes = (
+    return design_table(
+        "fig9",
+        "Figure 9: speedup over DaDianNao (2-stage shifting, per-pallet synchronization)",
         "Paper geometric means: Stripes 1.85x, PRA-single (4-bit) 2.59x; PRA-2b and\n"
-        "PRA-3b within 0.2% of PRA-single, PRA-0b about 20% faster than Stripes."
-    )
-    return ExperimentResult(
-        experiment="fig9",
-        title="Figure 9: speedup over DaDianNao (2-stage shifting, per-pallet synchronization)",
-        headers=headers,
-        rows=rows,
-        notes=notes,
-        metadata=metadata,
+        "PRA-3b within 0.2% of PRA-single, PRA-0b about 20% faster than Stripes.",
+        plan(preset, seed),
     )

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from repro.core.variants import pallet_variant
-from repro.energy.area import design_area
-from repro.energy.power import design_power
 from repro.experiments.base import ExperimentResult, Preset, get_preset
+from repro.experiments.builders import area_power_table
 
 __all__ = ["run", "PAPER_TABLE3"]
 
@@ -24,52 +23,12 @@ PAPER_TABLE3: dict[str, tuple[float, float, float]] = {
 def run(preset: str | Preset = "fast", seed: int = 0) -> ExperimentResult:
     """Reproduce Table III from the calibrated component model."""
     get_preset(preset)  # presets do not change this experiment; validates the name
-    designs: list[tuple[str, object]] = [("DaDN", "dadn"), ("Stripes", "stripes")]
-    designs.extend((f"PRA-{bits}b", pallet_variant(bits)) for bits in range(5))
-
-    headers = [
-        "design",
-        "unit mm2",
-        "unit mm2 (paper)",
-        "chip mm2",
-        "chip mm2 (paper)",
-        "chip W",
-        "chip W (paper)",
-        "dArea",
-        "dPower",
-    ]
-    rows: list[list[object]] = []
-    metadata: dict[str, float] = {}
-    for label, design in designs:
-        area = design_area(design)
-        power = design_power(design)
-        paper_unit, paper_chip, paper_power = PAPER_TABLE3[label]
-        rows.append(
-            [
-                label,
-                f"{area.unit_mm2:.2f}",
-                f"{paper_unit:.2f}",
-                f"{area.chip_mm2:.0f}",
-                f"{paper_chip:.0f}",
-                f"{power.chip_w:.1f}",
-                f"{paper_power:.1f}",
-                f"{area.chip_ratio:.2f}x",
-                f"{power.chip_ratio:.2f}x",
-            ]
-        )
-        metadata[f"{label}:unit_mm2"] = area.unit_mm2
-        metadata[f"{label}:chip_mm2"] = area.chip_mm2
-        metadata[f"{label}:chip_w"] = power.chip_w
-    notes = (
+    return area_power_table(
+        "table3",
+        "Table III: area [mm2] and power [W], pallet synchronization",
         "Component coefficients are calibrated once against the published synthesis\n"
         "totals (DESIGN.md §4); composed values are expected to track the paper within\n"
-        "a few percent and preserve all relative relationships."
-    )
-    return ExperimentResult(
-        experiment="table3",
-        title="Table III: area [mm2] and power [W], pallet synchronization",
-        headers=headers,
-        rows=rows,
-        notes=notes,
-        metadata=metadata,
+        "a few percent and preserve all relative relationships.",
+        {f"PRA-{bits}b": pallet_variant(bits) for bits in range(5)},
+        PAPER_TABLE3,
     )

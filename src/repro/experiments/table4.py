@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from repro.core.variants import column_variant, pallet_variant
 from repro.energy.area import design_area
-from repro.energy.power import design_power
 from repro.experiments.base import ExperimentResult, Preset, get_preset
+from repro.experiments.builders import area_power_table
 
 __all__ = ["run", "PAPER_TABLE4"]
 
@@ -21,57 +21,13 @@ PAPER_TABLE4: dict[str, tuple[float, float, float]] = {
 
 def run(preset: str | Preset = "fast", seed: int = 0) -> ExperimentResult:
     """Reproduce Table IV from the calibrated component model."""
-    get_preset(preset)
-    designs: list[tuple[str, object]] = [
-        ("DaDN", "dadn"),
-        ("Stripes", "stripes"),
-        ("PRA-2b-1R", column_variant(1)),
-        ("PRA-2b-4R", column_variant(4)),
-        ("PRA-2b-16R", column_variant(16)),
-    ]
-    headers = [
-        "design",
-        "unit mm2",
-        "unit mm2 (paper)",
-        "chip mm2",
-        "chip mm2 (paper)",
-        "chip W",
-        "chip W (paper)",
-        "dArea",
-        "dPower",
-    ]
-    rows: list[list[object]] = []
-    metadata: dict[str, float] = {}
-    for label, design in designs:
-        area = design_area(design)
-        power = design_power(design)
-        paper_unit, paper_chip, paper_power = PAPER_TABLE4[label]
-        rows.append(
-            [
-                label,
-                f"{area.unit_mm2:.2f}",
-                f"{paper_unit:.2f}",
-                f"{area.chip_mm2:.0f}",
-                f"{paper_chip:.0f}",
-                f"{power.chip_w:.1f}",
-                f"{paper_power:.1f}",
-                f"{area.chip_ratio:.2f}x",
-                f"{power.chip_ratio:.2f}x",
-            ]
-        )
-        metadata[f"{label}:unit_mm2"] = area.unit_mm2
-        metadata[f"{label}:chip_mm2"] = area.chip_mm2
-        metadata[f"{label}:chip_w"] = power.chip_w
-    notes = (
+    get_preset(preset)  # presets do not change this experiment; validates the name
+    return area_power_table(
+        "table4",
+        "Table IV: area [mm2] and power [W], per-column synchronization (PRA-2b)",
         "Each SSR adds one synapse-set register (16 bricks, 4 Kbit) per tile; the\n"
         "reference PRA-2b pallet design is in Table III. "
-        f"(Pallet PRA-2b unit area: {design_area(pallet_variant(2)).unit_mm2:.2f} mm2.)"
-    )
-    return ExperimentResult(
-        experiment="table4",
-        title="Table IV: area [mm2] and power [W], per-column synchronization (PRA-2b)",
-        headers=headers,
-        rows=rows,
-        notes=notes,
-        metadata=metadata,
+        f"(Pallet PRA-2b unit area: {design_area(pallet_variant(2)).unit_mm2:.2f} mm2.)",
+        {f"PRA-2b-{count}R": column_variant(count) for count in (1, 4, 16)},
+        PAPER_TABLE4,
     )

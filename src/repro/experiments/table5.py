@@ -5,10 +5,11 @@ from __future__ import annotations
 from repro.analysis.speedup import geometric_mean
 from repro.analysis.tables import format_percent, format_ratio
 from repro.core.variants import column_variant
-from repro.experiments.base import ExperimentResult, Preset, get_preset
-from repro.runtime import SimulationRequest, TraceSpec, simulate
+from repro.experiments.base import ExperimentResult, Preset
+from repro.experiments.builders import network_requests
+from repro.runtime import SimulationRequest, simulate
 
-__all__ = ["run", "plan", "PAPER_BENEFITS"]
+__all__ = ["run", "plan", "PAPER_BENEFITS", "PAPER_AVERAGE_BENEFIT"]
 
 #: Table V of the paper: speedup fraction attributable to software guidance.
 PAPER_BENEFITS: dict[str, float] = {
@@ -19,6 +20,9 @@ PAPER_BENEFITS: dict[str, float] = {
     "vgg_s": 0.21,
     "vgg19": 0.19,
 }
+
+#: The average benefit of software guidance the paper reports.
+PAPER_AVERAGE_BENEFIT = 0.19
 
 
 def _variants() -> dict[str, object]:
@@ -34,21 +38,11 @@ def plan(preset: str | Preset = "fast", seed: int = 0) -> list[SimulationRequest
     The guided design point is Figure 10's PRA-2b-1R, so combined runs only
     simulate the unguided counterpart here.
     """
-    config = get_preset(preset)
-    variants = tuple(_variants().items())
-    return [
-        SimulationRequest(
-            trace=TraceSpec(network=name, seed=seed),
-            configs=variants,
-            sampling=config.sampling(),
-        )
-        for name in config.networks
-    ]
+    return network_requests(preset, seed, _variants())
 
 
 def run(preset: str | Preset = "fast", seed: int = 0) -> ExperimentResult:
     """Reproduce Table V: PRA-2b-1R with and without software guidance."""
-    config = get_preset(preset)
     headers = [
         "network",
         "speedup (software)",
@@ -59,7 +53,7 @@ def run(preset: str | Preset = "fast", seed: int = 0) -> ExperimentResult:
     rows: list[list[object]] = []
     metadata: dict[str, float] = {}
     benefits: list[float] = []
-    for request in plan(config, seed):
+    for request in plan(preset, seed):
         results = simulate(request)
         network_name = results["with-software"].network
         guided = results["with-software"].speedup
@@ -77,12 +71,14 @@ def run(preset: str | Preset = "fast", seed: int = 0) -> ExperimentResult:
             ]
         )
     average = sum(benefits) / len(benefits)
-    rows.append(["average", "-", "-", format_percent(average, digits=0), "19%"])
+    paper_average = format_percent(PAPER_AVERAGE_BENEFIT, digits=0)
+    rows.append(["average", "-", "-", format_percent(average, digits=0), paper_average])
     metadata["average:benefit"] = average
     metadata["geomean:benefit"] = geometric_mean(1.0 + b for b in benefits) - 1.0
     notes = (
         "The benefit is the extra speedup PRA-2b-1R gains when software communicates the\n"
-        "per-layer precisions of Table II (Section V-F); the paper reports 19% on average."
+        "per-layer precisions of Table II (Section V-F); the paper reports "
+        f"{paper_average} on average."
     )
     return ExperimentResult(
         experiment="table5",

@@ -290,9 +290,9 @@ def use_session(session: RuntimeSession):
 def isolated_session():
     """A fresh memory-only session, isolated from all prior runtime state.
 
-    Benchmarks use this so each measured experiment pays its full cost instead
-    of reusing simulations a previous benchmark left in the session cache, or
-    calibrations left in the process-wide :func:`calibrate_network` cache.
+    A run timed inside it pays its full cost instead of reusing simulations a
+    previous run left in the session cache, or calibrations left in the
+    process-wide :func:`calibrate_network` cache.
     """
     from repro.nn.calibration import calibrate_network
 

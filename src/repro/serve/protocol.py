@@ -30,6 +30,8 @@ import json
 from dataclasses import dataclass
 
 from repro.experiments.base import PRESETS, Preset, get_preset
+from repro.nn.calibration import REPRESENTATIONS
+from repro.nn.networks import get_network
 from repro.runtime import SimulationRequest, TraceSpec, fingerprint
 
 __all__ = [
@@ -62,6 +64,14 @@ class ProtocolError(ValueError):
     """A malformed or unsupported protocol message."""
 
 
+def _check_network(name: str) -> None:
+    """Refuse a name :func:`~repro.nn.networks.get_network` cannot resolve."""
+    try:
+        get_network(name)
+    except KeyError as error:
+        raise ProtocolError(error.args[0]) from None
+
+
 def _normalize_overrides(overrides: object) -> tuple[tuple[str, object], ...]:
     """Validate and canonicalize a JSON ``overrides`` object."""
     if overrides is None:
@@ -80,6 +90,10 @@ def _normalize_overrides(overrides: object) -> tuple[tuple[str, object], ...]:
                 isinstance(item, str) for item in value
             ):
                 raise ProtocolError("networks override must be a list of names")
+            if not value:
+                raise ProtocolError("networks override must name at least one network")
+            for name in value:
+                _check_network(name)
             items.append((key, tuple(value)))
         else:
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
@@ -284,6 +298,12 @@ def parse_request(message: dict) -> ServeRequest:
     for field, value in strings.items():
         if not isinstance(value, str) or not value:
             raise ProtocolError(f"{field} must be a non-empty string")
+    _check_network(network)
+    if strings["representation"] not in REPRESENTATIONS:
+        raise ProtocolError(
+            f"unknown representation {strings['representation']!r}; "
+            f"available: {', '.join(REPRESENTATIONS)}"
+        )
     request = SimulateRequest(
         network=network, preset=preset, seed=seed, overrides=overrides, **strings
     )

@@ -50,6 +50,16 @@ NON_STRING_NAMES = [
     {"op": "simulate", "network": "alexnet", "representation": ["fixed16"]},
 ]
 
+#: Job messages naming no network, an unknown network or an unknown
+#: representation.
+UNRESOLVABLE_NAMES = [
+    {"op": "run_experiment", "experiment": "table5", "overrides": {"networks": []}},
+    {"op": "run_experiment", "experiment": "fig9", "overrides": {"networks": []}},
+    {"op": "run_all", "overrides": {"networks": ["alexnet", "nope"]}},
+    {"op": "simulate", "network": "nope"},
+    {"op": "simulate", "network": "alexnet", "representation": "foo"},
+]
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda children: st.lists(children, max_size=3)
@@ -1362,32 +1372,41 @@ class TestFrontEnds:
         assert run(scenario()) == []
 
     def test_non_string_names_get_a_typed_error_on_a_live_connection(self):
-        async def scenario():
-            unhandled = []
-            asyncio.get_running_loop().set_exception_handler(
-                lambda loop, context: unhandled.append(context)
-            )
-            async with ExperimentService(cache_dir=None, workers=1) as service:
-                server = await service.serve_tcp("127.0.0.1", 0)
-                port = server.sockets[0].getsockname()[1]
-                async with server:
-                    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-                    for index, message in enumerate(NON_STRING_NAMES):
-                        writer.write(encode({"id": f"bad{index}", **message}))
-                        writer.write(encode({"id": f"ping{index}", "op": "ping"}))
-                        await writer.drain()
-                        replies = [
-                            decode(await asyncio.wait_for(reader.readline(), timeout=10))
-                            for _ in range(2)
-                        ]
-                        assert replies[0]["id"] == f"bad{index}", replies
-                        assert replies[0]["event"] == "error", replies
-                        assert replies[1] == {"id": f"ping{index}", "event": "pong"}
-                    writer.close()
-                    assert service.queue.submitted == 0
-            return unhandled
+        assert run(self._typed_errors_scenario(NON_STRING_NAMES)) == []
 
-        assert run(scenario()) == []
+    def test_unresolvable_names_get_a_typed_error_before_queueing(self):
+        # Queued, each would hold a worker slot and then fail as a job with a
+        # bare ZeroDivisionError, ValueError or KeyError.
+        assert run(self._typed_errors_scenario(UNRESOLVABLE_NAMES)) == []
+
+    @staticmethod
+    async def _typed_errors_scenario(messages):
+        """Send each message over TCP: each gets an ``error`` event, the
+        connection keeps serving, nothing is submitted to the queue and the
+        loop records no unhandled exception (returned)."""
+        unhandled = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: unhandled.append(context)
+        )
+        async with ExperimentService(cache_dir=None, workers=1) as service:
+            server = await service.serve_tcp("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            async with server:
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                for index, message in enumerate(messages):
+                    writer.write(encode({"id": f"bad{index}", **message}))
+                    writer.write(encode({"id": f"ping{index}", "op": "ping"}))
+                    await writer.drain()
+                    replies = [
+                        decode(await asyncio.wait_for(reader.readline(), timeout=10))
+                        for _ in range(2)
+                    ]
+                    assert replies[0]["id"] == f"bad{index}", replies
+                    assert replies[0]["event"] == "error", replies
+                    assert replies[1] == {"id": f"ping{index}", "event": "pong"}
+                writer.close()
+                assert service.queue.depth()["submitted"] == 0
+        return unhandled
 
     def test_client_response_lines_up_to_the_limit(self):
         """A stub server answers ``pad`` bytes per request, or never (``hold``)."""
