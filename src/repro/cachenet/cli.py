@@ -9,10 +9,10 @@ scripts.
 ``--cache-dir`` names the entry directory (the standard gzip entry files, with
 the directory as their index — a cache server can adopt any existing cache
 directory).  ``--auth-token`` (or ``REPRO_CACHE_TOKEN``) demands a
-constant-time-compared shared secret from every connection.  ``--gc-max-age``
-is the TTL: with ``--gc-interval`` a background thread evicts entries older
-than it; ``--gc-max-bytes`` caps the store LRU-first, same spellings as the
-batch CLI's ``--cache-gc``.
+constant-time-compared shared secret from every connection.  The server runs
+no background GC: bound the store with the ``gc`` op, or with
+``python -m repro --cache-gc --max-bytes SIZE --cache-dir DIR`` run from any
+process (cron, say) while it serves.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import argparse
 import os
 import sys
 
-from repro.experiments.base import parse_age, parse_endpoint, parse_size
+from repro.experiments.base import parse_endpoint
 from repro.runtime.session import default_cache_dir
 
 __all__ = ["main"]
@@ -53,30 +53,6 @@ def main(argv: list[str] | None = None) -> int:
         help="require clients to authenticate with this shared secret "
         "(default: $REPRO_CACHE_TOKEN)",
     )
-    gc = parser.add_argument_group("background GC / TTL")
-    gc.add_argument(
-        "--gc-interval",
-        type=parse_age,
-        default=60.0,
-        metavar="AGE",
-        help="seconds between background GC passes (default: 60)",
-    )
-    gc.add_argument(
-        "--gc-max-bytes",
-        type=parse_size,
-        default=None,
-        metavar="SIZE",
-        help="byte cap enforced LRU-first by each background pass (e.g. 500M)",
-    )
-    gc.add_argument(
-        "--gc-max-age",
-        "--ttl",
-        type=parse_age,
-        default=None,
-        metavar="AGE",
-        dest="gc_max_age",
-        help="TTL: evict entries unused for AGE (e.g. 30d)",
-    )
     args = parser.parse_args(argv)
 
     if args.auth_token is None:
@@ -84,13 +60,7 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.cachenet.server import CacheServer
 
-    server = CacheServer(
-        args.cache_dir or default_cache_dir(),
-        auth_token=args.auth_token,
-        gc_max_bytes=args.gc_max_bytes,
-        gc_max_age=args.gc_max_age,
-        gc_interval=args.gc_interval,
-    )
+    server = CacheServer(args.cache_dir or default_cache_dir(), auth_token=args.auth_token)
     host, port = server.start(*args.tcp)
     print(
         f"repro cacheserve: listening on {host}:{port} "

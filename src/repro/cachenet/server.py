@@ -3,7 +3,7 @@
 One :class:`CacheServer` owns a directory of cache entries — stored through
 the exact :class:`~repro.runtime.backends.FilesystemBackend` every local cache
 uses, so the gzip entry codec, schema validation and the directory-scan
-lifecycle (TTL/size GC, usage gauges) are reused rather than reimplemented —
+lifecycle (age/size GC, usage gauges) are reused rather than reimplemented —
 and serves them to remote :class:`~repro.cachenet.backend.RemoteBackend`
 clients over the length-prefixed JSON frame protocol of
 :mod:`repro.cachenet.protocol`.
@@ -26,9 +26,10 @@ Design points (documented in ``docs/cachenet.md``):
   (the backend's :class:`~repro.runtime.backends.CorruptEntry` recovery) and
   reported as ``{"hit": false, "corrupt": true}`` so clients can keep the
   local error accounting they already have.
-* **Background TTL/size GC.**  ``--gc-max-age``/``--gc-max-bytes`` bound the
-  store; a daemon thread enforces them every ``--gc-interval`` seconds with
-  one LRU-first directory scan (:func:`repro.runtime.lifecycle.gc`).
+* **GC on request.**  The ``gc`` op collects the store LRU-first in one
+  directory scan (:func:`repro.runtime.lifecycle.gc`).  The directory is its
+  own index, so ``python -m repro --cache-gc --cache-dir DIR`` collects it
+  just as well from another process while the server runs.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from pathlib import Path
 
 from repro.cachenet.protocol import FrameError, read_frame, write_frame
 from repro.runtime.backends import CorruptEntry, FilesystemBackend
-from repro.runtime.lifecycle import GCResult, gc_bounds, is_key
+from repro.runtime.lifecycle import gc_bounds, is_key
 
 __all__ = ["CacheServer"]
 
@@ -121,29 +122,17 @@ class CacheServer:
     """A network-shared cache tier over one entry directory.
 
     ``start()`` binds and serves on a daemon thread and returns the bound
-    ``(host, port)``; ``stop()`` shuts the listener and the GC thread down.
+    ``(host, port)``; ``stop()`` shuts the listener down.
     The server is embeddable in-process (the tests run it that way) as
     well as standalone.
     """
 
-    def __init__(
-        self,
-        directory: str | Path,
-        auth_token: str | None = None,
-        gc_max_bytes: int | None = None,
-        gc_max_age: float | None = None,
-        gc_interval: float = 60.0,
-    ) -> None:
+    def __init__(self, directory: str | Path, auth_token: str | None = None) -> None:
         self.backend = FilesystemBackend(directory)
         self.auth_token = auth_token
-        self.gc_max_bytes = gc_max_bytes
-        self.gc_max_age = gc_max_age
-        self.gc_interval = gc_interval
         self._lock = threading.Lock()
         self._server: _TCPServer | None = None
         self._thread: threading.Thread | None = None
-        self._gc_stop = threading.Event()
-        self._gc_thread: threading.Thread | None = None
         self._stopped = threading.Event()
         # Lifetime counters, surfaced by the ``stats`` op.
         self.requests = 0
@@ -206,7 +195,9 @@ class CacheServer:
                     bounds = gc_bounds(message)
                 except ValueError as error:
                     return {"ok": False, "error": str(error)}, authenticated, True
-                result = self._gc(**bounds)
+                result = self.backend.gc(**bounds)
+                with self._lock:
+                    self.evicted += result.removed_entries
                 return {"ok": True, "gc": dataclasses.asdict(result)}, authenticated, True
             if op == "clear":
                 removed = self.backend.clear()
@@ -258,16 +249,6 @@ class CacheServer:
         return {"ok": True, "stored": True}
 
     # --------------------------------------------------------------- lifecycle
-    def _gc(self, max_bytes: int | None, max_age: float | None) -> GCResult:
-        result = self.backend.gc(max_bytes=max_bytes, max_age=max_age)
-        with self._lock:
-            self.evicted += result.removed_entries
-        return result
-
-    def _gc_loop(self) -> None:
-        while not self._gc_stop.wait(self.gc_interval):
-            self._gc(self.gc_max_bytes, self.gc_max_age)
-
     def stats(self) -> dict:
         """Lifetime op counters plus the usage gauges of one directory scan."""
         with self._lock:
@@ -293,16 +274,10 @@ class CacheServer:
             daemon=True,
         )
         self._thread.start()
-        if self.gc_max_bytes is not None or self.gc_max_age is not None:
-            self._gc_thread = threading.Thread(
-                target=self._gc_loop, name="cacheserve-gc", daemon=True
-            )
-            self._gc_thread.start()
         return self._server.server_address[:2]
 
     def stop(self) -> None:
         """Stop serving; safe to call more than once."""
-        self._gc_stop.set()
         server, self._server = self._server, None
         if server is not None:
             server.shutdown()

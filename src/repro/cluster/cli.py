@@ -53,7 +53,6 @@ async def _run_batch(args) -> int:
         trace_dir=args.trace_dir,
         no_trace_cache=args.no_trace_cache,
         cache_backend=args.cache_backend,
-        max_jobs_per_worker=args.max_jobs_per_worker,
     )
     if args.run == "all":
         request = RunAllRequest(preset=args.preset, seed=args.seed)
@@ -161,14 +160,6 @@ def main(argv: list[str] | None = None) -> int:
         "then only anchors the trace fabric",
     )
     parser.add_argument(
-        "--max-jobs-per-worker",
-        type=int,
-        default=None,
-        metavar="N",
-        help="recycle a spawned worker (relaunch + re-register) after it "
-        "completes N jobs, bounding per-process memory (default: never)",
-    )
-    parser.add_argument(
         "--trace-dir",
         default=None,
         metavar="DIR",
@@ -200,8 +191,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--workers must be non-negative")
     if args.workers == 0 and not args.connect:
         parser.error("a cluster needs --workers >= 1 and/or --connect endpoints")
-    if args.max_jobs_per_worker is not None and args.max_jobs_per_worker < 1:
-        parser.error("--max-jobs-per-worker must be positive")
     if args.seed < 0:
         parser.error("--seed must be non-negative")
     if args.worker_token is None:
@@ -232,7 +221,6 @@ def main(argv: list[str] | None = None) -> int:
             trace_dir=args.trace_dir,
             no_trace_cache=args.no_trace_cache,
             cache_backend=args.cache_backend,
-            max_jobs_per_worker=args.max_jobs_per_worker,
         )
 
         async def run_tcp(host: str, port: int) -> None:

@@ -36,9 +36,8 @@ so a requeued flight only recomputes the remainder.
 
 Membership is **elastic** (``docs/cluster.md``): a background monitor task
 auto-respawns spawned workers that die (relaunch + re-register under the same
-worker id, so subsequent rendezvous walks see the replacement), and recycles
-workers after ``max_jobs_per_worker`` completed jobs to bound long-run memory
-growth.  Pending flights need no special handling on membership changes:
+worker id, so subsequent rendezvous walks see the replacement).  Pending
+flights need no special handling on membership changes:
 every dispatch re-walks the rendezvous rank over the *currently* live links,
 which is exactly the reshuffle.
 """
@@ -80,7 +79,7 @@ HANDSHAKE_TIMEOUT = 30.0
 #: Per-worker bound on the (concurrent) stats fan-out of the ``stats`` op.
 STATS_TIMEOUT = 5.0
 
-#: Poll cadence of the membership monitor (death detection + recycling).
+#: Poll cadence of the membership monitor (death detection + respawn).
 MONITOR_INTERVAL = 0.25
 
 #: A flight gives up after this many worker deaths (each one requeues).
@@ -123,9 +122,6 @@ class WorkerLink:
         self.process = process
         self.dispatched = 0
         self.completed = 0
-        #: Flights currently executing on this worker — recycling waits for
-        #: zero so an in-flight job is never yanked from under a client.
-        self.inflight = 0
 
     @property
     def alive(self) -> bool:
@@ -144,7 +140,6 @@ class WorkerLink:
             "spawned": self.process is not None,
             "dispatched": self.dispatched,
             "completed": self.completed,
-            "inflight": self.inflight,
         }
 
     async def close(self) -> None:
@@ -265,10 +260,6 @@ class ClusterService(ExperimentService):
         the coordinator's own planning session.  The result tier then lives
         in the network cache instead of the shared directory; ``cache_dir``
         keeps anchoring the trace fabric only.
-    max_jobs_per_worker:
-        Recycle a spawned worker (terminate + relaunch + re-register) once
-        it has completed this many jobs, bounding per-process memory growth
-        over long serving runs.  ``None`` disables recycling.
     """
 
     def __init__(
@@ -282,14 +273,11 @@ class ClusterService(ExperimentService):
         trace_dir: str | Path | None = None,
         no_trace_cache: bool = False,
         cache_backend: str | None = None,
-        max_jobs_per_worker: int | None = None,
     ) -> None:
         if spawn_workers < 0:
             raise ValueError("spawn_workers must be non-negative")
         if spawn_workers == 0 and not connect:
             raise ValueError("a cluster needs spawned workers and/or --connect endpoints")
-        if max_jobs_per_worker is not None and max_jobs_per_worker < 1:
-            raise ValueError("max_jobs_per_worker must be positive")
         self._own_cache_dir = cache_dir is None
         if cache_dir is None:
             cache_dir = tempfile.mkdtemp(prefix="repro-cluster-cache-")
@@ -308,7 +296,6 @@ class ClusterService(ExperimentService):
         self.trace_dir = trace_dir
         self.no_trace_cache = no_trace_cache
         self.cache_backend = cache_backend
-        self.max_jobs_per_worker = max_jobs_per_worker
         self.spawn_workers = spawn_workers
         self.connect_endpoints = list(connect or [])
         self.worker_processes = worker_processes
@@ -322,7 +309,6 @@ class ClusterService(ExperimentService):
         self.flights_coalesced = 0
         self.flights_requeued = 0
         self.workers_respawned = 0
-        self.workers_recycled = 0
         self.respawn_failures = 0
         #: ``"<Type>: <message>"`` of the latest failed respawn, or ``None``.
         self.last_respawn_error: str | None = None
@@ -450,14 +436,12 @@ class ClusterService(ExperimentService):
 
     # --------------------------------------------------------------- membership
     async def _monitor(self) -> None:
-        """Elastic-membership loop: respawn dead spawned workers, recycle old.
+        """Elastic-membership loop: respawn dead spawned workers.
 
         Only *spawned* links are managed — an attached (``--connect``) worker
         belongs to whoever started it, so its death merely removes it from
         the live set (flights requeue onto survivors via the rendezvous
-        walk).  Recycling waits for a link to go idle so no in-flight job is
-        interrupted; the flights it already completed live in the shared
-        cache backend either way.
+        walk).
         """
         while True:
             await asyncio.sleep(MONITOR_INTERVAL)
@@ -465,15 +449,9 @@ class ClusterService(ExperimentService):
                 if link.process is None or self.links.get(worker_id) is not link:
                     continue
                 if not link.alive:
-                    await self._replace(worker_id, link, reason="respawned")
-                elif (
-                    self.max_jobs_per_worker is not None
-                    and link.completed >= self.max_jobs_per_worker
-                    and link.inflight == 0
-                ):
-                    await self._replace(worker_id, link, reason="recycled")
+                    await self._replace(worker_id, link)
 
-    async def _replace(self, worker_id: str, old: WorkerLink, reason: str) -> None:
+    async def _replace(self, worker_id: str, old: WorkerLink) -> None:
         """Close ``old`` and install a freshly spawned worker under its id.
 
         The replacement re-registers through the normal handshake, so from
@@ -492,10 +470,7 @@ class ClusterService(ExperimentService):
             return
         if self.links.get(worker_id) is old:
             self.links[worker_id] = fresh
-            if reason == "recycled":
-                self.workers_recycled += 1
-            else:
-                self.workers_respawned += 1
+            self.workers_respawned += 1
         else:  # pragma: no cover - lost a replace race; keep the winner
             await fresh.close()
 
@@ -570,7 +545,7 @@ class ClusterService(ExperimentService):
                     if live and flight.requeues < MAX_FLIGHT_REQUEUES:
                         # Every live id was already tried, but membership is
                         # elastic: a live link under a tried id is a *fresh*
-                        # process the monitor respawned (or recycled) since.
+                        # process the monitor respawned since.
                         # Give the monitor a beat and walk the rank again —
                         # the requeue cap bounds this, since every tried id
                         # corresponds to a dispatch that died.
@@ -619,32 +594,28 @@ class ClusterService(ExperimentService):
         (because every interested client job cancelled).
         """
         link.dispatched += 1
-        link.inflight += 1
         message = dict(flight.message)
         if flight.priority:
             message["priority"] = flight.priority
-        try:
-            async for event in link.client.stream(message):
-                name = event.get("event")
-                if name in ("queued", "running"):
-                    flight.link = link
-                    flight.ticket = event.get("ticket", flight.ticket)
-                elif name == "progress":
-                    flight.emit_progress(
-                        {**event.get("progress", {}), "worker": link.worker_id}
-                    )
-                elif name == "done":
-                    link.completed += 1
-                    return event
-                elif name == "cancelled":
-                    raise SweepCancelled("cancelled on worker")
-                elif name in ("failed", "error"):
-                    error = event.get("error", "worker failure")
-                    if not link.alive:
-                        raise WorkerDied(f"worker {link.worker_id} died: {error}")
-                    raise _FlightFailed(f"worker {link.worker_id}: {error}")
-        finally:
-            link.inflight -= 1
+        async for event in link.client.stream(message):
+            name = event.get("event")
+            if name in ("queued", "running"):
+                flight.link = link
+                flight.ticket = event.get("ticket", flight.ticket)
+            elif name == "progress":
+                flight.emit_progress(
+                    {**event.get("progress", {}), "worker": link.worker_id}
+                )
+            elif name == "done":
+                link.completed += 1
+                return event
+            elif name == "cancelled":
+                raise SweepCancelled("cancelled on worker")
+            elif name in ("failed", "error"):
+                error = event.get("error", "worker failure")
+                if not link.alive:
+                    raise WorkerDied(f"worker {link.worker_id} died: {error}")
+                raise _FlightFailed(f"worker {link.worker_id}: {error}")
         # Stream ended without a terminal event: the connection is gone.
         raise WorkerDied(f"worker {link.worker_id} stream ended unexpectedly")
 
@@ -853,10 +824,8 @@ class ClusterService(ExperimentService):
             "flights_inflight": len(self._flights),
             "workers_lost": sum(1 for link in self.links.values() if not link.alive),
             "workers_respawned": self.workers_respawned,
-            "workers_recycled": self.workers_recycled,
             "respawn_failures": self.respawn_failures,
             "last_respawn_error": self.last_respawn_error,
-            "max_jobs_per_worker": self.max_jobs_per_worker,
             "cache_backend": self.cache_backend,
             "cache_dir": str(self.cache_dir),
             "trace_dir": str(

@@ -39,8 +39,7 @@ _AGE_SUFFIXES = {"s": 1, "m": 60, "h": 3600, "d": 86400}
 def parse_size(value: str) -> int:
     """``"500M"`` → bytes (plain integers and K/M/G suffixes).
 
-    Shared argparse ``type=`` of every size-taking CLI flag (the batch CLI's
-    ``--max-bytes``, the serve CLI's ``--gc-max-bytes``).
+    The argparse ``type=`` of the batch CLI's ``--max-bytes``.
     """
     text = value.strip().lower()
     factor = 1
@@ -61,8 +60,7 @@ def parse_size(value: str) -> int:
 def parse_age(value: str) -> float:
     """``"30d"`` → seconds (plain numbers and s/m/h/d suffixes).
 
-    Shared argparse ``type=`` of every duration-taking CLI flag (the batch
-    CLI's ``--max-age``, the serve CLI's ``--gc-interval``/``--gc-max-age``).
+    The argparse ``type=`` of the batch CLI's ``--max-age``.
     """
     text = value.strip().lower()
     factor = 1
@@ -125,6 +123,11 @@ class Preset:
     samples_per_layer: int = 8000
     max_pallets: int = 6
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # The experiments' geomeans and averages are undefined over no networks.
+        if not self.networks:
+            raise ValueError(f"preset {self.name!r} names no networks")
 
     def sampling(self) -> SamplingConfig:
         """Sampling configuration for the cycle simulators."""

@@ -62,7 +62,6 @@ from repro.runtime.session import (
     configure_session,
     current_session,
     default_cache_dir,
-    isolated_session,
     resolve_cache_dir,
     resolve_trace_dir,
     use_session,
@@ -102,7 +101,6 @@ __all__ = [
     "build_session",
     "configure_session",
     "current_session",
-    "isolated_session",
     "use_session",
     "resolve_cache_dir",
     "resolve_trace_dir",

@@ -3,7 +3,7 @@
 Experiments do not thread runtime handles through their signatures — they ask
 for :func:`current_session` and the runtime configures it once per process
 (the CLI at startup, the scheduler in each pool worker, tests through
-:func:`use_session`/:func:`isolated_session`).  The default session uses an
+:func:`use_session`).  The default session uses an
 in-memory cache, so importing ``repro`` and calling ``fig9.run()`` never
 touches the filesystem.
 
@@ -36,7 +36,6 @@ __all__ = [
     "configure_session",
     "current_session",
     "default_cache_dir",
-    "isolated_session",
     "resolve_cache_dir",
     "resolve_trace_dir",
     "use_session",
@@ -285,17 +284,3 @@ def use_session(session: RuntimeSession):
     finally:
         stack.pop()
 
-
-@contextlib.contextmanager
-def isolated_session():
-    """A fresh memory-only session, isolated from all prior runtime state.
-
-    A run timed inside it pays its full cost instead of reusing simulations a
-    previous run left in the session cache, or calibrations left in the
-    process-wide :func:`calibrate_network` cache.
-    """
-    from repro.nn.calibration import calibrate_network
-
-    calibrate_network.cache_clear()
-    with use_session(RuntimeSession()) as session:
-        yield session

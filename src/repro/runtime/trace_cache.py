@@ -15,7 +15,7 @@ exactly like editing simulation source invalidates cached results.  The
 directory is its own index, as a result-cache directory is
 (:mod:`repro.runtime.lifecycle`): a load sets the file's mtime, and usage and
 the size/age-capped GC are one directory scan each, so
-``--cache-gc``/``--cache-stats`` and serve background GC see the entries.
+``--cache-gc``/``--cache-stats`` see the entries.
 Entries are published by atomic rename, so processes sharing the directory
 need no locks; two processes calibrating one network at once both write the
 same result.  ``docs/runtime.md`` documents the layout and invalidation rule;

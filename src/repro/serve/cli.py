@@ -16,11 +16,11 @@ Modes:
 select the shared result cache exactly like the batch CLI (``--no-cache``
 keeps it in memory, so repeated requests are still answered from it).  ``--auth-token``
 (or ``REPRO_SERVE_TOKEN``) demands a constant-time-compared shared secret
-from every TCP connection before anything reaches the queue.  Long-lived
-servers can enable automatic background cache GC with ``--gc-interval`` plus
-``--gc-max-bytes`` and/or ``--gc-max-age`` (same size/age spellings as the
-batch CLI's ``--cache-gc``).  See ``docs/serving.md`` for the protocol and
-examples.
+from every TCP connection before anything reaches the queue.  The server
+runs no background housekeeping: a long-lived server's disk cache is bounded
+by the ``gc`` op, or by ``python -m repro --cache-gc --cache-dir DIR`` run
+from any process (cron, say) while it serves.  See ``docs/serving.md`` for
+the protocol and examples.
 """
 
 from __future__ import annotations
@@ -32,17 +32,10 @@ import os
 import sys
 
 from repro.cachenet.backend import parse_backend_spec
-from repro.experiments.base import parse_age, parse_endpoint, parse_size
+from repro.experiments.base import parse_endpoint
 from repro.runtime.session import default_cache_dir, resolve_cache_dir, resolve_trace_dir
 
 __all__ = ["main"]
-
-
-def _parse_interval(value: str) -> float:
-    seconds = parse_age(value)
-    if seconds <= 0:
-        raise argparse.ArgumentTypeError("--gc-interval must be positive")
-    return seconds
 
 
 async def _run_worker(args) -> int:
@@ -63,9 +56,6 @@ async def _run_worker(args) -> int:
             cache_backend=args.cache_backend,
             workers=args.workers,
             auth_token=args.auth_token,
-            gc_interval=args.gc_interval,
-            gc_max_bytes=args.gc_max_bytes,
-            gc_max_age=args.gc_max_age,
         )
     except ValueError as error:
         print(f"repro serve: {error}", file=sys.stderr)
@@ -172,36 +162,9 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="disable the trace fabric (calibrate each network in-process)",
     )
-    gc = parser.add_argument_group("background cache GC")
-    gc.add_argument(
-        "--gc-interval",
-        type=_parse_interval,
-        default=None,
-        metavar="AGE",
-        help="collect the disk cache every AGE (e.g. 900 or 15m); requires "
-        "--gc-max-bytes and/or --gc-max-age",
-    )
-    gc.add_argument(
-        "--gc-max-bytes",
-        type=parse_size,
-        default=None,
-        metavar="SIZE",
-        help="byte cap enforced by each background GC pass (e.g. 500M)",
-    )
-    gc.add_argument(
-        "--gc-max-age",
-        type=parse_age,
-        default=None,
-        metavar="AGE",
-        help="evict entries unused for AGE on each background GC pass (e.g. 30d)",
-    )
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error("--workers must be at least 1")
-    if args.gc_interval is not None and args.gc_max_bytes is None and args.gc_max_age is None:
-        parser.error("--gc-interval needs --gc-max-bytes and/or --gc-max-age")
-    if args.gc_interval is not None and args.no_cache:
-        parser.error("background GC requires a disk cache (drop --no-cache)")
 
     if args.auth_token is None:
         args.auth_token = os.environ.get("REPRO_SERVE_TOKEN") or None
@@ -217,9 +180,6 @@ def main(argv: list[str] | None = None) -> int:
         cache_dir=resolve_cache_dir(args.cache_dir, args.no_cache, args.cache_backend),
         no_cache=args.no_cache,
         workers=args.workers,
-        gc_interval=args.gc_interval,
-        gc_max_bytes=args.gc_max_bytes,
-        gc_max_age=args.gc_max_age,
         auth_token=args.auth_token,
         trace_dir=args.trace_dir,
         no_trace_cache=args.no_trace_cache,

@@ -309,9 +309,6 @@ class ServeClient:
     async def list_experiments(self) -> dict:
         return await self._roundtrip({"op": "list"})
 
-    async def status(self, ticket: str) -> dict:
-        return await self._roundtrip({"op": "status", "ticket": ticket})
-
     async def cancel(self, ticket: str) -> dict:
         return await self._roundtrip({"op": "cancel", "ticket": ticket})
 

@@ -54,7 +54,7 @@ JOB_OPS = ("run_experiment", "run_all", "simulate")
 #: shared disk cache: optional ``max_bytes``/``max_age`` bounds, LRU-first;
 #: ``auth`` presents the shared secret of a token-protected server — on such
 #: a server it must be the connection's first message).
-CONTROL_OPS = ("status", "cancel", "stats", "gc", "list", "ping", "auth", "shutdown")
+CONTROL_OPS = ("cancel", "stats", "gc", "list", "ping", "auth", "shutdown")
 
 #: Preset fields a request may override.
 _OVERRIDE_FIELDS = ("networks", "samples_per_layer", "max_pallets")

@@ -19,13 +19,15 @@ detaches that ticket).  The same token carries per-layer/per-network progress
 events back up; tickets that registered an ``on_progress`` callback (the
 protocol's ``stream`` flag) receive them as they happen.  All state lives on
 the event loop — only the execution itself leaves it (see
-:mod:`repro.serve.workers`).  ``docs/serving.md`` walks through the model.
+:mod:`repro.serve.workers`).  The queue indexes live tickets only: a ticket
+leaves it when it reaches a terminal state, and callers that hold the
+:class:`Ticket` keep reading its state and result.  ``docs/serving.md`` walks
+through the model.
 """
 
 from __future__ import annotations
 
 import asyncio
-import collections
 import heapq
 import itertools
 import time
@@ -38,12 +40,6 @@ __all__ = ["Ticket", "Job", "RequestQueue"]
 
 #: Job/ticket lifecycle states.
 STATES = ("queued", "running", "done", "failed", "cancelled")
-
-#: How many *finished* tickets stay resolvable through ``status``.  Beyond
-#: this, the oldest are evicted (with their jobs' result payloads), keeping a
-#: long-lived server's memory bounded under steady traffic.  In-process
-#: callers hold their Ticket objects directly and are unaffected.
-FINISHED_TICKET_HISTORY = 1024
 
 
 class Job:
@@ -156,8 +152,8 @@ class RequestQueue:
         #: identical requests don't coalesce onto them, but still *running*
         #: as far as capacity accounting goes).
         self._unwinding: set[Job] = set()
+        #: Live tickets by id; a terminal ticket leaves (see :meth:`_retire`).
         self._tickets: dict[str, Ticket] = {}
-        self._finished: collections.deque[str] = collections.deque()
         self._counter = itertools.count(1)
         #: Set by stop_workers(): workers stop pulling jobs immediately.
         self.stopping = False
@@ -202,7 +198,6 @@ class RequestQueue:
             job = Job(key, request, priority)
             ticket = Ticket(f"t{next(self._counter)}", job, False, on_event, on_progress)
             job.tickets.append(ticket)
-            self._tickets[ticket.ticket_id] = ticket
             self.submitted += 1
             self.finish(job, error="service is stopping; submission rejected")
             return ticket
@@ -330,13 +325,9 @@ class RequestQueue:
         return abandoned
 
     def _retire(self, ticket: Ticket) -> None:
-        """Move a terminal ticket into the bounded history, evicting the oldest."""
-        if ticket.retired:
-            return
+        """Drop a terminal ticket from the index; its holders keep the object."""
         ticket.retired = True
-        self._finished.append(ticket.ticket_id)
-        while len(self._finished) > FINISHED_TICKET_HISTORY:
-            self._tickets.pop(self._finished.popleft(), None)
+        self._tickets.pop(ticket.ticket_id, None)
 
     # ------------------------------------------------------------------ control
     def get(self, ticket_id: str) -> Ticket | None:
@@ -351,7 +342,9 @@ class RequestQueue:
         its next checkpoint and the worker is freed (results the sweep
         completed before the checkpoint are already in the shared cache).
         While other live tickets share the job it keeps running and only this
-        ticket detaches.
+        ticket detaches.  Only live tickets are indexed, so the id of a
+        finished or already cancelled ticket raises ``KeyError`` (the wire's
+        ``unknown ticket``).
         """
         ticket = self._tickets.get(ticket_id)
         if ticket is None:

@@ -15,9 +15,8 @@ ways, all speaking the same typed requests:
 
 The request lifecycle (``queued → running → done/failed/cancelled``,
 coalescing, cooperative cancellation of running jobs, ``stream`` progress
-events, background cache GC) is documented in ``docs/serving.md``; the
-architecture map in ``docs/architecture.md`` places this layer at the top of
-the stack.
+events) is documented in ``docs/serving.md``; the architecture map in
+``docs/architecture.md`` places this layer at the top of the stack.
 """
 
 from __future__ import annotations
@@ -49,10 +48,13 @@ __all__ = ["ConnectionContext", "ExperimentService"]
 #: that disconnected or stopped reading cannot hold the close path hostage.
 CLOSE_DRAIN_TIMEOUT = 5.0
 
-#: Longest request line a TCP connection accepts (bytes; asyncio's default
-#: stream limit).  A longer line gets an ``error`` event and a closed
-#: connection.
+#: Longest request line a connection accepts (asyncio's default stream limit:
+#: bytes over TCP, characters over stdio).  A longer line gets one ``error``
+#: event carrying :data:`LINE_TOO_LONG` and ends the connection.
 LINE_LIMIT = 64 * 1024
+
+#: The error both transports answer an over-long request line with.
+LINE_TOO_LONG = f"request line exceeds the {LINE_LIMIT}-byte limit"
 
 
 @dataclass
@@ -93,14 +95,6 @@ class ExperimentService:
         memory, as with ``cache_dir=None``.
     workers:
         Bound on concurrently executing jobs.
-    gc_interval:
-        Period, in seconds, of the automatic background garbage collection of
-        the shared disk cache.  ``None`` (default) disables the task; when
-        set, at least one of ``gc_max_bytes``/``gc_max_age`` is required.
-        The task only runs against a persistent cache.
-    gc_max_bytes / gc_max_age:
-        Bounds enforced by each background GC pass (LRU-first), exactly like
-        the ``gc`` wire op and the ``--cache-gc`` CLI verb.
     auth_token:
         Optional shared secret.  When set, TCP connections must authenticate
         (``{"op": "auth", "token": ...}``, constant-time compare) before any
@@ -130,9 +124,6 @@ class ExperimentService:
         cache_dir: str | Path | None = None,
         no_cache: bool = False,
         workers: int = 2,
-        gc_interval: float | None = None,
-        gc_max_bytes: int | None = None,
-        gc_max_age: float | None = None,
         auth_token: str | None = None,
         executor=None,
         trace_dir: str | Path | None = None,
@@ -147,17 +138,6 @@ class ExperimentService:
         self.totals = RunStats()
         self._started = False
         self._shutdown = asyncio.Event()
-        # Background GC of the shared disk cache (long-lived servers).
-        if gc_interval is not None and gc_interval <= 0:
-            raise ValueError("gc_interval must be positive")
-        if gc_interval is not None and gc_max_bytes is None and gc_max_age is None:
-            raise ValueError("background GC needs gc_max_bytes and/or gc_max_age")
-        self.gc_interval = gc_interval
-        self.gc_max_bytes = gc_max_bytes
-        self.gc_max_age = gc_max_age
-        self.gc_runs = 0
-        self.gc_removed_entries = 0
-        self._gc_task: asyncio.Task | None = None
 
     def _on_job_finish(self, job) -> None:
         """Fold one finished job's per-request counters into service totals."""
@@ -166,48 +146,16 @@ class ExperimentService:
 
     # ----------------------------------------------------------------- lifecycle
     async def start(self) -> None:
-        """Start the worker pool and the background GC task (idempotent)."""
+        """Start the worker pool (idempotent)."""
         await self.pool.start()
         self._started = True
-        if self.gc_interval is not None and self._gc_task is None and self.session.cache.persistent:
-            self._gc_task = asyncio.create_task(
-                self._gc_loop(), name="repro-serve-gc"
-            )
 
     async def stop(self) -> None:
         """Stop the workers; queued jobs are abandoned."""
-        if self._gc_task is not None:
-            self._gc_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._gc_task
-            self._gc_task = None
         if self._started:
             await self.pool.stop()
             self._started = False
         self._shutdown.set()
-
-    async def _gc_loop(self) -> None:
-        """Periodically collect the shared disk cache (LRU-first, bounded).
-
-        GC does disk I/O, so each pass runs on a thread; a failing pass is
-        logged into the error counter of the next ``stats`` reply rather than
-        allowed to kill the loop.
-        """
-        while True:
-            await asyncio.sleep(self.gc_interval)
-            try:
-                result = await asyncio.to_thread(
-                    self.session.cache.gc,
-                    max_bytes=self.gc_max_bytes,
-                    max_age=self.gc_max_age,
-                )
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # noqa: BLE001 - GC must never kill the server
-                self.totals.cache.errors += 1
-            else:
-                self.gc_runs += 1
-                self.gc_removed_entries += result.removed_entries
 
     async def __aenter__(self) -> "ExperimentService":
         await self.start()
@@ -274,23 +222,11 @@ class ExperimentService:
         return payload
 
     # ----------------------------------------------------------------- control
-    def status(self, ticket_id: str) -> dict:
-        ticket = self.queue.get(ticket_id)
-        if ticket is None:
-            return {"event": "error", "error": f"unknown ticket {ticket_id!r}"}
-        return {
-            "event": "status",
-            "ticket": ticket.ticket_id,
-            "state": ticket.state,
-            "coalesced": ticket.coalesced,
-            "request": ticket.job.request.describe(),
-        }
-
     def cancel(self, ticket_id: str) -> dict:
         try:
             changed, state = self.queue.cancel(ticket_id)
         except KeyError as error:
-            return {"event": "error", "error": str(error)}
+            return {"event": "error", "error": error.args[0]}
         return {"event": "cancelled", "ticket": ticket_id, "changed": changed, "state": state}
 
     def stats(self) -> dict:
@@ -322,17 +258,6 @@ class ExperimentService:
             "traces": len(self.session.traces),
             "trace_cache": trace_cache,
             "workers": self.pool.workers,
-            "background_gc": (
-                None
-                if self.gc_interval is None
-                else {
-                    "interval_seconds": self.gc_interval,
-                    "max_bytes": self.gc_max_bytes,
-                    "max_age_seconds": self.gc_max_age,
-                    "runs": self.gc_runs,
-                    "removed_entries": self.gc_removed_entries,
-                }
-            ),
         }
 
     def coalescing_stats(self) -> dict:
@@ -455,8 +380,6 @@ class ExperimentService:
                 reply({"event": "error", "error": str(error)})
                 return True
             reply(self.collect_garbage(**bounds))
-        elif op == "status":
-            reply(self.status(str(message.get("ticket", ""))))
         elif op == "cancel":
             reply(self.cancel(str(message.get("ticket", ""))))
         elif op == "shutdown":
@@ -569,12 +492,7 @@ class ExperimentService:
                 except ValueError:
                     # The line outgrew the reader's buffer limit; its framing
                     # is lost, so answer once and drop the connection.
-                    outbox.put_nowait(
-                        {
-                            "event": "error",
-                            "error": f"request line exceeds the {LINE_LIMIT}-byte limit",
-                        }
-                    )
+                    outbox.put_nowait({"event": "error", "error": LINE_TOO_LONG})
                     break
                 if not line:
                     break
@@ -611,7 +529,8 @@ class ExperimentService:
         )
 
     async def run_stdio(self, stdin=None, stdout=None) -> None:
-        """Speak the protocol over stdin/stdout until EOF or ``shutdown``."""
+        """Speak the protocol over stdin/stdout until EOF, ``shutdown`` or an
+        over-long line."""
         stdin = stdin if stdin is not None else sys.stdin
         stdout = stdout if stdout is not None else sys.stdout
         await self.start()
@@ -624,8 +543,12 @@ class ExperimentService:
             stdout.flush()
 
         while True:
-            line = await loop.run_in_executor(None, stdin.readline)
+            line = await loop.run_in_executor(None, stdin.readline, LINE_LIMIT + 1)
             if not line:
+                break
+            if len(line) > LINE_LIMIT and not line.endswith("\n"):
+                # As over TCP: answer once and stop reading.
+                send({"event": "error", "error": LINE_TOO_LONG})
                 break
             if not line.strip():
                 continue

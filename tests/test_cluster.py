@@ -5,9 +5,8 @@ services connected over loopback TCP — separate ``WorkerService`` instances
 with separate sessions sharing one cache directory, the exact topology of a
 local cluster minus the subprocess spawn.
 ``TestSpawnedWorkers`` covers what only real worker processes show:
-calibrations shared across processes, a terminated process respawned, workers
-recycled, and a network cache tier that outlives (and survives the loss of)
-its server.
+calibrations shared across processes, a terminated process respawned, and a
+network cache tier that outlives (and survives the loss of) its server.
 """
 
 import asyncio
@@ -549,7 +548,7 @@ class TestClusterExecution:
                 )
                 await link.process.wait()
                 await link.client.close()
-                await coordinator._replace("c0", link, reason="respawned")
+                await coordinator._replace("c0", link)
                 section = coordinator.stats()["cluster"]
                 assert section["respawn_failures"] >= 1
                 assert section["last_respawn_error"] == "ClusterError: boom"
@@ -704,20 +703,6 @@ class TestSpawnedWorkers:
                     and coordinator.links[worker_id].alive
                 )
                 assert coordinator.links[worker_id].pid != pid
-
-        run(scenario())
-
-    def test_recycled_workers_serve_a_warm_rerun(self, tmp_path):
-        async def scenario():
-            async with _Cluster(
-                tmp_path / "cache", spawn=True, max_jobs_per_worker=1
-            ) as cluster:
-                coordinator = cluster.coordinator
-                cold = await _run_done(coordinator, "fig9")
-                assert cold["stats"]["sweep"]["configs_simulated"] > 0
-                await _until(lambda: coordinator.workers_recycled >= 1)
-                warm = await _run_done(coordinator, "fig9")
-                assert warm["stats"]["sweep"]["configs_simulated"] == 0
 
         run(scenario())
 

@@ -35,6 +35,14 @@ class TestPresets:
     def test_sampling_uses_preset_pallets(self):
         assert get_preset("fast").sampling().max_pallets == PRESETS["fast"].max_pallets
 
+    def test_a_preset_without_networks_is_refused(self):
+        # One typed error at construction, instead of a ZeroDivisionError,
+        # a geomean ValueError or a header-only table from the experiments.
+        with pytest.raises(ValueError, match="preset 'e' names no networks"):
+            Preset(name="e", networks=())
+        with pytest.raises(ValueError, match="'fast'"):
+            dataclasses.replace(PRESETS["fast"], networks=())
+
 
 class TestRegistry:
     def test_all_paper_artifacts_registered(self):

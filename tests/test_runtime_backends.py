@@ -317,6 +317,26 @@ class TestNetworkCacheTier:
         reader = make_backend(flavour)
         assert reader.load("k1", "network_result") is None
 
+    def test_batch_cache_gc_collects_a_served_directory(self, make_backend, capsys):
+        """The server runs no GC of its own: ``--cache-gc`` bounds its directory.
+
+        The directory is its own index, so the batch verb collects it while
+        it is being served, as a cron job in another process would.
+        """
+        from repro.experiments.runner import main as runner_main
+
+        backend = make_backend("remote")
+        backend.store("k1", {"a": 1}, "network_result")
+        assert backend.usage()["entries"] == 1
+        directory = make_backend.cachenet_server.directory
+        argv = ["--cache-gc", "--max-bytes", "1", "--cache-dir", str(directory)]
+        assert runner_main(argv) == 0
+        assert "evicted 1" in capsys.readouterr().out
+        usage = backend.usage()
+        assert usage["remote_reachable"] is True
+        assert usage["entries"] == 0
+        assert backend.load("k1", "network_result") is None
+
     @pytest.mark.parametrize("flavour", ["remote", "resolved"])
     def test_dead_server_degrades_to_miss(self, make_backend, flavour):
         cache = ResultCache(backend=make_backend(flavour))

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import ClusterService
-from repro.nn.calibration import calibrate_network
 from repro.runtime import (
     FilesystemBackend,
     InMemoryBackend,
@@ -21,7 +20,6 @@ from repro.runtime import (
     configure_session,
     current_session,
     default_trace_dir,
-    isolated_session,
     run_experiments,
     scheduler,
     session as session_module,
@@ -136,15 +134,6 @@ class TestThreadScopedSessions:
         for thread in threads:
             thread.join()
         assert all(observed[i] is sessions[i] for i in range(len(sessions)))
-
-
-class TestIsolatedSession:
-    def test_calibrations_do_not_leak_across_isolated_sessions(self):
-        for _ in range(2):
-            with isolated_session():
-                misses = calibrate_network.cache_info().misses
-                calibrate_network("alexnet", samples_per_layer=512)
-                assert calibrate_network.cache_info().misses == misses + 1
 
 
 # ------------------------------------------------------------ one storage rule

@@ -428,28 +428,28 @@ class TestRequestQueue:
 
         run(scenario())
 
-    def test_finished_tickets_are_evicted_beyond_the_history_bound(self, monkeypatch):
-        # A long-lived server must not retain every result payload forever.
-        import repro.serve.queue as queue_module
-
-        monkeypatch.setattr(queue_module, "FINISHED_TICKET_HISTORY", 3)
-
+    def test_a_finished_ticket_leaves_the_index(self):
+        # A long-lived server must not retain every result payload forever:
+        # the queue indexes live tickets only.
         async def scenario():
             queue = RequestQueue()
-            tickets = []
-            for index in range(5):
-                ticket = queue.submit(StubRequest(str(index)))
-                tickets.append(ticket)
-                job = await queue.next_job()
-                queue.mark_running(job)
-                queue.finish(job, result={"payload": index}, stats={})
-            # Only the 3 most recent finished tickets remain resolvable.
-            assert queue.get(tickets[0].ticket_id) is None
-            assert queue.get(tickets[1].ticket_id) is None
-            for ticket in tickets[2:]:
-                assert queue.get(ticket.ticket_id) is ticket
-            # Held Ticket objects keep working regardless of eviction.
-            assert tickets[0].state == "done"
+            ticket = queue.submit(StubRequest("a"))
+            assert queue.get(ticket.ticket_id) is ticket
+            job = await queue.next_job()
+            queue.mark_running(job)
+            queue.finish(job, result={"payload": 1}, stats={})
+            assert queue.get(ticket.ticket_id) is None
+            # A held Ticket keeps working after it leaves the index.
+            assert ticket.retired and ticket.state == "done"
+            assert ticket.job.result == {"payload": 1}
+            # Neither a finished nor an already cancelled ticket can be
+            # cancelled: both ids are unknown.
+            doomed = queue.submit(StubRequest("b"))
+            queue.cancel(doomed.ticket_id)
+            assert queue.get(doomed.ticket_id) is None
+            for finished in (ticket, doomed):
+                with pytest.raises(KeyError, match="unknown ticket"):
+                    queue.cancel(finished.ticket_id)
 
         run(scenario())
 
@@ -658,6 +658,19 @@ class TestServiceInProcess:
                 assert response["event"] == "failed"
                 assert "resnet9000" in response["error"]
                 assert service.queue.depth()["failed"] == 1
+
+        run(scenario())
+
+    def test_cancel_of_a_finished_ticket_answers_unknown_ticket(self):
+        async def scenario():
+            async with ExperimentService(cache_dir=None, workers=1) as service:
+                ticket = await service.submit(ExperimentRequest("table3", preset="smoke"))
+                assert (await service.wait(ticket))["event"] == "done"
+                sent = []
+                message = {"op": "cancel", "ticket": ticket.ticket_id}
+                assert await service.handle_message(message, sent.append)
+                error = f"unknown ticket {ticket.ticket_id!r}"
+                assert sent == [{"event": "error", "error": error}]
 
         run(scenario())
 
@@ -964,21 +977,22 @@ class TestRunningCancellation:
                 async with server:
                     client = await ServeClient.connect("127.0.0.1", port)
                     events = []
-                    ticket_id = None
+                    ticket = None
                     async for event in client.stream_run_all(
                         preset="fast", overrides=TINY2
                     ):
                         events.append(event["event"])
-                        if event["event"] == "progress" and ticket_id is None:
-                            ticket_id = event["ticket"]
-                            ack = await client.cancel(ticket_id)
+                        if event["event"] == "progress" and ticket is None:
+                            # Take the Ticket first: a cancelled ticket leaves
+                            # the queue's index.
+                            ticket = service.queue.get(event["ticket"])
+                            ack = await client.cancel(event["ticket"])
                             assert ack["event"] == "cancelled" and ack["changed"]
                     assert events[-1] == "cancelled"
                     assert "done" not in events and "failed" not in events
                     # Wait out the worker's unwind, then prove no stray event
                     # arrived for the cancelled request: ping round-trips on
                     # the same ordered connection.
-                    ticket = service.queue.get(ticket_id)
                     await asyncio.wait_for(ticket.job.done.wait(), timeout=60)
                     assert ticket.job.state == "cancelled"
                     assert await client.ping()
@@ -1194,47 +1208,26 @@ class TestDisconnectCleanup:
         run(scenario())
 
 
-# ---------------------------------------------------------------- background GC
-class TestBackgroundGC:
-    def test_gc_task_collects_the_disk_cache_periodically(self, tmp_path):
+# ------------------------------------------------------------ out-of-process GC
+class TestOutOfProcessGC:
+    def test_batch_cache_gc_collects_a_served_directory(self, tmp_path, capsys):
+        """A service runs no GC of its own: ``--cache-gc`` bounds its directory."""
+
         async def scenario():
-            service = ExperimentService(
-                cache_dir=tmp_path, workers=1, gc_interval=0.05, gc_max_bytes=0
-            )
-            async with service:
-                service.session.cache.put("deadbeef", {"x": 1})
-                assert len(service.session.cache) == 1
-                for _ in range(100):
-                    await asyncio.sleep(0.05)
-                    if service.gc_runs and len(service.session.cache) == 0:
-                        break
-                assert service.gc_runs >= 1
-                assert service.gc_removed_entries >= 1
-                assert len(service.session.cache) == 0
-                stats = service.stats()
-                assert stats["background_gc"]["runs"] >= 1
-                assert stats["background_gc"]["max_bytes"] == 0
-            assert service._gc_task is None  # stop() tears the task down
+            async with ExperimentService(cache_dir=tmp_path, workers=1) as service:
+                message = {"op": "simulate", "network": "alexnet", "overrides": TINY}
+                first = await service.wait(await service.submit(parse_request(message)))
+                assert first["event"] == "done"
+                assert service.stats()["cache"]["entries"] > 0
+                argv = ["--cache-gc", "--max-bytes", "1", "--cache-dir", str(tmp_path)]
+                assert runner_main(argv) == 0
+                assert service.stats()["cache"]["entries"] == 0
+                again = await service.wait(await service.submit(parse_request(message)))
+                assert again["event"] == "done"
+                assert again["result"] == first["result"]
 
         run(scenario())
-
-    def test_gc_configuration_is_validated(self, tmp_path):
-        with pytest.raises(ValueError):
-            ExperimentService(cache_dir=tmp_path, gc_interval=60)  # no bounds
-        with pytest.raises(ValueError):
-            ExperimentService(cache_dir=tmp_path, gc_interval=0, gc_max_bytes=1)
-
-    def test_gc_task_not_started_without_a_disk_cache(self):
-        async def scenario():
-            service = ExperimentService(
-                cache_dir=None, workers=1, gc_interval=0.05, gc_max_bytes=0
-            )
-            async with service:
-                assert service._gc_task is None  # memory cache: nothing to collect
-                stats = service.stats()
-                assert stats["background_gc"]["runs"] == 0
-
-        run(scenario())
+        assert "evicted" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------- fronts
@@ -1263,17 +1256,37 @@ class TestFrontEnds:
         done = [e for e in events if e["event"] == "done"][0]
         assert done["result"]["experiment"]["experiment"] == "table3"
 
+    @pytest.mark.parametrize(
+        "length, expected",
+        [(64 * 1024, ["pong", "pong"]), (64 * 1024 + 1, ["error"]), (200_000, ["error"])],
+        ids=["at-the-limit", "one-over", "200KB"],
+    )
+    def test_stdio_bounds_request_lines_as_tcp_does(self, length, expected):
+        """An over-long line gets one ``error`` event, then nothing is read."""
+        from repro.serve import service as serve_module
+
+        assert serve_module.LINE_LIMIT == 64 * 1024
+        padding = length - len(json.dumps({"op": "ping", "pad": ""}))
+        line = json.dumps({"op": "ping", "pad": "x" * padding})
+        assert len(line) == length
+        stdin = io.StringIO(line + "\n" + json.dumps({"op": "ping"}) + "\n")
+        stdout = io.StringIO()
+
+        async def scenario():
+            service = ExperimentService(cache_dir=None, workers=1)
+            await service.run_stdio(stdin=stdin, stdout=stdout)
+
+        run(scenario())
+        events = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert [event["event"] for event in events] == expected
+        if expected == ["error"]:  # the message TCP answers with
+            assert events[0]["error"] == serve_module.LINE_TOO_LONG
+
     def test_cli_rejects_bad_arguments(self):
         with pytest.raises(SystemExit):
             serve_main(["--workers", "0", "--stdio"])
         with pytest.raises(SystemExit):
             serve_main(["--tcp", "nonsense"])
-        with pytest.raises(SystemExit):
-            serve_main(["--gc-interval", "60"])  # needs a GC bound
-        with pytest.raises(SystemExit):
-            serve_main(["--gc-interval", "0", "--gc-max-bytes", "1"])
-        with pytest.raises(SystemExit):
-            serve_main(["--gc-interval", "60", "--gc-max-bytes", "1", "--no-cache"])
 
     @pytest.mark.parametrize(
         "attempt",
