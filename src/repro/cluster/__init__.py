@@ -4,17 +4,17 @@ A cluster is N worker processes (``python -m repro serve --worker``) sharing
 one cache backend, fronted by a coordinator (``python -m repro cluster``)
 that speaks the *unchanged* public serve protocol to clients.  The
 coordinator plans each request with the runtime's existing job graph, routes
-every planned job to a worker by rendezvous hash of its content key,
-coalesces identical in-flight jobs cluster-wide, sums per-worker
-``RunStats`` counters, streams progress and forwards cancellation end to
-end, and requeues a dead worker's jobs onto survivors.
+every planned job to a worker by rendezvous hash of its content key (so
+identical jobs meet in one worker's queue, which coalesces them), sums
+per-worker ``RunStats`` counters, streams progress and forwards cancellation
+end to end, and requeues a dead worker's jobs onto survivors.
 
 Layering::
 
     hashing       rendezvous (highest-random-weight) shard routing
     plan          wire codec for planned jobs + internal sim_job/stat_job ops
     worker        WorkerService: registration handshake + internal-op executor
-    coordinator   ClusterService: flights, routing, failover, stat merging
+    coordinator   ClusterService: dispatch, routing, failover, stat merging
     cli           python -m repro cluster (serving and batch mode)
 
 ``docs/cluster.md`` documents the topology, the shard-routing rules and the

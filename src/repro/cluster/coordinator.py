@@ -11,35 +11,36 @@ the full lifecycle):
 2. the executor plans it with the existing job graph
    (:func:`repro.runtime.jobs.build_plan`), pruning units the shared cache
    already holds;
-3. each primitive simulation/statistics job becomes a **flight** routed to a
-   worker by rendezvous hash of its content key
-   (:mod:`repro.cluster.hashing`) — stable shards keep per-worker trace
-   stores and memos warm, and identical jobs needed by concurrent client
-   requests coalesce onto one flight cluster-wide;
-4. once an experiment's dependency flights land, its assembly
+3. each primitive simulation/statistics job is dispatched to a worker chosen
+   by rendezvous hash of its content key (:mod:`repro.cluster.hashing`) —
+   stable shards keep per-worker trace stores and memos warm, and identical
+   jobs needed by concurrent client requests meet in one worker's queue,
+   which coalesces them;
+4. once an experiment's dependency jobs land, its assembly
    (``run_experiment``) is dispatched at a raised priority — every input is
    a warm cache hit by then, so assembly is cheap presentation logic;
-5. per-worker ``RunStats`` counters come back on each flight and are
+5. per-worker ``RunStats`` counters come back on each ``done`` event and are
    summed; streamed progress events hop worker → coordinator → client, and a
-   client's cancel hops the other way through
-   :attr:`~repro.core.progress.ProgressToken.on_cancel`.
+   client's cancel cancels the task the job's work runs in (through
+   :attr:`~repro.core.progress.ProgressToken.on_cancel`), which withdraws
+   the job's worker tickets.
 
 The coordinator mounts the workers' shared store through the same session
 builder they use (:func:`~repro.runtime.session.build_session`): its planning
 probes see their stores, and its ``stats`` op reports that store's gauges
 once, in the ``cache`` section.
 
-Worker death is handled by requeueing: a flight whose worker connection
+Worker death is handled by requeueing: a dispatch whose worker connection
 drops walks its rendezvous preference order onto the next live worker.
 Everything the dead worker completed is already in the shared cache backend,
-so a requeued flight only recomputes the remainder.
+so a requeued job only recomputes the remainder.
 
 Membership is **elastic** (``docs/cluster.md``): a background monitor task
 auto-respawns spawned workers that die (relaunch + re-register under the same
 worker id, so subsequent rendezvous walks see the replacement).  Pending
-flights need no special handling on membership changes:
-every dispatch re-walks the rendezvous rank over the *currently* live links,
-which is exactly the reshuffle.
+dispatches need no special handling on membership changes: every dispatch
+re-walks the rendezvous rank over the *currently* live links, which is
+exactly the reshuffle.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ STATS_TIMEOUT = 5.0
 #: Poll cadence of the membership monitor (death detection + respawn).
 MONITOR_INTERVAL = 0.25
 
-#: A flight gives up after this many worker deaths (each one requeues).
+#: A dispatched job gives up after this many worker deaths (each one requeues).
 MAX_FLIGHT_REQUEUES = 8
 
 #: Bound on client jobs the coordinator plans and dispatches concurrently
@@ -95,10 +96,10 @@ class ClusterError(RuntimeError):
 
 
 class WorkerDied(ClusterError):
-    """The worker connection dropped while a flight was assigned to it."""
+    """The worker connection dropped while a job was dispatched to it."""
 
 
-class _FlightFailed(ClusterError):
+class _JobFailed(ClusterError):
     """A worker reported a genuine job failure (not a death)."""
 
 
@@ -138,6 +139,7 @@ class WorkerLink:
             "pid": self.pid,
             "alive": self.alive,
             "spawned": self.process is not None,
+            "slots": self.info.get("workers"),
             "dispatched": self.dispatched,
             "completed": self.completed,
         }
@@ -168,56 +170,33 @@ async def _reap(process: asyncio.subprocess.Process) -> None:
             await process.wait()
 
 
-class _Flight:
-    """One planned job in flight cluster-wide (1..N client jobs share it)."""
-
-    def __init__(self, key: str, message: dict, priority: int) -> None:
-        self.key = key
-        self.message = message
-        self.priority = priority
-        self.future: asyncio.Future = asyncio.get_running_loop().create_future()
-        #: Client-job contexts awaiting this flight; the first is the
-        #: initiator, whose stats the flight's counters are credited to.
-        self.interested: list["_JobContext"] = []
-        self.link: WorkerLink | None = None
-        self.ticket: str | None = None
-        self.requeues = 0
-        self.cancelled = False
-
-    def emit_progress(self, payload: dict) -> None:
-        for ctx in list(self.interested):
-            ctx.token.emit(payload)
-
-
 class _JobContext:
     """Cluster-side execution state of one client job."""
 
     def __init__(self, token) -> None:
         self.token = token
-        self.cancelled = asyncio.Event()
         self.stats = RunStats()
-        self.flights: list[_Flight] = []
-        #: Flights whose stats were already folded into this job — several
-        #: assemblies of one run_all await the same shared dependency flight,
-        #: and its counters must be credited exactly once.
-        self._credited: set[int] = set()
         self.planned_units = 0
         self.planned_hits = 0
-        #: Summed worker-side execution seconds of this job's flights — the
+        #: Summed worker-side execution seconds of this job's dispatches — the
         #: ``timings`` blocks the workers report, forwarded so a client sees
         #: the cluster-wide compute its request cost (not just coordinator
-        #: wall time, which overlaps flights).
+        #: wall time, which overlaps dispatches).
         self.worker_execution_seconds = 0.0
 
-    def credit_flight(self, flight: "_Flight", payload: dict) -> None:
-        """Fold one flight's stats and worker timings into this job, once."""
-        if id(flight) in self._credited:
+    def credit(self, done: dict) -> None:
+        """Fold a worker ``done`` event's stats and timings into this job.
+
+        A coalesced worker ticket shares a job that another ticket created,
+        and that ticket's client job is credited instead, so cluster totals
+        never count one execution twice.
+        """
+        if done.get("coalesced"):
             return
-        self._credited.add(id(flight))
-        stats = payload.get("stats")
+        stats = done.get("stats")
         if stats:
             self.stats.merge(stats)
-        timings = payload.get("timings") or {}
+        timings = done.get("timings") or {}
         self.worker_execution_seconds += timings.get("execution_seconds", 0.0)
 
 
@@ -251,9 +230,9 @@ class ClusterService(ExperimentService):
     trace_dir / no_trace_cache:
         Trace-fabric wiring forwarded to every spawned worker (and the
         coordinator's own planning session).  The default — a ``traces/``
-        directory beside the shared cache — is what makes N workers on one
-        host materialize each trace tensor exactly once and map it
-        read-only (``docs/cluster.md``).
+        directory beside the shared cache — lets the workers on one host
+        calibrate each network once and load the persisted calibration
+        everywhere else (``docs/cluster.md``).
     cache_backend:
         Optional ``--cache-backend`` spec (``remote://host:port``, see
         ``docs/cachenet.md``) forwarded to every spawned worker and used for
@@ -301,12 +280,12 @@ class ClusterService(ExperimentService):
         self.worker_processes = worker_processes
         self.worker_token = worker_token or secrets.token_hex(16)
         self.links: dict[str, WorkerLink] = {}
-        self._flights: dict[str, _Flight] = {}
-        self._flight_tasks: set[asyncio.Task] = set()
+        #: Worker-ticket cancellations sent by cancelled dispatches.
+        self._withdrawals: set[asyncio.Task] = set()
         self._monitor_task: asyncio.Task | None = None
-        #: Cluster-level counters surfaced by the ``stats`` op.
+        #: Cluster-level counters surfaced by the ``stats`` op: planned jobs
+        #: dispatched (one per job, however often it requeues) and requeues.
         self.flights_dispatched = 0
-        self.flights_coalesced = 0
         self.flights_requeued = 0
         self.workers_respawned = 0
         self.respawn_failures = 0
@@ -348,10 +327,10 @@ class ClusterService(ExperimentService):
             with contextlib.suppress(asyncio.CancelledError):
                 await self._monitor_task
             self._monitor_task = None
-        for task in list(self._flight_tasks):
+        for task in list(self._withdrawals):
             task.cancel()
-        if self._flight_tasks:
-            await asyncio.gather(*self._flight_tasks, return_exceptions=True)
+        if self._withdrawals:
+            await asyncio.gather(*self._withdrawals, return_exceptions=True)
         await asyncio.gather(*(link.close() for link in self.links.values()))
         if self._own_cache_dir:
             shutil.rmtree(self.cache_dir, ignore_errors=True)
@@ -440,7 +419,7 @@ class ClusterService(ExperimentService):
 
         Only *spawned* links are managed — an attached (``--connect``) worker
         belongs to whoever started it, so its death merely removes it from
-        the live set (flights requeue onto survivors via the rendezvous
+        the live set (its jobs requeue onto survivors via the rendezvous
         walk).
         """
         while True:
@@ -478,166 +457,100 @@ class ClusterService(ExperimentService):
     def live_links(self) -> list[WorkerLink]:
         return [link for link in self.links.values() if link.alive]
 
-    # ------------------------------------------------------------------ flights
-    def _join_flight(self, ctx: _JobContext, key: str, message: dict, priority: int) -> _Flight:
-        """The in-flight dispatch of ``key``, creating (and launching) it if new.
+    # ----------------------------------------------------------------- dispatch
+    async def _dispatch(
+        self, ctx: _JobContext, key: str, message: dict, priority: int
+    ) -> dict:
+        """Run one planned job on the workers; returns its ``done`` event.
 
-        Identical planned jobs needed by concurrent client requests coalesce
-        here — the cluster-wide analogue of the queue's ticket coalescing.
+        The job goes to the first live worker in the rendezvous rank of
+        ``key``, so identical jobs of concurrent client jobs meet in one
+        worker's queue, which coalesces them, raises a queued job's priority
+        and cancels a job when its last ticket leaves.  A worker death
+        requeues the job onto the next worker in the rank.  The ``done``
+        event's counters are credited to ``ctx`` (:meth:`_JobContext.credit`).
         """
-        flight = self._flights.get(key)
-        if flight is not None and flight.cancelled:
-            # A doomed flight (cancel sent, worker not yet confirmed) must
-            # not adopt a fresh client — it will only ever terminate
-            # cancelled.  Start a new flight; the old one's cleanup is
-            # identity-guarded, so overwriting the key is safe.
-            flight = None
-        if flight is None:
-            flight = _Flight(key, message, priority)
-            self._flights[key] = flight
-            task = asyncio.create_task(self._fly(flight), name=f"repro-flight-{key[:8]}")
-            self._flight_tasks.add(task)
-            task.add_done_callback(self._flight_tasks.discard)
-            self.flights_dispatched += 1
-        else:
-            self.flights_coalesced += 1
-        flight.interested.append(ctx)
-        ctx.flights.append(flight)
-        return flight
+        self.flights_dispatched += 1
+        if priority:
+            message = {**message, "priority": priority}
+        tried: set[str] = set()
+        requeues = 0
+        while True:
+            live = [link.worker_id for link in self.live_links()]
+            candidates = [
+                worker_id for worker_id in rendezvous_rank(key, live) if worker_id not in tried
+            ]
+            if not candidates:
+                if live and requeues < MAX_FLIGHT_REQUEUES:
+                    # Every live id was already tried, but membership is
+                    # elastic: a live link under a tried id is a *fresh*
+                    # process the monitor respawned since.
+                    # Give the monitor a beat and walk the rank again —
+                    # the requeue cap bounds this, since every tried id
+                    # corresponds to a dispatch that died.
+                    tried.clear()
+                    await asyncio.sleep(MONITOR_INTERVAL)
+                    continue
+                raise ClusterError(
+                    "no live workers left for this job "
+                    f"({len(tried)} tried, {len(live)} alive, {requeues} requeue(s))"
+                )
+            link = self.links[candidates[0]]
+            tried.add(link.worker_id)
+            try:
+                done = await self._run_on(link, ctx, message)
+            except WorkerDied:
+                self.flights_requeued += 1
+                requeues += 1
+                continue
+            ctx.credit(done)
+            return done
 
-    def _leave_flight(self, ctx: _JobContext, flight: _Flight) -> None:
-        """Detach a cancelled or failed client job; a flight nobody wants is cancelled."""
-        if ctx in flight.interested:
-            flight.interested.remove(ctx)
-        if flight.interested or flight.cancelled:
-            return
-        if flight.future.done():
-            # Nobody will read this outcome now: retrieve it, so a failure
-            # is not reported as a never-retrieved exception.
-            flight.future.exception()
-            return
-        flight.cancelled = True
-        if flight.link is not None and flight.ticket is not None and flight.link.alive:
-            cancel = asyncio.create_task(
-                self._cancel_on_worker(flight.link, flight.ticket),
-                name="repro-flight-cancel",
-            )
-            self._flight_tasks.add(cancel)
-            cancel.add_done_callback(self._flight_tasks.discard)
+    async def _run_on(self, link: WorkerLink, ctx: _JobContext, message: dict) -> dict:
+        """Run ``message`` on one worker; returns its ``done`` event.
+
+        Progress events stream back to ``ctx``'s client job as they arrive.
+        Raises :class:`WorkerDied` when the link drops (requeue),
+        :class:`_JobFailed` on a genuine job failure, and
+        :class:`SweepCancelled` when the worker cancelled the job.  When the
+        calling task is cancelled, the job's worker ticket is withdrawn.
+        """
+        link.dispatched += 1
+        ticket = None
+        try:
+            async for event in link.client.stream(message):
+                name = event.get("event")
+                if name in ("queued", "running"):
+                    ticket = event.get("ticket", ticket)
+                elif name == "progress":
+                    ctx.token.emit({**event.get("progress", {}), "worker": link.worker_id})
+                elif name == "done":
+                    link.completed += 1
+                    return event
+                elif name == "cancelled":
+                    raise SweepCancelled("cancelled on worker")
+                elif name in ("failed", "error"):
+                    error = event.get("error", "worker failure")
+                    if not link.alive:
+                        raise WorkerDied(f"worker {link.worker_id} died: {error}")
+                    raise _JobFailed(f"worker {link.worker_id}: {error}")
+        except asyncio.CancelledError:
+            if ticket is not None and link.alive:
+                withdrawal = asyncio.create_task(
+                    self._cancel_on_worker(link, ticket), name="repro-withdraw"
+                )
+                self._withdrawals.add(withdrawal)
+                withdrawal.add_done_callback(self._withdrawals.discard)
+            raise
+        # Stream ended without a terminal event: the connection is gone.
+        raise WorkerDied(f"worker {link.worker_id} stream ended unexpectedly")
 
     @staticmethod
     async def _cancel_on_worker(link: WorkerLink, ticket: str) -> None:
         with contextlib.suppress(Exception):
             await link.client.cancel(ticket)
 
-    async def _fly(self, flight: _Flight) -> None:
-        """Run one flight to a terminal state, walking survivors on death."""
-        tried: set[str] = set()
-        try:
-            while True:
-                live = [link.worker_id for link in self.live_links()]
-                candidates = [
-                    worker_id
-                    for worker_id in rendezvous_rank(flight.key, live)
-                    if worker_id not in tried
-                ]
-                if not candidates:
-                    if live and flight.requeues < MAX_FLIGHT_REQUEUES:
-                        # Every live id was already tried, but membership is
-                        # elastic: a live link under a tried id is a *fresh*
-                        # process the monitor respawned since.
-                        # Give the monitor a beat and walk the rank again —
-                        # the requeue cap bounds this, since every tried id
-                        # corresponds to a dispatch that died.
-                        tried.clear()
-                        await asyncio.sleep(MONITOR_INTERVAL)
-                        continue
-                    raise ClusterError(
-                        "no live workers left for this job "
-                        f"({len(tried)} tried, {len(live)} alive, "
-                        f"{flight.requeues} requeue(s))"
-                    )
-                worker_id = candidates[0]
-                link = self.links[worker_id]
-                tried.add(worker_id)
-                try:
-                    payload = await self._run_on(link, flight)
-                except WorkerDied:
-                    self.flights_requeued += 1
-                    flight.requeues += 1
-                    continue
-                if not flight.future.done():
-                    flight.future.set_result(payload)
-                return
-        except asyncio.CancelledError:
-            if not flight.future.done():
-                flight.future.set_exception(ClusterError("coordinator shutting down"))
-            raise
-        except BaseException as error:
-            if not flight.future.done():
-                flight.future.set_exception(error)
-        finally:
-            if self._flights.get(flight.key) is flight:
-                del self._flights[flight.key]
-            # A future nobody awaits anymore (all interested jobs cancelled)
-            # must not warn about unretrieved exceptions.
-            if flight.future.done() and not flight.interested:
-                flight.future.exception()
-
-    async def _run_on(self, link: WorkerLink, flight: _Flight) -> dict:
-        """Execute a flight on one worker; returns the terminal ``done`` payload.
-
-        Progress events stream back to every interested client job as they
-        arrive.  Raises :class:`WorkerDied` when the link drops (requeue),
-        :class:`_FlightFailed` on a genuine job failure, and
-        :class:`SweepCancelled` when the flight was cancelled on the worker
-        (because every interested client job cancelled).
-        """
-        link.dispatched += 1
-        message = dict(flight.message)
-        if flight.priority:
-            message["priority"] = flight.priority
-        async for event in link.client.stream(message):
-            name = event.get("event")
-            if name in ("queued", "running"):
-                flight.link = link
-                flight.ticket = event.get("ticket", flight.ticket)
-            elif name == "progress":
-                flight.emit_progress(
-                    {**event.get("progress", {}), "worker": link.worker_id}
-                )
-            elif name == "done":
-                link.completed += 1
-                return event
-            elif name == "cancelled":
-                raise SweepCancelled("cancelled on worker")
-            elif name in ("failed", "error"):
-                error = event.get("error", "worker failure")
-                if not link.alive:
-                    raise WorkerDied(f"worker {link.worker_id} died: {error}")
-                raise _FlightFailed(f"worker {link.worker_id}: {error}")
-        # Stream ended without a terminal event: the connection is gone.
-        raise WorkerDied(f"worker {link.worker_id} stream ended unexpectedly")
-
     # ---------------------------------------------------------------- execution
-    async def _await_flight(self, ctx: _JobContext, flight: _Flight) -> dict:
-        """Wait for a flight (or this job's cancellation, whichever first)."""
-        cancel_wait = asyncio.ensure_future(ctx.cancelled.wait())
-        try:
-            done, _ = await asyncio.wait(
-                {flight.future, cancel_wait}, return_when=asyncio.FIRST_COMPLETED
-            )
-        finally:
-            cancel_wait.cancel()
-        if flight.future not in done:
-            raise SweepCancelled("cancelled while awaiting a flight")
-        payload = flight.future.result()  # raises the flight's failure if any
-        # A flight shared across client jobs is credited to its initiator
-        # only, so cluster totals never double-count one execution.
-        if ctx is (flight.interested[0] if flight.interested else None):
-            ctx.credit_flight(flight, payload)
-        return payload
-
     @staticmethod
     def _planning_info(ctx: _JobContext) -> dict:
         """Additive payload section describing how the request was sharded.
@@ -653,175 +566,140 @@ class ClusterService(ExperimentService):
             "worker_execution_seconds": round(ctx.worker_execution_seconds, 6),
         }
 
-    def _checkpoint(self, ctx: _JobContext) -> None:
-        if ctx.cancelled.is_set() or ctx.token.cancelled:
-            raise SweepCancelled("cluster job cancelled")
-
-    @staticmethod
-    def _overrides_wire(request) -> dict | None:
-        overrides = {
-            key: list(value) if isinstance(value, tuple) else value
-            for key, value in request.overrides
-        }
-        return overrides or None
-
-    def _assembly_message(self, request, experiment: str) -> dict:
-        # Assemblies outrank primitive flights (the flight carries
-        # ``priority + 1``): their inputs are warm, so finishing them frees
-        # client responses without delaying sweeps.
-        message = {
-            "op": "run_experiment",
-            "experiment": experiment,
-            "preset": request.preset,
-            "seed": request.seed,
-        }
-        overrides = self._overrides_wire(request)
-        if overrides:
-            message["overrides"] = overrides
-        return message
-
     async def _execute_cluster(self, request, session, token):
         """The coordinator's executor: plan, shard, dispatch, reassemble.
 
         Same contract as :func:`repro.serve.workers.execute_request` — returns
         ``(payload, stats_dict)``, raises :class:`SweepCancelled` when the
-        client job was cancelled cooperatively.
+        client job was cancelled.  The work runs in its own task, which the
+        job's token cancels: every dispatch it awaits is cancelled with it
+        and withdraws its worker ticket.
         """
-        loop = asyncio.get_running_loop()
+        if not self.live_links():
+            raise ClusterError("no live workers")
+        job = self.queue._inflight.get(request.key())
         ctx = _JobContext(token)
-        token.on_cancel = lambda: loop.call_soon_threadsafe(ctx.cancelled.set)
+        work = asyncio.ensure_future(
+            self._execute(ctx, request, job.priority if job is not None else 0)
+        )
+        loop = asyncio.get_running_loop()
+        token.on_cancel = lambda: loop.call_soon_threadsafe(work.cancel)
+        if token.cancelled:  # cancelled before the hook was set
+            work.cancel()
         try:
+            payload = await work
+        except asyncio.CancelledError:
             if token.cancelled:
-                raise SweepCancelled("cancelled before dispatch")
-            if not self.live_links():
-                raise ClusterError("no live workers")
-            priority = self.queue._inflight.get(request.key(), None)
-            priority = priority.priority if priority is not None else 0
-            if isinstance(request, SimulateRequest):
-                payload = await self._execute_passthrough(ctx, request, priority)
-            elif isinstance(request, ExperimentRequest):
-                payload = await self._execute_experiments(
-                    ctx, request, [request.experiment], priority
-                )
-                payload = {
-                    "kind": "experiment",
-                    "experiment": payload[request.experiment],
-                    "cluster": self._planning_info(ctx),
-                }
-            elif isinstance(request, RunAllRequest):
-                from repro.experiments.runner import EXPERIMENTS
-
-                results = await self._execute_experiments(
-                    ctx, request, list(EXPERIMENTS), priority
-                )
-                payload = {
-                    "kind": "run_all",
-                    "experiments": results,
-                    "cluster": self._planning_info(ctx),
-                }
-            else:  # pragma: no cover - parse_request guards this
-                raise TypeError(f"unsupported request type {type(request).__name__}")
-            return payload, ctx.stats.as_dict()
-        except BaseException:
-            # Cancelled or failed: the client is told now, so no flight may
-            # keep running (or fail later, unretrieved) on its behalf.
-            for flight in list(ctx.flights):
-                self._leave_flight(ctx, flight)
+                raise SweepCancelled("cluster job cancelled") from None
             raise
         finally:
             token.on_cancel = None
+        return payload, ctx.stats.as_dict()
 
-    async def _execute_passthrough(self, ctx, request: SimulateRequest, priority: int) -> dict:
-        """Route a single-network ``simulate`` request to its shard whole."""
-        message = {
-            "op": "simulate",
-            "network": request.network,
-            "variants": request.variants,
-            "representation": request.representation,
-            "encoding": request.encoding,
-            "preset": request.preset,
-            "seed": request.seed,
-        }
-        overrides = self._overrides_wire(request)
-        if overrides:
-            message["overrides"] = overrides
-        flight = self._join_flight(ctx, request.key(), message, priority)
-        terminal = await self._await_flight(ctx, flight)
-        return terminal["result"]
+    async def _execute(self, ctx: _JobContext, request, priority: int) -> dict:
+        """Run one client request on the workers; returns its result payload."""
+        if isinstance(request, SimulateRequest):
+            # One network's simulation is one job: route it to its shard whole.
+            done = await self._dispatch(ctx, request.key(), request.to_message(), priority)
+            return {
+                **done["result"],
+                "cluster": {
+                    "worker_execution_seconds": round(ctx.worker_execution_seconds, 6)
+                },
+            }
+        if isinstance(request, ExperimentRequest):
+            results = await self._execute_experiments(
+                ctx, request, [request.experiment], priority
+            )
+            return {
+                "kind": "experiment",
+                "experiment": results[request.experiment],
+                "cluster": self._planning_info(ctx),
+            }
+        if isinstance(request, RunAllRequest):
+            from repro.experiments.runner import EXPERIMENTS
+
+            results = await self._execute_experiments(
+                ctx, request, list(EXPERIMENTS), priority
+            )
+            return {
+                "kind": "run_all",
+                "experiments": results,
+                "cluster": self._planning_info(ctx),
+            }
+        raise TypeError(  # pragma: no cover - parse_request guards this
+            f"unsupported request type {type(request).__name__}"
+        )
 
     async def _execute_experiments(
         self, ctx, request, names: list[str], priority: int
     ) -> dict:
-        """Shard one or many experiments: primitives first, then assemblies."""
+        """Shard one or many experiments: planned jobs first, then assemblies."""
         plan = await asyncio.to_thread(
             build_plan, names, request.resolved_preset(), request.seed, self.session
         )
-        self._checkpoint(ctx)
         ctx.planned_hits = plan.planned_hits
         ctx.planned_units = sum(len(job.request.configs) for job in plan.simulations)
-        dep_flights: dict[str, _Flight] = {}
-        for job in plan.simulations:
-            wire = SimulationJobRequest(job.request)
-            dep_flights[job.job_id] = self._join_flight(
-                ctx, wire.key(), wire.to_message(), priority
+        wires = [(job.job_id, SimulationJobRequest(job.request)) for job in plan.simulations]
+        wires += [(job.job_id, StatisticsJobRequest(job.request)) for job in plan.statistics]
+        deps = {
+            job_id: asyncio.ensure_future(
+                self._dispatch(ctx, wire.key(), wire.to_message(), priority)
             )
-        for job in plan.statistics:
-            wire = StatisticsJobRequest(job.request)
-            dep_flights[job.job_id] = self._join_flight(
-                ctx, wire.key(), wire.to_message(), priority
-            )
+            for job_id, wire in wires
+        }
 
-        async def assemble(exp_job) -> tuple[str, dict]:
+        async def assemble(exp_job) -> dict:
             for dep in exp_job.deps:
-                await self._await_flight(ctx, dep_flights[dep])
-            self._checkpoint(ctx)
-            message = self._assembly_message(request, exp_job.experiment)
+                await deps[dep]
             # Key the assembly by the equivalent single-experiment request, so
             # a run_all and a direct run_experiment of the same experiment
-            # coalesce onto one assembly flight cluster-wide.
-            assembly_key = ExperimentRequest(
+            # meet in one worker's queue.  Assemblies outrank planned jobs:
+            # their inputs are warm, so finishing them frees client responses
+            # without delaying sweeps.
+            assembly = ExperimentRequest(
                 experiment=exp_job.experiment,
                 preset=request.preset,
                 seed=request.seed,
                 overrides=request.overrides,
-            ).key()
-            flight = self._join_flight(ctx, assembly_key, message, priority + 1)
-            terminal = await self._await_flight(ctx, flight)
-            return exp_job.experiment, terminal["result"]["experiment"]
+            )
+            done = await self._dispatch(
+                ctx, assembly.key(), assembly.to_message(), priority + 1
+            )
+            return done["result"]["experiment"]
 
-        results: dict[str, dict] = {}
         assemblies = [asyncio.ensure_future(assemble(job)) for job in plan.experiments]
+        results: dict[str, dict] = {}
         try:
-            for index, pending in enumerate(assemblies):
-                name, result = await pending
-                results[name] = result
+            for index, (exp_job, pending) in enumerate(zip(plan.experiments, assemblies)):
+                result = await pending
+                results[exp_job.experiment] = result
                 if len(plan.experiments) > 1:
                     ctx.token.emit(
                         {
                             "stage": "experiment_done",
-                            "experiment": name,
+                            "experiment": exp_job.experiment,
                             "completed": index + 1,
                             "total": len(plan.experiments),
                             "result": result,
                         }
                     )
-        except BaseException:
-            for pending in assemblies:
-                pending.cancel()
-            await asyncio.gather(*assemblies, return_exceptions=True)
-            raise
+        finally:
+            # A failed or cancelled client job leaves no dispatch running (or
+            # failing later, unretrieved) behind it.
+            tasks = [*deps.values(), *assemblies]
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
         return {name: results[name] for name in names}
 
     # -------------------------------------------------------------------- stats
     def stats(self) -> dict:
         payload = super().stats()
-        flight_joins = self.flights_dispatched + self.flights_coalesced
         payload["cluster"] = {
             "workers": [link.describe() for link in self.links.values()],
             "flights_dispatched": self.flights_dispatched,
-            "flights_coalesced": self.flights_coalesced,
             "flights_requeued": self.flights_requeued,
-            "flights_inflight": len(self._flights),
             "workers_lost": sum(1 for link in self.links.values() if not link.alive),
             "workers_respawned": self.workers_respawned,
             "respawn_failures": self.respawn_failures,
@@ -833,17 +711,6 @@ class ClusterService(ExperimentService):
             )
             if not self.no_trace_cache
             else None,
-            # Cluster-wide coalescing effectiveness: the queue-level section
-            # (payload["coalescing"]) counts client tickets per client job;
-            # this one counts planned jobs per executed flight.
-            "coalescing": {
-                "flight_joins": flight_joins,
-                "flights_coalesced": self.flights_coalesced,
-                "flights_executed": self.flights_dispatched,
-                "hit_rate": round(self.flights_coalesced / flight_joins, 6)
-                if flight_joins
-                else 0.0,
-            },
         }
         return payload
 
@@ -851,14 +718,17 @@ class ClusterService(ExperimentService):
         """The ``stats`` payload plus live per-worker stats.
 
         Queries every live worker's ``stats`` op and sums their lifetime
-        ``RunStats`` counters into a ``fleet`` section.  A worker whose
-        ``stats`` fails or outlasts ``STATS_TIMEOUT`` is left out of the sum
-        and named in ``stats_errors`` with the reason.  Store gauges are not
-        summed anywhere: the shared store's entries and bytes are the
-        coordinator's own ``cache`` section, read once.
+        ``RunStats`` counters into a ``fleet`` section, and their queues'
+        ``coalescing`` sections into ``coalescing``: how many planned jobs
+        the workers' queues coalesced.  A worker whose ``stats`` fails or
+        outlasts ``STATS_TIMEOUT`` is left out of both sums and named in
+        ``stats_errors`` with the reason.  Store gauges are not summed
+        anywhere: the shared store's entries and bytes are the coordinator's
+        own ``cache`` section, read once.
         """
         payload = self.stats()
         fleet = RunStats()
+        coalescing = dict.fromkeys(("tickets_attached", "tickets_coalesced", "jobs_executed"), 0)
         per_worker: dict[str, dict] = {}
         errors: dict[str, str] = {}
         links = self.live_links()
@@ -882,6 +752,13 @@ class ClusterService(ExperimentService):
             stats = answer.get("stats", {})
             per_worker[link.worker_id] = stats
             fleet.merge(stats)
+            for key in coalescing:
+                coalescing[key] += answer.get("coalescing", {}).get(key, 0)
+        attached = coalescing["tickets_attached"]
+        coalescing["hit_rate"] = (
+            round(coalescing["tickets_coalesced"] / attached, 6) if attached else 0.0
+        )
+        payload["cluster"]["coalescing"] = coalescing
         payload["cluster"]["fleet"] = fleet.as_dict()
         payload["cluster"]["per_worker_stats"] = per_worker
         payload["cluster"]["stats_errors"] = errors

@@ -60,7 +60,12 @@ class LoadReport:
     server_coalescing: dict = field(default_factory=dict)
     server_queue: dict = field(default_factory=dict)
     workers: int | None = None
+    #: A cluster's workers (id, execution slots, jobs dispatched/completed).
     per_worker: list[dict] = field(default_factory=list)
+    #: Worker execution seconds the cluster responses of done, uncoalesced
+    #: requests report (``result.cluster.worker_execution_seconds``).
+    worker_seconds: float = 0.0
+    #: The fleet sum of the cluster workers' queue ``coalescing`` sections.
     cluster_coalescing: dict | None = None
     #: Trace counters (traces built vs. reused, calibrations computed vs.
     #: loaded from the fabric) — fleet-merged against a cluster coordinator.
@@ -80,15 +85,22 @@ class LoadReport:
 
     @property
     def utilization(self) -> float | None:
-        """Fraction of total worker capacity the run kept busy.
+        """Fraction of the target's execution capacity the run kept busy.
 
-        Summed server-side execution seconds over ``duration * workers`` —
-        honest for serve (one process), an approximation for a cluster
-        (coordinator-side assembly time excluded).
+        A serve process: its execution seconds over ``duration * workers``.
+        A cluster: its workers' execution seconds over ``duration * Σ
+        slots``; the coordinator's own execution seconds include time spent
+        waiting on workers, for several jobs at once, so they measure no
+        capacity.
         """
-        if not self.workers or self.duration_seconds <= 0:
+        if self.per_worker:
+            busy = self.worker_seconds
+            capacity = sum(entry["slots"] for entry in self.per_worker)
+        else:
+            busy, capacity = self.execution.total, self.workers
+        if not capacity or self.duration_seconds <= 0:
             return None
-        return round(self.execution.total / (self.duration_seconds * self.workers), 4)
+        return round(busy / (self.duration_seconds * capacity), 4)
 
     # --------------------------------------------------------------------- JSON
     def to_dict(self) -> dict:
@@ -153,19 +165,17 @@ class LoadReport:
             f"  queue wait p50 {fmt(qw, 'p50_seconds')}  p95 {fmt(qw, 'p95_seconds')}",
             f"  execution  p50 {fmt(ex, 'p50_seconds')}  p95 {fmt(ex, 'p95_seconds')}",
         ]
-        if self.server_coalescing:
-            lines.append(
-                f"  coalescing {self.server_coalescing.get('tickets_coalesced', 0)}"
-                f"/{self.server_coalescing.get('tickets_attached', 0)} tickets "
-                f"(hit rate {self.server_coalescing.get('hit_rate', 0.0):.1%}, "
-                f"{self.server_coalescing.get('jobs_executed', 0)} jobs executed)"
-            )
-        if self.cluster_coalescing:
-            lines.append(
-                f"  flights    {self.cluster_coalescing.get('flights_executed', 0)} executed, "
-                f"{self.cluster_coalescing.get('flights_coalesced', 0)} coalesced "
-                f"(hit rate {self.cluster_coalescing.get('hit_rate', 0.0):.1%})"
-            )
+        for label, coalescing in (
+            ("coalescing", self.server_coalescing),
+            ("fleet", self.cluster_coalescing),
+        ):
+            if coalescing:
+                lines.append(
+                    f"  {label:<10} {coalescing.get('tickets_coalesced', 0)}"
+                    f"/{coalescing.get('tickets_attached', 0)} tickets "
+                    f"(hit rate {coalescing.get('hit_rate', 0.0):.1%}, "
+                    f"{coalescing.get('jobs_executed', 0)} jobs executed)"
+                )
         if self.trace_fabric:
             fabric = self.trace_fabric
             lines.append(
@@ -187,7 +197,8 @@ class LoadReport:
             )
         for entry in self.per_worker:
             lines.append(
-                f"    {entry.get('worker')}: {entry.get('completed', 0)} completed "
+                f"    {entry.get('worker')}: {entry.get('slots', 0)} slots, "
+                f"{entry.get('completed', 0)} completed "
                 f"of {entry.get('dispatched', 0)} dispatched"
             )
         if self.errors:

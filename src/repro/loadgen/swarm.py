@@ -45,6 +45,12 @@ def _trace_fabric_section(stats: dict) -> dict:
     }
 
 
+def _worker_seconds(result: dict | None) -> float:
+    """Worker execution seconds a cluster response reports (0 from serve)."""
+    cluster = (result or {}).get("cluster") or {}
+    return cluster.get("worker_execution_seconds", 0.0)
+
+
 class LoadSwarm:
     """Replay one :class:`MixSpec` schedule against a serve-protocol endpoint."""
 
@@ -65,7 +71,13 @@ class LoadSwarm:
     # ----------------------------------------------------------------- requests
     async def _run_plain(self, client: ServeClient, planned: PlannedRequest, report: LoadReport):
         response = await client.job(dict(planned.message))
-        return response.state, response.timings, response.coalesced, response.error
+        return (
+            response.state,
+            response.timings,
+            response.coalesced,
+            response.error,
+            _worker_seconds(response.result),
+        )
 
     async def _run_streamed(
         self, client: ServeClient, planned: PlannedRequest, report: LoadReport
@@ -73,6 +85,7 @@ class LoadSwarm:
         """Iterate a streamed job; cancel on the first event when flagged."""
         cancelled_by_us = False
         state, timings, coalesced, error = "failed", None, False, "no terminal event"
+        worker_seconds = 0.0
         async for event in client.stream(dict(planned.message)):
             name = event.get("event")
             if name == "progress":
@@ -86,7 +99,8 @@ class LoadSwarm:
                 timings = event.get("timings")
                 coalesced = bool(event.get("coalesced", False))
                 error = event.get("error")
-        return state, timings, coalesced, error
+                worker_seconds = _worker_seconds(event.get("result"))
+        return state, timings, coalesced, error, worker_seconds
 
     async def _issue(
         self, client: ServeClient, planned: PlannedRequest, report: LoadReport
@@ -102,7 +116,7 @@ class LoadSwarm:
         started = time.perf_counter()
         try:
             runner = self._run_streamed if streamed else self._run_plain
-            state, timings, coalesced, error = await asyncio.wait_for(
+            state, timings, coalesced, error, worker_seconds = await asyncio.wait_for(
                 runner(client, planned, report), timeout=REQUEST_TIMEOUT
             )
         except asyncio.TimeoutError:
@@ -122,9 +136,11 @@ class LoadSwarm:
             # Coalesced tickets share a job and report that job's timings;
             # counting them once per ticket would double-count server work
             # (utilization above 100%), so timings are recorded per job.
-            if timings and not coalesced:
-                report.queue_wait.record(timings.get("queue_wait_seconds", 0.0))
-                report.execution.record(timings.get("execution_seconds", 0.0))
+            if not coalesced:
+                report.worker_seconds += worker_seconds
+                if timings:
+                    report.queue_wait.record(timings.get("queue_wait_seconds", 0.0))
+                    report.execution.record(timings.get("execution_seconds", 0.0))
         elif state == "cancelled":
             report.cancelled += 1
         else:
@@ -210,6 +226,7 @@ class LoadSwarm:
             report.per_worker = [
                 {
                     "worker": entry.get("worker"),
+                    "slots": entry.get("slots") or 0,
                     "dispatched": entry.get("dispatched", 0),
                     "completed": entry.get("completed", 0),
                     "alive": entry.get("alive"),

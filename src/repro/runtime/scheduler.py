@@ -122,7 +122,7 @@ def _session_trace_config(session: RuntimeSession) -> tuple[str | None, bool]:
     """The ``(trace_dir, no_trace_cache)`` pair reproducing a session's fabric.
 
     Pool workers must share the parent's artifact directory (that is the
-    fabric's whole point: one physical tensor per host), so the parent's
+    fabric's whole point: one calibration per network per host), so the parent's
     wiring — not the CLI flags, which the parent already resolved — is the
     source of truth.
     """

@@ -115,6 +115,16 @@ def _preset_content(preset: Preset) -> Preset:
     return dataclasses.replace(preset, name="")
 
 
+def _with_overrides(message: dict, overrides: tuple[tuple[str, object], ...]) -> dict:
+    """``message`` plus ``overrides`` as the JSON object :func:`parse_request` reads."""
+    if overrides:
+        message["overrides"] = {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in overrides
+        }
+    return message
+
+
 @dataclass(frozen=True)
 class ExperimentRequest:
     """Run one experiment: ``{"op": "run_experiment", "experiment": "fig9", ...}``."""
@@ -143,6 +153,13 @@ class ExperimentRequest:
     def describe(self) -> str:
         return f"run_experiment {self.experiment} --preset {self.preset} --seed {self.seed}"
 
+    def to_message(self) -> dict:
+        """The wire form :func:`parse_request` parses back into this request."""
+        return _with_overrides(
+            {"op": self.op, "experiment": self.experiment, "preset": self.preset, "seed": self.seed},
+            self.overrides,
+        )
+
 
 @dataclass(frozen=True)
 class RunAllRequest:
@@ -168,6 +185,12 @@ class RunAllRequest:
 
     def describe(self) -> str:
         return f"run_all --preset {self.preset} --seed {self.seed}"
+
+    def to_message(self) -> dict:
+        """The wire form :func:`parse_request` parses back into this request."""
+        return _with_overrides(
+            {"op": self.op, "preset": self.preset, "seed": self.seed}, self.overrides
+        )
 
 
 @dataclass(frozen=True)
@@ -255,6 +278,21 @@ class SimulateRequest:
 
     def describe(self) -> str:
         return f"simulate {self.network} variants={self.variants} --preset {self.preset}"
+
+    def to_message(self) -> dict:
+        """The wire form :func:`parse_request` parses back into this request."""
+        return _with_overrides(
+            {
+                "op": self.op,
+                "network": self.network,
+                "variants": self.variants,
+                "representation": self.representation,
+                "encoding": self.encoding,
+                "preset": self.preset,
+                "seed": self.seed,
+            },
+            self.overrides,
+        )
 
 
 ServeRequest = ExperimentRequest | RunAllRequest | SimulateRequest

@@ -56,6 +56,11 @@ LINE_LIMIT = 64 * 1024
 #: The error both transports answer an over-long request line with.
 LINE_TOO_LONG = f"request line exceeds the {LINE_LIMIT}-byte limit"
 
+#: Most events a TCP connection's outbox holds while its peer is not reading.
+#: A peer that lets it fill is disconnected at once, and its jobs are
+#: disowned as on any disconnect, so it cannot make the server grow.
+OUTBOX_LIMIT = 1024
+
 
 @dataclass
 class ConnectionContext:
@@ -463,9 +468,12 @@ class ExperimentService:
 
         On a token-protected service the connection starts unauthenticated:
         the first message must be a valid ``auth`` op, and anything else
-        closes the connection before it can touch the queue.
+        closes the connection before it can touch the queue.  Events wait in
+        an outbox of at most :data:`OUTBOX_LIMIT`; an event that finds it
+        full aborts the connection instead of waiting for the peer.
         """
-        outbox: asyncio.Queue[dict | None] = asyncio.Queue()
+        outbox: asyncio.Queue[dict | None] = asyncio.Queue(OUTBOX_LIMIT)
+        overflowed = False
         peername = writer.get_extra_info("peername")
         context = ConnectionContext(
             authenticated=self.auth_token is None,
@@ -484,15 +492,27 @@ class ExperimentService:
                 except (ConnectionError, RuntimeError):
                     break
 
+        def send(payload: dict) -> None:
+            nonlocal overflowed
+            if overflowed:
+                return
+            if outbox.full():
+                # The peer stopped reading: drop it now rather than queue
+                # every event its jobs emit.  Aborting ends the read below.
+                overflowed = True
+                writer.transport.abort()
+                return
+            outbox.put_nowait(payload)
+
         sender = asyncio.create_task(drain_outbox())
         try:
-            while True:
+            while not overflowed:
                 try:
                     line = await reader.readline()
                 except ValueError:
                     # The line outgrew the reader's buffer limit; its framing
                     # is lost, so answer once and drop the connection.
-                    outbox.put_nowait({"event": "error", "error": LINE_TOO_LONG})
+                    send({"event": "error", "error": LINE_TOO_LONG})
                     break
                 if not line:
                     break
@@ -501,17 +521,18 @@ class ExperimentService:
                 try:
                     message = decode(line)
                 except ProtocolError as error:
-                    outbox.put_nowait({"event": "error", "error": str(error)})
+                    send({"event": "error", "error": str(error)})
                     continue
-                if not await self.handle_message(
-                    message, outbox.put_nowait, context=context
-                ):
+                if not await self.handle_message(message, send, context=context):
                     break
         except asyncio.CancelledError:
             pass  # server shutting down mid-connection; fall through to cleanup
         finally:
             self._disown_connection_tickets(tickets)
-            outbox.put_nowait(None)
+            if overflowed or outbox.full():
+                sender.cancel()  # nothing left to flush to a peer this far behind
+            else:
+                outbox.put_nowait(None)
             # Bound the final drain: a peer that stopped reading must not be
             # able to hang connection close on writer.drain() forever.
             # wait_for cancels the sender on timeout.

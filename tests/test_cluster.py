@@ -44,7 +44,7 @@ from repro.serve.service import ConnectionContext
 #: Tiny fast-preset override so cluster simulations take seconds.
 TINY = {"networks": ["alexnet"], "max_pallets": 2, "samples_per_layer": 1500}
 
-#: Two networks, so a run plans several flights for two worker processes.
+#: Two networks, so a run plans several jobs for two worker processes.
 TWO_NETWORKS = (
     ("max_pallets", 2), ("networks", ("alexnet", "vgg_m")), ("samples_per_layer", 1500),
 )
@@ -336,7 +336,9 @@ class TestClusterExecution:
             server.stop()
 
     def test_cross_client_flight_coalescing(self, tmp_path):
-        """Overlapping requests from different clients share flights."""
+        """Overlapping requests from different clients share planned jobs:
+        rendezvous sends identical jobs to one worker, whose queue
+        coalesces them."""
 
         async def scenario():
             async with _Cluster(tmp_path / "cache") as cluster:
@@ -360,15 +362,21 @@ class TestClusterExecution:
                     *(coordinator.wait(t) for t in tickets)
                 )
                 assert all(r["event"] == "done" for r in responses)
-                # The alexnet unit flight is shared: the cluster dispatched
-                # fewer flights than the two requests would need in isolation.
-                assert coordinator.flights_coalesced >= 1
+                # The alexnet job is shared: a worker queue coalesced the
+                # second request's copy onto the first.
+                stats = await coordinator.cluster_stats()
+                coalescing = stats["cluster"]["coalescing"]
+                assert coalescing["tickets_coalesced"] >= 1
+                assert coalescing["tickets_attached"] == sum(
+                    worker.queue.submitted for worker in cluster.workers
+                )
                 # Exactly once cluster-wide: 5 alexnet + 5 vgg_m units, even
                 # though alexnet units were planned by both requests.
                 total = sum(
                     r["stats"]["sweep"]["configs_simulated"] for r in responses
                 )
                 assert total == 10
+                assert stats["cluster"]["fleet"]["sweep"]["configs_simulated"] == 10
 
         run(scenario())
 
@@ -432,13 +440,17 @@ class TestClusterExecution:
                 await ticket.job.done.wait()
                 assert cancelled, "no progress to cancel on"
                 assert ticket.state == "cancelled"
-                # The worker-side job must actually unwind: the coordinator's
-                # flight table drains instead of leaking a running flight.
-                async def no_flights():
-                    while coordinator._flights:
-                        await asyncio.sleep(0.05)
-
-                await asyncio.wait_for(no_flights(), timeout=30)
+                # The worker-side jobs must actually unwind: no worker keeps
+                # a queued or running job for the cancelled client.
+                await _until(
+                    lambda: all(
+                        worker.queue.depth()["queued"] == worker.queue.depth()["running"] == 0
+                        for worker in cluster.workers
+                    ),
+                    timeout=30,
+                )
+                # The coordinator withdrew the worker ticket that was running.
+                assert sum(worker.queue.cancelled for worker in cluster.workers) >= 1
                 # And the cluster still serves: a follow-up request lands.
                 follow_up = await coordinator.submit(
                     ExperimentRequest(experiment="table3", preset="smoke")
@@ -461,18 +473,21 @@ class TestClusterExecution:
                 response = await coordinator.wait(ticket)
                 assert response["event"] == "done"
                 # Worker-side compute is forwarded: the response's cluster
-                # section sums the execution_seconds its flights reported.
+                # section sums the execution_seconds its dispatches reported.
                 assert response["result"]["cluster"]["worker_execution_seconds"] > 0
                 payload = await coordinator.cluster_stats()
                 cluster_section = payload["cluster"]
                 assert len(cluster_section["workers"]) == 2
+                assert [w["slots"] for w in cluster_section["workers"]] == [2, 2]
                 assert cluster_section["flights_dispatched"] >= 2
-                # Cluster-wide coalescing effectiveness (the stats satellite):
-                # one isolated request joins every flight fresh.
-                coalescing = cluster_section["coalescing"]
-                assert coalescing["flights_executed"] == cluster_section["flights_dispatched"]
-                assert coalescing["flight_joins"] >= coalescing["flights_executed"]
-                assert 0.0 <= coalescing["hit_rate"] <= 1.0
+                # The fleet's queue coalescing, in serve's keys: one isolated
+                # request shares nothing, and every dispatch is one ticket.
+                assert cluster_section["coalescing"] == {
+                    "tickets_attached": cluster_section["flights_dispatched"],
+                    "tickets_coalesced": 0,
+                    "jobs_executed": cluster_section["flights_dispatched"],
+                    "hit_rate": 0.0,
+                }
                 fleet = cluster_section["fleet"]
                 # The fleet section saw the simulations the workers ran.
                 assert fleet["sweep"]["configs_simulated"] == 5
@@ -572,9 +587,9 @@ class TestClusterExecution:
         run(scenario())
 
     def test_a_failed_flight_takes_the_job_s_other_flights_down(self, tmp_path, monkeypatch):
-        """A job whose dependency flight fails is told ``failed``, and its
-        other flights stop with it: none stays in flight, and none fails
-        later as a never-retrieved exception."""
+        """A job whose dependency fails is told ``failed``, and its other
+        dispatches stop with it: none is left running, and none fails later
+        as a never-retrieved exception."""
 
         async def scenario():
             unhandled = []
@@ -585,14 +600,20 @@ class TestClusterExecution:
                 coordinator = cluster.coordinator
                 answered = asyncio.Event()
                 dispatched = []
+                running = set()
 
-                async def run_on(link, flight):
-                    # The first flight fails at once; every other one fails
-                    # too, but only after the client has its answer.
-                    if dispatched:
-                        await answered.wait()
-                    dispatched.append(flight.key)
-                    raise ClusterError("injected flight failure")
+                async def run_on(link, ctx, message):
+                    # The first dispatch fails at once; every other one
+                    # would fail too, but only after the client has its answer.
+                    index = len(dispatched)
+                    dispatched.append(message["op"])
+                    running.add(index)
+                    try:
+                        if index:
+                            await answered.wait()
+                        raise ClusterError("injected flight failure")
+                    finally:
+                        running.discard(index)
 
                 monkeypatch.setattr(coordinator, "_run_on", run_on)
                 ticket = await coordinator.submit(
@@ -601,12 +622,9 @@ class TestClusterExecution:
                 response = await asyncio.wait_for(coordinator.wait(ticket), timeout=30)
                 assert response["event"] == "failed"
                 assert "injected flight failure" in response["error"]
+                assert dispatched == ["sim_job", "sim_job"]  # one job per network
+                assert not running  # the client's answer came after the cleanup
                 answered.set()
-                await _until(
-                    lambda: coordinator.stats()["cluster"]["flights_inflight"] == 0,
-                    timeout=10,
-                )
-                assert len(dispatched) > 1  # a multi-flight job
             gc.collect()  # an unretrieved failure is reported when collected
             return unhandled
 

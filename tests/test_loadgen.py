@@ -369,6 +369,50 @@ class TestLoadSwarm:
         assert payload["mix"]["seed"] == 6
         assert payload["latency"]["p99_seconds"] >= payload["latency"]["p50_seconds"]
 
+    def test_cluster_utilization_reads_the_fleet(self, tmp_path):
+        """Against a cluster, utilization is the workers' execution seconds
+        over the fleet's execution slots: the coordinator's own execution
+        seconds include waiting on workers, for several jobs at once."""
+        from repro.cluster import ClusterService, WorkerService
+
+        token = "loadgen-cluster-token"
+
+        async def scenario():
+            workers, servers, endpoints = [], [], []
+            for _ in range(2):
+                worker = WorkerService(cache_dir=tmp_path, workers=2, auth_token=token)
+                server = await worker.serve_tcp("127.0.0.1", 0)
+                workers.append(worker)
+                servers.append(server)
+                endpoints.append(("127.0.0.1", server.sockets[0].getsockname()[1]))
+            coordinator = ClusterService(
+                connect=endpoints, cache_dir=tmp_path, worker_token=token
+            )
+            try:
+                server = await coordinator.serve_tcp("127.0.0.1", 0)
+                servers.append(server)
+                port = server.sockets[0].getsockname()[1]
+                mix = MixSpec(requests=12, clients=3, seed=6)
+                return await LoadSwarm(mix, "127.0.0.1", port, target="cluster").run()
+            finally:
+                await coordinator.stop()
+                for server in servers:
+                    server.close()
+                    await server.wait_closed()
+                for worker in workers:
+                    await worker.stop()
+
+        report = run(scenario())
+        assert report.failed == 0, report.errors
+        assert [entry["slots"] for entry in report.per_worker] == [2, 2]
+        assert report.worker_seconds > 0
+        assert 0 < report.utilization <= 1
+        assert report.utilization == round(
+            report.worker_seconds / (report.duration_seconds * 4), 4
+        )
+        assert 0 <= report.cluster_coalescing["hit_rate"] <= 1
+        validate_report(report.to_dict())
+
 
 # ----------------------------------------------------------------- report schema
 class TestValidateReport:

@@ -232,6 +232,36 @@ class TestProtocol:
             if field.type == "str":
                 assert isinstance(getattr(request, field.name), str), field.name
         request.key()
+        assert parse_request(request.to_message()) == request
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            ExperimentRequest(experiment="fig10", preset="smoke", seed=3),
+            ExperimentRequest(
+                experiment="fig9",
+                overrides=(("max_pallets", 2), ("networks", ("alexnet", "vgg_m"))),
+            ),
+            RunAllRequest(preset="smoke", seed=1),
+            RunAllRequest(overrides=(("samples_per_layer", 1500),)),
+            SimulateRequest(network="vgg_m", variants="fig12", encoding="csd", seed=2),
+            SimulateRequest(
+                network="alexnet",
+                representation="quant8",
+                overrides=(("max_pallets", 2), ("networks", ("alexnet",))),
+            ),
+        ],
+        ids=lambda request: f"{request.op}-{'overrides' if request.overrides else 'plain'}",
+    )
+    def test_to_message_is_the_inverse_of_parse_request(self, request_):
+        """A typed request's wire form survives JSON and parses back into an
+        equal request with the same deduplication key."""
+        message = json.loads(json.dumps(request_.to_message()))
+        assert message["op"] == request_.op
+        assert ("overrides" in message) == bool(request_.overrides)
+        parsed = parse_request(message)
+        assert parsed == request_
+        assert parsed.key() == request_.key()
 
     def test_encode_decode_round_trip(self):
         message = {"id": "c1", "op": "ping"}
@@ -1383,6 +1413,63 @@ class TestFrontEnds:
             return unhandled
 
         assert run(scenario()) == []
+
+    def test_a_peer_that_stops_reading_is_dropped_at_the_outbox_bound(self, monkeypatch):
+        """More replies than the outbox holds, to a peer whose ``drain()``
+        never returns: the connection is aborted at once, without waiting out
+        the close timeout, and the outbox never holds more than its bound."""
+        from repro.serve.service import CLOSE_DRAIN_TIMEOUT, OUTBOX_LIMIT
+
+        depths = []
+
+        class RecordingQueue(asyncio.Queue):
+            def put_nowait(self, item):
+                super().put_nowait(item)
+                depths.append(self.qsize())
+
+        class StalledPeer:
+            """A writer (and its transport) whose peer never reads."""
+
+            def __init__(self):
+                self.transport = self
+                self.aborted = False
+
+            def write(self, data):
+                pass
+
+            async def drain(self):
+                await asyncio.Event().wait()
+
+            def abort(self):
+                self.aborted = True
+
+            def close(self):
+                pass
+
+            async def wait_closed(self):
+                pass
+
+            def get_extra_info(self, name):
+                return None
+
+        monkeypatch.setattr(asyncio, "Queue", RecordingQueue)
+
+        async def scenario():
+            service = ExperimentService(cache_dir=None, workers=1)
+            reader = asyncio.StreamReader()
+            # No EOF follows: only the bound can end this connection.
+            reader.feed_data(encode({"op": "ping"}) * (2 * OUTBOX_LIMIT))
+            peer = StalledPeer()
+            started = asyncio.get_running_loop().time()
+            await asyncio.wait_for(
+                service.handle_connection(reader, peer), timeout=CLOSE_DRAIN_TIMEOUT
+            )
+            assert asyncio.get_running_loop().time() - started < 1.0
+            return peer
+
+        peer = run(scenario())
+        assert peer.aborted
+        assert max(depths) == OUTBOX_LIMIT
 
     def test_non_string_names_get_a_typed_error_on_a_live_connection(self):
         assert run(self._typed_errors_scenario(NON_STRING_NAMES)) == []
