@@ -306,6 +306,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.cache_stats or args.cache_gc or args.cache_clear:
         if args.no_cache:
             parser.error("cache maintenance verbs require a disk cache (drop --no-cache)")
+        if args.cache_backend is not None:
+            parser.error(
+                "cache maintenance verbs act on a local directory, not --cache-backend: "
+                "send the cache server a gc op, or run the verb with its --cache-dir"
+            )
         if args.cache_gc and args.max_bytes is None and args.max_age is None:
             parser.error("--cache-gc needs --max-bytes and/or --max-age")
         return _cache_maintenance(args)

@@ -4,13 +4,13 @@ Replays a seeded request mix against a serve-protocol endpoint and emits the
 report: human-readable text on stderr, schema-checked JSON on stdout (or
 ``--json FILE``).  The target is either an existing server
 (``--connect HOST:PORT``) or — for hermetic runs — a target this command
-spawns and tears down itself: ``--spawn serve`` (one process, ``--workers``
-execution slots, private temp cache) or ``--spawn cluster`` (a coordinator
-over ``--workers`` worker processes, private temp cache).
+spawns with its own CLI defaults and tears down itself: ``--spawn serve``
+(one process, 2 execution slots, private temp cache) or ``--spawn cluster``
+(a coordinator over 2 worker processes of 2 slots each, private temp cache).
 
-The mix comes from ``--mix FILE`` (JSON, see ``docs/loadgen.md``) with
-individual flags overriding single fields; every run is deterministic in its
-``--seed``.
+The mix is the JSON spec ``--mix FILE`` names, or the default
+:class:`~repro.loadgen.mix.MixSpec` without it (see ``docs/loadgen.md``);
+every run is deterministic in the spec's ``seed``.
 """
 
 from __future__ import annotations
@@ -45,16 +45,8 @@ class SpawnError(RuntimeError):
 class _SpawnedTarget:
     """A serve/cluster subprocess owned by this load run (hermetic)."""
 
-    def __init__(
-        self,
-        kind: str,
-        workers: int,
-        worker_processes: int,
-        cache_backend: str | None = None,
-    ) -> None:
+    def __init__(self, kind: str, cache_backend: str | None = None) -> None:
         self.kind = kind
-        self.workers = workers
-        self.worker_processes = worker_processes
         self.cache_backend = cache_backend
         self.process: asyncio.subprocess.Process | None = None
         self.host: str | None = None
@@ -62,23 +54,12 @@ class _SpawnedTarget:
         self._tmp: tempfile.TemporaryDirectory | None = None
 
     def _command(self) -> list[str]:
+        command = [sys.executable, "-m", "repro", self.kind, "--tcp", "127.0.0.1:0"]
         if self.kind == "serve":
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-loadgen-cache-")
-            command = [
-                sys.executable, "-m", "repro", "serve",
-                "--tcp", "127.0.0.1:0",
-                "--workers", str(self.workers),
-                "--cache-dir", self._tmp.name,
-            ]
-        else:
-            # Cluster: cache_dir omitted on purpose — the coordinator creates
-            # and removes a private shared directory itself.
-            command = [
-                sys.executable, "-m", "repro", "cluster",
-                "--tcp", "127.0.0.1:0",
-                "--workers", str(self.workers),
-                "--worker-processes", str(self.worker_processes),
-            ]
+            command.extend(["--cache-dir", self._tmp.name])
+        # A cluster gets no --cache-dir on purpose: the coordinator creates
+        # and removes a private shared directory itself.
         if self.cache_backend is not None:
             command.extend(["--cache-backend", self.cache_backend])
         return command
@@ -145,54 +126,9 @@ class _SpawnedTarget:
             await self.process.wait()
 
 
-def _parse_weights(text: str, what: str) -> dict:
-    """``name=3,other`` → ``{"name": 3.0, "other": 1.0}`` (validated later)."""
-    weights: dict = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        name, _, weight = chunk.partition("=")
-        try:
-            weights[name.strip()] = float(weight) if weight else 1.0
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"bad {what} weight {chunk!r} (expected name or name=weight)"
-            ) from None
-    if not weights:
-        raise argparse.ArgumentTypeError(f"empty {what} list")
-    return weights
-
-
-def _build_mix(args) -> MixSpec:
-    """Mix file (if any) + CLI field overrides → a validated MixSpec."""
-    data: dict = {}
-    if args.mix:
-        data = json.loads(Path(args.mix).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise MixError("mix spec must be a JSON object")
-    for name in (
-        "requests", "clients", "seed", "hot_ratio", "stream_ratio",
-        "cancel_rate", "ramp_seconds", "think_seconds",
-    ):
-        value = getattr(args, name)
-        if value is not None:
-            data[name] = value
-    if args.experiments is not None:
-        data["experiments"] = args.experiments
-    if args.presets is not None:
-        data["presets"] = args.presets
-    if args.overrides is not None:
-        data["overrides"] = json.loads(args.overrides)
-    return MixSpec.from_dict(data)
-
-
 async def _run(args, mix: MixSpec) -> int:
     if args.spawn:
-        async with _SpawnedTarget(
-            args.spawn, args.workers, args.worker_processes,
-            cache_backend=args.cache_backend,
-        ) as target:
+        async with _SpawnedTarget(args.spawn, cache_backend=args.cache_backend) as target:
             swarm = LoadSwarm(
                 mix, target.host, target.port, auth_token=args.auth_token, target=args.spawn
             )
@@ -235,46 +171,20 @@ def main(argv: list[str] | None = None) -> int:
     )
     mode.add_argument(
         "--spawn", choices=("serve", "cluster"),
-        help="spawn the target for a hermetic run (private temp cache), "
-        "tear it down afterwards",
+        help="spawn the target for a hermetic run with its CLI defaults "
+        "(serve: 2 slots; cluster: 2 workers of 2 slots) and a private temp "
+        "cache, tear it down afterwards",
     )
     parser.add_argument("--auth-token", default=None, help="shared secret of the target")
-    parser.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="--spawn serve: execution slots; --spawn cluster: worker processes "
-        "(default: 2)",
-    )
-    parser.add_argument(
-        "--worker-processes", type=int, default=2, metavar="K",
-        help="--spawn cluster: concurrent jobs per worker (default: 2)",
-    )
     parser.add_argument(
         "--cache-backend", type=parse_backend_spec, default=None, metavar="SPEC",
         help="--spawn: mount a network cache tier on the target "
         "(remote://HOST:PORT, see docs/cachenet.md) instead of its "
         "private temp cache; the report then carries a remote_cache block",
     )
-    mix_group = parser.add_argument_group("request mix (see docs/loadgen.md)")
-    mix_group.add_argument("--mix", metavar="FILE", help="JSON mix spec (flags override fields)")
-    mix_group.add_argument("--requests", type=int, default=None, metavar="N")
-    mix_group.add_argument("--clients", type=int, default=None, metavar="N")
-    mix_group.add_argument("--seed", type=int, default=None, metavar="N")
-    mix_group.add_argument("--hot-ratio", type=float, default=None, metavar="F")
-    mix_group.add_argument("--stream-ratio", type=float, default=None, metavar="F")
-    mix_group.add_argument("--cancel-rate", type=float, default=None, metavar="F")
-    mix_group.add_argument("--ramp-seconds", type=float, default=None, metavar="S")
-    mix_group.add_argument("--think-seconds", type=float, default=None, metavar="S")
-    mix_group.add_argument(
-        "--experiments", type=lambda text: _parse_weights(text, "experiments"),
-        default=None, metavar="NAME[=W],...",
-    )
-    mix_group.add_argument(
-        "--presets", type=lambda text: _parse_weights(text, "presets"),
-        default=None, metavar="NAME[=W],...",
-    )
-    mix_group.add_argument(
-        "--overrides", default=None, metavar="JSON",
-        help='preset overrides for every request, e.g. \'{"networks": ["alexnet"]}\'',
+    parser.add_argument(
+        "--mix", metavar="FILE",
+        help="JSON mix spec (see docs/loadgen.md; default: the built-in mix)",
     )
     out = parser.add_argument_group("output")
     out.add_argument("--json", metavar="FILE", help="write the JSON report here instead of stdout")
@@ -282,14 +192,12 @@ def main(argv: list[str] | None = None) -> int:
 
     if not args.spawn and not args.connect:
         parser.error("pick a target: --spawn serve|cluster or --connect HOST:PORT")
-    if args.workers < 1 or args.worker_processes < 1:
-        parser.error("--workers and --worker-processes must be at least 1")
     if args.cache_backend and not args.spawn:
         parser.error("--cache-backend requires --spawn (a connected target "
                      "already chose its backend)")
     try:
-        mix = _build_mix(args)
-    except (MixError, ValueError) as error:
+        mix = MixSpec.from_file(args.mix) if args.mix else MixSpec()
+    except MixError as error:
         parser.error(str(error))
     try:
         return asyncio.run(_run(args, mix))

@@ -134,7 +134,7 @@ class MixSpec:
     simulate_ratio: float = 0.0
     #: Weighted network distribution for simulate ops.
     networks: tuple = (("alexnet", 1.0),)
-    #: Variant group simulate ops request (a :mod:`repro.core.variants` family).
+    #: Variant group simulate ops request (a :data:`repro.serve.protocol.VARIANT_GROUPS` name).
     variants: str = "fig9"
     #: Weighted oneffset-encoding distribution for simulate ops
     #: (:mod:`repro.numerics.encodings` registry names).
@@ -154,7 +154,7 @@ class MixSpec:
         """Validate a JSON object into a spec; raises :class:`MixError`."""
         from repro.experiments.base import PRESETS
         from repro.experiments.runner import EXPERIMENTS
-        from repro.serve.protocol import ProtocolError, _normalize_overrides
+        from repro.serve.protocol import VARIANT_GROUPS, ProtocolError, _normalize_overrides
 
         if not isinstance(data, dict):
             raise MixError("mix spec must be a JSON object")
@@ -199,11 +199,10 @@ class MixSpec:
             )
         if "variants" in data:
             variants = data["variants"]
-            allowed_variants = ("fig9", "fig10", "fig12", "encodings")
-            if variants not in allowed_variants:
+            if not isinstance(variants, str) or variants not in VARIANT_GROUPS:
                 raise MixError(
                     f"unknown variants group {variants!r}; "
-                    f"available: {', '.join(allowed_variants)}"
+                    f"available: {', '.join(VARIANT_GROUPS)}"
                 )
             kwargs["variants"] = variants
         if "encodings" in data:

@@ -29,9 +29,16 @@ import functools
 import json
 from dataclasses import dataclass
 
+from repro.core.variants import (
+    encoding_variants,
+    fig9_variants,
+    fig10_variants,
+    fig12_variants,
+)
 from repro.experiments.base import PRESETS, Preset, get_preset
 from repro.nn.calibration import REPRESENTATIONS
 from repro.nn.networks import get_network
+from repro.numerics.encodings import encoding_names
 from repro.runtime import SimulationRequest, TraceSpec, fingerprint
 
 __all__ = [
@@ -45,6 +52,7 @@ __all__ = [
     "decode",
     "JOB_OPS",
     "CONTROL_OPS",
+    "VARIANT_GROUPS",
 ]
 
 #: Ops that enqueue work (parsed into typed requests).
@@ -55,6 +63,15 @@ JOB_OPS = ("run_experiment", "run_all", "simulate")
 #: ``auth`` presents the shared secret of a token-protected server — on such
 #: a server it must be the connection's first message).
 CONTROL_OPS = ("cancel", "stats", "gc", "list", "ping", "auth", "shutdown")
+
+#: The variant groups a ``simulate`` op (or a loadgen mix) names: the
+#: design-point families of :mod:`repro.core.variants`, by name.
+VARIANT_GROUPS = {
+    "fig9": fig9_variants,
+    "fig10": fig10_variants,
+    "fig12": fig12_variants,
+    "encodings": encoding_variants,
+}
 
 #: Preset fields a request may override.
 _OVERRIDE_FIELDS = ("networks", "samples_per_layer", "max_pallets")
@@ -228,30 +245,17 @@ class SimulateRequest:
 
     @functools.cached_property
     def _simulation_request(self) -> SimulationRequest:
-        from repro.core.variants import (
-            encoding_variants,
-            fig9_variants,
-            fig10_variants,
-            fig12_variants,
-        )
-        from repro.numerics.encodings import encoding_names
-
-        groups = {
-            "fig9": fig9_variants,
-            "fig10": fig10_variants,
-            "fig12": fig12_variants,
-            "encodings": encoding_variants,
-        }
-        if self.variants not in groups:
+        if self.variants not in VARIANT_GROUPS:
             raise ProtocolError(
-                f"unknown variant group {self.variants!r}; available: {', '.join(groups)}"
+                f"unknown variant group {self.variants!r}; "
+                f"available: {', '.join(VARIANT_GROUPS)}"
             )
         if self.encoding not in encoding_names():
             raise ProtocolError(
                 f"unknown encoding {self.encoding!r}; available: "
                 f"{', '.join(encoding_names())}"
             )
-        configs = dict(groups[self.variants]())
+        configs = dict(VARIANT_GROUPS[self.variants]())
         if self.encoding != "positional":
             if self.variants == "encodings":
                 raise ProtocolError(

@@ -551,7 +551,12 @@ class ExperimentService:
 
     async def run_stdio(self, stdin=None, stdout=None) -> None:
         """Speak the protocol over stdin/stdout until EOF, ``shutdown`` or an
-        over-long line."""
+        over-long line.
+
+        At EOF or after an over-long line, every job the input submitted runs
+        to its terminal event before the service stops, so a batch piped in
+        is answered in full.  A ``shutdown`` op stops at once.
+        """
         stdin = stdin if stdin is not None else sys.stdin
         stdout = stdout if stdout is not None else sys.stdout
         await self.start()
@@ -579,5 +584,9 @@ class ExperimentService:
                 send({"event": "error", "error": str(error)})
                 continue
             if not await self.handle_message(message, send, context=context):
-                break
+                await self.stop()
+                return
+        for ticket in context.tickets:
+            if not ticket.retired:
+                await ticket.job.done.wait()
         await self.stop()

@@ -22,6 +22,7 @@ from repro.loadgen import (
     MixSpec,
     validate_report,
 )
+from repro.loadgen.cli import main as loadgen_main
 from repro.serve import ExperimentService, ServeClient
 
 
@@ -108,6 +109,17 @@ class TestMixSpec:
         with pytest.raises(MixError, match="cannot read"):
             MixSpec.from_file(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])
+    def test_cli_refuses_an_unreadable_mix_before_spawning(self, tmp_path, capsys, content):
+        """A usage error (exit 2) that names the file, not a traceback."""
+        path = tmp_path / "mix.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as raised:
+            loadgen_main(["--spawn", "serve", "--mix", str(path)])
+        assert raised.value.code == 2
+        assert f"cannot read mix spec {path}" in capsys.readouterr().err
+
 
 class TestCommittedMixes:
     """Every mix spec checked into benchmarks/mixes must stay loadable."""
@@ -157,6 +169,12 @@ class TestCommittedMixes:
         assert all("encoding" not in p.message or
                    p.message["encoding"] != "positional" for p in simulate)
         assert schedule == MixSpec.from_file(path).schedule()
+
+    def test_smoke_mix_is_the_ci_smoke_traffic(self):
+        """CI's loadgen smoke steps replay this mix: 12 requests over 3
+        clients at seed 6, every other field at its default."""
+        path = next(p for p in self.mix_files() if p.name == "smoke.json")
+        assert MixSpec.from_file(path) == MixSpec(requests=12, clients=3, seed=6)
 
     def test_sweep_soak_targets_the_sweep_engine(self):
         path = next(p for p in self.mix_files() if p.name == "sweep_soak.json")

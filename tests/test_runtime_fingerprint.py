@@ -397,9 +397,9 @@ class TestOneSimulateOp:
     ):
         """Parsing, the queue's deduplication key and the worker share one
         resolved request: one variant-group build and one key per unit."""
-        from repro.core import variants
         from repro.runtime import engine
         from repro.serve import ConnectionContext, ExperimentService
+        from repro.serve.protocol import VARIANT_GROUPS
 
         calls = Counter()
 
@@ -418,8 +418,8 @@ class TestOneSimulateOp:
             "_derive_simulation_key",
             counting("derived", keys_module._derive_simulation_key),
         )
-        monkeypatch.setattr(
-            variants, "fig9_variants", counting("fig9_variants", variants.fig9_variants)
+        monkeypatch.setitem(
+            VARIANT_GROUPS, "fig9", counting("fig9_variants", VARIANT_GROUPS["fig9"])
         )
         message = {
             "op": "simulate",

@@ -345,6 +345,22 @@ class TestCacheCLI:
         assert "does not exist" in capsys.readouterr().out
         assert not target.exists()  # the read-only verb created nothing
 
+    @pytest.mark.parametrize(
+        "verb",
+        [["--cache-stats"], ["--cache-gc", "--max-bytes", "1"], ["--cache-clear"]],
+        ids=["stats", "gc", "clear"],
+    )
+    def test_cache_verbs_refuse_a_cache_backend(self, monkeypatch, tmp_path, capsys, verb):
+        """The verbs act on a directory: naming a network tier is a usage
+        error, not a silent pass over the local default directory."""
+        self.populate(monkeypatch, tmp_path)
+        with pytest.raises(SystemExit) as raised:
+            runner_main([*verb, "--cache-backend", "remote://127.0.0.1:1"])
+        assert raised.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert "--cache-backend" in message and "gc op" in message
+        assert len(ResultCache(directory=tmp_path)) == 2
+
     def test_cache_gc_requires_a_bound(self, monkeypatch, tmp_path):
         self.populate(monkeypatch, tmp_path)
         with pytest.raises(SystemExit):

@@ -1286,6 +1286,47 @@ class TestFrontEnds:
         done = [e for e in events if e["event"] == "done"][0]
         assert done["result"]["experiment"]["experiment"] == "table3"
 
+    @pytest.mark.parametrize("ending", ["eof", "shutdown"])
+    def test_stdio_answers_every_job_it_read_before_eof(self, ending):
+        """EOF ends the input, not the work: three jobs queued behind one slot
+        all reach ``done``.  A ``shutdown`` op still stops at once, failing
+        the jobs that had not started."""
+        names = ("fig9", "fig10", "fig12")
+
+        async def executor(request, session, token):
+            await asyncio.sleep(0.2)
+            return {"experiment": request.experiment}, {}
+
+        lines = [
+            {"id": name, "op": "run_experiment", "experiment": name, "preset": "smoke"}
+            for name in names
+        ]
+        if ending == "shutdown":
+            lines.append({"op": "shutdown"})
+        stdin = io.StringIO("".join(json.dumps(line) + "\n" for line in lines))
+        stdout = io.StringIO()
+
+        async def scenario():
+            service = ExperimentService(cache_dir=None, workers=1, executor=executor)
+            await service.run_stdio(stdin=stdin, stdout=stdout)
+
+        run(scenario())
+        events = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        final = {
+            event["id"]: event
+            for event in events
+            if event["event"] in ("done", "failed", "cancelled")
+        }
+        assert sorted(final) == sorted(names)
+        if ending == "eof":
+            assert {name: final[name]["event"] for name in names} == dict.fromkeys(
+                names, "done"
+            )
+            assert all(final[name]["result"] == {"experiment": name} for name in names)
+        else:
+            assert final["fig12"]["event"] == "failed"
+            assert final["fig12"]["error"] == "service stopped before this job ran"
+
     @pytest.mark.parametrize(
         "length, expected",
         [(64 * 1024, ["pong", "pong"]), (64 * 1024 + 1, ["error"]), (200_000, ["error"])],
@@ -1345,10 +1386,6 @@ class TestFrontEnds:
             pytest.param(
                 runner_main, ["--experiment", "table3", "--no-cache", "--seed", "-1"],
                 id="batch-seed",
-            ),
-            pytest.param(
-                cluster_main, ["--run", "fig2", "--preset", "smoke", "--seed", "-1"],
-                id="cluster-seed",
             ),
             *(
                 pytest.param(main, [*argv, "--cache-backend", spec], id=f"{name}-{kind}")
