@@ -85,7 +85,7 @@ async def main() -> None:
                 f"\nserver: {queue['submitted']} submitted, "
                 f"{queue['coalesced']} coalesced, {queue['completed']} executed; "
                 f"session totals: {stats['stats']['sweep']['configs_simulated']} "
-                f"configs simulated in {stats['cache_entries']} cache entries"
+                f"configs simulated in {stats['cache']['entries']} cache entries"
             )
 
             await alice.close()

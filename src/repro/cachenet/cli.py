@@ -4,7 +4,7 @@
 frame protocol of ``docs/cachenet.md`` until interrupted or a client sends
 the ``shutdown`` op.  The bound endpoint is announced on stderr
 (``repro cacheserve: listening on HOST:PORT``), so port ``0`` works in
-scripts.
+scripts; an endpoint it cannot bind ends it with one line and exit status 1.
 
 ``--cache-dir`` names the entry directory (the standard gzip entry files, with
 the directory as their index — a cache server can adopt any existing cache
@@ -61,7 +61,12 @@ def main(argv: list[str] | None = None) -> int:
     from repro.cachenet.server import CacheServer
 
     server = CacheServer(args.cache_dir or default_cache_dir(), auth_token=args.auth_token)
-    host, port = server.start(*args.tcp)
+    try:
+        host, port = server.start(*args.tcp)
+    except OSError as error:  # cannot listen, say: the port is taken
+        print(f"repro cacheserve: cannot listen on {':'.join(map(str, args.tcp))}: {error}",
+              file=sys.stderr)
+        return 1
     print(
         f"repro cacheserve: listening on {host}:{port} "
         f"(cache dir: {server.directory})",

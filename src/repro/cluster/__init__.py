@@ -1,8 +1,9 @@
 """repro.cluster — sharded multi-process execution behind the serve protocol.
 
-A cluster is N worker processes (``python -m repro serve --worker``) sharing
-one cache backend, fronted by a coordinator (``python -m repro cluster``)
-that speaks the *unchanged* public serve protocol to clients.  The
+A cluster is N worker processes (``python -m repro serve --tcp HOST:PORT
+--worker``) sharing one cache backend, fronted by a coordinator
+(``python -m repro cluster``) that speaks the *unchanged* public serve
+protocol to clients.  The
 coordinator plans each request with the runtime's existing job graph, routes
 every planned job to a worker by rendezvous hash of its content key (so
 identical jobs meet in one worker's queue, which coalesces them), sums
@@ -13,9 +14,9 @@ Layering::
 
     hashing       rendezvous (highest-random-weight) shard routing
     plan          wire codec for planned jobs + internal sim_job/stat_job ops
-    worker        WorkerService: registration handshake + internal-op executor
+    worker        WorkerService: token-gated internal-op executor
     coordinator   ClusterService: dispatch, routing, failover, stat merging
-    cli           python -m repro cluster (serving and batch mode)
+    cli           python -m repro cluster (--tcp or --stdio)
 
 ``docs/cluster.md`` documents the topology, the shard-routing rules and the
 failure semantics.

@@ -14,10 +14,12 @@ gives the cluster a private temporary directory (useful for tests and
 benchmarks, wrong for durable deployments).  ``--cache-backend`` replaces
 the shared cache directory as the result tier with a network cache tier
 (``remote://host:port``, see ``docs/cachenet.md``); ``--cache-dir`` then
-only anchors the trace fabric.  Worker registration is always
-token-protected: ``--worker-token`` (or ``REPRO_SERVE_TOKEN``) supplies the
-secret, which spawned workers inherit through their environment; a separate
-``--auth-token`` protects the client-facing endpoint.
+only anchors the trace fabric.  Every worker demands a token:
+``--worker-token`` (or ``REPRO_SERVE_TOKEN``) supplies the secret, which
+spawned workers inherit through their environment; a separate
+``--auth-token`` protects the client-facing endpoint.  A cluster that
+cannot start (a worker that dies or cannot be reached, a port in use) exits
+1 with one line naming the reason.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
         "--worker-token",
         default=None,
         metavar="TOKEN",
-        help="shared secret for worker registration (default: "
+        help="shared secret every worker demands (default: "
         "$REPRO_SERVE_TOKEN, or generated per run)",
     )
     parser.add_argument(
@@ -120,40 +122,45 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--workers must be non-negative")
     if args.workers == 0 and not args.connect:
         parser.error("a cluster needs --workers >= 1 and/or --connect endpoints")
+    if args.worker_processes < 1:
+        parser.error("--worker-processes must be at least 1")
     if args.worker_token is None:
         args.worker_token = os.environ.get("REPRO_SERVE_TOKEN") or None
 
+    from repro.cluster.coordinator import ClusterError, ClusterService
+
+    service = ClusterService(
+        spawn_workers=args.workers,
+        connect=args.connect,
+        cache_dir=args.cache_dir,
+        worker_processes=args.worker_processes,
+        worker_token=args.worker_token,
+        auth_token=args.auth_token,
+        trace_dir=args.trace_dir,
+        no_trace_cache=args.no_trace_cache,
+        cache_backend=args.cache_backend,
+    )
+
+    async def run_tcp(host: str, port: int) -> None:
+        async with service:
+            server = await service.serve_tcp(host, port)
+            bound = server.sockets[0].getsockname()
+            print(
+                f"repro cluster: coordinator on {bound[0]}:{bound[1]} "
+                f"({len(service.links)} workers)",
+                file=sys.stderr,
+            )
+            async with server:
+                await service.wait_shutdown()
+
     try:
-        from repro.cluster.coordinator import ClusterService
-
-        service = ClusterService(
-            spawn_workers=args.workers,
-            connect=args.connect,
-            cache_dir=args.cache_dir,
-            worker_processes=args.worker_processes,
-            worker_token=args.worker_token,
-            auth_token=args.auth_token,
-            trace_dir=args.trace_dir,
-            no_trace_cache=args.no_trace_cache,
-            cache_backend=args.cache_backend,
-        )
-
-        async def run_tcp(host: str, port: int) -> None:
-            async with service:
-                server = await service.serve_tcp(host, port)
-                bound = server.sockets[0].getsockname()
-                print(
-                    f"repro cluster: coordinator on {bound[0]}:{bound[1]} "
-                    f"({len(service.links)} workers)",
-                    file=sys.stderr,
-                )
-                async with server:
-                    await service.wait_shutdown()
-
         if args.tcp:
             asyncio.run(run_tcp(*args.tcp))
         else:
             asyncio.run(service.run_stdio())
+    except (OSError, ClusterError) as error:
+        print(f"repro cluster: {error}", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         pass
     return 0

@@ -36,7 +36,7 @@ Everything the dead worker completed is already in the shared cache backend,
 so a requeued job only recomputes the remainder.
 
 Membership is **elastic** (``docs/cluster.md``): a background monitor task
-auto-respawns spawned workers that die (relaunch + re-register under the same
+auto-respawns spawned workers that die (relaunch + handshake under the same
 worker id, so subsequent rendezvous walks see the replacement).  Pending
 dispatches need no special handling on membership changes: every dispatch
 re-walks the rendezvous rank over the *currently* live links, which is
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import os
 import secrets
 import shutil
@@ -59,6 +58,7 @@ from repro.core.progress import SweepCancelled
 from repro.runtime import RunStats
 from repro.runtime.jobs import build_plan
 from repro.runtime.session import resolve_trace_dir
+from repro.serve.cli import reap, spawn_server
 from repro.serve.client import ServeClient
 from repro.serve.protocol import (
     ExperimentRequest,
@@ -74,7 +74,7 @@ __all__ = ["ClusterError", "WorkerDied", "WorkerLink", "ClusterService"]
 #: Seconds allowed for a spawned worker to print its listening endpoint.
 SPAWN_TIMEOUT = 60.0
 
-#: Seconds allowed for the auth + register handshake with one worker.
+#: Seconds allowed for the auth + ``stats`` handshake with one worker.
 HANDSHAKE_TIMEOUT = 30.0
 
 #: Per-worker bound on the (concurrent) stats fan-out of the ``stats`` op.
@@ -139,7 +139,7 @@ class WorkerLink:
             "pid": self.pid,
             "alive": self.alive,
             "spawned": self.process is not None,
-            "slots": self.info.get("workers"),
+            "slots": self.info.get("slots"),
             "dispatched": self.dispatched,
             "completed": self.completed,
         }
@@ -148,26 +148,12 @@ class WorkerLink:
         with contextlib.suppress(Exception):
             await self.client.close()
         if self.process is not None:
-            await _reap(self.process)
+            await reap(self.process)
 
 
 def _describe(error: BaseException) -> str:
     """``"<Type>: <message>"`` of ``error``, as the ``stats`` op reports it."""
     return f"{type(error).__name__}: {error}"
-
-
-async def _reap(process: asyncio.subprocess.Process) -> None:
-    """Terminate ``process`` (kill it if that is not enough) and wait for it."""
-    if process.returncode is None:
-        with contextlib.suppress(ProcessLookupError):
-            process.terminate()
-    with contextlib.suppress(Exception):
-        await asyncio.wait_for(process.wait(), timeout=10)
-    if process.returncode is None:  # pragma: no cover - last resort
-        with contextlib.suppress(ProcessLookupError):
-            process.kill()
-        with contextlib.suppress(Exception):
-            await process.wait()
 
 
 class _JobContext:
@@ -207,21 +193,22 @@ class ClusterService(ExperimentService):
     ----------
     spawn_workers:
         Number of local worker processes to spawn on :meth:`start` (each is
-        ``python -m repro serve --worker`` sharing ``cache_dir``).
+        ``python -m repro serve --tcp 127.0.0.1:0 --worker`` sharing
+        ``cache_dir``).
     connect:
         ``(host, port)`` endpoints of pre-started workers to attach
         (``repro cluster --connect``); they must share a cache backend with
         each other for cross-worker reuse to function.
     cache_dir:
         Shared cache directory.  ``None`` creates a private temporary
-        directory (removed on :meth:`stop`) — correct for a self-contained
-        local cluster, while a real deployment points every worker at one
-        shared path.
+        directory (removed on :meth:`stop`, or when :meth:`start` fails) —
+        correct for a self-contained local cluster, while a real deployment
+        points every worker at one shared path.
     worker_processes:
         ``--workers`` passed to each spawned worker (its own job-execution
         bound).
     worker_token:
-        Shared secret for worker registration; generated when omitted.
+        Shared secret every worker demands; generated when omitted.
         Spawned workers receive it via ``REPRO_SERVE_TOKEN`` in their
         environment, never on their command line.
     auth_token:
@@ -301,21 +288,20 @@ class ClusterService(ExperimentService):
                 self._spawn_worker(f"w{index}") for index in range(self.spawn_workers)
             ]
             attached = [
-                self._attach_worker(f"c{index}", host, port)
+                self._handshake(f"c{index}", host, port, process=None)
                 for index, (host, port) in enumerate(self.connect_endpoints)
             ]
             outcomes = await asyncio.gather(*spawned, *attached, return_exceptions=True)
             failures = [o for o in outcomes if isinstance(o, BaseException)]
-            links = [o for o in outcomes if isinstance(o, WorkerLink)]
+            for link in outcomes:
+                if isinstance(link, WorkerLink):
+                    self.links[link.worker_id] = link
             if failures:
-                # A partial fleet must not leak: close (and terminate) every
-                # worker that *did* come up before surfacing the failure.
-                await asyncio.gather(
-                    *(link.close() for link in links), return_exceptions=True
-                )
+                # A partial fleet must not leak: stop closes (and terminates)
+                # every worker that *did* come up, and removes a private
+                # cache directory, before the failure surfaces.
+                await self.stop()
                 raise failures[0]
-            for link in links:
-                self.links[link.worker_id] = link
             self._monitor_task = asyncio.create_task(
                 self._monitor(), name="repro-cluster-monitor"
             )
@@ -344,9 +330,9 @@ class ClusterService(ExperimentService):
             "-m",
             "repro",
             "serve",
-            "--worker",
-            "--worker-endpoint",
+            "--tcp",
             "127.0.0.1:0",
+            "--worker",
             "--cache-dir",
             str(self.cache_dir),
             "--workers",
@@ -358,34 +344,15 @@ class ClusterService(ExperimentService):
             argv.append("--no-trace-cache")
         elif self.trace_dir is not None:
             argv.extend(["--trace-dir", str(self.trace_dir)])
-        process = await asyncio.create_subprocess_exec(
-            *argv,
-            env=env,
-            stdout=asyncio.subprocess.PIPE,
-            stderr=asyncio.subprocess.DEVNULL,
-        )
         try:
-            line = await asyncio.wait_for(process.stdout.readline(), SPAWN_TIMEOUT)
-            if not line:
-                status = await asyncio.wait_for(process.wait(), SPAWN_TIMEOUT)
-                raise ClusterError(
-                    f"worker {worker_id} exited with status {status} before its banner"
-                )
-            try:
-                ready = json.loads(line)
-            except json.JSONDecodeError:
-                ready = None
-            if not isinstance(ready, dict) or ready.get("event") != "worker-listening":
-                raise ClusterError(f"unexpected worker banner from {worker_id}: {line!r}")
-            host, port = ready["host"], int(ready["port"])
+            process, host, port = await spawn_server(argv, SPAWN_TIMEOUT, env)
+        except ChildProcessError as error:
+            raise ClusterError(f"worker {worker_id} {error}") from error
+        try:
             return await self._handshake(worker_id, host, port, process)
         except BaseException:
-            await _reap(process)
+            await reap(process)
             raise
-
-    async def _attach_worker(self, worker_id: str, host: str, port: int) -> WorkerLink:
-        """Connect and register with a pre-started worker."""
-        return await self._handshake(worker_id, host, port, process=None)
 
     async def _handshake(
         self,
@@ -394,18 +361,26 @@ class ClusterService(ExperimentService):
         port: int,
         process: asyncio.subprocess.Process | None,
     ) -> WorkerLink:
+        """Authenticate, then check by one ``stats`` roundtrip that the peer
+        is a worker: one whose ``job_ops`` lack ``sim_job`` is refused."""
+
         async def shake() -> WorkerLink:
             client = await ServeClient.connect(host, port, auth_token=self.worker_token)
             try:
-                info = await client._roundtrip({"op": "register"})
-                if info.get("event") != "registered":
+                stats = await client.stats()
+                if "sim_job" not in stats.get("job_ops", ()):
                     raise ClusterError(
-                        f"worker {host}:{port} rejected registration: "
-                        f"{info.get('error', info)}"
+                        f"{host}:{port} is not a cluster worker: "
+                        f"{stats.get('error') or 'it accepts no sim_job op'}"
                     )
             except BaseException:
                 await client.close()
                 raise
+            info = {
+                "pid": stats["pid"],
+                "slots": stats["workers"],
+                "cache_dir": stats["cache"]["directory"],
+            }
             return WorkerLink(worker_id, host, port, client, info, process)
 
         try:
@@ -433,9 +408,9 @@ class ClusterService(ExperimentService):
     async def _replace(self, worker_id: str, old: WorkerLink) -> None:
         """Close ``old`` and install a freshly spawned worker under its id.
 
-        The replacement re-registers through the normal handshake, so from
-        the routing layer's point of view a respawned worker is
-        indistinguishable from a new join: the next rendezvous walk simply
+        The replacement goes through the normal handshake, so from the
+        routing layer's point of view a respawned worker is
+        indistinguishable from a new one: the next rendezvous walk simply
         sees a live link under the same id again.
         """
         await old.close()

@@ -5,9 +5,9 @@ The coordinator plans a client request with the *existing* job graph
 :class:`~repro.runtime.engine.SimulationRequest` /
 :class:`~repro.runtime.engine.StatisticsRequest` to a worker process over the
 serve protocol.  This module is that codec plus the two internal job ops
-(``sim_job`` / ``stat_job``) worker mode accepts from a registered
-coordinator — clients never see them, the public protocol is unchanged
-(``docs/cluster.md`` documents the split).
+(``sim_job`` / ``stat_job``) worker mode accepts from any connection that
+passed its token check — clients of the coordinator never see them, the
+public protocol is unchanged (``docs/cluster.md`` documents the split).
 
 Round-tripping is exact by construction: every field of ``TraceSpec``,
 ``SamplingConfig``, ``PragmaticConfig`` and ``ChipConfig`` is carried, so the
@@ -38,7 +38,7 @@ __all__ = [
     "parse_internal_request",
 ]
 
-#: Worker-mode-only job ops (require a registered coordinator connection).
+#: Worker-mode-only job ops (accepted once a connection passed the token check).
 INTERNAL_JOB_OPS = ("sim_job", "stat_job")
 
 

@@ -1,15 +1,14 @@
 """Worker mode: a serve process that executes planned jobs for a coordinator.
 
-``python -m repro serve --worker`` runs a :class:`WorkerService` — the plain
-:class:`~repro.serve.service.ExperimentService` (same queue, same worker
-pool, same public protocol) extended with the cluster-facing surface
+``python -m repro serve --tcp HOST:PORT --worker`` runs a :class:`WorkerService`
+— the plain :class:`~repro.serve.service.ExperimentService` (same queue, same
+worker pool, same public protocol) extended with the cluster-facing surface
 (``docs/cluster.md``):
 
-* a **registration handshake**: after authenticating (worker mode *requires*
-  a shared auth token), a coordinator sends ``{"op": "register"}`` and gets
-  back the worker's identity (pid, capacity).  Only registered connections
-  may submit the internal job ops — a client that somehow reaches a worker's
-  port can speak the public protocol but cannot inject planned jobs.
+* a **mandatory auth token**: a TCP connection can send nothing but ``auth``
+  until it passes the token check, so the token is the cluster's trust
+  boundary, and there is no registration step.  A coordinator tells a
+  worker from a plain serve process by the ``job_ops`` of its ``stats`` op.
 * the **internal job ops** ``sim_job``/``stat_job``
   (:mod:`repro.cluster.plan`): primitive planned jobs whose results travel
   through the shared cache backend, not the wire — the response carries only
@@ -26,13 +25,11 @@ serve process that learned two more ops.
 
 from __future__ import annotations
 
-import os
-
 from repro.runtime import RuntimeSession, simulate
 from repro.runtime.engine import analyze
 from repro.runtime.session import use_session
-from repro.serve.protocol import JOB_OPS, ProtocolError, ServeRequest
-from repro.serve.service import ConnectionContext, ExperimentService
+from repro.serve.protocol import JOB_OPS, ServeRequest
+from repro.serve.service import ExperimentService
 from repro.serve.workers import execute_request, job_session
 from repro.cluster.plan import (
     INTERNAL_JOB_OPS,
@@ -85,7 +82,7 @@ class WorkerService(ExperimentService):
     """An :class:`ExperimentService` that also executes planned cluster jobs.
 
     Parameters mirror the base service; ``auth_token`` is **mandatory** —
-    worker registration is the trust boundary of the cluster, and an
+    the token check is the trust boundary of the cluster, and an
     unauthenticated worker would accept planned jobs from anyone who can
     reach its port.
     """
@@ -100,46 +97,8 @@ class WorkerService(ExperimentService):
             )
         kwargs.setdefault("executor", execute_worker_request)
         super().__init__(*args, auth_token=auth_token, **kwargs)
-        self.registrations = 0
 
     def parse_job(self, message: dict) -> ServeRequest:
         if message.get("op") in INTERNAL_JOB_OPS:
             return parse_internal_request(message)
         return super().parse_job(message)
-
-    def registration_info(self) -> dict:
-        """The identity payload a registering coordinator receives."""
-        return {
-            "event": "registered",
-            "pid": os.getpid(),
-            "workers": self.pool.workers,
-            "cache_dir": str(self.session.cache.directory)
-            if self.session.cache.directory
-            else None,
-        }
-
-    async def handle_message(
-        self, message: dict, send, context: ConnectionContext | None = None
-    ) -> bool:
-        if context is None:
-            context = ConnectionContext.local()
-        op = message.get("op")
-        client_id = message.get("id")
-
-        def reply(payload: dict) -> None:
-            send({"id": client_id, **payload} if client_id is not None else payload)
-
-        if not context.authenticated:
-            # Let the base service run the auth gate (it closes the
-            # connection on anything but a valid ``auth`` op) — registration
-            # and internal ops are only reachable once that passed.
-            return await super().handle_message(message, send, context=context)
-        if op == "register":
-            context.registered = True
-            self.registrations += 1
-            reply(self.registration_info())
-            return True
-        if op in INTERNAL_JOB_OPS and not context.registered:
-            reply({"event": "error", "error": f"{op} requires a registered coordinator"})
-            return True
-        return await super().handle_message(message, send, context=context)

@@ -19,7 +19,6 @@ import argparse
 import asyncio
 import contextlib
 import json
-import re
 import sys
 import tempfile
 from pathlib import Path
@@ -27,19 +26,13 @@ from pathlib import Path
 from repro.loadgen.mix import MixError, MixSpec
 from repro.loadgen.report import validate_report
 from repro.loadgen.swarm import LoadSwarm
+from repro.serve.cli import reap, spawn_server
 
 __all__ = ["main"]
-
-#: Endpoint banners of the spawnable targets (both print to stderr).
-_BANNER = re.compile(r"(?:listening on|coordinator on) ([\d.]+):(\d+)")
 
 #: Seconds allowed for a spawned target to print its endpoint banner
 #: (cluster startup includes per-worker spawn + handshake).
 SPAWN_TIMEOUT = 180.0
-
-
-class SpawnError(RuntimeError):
-    """The spawned target never became ready."""
 
 
 class _SpawnedTarget:
@@ -65,65 +58,22 @@ class _SpawnedTarget:
         return command
 
     async def __aenter__(self) -> "_SpawnedTarget":
-        self.process = await asyncio.create_subprocess_exec(
-            *self._command(),
-            stdout=asyncio.subprocess.DEVNULL,
-            stderr=asyncio.subprocess.PIPE,
-        )
-        try:
-            await asyncio.wait_for(self._await_banner(), SPAWN_TIMEOUT)
-        except asyncio.TimeoutError:
-            await self._terminate()
-            raise SpawnError(
-                f"spawned {self.kind} produced no endpoint banner within {SPAWN_TIMEOUT:.0f}s"
-            ) from None
-        except BaseException:
-            await self._terminate()
-            raise
+        self.process, self.host, self.port = await spawn_server(self._command(), SPAWN_TIMEOUT)
         return self
 
-    async def _await_banner(self) -> None:
-        assert self.process is not None and self.process.stderr is not None
-        while True:
-            line = await self.process.stderr.readline()
-            if not line:
-                code = await self.process.wait()
-                raise SpawnError(f"spawned {self.kind} exited early (code {code})")
-            match = _BANNER.search(line.decode("utf-8", "replace"))
-            if match:
-                self.host, self.port = match.group(1), int(match.group(2))
-                # Stop consuming stderr; the pipe buffer is ample for the
-                # target's remaining diagnostics over one load run.
-                return
-
     async def __aexit__(self, *exc_info) -> None:
-        await self._shutdown()
-
-    async def _shutdown(self) -> None:
         """Ask the target to shut down via the protocol; escalate if deaf."""
         from repro.serve.client import ServeClient
 
-        if self.process is not None and self.process.returncode is None and self.port:
+        if self.process.returncode is None:
             with contextlib.suppress(Exception):
                 client = await ServeClient.connect(self.host, self.port)
                 await asyncio.wait_for(client.shutdown(), timeout=15)
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(self.process.wait(), timeout=30)
-        await self._terminate()
+        await reap(self.process)
         if self._tmp is not None:
             self._tmp.cleanup()
-
-    async def _terminate(self) -> None:
-        if self.process is None or self.process.returncode is not None:
-            return
-        with contextlib.suppress(ProcessLookupError):
-            self.process.terminate()
-        try:
-            await asyncio.wait_for(self.process.wait(), timeout=10)
-        except asyncio.TimeoutError:  # pragma: no cover - last resort
-            with contextlib.suppress(ProcessLookupError):
-                self.process.kill()
-            await self.process.wait()
 
 
 async def _run(args, mix: MixSpec) -> int:
@@ -201,8 +151,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(error))
     try:
         return asyncio.run(_run(args, mix))
-    except SpawnError as error:
-        print(f"loadgen: {error}", file=sys.stderr)
+    except ChildProcessError as error:
+        print(f"loadgen: spawned {args.spawn} {error}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         return 130

@@ -5,8 +5,8 @@ trace store): typed requests enter an async priority queue, identical
 in-flight requests coalesce onto one job by the runtime's content hash, and a
 bounded worker pool executes jobs on threads while per-request counters
 report what each request actually cost.  TCP endpoints can demand a shared
-auth token, and ``--worker`` mode turns a serve process into a cluster worker
-(:mod:`repro.cluster`).
+auth token, and ``serve --tcp HOST:PORT --worker`` turns a serve process into
+a cluster worker (:mod:`repro.cluster`).
 
 Layering::
 
@@ -15,7 +15,8 @@ Layering::
     workers    bounded pool, per-job stats views of the shared session
     service    ExperimentService: in-process / TCP / stdio front-ends
     client     ServeClient: async multiplexing TCP client
-    cli        ``python -m repro serve`` (incl. ``--worker`` mode)
+    cli        ``python -m repro serve`` (incl. ``--worker``), and the one
+               helper that starts a server subprocess (``spawn_server``)
 
 Start with ``docs/serving.md``; the stack underneath is mapped in
 ``docs/architecture.md``.

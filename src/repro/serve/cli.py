@@ -5,12 +5,12 @@ Modes:
 * ``--stdio`` (default) — speak the line-delimited JSON protocol over
   stdin/stdout until EOF or a ``shutdown`` op.
 * ``--tcp HOST:PORT`` — listen for concurrent protocol connections
-  (``PORT 0`` picks an ephemeral port, printed on startup).
-* ``--worker`` — cluster worker mode (``docs/cluster.md``): a TCP service
-  with the registration handshake and internal job ops a
-  ``python -m repro cluster`` coordinator drives, storing through the cache
-  its sibling workers share.  Requires an auth token and prints a one-line
-  JSON banner (bound host/port/pid) on stdout.
+  (``PORT 0`` picks an ephemeral port).  The bound endpoint is announced on
+  stderr as ``repro serve: listening on HOST:PORT``.
+* ``--tcp HOST:PORT --worker`` — a cluster worker (``docs/cluster.md``): the
+  same TCP service, plus the internal job ops a ``python -m repro cluster``
+  coordinator drives, storing through the cache its sibling workers share.
+  It requires an auth token: the token check is the cluster's trust boundary.
 
 ``--workers`` bounds concurrent job execution; ``--cache-dir``/``--no-cache``
 select the shared result cache exactly like the batch CLI (``--no-cache``
@@ -21,66 +21,101 @@ runs no background housekeeping: a long-lived server's disk cache is bounded
 by the ``gc`` op, or by ``python -m repro --cache-gc --cache-dir DIR`` run
 from any process (cron, say) while it serves.  See ``docs/serving.md`` for
 the protocol and examples.
+
+:func:`spawn_server` starts a serve, cluster or cacheserve subprocess and
+finds its endpoint in that banner; :func:`reap` stops one.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import json
+import contextlib
 import os
+import re
 import sys
 
 from repro.cachenet.backend import parse_backend_spec
 from repro.experiments.base import parse_endpoint
-from repro.runtime.session import default_cache_dir, resolve_cache_dir, resolve_trace_dir
+from repro.runtime.session import resolve_cache_dir
 
-__all__ = ["main"]
+__all__ = ["main", "reap", "spawn_server"]
+
+#: The endpoint banner serve and cacheserve (``listening on``) and cluster
+#: (``coordinator on``) print on stderr once they listen.
+BANNER = re.compile(r"(?:listening on|coordinator on) ([\d.]+):(\d+)")
+
+#: Stderr pumps of spawned servers (the event loop keeps tasks weakly).
+_PUMPS: set[asyncio.Task] = set()
 
 
-async def _run_worker(args) -> int:
-    """Cluster worker mode: a WorkerService plus a machine-readable banner.
+async def _pump(process: asyncio.subprocess.Process, endpoint: asyncio.Future) -> None:
+    """Copy ``process``'s stderr lines to ours until EOF, so it never blocks
+    on a full pipe; its first banner line resolves ``endpoint`` instead."""
+    while True:
+        try:
+            line = await process.stderr.readline()
+        except ValueError:  # a line over the stream limit: its bytes are dropped
+            continue
+        if not line:
+            break
+        match = None if endpoint.done() else BANNER.search(line.decode("utf-8", "replace"))
+        if match:
+            endpoint.set_result((match.group(1), int(match.group(2))))
+            continue
+        with contextlib.suppress(OSError, ValueError):  # our own stderr is gone
+            sys.stderr.write(line.decode("utf-8", "replace"))
+            sys.stderr.flush()
+    if not endpoint.done():
+        status = await process.wait()
+        endpoint.set_exception(
+            ChildProcessError(f"exited with status {status} before its banner")
+        )
 
-    The coordinator spawns this subprocess, reads one JSON line from stdout
-    to learn the bound endpoint, then connects, authenticates and registers
-    (see ``docs/cluster.md``).
+
+async def spawn_server(
+    argv: list[str], timeout: float, env: dict | None = None
+) -> tuple[asyncio.subprocess.Process, str, int]:
+    """Start a server subprocess; returns it with the endpoint of its banner.
+
+    Under one ``timeout``, reads the child's stderr until :data:`BANNER`.
+    Every other stderr line, before and after the banner, is forwarded to
+    this process's stderr.  A child that exits first, or prints no banner in
+    time, is reaped and raises :class:`ChildProcessError`.
     """
-    from repro.cluster.worker import WorkerService
-
-    cache_dir = args.cache_dir or default_cache_dir()
+    process = await asyncio.create_subprocess_exec(
+        *argv,
+        env=env,
+        stdin=asyncio.subprocess.DEVNULL,
+        stdout=asyncio.subprocess.DEVNULL,
+        stderr=asyncio.subprocess.PIPE,
+    )
+    endpoint = asyncio.get_running_loop().create_future()
+    pump = asyncio.create_task(_pump(process, endpoint))
+    _PUMPS.add(pump)
+    pump.add_done_callback(_PUMPS.discard)
     try:
-        service = WorkerService(
-            cache_dir=cache_dir,
-            trace_dir=args.trace_dir,
-            no_trace_cache=args.no_trace_cache,
-            cache_backend=args.cache_backend,
-            workers=args.workers,
-            auth_token=args.auth_token,
-        )
-    except ValueError as error:
-        print(f"repro serve: {error}", file=sys.stderr)
-        return 2
-    async with service:
-        server = await service.serve_tcp(*args.worker_endpoint)
-        bound = server.sockets[0].getsockname()
-        print(
-            json.dumps(
-                {
-                    "event": "worker-listening",
-                    "host": bound[0],
-                    "port": bound[1],
-                    "pid": os.getpid(),
-                    "cache_dir": str(cache_dir),
-                    "trace_dir": str(resolve_trace_dir(
-                        cache_dir, args.trace_dir, args.no_trace_cache
-                    )),
-                }
-            ),
-            flush=True,
-        )
-        async with server:
-            await service.wait_shutdown()
-    return 0
+        host, port = await asyncio.wait_for(endpoint, timeout)
+    except asyncio.TimeoutError:
+        await reap(process)
+        raise ChildProcessError(f"printed no endpoint banner within {timeout:g} s") from None
+    except BaseException:
+        await reap(process)
+        raise
+    return process, host, port
+
+
+async def reap(process: asyncio.subprocess.Process) -> None:
+    """Terminate ``process`` (kill it if that is not enough) and wait for it."""
+    if process.returncode is None:
+        with contextlib.suppress(ProcessLookupError):
+            process.terminate()
+    try:
+        await asyncio.wait_for(process.wait(), timeout=10)
+    except asyncio.TimeoutError:  # pragma: no cover - last resort
+        with contextlib.suppress(ProcessLookupError):
+            process.kill()
+        await process.wait()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -100,19 +135,11 @@ def main(argv: list[str] | None = None) -> int:
         metavar="HOST:PORT",
         help="listen for protocol connections on HOST:PORT (port 0 = ephemeral)",
     )
-    mode.add_argument(
+    parser.add_argument(
         "--worker",
         action="store_true",
-        help="cluster worker mode: TCP service with a registration handshake "
-        "and a multi-process-safe shared cache (requires an auth token; "
-        "prints a JSON banner with the bound endpoint on stdout)",
-    )
-    parser.add_argument(
-        "--worker-endpoint",
-        type=parse_endpoint,
-        default=("127.0.0.1", 0),
-        metavar="HOST:PORT",
-        help="endpoint of --worker mode (default: 127.0.0.1:0, ephemeral)",
+        help="with --tcp: serve as a cluster worker, accepting a coordinator's "
+        "internal job ops (requires an auth token and the shared cache)",
     )
     parser.add_argument(
         "--auth-token",
@@ -120,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="TOKEN",
         help="require TCP clients to authenticate with this shared secret "
         "before anything reaches the queue (default: $REPRO_SERVE_TOKEN; "
-        "mandatory in --worker mode)",
+        "mandatory with --worker)",
     )
     parser.add_argument(
         "--workers",
@@ -170,13 +197,17 @@ def main(argv: list[str] | None = None) -> int:
         args.auth_token = os.environ.get("REPRO_SERVE_TOKEN") or None
 
     if args.worker:
+        if not args.tcp:
+            parser.error("--worker needs --tcp HOST:PORT")
+        if not args.auth_token:
+            parser.error("--worker needs an auth token (--auth-token or REPRO_SERVE_TOKEN)")
         if args.no_cache:
             parser.error("--worker needs the shared cache (drop --no-cache)")
-        return asyncio.run(_run_worker(args))
+        from repro.cluster.worker import WorkerService as Service
+    else:
+        from repro.serve.service import ExperimentService as Service
 
-    from repro.serve.service import ExperimentService
-
-    service = ExperimentService(
+    service = Service(
         cache_dir=resolve_cache_dir(args.cache_dir, args.no_cache, args.cache_backend),
         no_cache=args.no_cache,
         workers=args.workers,
@@ -200,6 +231,9 @@ def main(argv: list[str] | None = None) -> int:
             asyncio.run(run_tcp(*args.tcp))
         else:
             asyncio.run(service.run_stdio())
+    except OSError as error:  # cannot listen, say: the port is taken
+        print(f"repro serve: {error}", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         pass
     return 0

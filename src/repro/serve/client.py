@@ -151,13 +151,8 @@ class ServeClient:
     async def job(self, message: dict, on_event=None) -> ServeResponse:
         """Send any job-op message and await its terminal event.
 
-        The typed helpers below build on this; the cluster coordinator uses
-        it directly for internal worker ops.
+        The typed helpers below build on this.
         """
-        return await self._job(message, on_event=on_event)
-
-    async def _job(self, message: dict, on_event=None) -> ServeResponse:
-        """Send a job op and await its terminal event."""
         client_id, route = await self._send(message)
         events: list[str] = []
         try:
@@ -240,7 +235,7 @@ class ServeClient:
             message["overrides"] = overrides
         if priority:
             message["priority"] = priority
-        return await self._job(message, on_event=on_event)
+        return await self.job(message, on_event=on_event)
 
     async def run_all(
         self,
@@ -255,7 +250,7 @@ class ServeClient:
             message["overrides"] = overrides
         if priority:
             message["priority"] = priority
-        return await self._job(message, on_event=on_event)
+        return await self.job(message, on_event=on_event)
 
     async def simulate(
         self,
@@ -282,7 +277,7 @@ class ServeClient:
             message["overrides"] = overrides
         if priority:
             message["priority"] = priority
-        return await self._job(message, on_event=on_event)
+        return await self.job(message, on_event=on_event)
 
     # -------------------------------------------------------------- control ops
     async def auth(self, token: str) -> None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import hmac
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,20 +71,10 @@ class ConnectionContext:
     disconnect).  ``authenticated`` starts ``False`` on TCP connections of a
     token-protected service and flips after a valid ``auth`` op; in-process
     and stdio callers are local operators and start authenticated.
-    ``registered`` marks a worker-mode connection whose peer completed the
-    ``register`` handshake (see ``docs/cluster.md``) and is therefore allowed
-    to submit internal cluster job ops.
     """
 
     tickets: list[Ticket] = field(default_factory=list)
     authenticated: bool = True
-    registered: bool = False
-    peer: str = "local"
-
-    @classmethod
-    def local(cls) -> "ConnectionContext":
-        """A fully-trusted context for in-process and stdio callers."""
-        return cls(authenticated=True, registered=True)
 
 
 class ExperimentService:
@@ -239,9 +230,10 @@ class ExperimentService:
 
         ``stats`` holds the summed per-job counters; the ``cache`` section is
         :meth:`~repro.runtime.cache.ResultCache.usage` of the store this
-        service mounts.
+        service mounts.  ``pid`` and ``job_ops`` say which process answers
+        and which job ops it accepts (a cluster coordinator checks a worker
+        by them).
         """
-        usage = self.session.cache.usage()
         totals = RunStats()
         totals.merge(self.totals)
         # Trace-fabric counters live on the shared calibration store (per-job
@@ -254,12 +246,12 @@ class ExperimentService:
             trace_cache = artifacts.usage()
         return {
             "event": "stats",
+            "pid": os.getpid(),
+            "job_ops": list(self.job_ops),
             "stats": totals.as_dict(),
             "queue": self.queue.depth(),
             "coalescing": self.coalescing_stats(),
-            "cache_dir": usage["directory"],
-            "cache_entries": usage["entries"],
-            "cache": usage,
+            "cache": self.session.cache.usage(),
             "traces": len(self.session.traces),
             "trace_cache": trace_cache,
             "workers": self.pool.workers,
@@ -341,11 +333,11 @@ class ExperimentService:
         are delivered through it as they happen.  A job op with a truthy
         ``stream`` field additionally receives one ``progress`` event per
         structured progress report, before the terminal event.  ``context``
-        carries per-connection state (auth, registration, submitted tickets);
-        in-process callers may omit it (fully trusted).
+        carries per-connection state (auth, submitted tickets); in-process
+        callers may omit it (fully trusted).
         """
         if context is None:
-            context = ConnectionContext.local()
+            context = ConnectionContext()
         client_id = message.get("id")
 
         def reply(payload: dict) -> None:
@@ -474,11 +466,7 @@ class ExperimentService:
         """
         outbox: asyncio.Queue[dict | None] = asyncio.Queue(OUTBOX_LIMIT)
         overflowed = False
-        peername = writer.get_extra_info("peername")
-        context = ConnectionContext(
-            authenticated=self.auth_token is None,
-            peer=str(peername) if peername else "tcp",
-        )
+        context = ConnectionContext(authenticated=self.auth_token is None)
         tickets = context.tickets
 
         async def drain_outbox() -> None:
@@ -562,7 +550,7 @@ class ExperimentService:
         await self.start()
         loop = asyncio.get_running_loop()
         # Stdio is the local operator: trusted, never challenged for a token.
-        context = ConnectionContext.local()
+        context = ConnectionContext()
 
         def send(payload: dict) -> None:
             stdout.write(encode(payload).decode("utf-8"))

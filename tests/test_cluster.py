@@ -5,15 +5,19 @@ services connected over loopback TCP — separate ``WorkerService`` instances
 with separate sessions sharing one cache directory, the exact topology of a
 local cluster minus the subprocess spawn.
 ``TestSpawnedWorkers`` covers what only real worker processes show:
-calibrations shared across processes, a terminated process respawned, and a
-network cache tier that outlives (and survives the loss of) its server.
+calibrations shared across processes, a terminated process respawned, a
+network cache tier that outlives (and survives the loss of) its server, and
+a worker started by hand with ``serve --tcp HOST:PORT --worker``.
 """
 
 import asyncio
 import gc
 import json
+import os
 import re
+import socket
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -28,18 +32,21 @@ from repro.cluster import (
     rendezvous_owner,
     rendezvous_rank,
 )
+from repro.cluster.cli import main as cluster_main
 from repro.cluster.plan import (
     simulation_request_from_wire,
     simulation_request_to_wire,
     statistics_request_from_wire,
     statistics_request_to_wire,
 )
+from repro.arch.tiling import SamplingConfig
 from repro.core.variants import fig9_variants
 from repro.experiments.base import get_preset
 from repro.cachenet import CacheServer
 from repro.runtime import SimulationRequest, StatisticsRequest, TraceArtifactStore, TraceSpec
+from repro.serve.cli import reap, spawn_server
 from repro.serve.protocol import ExperimentRequest, ProtocolError
-from repro.serve.service import ConnectionContext
+from repro.serve.service import ConnectionContext, ExperimentService
 
 #: Tiny fast-preset override so cluster simulations take seconds.
 TINY = {"networks": ["alexnet"], "max_pallets": 2, "samples_per_layer": 1500}
@@ -186,24 +193,37 @@ class TestWorkerService:
         with pytest.raises(ValueError):
             WorkerService(cache_dir=tmp_path)
 
-    def test_internal_ops_gated_on_registration(self, tmp_path):
+    def test_internal_ops_need_only_the_auth_gate(self, tmp_path):
+        """The token check is the trust boundary: before it a ``sim_job`` is
+        refused and reaches no queue; after it the job runs with no other
+        op, and ``register`` is no op at all."""
+
         async def scenario():
             service = WorkerService(cache_dir=tmp_path, workers=1, auth_token=TOKEN)
-            sent = []
-            context = ConnectionContext(authenticated=True)  # authed, unregistered
             message = SimulationJobRequest(
                 SimulationRequest(
                     trace=TraceSpec(network="alexnet"),
-                    configs=tuple(fig9_variants().items()),
+                    configs=tuple(fig9_variants().items())[:1],
+                    sampling=SamplingConfig(max_pallets=2),
                 )
             ).to_message()
-            await service.handle_message(message, sent.append, context=context)
-            assert "registered coordinator" in sent[-1]["error"]
-            # Registration unlocks the op (and reports identity).
+            sent = []
+            keep = await service.handle_message(
+                message, sent.append, context=ConnectionContext(authenticated=False)
+            )
+            assert keep is False
+            assert sent[-1]["error"] == "authentication required"
+            assert service.queue.submitted == 0
+            context = ConnectionContext(authenticated=True)
             await service.handle_message({"op": "register"}, sent.append, context=context)
-            assert sent[-1]["event"] == "registered"
-            assert context.registered
+            assert sent[-1]["error"].startswith("unknown op 'register'")
+            await service.handle_message(message, sent.append, context=context)
+            assert sent[-1]["event"] == "queued"
+            (ticket,) = context.tickets
+            await asyncio.wait_for(ticket.job.done.wait(), timeout=60)
             await service.stop()
+            assert sent[-1]["event"] == "done", sent[-1]
+            assert sent[-1]["result"]["configs"] == 1
 
         run(scenario())
 
@@ -631,22 +651,18 @@ class TestClusterExecution:
         assert run(scenario()) == []
 
     @pytest.mark.parametrize(
-        "child, message",
+        "child, timeout, message",
         [
-            ("import sys; sys.exit(3)", "worker w0 exited with status 3 before its banner"),
-            ("print('starting up')", "unexpected worker banner from w0: b'starting up\\n'"),
+            ("import sys; sys.exit(3)", 60, "worker w0 exited with status 3 before its banner"),
+            ("import time; time.sleep(60)", 0.5, "worker w0 printed no endpoint banner within 0.5 s"),
         ],
-        ids=["exits-before-banner", "not-a-banner"],
+        ids=["exits-before-banner", "no-banner-in-time"],
     )
     def test_a_worker_without_its_banner_fails_start(
-        self, tmp_path, monkeypatch, child, message
+        self, tmp_path, monkeypatch, child, timeout, message
     ):
-        spawn = asyncio.create_subprocess_exec
-
-        async def substitute(*argv, **kwargs):
-            return await spawn(sys.executable, "-c", child, **kwargs)
-
-        monkeypatch.setattr(asyncio, "create_subprocess_exec", substitute)
+        _substitute_workers(monkeypatch, child)
+        monkeypatch.setattr("repro.cluster.coordinator.SPAWN_TIMEOUT", timeout)
 
         async def scenario():
             coordinator = ClusterService(
@@ -659,6 +675,67 @@ class TestClusterExecution:
                 await coordinator.stop()
 
         run(scenario())
+
+    def test_a_plain_serve_is_refused_as_a_worker(self, tmp_path):
+        """A peer that passes the token check but accepts no ``sim_job`` is
+        not a worker: start fails naming it, and no link stays open."""
+
+        async def scenario():
+            plain = ExperimentService(cache_dir=tmp_path / "plain", workers=1, auth_token=TOKEN)
+            server = await plain.serve_tcp("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            coordinator = ClusterService(
+                connect=[("127.0.0.1", port)], cache_dir=tmp_path / "cache", worker_token=TOKEN
+            )
+            try:
+                with pytest.raises(ClusterError, match=f"127.0.0.1:{port} is not a cluster worker"):
+                    await coordinator.start()
+                assert not coordinator.links
+            finally:
+                await coordinator.stop()
+                server.close()
+                await server.wait_closed()
+                await plain.stop()
+
+        run(scenario())
+
+
+def _substitute_workers(monkeypatch, child: str) -> None:
+    """Make every spawned worker process run ``python -c child`` instead."""
+    spawn = asyncio.create_subprocess_exec
+
+    async def substitute(*argv, **kwargs):
+        return await spawn(sys.executable, "-c", child, **kwargs)
+
+    monkeypatch.setattr(asyncio, "create_subprocess_exec", substitute)
+
+
+class TestClusterCLI:
+    """A cluster that cannot start says why in one line and leaks nothing."""
+
+    def test_worker_processes_below_one_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            cluster_main(["--workers", "1", "--worker-processes", "0", "--stdio"])
+        assert raised.value.code == 2
+        assert "--worker-processes" in capsys.readouterr().err.splitlines()[-1]
+
+    @pytest.mark.parametrize("case", ["refused-connect", "worker-exits"])
+    def test_a_failed_start_is_one_line_and_removes_the_private_cache(
+        self, case, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        _substitute_workers(monkeypatch, "import sys; sys.exit(3)")
+        with socket.socket() as closed:  # bound, never listening: refuses
+            closed.bind(("127.0.0.1", 0))
+            port = closed.getsockname()[1]
+            if case == "refused-connect":
+                argv, reason = ["--workers", "0", "--connect", f"127.0.0.1:{port}"], str(port)
+            else:
+                argv, reason = ["--workers", "1"], "worker w0 exited with status 3 before its banner"
+            assert cluster_main([*argv, "--stdio"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("repro cluster: ") and reason in line
+        assert not list(tmp_path.glob("repro-cluster-cache-*"))
 
 
 async def _run_done(coordinator, experiment, on_progress=None):
@@ -754,3 +831,26 @@ class TestSpawnedWorkers:
             assert usage["remote_degraded"] >= 1
         finally:
             server.stop()
+
+    def test_a_pre_started_worker_serves_a_coordinator_that_connects(self, tmp_path):
+        """The documented recipe: ``serve --tcp HOST:PORT --worker`` started by
+        hand with the token in its environment, attached with ``connect``."""
+
+        async def scenario():
+            process, host, port = await spawn_server(
+                [sys.executable, "-m", "repro", "serve", "--tcp", "127.0.0.1:0",
+                 "--worker", "--cache-dir", str(tmp_path / "cache")],
+                timeout=60,
+                env={**os.environ, "REPRO_SERVE_TOKEN": TOKEN},
+            )
+            try:
+                async with ClusterService(
+                    connect=[(host, port)], cache_dir=tmp_path / "cache", worker_token=TOKEN
+                ) as coordinator:
+                    await _exactly_once_then_warm(coordinator)
+                    (worker,) = (await coordinator.cluster_stats())["cluster"]["workers"]
+                    assert (worker["pid"], worker["slots"]) == (process.pid, 2)
+            finally:
+                await reap(process)
+
+        run(scenario())

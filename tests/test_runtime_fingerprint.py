@@ -430,7 +430,7 @@ class TestOneSimulateOp:
         }
 
         async def scenario():
-            sent, context = [], ConnectionContext.local()
+            sent, context = [], ConnectionContext()
             async with ExperimentService(cache_dir=None, workers=1) as service:
                 await service.handle_message(message, sent.append, context)
                 await asyncio.wait_for(context.tickets[-1].job.done.wait(), timeout=60)

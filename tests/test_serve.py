@@ -10,6 +10,9 @@ import asyncio
 import dataclasses
 import io
 import json
+import os
+import socket
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -32,7 +35,8 @@ from repro.serve import (
     parse_request,
 )
 from repro.serve.cli import main as serve_main
-from repro.serve.protocol import decode, encode
+from repro.serve.cli import reap, spawn_server
+from repro.serve.protocol import JOB_OPS, decode, encode
 from repro.serve.queue import RequestQueue
 
 #: Tiny fast-preset override so served simulations take seconds.
@@ -743,8 +747,8 @@ class TestServiceInProcess:
             async with ExperimentService(cache_dir=tmp_path, workers=1) as service:
                 service.session.cache.put("deadbeef", {"x": 1})
                 stats = service.stats()
-                assert stats["cache_dir"] == str(tmp_path)
-                assert stats["cache_entries"] == 1
+                assert (stats["pid"], stats["job_ops"]) == (os.getpid(), list(JOB_OPS))
+                assert stats["cache"]["directory"] == str(tmp_path)
                 assert stats["cache"]["entries"] == 1
                 assert stats["cache"]["disk_bytes"] > 0
                 assert stats["cache"]["memo_entries"] == 1
@@ -1187,7 +1191,7 @@ class TestDisconnectCleanup:
         async def scenario():
             async with ExperimentService(cache_dir=None, workers=1) as service:
                 sent: list = []
-                context = ConnectionContext.local()
+                context = ConnectionContext()
                 tickets = context.tickets
                 for seed in (0, 1, 2):
                     await service.handle_message(
@@ -1223,7 +1227,7 @@ class TestDisconnectCleanup:
                 )
                 # A second "connection" submits the identical request...
                 sent: list = []
-                context = ConnectionContext.local()
+                context = ConnectionContext()
                 tickets = context.tickets
                 await service.handle_message({**message, "id": "c9"}, sent.append, context)
                 assert len(tickets) == 1 and tickets[0].job is survivor.job
@@ -1358,6 +1362,39 @@ class TestFrontEnds:
             serve_main(["--workers", "0", "--stdio"])
         with pytest.raises(SystemExit):
             serve_main(["--tcp", "nonsense"])
+
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            (["--worker", "--auth-token", "t"], "--worker needs --tcp"),
+            (["--worker", "--tcp", "127.0.0.1:0"], "--worker needs an auth token"),
+            (["--worker", "--tcp", "127.0.0.1:0", "--auth-token", "t", "--no-cache"],
+             "--worker needs the shared cache"),
+        ],
+        ids=["without-tcp", "without-token", "without-cache"],
+    )
+    def test_a_worker_without_what_it_needs_is_a_usage_error(
+        self, argv, problem, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_SERVE_TOKEN", raising=False)
+        with pytest.raises(SystemExit) as raised:
+            serve_main(argv)
+        assert raised.value.code == 2
+        assert problem in capsys.readouterr().err.splitlines()[-1]
+
+    @pytest.mark.parametrize("name", ["serve", "cacheserve"])
+    def test_a_taken_port_ends_start_up_with_one_line(self, name, tmp_path, capsys):
+        main, store = {
+            "serve": (serve_main, "--no-cache"),
+            "cacheserve": (cacheserve_main, f"--cache-dir={tmp_path}"),
+        }[name]
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            assert main(["--tcp", f"127.0.0.1:{port}", store]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"repro {name}: ") and str(port) in line
 
     @pytest.mark.parametrize(
         "attempt",
@@ -1669,5 +1706,48 @@ class TestFrontEnds:
                     assert response.error == "connection closed"
                     await client.close()
                     service.cancel(blocker.ticket_id)
+
+        run(scenario())
+
+
+class TestSpawnServer:
+    """``spawn_server``: how a parent starts a serve, cluster or cacheserve
+    process and learns its endpoint from the stderr banner."""
+
+    BANNER = "print('repro serve: listening on 127.0.0.1:4242', file=sys.stderr, flush=True)"
+
+    def _spawn(self, code: str):
+        return spawn_server([sys.executable, "-c", f"import sys, time; {code}"], timeout=30)
+
+    def test_a_line_before_the_banner_is_forwarded_and_the_banner_found(self, capsys):
+        async def scenario():
+            process, host, port = await self._spawn(
+                f"print('warming up', file=sys.stderr); {self.BANNER}; time.sleep(30)"
+            )
+            await reap(process)
+            return host, port
+
+        assert run(scenario()) == ("127.0.0.1", 4242)
+        err = capsys.readouterr().err
+        assert "warming up" in err and "listening on" not in err
+
+    def test_a_mebibyte_of_stderr_after_the_banner_never_blocks_the_child(self, capsys):
+        async def scenario():
+            process, _, _ = await self._spawn(
+                f"{self.BANNER}; sys.stderr.write(('x' * 1023 + '\\n') * 1024)"
+            )
+            status = await asyncio.wait_for(process.wait(), timeout=30)
+            # The forwarder may still hold the pipe's last lines: let it finish.
+            forwarders = asyncio.all_tasks() - {asyncio.current_task()}
+            await asyncio.wait_for(asyncio.gather(*forwarders), timeout=30)
+            return status
+
+        assert run(scenario()) == 0
+        assert capsys.readouterr().err.count("x" * 1023) == 1024
+
+    def test_a_child_that_exits_first_raises_naming_its_status(self):
+        async def scenario():
+            with pytest.raises(ChildProcessError, match="exited with status 3 before its banner"):
+                await self._spawn("sys.exit(3)")
 
         run(scenario())
