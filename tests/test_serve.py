@@ -908,6 +908,55 @@ class TestConcurrentServing:
         run(scenario())
 
 
+# -------------------------------------------------------------------- warm hits
+#: The warm requests of the wire-contract test: both read only what a cold
+#: ``fig9`` at ``TINY`` leaves behind.
+WARM_MESSAGES = [
+    {"op": "simulate", "network": "alexnet", "variants": "fig9", "overrides": TINY},
+    {"op": "run_experiment", "experiment": "fig9", "overrides": TINY},
+]
+
+
+class TestWarmHits:
+    @pytest.mark.parametrize("stream", [False, True], ids=["plain", "stream"])
+    @pytest.mark.parametrize("message", WARM_MESSAGES, ids=["simulate", "fig9"])
+    def test_a_warm_hit_keeps_the_wire_contract(self, message, stream):
+        """A warm job's events: ``queued``, ``running``, its progress (only
+        when streamed), then ``done`` — one ticket, never coalesced, with
+        ``timings`` and the result ``execute_request`` gives."""
+        from repro.serve.workers import execute_request
+
+        async def scenario():
+            async with ExperimentService(cache_dir=None, workers=2) as service:
+                server = await service.serve_tcp("127.0.0.1", 0)
+                port = server.sockets[0].getsockname()[1]
+                async with server:
+                    client = await ServeClient.connect("127.0.0.1", port)
+                    cold = await client.run_experiment("fig9", overrides=TINY)
+                    assert cold.ok and cold.stats.sweep.configs_simulated == 5
+                    if stream:
+                        events = [event async for event in client.stream(message)]
+                    else:
+                        events = []
+                        await client.job(message, on_event=events.append)
+                    await client.close()
+                    names = [event["event"] for event in events]
+                    progress = names.count("progress")
+                    assert names == ["queued", "running", *["progress"] * progress, "done"]
+                    assert bool(progress) == stream
+                    assert len({event["ticket"] for event in events}) == 1
+                    assert all(not e["coalesced"] for e in events if "coalesced" in e)
+                    done = events[-1]
+                    assert set(done["timings"]) == {
+                        "queue_wait_seconds", "execution_seconds", "total_seconds"
+                    }
+                    assert done["stats"]["sweep"]["configs_simulated"] == 0
+                    expected, _ = execute_request(parse_request(message), service.session)
+                    assert done["result"] == decode(encode(expected))
+
+        run(scenario())
+
+
 # -------------------------------------------------------- cancellation/streaming
 #: Two-network tiny workload for streaming acceptance tests.
 TINY2 = {"networks": ["alexnet", "vgg_m"], "max_pallets": 2, "samples_per_layer": 1500}
