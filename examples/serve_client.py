@@ -5,10 +5,11 @@ This example walks the serving layer (``docs/serving.md``) end to end:
 
 1. start an ``ExperimentService`` and a TCP endpoint in-process,
 2. connect two independent async clients,
-3. submit a cold request and watch its lifecycle events,
-4. submit **concurrent identical** requests from both clients and show they
-   coalesce onto one job (``coalesced`` flags), and
-5. show via the per-request ``RunStats`` counters that the warm-cache answers
+3. submit **concurrent identical cold** requests from both clients and show
+   they coalesce onto one job (``coalesced`` flags) while it runs on a worker,
+4. repeat them warm: every input is then resident in the server, so each is
+   answered inline on its event loop, never queued, so never coalesced, and
+5. show via the per-request ``RunStats`` counters that the warm answers
    recompute nothing (``simulated 0 configs``).
 
 Run it with::
@@ -39,34 +40,26 @@ async def main() -> None:
             alice = await ServeClient.connect("127.0.0.1", port)
             bob = await ServeClient.connect("127.0.0.1", port)
 
-            # --- cold request: pays the full simulation cost -----------------
-            events: list[str] = []
-            cold = await alice.run_experiment(
-                "fig9",
-                preset="fast",
-                overrides=OVERRIDES,
-                on_event=lambda payload: events.append(payload["event"]),
+            # --- concurrent identical cold requests: one job, one pass ------
+            cold_a, cold_b = await asyncio.gather(
+                alice.run_experiment("fig9", preset="fast", overrides=OVERRIDES),
+                bob.run_experiment("fig9", preset="fast", overrides=OVERRIDES),
             )
-            print(f"\ncold request:   events={events}")
-            print(f"                {cold.stats.summary()}")
+            _show("concurrent identical cold requests", cold_a, cold_b)
+            assert {cold_a.coalesced, cold_b.coalesced} == {True, False}
+            assert cold_a.stats.sweep.configs_simulated > 0
 
-            # --- concurrent identical requests: coalesce onto one job -------
+            # --- the same requests warm: each answered inline ---------------
             warm_a, warm_b = await asyncio.gather(
                 alice.run_experiment("fig9", preset="fast", overrides=OVERRIDES),
                 bob.run_experiment("fig9", preset="fast", overrides=OVERRIDES),
             )
-            print("\nconcurrent identical requests:")
-            for name, response in (("alice", warm_a), ("bob", warm_b)):
-                print(
-                    f"  {name}: ticket={response.ticket} "
-                    f"coalesced={response.coalesced} "
-                    f"simulated={response.stats.sweep.configs_simulated} configs, "
-                    f"cache {response.stats.cache.hits} hits / "
-                    f"{response.stats.cache.misses} misses"
-                )
-            assert {warm_a.coalesced, warm_b.coalesced} == {True, False}
-            assert warm_a.stats.sweep.configs_simulated == 0
-            assert warm_b.stats.sweep.configs_simulated == 0
+            _show("the same requests, warm", warm_a, warm_b)
+            assert (warm_a.coalesced, warm_b.coalesced) == (False, False)
+            for response in (warm_a, warm_b):
+                assert response.stats.sweep.configs_simulated == 0
+                assert response.stats.cache.misses == 0
+            assert (await alice.stats())["queue"]["inline"] == 2
 
             # --- the cache also serves *different* overlapping requests -----
             sim = await bob.simulate(
@@ -83,13 +76,27 @@ async def main() -> None:
             queue = stats["queue"]
             print(
                 f"\nserver: {queue['submitted']} submitted, "
-                f"{queue['coalesced']} coalesced, {queue['completed']} executed; "
+                f"{queue['coalesced']} coalesced, {queue['completed']} executed, "
+                f"{queue['inline']} of them inline; "
                 f"session totals: {stats['stats']['sweep']['configs_simulated']} "
                 f"configs simulated in {stats['cache']['entries']} cache entries"
             )
 
             await alice.close()
             await bob.close()
+
+
+def _show(title: str, *responses) -> None:
+    """Print each response's lifecycle events and what it cost."""
+    print(f"\n{title}:")
+    for name, response in zip(("alice", "bob"), responses):
+        print(
+            f"  {name}: ticket={response.ticket} events={response.events} "
+            f"coalesced={response.coalesced} "
+            f"simulated={response.stats.sweep.configs_simulated} configs, "
+            f"cache {response.stats.cache.hits} hits / "
+            f"{response.stats.cache.misses} misses"
+        )
 
 
 if __name__ == "__main__":

@@ -256,8 +256,8 @@ class ClusterService(ExperimentService):
             cache_backend=cache_backend,
             workers=CONCURRENT_REQUESTS,
             auth_token=auth_token,
+            executor=self._execute_cluster,
         )
-        self.pool.executor = self._execute_cluster
         self.cache_dir = Path(cache_dir)
         self.trace_dir = trace_dir
         self.no_trace_cache = no_trace_cache

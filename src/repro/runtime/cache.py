@@ -132,20 +132,32 @@ class ResultCache:
             del self._memory[memo_key]
 
     # ----------------------------------------------------------------- lookup
-    def get(self, key: str, kind: str = "network_result") -> dict | None:
-        """Payload stored under ``key``, or ``None`` on a miss."""
+    def get(
+        self, key: str, kind: str = "network_result", resident_only: bool = False
+    ) -> dict | None:
+        """Payload stored under ``key``, or ``None`` on a miss.
+
+        ``resident_only`` answers from the in-process memo alone: a key that
+        is not memo-resident, or whose LRU touch is due, is ``None`` without
+        a backend call and without counting anything.
+        """
         slot = self._memo_get(key, kind)
         if slot is not None:
-            self.stats.hits += 1
             payload, touched = slot
             now = time.monotonic()
             # Memo hits must advance the backend's LRU clock too, or GC
             # would evict the hottest entries first; once per window keeps
             # the hot path free of I/O.
-            if now - touched >= USE_GRANULARITY:
+            due = now - touched >= USE_GRANULARITY
+            if due and resident_only:
+                return None
+            self.stats.hits += 1
+            if due:
                 slot[1] = now  # in place: never re-adds a key GC just dropped
                 self.backend.touch(key)
             return payload
+        if resident_only:
+            return None
         try:
             payload = self.backend.load(key, kind)
         except CorruptEntry:

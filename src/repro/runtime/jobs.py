@@ -35,6 +35,7 @@ __all__ = [
     "ExperimentJob",
     "RunPlan",
     "experiment_plan",
+    "plan_hook",
     "build_plan",
 ]
 
@@ -83,18 +84,20 @@ class RunPlan:
         return [*self.simulations, *self.statistics, *self.experiments]
 
 
+def plan_hook(name: str):
+    """Experiment ``name``'s ``plan(preset, seed)`` hook, or ``None`` if it has none."""
+    from repro.experiments.runner import EXPERIMENTS
+
+    run = EXPERIMENTS[name]
+    return getattr(sys.modules[run.__module__], "plan", None)
+
+
 def experiment_plan(
     name: str, preset: Preset, seed: int
 ) -> list[SimulationRequest | StatisticsRequest]:
     """The simulation/statistics requests experiment ``name`` declares, if any."""
-    from repro.experiments.runner import EXPERIMENTS
-
-    run = EXPERIMENTS[name]
-    module = sys.modules[run.__module__]
-    plan = getattr(module, "plan", None)
-    if plan is None:
-        return []
-    return list(plan(preset=preset, seed=seed))
+    plan = plan_hook(name)
+    return [] if plan is None else list(plan(preset=preset, seed=seed))
 
 
 def build_plan(

@@ -83,18 +83,21 @@ class TraceStore:
         """The trace described by ``spec``, building it on first request."""
         return self.fetch(spec)[0]
 
-    def fetch(self, spec: TraceSpec) -> tuple[NetworkTrace, bool]:
+    def fetch(self, spec: TraceSpec, build: bool = True) -> tuple[NetworkTrace | None, bool]:
         """Like :meth:`get`, also reporting whether *this call* built the trace.
 
         The boolean lets per-request stats views (the serve worker pool)
         count builds exactly, without a check-then-act race against other
-        threads fetching the same spec concurrently.
+        threads fetching the same spec concurrently.  With ``build=False`` a
+        trace not yet in the store is ``(None, False)``, never built.
         """
         with self._lock:
             trace = self._traces.get(spec)
             if trace is not None:
                 self.reuses += 1
                 return trace, False
+        if not build:
+            return None, False
         built = self._build(spec)
         with self._lock:
             trace = self._traces.setdefault(spec, built)

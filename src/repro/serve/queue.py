@@ -19,10 +19,13 @@ detaches that ticket).  The same token carries per-layer/per-network progress
 events back up; tickets that registered an ``on_progress`` callback (the
 protocol's ``stream`` flag) receive them as they happen.  All state lives on
 the event loop — only the execution itself leaves it (see
-:mod:`repro.serve.workers`).  The queue indexes live tickets only: a ticket
-leaves it when it reaches a terminal state, and callers that hold the
-:class:`Ticket` keep reading its state and result.  ``docs/serving.md`` walks
-through the model.
+:mod:`repro.serve.workers`), and not even that for a job whose every input
+is already resident: :attr:`RequestQueue.run_inline` answers such a job
+before it would be pushed, so it never waits, coalesces or occupies a
+worker, and its ticket receives its whole lifecycle within one call.  The
+queue indexes live tickets only: a ticket leaves it when it reaches a
+terminal state, and callers that hold the :class:`Ticket` keep reading its
+state and result.  ``docs/serving.md`` walks through the model.
 """
 
 from __future__ import annotations
@@ -159,6 +162,10 @@ class RequestQueue:
         self.stopping = False
         #: Optional hook invoked once per finished job (before ticket events).
         self.on_finish: Callable[[Job], None] | None = None
+        #: Optional hook offered each new job before it is pushed: returns
+        #: ``(progress events, finish() keywords)`` if it executed the job,
+        #: ``None`` to queue it (:meth:`WorkerPool.run_inline`).
+        self.run_inline: Callable[[Job], tuple[list[dict], dict] | None] | None = None
         #: Totals since service start.
         self.submitted = 0
         self.coalesced = 0
@@ -167,6 +174,8 @@ class RequestQueue:
         self.cancelled = 0
         #: Jobs interrupted *while running* via their cooperative token.
         self.interrupted = 0
+        #: Jobs :attr:`run_inline` executed without queueing them.
+        self.inline = 0
 
     # ------------------------------------------------------------------ submit
     def _push_pending(self, job: Job) -> None:
@@ -188,6 +197,10 @@ class RequestQueue:
         strongest demand — a ticket attaching to a queued job with a higher
         priority raises that job's priority (never lowers it).
 
+        A new job is first offered to :attr:`run_inline`.  If that executes
+        it, the job is never pushed: its ticket receives ``queued``,
+        ``running``, its progress and its terminal event before this returns.
+
         Once :meth:`stop_workers` has been called the backlog is already
         abandoned and no worker will ever pull again, so a late submission
         is failed immediately — its ticket resolves (and its events fire)
@@ -203,10 +216,14 @@ class RequestQueue:
             return ticket
         job = self._inflight.get(key)
         coalesced = job is not None
+        ran = None
         if job is None:
             job = Job(key, request, priority)
-            self._inflight[key] = job
-            self._push_pending(job)
+            if self.run_inline is not None:
+                ran = self.run_inline(job)
+            if ran is None:
+                self._inflight[key] = job
+                self._push_pending(job)
         elif priority > job.priority and job.state == "queued":
             # A coalesced ticket may raise a pending job's priority: push a
             # fresh heap entry; the old (lower) one is skipped at pop time.
@@ -219,7 +236,19 @@ class RequestQueue:
         if coalesced:
             self.coalesced += 1
         ticket.notify(job.state)  # "queued", or "running" when coalescing late
+        if ran is not None:
+            self._finish_inline(job, *ran)
         return ticket
+
+    def _finish_inline(self, job: Job, progress: list[dict], outcome: dict) -> None:
+        """Replay a job :attr:`run_inline` executed: running, progress, outcome."""
+        self.inline += 1
+        job.state = "running"  # job.started is when the inline execution began
+        for ticket in job.live_tickets:
+            ticket.notify("running")
+        for payload in progress:
+            self.deliver_progress(job, payload)
+        self.finish(job, **outcome)
 
     # ------------------------------------------------------------------ workers
     async def next_job(self) -> Job | None:
@@ -304,7 +333,7 @@ class RequestQueue:
         for ticket in job.tickets:
             self._retire(ticket)
 
-    def stop_workers(self, count: int) -> None:
+    def stop_workers(self) -> None:
         """Stop dispatching: wake every waiting worker and abandon the backlog."""
         self.stopping = True
         self._pending_wakeup.set()
@@ -392,4 +421,5 @@ class RequestQueue:
             "failed": self.failed,
             "cancelled": self.cancelled,
             "interrupted": self.interrupted,
+            "inline": self.inline,
         }

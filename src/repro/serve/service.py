@@ -14,8 +14,9 @@ ways, all speaking the same typed requests:
   stdin/stdout for single-operator and subprocess use.
 
 The request lifecycle (``queued → running → done/failed/cancelled``,
-coalescing, cooperative cancellation of running jobs, ``stream`` progress
-events) is documented in ``docs/serving.md``; the architecture map in
+inline answers of jobs whose inputs are all resident, coalescing,
+cooperative cancellation of running jobs, ``stream`` progress events) is
+documented in ``docs/serving.md``; the architecture map in
 ``docs/architecture.md`` places this layer at the top of the stack.
 """
 
@@ -131,6 +132,7 @@ class ExperimentService:
         self.queue = RequestQueue()
         self.queue.on_finish = self._on_job_finish
         self.pool = WorkerPool(self.queue, self.session, workers=workers, executor=executor)
+        self.queue.run_inline = self.pool.run_inline
         self.totals = RunStats()
         self._started = False
         self._shutdown = asyncio.Event()

@@ -3,13 +3,16 @@
 Each worker is an asyncio task that pulls jobs off the
 :class:`~repro.serve.queue.RequestQueue` and executes them on a thread
 (``asyncio.to_thread``), so the event loop stays responsive while numpy does
-the heavy lifting.  Every job runs under a *stats view* of the shared
-:class:`~repro.runtime.session.RuntimeSession`: a private session whose cache
-and trace store delegate to the shared ones (so all jobs reuse one warm
-``ResultCache`` + ``TraceStore``) but count hits/misses/stores, sweep work and
-trace builds into per-job counters — which is how each response can report
-exactly what *its* request cost.  Thread-scoped session activation (see
-:mod:`repro.runtime.session`) keeps concurrent jobs from interfering.
+the heavy lifting.  A new job whose every input is already resident (memo
+hits, built traces) is answered on the event loop instead, before it would
+be queued (:meth:`WorkerPool.run_inline`).  Every job runs under a *stats
+view* of the shared :class:`~repro.runtime.session.RuntimeSession`: a
+private session whose cache and trace store delegate to the shared ones (so
+all jobs reuse one warm ``ResultCache`` + ``TraceStore``) but count
+hits/misses/stores, sweep work and trace builds into per-job counters —
+which is how each response can report exactly what *its* request cost.
+Thread-scoped session activation (see :mod:`repro.runtime.session`) keeps
+concurrent jobs from interfering.
 
 ``docs/serving.md`` describes the execution model; ``docs/runtime.md`` the
 session semantics underneath it.
@@ -18,10 +21,12 @@ session semantics underneath it.
 from __future__ import annotations
 
 import asyncio
+import time
 
 from repro.core.progress import ProgressToken, SweepCancelled
 from repro.runtime import RuntimeSession, simulate, use_session
 from repro.runtime.cache import CacheStats
+from repro.runtime.jobs import plan_hook
 from repro.runtime.serialization import network_result_to_dict
 from repro.serve.protocol import (
     ExperimentRequest,
@@ -29,16 +34,25 @@ from repro.serve.protocol import (
     ServeRequest,
     SimulateRequest,
 )
-from repro.serve.queue import RequestQueue
+from repro.serve.queue import Job, RequestQueue
 
-__all__ = ["WorkerPool", "execute_request", "job_session"]
+__all__ = ["NotResident", "WorkerPool", "execute_request", "job_session"]
+
+
+class NotResident(Exception):
+    """A resident-only execution needed more than this process holds."""
 
 
 class _CacheView:
-    """Per-job counting facade over the shared :class:`ResultCache`."""
+    """Per-job counting facade over the shared :class:`ResultCache`.
 
-    def __init__(self, inner) -> None:
+    A ``resident_only`` view raises :class:`NotResident` instead of a miss,
+    a backend read, a due LRU touch or a store.
+    """
+
+    def __init__(self, inner, resident_only: bool = False) -> None:
         self._inner = inner
+        self.resident_only = resident_only
         self.stats = CacheStats()
 
     def _delegate(self, operation, *args, **kwargs):
@@ -49,8 +63,12 @@ class _CacheView:
         return result
 
     def get(self, key: str, kind: str = "network_result"):
-        payload = self._delegate(self._inner.get, key, kind=kind)
+        payload = self._delegate(
+            self._inner.get, key, kind=kind, resident_only=self.resident_only
+        )
         if payload is None:
+            if self.resident_only:
+                raise NotResident(key)
             self.stats.misses += 1
         else:
             self.stats.hits += 1
@@ -60,6 +78,8 @@ class _CacheView:
         return self._delegate(self._inner.contains, key, kind=kind)
 
     def put(self, key: str, payload: dict, kind: str = "network_result") -> None:
+        if self.resident_only:
+            raise NotResident(key)
         self._delegate(self._inner.put, key, payload, kind=kind)
         self.stats.stores += 1
 
@@ -68,15 +88,21 @@ class _CacheView:
 
 
 class _TraceView:
-    """Per-job counting facade over the shared :class:`TraceStore`."""
+    """Per-job counting facade over the shared :class:`TraceStore`.
 
-    def __init__(self, inner) -> None:
+    A ``resident_only`` view raises :class:`NotResident` instead of building.
+    """
+
+    def __init__(self, inner, resident_only: bool = False) -> None:
         self._inner = inner
+        self.resident_only = resident_only
         self.builds = 0
         self.reuses = 0
 
     def get(self, spec):
-        trace, built = self._inner.fetch(spec)
+        trace, built = self._inner.fetch(spec, build=not self.resident_only)
+        if trace is None:
+            raise NotResident(spec)
         if built:
             self.builds += 1
         else:
@@ -88,7 +114,9 @@ class _TraceView:
 
 
 def job_session(
-    shared: RuntimeSession, progress: ProgressToken | None = None
+    shared: RuntimeSession,
+    progress: ProgressToken | None = None,
+    resident_only: bool = False,
 ) -> RuntimeSession:
     """A stats view of ``shared``: same cache and traces, private counters.
 
@@ -96,9 +124,25 @@ def job_session(
     worker's internal-op executor) builds its per-job session this way.
     """
     return RuntimeSession(
-        cache=_CacheView(shared.cache),
-        traces=_TraceView(shared.traces),
+        cache=_CacheView(shared.cache, resident_only),
+        traces=_TraceView(shared.traces, resident_only),
         progress=progress,
+    )
+
+
+def _declares_inputs(request: ServeRequest) -> bool:
+    """Whether a warm run of ``request`` is only cache reads plus assembly:
+    a ``simulate``, or an experiment that declares ``plan`` (the others
+    compute from traces or analytically, and ``run_all`` runs them all).
+    """
+    from repro.experiments.runner import EXPERIMENTS
+
+    if isinstance(request, SimulateRequest):
+        return True
+    return (
+        isinstance(request, ExperimentRequest)
+        and request.experiment in EXPERIMENTS
+        and plan_hook(request.experiment) is not None
     )
 
 
@@ -106,6 +150,7 @@ def execute_request(
     request: ServeRequest,
     shared: RuntimeSession,
     progress: ProgressToken | None = None,
+    resident_only: bool = False,
 ) -> tuple[dict, dict]:
     """Execute one typed request against the shared session (worker thread).
 
@@ -119,12 +164,18 @@ def execute_request(
     ticket cancelled) and per-layer/per-network progress events flow back
     through it.  ``run_all`` additionally emits one ``experiment_done`` event
     with the partial result after each experiment completes.
+
+    ``resident_only`` (:meth:`WorkerPool.run_inline`) raises
+    :class:`NotResident` unless the request declares its inputs and every one
+    of them is resident, so the attempt performs no I/O and builds nothing.
     """
     from repro.experiments.runner import EXPERIMENTS, run_experiment
 
+    if resident_only and not _declares_inputs(request):
+        raise NotResident(request.op)
     if progress is not None:
         progress.checkpoint()
-    view = job_session(shared, progress)
+    view = job_session(shared, progress, resident_only)
     with use_session(view):
         if isinstance(request, ExperimentRequest):
             result = run_experiment(
@@ -174,6 +225,8 @@ class WorkerPool:
     without changing the queue, ticketing, or cancellation machinery.  Either
     way the signature is ``executor(request, session, token) -> (payload,
     stats_dict)`` and a cancelled execution raises :class:`SweepCancelled`.
+    A thread executor also takes ``resident_only=True`` for
+    :meth:`run_inline`; an ``async def`` one never runs inline.
     """
 
     def __init__(
@@ -189,6 +242,7 @@ class WorkerPool:
         self.session = session
         self.workers = workers
         self.executor = executor if executor is not None else execute_request
+        self._awaits = asyncio.iscoroutinefunction(self.executor)
         self._tasks: list[asyncio.Task] = []
 
     async def start(self) -> None:
@@ -208,10 +262,35 @@ class WorkerPool:
         still waiting in the queue is completed with an error so its tickets
         unblock instead of hanging.
         """
-        self.queue.stop_workers(len(self._tasks))
+        self.queue.stop_workers()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks = []
         self.queue.abandon_pending()
+
+    def run_inline(self, job: Job) -> tuple[list[dict], dict] | None:
+        """Execute a new ``job`` on the event loop if all it reads is resident.
+
+        Returns the progress events it emitted and its outcome (keyword
+        arguments of :meth:`RequestQueue.finish`), or ``None``, having
+        counted and emitted nothing, when the job must be queued instead.
+        """
+        if self._awaits:
+            return None
+        progress: list[dict] = []
+        job.token.on_progress = progress.append
+        started = time.perf_counter()
+        try:
+            payload, stats = self.executor(
+                job.request, self.session, job.token, resident_only=True
+            )
+        except NotResident:
+            return None
+        except Exception as error:  # noqa: BLE001 - failures become responses
+            outcome = {"error": f"{type(error).__name__}: {error}"}
+        else:
+            outcome = {"result": payload, "stats": stats}
+        job.started = started
+        return progress, outcome
 
     async def _worker(self, index: int) -> None:
         loop = asyncio.get_running_loop()
@@ -228,7 +307,7 @@ class WorkerPool:
             )
             self.queue.mark_running(job)
             try:
-                if asyncio.iscoroutinefunction(self.executor):
+                if self._awaits:
                     payload, stats = await self.executor(
                         job.request, self.session, job.token
                     )

@@ -45,7 +45,7 @@ from repro.experiments.base import get_preset
 from repro.cachenet import CacheServer
 from repro.runtime import SimulationRequest, StatisticsRequest, TraceArtifactStore, TraceSpec
 from repro.serve.cli import reap, spawn_server
-from repro.serve.protocol import ExperimentRequest, ProtocolError
+from repro.serve.protocol import ExperimentRequest, ProtocolError, SimulateRequest
 from repro.serve.service import ConnectionContext, ExperimentService
 
 #: Tiny fast-preset override so cluster simulations take seconds.
@@ -227,6 +227,27 @@ class TestWorkerService:
 
         run(scenario())
 
+    def test_planned_jobs_never_run_inline(self, tmp_path):
+        """A ``sim_job`` whose units are all memo-resident still runs on a
+        worker thread: internal ops are never answered on the event loop."""
+
+        async def scenario():
+            async with WorkerService(cache_dir=tmp_path, workers=1, auth_token=TOKEN) as service:
+                job = SimulationJobRequest(
+                    SimulationRequest(
+                        trace=TraceSpec(network="alexnet"),
+                        configs=tuple(fig9_variants().items())[:1],
+                        sampling=SamplingConfig(max_pallets=2),
+                    )
+                )
+                for simulated in (1, 0):
+                    response = await service.wait(await service.submit(job))
+                    assert response["event"] == "done"
+                    assert response["stats"]["sweep"]["configs_simulated"] == simulated
+                assert service.stats()["queue"]["inline"] == 0
+
+        run(scenario())
+
     def test_unauthenticated_connection_rejected_before_queue(self, tmp_path):
         async def scenario():
             service = WorkerService(cache_dir=tmp_path, workers=1, auth_token=TOKEN)
@@ -336,6 +357,28 @@ class TestClusterExecution:
         async def scenario():
             async with _Cluster(tmp_path / "cache") as cluster:
                 await _exactly_once_then_warm(cluster.coordinator)
+
+        run(scenario())
+
+    def test_a_repeated_hot_simulate_is_answered_inline_by_a_worker(self, tmp_path):
+        """The coordinator queues every request (its executor is async), and
+        the worker that ran the first simulate answers the repeat inline."""
+
+        async def scenario():
+            async with _Cluster(tmp_path / "cache") as cluster:
+                request = SimulateRequest(
+                    network="alexnet", overrides=(("max_pallets", 2),)
+                )
+                responses = []
+                for _ in range(2):
+                    ticket = await cluster.coordinator.submit(request)
+                    responses.append(await cluster.coordinator.wait(ticket))
+                assert [r["event"] for r in responses] == ["done", "done"]
+                assert responses[1]["stats"]["sweep"]["configs_simulated"] == 0
+                assert responses[1]["result"]["cluster"]["worker_execution_seconds"] > 0
+                inline = [worker.stats()["queue"]["inline"] for worker in cluster.workers]
+                assert sorted(inline) == [0, 1]
+                assert cluster.coordinator.queue.inline == 0
 
         run(scenario())
 

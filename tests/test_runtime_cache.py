@@ -114,6 +114,17 @@ class TestDiskCache:
         assert not memory.contains("k", kind="statistics_result")
         assert memory.contains("k", kind="network_result")
 
+    def test_a_resident_only_get_answers_from_the_memo_alone(self, tmp_path, monkeypatch):
+        ResultCache(directory=tmp_path).put("k", PAYLOAD)
+        cache = ResultCache(directory=tmp_path)
+        assert cache.get("k", resident_only=True) is None  # on disk only
+        assert cache.stats.as_dict() == {"hits": 0, "misses": 0, "stores": 0, "errors": 0}
+        assert cache.get("k") == PAYLOAD  # the backend read fills the memo
+        assert cache.get("k", resident_only=True) == PAYLOAD
+        monkeypatch.setattr("repro.runtime.cache.USE_GRANULARITY", 0.0)
+        assert cache.get("k", resident_only=True) is None  # its LRU touch is due
+        assert cache.stats.hits == 2
+
 
 class TestTraceStore:
     def test_builds_each_spec_once(self):
@@ -124,6 +135,14 @@ class TestTraceStore:
         assert first is second
         assert store.builds == 1
         assert store.reuses == 1
+
+    def test_fetch_without_build_answers_only_a_stored_trace(self):
+        store = TraceStore()
+        spec = TraceSpec(network="alexnet", seed=3)
+        assert store.fetch(spec, build=False) == (None, False)
+        assert (store.builds, store.reuses, len(store)) == (0, 0, 0)
+        trace = store.get(spec)
+        assert store.fetch(spec, build=False) == (trace, False)
 
     def test_distinct_specs_build_distinct_traces(self):
         store = TraceStore()

@@ -7,12 +7,14 @@ reports ``simulated 0 configs``).
 """
 
 import asyncio
+import collections
 import dataclasses
 import io
 import json
 import os
 import socket
 import sys
+import threading
 from dataclasses import dataclass
 
 import pytest
@@ -24,6 +26,7 @@ from repro.cachenet.cli import main as cacheserve_main
 from repro.cluster.cli import main as cluster_main
 from repro.experiments.runner import main as runner_main
 from repro.loadgen.cli import main as loadgen_main
+from repro.runtime.backends import FilesystemBackend
 from repro.serve import (
     ConnectionContext,
     ExperimentRequest,
@@ -362,7 +365,7 @@ class TestRequestQueue:
             queue = RequestQueue()
             first = queue.submit(StubRequest("a"))
             second = queue.submit(StubRequest("b"))
-            queue.stop_workers(1)
+            queue.stop_workers()
             # Workers get None immediately; the backlog is not executed.
             assert await queue.next_job() is None
             assert queue.abandon_pending() == 2
@@ -378,7 +381,7 @@ class TestRequestQueue:
         # enqueued behind drained workers and its ticket hung forever.
         async def scenario():
             queue = RequestQueue()
-            queue.stop_workers(1)
+            queue.stop_workers()
             queue.abandon_pending()
             events = []
             ticket = queue.submit(
@@ -874,8 +877,9 @@ class TestConcurrentServing:
     @pytest.mark.slow
     def test_warm_server_answers_concurrent_fig9_fast_without_recompute(self, tmp_path):
         """Acceptance: two concurrent identical ``fig9 --preset fast`` requests
-        against a warm-cache server cost exactly one cached, zero-recompute
-        simulation pass, proven by the RunStats counters in the responses."""
+        against a warm-cache server are each answered inline from memo hits,
+        recomputing nothing, as the RunStats counters in the responses show.
+        Neither waits in the queue, so neither coalesces."""
 
         async def scenario():
             async with ExperimentService(cache_dir=tmp_path, workers=2) as service:
@@ -887,13 +891,13 @@ class TestConcurrentServing:
                     # Warm the shared cache through the server itself.
                     cold = await client.run_experiment("fig9", preset="fast")
                     assert cold.ok and cold.stats.sweep.configs_simulated > 0
-                    # Two concurrent identical requests: one job, zero recompute.
+                    # Two concurrent identical requests: each inline, zero recompute.
                     a, b = await asyncio.gather(
                         client.run_experiment("fig9", preset="fast"),
                         other.run_experiment("fig9", preset="fast"),
                     )
                     assert a.ok and b.ok
-                    assert sorted((a.coalesced, b.coalesced)) == [False, True]
+                    assert (a.coalesced, b.coalesced) == (False, False)
                     for response in (a, b):
                         assert response.stats.sweep.configs_simulated == 0
                         assert response.stats.cache.misses == 0
@@ -901,7 +905,8 @@ class TestConcurrentServing:
                     assert a.result == cold.result == b.result
                     stats = await client.stats()
                     assert stats["queue"]["submitted"] == 3
-                    assert stats["queue"]["completed"] == 2  # cold + one warm job
+                    assert stats["queue"]["inline"] == 2
+                    assert stats["queue"]["completed"] == 3  # cold + both warm jobs
                     await client.close()
                     await other.close()
 
@@ -915,6 +920,42 @@ WARM_MESSAGES = [
     {"op": "simulate", "network": "alexnet", "variants": "fig9", "overrides": TINY},
     {"op": "run_experiment", "experiment": "fig9", "overrides": TINY},
 ]
+SIMULATE, FIG9 = WARM_MESSAGES
+
+
+class _CountingBackend(FilesystemBackend):
+    """A disk backend counting the cache's calls, and how many of them ran on
+    the event loop's thread (``asyncio.run`` runs it on the main thread)."""
+
+    def __init__(self, directory) -> None:
+        super().__init__(directory)
+        self.calls: collections.Counter = collections.Counter()
+
+    def _count(self, name: str) -> None:
+        self.calls[name] += 1
+        if threading.current_thread() is threading.main_thread():
+            self.calls["on the loop"] += 1
+
+    def load(self, key, kind):
+        self._count("load")
+        return super().load(key, kind)
+
+    def probe(self, key, kind):
+        self._count("probe")
+        return super().probe(key, kind)
+
+    def store(self, key, payload, kind):
+        self._count("store")
+        super().store(key, payload, kind)
+
+    def touch(self, key):
+        self._count("touch")
+        super().touch(key)
+
+
+async def _answer(service: ExperimentService, message: dict) -> dict:
+    """Submit one wire message in process and wait for its terminal payload."""
+    return await service.wait(await service.submit(parse_request(message)))
 
 
 class TestWarmHits:
@@ -953,6 +994,170 @@ class TestWarmHits:
                     assert done["stats"]["sweep"]["configs_simulated"] == 0
                     expected, _ = execute_request(parse_request(message), service.session)
                     assert done["result"] == decode(encode(expected))
+
+        run(scenario())
+
+    def test_a_memo_resident_simulate_runs_inline_without_a_backend_call(self, tmp_path):
+        backend = _CountingBackend(tmp_path)
+
+        async def scenario():
+            async with ExperimentService(cache_backend=backend, workers=1) as service:
+                cold = await _answer(service, SIMULATE)
+                assert cold["stats"]["sweep"]["configs_simulated"] == 5
+                assert service.queue.inline == 0
+                backend.calls.clear()
+                warm = await _answer(service, SIMULATE)
+                assert warm["event"] == "done"
+                assert warm["stats"]["cache"] == {"hits": 5, "misses": 0, "stores": 0, "errors": 0}
+                assert warm["timings"]["queue_wait_seconds"] < 0.01
+                assert service.stats()["queue"]["inline"] == 1
+                assert not backend.calls
+
+        run(scenario())
+
+    def test_a_repeat_warm_only_on_disk_loads_on_a_worker_then_runs_inline(self, tmp_path):
+        async def scenario():
+            async with ExperimentService(cache_dir=tmp_path, workers=1) as service:
+                await _answer(service, SIMULATE)
+            backend = _CountingBackend(tmp_path)
+            async with ExperimentService(cache_backend=backend, workers=1) as fresh:
+                first = await _answer(fresh, SIMULATE)
+                assert first["stats"]["cache"]["hits"] == 5
+                assert first["stats"]["sweep"]["configs_simulated"] == 0
+                assert fresh.queue.inline == 0
+                assert backend.calls == {"load": 5}  # none on the loop
+                backend.calls.clear()
+                await _answer(fresh, SIMULATE)
+                assert fresh.queue.inline == 1
+                assert not backend.calls
+
+        run(scenario())
+
+    def test_a_due_lru_touch_is_made_on_a_worker(self, tmp_path, monkeypatch):
+        backend = _CountingBackend(tmp_path)
+
+        async def scenario():
+            async with ExperimentService(cache_backend=backend, workers=1) as service:
+                await _answer(service, SIMULATE)
+                monkeypatch.setattr("repro.runtime.cache.USE_GRANULARITY", 0.0)
+                backend.calls.clear()
+                warm = await _answer(service, SIMULATE)
+                assert warm["stats"]["cache"]["hits"] == 5
+                assert service.queue.inline == 0
+                assert backend.calls == {"touch": 5}  # none on the loop
+
+        run(scenario())
+
+    def test_a_partly_resident_fig9_falls_back_and_streams_each_event_once(self, tmp_path):
+        """The inline attempt reads AlexNet's units, misses VGG-M's and is
+        dropped: its progress events and counters reach nobody."""
+        from repro.experiments import fig9
+        from repro.serve.workers import execute_request
+
+        message = {"op": "run_experiment", "experiment": "fig9", "overrides": TINY2}
+        request = parse_request(message)
+
+        async def scenario():
+            async with ExperimentService(cache_dir=tmp_path, workers=1) as service:
+                server = await service.serve_tcp("127.0.0.1", 0)
+                port = server.sockets[0].getsockname()[1]
+                async with server:
+                    client = await ServeClient.connect("127.0.0.1", port)
+                    assert (await client.job(message)).ok
+                    alexnet, vgg_m = fig9.plan(request.resolved_preset(), request.seed)
+                    assert vgg_m.trace.network == "vgg_m"
+                    for key in vgg_m.keys().values():
+                        service.session.cache._memo_drop(key)
+                    events = [event async for event in client.stream(message)]
+                    await client.close()
+                assert service.queue.inline == 0
+                progress = [
+                    (event["progress"]["stage"], event["progress"].get("network"))
+                    for event in events
+                    if event["event"] == "progress"
+                ]
+                assert progress == [
+                    ("experiment", None), ("network", "alexnet"), ("network", "vgg_m")
+                ]
+                _, thread_path = execute_request(request, service.session)
+                assert events[-1]["stats"] == thread_path
+                assert thread_path["cache"]["hits"] == 10
+
+        run(scenario())
+
+    def test_a_fig9_whose_trace_is_not_built_builds_it_on_a_worker(self, tmp_path, monkeypatch):
+        from repro.runtime import TraceSpec
+
+        build = TraceSpec.build
+        builders = []
+
+        def recording_build(spec, *args, **kwargs):
+            builders.append(threading.current_thread())
+            return build(spec, *args, **kwargs)
+
+        async def scenario():
+            async with ExperimentService(cache_dir=tmp_path, workers=1) as service:
+                await _answer(service, FIG9)
+            monkeypatch.setattr(TraceSpec, "build", recording_build)
+            async with ExperimentService(cache_dir=tmp_path, workers=1) as fresh:
+                # The simulate op reads fig9's units into the memo, and needs
+                # no trace to do it.
+                await _answer(fresh, SIMULATE)
+                assert builders == []
+                response = await _answer(fresh, FIG9)
+                assert response["event"] == "done"
+                assert response["stats"]["traces_built"] == 1
+                assert fresh.queue.inline == 0
+                assert len(builders) == 1
+                assert builders[0] is not threading.main_thread()
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            {"op": "run_experiment", "experiment": "table2", "overrides": TINY},
+            {"op": "run_all", "overrides": TINY},
+        ],
+        ids=["table2", "run_all"],
+    )
+    def test_requests_that_compute_outside_the_cache_never_run_inline(self, message):
+        async def scenario():
+            async with ExperimentService(cache_dir=None, workers=1) as service:
+                first = await _answer(service, message)
+                again = await _answer(service, message)
+                assert first["event"] == again["event"] == "done"
+                assert again["stats"]["cache"]["misses"] == 0
+                assert again["stats"]["sweep"]["configs_simulated"] == 0
+                assert service.queue.inline == 0
+
+        run(scenario())
+
+    def test_an_inline_failure_ends_failed_and_the_connection_answers_on(self, monkeypatch):
+        def broken(result):
+            raise RuntimeError("boom")
+
+        async def scenario():
+            async with ExperimentService(cache_dir=None, workers=1) as service:
+                server = await service.serve_tcp("127.0.0.1", 0)
+                port = server.sockets[0].getsockname()[1]
+                async with server:
+                    client = await ServeClient.connect("127.0.0.1", port)
+                    assert (await client.job(SIMULATE)).ok
+                    monkeypatch.setattr("repro.serve.workers.network_result_to_dict", broken)
+                    inline = await client.job(SIMULATE)
+                    assert inline.events == ["queued", "running", "failed"]
+                    assert service.queue.inline == 1
+                    # A due LRU touch sends the same request to a worker thread.
+                    monkeypatch.setattr("repro.runtime.cache.USE_GRANULARITY", 0.0)
+                    threaded = await client.job(SIMULATE)
+                    assert service.queue.inline == 1
+                    assert inline.error == threaded.error == "RuntimeError: boom"
+                    monkeypatch.undo()
+                    assert (await client.job(SIMULATE)).ok
+                    stats = await client.stats()
+                    assert (stats["queue"]["inline"], stats["queue"]["failed"]) == (2, 2)
+                    await client.close()
 
         run(scenario())
 
