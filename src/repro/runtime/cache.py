@@ -28,6 +28,7 @@ layout, the GC policy and the backend interface are documented in
 from __future__ import annotations
 
 import collections
+import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -103,6 +104,10 @@ class ResultCache:
         self._memory: collections.OrderedDict[tuple[str, str], list] = (
             collections.OrderedDict()
         )
+        #: Serve's event loop and worker threads share the memo: without the
+        #: lock, an eviction between a read's ``get`` and ``move_to_end``
+        #: makes the read raise ``KeyError``.
+        self._memo_lock = threading.Lock()
 
     @property
     def directory(self) -> Path | None:
@@ -116,20 +121,23 @@ class ResultCache:
 
     # ------------------------------------------------------------------- memo
     def _memo_get(self, key: str, kind: str) -> list | None:
-        slot = self._memory.get((key, kind))
-        if slot is not None:
-            self._memory.move_to_end((key, kind))
-        return slot
+        with self._memo_lock:
+            slot = self._memory.get((key, kind))
+            if slot is not None:
+                self._memory.move_to_end((key, kind))
+            return slot
 
     def _memo_put(self, key: str, kind: str, payload: dict) -> None:
-        self._memory[(key, kind)] = [payload, time.monotonic()]
-        self._memory.move_to_end((key, kind))
-        while len(self._memory) > self.memo_entries:
-            self._memory.popitem(last=False)
+        with self._memo_lock:
+            self._memory[(key, kind)] = [payload, time.monotonic()]
+            self._memory.move_to_end((key, kind))
+            while len(self._memory) > self.memo_entries:
+                self._memory.popitem(last=False)
 
     def _memo_drop(self, key: str) -> None:
-        for memo_key in [mk for mk in self._memory if mk[0] == key]:
-            del self._memory[memo_key]
+        with self._memo_lock:
+            for memo_key in [mk for mk in self._memory if mk[0] == key]:
+                del self._memory[memo_key]
 
     # ----------------------------------------------------------------- lookup
     def get(
@@ -245,7 +253,8 @@ class ResultCache:
     def clear(self) -> int:
         """Remove every entry (backend and memo); returns backend entries removed."""
         removed = self.backend.clear()
-        self._memory.clear()
+        with self._memo_lock:
+            self._memory.clear()
         return removed
 
     def __len__(self) -> int:

@@ -2,6 +2,9 @@
 
 import gzip
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -113,6 +116,40 @@ class TestDiskCache:
         assert memory.get("k", kind="statistics_result") is None
         assert not memory.contains("k", kind="statistics_result")
         assert memory.contains("k", kind="network_result")
+
+    def test_memo_reads_survive_concurrent_evictions(self):
+        """Threads reading the memo while others fill and evict it (serve's
+        event loop beside its worker threads) never see a torn memo."""
+        cache = ResultCache(memo_entries=1)
+        errors = []
+        deadline = time.monotonic() + 1.0
+
+        def read():
+            while time.monotonic() < deadline and not errors:
+                for key in ("a", "b"):
+                    try:
+                        cache.get(key)
+                    except Exception as error:  # noqa: BLE001 - the invariant under test
+                        errors.append(error)
+
+        def write():
+            while time.monotonic() < deadline and not errors:
+                for key in ("a", "b"):
+                    cache.put(key, PAYLOAD)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(3)]
+            threads += [threading.Thread(target=write) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
     def test_a_resident_only_get_answers_from_the_memo_alone(self, tmp_path, monkeypatch):
         ResultCache(directory=tmp_path).put("k", PAYLOAD)

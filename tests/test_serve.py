@@ -1015,6 +1015,21 @@ class TestWarmHits:
 
         run(scenario())
 
+    def test_an_inline_job_ends_before_a_cancel_and_a_stopped_service_runs_none(self):
+        async def scenario():
+            service = ExperimentService(cache_dir=None, workers=1)
+            async with service:
+                await _answer(service, SIMULATE)
+                ticket = await service.submit(parse_request(SIMULATE))
+                assert (ticket.state, service.queue.inline) == ("done", 1)
+                cancel = service.cancel(ticket.ticket_id)
+                assert cancel == {"event": "error", "error": f"unknown ticket {ticket.ticket_id!r}"}
+            late = await _answer(service, SIMULATE)
+            assert late["event"] == "failed" and "rejected" in late["error"]
+            assert service.queue.inline == 1
+
+        run(scenario())
+
     def test_a_repeat_warm_only_on_disk_loads_on_a_worker_then_runs_inline(self, tmp_path):
         async def scenario():
             async with ExperimentService(cache_dir=tmp_path, workers=1) as service:
