@@ -41,9 +41,7 @@ from repro.cluster.plan import (
 __all__ = ["WorkerService", "execute_worker_request"]
 
 
-def execute_worker_request(
-    request, shared: RuntimeSession, progress=None, resident_only: bool = False
-):
+def execute_worker_request(request, shared: RuntimeSession, progress=None):
     """Execute one request, including the internal planned-job types.
 
     ``sim_job``/``stat_job`` run through the exact engine funnels the local
@@ -51,12 +49,8 @@ def execute_worker_request(
     :func:`~repro.runtime.engine.analyze`), under a per-job stats view of the
     shared session — results land in the shared cache under their planned
     keys and only the counters travel back.  Everything else falls through to
-    the standard :func:`~repro.serve.workers.execute_request`, and so does
-    every ``resident_only`` attempt: it refuses the internal ops, which never
-    run inline.
+    the standard :func:`~repro.serve.workers.execute_request`.
     """
-    if resident_only:
-        return execute_request(request, shared, progress, resident_only=True)
     if isinstance(request, SimulationJobRequest):
         if progress is not None:
             progress.checkpoint()

@@ -225,8 +225,9 @@ class WorkerPool:
     without changing the queue, ticketing, or cancellation machinery.  Either
     way the signature is ``executor(request, session, token) -> (payload,
     stats_dict)`` and a cancelled execution raises :class:`SweepCancelled`.
-    A thread executor also takes ``resident_only=True`` for
-    :meth:`run_inline`; an ``async def`` one never runs inline.
+    Beside a thread executor, :meth:`run_inline` answers a job whose inputs
+    are all resident with :func:`execute_request` itself; beside an ``async
+    def`` one nothing runs inline.
     """
 
     def __init__(
@@ -271,8 +272,10 @@ class WorkerPool:
         """Execute a new ``job`` on the event loop if all it reads is resident.
 
         Returns the progress events it emitted and its outcome (keyword
-        arguments of :meth:`RequestQueue.finish`), or ``None``, having
-        counted and emitted nothing, when the job must be queued instead.
+        arguments of :meth:`RequestQueue.finish`), or ``None`` when the job
+        must be queued instead.  An abandoned attempt emits no event and its
+        per-job view's counters are dropped, but the shared cache and trace
+        store keep the hits it read before it gave up.
         """
         if self._awaits:
             return None
@@ -280,7 +283,7 @@ class WorkerPool:
         job.token.on_progress = progress.append
         started = time.perf_counter()
         try:
-            payload, stats = self.executor(
+            payload, stats = execute_request(
                 job.request, self.session, job.token, resident_only=True
             )
         except NotResident:

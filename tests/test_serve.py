@@ -1065,7 +1065,8 @@ class TestWarmHits:
 
     def test_a_partly_resident_fig9_falls_back_and_streams_each_event_once(self, tmp_path):
         """The inline attempt reads AlexNet's units, misses VGG-M's and is
-        dropped: its progress events and counters reach nobody."""
+        dropped: its progress events and per-job counters reach nobody, but
+        the shared cache keeps the hits it read."""
         from repro.experiments import fig9
         from repro.serve.workers import execute_request
 
@@ -1083,9 +1084,13 @@ class TestWarmHits:
                     assert vgg_m.trace.network == "vgg_m"
                     for key in vgg_m.keys().values():
                         service.session.cache._memo_drop(key)
+                    hits = service.session.cache.stats.hits
                     events = [event async for event in client.stream(message)]
                     await client.close()
                 assert service.queue.inline == 0
+                # AlexNet's 5 hits in the abandoned attempt, then the thread
+                # path's 10.
+                assert service.session.cache.stats.hits - hits == 15
                 progress = [
                     (event["progress"]["stage"], event["progress"].get("network"))
                     for event in events
