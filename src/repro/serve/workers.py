@@ -167,7 +167,8 @@ def execute_request(
 
     ``resident_only`` (:meth:`WorkerPool.run_inline`) raises
     :class:`NotResident` unless the request declares its inputs and every one
-    of them is resident, so the attempt performs no I/O and builds nothing.
+    of them is resident, so the attempt makes no cache-backend call and
+    builds nothing.
     """
     from repro.experiments.runner import EXPERIMENTS, run_experiment
 
