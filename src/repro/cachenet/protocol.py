@@ -75,7 +75,9 @@ def read_frame(stream: BinaryIO) -> dict | None:
         raise FrameError("connection closed mid-frame")
     try:
         message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (ValueError, RecursionError) as error:
+        # Invalid UTF-8 or JSON, nesting too deep to recurse into, or an
+        # integer longer than Python converts.
         raise FrameError(f"frame body is not JSON: {error}") from error
     if not isinstance(message, dict):
         raise FrameError("frame body is not a JSON object")

@@ -14,7 +14,8 @@ gives the cluster a private temporary directory (useful for tests and
 benchmarks, wrong for durable deployments).  ``--cache-backend`` replaces
 the shared cache directory as the result tier with a network cache tier
 (``remote://host:port``, see ``docs/cachenet.md``); ``--cache-dir`` then
-only anchors the trace fabric.  Every worker demands a token:
+anchors nothing, although spawned workers still receive it.  Every worker
+demands a token:
 ``--worker-token`` (or ``REPRO_SERVE_TOKEN``) supplies the secret, which
 spawned workers inherit through their environment; a separate
 ``--auth-token`` protects the client-facing endpoint.  A cluster that
@@ -89,20 +90,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="SPEC",
         help="network cache tier every worker mounts instead of the shared "
-        "directory: remote://HOST:PORT (see docs/cachenet.md); --cache-dir "
-        "then only anchors the trace fabric",
-    )
-    parser.add_argument(
-        "--trace-dir",
-        default=None,
-        metavar="DIR",
-        help="trace-fabric directory every worker shares "
-        "(default: <cache-dir>/traces)",
-    )
-    parser.add_argument(
-        "--no-trace-cache",
-        action="store_true",
-        help="disable the trace fabric on every worker",
+        "directory: remote://HOST:PORT (see docs/cachenet.md)",
     )
     parser.add_argument(
         "--worker-token",
@@ -136,8 +124,6 @@ def main(argv: list[str] | None = None) -> int:
         worker_processes=args.worker_processes,
         worker_token=args.worker_token,
         auth_token=args.auth_token,
-        trace_dir=args.trace_dir,
-        no_trace_cache=args.no_trace_cache,
         cache_backend=args.cache_backend,
     )
 

@@ -57,7 +57,6 @@ from pathlib import Path
 from repro.core.progress import SweepCancelled
 from repro.runtime import RunStats
 from repro.runtime.jobs import build_plan
-from repro.runtime.session import resolve_trace_dir
 from repro.serve.cli import reap, spawn_server
 from repro.serve.client import ServeClient
 from repro.serve.protocol import (
@@ -214,18 +213,12 @@ class ClusterService(ExperimentService):
     auth_token:
         Optional client-facing shared secret (same semantics as
         ``repro serve --auth-token``).
-    trace_dir / no_trace_cache:
-        Trace-fabric wiring forwarded to every spawned worker (and the
-        coordinator's own planning session).  The default — a ``traces/``
-        directory beside the shared cache — lets the workers on one host
-        calibrate each network once and load the persisted calibration
-        everywhere else (``docs/cluster.md``).
     cache_backend:
         Optional ``--cache-backend`` spec (``remote://host:port``, see
         ``docs/cachenet.md``) forwarded to every spawned worker and used for
         the coordinator's own planning session.  The result tier then lives
         in the network cache instead of the shared directory; ``cache_dir``
-        keeps anchoring the trace fabric only.
+        then anchors nothing, although spawned workers still receive it.
     """
 
     def __init__(
@@ -236,8 +229,6 @@ class ClusterService(ExperimentService):
         worker_processes: int = 2,
         worker_token: str | None = None,
         auth_token: str | None = None,
-        trace_dir: str | Path | None = None,
-        no_trace_cache: bool = False,
         cache_backend: str | None = None,
     ) -> None:
         if spawn_workers < 0:
@@ -251,16 +242,12 @@ class ClusterService(ExperimentService):
         # warm units) and must see the workers' stores: same shared backend.
         super().__init__(
             cache_dir=cache_dir,
-            trace_dir=trace_dir,
-            no_trace_cache=no_trace_cache,
             cache_backend=cache_backend,
             workers=CONCURRENT_REQUESTS,
             auth_token=auth_token,
             executor=self._execute_cluster,
         )
         self.cache_dir = Path(cache_dir)
-        self.trace_dir = trace_dir
-        self.no_trace_cache = no_trace_cache
         self.cache_backend = cache_backend
         self.spawn_workers = spawn_workers
         self.connect_endpoints = list(connect or [])
@@ -340,10 +327,6 @@ class ClusterService(ExperimentService):
         ]
         if self.cache_backend is not None:
             argv.extend(["--cache-backend", str(self.cache_backend)])
-        if self.no_trace_cache:
-            argv.append("--no-trace-cache")
-        elif self.trace_dir is not None:
-            argv.extend(["--trace-dir", str(self.trace_dir)])
         try:
             process, host, port = await spawn_server(argv, SPAWN_TIMEOUT, env)
         except ChildProcessError as error:
@@ -681,11 +664,6 @@ class ClusterService(ExperimentService):
             "last_respawn_error": self.last_respawn_error,
             "cache_backend": self.cache_backend,
             "cache_dir": str(self.cache_dir),
-            "trace_dir": str(
-                resolve_trace_dir(self.cache_dir, self.trace_dir, self.no_trace_cache)
-            )
-            if not self.no_trace_cache
-            else None,
         }
         return payload
 

@@ -86,26 +86,19 @@ def _cache_maintenance(args) -> int:
     directory = Path(args.cache_dir or default_cache_dir()).expanduser()
     if not directory.is_dir():
         # Read-only verbs must not conjure directories (a typo'd --cache-dir
-        # would silently look like an empty cache).  An explicit --trace-dir
-        # is an independent tier and still gets reported/maintained.
+        # would silently look like an empty cache).
         print(f"cache dir: {directory} (does not exist)")
-        if args.cache_clear or args.cache_gc:
-            _trace_tier_maintenance(args, directory)
-        else:
-            _trace_tier_stats(args, directory)
         return 0
     cache = ResultCache(directory=directory)
     if args.cache_clear:
         removed = cache.clear()
         print(f"cache dir: {cache.directory}")
         print(f"cleared {removed} entries")
-        _trace_tier_maintenance(args, directory)
         return 0
     if args.cache_gc:
         result = cache.gc(max_bytes=args.max_bytes, max_age=args.max_age)
         print(f"cache dir: {cache.directory}")
         print(f"gc: {result.summary()}")
-        _trace_tier_maintenance(args, directory)
         return 0
     usage = cache.usage()
     print(f"cache dir: {cache.directory}")
@@ -113,55 +106,8 @@ def _cache_maintenance(args) -> int:
     print(f"disk bytes: {usage['disk_bytes']} ({_format_bytes(usage['disk_bytes'])})")
     if usage["lru_age_seconds"] is not None:
         print(f"least-recently-used age: {usage['lru_age_seconds']:.0f}s")
-    _trace_tier_stats(args, directory)
     return 0
 
-
-def _trace_dir_for(args, cache_directory: Path):
-    """The trace tier the maintenance verbs operate on (or ``None``)."""
-    from repro.runtime.session import resolve_trace_dir
-
-    trace_dir = resolve_trace_dir(
-        cache_directory,
-        getattr(args, "trace_dir", None),
-        getattr(args, "no_trace_cache", False),
-    )
-    if trace_dir is None or not trace_dir.is_dir():
-        return None
-    return trace_dir
-
-
-def _trace_tier_maintenance(args, cache_directory: Path) -> None:
-    """Apply ``--cache-gc``/``--cache-clear`` to the trace-artifact tier."""
-    from repro.runtime import TraceArtifactStore
-
-    trace_dir = _trace_dir_for(args, cache_directory)
-    if trace_dir is None:
-        return
-    store = TraceArtifactStore(trace_dir)
-    if args.cache_clear:
-        removed = store.clear()
-        print(f"cleared {removed} trace artifacts")
-    else:
-        result = store.gc(max_bytes=args.max_bytes, max_age=args.max_age)
-        print(f"trace gc: {result.summary()}")
-
-
-def _trace_tier_stats(args, cache_directory: Path) -> None:
-    """Report the trace-artifact tier alongside ``--cache-stats`` output."""
-    from repro.runtime import TraceArtifactStore
-
-    trace_dir = _trace_dir_for(args, cache_directory)
-    if trace_dir is None:
-        print("trace dir: (no artifacts)")
-        return
-    usage = TraceArtifactStore(trace_dir).usage()
-    print(f"trace dir: {usage['directory']}")
-    print(f"trace artifacts: {usage['entries']} entries")
-    print(
-        f"trace disk bytes: {usage['disk_bytes']} "
-        f"({_format_bytes(usage['disk_bytes'])})"
-    )
 
 #: Registry of experiment id → run function, in the paper's presentation order.
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
@@ -255,18 +201,6 @@ def main(argv: list[str] | None = None) -> int:
         "(see docs/cachenet.md)",
     )
     parser.add_argument(
-        "--trace-dir",
-        default=None,
-        metavar="DIR",
-        help="trace-fabric directory (default: <cache-dir>/traces); "
-        "processes sharing it calibrate each network once",
-    )
-    parser.add_argument(
-        "--no-trace-cache",
-        action="store_true",
-        help="disable the trace fabric (calibrate each network in-process)",
-    )
-    parser.add_argument(
         "--out",
         default=None,
         metavar="DIR",
@@ -338,8 +272,6 @@ def main(argv: list[str] | None = None) -> int:
         jobs=args.jobs,
         cache_dir=resolve_cache_dir(args.cache_dir, args.no_cache, args.cache_backend),
         no_cache=args.no_cache,
-        trace_dir=args.trace_dir,
-        no_trace_cache=args.no_trace_cache,
         cache_backend=args.cache_backend,
     )
 

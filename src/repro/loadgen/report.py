@@ -67,9 +67,8 @@ class LoadReport:
     worker_seconds: float = 0.0
     #: The fleet sum of the cluster workers' queue ``coalescing`` sections.
     cluster_coalescing: dict | None = None
-    #: Trace counters (traces built vs. reused, calibrations computed vs.
-    #: loaded from the fabric) — fleet-merged against a cluster coordinator.
-    trace_fabric: dict | None = None
+    #: Traces built vs. reused — fleet-merged against a cluster coordinator.
+    traces: dict | None = None
     #: Network cache tier counters (``docs/cachenet.md``) — present when the
     #: target mounts a ``--cache-backend remote://`` tier: remote hit/miss/
     #: degraded totals and the tier endpoint, from the server's ``stats`` op.
@@ -133,8 +132,8 @@ class LoadReport:
         }
         if self.cluster_coalescing is not None:
             payload["cluster_coalescing"] = self.cluster_coalescing
-        if self.trace_fabric is not None:
-            payload["trace_fabric"] = self.trace_fabric
+        if self.traces is not None:
+            payload["traces"] = self.traces
         if self.remote_cache is not None:
             payload["remote_cache"] = self.remote_cache
         return payload
@@ -176,13 +175,10 @@ class LoadReport:
                     f"(hit rate {coalescing.get('hit_rate', 0.0):.1%}, "
                     f"{coalescing.get('jobs_executed', 0)} jobs executed)"
                 )
-        if self.trace_fabric:
-            fabric = self.trace_fabric
+        if self.traces:
             lines.append(
-                f"  traces     {fabric.get('traces_built', 0)} built / "
-                f"{fabric.get('traces_reused', 0)} reused; fabric "
-                f"{fabric.get('calibrations_computed', 0)} calibrations computed / "
-                f"{fabric.get('calibrations_loaded', 0)} loaded"
+                f"  traces     {self.traces.get('traces_built', 0)} built / "
+                f"{self.traces.get('traces_reused', 0)} reused"
             )
         if self.remote_cache:
             remote = self.remote_cache

@@ -31,17 +31,12 @@ __all__ = ["LoadSwarm"]
 REQUEST_TIMEOUT = 300.0
 
 
-def _trace_fabric_section(stats: dict) -> dict:
-    """The trace-fabric block of a report, from one ``RunStats`` wire dict.
-
-    Traces built vs. reused from the session's in-memory store, and the
-    calibrations those builds ran vs. loaded from the host-shared fabric.
-    """
+def _traces_section(stats: dict) -> dict:
+    """The ``traces`` block of a report, from one ``RunStats`` wire dict:
+    traces built vs. reused from the sessions' in-memory stores."""
     return {
         "traces_built": stats.get("traces_built", 0),
         "traces_reused": stats.get("traces_reused", 0),
-        "calibrations_computed": stats.get("trace_calibrations_computed", 0),
-        "calibrations_loaded": stats.get("trace_calibrations_loaded", 0),
     }
 
 
@@ -201,7 +196,7 @@ class LoadSwarm:
         report.server_coalescing = stats.get("coalescing", {})
         report.server_queue = stats.get("queue", {})
         report.workers = stats.get("workers")
-        report.trace_fabric = _trace_fabric_section(stats.get("stats", {}))
+        report.traces = _traces_section(stats.get("stats", {}))
         cache = stats.get("cache") or {}
         if "remote_endpoint" in cache:
             # The target mounts a network cache tier (docs/cachenet.md):
@@ -220,9 +215,9 @@ class LoadSwarm:
         if cluster:
             report.cluster_coalescing = cluster.get("coalescing")
             if cluster.get("fleet"):
-                # Fabric work happens on the workers; the coordinator's own
+                # Traces are built on the workers; the coordinator's own
                 # counters are zero, so report the fleet-merged view.
-                report.trace_fabric = _trace_fabric_section(cluster["fleet"])
+                report.traces = _traces_section(cluster["fleet"])
             report.per_worker = [
                 {
                     "worker": entry.get("worker"),

@@ -15,7 +15,6 @@ Layering::
     lifecycle     gzip entry codec, directory scan, LRU garbage collection
     backends      pluggable storage (memory / filesystem)
     cache         content-addressed result cache (policy over one backend)
-    trace_cache   the trace fabric: network calibrations persisted per host
     trace_store   TraceSpec + per-session calibrated-trace store
     session       RuntimeSession (cache + traces + stats), the one session
                   builder and the active session
@@ -63,10 +62,8 @@ from repro.runtime.session import (
     current_session,
     default_cache_dir,
     resolve_cache_dir,
-    resolve_trace_dir,
     use_session,
 )
-from repro.runtime.trace_cache import TraceArtifactStore, default_trace_dir
 from repro.runtime.trace_store import TraceSpec, TraceStore
 
 __all__ = [
@@ -103,9 +100,6 @@ __all__ = [
     "current_session",
     "use_session",
     "resolve_cache_dir",
-    "resolve_trace_dir",
-    "TraceArtifactStore",
-    "default_trace_dir",
     "TraceSpec",
     "TraceStore",
 ]

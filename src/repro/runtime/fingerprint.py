@@ -55,10 +55,9 @@ _CODE_PACKAGES = ("core", "nn", "arch", "baselines", "numerics")
 #: must also be invalidated by ``analysis`` edits.
 _STATISTICS_PACKAGES = _CODE_PACKAGES + ("analysis",)
 
-#: Persisted calibrations (the trace fabric) depend only on the packages that
-#: determine trace *values*: the generator/calibration code in ``nn`` and the
-#: bit-level helpers in ``numerics``.  Editing ``arch`` or ``baselines``
-#: invalidates simulations but keeps persisted calibrations valid.
+#: The packages that determine trace *values*: the generator/calibration code
+#: in ``nn`` and the bit-level helpers in ``numerics``.  Only the unimported
+#: ``trace_cache`` module still keys anything by them.
 _TRACE_PACKAGES = ("nn", "numerics")
 
 #: Bound of the key memo.  An entry is one argument ``repr`` (~0.5–1 KiB) and
@@ -135,10 +134,9 @@ def statistics_code_fingerprint() -> str:
 def trace_code_fingerprint() -> str:
     """Fingerprint of the source that determines trace values.
 
-    The invalidation rule of the trace fabric (``docs/runtime.md``): a
-    persisted calibration stays valid until the ``nn`` or ``numerics``
-    source changes, exactly as a cached simulation stays valid until the
-    simulation source changes.
+    Kept only for :mod:`repro.runtime.trace_cache`, which nothing imports:
+    a persisted calibration stayed valid until the ``nn`` or ``numerics``
+    source changed.
     """
     return _package_fingerprint(_TRACE_PACKAGES)
 
@@ -153,6 +151,7 @@ def calibration_key(
 ) -> str:
     """Cache key of one persisted :class:`~repro.nn.calibration.NetworkCalibration`.
 
+    Kept only for :mod:`repro.runtime.trace_cache`, which nothing imports.
     Covers every argument of :func:`repro.nn.calibration.calibrate_network`
     plus the trace code fingerprint, so a persisted calibration is exactly as
     valid as the bisection it replaces.

@@ -14,12 +14,13 @@ that layout:
   formats older releases wrote (uncompressed entries, trace tensors);
   nothing reads or writes one now, but each still takes space, so it counts
   until GC or :func:`clear` removes it.  It skips dot-files
-  (in-flight temp writes), subdirectories (``traces/``) and the
-  ``manifest.json`` index older releases kept.  Usage, counts, garbage
-  collection and clearing each make one scan.
+  (in-flight temp writes), subdirectories and the ``manifest.json`` index
+  older releases kept.  Usage, counts, garbage collection and clearing each
+  make one scan.
 * **garbage collection** — :func:`gc` enforces a byte cap and/or a maximum
   entry age, evicting least-recently-used entries first; :func:`clear`
-  deletes every entry.
+  deletes every entry, and the ``manifest.json`` and ``traces/`` calibration
+  directory older releases left.
 
 Keys are plain name tokens (:data:`KEY_PATTERN`).  The path builders refuse
 anything else, so no key, local or from a network client, can name a file
@@ -39,6 +40,7 @@ import gzip
 import json
 import os
 import re
+import shutil
 import tempfile
 import time
 import zlib
@@ -75,6 +77,10 @@ OLD_SUFFIXES = (".json", ".npy")
 #: The index file older releases kept beside their entries.  It is never an
 #: entry: scans skip it and :func:`clear` deletes it.
 OLD_INDEX_NAME = "manifest.json"
+
+#: The calibration directory older releases kept beside their entries.  Scans
+#: skip it, as every subdirectory, and :func:`clear` deletes it.
+OLD_TRACES_NAME = "traces"
 
 #: A cache key is a plain name token.  SHA-256 hex digests fit; separators,
 #: dots and absolute paths, which could name a file outside the directory,
@@ -114,11 +120,12 @@ def read_entry(path: Path) -> dict:
     Raises ``OSError`` / ``ValueError`` on unreadable, truncated or
     malformed content — the cache treats either as corruption.
     """
+    data = path.read_bytes()
     try:
-        data = gzip.decompress(path.read_bytes())
-    except (EOFError, zlib.error) as error:  # a cut-off or damaged stream
+        entry = json.loads(gzip.decompress(data).decode("utf-8"))
+    except (EOFError, zlib.error, RecursionError) as error:
+        # A cut-off or damaged stream, or JSON nested too deep to parse.
         raise ValueError(f"damaged entry: {error}") from error
-    entry = json.loads(data.decode("utf-8"))
     if not isinstance(entry, dict):
         raise ValueError("cache entry is not an object")
     return entry
@@ -282,10 +289,12 @@ def gc(
 
 
 def clear(directory: Path) -> int:
-    """Delete every entry, and an old ``manifest.json``; returns entries removed."""
+    """Delete every entry, and an old ``manifest.json`` and ``traces/``;
+    returns entries removed."""
     entries = scan(directory)
     for key in entries:
         _remove(directory, key)
     with contextlib.suppress(OSError):
         (directory / OLD_INDEX_NAME).unlink()
+    shutil.rmtree(directory / OLD_TRACES_NAME, ignore_errors=True)
     return len(entries)

@@ -71,7 +71,6 @@ class RunReport:
     elapsed_seconds: float
     mode: str  # "parallel" | "serial" | "serial-fallback"
     statistics_jobs: int = 0
-    trace_dir: str | None = None
     #: :meth:`~repro.runtime.cache.ResultCache.usage` of the run's cache when
     #: it is persistent (a directory or a network tier), ``None`` otherwise.
     cache: dict | None = None
@@ -87,7 +86,6 @@ class RunReport:
                 else f"cache backend: {cache['backend']}"
             )
             cache_line = f"{where}  ({cache['entries']} entries, {cache['disk_bytes']} bytes)"
-        cache_line += f"  trace dir: {self.trace_dir or '(memory only)'}"
         lines = [
             "== run summary ==",
             f"experiments: {len(self.results)}  preset: {self.preset}  seed: {self.seed}",
@@ -103,33 +101,9 @@ class RunReport:
 
 
 # --------------------------------------------------------------------- workers
-def _init_worker(
-    cache_dir: str | None,
-    trace_dir: str | None = None,
-    no_trace_cache: bool = False,
-    cache_backend: str | None = None,
-) -> None:
+def _init_worker(cache_dir: str | None, cache_backend: str | None = None) -> None:
     """Pool initializer: give the worker process its own configured session."""
-    configure_session(
-        cache_dir=cache_dir,
-        trace_dir=trace_dir,
-        no_trace_cache=no_trace_cache,
-        cache_backend=cache_backend,
-    )
-
-
-def _session_trace_config(session: RuntimeSession) -> tuple[str | None, bool]:
-    """The ``(trace_dir, no_trace_cache)`` pair reproducing a session's fabric.
-
-    Pool workers must share the parent's artifact directory (that is the
-    fabric's whole point: one calibration per network per host), so the parent's
-    wiring — not the CLI flags, which the parent already resolved — is the
-    source of truth.
-    """
-    artifacts = getattr(session.traces, "artifacts", None)
-    if artifacts is None:
-        return None, True
-    return str(artifacts.directory), False
+    configure_session(cache_dir=cache_dir, cache_backend=cache_backend)
 
 
 def _reset_job_stats(session: RuntimeSession) -> None:
@@ -138,11 +112,6 @@ def _reset_job_stats(session: RuntimeSession) -> None:
     session.sweep_stats = SweepStats()
     session.traces.builds = 0
     session.traces.reuses = 0
-    artifacts = getattr(session.traces, "artifacts", None)
-    if artifacts is not None:
-        # Fabric counters are process-lifetime; without a reset every job a
-        # pool worker runs would re-report its predecessors' builds and maps.
-        artifacts.reset_counters()
 
 
 def _run_job(
@@ -217,7 +186,6 @@ def _run_parallel(
             shared = RuntimeSession(cache=ResultCache(directory=scratch), traces=session.traces)
             return _run_parallel(plan, jobs, shared, stats)
     cache_dir = str(session.cache.directory) if session.cache.directory else None
-    trace_dir, no_trace_cache = _session_trace_config(session)
     context = multiprocessing.get_context("spawn")
     results: dict[str, ExperimentResult] = {}
     waiting = list(plan.jobs())
@@ -228,7 +196,7 @@ def _run_parallel(
             max_workers=jobs,
             mp_context=context,
             initializer=_init_worker,
-            initargs=(cache_dir, trace_dir, no_trace_cache, cache_backend),
+            initargs=(cache_dir, cache_backend),
         )
     except (OSError, PermissionError) as error:
         # Normalize "cannot create a pool at all" to the executor failure the
@@ -275,8 +243,6 @@ def run_experiments(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     no_cache: bool = False,
-    trace_dir: str | Path | None = None,
-    no_trace_cache: bool = False,
     cache_backend: str | None = None,
 ) -> RunReport:
     """Run experiments through the runtime and reassemble results deterministically.
@@ -298,11 +264,6 @@ def run_experiments(
     no_cache:
         Keep results in memory: nothing persists, and the run's jobs still
         hand results to each other.
-    trace_dir, no_trace_cache:
-        Control the trace fabric independently of result caching
-        (see :func:`~repro.runtime.session.resolve_trace_dir`); only honored
-        when this call builds its own session (``cache_dir``/``no_cache``
-        given), otherwise the caller's session wiring stands.
     cache_backend:
         ``--cache-backend`` spec (``remote://host:port``) selecting the
         network cache tier instead of ``cache_dir``; resolved by
@@ -312,7 +273,7 @@ def run_experiments(
     preset = get_preset(preset)
     started = time.perf_counter()
     if no_cache or cache_dir is not None or cache_backend is not None:
-        session = build_session(cache_dir, no_cache, trace_dir, no_trace_cache, cache_backend)
+        session = build_session(cache_dir, no_cache, cache_backend)
     else:
         session = current_session()
     session_stats_before = session.stats().as_dict()
@@ -346,6 +307,5 @@ def run_experiments(
         elapsed_seconds=time.perf_counter() - started,
         mode=mode,
         statistics_jobs=len(plan.statistics),
-        trace_dir=_session_trace_config(session)[0],
         cache=session.cache.usage() if session.cache.persistent else None,
     )

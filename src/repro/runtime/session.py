@@ -37,7 +37,6 @@ __all__ = [
     "current_session",
     "default_cache_dir",
     "resolve_cache_dir",
-    "resolve_trace_dir",
     "use_session",
 ]
 
@@ -57,21 +56,13 @@ def default_cache_dir() -> Path:
 class RunStats:
     """Aggregate statistics of one run (merged across pool workers).
 
-    The ``trace_calibrations_*`` fields are the trace fabric's counters
-    (:meth:`repro.runtime.trace_cache.TraceArtifactStore.counters`):
-    calibration bisections run vs. loaded from persisted results.  Every
-    field is an event counter, so :meth:`merge` is a plain sum.
+    Every field is an event counter, so :meth:`merge` is a plain sum.
     """
 
     cache: CacheStats = field(default_factory=CacheStats)
     sweep: SweepStats = field(default_factory=SweepStats)
     traces_built: int = 0
     traces_reused: int = 0
-    trace_calibrations_computed: int = 0
-    trace_calibrations_loaded: int = 0
-
-    #: Trace-fabric event counters (plain sums under merge).
-    _FABRIC_COUNTERS = ("trace_calibrations_computed", "trace_calibrations_loaded")
 
     def merge(self, other: "RunStats | dict") -> None:
         """Add ``other``'s counters (a ``RunStats`` or its wire dict) to these."""
@@ -81,19 +72,14 @@ class RunStats:
         self.sweep.merge(other.get("sweep", {}))
         self.traces_built += other.get("traces_built", 0)
         self.traces_reused += other.get("traces_reused", 0)
-        for name in self._FABRIC_COUNTERS:
-            setattr(self, name, getattr(self, name) + other.get(name, 0))
 
     def as_dict(self) -> dict:
-        payload = {
+        return {
             "cache": self.cache.as_dict(),
             "sweep": self.sweep.as_dict(),
             "traces_built": self.traces_built,
             "traces_reused": self.traces_reused,
         }
-        for name in self._FABRIC_COUNTERS:
-            payload[name] = getattr(self, name)
-        return payload
 
     def summary(self) -> str:
         """One-line, human-readable rendering for run summaries."""
@@ -102,9 +88,7 @@ class RunStats:
             f"{self.cache.stores} stores / {self.cache.errors} errors; "
             f"simulated {self.sweep.configs_simulated} configs "
             f"({self.sweep.drain_groups_computed} drain groups); "
-            f"traces {self.traces_built} built / {self.traces_reused} reused; "
-            f"fabric {self.trace_calibrations_computed} calibrations computed / "
-            f"{self.trace_calibrations_loaded} loaded"
+            f"traces {self.traces_built} built / {self.traces_reused} reused"
         )
 
 
@@ -143,12 +127,6 @@ class RuntimeSession:
         stats.sweep.merge(self.sweep_stats)
         stats.traces_built = self.traces.builds
         stats.traces_reused = self.traces.reuses
-        # Trace-fabric counters live on the shared artifact store; per-job
-        # stats views (serve's _TraceView) have no ``artifacts`` and report 0.
-        artifacts = getattr(self.traces, "artifacts", None)
-        if artifacts is not None:
-            for name, value in artifacts.counters().items():
-                setattr(stats, name, value)
         return stats
 
 
@@ -176,8 +154,8 @@ def resolve_cache_dir(
     """The result-cache directory a CLI run uses.
 
     ``--no-cache`` uses none.  With ``--cache-backend`` the results go to the
-    backend and only an explicit ``--cache-dir`` counts (it still anchors the
-    trace fabric), so the default directory is not conjured.  Otherwise
+    backend and only an explicit ``--cache-dir`` is passed on (it anchors
+    nothing there), so the default directory is not conjured.  Otherwise
     ``--cache-dir`` or :func:`default_cache_dir`.
     """
     if no_cache:
@@ -187,39 +165,12 @@ def resolve_cache_dir(
     return cache_dir or default_cache_dir()
 
 
-def resolve_trace_dir(
-    cache_dir: str | Path | None = None,
-    trace_dir: str | Path | None = None,
-    no_trace_cache: bool = False,
-) -> Path | None:
-    """Where (if anywhere) this process's trace fabric lives.
-
-    ``no_trace_cache`` disables the fabric outright; an explicit ``trace_dir``
-    wins otherwise; an on-disk result cache defaults to a ``traces/``
-    subdirectory beside it (so N workers sharing a cache dir also share
-    calibrations); a memory-only session keeps traces in memory too.
-    Note ``--no-cache --trace-dir DIR`` keeps the fabric *on* — result caching
-    and trace sharing are independent tiers.
-    """
-    if no_trace_cache:
-        return None
-    if trace_dir is not None:
-        return Path(trace_dir).expanduser()
-    if cache_dir is not None:
-        from repro.runtime.trace_cache import default_trace_dir
-
-        return default_trace_dir(cache_dir)
-    return None
-
-
 def build_session(
     cache_dir: str | Path | None = None,
     no_cache: bool = False,
-    trace_dir: str | Path | None = None,
-    no_trace_cache: bool = False,
     cache_backend: object | None = None,
 ) -> RuntimeSession:
-    """A fresh session over the result cache and trace fabric these flags select.
+    """A fresh session over the result cache these flags select.
 
     The one storage rule of every entry point — :func:`configure_session`,
     :func:`~repro.runtime.scheduler.run_experiments`, the serve and cluster
@@ -231,9 +182,9 @@ def build_session(
     replaces ``cache_dir`` for the *result* tier: a ``remote://host:port``
     spec or a :class:`~repro.runtime.backends.CacheBackend` instance,
     resolved by :func:`repro.cachenet.backend.resolve_backend`
-    (``docs/cachenet.md``).  ``trace_dir``/``no_trace_cache`` control the
-    trace fabric independently; it resolves against ``cache_dir`` only when
-    results persist there (see :func:`resolve_trace_dir`).
+    (``docs/cachenet.md``).  Every session gets its own trace store;
+    calibrations come from :func:`repro.nn.calibration.calibrate_network`'s
+    per-process memo and are never persisted.
     """
     if no_cache:
         cache = ResultCache()
@@ -243,20 +194,12 @@ def build_session(
         cache = ResultCache(backend=resolve_backend(cache_backend))
     else:
         cache = ResultCache(directory=cache_dir)
-    resolved = resolve_trace_dir(None if no_cache else cache_dir, trace_dir, no_trace_cache)
-    traces = None
-    if resolved is not None:
-        from repro.runtime.trace_cache import TraceArtifactStore
-
-        traces = TraceStore(artifacts=TraceArtifactStore(resolved))
-    return RuntimeSession(cache=cache, traces=traces)
+    return RuntimeSession(cache=cache)
 
 
 def configure_session(
     cache_dir: str | Path | None = None,
     no_cache: bool = False,
-    trace_dir: str | Path | None = None,
-    no_trace_cache: bool = False,
     cache_backend: object | None = None,
 ) -> RuntimeSession:
     """Install (and return) a fresh process-wide default session.
@@ -264,7 +207,7 @@ def configure_session(
     The arguments select storage exactly as in :func:`build_session`.
     """
     global _DEFAULT
-    _DEFAULT = build_session(cache_dir, no_cache, trace_dir, no_trace_cache, cache_backend)
+    _DEFAULT = build_session(cache_dir, no_cache, cache_backend)
     return _DEFAULT
 
 

@@ -1,25 +1,20 @@
-"""The trace fabric: persisted network calibrations shared by every process.
+"""The retired trace fabric: persisted network calibrations.
 
-Building a calibrated trace costs one calibration bisection per network
-(:func:`repro.nn.calibration.calibrate_network`: 40 bisection steps over
-sampled layers); everything else about a trace is derived on demand from its
-seed.  The fabric persists each :class:`~repro.nn.calibration.NetworkCalibration`
-as an ordinary gzip JSON entry, ``<trace-dir>/<key>.json.gz``, so a network is
-calibrated once per host and every later process — a pool worker, a serve
-worker, a respawned cluster worker — loads the result instead of bisecting.
+Nothing in ``src/`` imports this module.  Every trace build now calibrates
+through :func:`repro.nn.calibration.calibrate_network`, whose per-process
+memo is the one calibration cache, and no calibration is persisted
+(``docs/runtime.md``, Calibrations).  The module stays only because the
+benchmark's span list still names
+:meth:`TraceArtifactStore.network_calibration`; the benchmark change that
+drops that target deletes this file together with the two helpers it
+imports, :func:`repro.runtime.fingerprint.calibration_key` and
+:func:`repro.runtime.fingerprint.trace_code_fingerprint`.
 
-Keys follow the same discipline as results: :func:`repro.runtime.fingerprint.calibration_key`
-hashes every ``calibrate_network`` argument plus the trace code fingerprint,
-so editing ``nn`` or ``numerics`` source invalidates persisted calibrations
-exactly like editing simulation source invalidates cached results.  The
-directory is its own index, as a result-cache directory is
-(:mod:`repro.runtime.lifecycle`): a load sets the file's mtime, and usage and
-the size/age-capped GC are one directory scan each, so
-``--cache-gc``/``--cache-stats`` see the entries.
-Entries are published by atomic rename, so processes sharing the directory
-need no locks; two processes calibrating one network at once both write the
-same result.  ``docs/runtime.md`` documents the layout and invalidation rule;
-``docs/cluster.md`` the per-host sharing story.
+What it did: it stored each :class:`~repro.nn.calibration.NetworkCalibration`
+as a gzip JSON entry, ``<trace-dir>/<key>.json.gz``, keyed by every
+``calibrate_network`` argument plus the ``nn``/``numerics`` source, so a
+host calibrated each network once.  ``lifecycle.clear`` removes a
+``traces/`` directory it left beside a result cache.
 """
 
 from __future__ import annotations

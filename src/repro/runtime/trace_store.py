@@ -5,13 +5,11 @@ trace — everything :func:`repro.nn.calibration.calibrated_trace` needs, as a
 hashable value object.  Being declarative makes it both the cache-key
 component for simulations over the trace and the memoization key of the
 :class:`TraceStore`, which guarantees each network's trace is materialized
-once per session no matter how many experiments consume it.
-
-A store may additionally be wired to a
-:class:`repro.runtime.trace_cache.TraceArtifactStore` (the trace fabric):
-newly built traces then load their calibration from the host-shared
-directory instead of recomputing it privately.  See ``docs/runtime.md`` for
-how traces fit the session and cache-key model.
+once per session no matter how many experiments consume it.  Building a
+trace calibrates its network through
+:func:`repro.nn.calibration.calibrate_network`, whose per-process memo
+answers every repeat.  See ``docs/runtime.md`` for how traces fit the
+session and cache-key model.
 """
 
 from __future__ import annotations
@@ -40,13 +38,8 @@ class TraceSpec:
     precisions: tuple[int, ...] | None = None
     dense_first_layer: bool = True
 
-    def build(self, calibration=None) -> NetworkTrace:
-        """Materialize the trace (calibrating the network if necessary).
-
-        ``calibration`` short-circuits the bisection with a persisted
-        :class:`~repro.nn.calibration.NetworkCalibration` (the trace fabric's
-        warm path).
-        """
+    def build(self) -> NetworkTrace:
+        """Materialize the trace (calibrating the network if necessary)."""
         from repro.nn.calibration import calibrated_trace
 
         return calibrated_trace(
@@ -56,7 +49,6 @@ class TraceSpec:
             seed=self.seed,
             precisions=self.precisions,
             dense_first_layer=self.dense_first_layer,
-            calibration=calibration,
         )
 
 
@@ -67,15 +59,11 @@ class TraceStore:
     from per-layer seeds), so one instance can safely serve every experiment
     in a session.  The lock keeps the store safe under concurrent access from
     scheduler threads; process-pool workers each hold their own store.
-
-    With ``artifacts`` set, the store participates in the trace fabric:
-    calibrations are loaded from (or persisted to) the shared directory.
     """
 
-    def __init__(self, artifacts=None) -> None:
+    def __init__(self) -> None:
         self._traces: dict[TraceSpec, NetworkTrace] = {}
         self._lock = threading.Lock()
-        self.artifacts = artifacts
         self.builds = 0
         self.reuses = 0
 
@@ -98,7 +86,7 @@ class TraceStore:
                 return trace, False
         if not build:
             return None, False
-        built = self._build(spec)
+        built = spec.build()
         with self._lock:
             trace = self._traces.setdefault(spec, built)
             if trace is built:
@@ -106,12 +94,6 @@ class TraceStore:
                 return trace, True
             self.reuses += 1
             return trace, False
-
-    def _build(self, spec: TraceSpec) -> NetworkTrace:
-        """Build ``spec``'s trace, through the fabric when one is wired."""
-        if self.artifacts is None:
-            return spec.build()
-        return spec.build(calibration=self.artifacts.network_calibration(spec))
 
     def __len__(self) -> int:
         return len(self._traces)

@@ -177,18 +177,6 @@ def main(argv: list[str] | None = None) -> int:
         help="network cache tier instead of --cache-dir: remote://HOST:PORT "
         "(see docs/cachenet.md)",
     )
-    parser.add_argument(
-        "--trace-dir",
-        default=None,
-        metavar="DIR",
-        help="trace-fabric directory (default: <cache-dir>/traces); "
-        "processes sharing it calibrate each network once",
-    )
-    parser.add_argument(
-        "--no-trace-cache",
-        action="store_true",
-        help="disable the trace fabric (calibrate each network in-process)",
-    )
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error("--workers must be at least 1")
@@ -212,8 +200,6 @@ def main(argv: list[str] | None = None) -> int:
         no_cache=args.no_cache,
         workers=args.workers,
         auth_token=args.auth_token,
-        trace_dir=args.trace_dir,
-        no_trace_cache=args.no_trace_cache,
         cache_backend=args.cache_backend,
     )
 

@@ -361,12 +361,17 @@ def encode(message: dict) -> bytes:
 
 
 def decode(line: bytes | str) -> dict:
-    """Parse one protocol line into a message dict."""
-    if isinstance(line, bytes):
-        line = line.decode("utf-8")
+    """Parse one protocol line into a message dict.
+
+    A line that is not a JSON object raises :class:`ProtocolError`, and so
+    does one the parser refuses: invalid UTF-8, nesting too deep to recurse
+    into, or an integer longer than Python converts.
+    """
     try:
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
         message = json.loads(line)
-    except json.JSONDecodeError as error:
+    except (ValueError, RecursionError) as error:
         raise ProtocolError(f"invalid JSON line: {error}") from error
     if not isinstance(message, dict):
         raise ProtocolError("protocol messages must be JSON objects")

@@ -101,16 +101,10 @@ class ExperimentService:
     executor:
         Override for how jobs execute (see :class:`~repro.serve.workers.WorkerPool`);
         the cluster coordinator substitutes its sharding dispatcher here.
-    trace_dir / no_trace_cache:
-        Control the trace fabric (host-shared persisted calibrations,
-        :mod:`repro.runtime.trace_cache`) independently of result
-        caching; defaults to ``<cache-dir>/traces`` beside a disk cache
-        (see :func:`~repro.runtime.session.resolve_trace_dir`).
     cache_backend:
         ``--cache-backend`` spec (``remote://host:port``, the network cache
         tier of ``docs/cachenet.md``) or a backend instance, selecting the
-        result tier instead of ``cache_dir``.  The trace fabric still
-        resolves against ``cache_dir``.
+        result tier instead of ``cache_dir``.
     """
 
     #: Wire ops this service parses into queue jobs (subclasses may extend).
@@ -123,11 +117,9 @@ class ExperimentService:
         workers: int = 2,
         auth_token: str | None = None,
         executor=None,
-        trace_dir: str | Path | None = None,
-        no_trace_cache: bool = False,
         cache_backend: object | None = None,
     ) -> None:
-        self.session = build_session(cache_dir, no_cache, trace_dir, no_trace_cache, cache_backend)
+        self.session = build_session(cache_dir, no_cache, cache_backend)
         self.auth_token = auth_token
         self.queue = RequestQueue()
         self.queue.on_finish = self._on_job_finish
@@ -236,26 +228,15 @@ class ExperimentService:
         and which job ops it accepts (a cluster coordinator checks a worker
         by them).
         """
-        totals = RunStats()
-        totals.merge(self.totals)
-        # Trace-fabric counters live on the shared calibration store (per-job
-        # views report 0 for them), so overlay the lifetime values here.
-        artifacts = getattr(self.session.traces, "artifacts", None)
-        trace_cache = None
-        if artifacts is not None:
-            for name, value in artifacts.counters().items():
-                setattr(totals, name, value)
-            trace_cache = artifacts.usage()
         return {
             "event": "stats",
             "pid": os.getpid(),
             "job_ops": list(self.job_ops),
-            "stats": totals.as_dict(),
+            "stats": self.totals.as_dict(),
             "queue": self.queue.depth(),
             "coalescing": self.coalescing_stats(),
             "cache": self.session.cache.usage(),
             "traces": len(self.session.traces),
-            "trace_cache": trace_cache,
             "workers": self.pool.workers,
         }
 

@@ -74,9 +74,6 @@ class _CacheView:
             self.stats.hits += 1
         return payload
 
-    def contains(self, key: str, kind: str = "network_result") -> bool:
-        return self._delegate(self._inner.contains, key, kind=kind)
-
     def put(self, key: str, payload: dict, kind: str = "network_result") -> None:
         if self.resident_only:
             raise NotResident(key)

@@ -4,9 +4,9 @@ One parametrized battery runs against all backends, pinning the interface
 contract ``ResultCache`` (and therefore every layer above it) relies on:
 store/load/probe semantics, usage accounting, clear, corruption handling and
 persistence across instances.  The ``shared`` flavour is the filesystem
-backend over a directory it shares with the trace fabric's ``traces/``
-subdirectory, a sibling's in-flight temp write and an older release's
-``manifest.json``: none of them may count as an entry.  The network cache tier
+backend over a directory it shares with a sibling's in-flight temp write and
+the ``traces/`` subdirectory and ``manifest.json`` older releases left: none
+of them may count as an entry.  The network cache tier
 (``docs/cachenet.md``) runs the same battery against an in-process,
 token-protected :class:`CacheServer` — both a :class:`RemoteBackend` built
 directly and the ``resolved`` flavour, which is what a deployment mounts:
@@ -17,8 +17,11 @@ targeted classes below the shared battery.
 """
 
 import gzip
+import io
 import json
 import os
+import socket
+import struct
 import tempfile
 import time
 
@@ -27,6 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cachenet import backend as remote_backend
+from repro.cachenet.protocol import FrameError, read_frame
 from repro.runtime import lifecycle
 from repro.runtime.backends import CorruptEntry, FilesystemBackend, InMemoryBackend
 from repro.runtime.cache import ResultCache
@@ -210,6 +214,14 @@ class TestPersistentBackendCorruption:
         lifecycle.entry_path(cache.directory, "k1").write_bytes(b"garbage")
         assert cache.get("k1") is None
         assert cache.stats.errors == 1
+
+    def test_an_entry_nested_too_deep_to_parse_is_a_counted_miss(self, tmp_path):
+        cache = ResultCache(directory=tmp_path)
+        path = lifecycle.entry_path(tmp_path, "k1")
+        path.write_bytes(gzip.compress(b"[" * 5000))
+        assert cache.get("k1") is None
+        assert (cache.stats.misses, cache.stats.errors) == (1, 1)
+        assert not path.exists()
 
 
 class TestPersistentBackendGC:
@@ -519,3 +531,51 @@ class TestCacheServerMessages:
         assert isinstance(response, dict) and isinstance(response.get("ok"), bool)
         assert isinstance(still_authenticated, bool) and isinstance(keep_open, bool)
         json.dumps(response)  # every reply can go back as a frame
+
+
+def _frame(body: bytes) -> bytes:
+    """``body`` behind a frame header that states its length."""
+    return struct.pack(">I", len(body)) + body
+
+
+#: Byte streams: arbitrary bytes, arbitrary framed bodies, framed JSON.
+FRAME_STREAMS = (
+    st.binary(max_size=64)
+    | st.binary(max_size=64).map(_frame)
+    | JSON_VALUES.map(lambda value: _frame(json.dumps(value).encode("utf-8")))
+)
+
+
+class TestFrameDecoding:
+    """A frame the JSON parser refuses drops its connection, nothing more."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=FRAME_STREAMS)
+    @example(stream=_frame(b"[" * 5000))
+    @example(stream=_frame(b"\xff\xfe"))
+    @example(stream=_frame(b"1" * 5000))
+    def test_any_bytes_read_as_a_message_none_or_a_frame_error(self, stream):
+        try:
+            message = read_frame(io.BytesIO(stream))
+        except FrameError:
+            return
+        assert message is None or isinstance(message, dict)
+
+    def test_the_server_drops_a_nested_frame_quietly_and_serves_on(self, tmp_path, capsys):
+        from repro.cachenet.server import CacheServer
+
+        server = CacheServer(directory=tmp_path / "cache")
+        host, port = server.start()
+        try:
+            with socket.create_connection((host, port), timeout=10) as peer:
+                peer.sendall(_frame(b"[" * 5000))
+                assert peer.recv(1) == b""  # dropped without a reply
+            client = remote_backend.RemoteBackend(host, port)
+            try:
+                client.store("k1", {"a": 1}, "network_result")
+                assert client.load("k1", "network_result") == {"a": 1}
+            finally:
+                client.close()
+        finally:
+            server.stop()
+        assert "Traceback" not in capsys.readouterr().err

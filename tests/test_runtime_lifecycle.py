@@ -172,6 +172,23 @@ class TestParentLayout:
         assert "cleared 3 entries" in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
 
+    def test_gc_and_clear_reclaim_what_the_trace_fabric_left(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        self.build(tmp_path)
+        (tmp_path / f"{'1f' * 32}.npy").write_bytes(b"\x93NUMPY")  # an old trace tensor
+        traces = tmp_path / "traces"  # where later releases kept calibrations
+        traces.mkdir()
+        (traces / f"{'0f' * 32}.json.gz").write_bytes(gzip.compress(b"{}"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert runner_main(["--cache-stats"]) == 0
+        assert "entries: 4\n" in capsys.readouterr().out  # the .npy counts, traces/ not
+        assert runner_main(["--cache-gc", "--max-bytes", "0"]) == 0
+        assert "evicted 4 entries" in capsys.readouterr().out
+        assert runner_main(["--cache-clear"]) == 0
+        assert "cleared 0 entries" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
 
 # ----------------------------------------------------------------- compression
 class TestCompression:

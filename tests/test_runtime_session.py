@@ -19,7 +19,6 @@ from repro.runtime import (
     RuntimeSession,
     configure_session,
     current_session,
-    default_trace_dir,
     run_experiments,
     scheduler,
     session as session_module,
@@ -137,21 +136,14 @@ class TestThreadScopedSessions:
 
 
 # ------------------------------------------------------------ one storage rule
-CACHE, TRACES = Path("cache"), Path("elsewhere")
+CACHE = Path("cache")
 
-#: Flags every entry point accepts -> (result backend, trace-fabric directory).
+#: Flags every entry point accepts -> the result backend they mount.
 #: Paths are relative to the test's working directory.
 STORAGE_RULE = {
-    "cache-dir": ({"cache_dir": CACHE}, FilesystemBackend, default_trace_dir(CACHE)),
-    "trace-dir": ({"cache_dir": CACHE, "trace_dir": TRACES}, FilesystemBackend, TRACES),
-    "no-trace-cache": ({"cache_dir": CACHE, "no_trace_cache": True}, FilesystemBackend, None),
-    "cache-backend": (
-        {"cache_dir": CACHE, "cache_backend": InMemoryBackend()},
-        InMemoryBackend,
-        default_trace_dir(CACHE),
-    ),
-    "no-cache": ({"cache_dir": CACHE, "no_cache": True}, InMemoryBackend, None),
-    "no-cache-trace-dir": ({"no_cache": True, "trace_dir": TRACES}, InMemoryBackend, TRACES),
+    "cache-dir": ({"cache_dir": CACHE}, FilesystemBackend),
+    "cache-backend": ({"cache_dir": CACHE, "cache_backend": InMemoryBackend()}, InMemoryBackend),
+    "no-cache": ({"cache_dir": CACHE, "no_cache": True}, InMemoryBackend),
 }
 
 
@@ -187,14 +179,13 @@ def _planned(monkeypatch, **flags):
     [
         pytest.param(entry, name, id=f"{entry.__name__.strip('_')}-{name}")
         for entry in (_configured, _run, _served, _planned)
-        for name, (flags, _, _) in STORAGE_RULE.items()
+        for name, (flags, _) in STORAGE_RULE.items()
         if entry is not _planned or "no_cache" not in flags
     ],
 )
 def test_every_entry_point_mounts_the_same_storage(entry, name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    flags, backend, traces = STORAGE_RULE[name]
+    flags, backend = STORAGE_RULE[name]
     session = entry(monkeypatch, **flags)
     assert type(session.cache.backend) is backend
-    artifacts = getattr(session.traces, "artifacts", None)
-    assert (artifacts.directory if artifacts is not None else None) == traces
+    assert not (CACHE / "traces").exists()  # no calibration is persisted

@@ -1762,6 +1762,43 @@ class TestFrontEnds:
 
         assert run(scenario()) == []
 
+    @pytest.mark.parametrize(
+        "line",
+        [b"[" * 5000 + b"\n", b"\xff\xfe\n", b'{"op": "ping", "n": ' + b"1" * 5000 + b"}\n"],
+        ids=["nested", "not-utf8", "long-integer"],
+    )
+    def test_a_line_the_parser_refuses_gets_an_error_and_the_connection_answers_on(
+        self, line
+    ):
+        async def scenario():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            async with ExperimentService(cache_dir=None, workers=1) as service:
+                server = await service.serve_tcp("127.0.0.1", 0)
+                port = server.sockets[0].getsockname()[1]
+                async with server:
+                    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                    writer.write(line + encode({"op": "ping"}))
+                    await writer.drain()
+                    replies = [
+                        decode(await asyncio.wait_for(reader.readline(), timeout=10))
+                        for _ in range(2)
+                    ]
+                    writer.close()
+            return [reply["event"] for reply in replies], unhandled
+
+        assert run(scenario()) == (["error", "pong"], [])
+
+    def test_stdio_answers_a_nested_line_with_an_error_and_reads_on(self, monkeypatch):
+        lines = "[" * 5000 + "\n" + json.dumps({"op": "ping"}) + "\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        assert serve_main(["--stdio", "--no-cache"]) == 0
+        events = [json.loads(line)["event"] for line in sys.stdout.getvalue().splitlines()]
+        assert events == ["error", "pong"]
+
     def test_a_peer_that_stops_reading_is_dropped_at_the_outbox_bound(self, monkeypatch):
         """More replies than the outbox holds, to a peer whose ``drain()``
         never returns: the connection is aborted at once, without waiting out
