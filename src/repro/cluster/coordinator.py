@@ -592,10 +592,16 @@ class ClusterService(ExperimentService):
     async def _execute_experiments(
         self, ctx, request, names: list[str], priority: int
     ) -> dict:
-        """Shard one or many experiments: planned jobs first, then assemblies."""
+        """Shard one or many experiments: planned jobs first, then assemblies.
+
+        The planning probes run under a job session whose counters (a corrupt
+        entry's error) are credited to the client job.
+        """
+        planning = self.session.job()
         plan = await asyncio.to_thread(
-            build_plan, names, request.resolved_preset(), request.seed, self.session
+            build_plan, names, request.resolved_preset(), request.seed, planning
         )
+        ctx.stats.merge(planning.stats())
         ctx.planned_hits = plan.planned_hits
         ctx.planned_units = sum(len(job.request.configs) for job in plan.simulations)
         wires = [(job.job_id, SimulationJobRequest(job.request)) for job in plan.simulations]

@@ -12,7 +12,8 @@ worker pool, same public protocol) extended with the cluster-facing surface
 * the **internal job ops** ``sim_job``/``stat_job``
   (:mod:`repro.cluster.plan`): primitive planned jobs whose results travel
   through the shared cache backend, not the wire — the response carries only
-  per-job ``RunStats`` counters for the coordinator to merge.
+  the ``RunStats`` counters of the job's session for the coordinator to
+  merge.
 * a **shared cache**: sibling workers mount one cache directory (or one
   network cache tier) through the same session builder as every other entry
   point (:func:`~repro.runtime.session.build_session`), so they and the
@@ -25,12 +26,10 @@ serve process that learned two more ops.
 
 from __future__ import annotations
 
-from repro.runtime import RuntimeSession, simulate
-from repro.runtime.engine import analyze
-from repro.runtime.session import use_session
+from repro.runtime import RuntimeSession, analyze, simulate
 from repro.serve.protocol import JOB_OPS, ServeRequest
 from repro.serve.service import ExperimentService
-from repro.serve.workers import execute_request, job_session
+from repro.serve.workers import execute_request
 from repro.cluster.plan import (
     INTERNAL_JOB_OPS,
     SimulationJobRequest,
@@ -46,36 +45,24 @@ def execute_worker_request(request, shared: RuntimeSession, progress=None):
 
     ``sim_job``/``stat_job`` run through the exact engine funnels the local
     scheduler uses (:func:`~repro.runtime.engine.simulate` /
-    :func:`~repro.runtime.engine.analyze`), under a per-job stats view of the
-    shared session — results land in the shared cache under their planned
-    keys and only the counters travel back.  Everything else falls through to
-    the standard :func:`~repro.serve.workers.execute_request`.
+    :func:`~repro.runtime.engine.analyze`) under a job session of the shared
+    one — results land in the shared cache under their planned keys and only
+    the counters travel back.  Everything else falls through to the standard
+    :func:`~repro.serve.workers.execute_request`.
     """
+    if not isinstance(request, (SimulationJobRequest, StatisticsJobRequest)):
+        return execute_request(request, shared, progress)
+    if progress is not None:
+        progress.checkpoint()
+    session = shared.job(progress)
+    planned = request.request
+    payload = {"kind": request.op, "network": planned.trace.network}
     if isinstance(request, SimulationJobRequest):
-        if progress is not None:
-            progress.checkpoint()
-        view = job_session(shared, progress)
-        with use_session(view):
-            results = simulate(request.request, session=view)
-        payload = {
-            "kind": "sim_job",
-            "network": request.request.trace.network,
-            "configs": len(results),
-        }
-        return payload, view.stats().as_dict()
-    if isinstance(request, StatisticsJobRequest):
-        if progress is not None:
-            progress.checkpoint()
-        view = job_session(shared, progress)
-        with use_session(view):
-            analyze(request.request, session=view)
-        payload = {
-            "kind": "stat_job",
-            "statistic": request.request.statistic,
-            "network": request.request.trace.network,
-        }
-        return payload, view.stats().as_dict()
-    return execute_request(request, shared, progress)
+        payload["configs"] = len(simulate(planned, session=session))
+    else:
+        analyze(planned, session=session)
+        payload["statistic"] = planned.statistic
+    return payload, session.stats().as_dict()
 
 
 class WorkerService(ExperimentService):

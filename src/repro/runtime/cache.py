@@ -1,8 +1,8 @@
 """Content-addressed result cache over a pluggable storage backend.
 
 One :class:`ResultCache` stores JSON payloads under fingerprint keys (see
-:mod:`repro.runtime.fingerprint`).  The cache owns *policy* — hit/miss/error
-accounting and the bounded in-process memo — while the storage itself is a
+:mod:`repro.runtime.fingerprint`).  The cache owns *policy* — the bounded
+in-process memo and its LRU touches — while the storage itself is a
 :class:`~repro.runtime.backends.CacheBackend`:
 
 * ``ResultCache()`` — an :class:`~repro.runtime.backends.InMemoryBackend`;
@@ -16,11 +16,13 @@ accounting and the bounded in-process memo — while the storage itself is a
 * ``ResultCache(backend=...)`` — any backend, e.g. the network cache tier of
   ``docs/cachenet.md``, or a future object-store/redis backend.
 
-Corrupted entries (truncated writes, manual edits, schema drift) are treated
-as misses: the backend drops the entry, ``stats.errors`` is incremented and
-the caller recomputes.  :class:`CacheStats` holds event counters only; what
-a store currently holds (entries, bytes, LRU age) is read from
-:meth:`ResultCache.usage`, once per store.  The key scheme, the on-disk
+The cache counts nothing: a :class:`~repro.runtime.session.RuntimeSession`
+counts each job's reads and writes into its own :class:`CacheStats`.  A
+corrupted entry (truncated write, manual edit, schema drift) is dropped by
+the backend and raised as :class:`~repro.runtime.backends.CorruptEntry`,
+which the session counts as a miss and an error before the caller
+recomputes.  What a store currently holds (entries, bytes, LRU age) is read
+from :meth:`ResultCache.usage`, once per store.  The key scheme, the on-disk
 layout, the GC policy and the backend interface are documented in
 ``docs/runtime.md``.
 """
@@ -34,12 +36,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.runtime import lifecycle
-from repro.runtime.backends import (
-    CacheBackend,
-    CorruptEntry,
-    FilesystemBackend,
-    InMemoryBackend,
-)
+from repro.runtime.backends import CacheBackend, FilesystemBackend, InMemoryBackend
 
 __all__ = ["CacheStats", "ResultCache", "DEFAULT_MEMO_ENTRIES"]
 
@@ -57,7 +54,7 @@ USE_GRANULARITY = 60.0
 
 @dataclass
 class CacheStats:
-    """Event counters of one cache during a run.
+    """Event counters of one session's cache reads and writes.
 
     Every field counts events, so :meth:`merge` is a plain sum whichever
     processes, jobs or workers the merged counters came from.  The state of
@@ -96,7 +93,6 @@ class ResultCache:
             backend = InMemoryBackend() if directory is None else FilesystemBackend(directory)
         self.backend = backend
         self.memo_entries = memo_entries
-        self.stats = CacheStats()
         #: LRU memo keyed by ``(key, kind)`` — the kind is part of the memo
         #: key so an entry stored under one kind can never answer a lookup
         #: for another (the backend always enforced this).  Each slot is
@@ -145,9 +141,10 @@ class ResultCache:
     ) -> dict | None:
         """Payload stored under ``key``, or ``None`` on a miss.
 
-        ``resident_only`` answers from the in-process memo alone: a key that
-        is not memo-resident, or whose LRU touch is due, is ``None`` without
-        a backend call and without counting anything.
+        Raises :class:`~repro.runtime.backends.CorruptEntry` for an entry the
+        backend found damaged and dropped.  ``resident_only`` answers from
+        the in-process memo alone: a key that is not memo-resident, or whose
+        LRU touch is due, is ``None`` without a backend call.
         """
         slot = self._memo_get(key, kind)
         if slot is not None:
@@ -159,57 +156,40 @@ class ResultCache:
             due = now - touched >= USE_GRANULARITY
             if due and resident_only:
                 return None
-            self.stats.hits += 1
             if due:
                 slot[1] = now  # in place: never re-adds a key GC just dropped
                 self.backend.touch(key)
             return payload
         if resident_only:
             return None
-        try:
-            payload = self.backend.load(key, kind)
-        except CorruptEntry:
-            self.stats.misses += 1
-            self.stats.errors += 1
-            return None
-        if payload is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        self._memo_put(key, kind, payload)
+        payload = self.backend.load(key, kind)
+        if payload is not None:
+            self._memo_put(key, kind, payload)
         return payload
 
     def contains(self, key: str, kind: str = "network_result") -> bool:
-        """Whether ``key`` resolves to a valid entry, without counting hit/miss.
+        """Whether ``key`` resolves to a valid entry.
 
         Used by the run planner to prune simulation jobs.  Validates the entry
         but deliberately does not retain its payload (the planning process
-        never consumes the results, only the workers do); hit/miss counters
-        are reserved for actual lookups, while corruption discovered during a
-        probe still counts as an error and drops the entry.
+        never consumes the results, only the workers do).  Raises
+        :class:`~repro.runtime.backends.CorruptEntry` for an entry the probe
+        found damaged and dropped.
         """
         if self._memo_get(key, kind) is not None:
             return True
-        try:
-            return self.backend.probe(key, kind)
-        except CorruptEntry:
-            self.stats.errors += 1
-            return False
+        return self.backend.probe(key, kind)
 
     # ------------------------------------------------------------------ store
     def put(self, key: str, payload: dict, kind: str = "network_result") -> None:
         """Store ``payload`` under ``key`` (atomic, compressed on disk).
 
-        Backend failures (read-only directory, disk full) are not fatal: the
-        entry stays available in memory for this process and the failure is
-        counted in ``stats.errors``.
+        The memo takes the entry first, so after a backend failure
+        (read-only directory, disk full), whose ``OSError`` this raises, the
+        entry still serves this process.
         """
         self._memo_put(key, kind, payload)
-        self.stats.stores += 1
-        try:
-            self.backend.store(key, payload, kind)
-        except OSError:
-            self.stats.errors += 1
+        self.backend.store(key, payload, kind)
 
     # -------------------------------------------------------------- lifecycle
     def usage(self) -> dict:

@@ -23,7 +23,6 @@ from typing import Callable
 
 from repro.arch.tiling import SamplingConfig
 from repro.core.accelerator import NetworkResult, PragmaticConfig
-from repro.core.sweep import sweep_network
 from repro.runtime.fingerprint import simulation_key, statistics_key
 from repro.runtime.serialization import network_result_from_dict, network_result_to_dict
 from repro.runtime.session import RuntimeSession, current_session
@@ -72,7 +71,7 @@ def simulate(
     identical whether each result came from the cache or a fresh sweep.
     """
     session = session if session is not None else current_session()
-    progress = getattr(session, "progress", None)
+    progress = session.progress
     if progress is not None:
         progress.checkpoint()
     labels = [label for label, _ in request.configs]
@@ -82,25 +81,18 @@ def simulate(
     results: dict[str, NetworkResult] = {}
     missing: dict[str, PragmaticConfig] = {}
     for label, config in request.configs:
-        payload = session.cache.get(keys[label])
+        payload = session.lookup(keys[label])
         if payload is not None:
             results[label] = network_result_from_dict(payload, accelerator=config.name)
         else:
             missing[label] = config
     if missing:
-        trace = session.traces.get(request.trace)
-        computed = sweep_network(
-            trace,
-            missing,
-            sampling=request.sampling,
-            stats=session.sweep_stats,
-            progress=progress,
-        )
+        computed = session.sweep(session.trace(request.trace), missing, request.sampling)
         # The cooperative checkpoints all sit *before* this point: once the
         # sweep has returned, every result is stored unconditionally, so a
         # cancellation can abandon a network but never truncate cache writes.
         for label, result in computed.items():
-            session.cache.put(keys[label], network_result_to_dict(result))
+            session.store(keys[label], network_result_to_dict(result))
             results[label] = result
     if progress is not None:
         progress.emit(
@@ -177,7 +169,7 @@ def analyze(request: StatisticsRequest, session: RuntimeSession | None = None) -
     cache or a fresh measurement.
     """
     session = session if session is not None else current_session()
-    progress = getattr(session, "progress", None)
+    progress = session.progress
     if progress is not None:
         progress.checkpoint()
     if request.statistic not in STATISTICS:
@@ -185,12 +177,12 @@ def analyze(request: StatisticsRequest, session: RuntimeSession | None = None) -
             f"unknown statistic {request.statistic!r}; available: {', '.join(STATISTICS)}"
         )
     key = request.key()
-    payload = session.cache.get(key, kind="statistics")
+    payload = session.lookup(key, kind="statistics")
     computed = payload is None
     if computed:
-        trace = session.traces.get(request.trace)
+        trace = session.trace(request.trace)
         payload = STATISTICS[request.statistic](trace, request.samples_per_layer)
-        session.cache.put(key, payload, kind="statistics")
+        session.store(key, payload, kind="statistics")
     if progress is not None:
         progress.emit(
             {

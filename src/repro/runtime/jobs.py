@@ -125,7 +125,7 @@ def build_plan(
         for request in experiment_plan(name, preset, seed):
             if isinstance(request, StatisticsRequest):
                 stat_key = request.key()
-                if session.cache.contains(stat_key, kind="statistics"):
+                if session.contains(stat_key, kind="statistics"):
                     plan.planned_hits += 1
                     continue
                 job_id = f"stat:{stat_key}"
@@ -143,7 +143,7 @@ def build_plan(
                 if unit_key in group["configs"]:
                     needs_group = True  # another experiment already scheduled it
                     continue
-                if session.cache.contains(unit_key):
+                if session.contains(unit_key):
                     plan.planned_hits += 1
                     continue
                 # Label the merged unit by its content key: experiment-local

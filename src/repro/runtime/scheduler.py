@@ -34,9 +34,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.sweep import SweepStats
 from repro.experiments.base import ExperimentResult, Preset, get_preset
-from repro.runtime.cache import CacheStats, ResultCache
+from repro.runtime.cache import ResultCache
 from repro.runtime.engine import analyze, simulate
 from repro.runtime.jobs import (
     ExperimentJob,
@@ -106,14 +105,6 @@ def _init_worker(cache_dir: str | None, cache_backend: str | None = None) -> Non
     configure_session(cache_dir=cache_dir, cache_backend=cache_backend)
 
 
-def _reset_job_stats(session: RuntimeSession) -> None:
-    """Zero the session counters so the next job reports only its own work."""
-    session.cache.stats = CacheStats()
-    session.sweep_stats = SweepStats()
-    session.traces.builds = 0
-    session.traces.reuses = 0
-
-
 def _run_job(
     job: SimulationJob | StatisticsJob | ExperimentJob, session: RuntimeSession
 ) -> ExperimentResult | None:
@@ -133,26 +124,10 @@ def _run_job(
 def _execute_job(
     job: SimulationJob | StatisticsJob | ExperimentJob,
 ) -> tuple[str, ExperimentResult | None, dict]:
-    """Run one job in the worker's session; returns (job id, result, stats delta)."""
-    session = current_session()
-    _reset_job_stats(session)
+    """Run one job in a job session of the worker's; returns (job id, result, stats)."""
+    session = current_session().job()
     result = _run_job(job, session)
     return job.job_id, result, session.stats().as_dict()
-
-
-def _stats_delta(end: dict, start: dict) -> dict:
-    """Counter-wise ``end - start`` over nested stats dicts.
-
-    Runs may execute inside a long-lived session; the report must describe
-    this run only, not the session's lifetime totals.
-    """
-    delta: dict = {}
-    for key, value in end.items():
-        if isinstance(value, dict):
-            delta[key] = _stats_delta(value, start.get(key, {}))
-        else:
-            delta[key] = value - start.get(key, 0)
-    return delta
 
 
 # ------------------------------------------------------------------ execution
@@ -258,9 +233,11 @@ def run_experiments(
         in-process.
     cache_dir:
         Directory of the shared on-disk result cache; when neither ``cache_dir``
-        nor ``no_cache`` is given the run uses the caller's active session (so a
-        cache installed with :func:`~repro.runtime.session.configure_session`
-        is honored).
+        nor ``no_cache`` is given the run uses the stores of the caller's
+        active session (so a cache installed with
+        :func:`~repro.runtime.session.configure_session` is honored) under a
+        job session of its own: the run's counters are reported in
+        :attr:`RunReport.stats` only, never added to the caller's session.
     no_cache:
         Keep results in memory: nothing persists, and the run's jobs still
         hand results to each other.
@@ -275,8 +252,7 @@ def run_experiments(
     if no_cache or cache_dir is not None or cache_backend is not None:
         session = build_session(cache_dir, no_cache, cache_backend)
     else:
-        session = current_session()
-    session_stats_before = session.stats().as_dict()
+        session = current_session().job()
     stats = RunStats()
     mode = "serial"
     plan = build_plan(names, preset, seed, session)
@@ -294,8 +270,7 @@ def run_experiments(
     else:
         unordered = _run_serial(plan, session)
     results = {name: unordered[name] for name in names}
-
-    stats.merge(_stats_delta(session.stats().as_dict(), session_stats_before))
+    stats.merge(session.stats())
     return RunReport(
         results=results,
         stats=stats,

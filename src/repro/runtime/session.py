@@ -7,12 +7,18 @@ for :func:`current_session` and the runtime configures it once per process
 in-memory cache, so importing ``repro`` and calling ``fig9.run()`` never
 touches the filesystem.
 
+A session is the one place that counts: cache reads and writes, trace
+fetches and sweeps go through its methods into its own :class:`RunStats`,
+and the stores keep no counters.  Every unit of work (a serve request, a
+cluster or pool job, a batch run) runs under a :meth:`RuntimeSession.job`
+session and reports its :meth:`~RuntimeSession.stats`.
+
 Session activation is *thread-scoped*: :func:`use_session` installs a session
 on the calling thread only, while :func:`configure_session` replaces the
 process-wide default every thread falls back to.  This is what lets the serve
 layer (:mod:`repro.serve`) execute concurrent jobs on worker threads, each
-under its own per-request stats view of one shared session.  See
-``docs/runtime.md`` for the full session model.
+under its own job session.  See ``docs/runtime.md`` for the full session
+model.
 """
 
 from __future__ import annotations
@@ -24,12 +30,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.progress import ProgressToken
-from repro.core.sweep import SweepStats
+from repro.core.sweep import SweepStats, sweep_network
+from repro.runtime.backends import CorruptEntry
 from repro.runtime.cache import CacheStats, ResultCache
 from repro.runtime.trace_store import TraceStore
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
+    "NotResident",
     "RunStats",
     "RuntimeSession",
     "build_session",
@@ -92,8 +100,13 @@ class RunStats:
         )
 
 
+class NotResident(Exception):
+    """A resident-only session needed more than this process holds."""
+
+
 class RuntimeSession:
-    """Shared state of one experiment-execution session.
+    """The stores a unit of work uses, which :meth:`job` sessions share, and
+    the counters of what this session's calls cost (:meth:`stats`).
 
     ``progress`` optionally carries a :class:`~repro.core.progress.ProgressToken`
     through the session: the execution funnels (:func:`repro.runtime.engine.simulate`
@@ -101,8 +114,10 @@ class RuntimeSession:
     from the *active* session, check it at cooperative checkpoints (raising
     :class:`~repro.core.progress.SweepCancelled` once cancelled) and emit
     per-layer/per-network progress events through it.  Attach tokens to
-    short-lived per-request sessions (the serve layer's stats views), never to
-    a session shared by concurrent jobs.
+    short-lived job sessions, never to a session shared by concurrent jobs.
+
+    A ``resident_only`` session raises :class:`NotResident` instead of a
+    miss, a backend read, a due LRU touch, a store, a probe or a trace build.
     """
 
     def __init__(
@@ -110,24 +125,82 @@ class RuntimeSession:
         cache: ResultCache | None = None,
         traces: TraceStore | None = None,
         progress: "ProgressToken | None" = None,
+        resident_only: bool = False,
     ) -> None:
         self.cache = cache if cache is not None else ResultCache()
         self.traces = traces if traces is not None else TraceStore()
-        self.sweep_stats = SweepStats()
         self.progress = progress
+        self.resident_only = resident_only
+        self._stats = RunStats()
+
+    def job(
+        self, progress: "ProgressToken | None" = None, resident_only: bool = False
+    ) -> "RuntimeSession":
+        """A session with fresh counters over this one's cache and trace store."""
+        return RuntimeSession(self.cache, self.traces, progress, resident_only)
+
+    def lookup(self, key: str, kind: str = "network_result") -> dict | None:
+        """The payload under ``key``, or ``None``; a corrupt entry is a miss and an error."""
+        counters = self._stats.cache
+        try:
+            payload = self.cache.get(key, kind, resident_only=self.resident_only)
+        except CorruptEntry:
+            counters.misses += 1
+            counters.errors += 1
+            return None
+        if payload is not None:
+            counters.hits += 1
+        elif self.resident_only:
+            raise NotResident(key)
+        else:
+            counters.misses += 1
+        return payload
+
+    def store(self, key: str, payload: dict, kind: str = "network_result") -> None:
+        """Store ``payload`` under ``key``; a failed backend write is a store and
+        an error, and the memo still serves the entry to this process."""
+        if self.resident_only:
+            raise NotResident(key)
+        self._stats.cache.stores += 1
+        try:
+            self.cache.put(key, payload, kind)
+        except OSError:
+            self._stats.cache.errors += 1
+
+    def contains(self, key: str, kind: str = "network_result") -> bool:
+        """Whether ``key`` holds a valid entry (run planning), counting no hit
+        or miss; a corrupt entry is dropped, counted as an error and absent."""
+        if self.resident_only:
+            raise NotResident(key)
+        try:
+            return self.cache.contains(key, kind)
+        except CorruptEntry:
+            self._stats.cache.errors += 1
+            return False
 
     def trace(self, spec) -> object:
-        """The calibrated trace for ``spec``, via the shared store."""
-        return self.traces.get(spec)
+        """The calibrated trace for ``spec``, built only if the store lacks it."""
+        trace, built = self.traces.fetch(spec, build=not self.resident_only)
+        if trace is None:
+            raise NotResident(spec)
+        if built:
+            self._stats.traces_built += 1
+        else:
+            self._stats.traces_reused += 1
+        return trace
+
+    def sweep(self, trace, configs: dict, sampling) -> dict:
+        """:func:`~repro.core.sweep.sweep_network` of ``configs`` over ``trace``,
+        counted in this session and checked against its progress token."""
+        return sweep_network(
+            trace, configs, sampling=sampling, stats=self._stats.sweep, progress=self.progress
+        )
 
     def stats(self) -> RunStats:
         """Snapshot of this session's counters."""
-        stats = RunStats()
-        stats.cache.merge(self.cache.stats)
-        stats.sweep.merge(self.sweep_stats)
-        stats.traces_built = self.traces.builds
-        stats.traces_reused = self.traces.reuses
-        return stats
+        snapshot = RunStats()
+        snapshot.merge(self._stats)
+        return snapshot
 
 
 #: The process-wide default session (memory-cached); threads without an

@@ -4,23 +4,30 @@ A :class:`TraceSpec` is the declarative description of a calibrated activation
 trace — everything :func:`repro.nn.calibration.calibrated_trace` needs, as a
 hashable value object.  Being declarative makes it both the cache-key
 component for simulations over the trace and the memoization key of the
-:class:`TraceStore`, which guarantees each network's trace is materialized
-once per session no matter how many experiments consume it.  Building a
-trace calibrates its network through
+:class:`TraceStore`, which keeps the :data:`TRACE_ENTRIES` most recently used
+traces, so a trace is built once however many experiments consume it.
+Building a trace calibrates its network through
 :func:`repro.nn.calibration.calibrate_network`, whose per-process memo
-answers every repeat.  See ``docs/runtime.md`` for how traces fit the
-session and cache-key model.
+answers every repeat.  The store counts nothing: the session that fetches a
+trace counts the build or reuse.  See ``docs/runtime.md`` for how traces fit
+the session and cache-key model.
 """
 
 from __future__ import annotations
 
+import collections
 import threading
 from dataclasses import dataclass
 
 from repro.nn.precision import DEFAULT_SUFFIX_BITS
 from repro.nn.traces import NetworkTrace
 
-__all__ = ["TraceSpec", "TraceStore"]
+__all__ = ["TRACE_ENTRIES", "TraceSpec", "TraceStore"]
+
+#: Traces a :class:`TraceStore` keeps, least recently used out first: the
+#: size of ``calibrate_network``'s memo, so an evicted trace rebuilds from a
+#: memo hit (40–100 µs) instead of a calibration.
+TRACE_ENTRIES = 128
 
 
 @dataclass(frozen=True)
@@ -53,7 +60,7 @@ class TraceSpec:
 
 
 class TraceStore:
-    """Session-scoped store building each distinct trace exactly once.
+    """Session-scoped LRU of the :data:`TRACE_ENTRIES` most recent traces.
 
     Traces are stateless value generators (layer values are derived on demand
     from per-layer seeds), so one instance can safely serve every experiment
@@ -62,38 +69,30 @@ class TraceStore:
     """
 
     def __init__(self) -> None:
-        self._traces: dict[TraceSpec, NetworkTrace] = {}
+        self._traces: collections.OrderedDict[TraceSpec, NetworkTrace] = collections.OrderedDict()
         self._lock = threading.Lock()
-        self.builds = 0
-        self.reuses = 0
-
-    def get(self, spec: TraceSpec) -> NetworkTrace:
-        """The trace described by ``spec``, building it on first request."""
-        return self.fetch(spec)[0]
 
     def fetch(self, spec: TraceSpec, build: bool = True) -> tuple[NetworkTrace | None, bool]:
-        """Like :meth:`get`, also reporting whether *this call* built the trace.
+        """The trace described by ``spec``, and whether *this call* built it.
 
-        The boolean lets per-request stats views (the serve worker pool)
-        count builds exactly, without a check-then-act race against other
-        threads fetching the same spec concurrently.  With ``build=False`` a
-        trace not yet in the store is ``(None, False)``, never built.
+        The boolean lets a session count builds exactly, without a
+        check-then-act race against other threads fetching the same spec.
+        With ``build=False`` a trace not in the store is ``(None, False)``.
         """
         with self._lock:
             trace = self._traces.get(spec)
             if trace is not None:
-                self.reuses += 1
+                self._traces.move_to_end(spec)
                 return trace, False
         if not build:
             return None, False
         built = spec.build()
         with self._lock:
             trace = self._traces.setdefault(spec, built)
-            if trace is built:
-                self.builds += 1
-                return trace, True
-            self.reuses += 1
-            return trace, False
+            self._traces.move_to_end(spec)
+            while len(self._traces) > TRACE_ENTRIES:
+                self._traces.popitem(last=False)
+        return trace, trace is built
 
     def __len__(self) -> int:
         return len(self._traces)

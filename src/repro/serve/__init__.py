@@ -12,7 +12,7 @@ Layering::
 
     protocol   typed requests + JSON-lines wire format
     queue      tickets, jobs, coalescing, cancellation
-    workers    bounded pool, per-job stats views of the shared session
+    workers    bounded pool; each job runs under a job session of the shared one
     service    ExperimentService: in-process / TCP / stdio front-ends
     client     ServeClient: async multiplexing TCP client
     cli        ``python -m repro serve`` (incl. ``--worker``), and the one
@@ -33,11 +33,10 @@ from repro.serve.protocol import (
 )
 from repro.serve.queue import Job, RequestQueue, Ticket
 from repro.serve.service import ConnectionContext, ExperimentService
-from repro.serve.workers import WorkerPool, execute_request, job_session
+from repro.serve.workers import WorkerPool, execute_request
 
 __all__ = [
     "ConnectionContext",
-    "job_session",
     "ServeClient",
     "ServeResponse",
     "ExperimentRequest",

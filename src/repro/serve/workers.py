@@ -5,14 +5,14 @@ Each worker is an asyncio task that pulls jobs off the
 (``asyncio.to_thread``), so the event loop stays responsive while numpy does
 the heavy lifting.  A new job whose every input is already resident (memo
 hits, built traces) is answered on the event loop instead, before it would
-be queued (:meth:`WorkerPool.run_inline`).  Every job runs under a *stats
-view* of the shared :class:`~repro.runtime.session.RuntimeSession`: a
-private session whose cache and trace store delegate to the shared ones (so
-all jobs reuse one warm ``ResultCache`` + ``TraceStore``) but count
-hits/misses/stores, sweep work and trace builds into per-job counters —
-which is how each response can report exactly what *its* request cost.
-Thread-scoped session activation (see :mod:`repro.runtime.session`) keeps
-concurrent jobs from interfering.
+be queued (:meth:`WorkerPool.run_inline`).  Every job runs under a *job
+session* of the shared :class:`~repro.runtime.session.RuntimeSession`
+(:meth:`~repro.runtime.session.RuntimeSession.job`): it reads and writes the
+one warm ``ResultCache`` + ``TraceStore`` but counts hits/misses/stores,
+sweep work and trace builds into its own ``RunStats`` — which is how each
+response can report exactly what *its* request cost.  Thread-scoped session
+activation (see :mod:`repro.runtime.session`) keeps concurrent jobs from
+interfering.
 
 ``docs/serving.md`` describes the execution model; ``docs/runtime.md`` the
 session semantics underneath it.
@@ -25,9 +25,9 @@ import time
 
 from repro.core.progress import ProgressToken, SweepCancelled
 from repro.runtime import RuntimeSession, simulate, use_session
-from repro.runtime.cache import CacheStats
 from repro.runtime.jobs import plan_hook
 from repro.runtime.serialization import network_result_to_dict
+from repro.runtime.session import NotResident
 from repro.serve.protocol import (
     ExperimentRequest,
     RunAllRequest,
@@ -36,95 +36,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.queue import Job, RequestQueue
 
-__all__ = ["NotResident", "WorkerPool", "execute_request", "job_session"]
-
-
-class NotResident(Exception):
-    """A resident-only execution needed more than this process holds."""
-
-
-class _CacheView:
-    """Per-job counting facade over the shared :class:`ResultCache`.
-
-    A ``resident_only`` view raises :class:`NotResident` instead of a miss,
-    a backend read, a due LRU touch or a store.
-    """
-
-    def __init__(self, inner, resident_only: bool = False) -> None:
-        self._inner = inner
-        self.resident_only = resident_only
-        self.stats = CacheStats()
-
-    def _delegate(self, operation, *args, **kwargs):
-        """Run an inner-cache call, attributing its error delta to this view."""
-        before = self._inner.stats.errors
-        result = operation(*args, **kwargs)
-        self.stats.errors += max(0, self._inner.stats.errors - before)
-        return result
-
-    def get(self, key: str, kind: str = "network_result"):
-        payload = self._delegate(
-            self._inner.get, key, kind=kind, resident_only=self.resident_only
-        )
-        if payload is None:
-            if self.resident_only:
-                raise NotResident(key)
-            self.stats.misses += 1
-        else:
-            self.stats.hits += 1
-        return payload
-
-    def put(self, key: str, payload: dict, kind: str = "network_result") -> None:
-        if self.resident_only:
-            raise NotResident(key)
-        self._delegate(self._inner.put, key, payload, kind=kind)
-        self.stats.stores += 1
-
-    def __len__(self) -> int:
-        return len(self._inner)
-
-
-class _TraceView:
-    """Per-job counting facade over the shared :class:`TraceStore`.
-
-    A ``resident_only`` view raises :class:`NotResident` instead of building.
-    """
-
-    def __init__(self, inner, resident_only: bool = False) -> None:
-        self._inner = inner
-        self.resident_only = resident_only
-        self.builds = 0
-        self.reuses = 0
-
-    def get(self, spec):
-        trace, built = self._inner.fetch(spec, build=not self.resident_only)
-        if trace is None:
-            raise NotResident(spec)
-        if built:
-            self.builds += 1
-        else:
-            self.reuses += 1
-        return trace
-
-    def __len__(self) -> int:
-        return len(self._inner)
-
-
-def job_session(
-    shared: RuntimeSession,
-    progress: ProgressToken | None = None,
-    resident_only: bool = False,
-) -> RuntimeSession:
-    """A stats view of ``shared``: same cache and traces, private counters.
-
-    Public because every executor variant (the default one below, the cluster
-    worker's internal-op executor) builds its per-job session this way.
-    """
-    return RuntimeSession(
-        cache=_CacheView(shared.cache, resident_only),
-        traces=_TraceView(shared.traces, resident_only),
-        progress=progress,
-    )
+__all__ = ["WorkerPool", "execute_request"]
 
 
 def _declares_inputs(request: ServeRequest) -> bool:
@@ -155,8 +67,8 @@ def execute_request(
     JSON-ready: experiment results via ``ExperimentResult.to_dict``, raw
     simulations via :func:`network_result_to_dict`.
 
-    ``progress`` (the job's :class:`ProgressToken`) rides the per-job session
-    view down into the runtime funnels: the sweep checks it at cooperative
+    ``progress`` (the job's :class:`ProgressToken`) rides the job session
+    down into the runtime funnels: the sweep checks it at cooperative
     checkpoints (raising :class:`SweepCancelled` once the last interested
     ticket cancelled) and per-layer/per-network progress events flow back
     through it.  ``run_all`` additionally emits one ``experiment_done`` event
@@ -173,8 +85,8 @@ def execute_request(
         raise NotResident(request.op)
     if progress is not None:
         progress.checkpoint()
-    view = job_session(shared, progress, resident_only)
-    with use_session(view):
+    session = shared.job(progress, resident_only)
+    with use_session(session):
         if isinstance(request, ExperimentRequest):
             result = run_experiment(
                 request.experiment, preset=request.resolved_preset(), seed=request.seed
@@ -209,7 +121,7 @@ def execute_request(
             }
         else:  # pragma: no cover - parse_request guards this
             raise TypeError(f"unsupported request type {type(request).__name__}")
-    return payload, view.stats().as_dict()
+    return payload, session.stats().as_dict()
 
 
 class WorkerPool:
@@ -271,9 +183,8 @@ class WorkerPool:
 
         Returns the progress events it emitted and its outcome (keyword
         arguments of :meth:`RequestQueue.finish`), or ``None`` when the job
-        must be queued instead.  An abandoned attempt emits no event and its
-        per-job view's counters are dropped, but the shared cache and trace
-        store keep the hits it read before it gave up.
+        must be queued instead.  An abandoned attempt emits no event, and
+        its job session's counters are dropped with it.
         """
         if self._awaits:
             return None

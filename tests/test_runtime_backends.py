@@ -34,6 +34,7 @@ from repro.cachenet.protocol import FrameError, read_frame
 from repro.runtime import lifecycle
 from repro.runtime.backends import CorruptEntry, FilesystemBackend, InMemoryBackend
 from repro.runtime.cache import ResultCache
+from repro.runtime.session import RuntimeSession
 
 BACKENDS = ("memory", "filesystem", "shared", "remote", "resolved")
 
@@ -164,16 +165,18 @@ class TestBackendConformance:
             assert again.load("k1", "network_result") is None
 
     def test_result_cache_over_backend(self, make_backend, flavour):
-        """ResultCache policy (stats, memo) works over every backend."""
-        cache = ResultCache(backend=make_backend(flavour))
-        assert cache.get("k1") is None
-        cache.put("k1", {"a": 1})
-        assert cache.get("k1") == {"a": 1}
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 1
-        assert cache.stats.stores == 1
-        assert cache.contains("k1")
-        assert len(cache) == 1
+        """ResultCache policy (the memo), and a session counting over it, work
+        over every backend."""
+        session = RuntimeSession(cache=ResultCache(backend=make_backend(flavour)))
+        assert session.lookup("k1") is None
+        session.store("k1", {"a": 1})
+        assert session.lookup("k1") == {"a": 1}
+        counters = session.stats().cache
+        assert counters.misses == 1
+        assert counters.hits == 1
+        assert counters.stores == 1
+        assert session.contains("k1")
+        assert len(session.cache) == 1
 
     def test_result_cache_memo_eviction_falls_back_to_backend(
         self, make_backend, flavour
@@ -208,19 +211,20 @@ class TestPersistentBackendCorruption:
 
     @pytest.mark.parametrize("flavour", ["filesystem", "shared"])
     def test_result_cache_counts_corruption_as_miss(self, make_backend, flavour):
-        cache = ResultCache(backend=make_backend(flavour))
-        cache.put("k1", {"a": 1})
-        cache._memory.clear()  # force the next get through the backend
-        lifecycle.entry_path(cache.directory, "k1").write_bytes(b"garbage")
-        assert cache.get("k1") is None
-        assert cache.stats.errors == 1
+        session = RuntimeSession(cache=ResultCache(backend=make_backend(flavour)))
+        session.store("k1", {"a": 1})
+        session.cache._memory.clear()  # force the next get through the backend
+        lifecycle.entry_path(session.cache.directory, "k1").write_bytes(b"garbage")
+        assert session.lookup("k1") is None
+        assert session.stats().cache.errors == 1
 
     def test_an_entry_nested_too_deep_to_parse_is_a_counted_miss(self, tmp_path):
-        cache = ResultCache(directory=tmp_path)
+        session = RuntimeSession(cache=ResultCache(directory=tmp_path))
         path = lifecycle.entry_path(tmp_path, "k1")
         path.write_bytes(gzip.compress(b"[" * 5000))
-        assert cache.get("k1") is None
-        assert (cache.stats.misses, cache.stats.errors) == (1, 1)
+        assert session.lookup("k1") is None
+        counters = session.stats().cache
+        assert (counters.misses, counters.errors) == (1, 1)
         assert not path.exists()
 
 
@@ -312,10 +316,10 @@ class TestNetworkCacheTier:
         cache._memory.clear()  # force the next get through the backend
         server = make_backend.cachenet_server
         lifecycle.entry_path(server.backend.directory, "k1").write_bytes(b"garbage")
-        fresh = ResultCache(backend=make_backend(flavour))
-        assert fresh.get("k1") is None
-        assert fresh.stats.errors == 1
-        fresh.put("k1", {"a": 2})  # recompute-and-store works afterwards
+        fresh = RuntimeSession(cache=ResultCache(backend=make_backend(flavour)))
+        assert fresh.lookup("k1") is None
+        assert fresh.stats().cache.errors == 1
+        fresh.store("k1", {"a": 2})  # recompute-and-store works afterwards
         assert ResultCache(backend=make_backend(flavour)).get("k1") == {"a": 2}
 
     @pytest.mark.parametrize("flavour", ["remote", "resolved"])
@@ -365,6 +369,30 @@ class TestNetworkCacheTier:
         usage = reader.usage()
         assert usage["remote_reachable"] is False
         assert usage["remote_degraded"] > 0
+
+    def test_a_stalled_server_degrades_each_load_then_opens_the_breaker(
+        self, monkeypatch, fail_fast
+    ):
+        """A cache server that takes connections and never answers: each of
+        the first ``BREAKER_THRESHOLD`` loads waits out ``REQUEST_TIMEOUT``
+        and degrades to a miss, then the open breaker answers at once."""
+        from repro.cachenet.backend import BREAKER_THRESHOLD, RemoteBackend
+
+        monkeypatch.setattr(remote_backend, "REQUEST_TIMEOUT", 0.2)
+        # Listening without accepting: the kernel completes each handshake,
+        # so the client connects, sends its request and hears nothing.
+        with socket.create_server(("127.0.0.1", 0), backlog=BREAKER_THRESHOLD + 1) as stalled:
+            backend = RemoteBackend(*stalled.getsockname())
+            for degraded in range(1, BREAKER_THRESHOLD + 1):
+                started = time.monotonic()
+                assert backend.load("k1", "network_result") is None
+                assert time.monotonic() - started < 1.0
+                assert backend.remote_degraded == degraded
+            started = time.monotonic()
+            assert backend.load("k1", "network_result") is None
+            assert backend.usage()["remote_reachable"] is False
+            assert time.monotonic() - started < 0.1
+            backend.close()
 
     def test_wrong_auth_token_degrades(self, tmp_path, fail_fast):
         from repro.cachenet.backend import RemoteBackend

@@ -1,4 +1,5 @@
-"""Tests for the content-addressed result cache and the trace store."""
+"""Tests for the content-addressed result cache, the trace store, and the
+session that counts each job's use of them."""
 
 import gzip
 import json
@@ -10,42 +11,49 @@ import pytest
 
 from repro.arch.tiling import SamplingConfig
 from repro.core.variants import pallet_variant
+from repro.runtime.backends import CorruptEntry
 from repro.runtime.cache import ResultCache
 from repro.runtime.engine import SimulationRequest, simulate
-from repro.runtime.session import RuntimeSession
-from repro.runtime.trace_store import TraceSpec, TraceStore
+from repro.runtime.session import NotResident, RuntimeSession
+from repro.runtime.trace_store import TRACE_ENTRIES, TraceSpec, TraceStore
 
 PAYLOAD = {"network": "alexnet", "accelerator": "x", "layers": []}
 
 
+def _session(directory=None) -> RuntimeSession:
+    """A session over a fresh cache of ``directory`` (memory when ``None``)."""
+    return RuntimeSession(cache=ResultCache(directory=directory))
+
+
 class TestMemoryCache:
     def test_miss_then_hit(self):
-        cache = ResultCache()
-        assert cache.get("k") is None
-        cache.put("k", PAYLOAD)
-        assert cache.get("k") == PAYLOAD
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 1
-        assert cache.stats.stores == 1
+        session = _session()
+        assert session.lookup("k") is None
+        session.store("k", PAYLOAD)
+        assert session.lookup("k") == PAYLOAD
+        counters = session.stats().cache
+        assert counters.misses == 1
+        assert counters.hits == 1
+        assert counters.stores == 1
 
 
 class TestDiskCache:
     def test_entries_survive_across_instances(self, tmp_path):
         first = ResultCache(directory=tmp_path)
         first.put("deadbeef", PAYLOAD)
-        second = ResultCache(directory=tmp_path)
-        assert second.get("deadbeef") == PAYLOAD
-        assert second.stats.hits == 1
-        assert len(second) == 1
+        second = _session(tmp_path)
+        assert second.lookup("deadbeef") == PAYLOAD
+        assert second.stats().cache.hits == 1
+        assert len(second.cache) == 1
 
     def test_contains_does_not_touch_stats(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
         cache.put("k", PAYLOAD)
-        fresh = ResultCache(directory=tmp_path)
+        fresh = _session(tmp_path)
         assert fresh.contains("k")
         assert not fresh.contains("missing")
-        assert fresh.stats.hits == 0
-        assert fresh.stats.misses == 0
+        assert fresh.stats().cache.hits == 0
+        assert fresh.stats().cache.misses == 0
 
     @pytest.mark.parametrize(
         "garbage",
@@ -56,11 +64,22 @@ class TestDiskCache:
         cache.put("k", PAYLOAD)
         path = tmp_path / "k.json.gz"
         path.write_text(garbage)  # not even gzip anymore
-        fresh = ResultCache(directory=tmp_path)
-        assert fresh.get("k") is None
-        assert fresh.stats.errors == 1
-        assert fresh.stats.misses == 1
+        fresh = _session(tmp_path)
+        assert fresh.lookup("k") is None
+        assert fresh.stats().cache.errors == 1
+        assert fresh.stats().cache.misses == 1
         assert not path.exists()  # the bad entry was dropped
+
+    @pytest.mark.parametrize(
+        "probe", [ResultCache.get, ResultCache.contains], ids=["get", "contains"]
+    )
+    def test_the_cache_raises_a_corrupt_entry_it_dropped(self, tmp_path, probe):
+        ResultCache(directory=tmp_path).put("k", PAYLOAD)
+        path = tmp_path / "k.json.gz"
+        path.write_text("garbage")
+        with pytest.raises(CorruptEntry):
+            probe(ResultCache(directory=tmp_path), "k")
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "damage",
@@ -75,26 +94,31 @@ class TestDiskCache:
         cache.put("k", PAYLOAD)
         path = tmp_path / "k.json.gz"
         path.write_bytes(damage(path.read_bytes()))
-        fresh = ResultCache(directory=tmp_path)
-        assert fresh.get("k") is None
-        assert fresh.stats.errors == 1
+        fresh = _session(tmp_path)
+        assert fresh.lookup("k") is None
+        assert fresh.stats().cache.errors == 1
         assert not path.exists()
 
     def test_kind_mismatch_is_corruption(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
         cache.put("k", PAYLOAD, kind="other_kind")
-        fresh = ResultCache(directory=tmp_path)
-        assert fresh.get("k", kind="network_result") is None
-        assert fresh.stats.errors == 1
+        fresh = _session(tmp_path)
+        assert fresh.lookup("k", kind="network_result") is None
+        assert fresh.stats().cache.errors == 1
 
     def test_unwritable_directory_degrades_to_memory(self, tmp_path):
-        cache = ResultCache(directory=tmp_path / "c")
+        session = _session(tmp_path / "c")
         # Make writes fail by replacing the cache directory with a file.
         (tmp_path / "c").rmdir()
         (tmp_path / "c").write_text("not a directory")
-        cache.put("k", PAYLOAD)
-        assert cache.stats.errors == 1
-        assert cache.get("k") == PAYLOAD  # memory copy still serves this process
+        session.store("k", PAYLOAD)
+        assert session.stats().cache.errors == 1
+        assert session.stats().cache.stores == 1
+        assert session.lookup("k") == PAYLOAD  # memory copy still serves this process
+        # The cache itself raises the failed write, after its memo took the entry.
+        with pytest.raises(OSError):
+            session.cache.put("k2", PAYLOAD)
+        assert session.cache.get("k2") == PAYLOAD
 
     def test_entries_are_gzipped_json_documents(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
@@ -106,14 +130,14 @@ class TestDiskCache:
     def test_memo_is_keyed_by_kind(self, tmp_path):
         # Regression: the in-memory memo used to ignore ``kind``, so an entry
         # stored under one kind answered same-process lookups for another.
-        cache = ResultCache(directory=tmp_path)
-        cache.put("k", PAYLOAD, kind="network_result")
-        assert cache.get("k", kind="statistics_result") is None
-        assert cache.get("k", kind="network_result") == PAYLOAD
+        session = _session(tmp_path)
+        session.store("k", PAYLOAD, kind="network_result")
+        assert session.lookup("k", kind="statistics_result") is None
+        assert session.lookup("k", kind="network_result") == PAYLOAD
         # Memory-only caches enforce the same contract.
-        memory = ResultCache()
-        memory.put("k", PAYLOAD, kind="network_result")
-        assert memory.get("k", kind="statistics_result") is None
+        memory = _session()
+        memory.store("k", PAYLOAD, kind="network_result")
+        assert memory.lookup("k", kind="statistics_result") is None
         assert not memory.contains("k", kind="statistics_result")
         assert memory.contains("k", kind="network_result")
 
@@ -153,40 +177,76 @@ class TestDiskCache:
 
     def test_a_resident_only_get_answers_from_the_memo_alone(self, tmp_path, monkeypatch):
         ResultCache(directory=tmp_path).put("k", PAYLOAD)
-        cache = ResultCache(directory=tmp_path)
-        assert cache.get("k", resident_only=True) is None  # on disk only
-        assert cache.stats.as_dict() == {"hits": 0, "misses": 0, "stores": 0, "errors": 0}
-        assert cache.get("k") == PAYLOAD  # the backend read fills the memo
-        assert cache.get("k", resident_only=True) == PAYLOAD
+        session = _session(tmp_path)
+        resident = session.job(resident_only=True)
+        assert session.cache.get("k", resident_only=True) is None  # on disk only
+        with pytest.raises(NotResident):
+            resident.lookup("k")
+        assert resident.stats().cache.as_dict() == {
+            "hits": 0, "misses": 0, "stores": 0, "errors": 0
+        }
+        assert session.lookup("k") == PAYLOAD  # the backend read fills the memo
+        assert resident.lookup("k") == PAYLOAD
         monkeypatch.setattr("repro.runtime.cache.USE_GRANULARITY", 0.0)
-        assert cache.get("k", resident_only=True) is None  # its LRU touch is due
-        assert cache.stats.hits == 2
+        with pytest.raises(NotResident):
+            resident.lookup("k")  # its LRU touch is due
+        assert session.stats().cache.hits + resident.stats().cache.hits == 2
+
+    def test_a_resident_only_session_stores_probes_and_builds_nothing(self, tmp_path):
+        resident = _session(tmp_path).job(resident_only=True)
+        spec = TraceSpec(network="alexnet", seed=3)
+        for attempt in (
+            lambda: resident.store("k", PAYLOAD),
+            lambda: resident.contains("k"),
+            lambda: resident.trace(spec),
+        ):
+            with pytest.raises(NotResident):
+                attempt()
+        assert list(tmp_path.iterdir()) == []
+        assert len(resident.traces) == 0
+        assert resident.stats() == RuntimeSession().stats()
 
 
 class TestTraceStore:
     def test_builds_each_spec_once(self):
-        store = TraceStore()
+        session = RuntimeSession()
         spec = TraceSpec(network="alexnet", seed=3)
-        first = store.get(spec)
-        second = store.get(spec)
+        first = session.trace(spec)
+        second = session.trace(spec)
         assert first is second
-        assert store.builds == 1
-        assert store.reuses == 1
+        assert session.stats().traces_built == 1
+        assert session.stats().traces_reused == 1
 
     def test_fetch_without_build_answers_only_a_stored_trace(self):
         store = TraceStore()
         spec = TraceSpec(network="alexnet", seed=3)
         assert store.fetch(spec, build=False) == (None, False)
-        assert (store.builds, store.reuses, len(store)) == (0, 0, 0)
-        trace = store.get(spec)
+        assert len(store) == 0
+        trace, built = store.fetch(spec)
+        assert built
         assert store.fetch(spec, build=False) == (trace, False)
 
     def test_distinct_specs_build_distinct_traces(self):
-        store = TraceStore()
-        a = store.get(TraceSpec(network="alexnet", seed=3))
-        b = store.get(TraceSpec(network="alexnet", seed=4))
+        session = RuntimeSession()
+        a = session.trace(TraceSpec(network="alexnet", seed=3))
+        b = session.trace(TraceSpec(network="alexnet", seed=4))
         assert a is not b
-        assert store.builds == 2
+        assert session.stats().traces_built == 2
+
+    def test_the_store_keeps_the_most_recently_used_traces(self):
+        store = TraceStore()
+        specs = [TraceSpec(network="alexnet", seed=seed) for seed in range(TRACE_ENTRIES + 1)]
+        kept, _ = store.fetch(specs[0])
+        for spec in specs[1:-1]:
+            store.fetch(spec)
+        assert store.fetch(specs[0], build=False) == (kept, False)  # a touch
+        store.fetch(specs[-1])
+        assert len(store) == TRACE_ENTRIES
+        assert store.fetch(specs[0], build=False) == (kept, False)
+        assert store.fetch(specs[1], build=False) == (None, False)  # least recent
+        rebuilt, built = store.fetch(specs[1])
+        assert built and rebuilt is not None
+        assert len(store) == TRACE_ENTRIES
 
 
 class TestCorruptionEndToEnd:
@@ -204,9 +264,9 @@ class TestCorruptionEndToEnd:
         recovered_session = RuntimeSession(cache=ResultCache(directory=tmp_path))
         recovered = simulate(request, session=recovered_session)["PRA-2b"]
         assert recovered == reference
-        assert recovered_session.cache.stats.errors == 1
-        assert recovered_session.sweep_stats.configs_simulated == 1
+        assert recovered_session.stats().cache.errors == 1
+        assert recovered_session.stats().sweep.configs_simulated == 1
         # The recomputed entry was re-stored and is valid again.
         final_session = RuntimeSession(cache=ResultCache(directory=tmp_path))
         assert simulate(request, session=final_session)["PRA-2b"] == reference
-        assert final_session.sweep_stats.configs_simulated == 0
+        assert final_session.stats().sweep.configs_simulated == 0

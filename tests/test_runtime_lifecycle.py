@@ -20,6 +20,7 @@ from repro.experiments.runner import main as runner_main
 from repro.runtime import cache as cache_module
 from repro.runtime.backends import FilesystemBackend
 from repro.runtime.cache import ResultCache
+from repro.runtime.session import RuntimeSession
 
 PAYLOAD = {"network": "alexnet", "accelerator": "x", "layers": []}
 
@@ -265,31 +266,31 @@ class TestGarbageCollection:
     def test_survivors_still_hit_after_gc_across_instances(self, tmp_path):
         cache = self.fill(tmp_path, ["aaa", "bbb", "ccc"])
         cache.gc(max_bytes=cache.usage()["disk_bytes"] - 1)  # evicts aaa only
-        fresh = ResultCache(directory=tmp_path)
-        assert fresh.get("bbb") is not None
-        assert fresh.get("ccc") is not None
-        assert fresh.stats.misses == 0
+        fresh = RuntimeSession(cache=ResultCache(directory=tmp_path))
+        assert fresh.lookup("bbb") is not None
+        assert fresh.lookup("ccc") is not None
+        assert fresh.stats().cache.misses == 0
 
 
 # ----------------------------------------------------------------- bounded memo
 class TestBoundedMemo:
     def test_memo_evicts_without_losing_disk_hits(self, tmp_path):
-        cache = ResultCache(directory=tmp_path, memo_entries=2)
+        session = RuntimeSession(cache=ResultCache(directory=tmp_path, memo_entries=2))
         for key in ("aaa", "bbb", "ccc", "ddd"):
-            cache.put(key, {**PAYLOAD, "key": key})
-        assert len(cache._memory) == 2  # bounded despite 4 stores
+            session.store(key, {**PAYLOAD, "key": key})
+        assert len(session.cache._memory) == 2  # bounded despite 4 stores
         for key in ("aaa", "bbb", "ccc", "ddd"):
-            assert cache.get(key) == {**PAYLOAD, "key": key}  # disk backs the memo
-        assert cache.stats.misses == 0
-        assert len(cache._memory) == 2
+            assert session.lookup(key) == {**PAYLOAD, "key": key}  # disk backs the memo
+        assert session.stats().cache.misses == 0
+        assert len(session.cache._memory) == 2
 
     def test_memory_mode_memo_is_never_evicted(self):
-        cache = ResultCache(memo_entries=2)
+        session = RuntimeSession(cache=ResultCache(memo_entries=2))
         for key in ("aaa", "bbb", "ccc", "ddd"):
-            cache.put(key, {**PAYLOAD, "key": key})
+            session.store(key, {**PAYLOAD, "key": key})
         for key in ("aaa", "bbb", "ccc", "ddd"):
-            assert cache.get(key) == {**PAYLOAD, "key": key}
-        assert cache.stats.misses == 0
+            assert session.lookup(key) == {**PAYLOAD, "key": key}
+        assert session.stats().cache.misses == 0
 
 
 # ------------------------------------------------------------------ observation

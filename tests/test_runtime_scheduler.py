@@ -24,7 +24,7 @@ from repro.runtime import (
     simulate,
     use_session,
 )
-from repro.runtime import engine
+from repro.runtime import session as session_module
 from repro.runtime.cache import ResultCache
 
 #: Two-network preset keeping the scheduler tests fast.
@@ -41,15 +41,15 @@ def tiny_request(config_pairs, max_pallets=1, seed=0):
 
 
 def _count_sweeps(monkeypatch) -> list:
-    """Record every ``sweep_network`` call the engine makes."""
+    """Record every ``sweep_network`` call a session makes."""
     calls = []
-    sweep = engine.sweep_network
+    sweep = session_module.sweep_network
 
     def counted(*args, **kwargs):
         calls.append(args)
         return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "sweep_network", counted)
+    monkeypatch.setattr(session_module, "sweep_network", counted)
     return calls
 
 
@@ -63,7 +63,7 @@ class TestEngine:
         with use_session(session):
             first = simulate(tiny_request([("4-bit", pallet_variant(4))]))
             second = simulate(tiny_request([("single", single)]))
-        assert session.sweep_stats.configs_simulated == 1  # second was a hit
+        assert session.stats().sweep.configs_simulated == 1  # second was a hit
         assert first["4-bit"].accelerator == "PRA-4b"
         assert second["single"].accelerator == "PRA-single"
         assert first["4-bit"].layers == second["single"].layers
@@ -75,15 +75,15 @@ class TestEngine:
             tiny_request([("a", pallet_variant(2)), ("b", pallet_variant(3))]),
             session=session,
         )
-        assert session.sweep_stats.configs_simulated == 2
-        assert session.cache.stats.hits == 1
+        assert session.stats().sweep.configs_simulated == 2
+        assert session.stats().cache.hits == 1
 
     def test_sampling_change_invalidates(self):
         session = RuntimeSession()
         simulate(tiny_request([("a", pallet_variant(2))], max_pallets=1), session=session)
         simulate(tiny_request([("a", pallet_variant(2))], max_pallets=2), session=session)
-        assert session.sweep_stats.configs_simulated == 2
-        assert session.cache.stats.hits == 0
+        assert session.stats().sweep.configs_simulated == 2
+        assert session.stats().cache.hits == 0
 
 
 class TestPlanning:
@@ -152,8 +152,8 @@ class TestStatisticsPlanning:
         first = analyze(request, session=session)
         second = analyze(request, session=session)
         assert first == second
-        assert session.cache.stats.hits == 1
-        assert session.cache.stats.stores == 1
+        assert session.stats().cache.hits == 1
+        assert session.stats().cache.stores == 1
         with pytest.raises(KeyError):
             analyze(
                 StatisticsRequest(statistic="nope", trace=request.trace),
@@ -224,6 +224,16 @@ class TestRunExperiments:
         assert "== run summary ==" in report.summary()
 
 
+def _assert_counted_alike(parallel, serial):
+    """A pool run counts the work a serial run counts: each worker's job
+    session reports its own job, and the traces its jobs fetched (a trace is
+    built once per worker process instead of once per run)."""
+    assert parallel.stats.cache == serial.stats.cache
+    assert parallel.stats.sweep == serial.stats.sweep
+    fetched = [r.stats.traces_built + r.stats.traces_reused for r in (parallel, serial)]
+    assert fetched[0] == fetched[1]
+
+
 @pytest.mark.slow
 class TestParallelExecution:
     """Process-pool runs; kept small but real (spawned workers)."""
@@ -237,6 +247,7 @@ class TestParallelExecution:
         )
         assert parallel.mode in ("parallel", "serial-fallback")
         assert parallel.results == serial.results
+        _assert_counted_alike(parallel, serial)
 
     def test_parallel_without_cache_matches_serial(self):
         serial = run_experiments(["table5"], preset=SMOKE, jobs=1, no_cache=True)
@@ -244,6 +255,7 @@ class TestParallelExecution:
         assert parallel.results == serial.results
         # The pool executes the merged plan through a run-scoped directory.
         assert parallel.simulation_jobs > 0
+        _assert_counted_alike(parallel, serial)
 
     def test_failing_job_fails_the_run_fast(self, tmp_path):
         # A raising job must propagate without first waiting out (or worse,

@@ -640,33 +640,82 @@ class TestServeAuth:
         run(scenario())
 
 
-# ----------------------------------------------------------------- stats views
-class TestStatsViews:
-    def test_cache_view_counts_corruption_errors(self, tmp_path):
+# ----------------------------------------------------------------- job sessions
+class _GatedBackend(FilesystemBackend):
+    """A disk backend whose loads of the ``gated`` keys wait for ``release``."""
+
+    def __init__(self, directory, gated) -> None:
+        super().__init__(directory)
+        self.gated = set(gated)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def load(self, key, kind):
+        if key in self.gated:
+            self.entered.set()
+            self.release.wait(30)
+        return super().load(key, kind)
+
+
+class TestJobSessions:
+    def test_a_job_session_counts_corruption_errors(self, tmp_path):
         from repro.runtime.cache import ResultCache
-        from repro.serve.workers import _CacheView
+        from repro.runtime.session import RuntimeSession
 
         seed = ResultCache(directory=tmp_path)
         seed.put("deadbeef", {"x": 1})
         (tmp_path / "deadbeef.json.gz").write_text("garbage", encoding="utf-8")
-        # Fresh inner cache (no in-process memo) behind a per-request view.
-        view = _CacheView(ResultCache(directory=tmp_path))
-        assert view.get("deadbeef") is None
-        assert view.stats.errors == 1  # corruption recovery is visible per request
-        assert view.stats.misses == 1
+        # Fresh shared cache (no in-process memo) under a job session.
+        session = RuntimeSession(cache=ResultCache(directory=tmp_path)).job()
+        assert session.lookup("deadbeef") is None
+        assert session.stats().cache.errors == 1  # corruption recovery is visible per job
+        assert session.stats().cache.misses == 1
 
-    def test_trace_view_counts_builds_exactly_once(self):
-        from repro.runtime import TraceStore, TraceSpec
-        from repro.serve.workers import _TraceView
+    def test_job_sessions_count_a_shared_build_exactly_once(self):
+        from repro.runtime import RuntimeSession, TraceSpec
 
-        store = TraceStore()
+        shared = RuntimeSession()
         spec = TraceSpec(network="alexnet")
-        first, second = _TraceView(store), _TraceView(store)
-        first.get(spec)
-        second.get(spec)
-        assert (first.builds, first.reuses) == (1, 0)
-        assert (second.builds, second.reuses) == (0, 1)
-        assert (store.builds, store.reuses) == (1, 1)
+        first, second = shared.job(), shared.job()
+        first.trace(spec)
+        second.trace(spec)
+        assert (first.stats().traces_built, first.stats().traces_reused) == (1, 0)
+        assert (second.stats().traces_built, second.stats().traces_reused) == (0, 1)
+        assert len(shared.traces) == 1
+        assert shared.stats() == RuntimeSession().stats()  # only the jobs counted
+
+    def test_concurrent_jobs_each_report_only_their_own_cache_errors(self, tmp_path):
+        """Job A's read of a valid entry blocks in the backend while job B,
+        on the same shared cache, reads a corrupt entry: only B reports it."""
+        from repro.runtime.cache import ResultCache
+        from repro.runtime.session import RuntimeSession
+        from repro.serve.workers import execute_request
+
+        valid, damaged = (
+            parse_request({"op": "simulate", "network": "alexnet", "overrides": TINY, "seed": seed})
+            for seed in (0, 1)
+        )
+        warm = RuntimeSession(cache=ResultCache(directory=tmp_path))
+        for request in (valid, damaged):
+            execute_request(request, warm)
+        corrupt = next(iter(damaged.simulation_request().keys().values()))
+        (tmp_path / f"{corrupt}.json.gz").write_text("garbage", encoding="utf-8")
+        backend = _GatedBackend(tmp_path, valid.simulation_request().keys().values())
+        shared = RuntimeSession(cache=ResultCache(backend=backend))
+        answers = {}
+        job_a = threading.Thread(
+            target=lambda: answers.update(a=execute_request(valid, shared))
+        )
+        job_a.start()
+        try:
+            assert backend.entered.wait(30)
+            _, stats_b = execute_request(damaged, shared)
+        finally:
+            backend.release.set()
+            job_a.join(30)
+        _, stats_a = answers["a"]
+        assert stats_a["cache"] == {"hits": 5, "misses": 0, "stores": 0, "errors": 0}
+        assert stats_b["cache"] == {"hits": 4, "misses": 1, "stores": 1, "errors": 1}
 
 
 # ---------------------------------------------------------------------- service
@@ -1063,15 +1112,28 @@ class TestWarmHits:
 
         run(scenario())
 
-    def test_a_partly_resident_fig9_falls_back_and_streams_each_event_once(self, tmp_path):
+    def test_a_partly_resident_fig9_falls_back_and_streams_each_event_once(
+        self, tmp_path, monkeypatch
+    ):
         """The inline attempt reads AlexNet's units, misses VGG-M's and is
-        dropped: its progress events and per-job counters reach nobody, but
-        the shared cache keeps the hits it read."""
+        dropped: its progress events and job session's counters reach
+        nobody, though the shared cache answered its reads."""
         from repro.experiments import fig9
+        from repro.runtime.cache import ResultCache
         from repro.serve.workers import execute_request
 
         message = {"op": "run_experiment", "experiment": "fig9", "overrides": TINY2}
         request = parse_request(message)
+        answered = []  # every payload the shared cache returned
+        get = ResultCache.get
+
+        def counted_get(*args, **kwargs):
+            payload = get(*args, **kwargs)
+            if payload is not None:
+                answered.append(payload)
+            return payload
+
+        monkeypatch.setattr(ResultCache, "get", counted_get)
 
         async def scenario():
             async with ExperimentService(cache_dir=tmp_path, workers=1) as service:
@@ -1084,13 +1146,13 @@ class TestWarmHits:
                     assert vgg_m.trace.network == "vgg_m"
                     for key in vgg_m.keys().values():
                         service.session.cache._memo_drop(key)
-                    hits = service.session.cache.stats.hits
+                    answered.clear()
                     events = [event async for event in client.stream(message)]
                     await client.close()
                 assert service.queue.inline == 0
                 # AlexNet's 5 hits in the abandoned attempt, then the thread
                 # path's 10.
-                assert service.session.cache.stats.hits - hits == 15
+                assert len(answered) == 15
                 progress = [
                     (event["progress"]["stage"], event["progress"].get("network"))
                     for event in events
