@@ -8,7 +8,8 @@ This example walks the serving layer (``docs/serving.md``) end to end:
 3. submit **concurrent identical cold** requests from both clients and show
    they coalesce onto one job (``coalesced`` flags) while it runs on a worker,
 4. repeat them warm: every input is then resident in the server, so each is
-   answered inline on its event loop, never queued, so never coalesced, and
+   answered inline on its event loop, never queued, so never coalesced (the
+   first executes, the second replays the first's answer), and
 5. show via the per-request ``RunStats`` counters that the warm answers
    recompute nothing (``simulated 0 configs``).
 
@@ -49,7 +50,7 @@ async def main() -> None:
             assert {cold_a.coalesced, cold_b.coalesced} == {True, False}
             assert cold_a.stats.sweep.configs_simulated > 0
 
-            # --- the same requests warm: each answered inline ---------------
+            # --- the same requests warm: answered inline, one by replay -----
             warm_a, warm_b = await asyncio.gather(
                 alice.run_experiment("fig9", preset="fast", overrides=OVERRIDES),
                 bob.run_experiment("fig9", preset="fast", overrides=OVERRIDES),
@@ -59,7 +60,8 @@ async def main() -> None:
             for response in (warm_a, warm_b):
                 assert response.stats.sweep.configs_simulated == 0
                 assert response.stats.cache.misses == 0
-            assert (await alice.stats())["queue"]["inline"] == 2
+            queue = (await alice.stats())["queue"]
+            assert (queue["inline"], queue["replayed"]) == (2, 1)
 
             # --- the cache also serves *different* overlapping requests -----
             sim = await bob.simulate(
@@ -77,7 +79,7 @@ async def main() -> None:
             print(
                 f"\nserver: {queue['submitted']} submitted, "
                 f"{queue['coalesced']} coalesced, {queue['completed']} executed, "
-                f"{queue['inline']} of them inline; "
+                f"{queue['inline']} of them inline ({queue['replayed']} replayed); "
                 f"session totals: {stats['stats']['sweep']['configs_simulated']} "
                 f"configs simulated in {stats['cache']['entries']} cache entries"
             )

@@ -658,8 +658,8 @@ class ClusterService(ExperimentService):
         return {name: results[name] for name in names}
 
     # -------------------------------------------------------------------- stats
-    def stats(self) -> dict:
-        payload = super().stats()
+    async def stats(self) -> dict:
+        payload = await super().stats()
         payload["cluster"] = {
             "workers": [link.describe() for link in self.links.values()],
             "flights_dispatched": self.flights_dispatched,
@@ -685,7 +685,7 @@ class ClusterService(ExperimentService):
         anywhere: the shared store's entries and bytes are the coordinator's
         own ``cache`` section, read once.
         """
-        payload = self.stats()
+        payload = await self.stats()
         fleet = RunStats()
         coalescing = dict.fromkeys(("tickets_attached", "tickets_coalesced", "jobs_executed"), 0)
         per_worker: dict[str, dict] = {}

@@ -3,7 +3,8 @@
 The paper obtains area and power by synthesizing each design with the Synopsys
 Design Compiler for a TSMC 65 nm library (plus CACTI/Destiny for the SRAM and
 eDRAM blocks).  Synthesis cannot be reproduced in Python, so this module takes
-the approach documented in DESIGN.md §4: each design's datapath is described as
+the approach of the calibrated traces (``docs/architecture.md``,
+``docs/runtime.md#calibrations``): each design's datapath is described as
 an explicit inventory of components (multipliers, adder-tree bits, shifters,
 registers, oneffset encoders, synapse set registers), and a single set of
 per-component coefficients — calibrated once against the paper's published

@@ -1,11 +1,12 @@
 """Ablation study of the reproduction's trace-modelling choices (beyond the paper).
 
-The synthetic-trace substitution (DESIGN.md §4) introduces two modelling choices
-the paper did not have to make: how many trimmable suffix bits the stored
-neurons carry, and whether the first layer is fed dense image pixels.  This
-experiment quantifies how sensitive the headline speedup (PRA-2b, per-pallet
-synchronization) is to both, so readers can judge the robustness of the
-reproduced conclusions.
+The synthetic-trace substitution (the calibrated traces of
+``docs/architecture.md`` and ``docs/runtime.md#calibrations``) introduces two
+modelling choices the paper did not have to make: how many trimmable suffix
+bits the stored neurons carry, and whether the first layer is fed dense image
+pixels.  This experiment quantifies how sensitive the headline speedup
+(PRA-2b, per-pallet synchronization) is to both, so readers can judge the
+robustness of the reproduced conclusions.
 
 The simulations run through the runtime engine (the same
 :func:`repro.core.sweep.sweep_network` every experiment uses), so each

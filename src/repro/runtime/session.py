@@ -33,7 +33,7 @@ from repro.core.progress import ProgressToken
 from repro.core.sweep import SweepStats, sweep_network
 from repro.runtime.backends import CorruptEntry
 from repro.runtime.cache import CacheStats, ResultCache
-from repro.runtime.trace_store import TraceStore
+from repro.runtime.trace_store import TraceSpec, TraceStore
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -117,7 +117,9 @@ class RuntimeSession:
     short-lived job sessions, never to a session shared by concurrent jobs.
 
     A ``resident_only`` session raises :class:`NotResident` instead of a
-    miss, a backend read, a due LRU touch, a store, a probe or a trace build.
+    miss, a backend read, a due LRU touch, a store, a probe or a trace build,
+    and records in :attr:`reads` what it did read; :meth:`resident` tells
+    whether all of that is still resident.
     """
 
     def __init__(
@@ -131,6 +133,9 @@ class RuntimeSession:
         self.traces = traces if traces is not None else TraceStore()
         self.progress = progress
         self.resident_only = resident_only
+        #: A resident-only session's reads, in order: the ``(key, kind)`` of
+        #: each lookup it answered and each :class:`TraceSpec` it fetched.
+        self.reads: list[tuple[str, str] | TraceSpec] = []
         self._stats = RunStats()
 
     def job(
@@ -150,6 +155,8 @@ class RuntimeSession:
             return None
         if payload is not None:
             counters.hits += 1
+            if self.resident_only:
+                self.reads.append((key, kind))
         elif self.resident_only:
             raise NotResident(key)
         else:
@@ -183,11 +190,25 @@ class RuntimeSession:
         trace, built = self.traces.fetch(spec, build=not self.resident_only)
         if trace is None:
             raise NotResident(spec)
+        if self.resident_only:
+            self.reads.append(spec)
         if built:
             self._stats.traces_built += 1
         else:
             self._stats.traces_reused += 1
         return trace
+
+    def resident(self, reads) -> bool:
+        """Whether every one of ``reads`` (a resident-only session's
+        :attr:`reads`) is still resident, through the same memo and trace-store
+        calls a resident-only session makes, with the same LRU effects."""
+        for read in reads:
+            if isinstance(read, TraceSpec):
+                if self.traces.fetch(read, build=False)[0] is None:
+                    return False
+            elif self.cache.get(*read, resident_only=True) is None:
+                return False
+        return True
 
     def sweep(self, trace, configs: dict, sampling) -> dict:
         """:func:`~repro.core.sweep.sweep_network` of ``configs`` over ``trace``,

@@ -163,7 +163,7 @@ class RequestQueue:
         #: Optional hook invoked once per finished job (before ticket events).
         self.on_finish: Callable[[Job], None] | None = None
         #: Optional hook offered each new job before it is pushed: returns
-        #: ``(progress events, finish() keywords)`` if it executed the job,
+        #: ``(progress events, finish() keywords)`` if it answered the job,
         #: ``None`` to queue it (:meth:`WorkerPool.run_inline`).
         self.run_inline: Callable[[Job], tuple[list[dict], dict] | None] | None = None
         #: Totals since service start.
@@ -174,7 +174,7 @@ class RequestQueue:
         self.cancelled = 0
         #: Jobs interrupted *while running* via their cooperative token.
         self.interrupted = 0
-        #: Jobs :attr:`run_inline` executed without queueing them.
+        #: Jobs :attr:`run_inline` answered without queueing them.
         self.inline = 0
 
     # ------------------------------------------------------------------ submit
@@ -197,7 +197,7 @@ class RequestQueue:
         strongest demand — a ticket attaching to a queued job with a higher
         priority raises that job's priority (never lowers it).
 
-        A new job is first offered to :attr:`run_inline`.  If that executes
+        A new job is first offered to :attr:`run_inline`.  If that answers
         it, the job is never pushed: its ticket receives ``queued``,
         ``running``, its progress and its terminal event before this returns.
 
@@ -241,9 +241,9 @@ class RequestQueue:
         return ticket
 
     def _finish_inline(self, job: Job, progress: list[dict], outcome: dict) -> None:
-        """Replay a job :attr:`run_inline` executed: running, progress, outcome."""
+        """Deliver a job :attr:`run_inline` answered: running, progress, outcome."""
         self.inline += 1
-        job.state = "running"  # job.started is when the inline execution began
+        job.state = "running"  # job.started is when run_inline took the job
         for ticket in job.live_tickets:
             ticket.notify("running")
         for payload in progress:

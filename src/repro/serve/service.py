@@ -14,9 +14,9 @@ ways, all speaking the same typed requests:
   stdin/stdout for single-operator and subprocess use.
 
 The request lifecycle (``queued → running → done/failed/cancelled``,
-inline answers of jobs whose inputs are all resident, coalescing,
-cooperative cancellation of running jobs, ``stream`` progress events) is
-documented in ``docs/serving.md``; the architecture map in
+inline answers of jobs whose inputs are all resident and their replays,
+coalescing, cooperative cancellation of running jobs, ``stream`` progress
+events) is documented in ``docs/serving.md``; the architecture map in
 ``docs/architecture.md`` places this layer at the top of the stack.
 """
 
@@ -219,23 +219,26 @@ class ExperimentService:
             return {"event": "error", "error": error.args[0]}
         return {"event": "cancelled", "ticket": ticket_id, "changed": changed, "state": state}
 
-    def stats(self) -> dict:
+    async def stats(self) -> dict:
         """The ``stats`` op: lifetime counters, and gauges read once per store.
 
         ``stats`` holds the summed per-job counters; the ``cache`` section is
         :meth:`~repro.runtime.cache.ResultCache.usage` of the store this
-        service mounts.  ``pid`` and ``job_ops`` say which process answers
+        service mounts, read on a thread: a stalled cache backend must not
+        stall the event loop.  The other sections are the loop's own state,
+        read on the loop.  ``pid`` and ``job_ops`` say which process answers
         and which job ops it accepts (a cluster coordinator checks a worker
         by them).
         """
+        cache = await asyncio.to_thread(self.session.cache.usage)
         return {
             "event": "stats",
             "pid": os.getpid(),
             "job_ops": list(self.job_ops),
             "stats": self.totals.as_dict(),
-            "queue": self.queue.depth(),
+            "queue": {**self.queue.depth(), "replayed": self.pool.replayed},
             "coalescing": self.coalescing_stats(),
-            "cache": self.session.cache.usage(),
+            "cache": cache,
             "traces": len(self.session.traces),
             "workers": self.pool.workers,
         }
@@ -260,7 +263,8 @@ class ExperimentService:
         }
 
     def collect_garbage(self, max_bytes: int | None = None, max_age: float | None = None) -> dict:
-        """Garbage-collect the shared disk cache (the ``gc`` op)."""
+        """Garbage-collect the shared disk cache (the ``gc`` op, which runs
+        it on a thread)."""
         cache = self.session.cache
         if not cache.persistent:
             return {"event": "error", "error": "no disk cache to garbage-collect"}
@@ -352,14 +356,14 @@ class ExperimentService:
         elif op == "list":
             reply(self.list_experiments())
         elif op == "stats":
-            reply(self.stats())
+            reply(await self.stats())
         elif op == "gc":
             try:
                 bounds = gc_bounds(message)
             except ValueError as error:
                 reply({"event": "error", "error": str(error)})
                 return True
-            reply(self.collect_garbage(**bounds))
+            reply(await asyncio.to_thread(self.collect_garbage, **bounds))
         elif op == "cancel":
             reply(self.cancel(str(message.get("ticket", ""))))
         elif op == "shutdown":

@@ -5,8 +5,9 @@ Each worker is an asyncio task that pulls jobs off the
 (``asyncio.to_thread``), so the event loop stays responsive while numpy does
 the heavy lifting.  A new job whose every input is already resident (memo
 hits, built traces) is answered on the event loop instead, before it would
-be queued (:meth:`WorkerPool.run_inline`).  Every job runs under a *job
-session* of the shared :class:`~repro.runtime.session.RuntimeSession`
+be queued (:meth:`WorkerPool.run_inline`), and a repeat of such an answer
+is replayed while everything it read is still resident.  Every job runs
+under a *job session* of the shared :class:`~repro.runtime.session.RuntimeSession`
 (:meth:`~repro.runtime.session.RuntimeSession.job`): it reads and writes the
 one warm ``ResultCache`` + ``TraceStore`` but counts hits/misses/stores,
 sweep work and trace builds into its own ``RunStats`` — which is how each
@@ -21,6 +22,7 @@ session semantics underneath it.
 from __future__ import annotations
 
 import asyncio
+import collections
 import time
 
 from repro.core.progress import ProgressToken, SweepCancelled
@@ -36,7 +38,11 @@ from repro.serve.protocol import (
 )
 from repro.serve.queue import Job, RequestQueue
 
-__all__ = ["WorkerPool", "execute_request"]
+__all__ = ["REPLAY_ENTRIES", "WorkerPool", "execute_request", "run_request"]
+
+#: Inline answers a :class:`WorkerPool` keeps for replay, least recently used
+#: out first: as many as a session's trace store keeps traces.
+REPLAY_ENTRIES = 128
 
 
 def _declares_inputs(request: ServeRequest) -> bool:
@@ -59,33 +65,43 @@ def execute_request(
     request: ServeRequest,
     shared: RuntimeSession,
     progress: ProgressToken | None = None,
-    resident_only: bool = False,
 ) -> tuple[dict, dict]:
     """Execute one typed request against the shared session (worker thread).
 
-    Returns ``(result payload, per-request RunStats dict)``.  The payload is
-    JSON-ready: experiment results via ``ExperimentResult.to_dict``, raw
-    simulations via :func:`network_result_to_dict`.
+    Returns ``(result payload, per-request RunStats dict)``: the request runs
+    under a fresh job session of ``shared`` (:func:`run_request`), whose
+    counters are the stats.
+    """
+    session = shared.job(progress)
+    return run_request(request, session), session.stats().as_dict()
 
-    ``progress`` (the job's :class:`ProgressToken`) rides the job session
-    down into the runtime funnels: the sweep checks it at cooperative
-    checkpoints (raising :class:`SweepCancelled` once the last interested
-    ticket cancelled) and per-layer/per-network progress events flow back
-    through it.  ``run_all`` additionally emits one ``experiment_done`` event
-    with the partial result after each experiment completes.
 
-    ``resident_only`` (:meth:`WorkerPool.run_inline`) raises
+def run_request(request: ServeRequest, session: RuntimeSession) -> dict:
+    """Execute one typed request under the job ``session``; returns its payload.
+
+    The payload is JSON-ready: experiment results via
+    ``ExperimentResult.to_dict``, raw simulations via
+    :func:`network_result_to_dict`.
+
+    The session's progress token rides down into the runtime funnels: the
+    sweep checks it at cooperative checkpoints (raising
+    :class:`SweepCancelled` once the last interested ticket cancelled) and
+    per-layer/per-network progress events flow back through it.  ``run_all``
+    additionally emits one ``experiment_done`` event with the partial result
+    after each experiment completes.
+
+    A resident-only session (:meth:`WorkerPool.run_inline`) raises
     :class:`NotResident` unless the request declares its inputs and every one
     of them is resident, so the attempt makes no cache-backend call and
     builds nothing.
     """
     from repro.experiments.runner import EXPERIMENTS, run_experiment
 
-    if resident_only and not _declares_inputs(request):
+    if session.resident_only and not _declares_inputs(request):
         raise NotResident(request.op)
+    progress = session.progress
     if progress is not None:
         progress.checkpoint()
-    session = shared.job(progress, resident_only)
     with use_session(session):
         if isinstance(request, ExperimentRequest):
             result = run_experiment(
@@ -121,7 +137,7 @@ def execute_request(
             }
         else:  # pragma: no cover - parse_request guards this
             raise TypeError(f"unsupported request type {type(request).__name__}")
-    return payload, session.stats().as_dict()
+    return payload
 
 
 class WorkerPool:
@@ -136,8 +152,8 @@ class WorkerPool:
     way the signature is ``executor(request, session, token) -> (payload,
     stats_dict)`` and a cancelled execution raises :class:`SweepCancelled`.
     Beside a thread executor, :meth:`run_inline` answers a job whose inputs
-    are all resident with :func:`execute_request` itself; beside an ``async
-    def`` one nothing runs inline.
+    are all resident with :func:`run_request` itself, and replays its
+    recorded answers; beside an ``async def`` one nothing runs inline.
     """
 
     def __init__(
@@ -155,6 +171,13 @@ class WorkerPool:
         self.executor = executor if executor is not None else execute_request
         self._awaits = asyncio.iscoroutinefunction(self.executor)
         self._tasks: list[asyncio.Task] = []
+        #: Successful inline answers by job key: ``(reads, progress events,
+        #: outcome)``, the last :data:`REPLAY_ENTRIES` used.
+        self._replays: collections.OrderedDict[str, tuple[list, list[dict], dict]] = (
+            collections.OrderedDict()
+        )
+        #: Jobs :meth:`run_inline` answered from :attr:`_replays`.
+        self.replayed = 0
 
     async def start(self) -> None:
         """Spawn the worker tasks (idempotent)."""
@@ -185,22 +208,37 @@ class WorkerPool:
         arguments of :meth:`RequestQueue.finish`), or ``None`` when the job
         must be queued instead.  An abandoned attempt emits no event, and
         its job session's counters are dropped with it.
+
+        A successful answer is kept with what its resident-only session
+        read, and a later job with the same key is answered from that record
+        without executing while all of it is still resident
+        (:meth:`RuntimeSession.resident`): it is what executing again would
+        give.  The record's events and outcome are shared, not copied.
         """
         if self._awaits:
             return None
+        started = time.perf_counter()
+        replay = self._replays.get(job.key)
+        if replay is not None and self.session.resident(replay[0]):
+            self._replays.move_to_end(job.key)
+            self.replayed += 1
+            job.started = started
+            return replay[1], replay[2]
         progress: list[dict] = []
         job.token.on_progress = progress.append
-        started = time.perf_counter()
+        session = self.session.job(job.token, resident_only=True)
         try:
-            payload, stats = execute_request(
-                job.request, self.session, job.token, resident_only=True
-            )
+            payload = run_request(job.request, session)
         except NotResident:
             return None
         except Exception as error:  # noqa: BLE001 - failures become responses
             outcome = {"error": f"{type(error).__name__}: {error}"}
         else:
-            outcome = {"result": payload, "stats": stats}
+            outcome = {"result": payload, "stats": session.stats().as_dict()}
+            self._replays[job.key] = (session.reads, progress, outcome)
+            self._replays.move_to_end(job.key)
+            if len(self._replays) > REPLAY_ENTRIES:
+                self._replays.popitem(last=False)
         job.started = started
         return progress, outcome
 

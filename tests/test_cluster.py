@@ -243,7 +243,7 @@ class TestWorkerService:
                     response = await service.wait(await service.submit(job))
                     assert response["event"] == "done"
                     assert response["stats"]["sweep"]["configs_simulated"] == simulated
-                assert service.stats()["queue"]["inline"] == 0
+                assert (await service.stats())["queue"]["inline"] == 0
 
         run(scenario())
 
@@ -375,7 +375,7 @@ class TestClusterExecution:
                 assert [r["event"] for r in responses] == ["done", "done"]
                 assert responses[1]["stats"]["sweep"]["configs_simulated"] == 0
                 assert responses[1]["result"]["cluster"]["worker_execution_seconds"] > 0
-                inline = [worker.stats()["queue"]["inline"] for worker in cluster.workers]
+                inline = [(await worker.stats())["queue"]["inline"] for worker in cluster.workers]
                 assert sorted(inline) == [0, 1]
                 assert cluster.coordinator.queue.inline == 0
 
@@ -469,7 +469,7 @@ class TestClusterExecution:
                 assert response["event"] == "done", response.get("error")
                 assert coordinator.flights_requeued >= 1
                 assert response["result"]["experiment"]["rows"]
-                stats = coordinator.stats()
+                stats = await coordinator.stats()
                 assert stats["cluster"]["workers_lost"] == 1
                 assert stats["cluster"]["flights_requeued"] >= 1
 
@@ -612,7 +612,7 @@ class TestClusterExecution:
         async def scenario():
             async with _Cluster(tmp_path / "cache", workers=1) as cluster:
                 coordinator = cluster.coordinator
-                assert coordinator.stats()["cluster"]["last_respawn_error"] is None
+                assert (await coordinator.stats())["cluster"]["last_respawn_error"] is None
 
                 async def fail(worker_id):
                     raise ClusterError("boom")
@@ -626,7 +626,7 @@ class TestClusterExecution:
                 await link.process.wait()
                 await link.client.close()
                 await coordinator._replace("c0", link)
-                section = coordinator.stats()["cluster"]
+                section = (await coordinator.stats())["cluster"]
                 assert section["respawn_failures"] >= 1
                 assert section["last_respawn_error"] == "ClusterError: boom"
                 assert coordinator.links["c0"] is link

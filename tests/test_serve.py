@@ -768,7 +768,7 @@ class TestServiceInProcess:
                 assert "fig9" in names and "table1" in names
                 ticket = await service.submit(ExperimentRequest("table4", preset="smoke"))
                 await service.wait(ticket)
-                stats = service.stats()
+                stats = await service.stats()
                 assert stats["queue"]["completed"] == 1
                 assert stats["workers"] == 1
                 # The richer cache section is always present (memory mode here).
@@ -789,7 +789,7 @@ class TestServiceInProcess:
                     response = await service.wait(ticket)
                     cache = response["stats"]["cache"]
                     assert (bool(cache["misses"]), bool(cache["hits"])) == (misses, hits)
-                assert service.stats()["cache"]["backend"] == "memory"
+                assert (await service.stats())["cache"]["backend"] == "memory"
             assert not (tmp_path / "unused").exists()
 
         run(scenario())
@@ -798,7 +798,7 @@ class TestServiceInProcess:
         async def scenario():
             async with ExperimentService(cache_dir=tmp_path, workers=1) as service:
                 service.session.cache.put("deadbeef", {"x": 1})
-                stats = service.stats()
+                stats = await service.stats()
                 assert (stats["pid"], stats["job_ops"]) == (os.getpid(), list(JOB_OPS))
                 assert stats["cache"]["directory"] == str(tmp_path)
                 assert stats["cache"]["entries"] == 1
@@ -1007,6 +1007,40 @@ async def _answer(service: ExperimentService, message: dict) -> dict:
     return await service.wait(await service.submit(parse_request(message)))
 
 
+#: Event fields that differ between two answers of one request.
+PER_ANSWER = ("ticket", "timings", "elapsed_seconds")
+
+
+async def _events(service: ExperimentService, message: dict, stream: bool = False) -> list:
+    """The events one job op sends back, without its :data:`PER_ANSWER` fields."""
+    events, terminal = [], asyncio.Event()
+
+    def send(payload: dict) -> None:
+        events.append({k: v for k, v in payload.items() if k not in PER_ANSWER})
+        if payload["event"] in ("done", "failed"):
+            terminal.set()
+
+    await service.handle_message({**message, "stream": stream}, send)
+    await asyncio.wait_for(terminal.wait(), 60)
+    return events
+
+
+def _count_executions(monkeypatch) -> list:
+    """Record every execution: a worker's ``execute_request`` and an inline
+    attempt both run the request through ``run_request``."""
+    from repro.serve import workers
+
+    executions = []
+    run_request = workers.run_request
+
+    def counted(request, session):
+        executions.append(session.resident_only)
+        return run_request(request, session)
+
+    monkeypatch.setattr(workers, "run_request", counted)
+    return executions
+
+
 class TestWarmHits:
     @pytest.mark.parametrize("stream", [False, True], ids=["plain", "stream"])
     @pytest.mark.parametrize("message", WARM_MESSAGES, ids=["simulate", "fig9"])
@@ -1046,6 +1080,123 @@ class TestWarmHits:
 
         run(scenario())
 
+    @pytest.mark.parametrize("stream", [False, True], ids=["plain", "stream"])
+    @pytest.mark.parametrize("message", WARM_MESSAGES, ids=["simulate", "fig9"])
+    def test_a_repeat_replays_the_inline_answer_without_executing(
+        self, message, stream, monkeypatch
+    ):
+        """The second warm answer of a request is replayed: the same events,
+        ``result`` and ``stats`` as the inline execution it repeats, and no
+        execution at all.  Executing once more, without the record, sends
+        them again."""
+
+        async def scenario():
+            async with ExperimentService(cache_dir=None, workers=2) as service:
+                await _answer(service, message)
+                inline = await _events(service, message, stream)
+                executions = _count_executions(monkeypatch)
+                replay = await _events(service, message, stream)
+                assert executions == []
+                assert replay == inline
+                names = [event["event"] for event in replay]
+                assert names[:2] == ["queued", "running"] and names[-1] == "done"
+                assert ("progress" in names) == stream
+                queue = (await service.stats())["queue"]
+                assert (queue["inline"], queue["replayed"], queue["completed"]) == (2, 1, 3)
+                service.pool._replays.clear()
+                assert await _events(service, message, stream) == replay
+                assert executions == [True]
+
+        run(scenario())
+
+    @pytest.mark.parametrize("fault", ["gc", "clear", "touch", "trace"])
+    def test_a_repeat_whose_reads_left_the_process_executes_again(
+        self, tmp_path, monkeypatch, fault
+    ):
+        """A unit ``gc`` or ``clear`` dropped, a due LRU touch or an evicted
+        trace: the repeat is not replayed but takes the queue, as it did
+        before replay existed, with the same events and result."""
+        from repro.runtime import cache as cache_module
+
+        message = FIG9 if fault == "trace" else SIMULATE
+
+        async def scenario():
+            async with ExperimentService(cache_dir=tmp_path, workers=1) as service:
+                await _answer(service, message)
+                inline = await _events(service, message)
+                cache = service.session.cache
+                if fault == "gc":
+                    size = cache.usage()["disk_bytes"]
+                    assert cache.gc(max_bytes=size - 1).removed_entries == 1
+                elif fault == "clear":
+                    cache.clear()
+                elif fault == "touch":
+                    slot = next(iter(cache._memory.values()))
+                    slot[1] -= cache_module.USE_GRANULARITY
+                else:
+                    service.session.traces._traces.clear()
+                executions = _count_executions(monkeypatch)
+                again = await _events(service, message)
+                # One inline attempt that gave up, then the worker's execution.
+                assert executions == [True, False]
+                assert [e["event"] for e in again] == [e["event"] for e in inline]
+                assert again[-1]["result"] == inline[-1]["result"]
+                queue = (await service.stats())["queue"]
+                assert (queue["inline"], queue["replayed"]) == (1, 0)
+
+        run(scenario())
+
+    def test_the_replay_table_keeps_its_bound_least_recently_used_out_first(
+        self, monkeypatch
+    ):
+        from repro.serve import workers
+
+        monkeypatch.setattr(workers, "REPLAY_ENTRIES", 2)
+        a, b, c = ({**SIMULATE, "seed": seed} for seed in range(3))
+        ka, kb, kc = (parse_request(message).key() for message in (a, b, c))
+
+        async def scenario():
+            async with ExperimentService(cache_dir=None, workers=1) as service:
+                table = service.pool._replays
+
+                async def warm(message):
+                    await _answer(service, message)  # cold, on a worker
+                    await _answer(service, message)  # inline, recorded
+                    assert len(table) <= 2
+
+                await warm(a)
+                await warm(b)
+                assert list(table) == [ka, kb]
+                await _answer(service, a)  # replayed: now the most recent
+                assert (service.pool.replayed, list(table)) == (1, [kb, ka])
+                await warm(c)
+                assert list(table) == [ka, kc]
+                await _answer(service, b)  # evicted: executed inline again
+                assert service.pool.replayed == 1
+                assert list(table) == [kc, kb]
+
+        run(scenario())
+
+    def test_a_failed_inline_answer_is_not_recorded(self, monkeypatch):
+        def broken(result):
+            raise RuntimeError("boom")
+
+        async def scenario():
+            async with ExperimentService(cache_dir=None, workers=1) as service:
+                await _answer(service, SIMULATE)
+                monkeypatch.setattr("repro.serve.workers.network_result_to_dict", broken)
+                failed = await _answer(service, SIMULATE)
+                assert (failed["event"], failed["error"]) == ("failed", "RuntimeError: boom")
+                assert not service.pool._replays
+                monkeypatch.undo()
+                executed = await _answer(service, SIMULATE)
+                replayed = await _answer(service, SIMULATE)
+                assert executed["result"] == replayed["result"]
+                queue = (await service.stats())["queue"]
+                assert (queue["inline"], queue["replayed"], queue["failed"]) == (3, 1, 1)
+
+        run(scenario())
+
     def test_a_memo_resident_simulate_runs_inline_without_a_backend_call(self, tmp_path):
         backend = _CountingBackend(tmp_path)
 
@@ -1059,7 +1210,7 @@ class TestWarmHits:
                 assert warm["event"] == "done"
                 assert warm["stats"]["cache"] == {"hits": 5, "misses": 0, "stores": 0, "errors": 0}
                 assert warm["timings"]["queue_wait_seconds"] < 0.01
-                assert service.stats()["queue"]["inline"] == 1
+                assert (await service.stats())["queue"]["inline"] == 1
                 assert not backend.calls
 
         run(scenario())
@@ -1588,10 +1739,10 @@ class TestOutOfProcessGC:
                 message = {"op": "simulate", "network": "alexnet", "overrides": TINY}
                 first = await service.wait(await service.submit(parse_request(message)))
                 assert first["event"] == "done"
-                assert service.stats()["cache"]["entries"] > 0
+                assert (await service.stats())["cache"]["entries"] > 0
                 argv = ["--cache-gc", "--max-bytes", "1", "--cache-dir", str(tmp_path)]
                 assert runner_main(argv) == 0
-                assert service.stats()["cache"]["entries"] == 0
+                assert (await service.stats())["cache"]["entries"] == 0
                 again = await service.wait(await service.submit(parse_request(message)))
                 assert again["event"] == "done"
                 assert again["result"] == first["result"]
