@@ -152,7 +152,8 @@ def sample_pallet_values(
     sampled mode the neuron values of each sampled step are drawn i.i.d. from
     the layer's calibrated distribution, which matches the exact mode's
     statistics because distinct window lanes read distinct tensor positions
-    within any single step (see DESIGN.md §4).
+    within any single step (see the calibrated traces of ``docs/architecture.md``
+    and ``docs/runtime.md#calibrations``).
     """
     layer = trace.layer(layer_index)
     total_pallets = layer.window_groups

@@ -6,7 +6,9 @@ calls :meth:`ProgressToken.checkpoint` between layers and drain groups — the
 natural unit boundaries of the paper's cost model — and raises
 :class:`SweepCancelled` as soon as the token has been cancelled, so a worker
 executing an abandoned request frees up after at most one drain-group's worth
-of extra work instead of finishing the whole network.
+of extra work, plus the pallet draws in flight when the sweep draws ahead (at
+most two layers' samples, which it waits out), instead of finishing the whole
+network.
 
 Checkpoints deliberately sit *between* cache writes, never inside them: a
 cancelled sweep simply never produced the results it was asked for, and

@@ -316,7 +316,6 @@ def calibrated_trace(
     seed: int = 0,
     precisions: tuple[int, ...] | None = None,
     dense_first_layer: bool = True,
-    calibration: NetworkCalibration | None = None,
 ) -> NetworkTrace:
     """Build a :class:`NetworkTrace` whose bit statistics match Table I.
 
@@ -337,26 +336,15 @@ def calibrated_trace(
     dense_first_layer:
         Model the first layer's input as dense image pixels rather than sparse
         ReLU outputs (the realistic default).
-    calibration:
-        A pre-computed :class:`NetworkCalibration` (e.g. one persisted by the
-        trace fabric, :mod:`repro.runtime.trace_cache`) — skips the bisection
-        entirely.  Must describe the same network/representation arguments;
-        ``None`` runs (or memo-hits) :func:`calibrate_network`.
     """
     net = network if isinstance(network, Network) else get_network(network)
     storage_bits = storage_bits_for(representation)
-    if calibration is None:
-        calibration = calibrate_network(
-            net.name,
-            representation=representation,
-            suffix_bits=suffix_bits,
-            dense_first_layer=dense_first_layer,
-        )
-    elif calibration.network != net.name or calibration.representation != representation:
-        raise ValueError(
-            f"calibration describes {calibration.network}/{calibration.representation}, "
-            f"not {net.name}/{representation}"
-        )
+    calibration = calibrate_network(
+        net.name,
+        representation=representation,
+        suffix_bits=suffix_bits,
+        dense_first_layer=dense_first_layer,
+    )
     if representation == "fixed16":
         profile = precision_profile(net, suffix_bits=suffix_bits, precisions=precisions)
     else:

@@ -65,11 +65,15 @@ class LayerPrecision:
     def trim(self, values: np.ndarray) -> np.ndarray:
         """Zero out bits outside the window (the AND-gate trimming of Section V-F).
 
-        Signs are preserved; the mask is applied to magnitudes.
+        Signs are preserved; the mask is applied to magnitudes.  Returns a new
+        array, built in place beside ``values``.
         """
         arr = np.asarray(values, dtype=np.int64)
-        magnitudes = np.abs(arr) & np.int64(self.mask)
-        return np.where(arr < 0, -magnitudes, magnitudes)
+        # An explicit output keeps a 0-d input an array through the in-place steps.
+        trimmed = np.abs(arr, out=np.empty_like(arr))
+        trimmed &= np.int64(self.mask)
+        np.negative(trimmed, out=trimmed, where=arr < 0)
+        return trimmed
 
 
 #: Table II of the paper: per-layer neuron precisions in bits.

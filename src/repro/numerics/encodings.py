@@ -191,11 +191,14 @@ class CsdEncoding(Encoding):
         return tuple(out)
 
     def term_masks(self, values: np.ndarray, bits: int = 16) -> np.ndarray:
-        m = self._validated_magnitudes(values, bits)
+        m = self._validated_magnitudes(values, bits).astype(np.uint32)
         # The non-zero NAF digits of m sit at the bits where m >> 1 and
         # 3m >> 1 differ: the closed form of the digit recurrence in terms().
+        # 3m >> 1 < 2**32 for every m below 2**31 (a 31-bit width).
         half = m >> 1
-        return (half ^ (m + half)).astype(np.uint32)
+        m += half
+        m ^= half
+        return m
 
     def max_terms(self, bits: int = 16) -> int:
         # NAF never uses two adjacent positions out of bits + 1 available.
@@ -240,12 +243,20 @@ class HeseEncoding(Encoding):
         return tuple(out)
 
     def term_masks(self, values: np.ndarray, bits: int = 16) -> np.ndarray:
-        m = self._validated_magnitudes(values, bits)
-        starts = m & ~(m << 1)  # lowest bit of every run
-        ends = m & ~(m >> 1)  # highest bit of every run
-        isolated = starts & ends  # runs of length one
-        masks = isolated | (starts & ~isolated) | ((ends & ~isolated) << 1)
-        return masks.astype(np.uint32)
+        m = self._validated_magnitudes(values, bits).astype(np.uint32)
+        # Every run's lowest bit is a term; a longer run's highest bit adds
+        # the term above it.  m << 1 fits 32 bits for a 31-bit width.
+        starts = m << 1
+        np.invert(starts, out=starts)
+        starts &= m  # lowest bit of every run
+        ends = m >> 1
+        np.invert(ends, out=ends)
+        ends &= m  # highest bit of every run
+        np.invert(starts, out=m)
+        ends &= m  # highest bits of runs longer than one
+        ends <<= 1
+        ends |= starts
+        return ends
 
     def max_terms(self, bits: int = 16) -> int:
         # Worst case is the run pattern 11011011…: two terms per three bits.

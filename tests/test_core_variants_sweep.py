@@ -1,8 +1,12 @@
 """Unit tests for the named design variants and the design-space sweep helper."""
 
+import dataclasses
+import threading
+
 import pytest
 
-from repro.arch.tiling import SamplingConfig
+import repro.core.sweep as sweep_module
+from repro.arch.tiling import SamplingConfig, sample_pallet_values
 from repro.core.progress import ProgressToken, SweepCancelled
 from repro.core.sweep import sweep_network
 from repro.core.variants import (
@@ -107,3 +111,119 @@ class TestSweepProgress:
         swept = sweep_network(tiny_trace, {"x": pallet_variant(2)}, progress=token)
         assert "x" in swept
         assert token.on_progress is None  # disarmed after the first failure
+
+
+class TestSweepDrawsAhead:
+    """A sweep on the main thread draws its pallet samples on drawer threads
+    while it drains; a sweep on any other thread draws them in line."""
+
+    SAMPLING = SamplingConfig(max_pallets=2)
+    CONFIGS = {"a": pallet_variant(2), "b": column_variant(1)}
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Record ``(trace seed, layer, drawing thread)`` of every sample the
+        sweep draws through its module-level ``sample_pallet_values``."""
+        seen = []
+
+        def recording(trace, layer_index, sampling):
+            seen.append((trace.seed, layer_index, threading.get_ident()))
+            return sample_pallet_values(trace, layer_index, sampling)
+
+        monkeypatch.setattr(sweep_module, "sample_pallet_values", recording)
+        return seen
+
+    def assert_lone_sweep_draws_ahead(self, trace, draws):
+        del draws[:]
+        sweep_network(trace, self.CONFIGS, sampling=self.SAMPLING)
+        caller = threading.get_ident()
+        assert [layer for _, layer, _ in draws] == [0, 1]
+        assert all(thread != caller for _, _, thread in draws), draws
+
+    def test_lone_sweep_draws_on_other_threads(self, tiny_trace, draws):
+        self.assert_lone_sweep_draws_ahead(tiny_trace, draws)
+
+    def test_sweep_off_the_main_thread_draws_in_line(self, tiny_trace, draws):
+        result = {}
+        thread = threading.Thread(
+            target=lambda: result.update(
+                thread=threading.get_ident(),
+                swept=sweep_network(tiny_trace, self.CONFIGS, sampling=self.SAMPLING),
+            )
+        )
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert [(layer, drawn_on) for _, layer, drawn_on in draws] == [
+            (0, result["thread"]),
+            (1, result["thread"]),
+        ]
+        # Drawn in line or ahead, a layer's sample and so the results are the same.
+        assert sweep_network(tiny_trace, self.CONFIGS, sampling=self.SAMPLING) == result["swept"]
+
+    def test_second_sweep_draws_in_line_while_one_draws_ahead(
+        self, tiny_trace, draws, monkeypatch
+    ):
+        other = dataclasses.replace(tiny_trace, seed=tiny_trace.seed + 1)
+        entered, release = threading.Event(), threading.Event()
+        recording = sweep_module.sample_pallet_values
+
+        def held(trace, layer_index, sampling):
+            if trace.seed == tiny_trace.seed:
+                entered.set()
+                assert release.wait(timeout=30)
+            return recording(trace, layer_index, sampling)
+
+        monkeypatch.setattr(sweep_module, "sample_pallet_values", held)
+        second = {}
+
+        def second_sweep():
+            # Runs while the main thread's sweep is held inside its drawer.
+            try:
+                assert entered.wait(timeout=30)
+                second["thread"] = threading.get_ident()
+                sweep_network(other, self.CONFIGS, sampling=self.SAMPLING)
+            finally:
+                release.set()
+
+        thread = threading.Thread(target=second_sweep)
+        thread.start()
+        sweep_network(tiny_trace, self.CONFIGS, sampling=self.SAMPLING)
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        in_line = [(layer, drawn_on) for seed, layer, drawn_on in draws if seed == other.seed]
+        assert in_line == [(0, second["thread"]), (1, second["thread"])]
+        ahead = [drawn_on for seed, _, drawn_on in draws if seed == tiny_trace.seed]
+        assert len(ahead) == 2 and threading.get_ident() not in ahead
+
+    @pytest.mark.parametrize("ending", ["raises", "cancelled", "returns"])
+    def test_no_drawer_outlives_its_sweep(self, tiny_trace, draws, monkeypatch, ending):
+        recording = sweep_module.sample_pallet_values
+        before = threading.active_count()
+        if ending == "raises":
+            raised_on = []
+
+            def failing(trace, layer_index, sampling):
+                if layer_index == 1:
+                    raised_on.append(threading.get_ident())
+                    raise RuntimeError("sampler failed on layer 1")
+                return recording(trace, layer_index, sampling)
+
+            monkeypatch.setattr(sweep_module, "sample_pallet_values", failing)
+            with pytest.raises(RuntimeError, match="layer 1"):
+                sweep_network(tiny_trace, self.CONFIGS, sampling=self.SAMPLING)
+            # Raised on a drawer, re-raised on the caller.
+            assert raised_on and raised_on[0] != threading.get_ident()
+            monkeypatch.setattr(sweep_module, "sample_pallet_values", recording)
+        elif ending == "cancelled":
+            token = ProgressToken()
+            token.on_progress = lambda event: token.cancel()
+            with pytest.raises(SweepCancelled):
+                sweep_network(
+                    tiny_trace, self.CONFIGS, sampling=self.SAMPLING, progress=token
+                )
+        else:
+            sweep_network(tiny_trace, self.CONFIGS, sampling=self.SAMPLING)
+        assert threading.active_count() == before
+        # Nothing is left behind: the next lone sweep draws ahead again.
+        self.assert_lone_sweep_draws_ahead(tiny_trace, draws)

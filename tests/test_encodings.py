@@ -37,8 +37,9 @@ from repro.runtime.fingerprint import simulation_key
 
 ENCODINGS = encoding_names()
 
-#: Bit widths the battery sweeps; 8 is exercised exhaustively.
-WIDTHS = (8, 16)
+#: Bit widths the battery sweeps; 8 is exercised exhaustively, and 31 is the
+#: widest the packed kernels admit (CSD and HESE terms reach position 31).
+WIDTHS = (8, 16, 24, 31)
 
 
 def sample_values(bits: int) -> np.ndarray:

@@ -33,6 +33,16 @@ class TestLayerPrecision:
         precision = LayerPrecision(msb=7, lsb=0)
         np.testing.assert_array_equal(precision.trim(np.array([-5, 5])), [-5, 5])
 
+    def test_trim_masks_magnitudes_of_signed_values(self, rng):
+        precision = LayerPrecision(msb=9, lsb=2)
+        values = rng.integers(-(2**15), 2**15, size=1000)
+        before = values.copy()
+        magnitudes = np.abs(values) & precision.mask
+        expected = np.where(values < 0, -magnitudes, magnitudes)
+        np.testing.assert_array_equal(precision.trim(values), expected)
+        np.testing.assert_array_equal(values, before)  # the input is not trimmed
+        assert precision.trim(np.int64(-0b10111)) == -0b10100
+
     def test_trim_is_idempotent(self, rng):
         precision = LayerPrecision(msb=9, lsb=2)
         values = rng.integers(-(2**12), 2**12, size=100)
