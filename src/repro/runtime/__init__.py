@@ -20,7 +20,7 @@ Layering::
                   builder and the active session
     engine        simulate()/analyze(): cached execution against the session
     jobs          job model and run planning (dedup across experiments)
-    scheduler     process-pool execution, serial fallback, run reports
+    scheduler     plan execution (in-process, or over a process pool), run reports
 
 The job model, cache-key scheme and session semantics are documented in
 ``docs/runtime.md``; :mod:`repro.serve` builds the async serving front-end on

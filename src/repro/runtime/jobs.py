@@ -79,10 +79,6 @@ class RunPlan:
     #: Simulation/statistics units satisfied by the cache at planning time.
     planned_hits: int = 0
 
-    def jobs(self) -> list[SimulationJob | StatisticsJob | ExperimentJob]:
-        """All jobs, dependencies before dependents."""
-        return [*self.simulations, *self.statistics, *self.experiments]
-
 
 def plan_hook(name: str):
     """Experiment ``name``'s ``plan(preset, seed)`` hook, or ``None`` if it has none."""

@@ -5,9 +5,10 @@ simulation and statistics jobs are merged across experiments so each
 ``(trace, sampling)`` is swept once.  Both modes run the same jobs through
 one dispatcher (:func:`_run_job`):
 
-* ``jobs <= 1`` executes the plan in-process, in dependency order:
-  simulation and statistics jobs first, then each experiment, which finds
-  its inputs as warm hits in the session cache (no pool, no pickling);
+* :func:`run_plan` executes it in-process, experiment by experiment: the
+  jobs an experiment depends on that have not run yet, then the experiment,
+  which finds its inputs as warm hits in the session cache.  ``jobs <= 1``,
+  the serial fallback and serve's ``run_all`` use it;
 * ``jobs > 1`` executes it as a dependency wavefront over a
   ``concurrent.futures`` process pool: each experiment job is submitted as
   soon as the jobs it depends on have populated the shared cache, and
@@ -31,6 +32,7 @@ import concurrent.futures
 import multiprocessing
 import tempfile
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,7 +55,7 @@ from repro.runtime.session import (
     use_session,
 )
 
-__all__ = ["RunReport", "run_experiments"]
+__all__ = ["RunReport", "run_experiments", "run_plan"]
 
 
 @dataclass
@@ -131,14 +133,17 @@ def _execute_job(
 
 
 # ------------------------------------------------------------------ execution
-def _run_serial(plan: RunPlan, session: RuntimeSession) -> dict[str, ExperimentResult]:
-    """In-process execution of every job of ``plan``, dependencies first."""
-    results: dict[str, ExperimentResult] = {}
-    for job in plan.jobs():
-        result = _run_job(job, session)
-        if result is not None:
-            results[job.experiment] = result
-    return results
+def run_plan(
+    plan: RunPlan, session: RuntimeSession
+) -> Iterator[tuple[str, ExperimentResult]]:
+    """Execute ``plan`` in ``session`` experiment by experiment, yielding each
+    ``(name, result)``: an experiment runs right after its unrun dependencies."""
+    pending = {job.job_id: job for job in (*plan.simulations, *plan.statistics)}
+    for job in plan.experiments:
+        for dep in job.deps:
+            if dep in pending:
+                _run_job(pending.pop(dep), session)
+        yield job.experiment, _run_job(job, session)
 
 
 def _run_parallel(
@@ -163,7 +168,7 @@ def _run_parallel(
     cache_dir = str(session.cache.directory) if session.cache.directory else None
     context = multiprocessing.get_context("spawn")
     results: dict[str, ExperimentResult] = {}
-    waiting = list(plan.jobs())
+    waiting = [*plan.simulations, *plan.statistics, *plan.experiments]
     done_ids: set[str] = set()
 
     try:
@@ -265,10 +270,9 @@ def run_experiments(
             # killed): degrade gracefully.  Genuine exceptions raised *by* an
             # experiment or simulation propagate to the caller instead.
             stats = RunStats()  # discard partial worker counters
-            unordered = _run_serial(plan, session)
             mode = "serial-fallback"
-    else:
-        unordered = _run_serial(plan, session)
+    if mode != "parallel":
+        unordered = dict(run_plan(plan, session))
     results = {name: unordered[name] for name in names}
     stats.merge(session.stats())
     return RunReport(

@@ -41,9 +41,6 @@ from repro.serve.protocol import ServeRequest
 
 __all__ = ["Ticket", "Job", "RequestQueue"]
 
-#: Job/ticket lifecycle states.
-STATES = ("queued", "running", "done", "failed", "cancelled")
-
 
 class Job:
     """One coalesced unit of execution (1..N tickets share it).

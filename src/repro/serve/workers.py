@@ -27,7 +27,8 @@ import time
 
 from repro.core.progress import ProgressToken, SweepCancelled
 from repro.runtime import RuntimeSession, simulate, use_session
-from repro.runtime.jobs import plan_hook
+from repro.runtime.jobs import build_plan, plan_hook
+from repro.runtime.scheduler import run_plan
 from repro.runtime.serialization import network_result_to_dict
 from repro.runtime.session import NotResident
 from repro.serve.protocol import (
@@ -81,14 +82,16 @@ def run_request(request: ServeRequest, session: RuntimeSession) -> dict:
 
     The payload is JSON-ready: experiment results via
     ``ExperimentResult.to_dict``, raw simulations via
-    :func:`network_result_to_dict`.
+    :func:`network_result_to_dict`.  A ``run_all`` plans every experiment in
+    ``session`` and executes the merged plan as the batch CLI does
+    (:func:`~repro.runtime.scheduler.run_plan`).
 
     The session's progress token rides down into the runtime funnels: the
     sweep checks it at cooperative checkpoints (raising
     :class:`SweepCancelled` once the last interested ticket cancelled) and
     per-layer/per-network progress events flow back through it.  ``run_all``
     additionally emits one ``experiment_done`` event with the partial result
-    after each experiment completes.
+    as each experiment completes.
 
     A resident-only session (:meth:`WorkerPool.run_inline`) raises
     :class:`NotResident` unless the request declares its inputs and every one
@@ -109,19 +112,19 @@ def run_request(request: ServeRequest, session: RuntimeSession) -> dict:
             )
             payload = {"kind": "experiment", "experiment": result.to_dict()}
         elif isinstance(request, RunAllRequest):
-            preset = request.resolved_preset()
+            plan = build_plan(
+                list(EXPERIMENTS), request.resolved_preset(), request.seed, session
+            )
             results = {}
-            for index, name in enumerate(EXPERIMENTS):
-                results[name] = run_experiment(
-                    name, preset=preset, seed=request.seed
-                ).to_dict()
+            for name, result in run_plan(plan, session):
+                results[name] = result.to_dict()
                 if progress is not None:
                     progress.emit(
                         {
                             "stage": "experiment_done",
                             "experiment": name,
-                            "completed": index + 1,
-                            "total": len(EXPERIMENTS),
+                            "completed": len(results),
+                            "total": len(plan.experiments),
                             "result": results[name],
                         }
                     )

@@ -6,6 +6,7 @@ whether or not its results persist, and a run degrades gracefully when
 parallelism is unavailable.
 """
 
+import concurrent.futures
 import dataclasses
 
 import pytest
@@ -24,6 +25,7 @@ from repro.runtime import (
     simulate,
     use_session,
 )
+from repro.runtime import scheduler as scheduler_module
 from repro.runtime import session as session_module
 from repro.runtime.cache import ResultCache
 
@@ -217,6 +219,17 @@ class TestRunExperiments:
         assert report.simulation_jobs > 0
         assert len(sweeps) == report.simulation_jobs
         assert report.stats.cache.misses == report.stats.sweep.configs_simulated
+
+    def test_a_pool_that_cannot_start_falls_back_to_the_serial_executor(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise concurrent.futures.BrokenExecutor("no pool on this platform")
+
+        monkeypatch.setattr(scheduler_module, "_run_parallel", broken)
+        fallback = run_experiments(SIM_EXPERIMENTS, preset=SMOKE, jobs=2, no_cache=True)
+        serial = run_experiments(SIM_EXPERIMENTS, preset=SMOKE, no_cache=True)
+        assert fallback.mode == "serial-fallback"
+        assert fallback.results == serial.results
+        assert fallback.stats == serial.stats
 
     def test_summary_mentions_the_simulation_counter(self):
         report = run_experiments(["table3"], preset=SMOKE)

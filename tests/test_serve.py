@@ -1628,6 +1628,58 @@ class TestStreaming:
         run(scenario())
 
 
+class TestServedRunAll:
+    """A served ``run_all`` executes the batch run's merged plan, experiment
+    by experiment."""
+
+    @staticmethod
+    def _run_all(on_progress=None):
+        async def scenario():
+            async with ExperimentService(cache_dir=None, workers=1) as service:
+                request = parse_request({"op": "run_all", "overrides": TINY})
+                ticket = await service.submit(request, on_progress=on_progress)
+                return request, await service.wait(ticket)
+
+        return run(scenario())
+
+    def test_a_cold_run_all_does_the_batch_runs_work(self, monkeypatch):
+        from repro.experiments.runner import EXPERIMENTS
+        from repro.runtime import run_experiments
+        from repro.runtime import session as session_module
+
+        sweeps = []
+        sweep = session_module.sweep_network
+
+        def counted(*args, **kwargs):
+            sweeps.append(args)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "sweep_network", counted)
+        request, response = self._run_all()
+        served = len(sweeps)
+        batch = run_experiments(
+            list(EXPERIMENTS), preset=request.resolved_preset(), no_cache=True
+        )
+        assert response["stats"]["sweep"] == batch.stats.sweep.as_dict()
+        assert response["stats"]["cache"] == batch.stats.cache.as_dict()
+        assert served == batch.simulation_jobs > 0
+
+    def test_experiments_finish_in_order_as_they_complete(self):
+        from repro.experiments.runner import EXPERIMENTS
+
+        progress = []
+        _, response = self._run_all(lambda ticket, payload: progress.append(payload))
+        assert response["event"] == "done"
+        stages = [payload["stage"] for payload in progress]
+        done = [payload for payload in progress if payload["stage"] == "experiment_done"]
+        assert [payload["experiment"] for payload in done] == list(EXPERIMENTS)
+        assert [payload["completed"] for payload in done] == list(range(1, len(done) + 1))
+        assert {payload["total"] for payload in done} == {len(EXPERIMENTS)}
+        # Each experiment reports when it finishes, not after the run's last
+        # sweep: table1 (statistics only) is done before fig9 sweeps a layer.
+        assert stages.index("experiment_done") < stages.index("layer")
+
+
 # ------------------------------------------------------------------ disconnects
 class TestDisconnectCleanup:
     def test_disconnect_cancels_sole_ticket_running_job_and_frees_worker(self):
